@@ -133,6 +133,89 @@ func TestReadingBatchRecycleResets(t *testing.T) {
 	}
 }
 
+// assertNothingPinned checks the pooled-batch invariant over the FULL
+// capacity of every pointer-carrying column: a cell left behind past len
+// would pin its string, boxed value or time location for as long as the
+// batch sits in the pool.
+func assertNothingPinned(t *testing.T, b *ReadingBatch) {
+	t.Helper()
+	for i, v := range b.ids[:cap(b.ids)] {
+		if v != "" {
+			t.Fatalf("ids[%d] = %q pinned past len", i, v)
+		}
+	}
+	for i, v := range b.srcs[:cap(b.srcs)] {
+		if v != "" {
+			t.Fatalf("srcs[%d] = %q pinned past len", i, v)
+		}
+	}
+	for i, v := range b.times[:cap(b.times)] {
+		if v != (time.Time{}) {
+			t.Fatalf("times[%d] = %v pinned past len", i, v)
+		}
+	}
+	for i, v := range b.strs[:cap(b.strs)] {
+		if v != "" {
+			t.Fatalf("strs[%d] = %q pinned past len", i, v)
+		}
+	}
+	for i, v := range b.anys[:cap(b.anys)] {
+		if v != nil {
+			t.Fatalf("anys[%d] = %v pinned past len", i, v)
+		}
+	}
+	if b.idxs != nil {
+		t.Fatalf("idxs column survived reset")
+	}
+}
+
+func TestReadingBatchRecyclePinsNothingPastLen(t *testing.T) {
+	loc := time.FixedZone("pinned", 3600)
+	at := time.Unix(1000, 0).In(loc)
+	fill := func(b *ReadingBatch, n int, v func(i int) any) {
+		for i := 0; i < n; i++ {
+			r := mkReading("device", v(i), at.Add(time.Duration(i)*time.Second))
+			r.Index = "slot"
+			b.Append(r)
+		}
+	}
+	str := func(int) any { return "payload" }
+	boxed := func(int) any { return []int{1} }
+
+	b := NewReadingBatch()
+	defer b.Release()
+
+	// A large burst followed by a small one.
+	fill(b, 200, str)
+	b.reset()
+	fill(b, 10, str)
+	b.reset()
+	assertNothingPinned(t, b)
+
+	// truncate (the deadline policy) zeroes what it drops, before any
+	// reset: the invariant holds on live batches too.
+	fill(b, 100, boxed)
+	if dropped := b.CompactBefore(at.Add(50 * time.Second)); dropped != 50 {
+		t.Fatalf("compact dropped %d, want 50", dropped)
+	}
+	for i, v := range b.times[b.Len():cap(b.times)] {
+		if v != (time.Time{}) {
+			t.Fatalf("times[%d] = %v pinned past len after truncate", b.Len()+i, v)
+		}
+	}
+	b.reset()
+	assertNothingPinned(t, b)
+
+	// demote zeroes the typed string column it abandons.
+	fill(b, 50, str)
+	b.Append(mkReading("device", 1.5, at))
+	if b.Kind() != ColAny {
+		t.Fatalf("kind = %v, want ColAny", b.Kind())
+	}
+	b.reset()
+	assertNothingPinned(t, b)
+}
+
 func TestReadingBatchOverReleasePanics(t *testing.T) {
 	b := NewReadingBatch()
 	b.Release()

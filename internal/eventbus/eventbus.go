@@ -68,7 +68,8 @@ type Event struct {
 // Handler consumes events delivered to a subscription.
 type Handler func(Event)
 
-// Refcounted is implemented by pooled payloads (device.ReadingBatch). The
+// Refcounted is implemented by pooled payloads (device.ReadingBatch on
+// device-source topics, the runtime's value batch on context topics). The
 // bus retains one reference per subscriber before enqueueing and releases it
 // when the delivery finishes or the event is dropped, so a recycled buffer
 // can never be observed by a late or slow subscriber. Handlers BORROW the
@@ -80,9 +81,11 @@ type Refcounted interface {
 }
 
 // Weighted is implemented by payloads that stand for more than one logical
-// event (a ReadingBatch of n readings). The bus counts published, delivered
-// and dropped by weight, so Stats keep meaning "readings" whether readings
-// travel boxed one-per-event or batched.
+// event (a ReadingBatch of n readings, a value batch of n context
+// publications). The bus counts published, delivered and dropped by weight,
+// so Stats keep meaning "readings" and "published values" whether they
+// travel one per event or batched, and a queue slot, a DropOldest eviction
+// or a DropNewest refusal settles the whole payload's weight at once.
 type Weighted interface {
 	EventWeight() int
 }

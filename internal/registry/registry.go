@@ -638,17 +638,21 @@ func candidateIDsLocked(sh *regShard, q Query) map[ID]struct{} {
 			return nil
 		}
 	}
-	if best == nil && q.Kind != "" {
-		best = sh.byKind[q.Kind]
+	if best != nil {
+		return best
 	}
-	if best == nil {
-		all := make(map[ID]struct{}, len(sh.entities))
-		for id := range sh.entities {
-			all[id] = struct{}{}
-		}
-		return all
+	if q.Kind != "" {
+		// byKind indexes every entity under each of its Kinds, so a shard
+		// with no entry for the kind holds no match: the (nil) set is the
+		// answer. Falling through to the full table here made a query for
+		// a rare kind copy every shard's entity table.
+		return sh.byKind[q.Kind]
 	}
-	return best
+	all := make(map[ID]struct{}, len(sh.entities))
+	for id := range sh.entities {
+		all[id] = struct{}{}
+	}
+	return all
 }
 
 func matchesQuery(e *Entity, q Query) bool {

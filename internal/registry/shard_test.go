@@ -156,3 +156,63 @@ func TestShardCountDefault(t *testing.T) {
 		t.Fatalf("ShardCount = %d, want %d", r.ShardCount(), DefaultShards)
 	}
 }
+
+// TestRareKindCandidatesStayInTheKindIndex pins the cost of a query for a
+// kind most shards hold none of (one panel in a fleet of sensors, a freshly
+// hot-deployed tenant's kind): a shard without the kind contributes no
+// candidates. It used to fall through to a copy of its whole entity table,
+// making every such Discover/Scan O(fleet).
+func TestRareKindCandidatesStayInTheKindIndex(t *testing.T) {
+	r := New()
+	defer r.Close()
+	for i := 0; i < 2000; i++ {
+		if err := r.Register(Entity{ID: ID(fmt.Sprintf("s%05d", i)), Kind: "PresenceSensor"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	panel := Entity{ID: "panel-1", Kind: "EntrancePanel", Kinds: []string{"EntrancePanel", "DisplayPanel"}}
+	if err := r.Register(panel); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"EntrancePanel", "DisplayPanel", "NoSuchKind"} {
+		want := 1
+		if kind == "NoSuchKind" {
+			want = 0
+		}
+		candidates := 0
+		for i := range r.shards {
+			sh := &r.shards[i]
+			sh.mu.Lock()
+			candidates += len(candidateIDsLocked(sh, Query{Kind: kind}))
+			sh.mu.Unlock()
+		}
+		if candidates != want {
+			t.Errorf("kind %s: %d candidates across shards, want %d", kind, candidates, want)
+		}
+		if got := r.Discover(Query{Kind: kind}); len(got) != want || (want == 1 && got[0].ID != panel.ID) {
+			t.Errorf("kind %s: Discover = %v, want %d match(es)", kind, got, want)
+		}
+	}
+}
+
+// BenchmarkRegistry_DiscoverRareKind is Discover for one panel among 50k
+// sensors: the cost must follow the matches, not the fleet.
+func BenchmarkRegistry_DiscoverRareKind(b *testing.B) {
+	r := New()
+	defer r.Close()
+	for i := 0; i < 50000; i++ {
+		if err := r.Register(Entity{ID: ID(fmt.Sprintf("s%05d", i)), Kind: "PresenceSensor"}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := r.Register(Entity{ID: "panel-1", Kind: "EntrancePanel"}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := r.Discover(Query{Kind: "EntrancePanel"}); len(got) != 1 {
+			b.Fatalf("Discover returned %d entities, want 1", len(got))
+		}
+	}
+}

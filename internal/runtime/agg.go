@@ -139,10 +139,7 @@ func (c *aggCore) reset() {
 // registry. Departures and attribute changes evict stale contributions and
 // dispatch the retraction even when no further event arrives.
 type provAgg struct {
-	rt        *Runtime
-	ctx       *check.Context
-	in        *check.Interaction
-	idx       int
+	ctxSite   // guarded by mu, like the engine
 	kind      string
 	source    string
 	groupAttr string
@@ -173,10 +170,7 @@ func (rt *Runtime) newProvAgg(ctx *check.Context, idx int, in *check.Interaction
 	}
 	_, combinable := rt.contextHandler(ctx.Name).(Combiner)
 	pa := &provAgg{
-		rt:         rt,
-		ctx:        ctx,
-		in:         in,
-		idx:        idx,
+		ctxSite:    rt.newCtxSite(ctx, idx, in),
 		kind:       in.TriggerDevice.Name,
 		source:     in.TriggerSource.Name,
 		groupAttr:  in.GroupBy.Name,
@@ -269,8 +263,11 @@ func (pa *provAgg) applyChanges(batch []registry.Change) {
 
 // trackLocked installs or refreshes one device's group, evicting its old
 // contribution on a group change and adopting a pending reading that
-// arrived before the registration was observed. It reports whether the
-// aggregate changed.
+// arrived before the registration was observed. An adopted reading is
+// delivered now, late, as what it is — a dispatch carrying the reading —
+// so delivered + dropped accounting stays exact when events outrun the
+// registry deltas. It reports whether the aggregate changed beyond that
+// (the caller dispatches such bookkeeping changes once, without a reading).
 func (pa *provAgg) trackLocked(id, group string) (changed bool) {
 	if old, tracked := pa.groupOf[id]; tracked && old != group && pa.core.eng.Has(id) {
 		// Re-homed: the old contribution is stale; the device re-enters
@@ -282,7 +279,8 @@ func (pa *provAgg) trackLocked(id, group string) (changed bool) {
 	if r, ok := pa.pending[id]; ok {
 		delete(pa.pending, id)
 		pa.core.eng.Upsert(id, group, r.Value)
-		changed = true
+		pa.dispatchLocked(&r, group, r.Time)
+		changed = false // that dispatch carried every change so far
 	}
 	return changed
 }
@@ -360,19 +358,10 @@ func (pa *provAgg) applyPartials(origin string, partials []transport.GroupPartia
 }
 
 func (pa *provAgg) dispatchLocked(r *device.Reading, group string, at time.Time) {
-	reduced, grouped := pa.core.flush()
-	call := &ContextCall{
-		ContextName:      pa.ctx.Name,
-		Interaction:      pa.in,
-		InteractionIndex: pa.idx,
-		Reading:          r,
-		Group:            group,
-		Time:             at,
-		GroupedReduced:   reduced,
-		Grouped:          grouped,
-		rt:               pa.rt,
-	}
-	pa.rt.dispatchContext(pa.ctx, pa.in, call)
+	call := pa.newCall(at)
+	call.Reading, call.Group = r, group
+	call.GroupedReduced, call.Grouped = pa.core.flush()
+	pa.deliver(&call)
 }
 
 // resync rebuilds the device→group cache from a full registry scan — the

@@ -20,6 +20,7 @@ type vacancyAggHandler struct {
 	mu       sync.Mutex
 	last     map[string]int
 	triggers int
+	readings int // triggers that carried a reading
 }
 
 func (h *vacancyAggHandler) Map(zone string, v any, emit func(string, any)) {
@@ -42,6 +43,9 @@ func (h *vacancyAggHandler) OnTrigger(call *runtime.ContextCall) (any, bool, err
 	h.mu.Lock()
 	h.last = snap
 	h.triggers++
+	if call.Reading != nil {
+		h.readings++
+	}
 	h.mu.Unlock()
 	return snap, true, nil
 }
@@ -549,4 +553,11 @@ func TestProvidedGroupedPendingReadingAdopted(t *testing.T) {
 		got, _ := h.snapshot()
 		return got["za"] == 1
 	})
+	// The adopted reading counts as a delivery: consumers that hold
+	// delivered + dropped == accepted see it, late, as a reading.
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.readings != 1 {
+		t.Fatalf("%d deliveries carried a reading, want the adopted one", h.readings)
+	}
 }

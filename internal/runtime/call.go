@@ -15,6 +15,10 @@ import (
 // clauses — the runtime equivalent of the paper's generated `discover`
 // parameter (Figure 9: "exposes a specialized interface to querying the
 // current consumption of the cooker").
+//
+// A ContextCall — and the Reading it points to — is borrowed for the
+// duration of OnTrigger: event-driven call sites refill one call per row of
+// a delivered batch, so handlers copy what they keep.
 type ContextCall struct {
 	// ContextName is the receiving context.
 	ContextName string
@@ -53,7 +57,8 @@ type ContextCall struct {
 	// onPeriodicPresence map parameter). Same ownership rule as Grouped:
 	// incrementally maintained, copy to retain past the call.
 	GroupedReduced map[string]any
-	// Time is the delivery time.
+	// Time is the delivery time (for context-to-context deliveries, the one
+	// stamp of the upstream flush the value travelled in).
 	Time time.Time
 
 	rt *Runtime

@@ -13,30 +13,54 @@ import (
 // wireController subscribes one `when provided <Context>` controller clause
 // to the context's publications.
 func (rt *Runtime) wireController(ctrl *check.Controller, w *check.ControllerWhen) error {
-	err := rt.subscribe(rt.contextTopic(w.Context.Name), func(ev eventbus.Event) {
-		rt.stats.controllerTriggers.Add(1)
-		h := rt.controllerHandler(ctrl.Name)
-		if h == nil {
-			return
+	cs := &ctrlCallSite{name: ctrl.Name, call: ControllerCall{
+		ControllerName: ctrl.Name,
+		ContextName:    w.Context.Name,
+		when:           w,
+		rt:             rt,
+	}}
+	return rt.subscribe(rt.pubSites[w.Context.Name].topic, cs.onEvent)
+}
+
+// ctrlCallSite is the dispatch call site of one controller clause, the
+// consumer-side twin of provCallSite: the handler is resolved once per
+// delivered value batch, ControllerTriggers moves once by the batch length,
+// and one ControllerCall — filled at wire time, only Value and Time move —
+// is reused for every value. Its state is touched only from the owning bus
+// subscription's drain goroutine.
+type ctrlCallSite struct {
+	name string // controller name; the call's copy is the handler's to read
+	call ControllerCall
+}
+
+func (cs *ctrlCallSite) onEvent(ev eventbus.Event) {
+	b := ev.Payload.(*valueBatch) // pubSite.flush is the topic's only publisher
+	rt := cs.call.rt
+	rt.stats.controllerTriggers.Add(uint64(len(b.vals)))
+	h := rt.controllerHandler(cs.name)
+	if h == nil {
+		return
+	}
+	cs.call.Time = ev.Time
+	for _, v := range b.vals {
+		cs.call.Value = v
+		if err := h.OnContext(&cs.call); err != nil {
+			rt.reportError(cs.name, err)
 		}
-		call := &ControllerCall{
-			ControllerName: ctrl.Name,
-			ContextName:    w.Context.Name,
-			Value:          ev.Payload,
-			Time:           ev.Time,
-			when:           w,
-			rt:             rt,
-		}
-		if err := h.OnContext(call); err != nil {
-			rt.reportError(ctrl.Name, err)
-		}
-	})
-	return err
+	}
+	cs.call.Value = nil // the batch recycles; do not pin its last value
 }
 
 // ControllerCall carries one context publication to a controller handler
 // plus the actuation interface: discovery-filtered device proxies restricted
 // to the design's `do … on …` set (paper Figure 11's `discover` object).
+//
+// A ControllerCall is BORROWED for the duration of OnContext, exactly as
+// ContextCall and its Reading are for OnTrigger: the runtime refills one
+// call per clause for every published value, so a handler must not retain
+// the call — or any ActuatorProxy obtained from it, which actuates through
+// the call — past its return. Copy Value (and whatever else is needed) to
+// keep it.
 type ControllerCall struct {
 	// ControllerName is the receiving controller.
 	ControllerName string
@@ -44,7 +68,9 @@ type ControllerCall struct {
 	ContextName string
 	// Value is the published context value.
 	Value any
-	// Time is the publication time.
+	// Time is the publication time: one stamp per flushed delivery, shared
+	// by every value the publishing call site produced while dispatching
+	// it.
 	Time time.Time
 
 	when *check.ControllerWhen
@@ -194,7 +220,8 @@ func (c *ControllerCall) InvokeBatch(proxies []*ActuatorProxy, action string, ar
 // ActuatorProxy invokes actions on one discovered device. Invocations are
 // validated against the design (SCC conformance: a controller can only
 // perform its declared operations) and argument arity is checked against
-// the device declaration.
+// the device declaration. A proxy is scoped to the OnContext call whose
+// ControllerCall produced it (see ControllerCall's borrow rule).
 type ActuatorProxy struct {
 	entity registry.Entity
 	call   *ControllerCall

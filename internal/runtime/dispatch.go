@@ -40,6 +40,79 @@ func (rt *Runtime) periodicTopic(ctxName string, idx int) string {
 	return fmt.Sprintf("%speriodic/%s/%d", rt.topicPrefix, ctxName, idx)
 }
 
+// ctxSite is the compiled dispatch state of one context interaction —
+// everything name-keyed resolved once at wire time (the interaction, its
+// publish mode, the context's publication site) plus the publications of
+// the delivery being dispatched. Each owner serializes access: a bus
+// subscription's drain goroutine for the provided and periodic call sites,
+// provAgg.mu for grouped device sources.
+type ctxSite struct {
+	rt  *Runtime
+	ctx *check.Context
+	in  *check.Interaction
+	idx int
+	pub *pubSite
+
+	// out accumulates what the handler publishes while one incoming
+	// delivery is dispatched; flush hands it to the publication site as one
+	// bus event. It is never held across deliveries.
+	out *valueBatch
+}
+
+func (rt *Runtime) newCtxSite(ctx *check.Context, idx int, in *check.Interaction) ctxSite {
+	return ctxSite{rt: rt, ctx: ctx, in: in, idx: idx, pub: rt.pubSites[ctx.Name]}
+}
+
+// newCall returns the delivery-independent part of a ContextCall.
+func (cs *ctxSite) newCall(at time.Time) ContextCall {
+	return ContextCall{
+		ContextName:      cs.ctx.Name,
+		Interaction:      cs.in,
+		InteractionIndex: cs.idx,
+		Time:             at,
+		rt:               cs.rt,
+	}
+}
+
+// handler resolves the context implementation — once per delivery, not per
+// row.
+func (cs *ctxSite) handler() ContextHandler { return cs.rt.contextHandler(cs.ctx.Name) }
+
+// trigger invokes the handler for one call and applies the interaction's
+// declared publish mode to its result.
+func (cs *ctxSite) trigger(h ContextHandler, call *ContextCall) {
+	value, wantPublish, err := h.OnTrigger(call)
+	if err != nil {
+		cs.rt.reportError(cs.ctx.Name, err)
+		return
+	}
+	if cs.in.Publish == ast.AlwaysPublish || (cs.in.Publish == ast.MaybePublish && wantPublish) {
+		if cs.out == nil {
+			cs.out = newValueBatch()
+		}
+		cs.out.vals = append(cs.out.vals, value)
+	}
+}
+
+// flush publishes what the delivery just dispatched produced, if anything.
+func (cs *ctxSite) flush() {
+	if b := cs.out; b != nil {
+		cs.out = nil
+		cs.pub.flush(b)
+	}
+}
+
+// deliver dispatches a delivery that carries a single call (a periodic
+// round, a grouped aggregate, one boxed reading): its publication is a
+// batch of one through the same site.
+func (cs *ctxSite) deliver(call *ContextCall) {
+	cs.rt.stats.contextTriggers.Add(1)
+	if h := cs.handler(); h != nil {
+		cs.trigger(h, call)
+		cs.flush()
+	}
+}
+
 // wireProvided wires one `when provided` interaction: a bus subscription for
 // context-to-context arrows, or — for device sources — the sharded ingestion
 // pipeline (see ingest.go) funneled through the bus topic. Grouped device
@@ -47,17 +120,9 @@ func (rt *Runtime) periodicTopic(ctxName string, idx int) string {
 // (agg.go) so the handler sees a continuously maintained per-group state.
 func (rt *Runtime) wireProvided(ctx *check.Context, idx int, in *check.Interaction) error {
 	if in.TriggerKind == check.FromContext {
-		err := rt.subscribe(rt.contextTopic(in.TriggerCtx.Name), func(ev eventbus.Event) {
-			rt.dispatchContext(ctx, in, &ContextCall{
-				ContextName:      ctx.Name,
-				Interaction:      in,
-				InteractionIndex: idx,
-				Value:            ev.Payload,
-				Time:             ev.Time,
-				rt:               rt,
-			})
-		})
-		return err
+		cs := &ctxValueSite{ctxSite: rt.newCtxSite(ctx, idx, in)}
+		cs.call = cs.newCall(time.Time{})
+		return rt.subscribe(rt.pubSites[in.TriggerCtx.Name].topic, cs.onEvent)
 	}
 
 	// One pre-classified call site per (kind, source) interaction: the
@@ -66,7 +131,9 @@ func (rt *Runtime) wireProvided(ctx *check.Context, idx int, in *check.Interacti
 	// the whole batch — the bus serializes one subscription's handler, so
 	// the scratch is single-writer (SNIPPETS.md snippet 1's
 	// cache-everything-per-site idiom).
-	cs := &provCallSite{rt: rt, ctx: ctx, in: in, idx: idx}
+	cs := &provCallSite{ctxSite: rt.newCtxSite(ctx, idx, in)}
+	cs.call = cs.newCall(time.Time{})
+	cs.call.Reading = &cs.scratch
 	onEvent := cs.onEvent
 	if in.GroupBy != nil {
 		pa, err := rt.newProvAgg(ctx, idx, in)
@@ -108,14 +175,13 @@ const sourceTopicQueue = 1024
 // subscription's drain goroutine, so the call scratch is reused across
 // events with zero allocation: a typed ReadingBatch row is materialized
 // into scratch (boxing bool values is free), handed to the handler through
-// the reused ContextCall, and routed. Handlers borrow the call — retaining
-// it or the Reading past OnTrigger's return is a contract violation (the
-// same borrow rule as the batch payload itself).
+// the reused ContextCall — filled once at wire time, only Time moves per
+// row — and its publication appended to the delivery's outgoing value
+// batch. Handlers borrow the call — retaining it or the Reading past
+// OnTrigger's return is a contract violation (the same borrow rule as the
+// batch payload itself).
 type provCallSite struct {
-	rt  *Runtime
-	ctx *check.Context
-	in  *check.Interaction
-	idx int
+	ctxSite
 
 	scratch device.Reading
 	call    ContextCall
@@ -126,49 +192,57 @@ func (cs *provCallSite) onEvent(ev eventbus.Event) {
 	case *device.ReadingBatch:
 		cs.dispatchBatch(p)
 	case device.Reading:
+		// The boxed (ablation) payload shape: a delivery of one.
 		cs.scratch = p
-		cs.dispatchScratch()
+		cs.call.Time = p.Time
+		cs.deliver(&cs.call)
 	}
 }
 
 // dispatchBatch runs the handler once per row with the handler cached for
-// the whole batch — the typed fast path of the storm benchmarks.
+// the whole batch — the typed fast path of the storm benchmarks — and
+// publishes the rows' results as one value batch.
 func (cs *provCallSite) dispatchBatch(b *device.ReadingBatch) {
-	rt := cs.rt
 	n := b.Len()
-	rt.stats.contextTriggers.Add(uint64(n))
-	h := rt.contextHandler(cs.ctx.Name)
+	cs.rt.stats.contextTriggers.Add(uint64(n))
+	h := cs.handler()
 	if h == nil {
 		return
 	}
 	for i := 0; i < n; i++ {
 		b.FillRow(i, &cs.scratch)
-		cs.fillCall()
-		value, want, err := h.OnTrigger(&cs.call)
-		if err != nil {
-			rt.reportError(cs.ctx.Name, err)
-			continue
-		}
-		rt.routePublish(cs.ctx, cs.in, value, want)
+		cs.call.Time = cs.scratch.Time
+		cs.trigger(h, &cs.call)
 	}
+	cs.flush()
 }
 
-// dispatchScratch dispatches the single reading currently in scratch — the
-// boxed (ablation) payload shape.
-func (cs *provCallSite) dispatchScratch() {
-	cs.fillCall()
-	cs.rt.dispatchContext(cs.ctx, cs.in, &cs.call)
+// ctxValueSite is the dispatch call site of one context-to-context `when
+// provided` interaction: it walks an upstream context's value batch row by
+// row through one reused ContextCall (only Value and Time move) and
+// accumulates its own publications into one outgoing batch, so a chain
+// context→context→controller stays batched end to end. Drain-goroutine-only,
+// like provCallSite.
+type ctxValueSite struct {
+	ctxSite
+
+	call ContextCall
 }
 
-func (cs *provCallSite) fillCall() {
-	cs.call = ContextCall{
-		ContextName:      cs.ctx.Name,
-		Interaction:      cs.in,
-		InteractionIndex: cs.idx,
-		Reading:          &cs.scratch,
-		Time:             cs.scratch.Time,
-		rt:               cs.rt,
+func (cs *ctxValueSite) onEvent(ev eventbus.Event) {
+	b := ev.Payload.(*valueBatch) // pubSite.flush is the topic's only publisher
+	cs.rt.stats.contextTriggers.Add(uint64(len(b.vals)))
+	h := cs.handler()
+	if h == nil {
+		return
 	}
+	cs.call.Time = ev.Time
+	for _, v := range b.vals {
+		cs.call.Value = v
+		cs.trigger(h, &cs.call)
+	}
+	cs.call.Value = nil // the upstream batch recycles; do not pin its last value
+	cs.flush()
 }
 
 // poller drives one `when periodic` interaction. Steady-state work is
@@ -178,10 +252,7 @@ func (cs *provCallSite) fillCall() {
 // a persistent worker pool, and the out/ok/readings buffers are reused
 // across rounds.
 type poller struct {
-	rt       *Runtime
-	ctx      *check.Context
-	in       *check.Interaction
-	idx      int
+	ctxSite  // dispatch side (bus-handler goroutine) owns out
 	stopCh   chan struct{}
 	stopOnce sync.Once
 
@@ -229,10 +300,7 @@ type poller struct {
 
 func (rt *Runtime) startPoller(ctx *check.Context, idx int, in *check.Interaction) {
 	p := &poller{
-		rt:      rt,
-		ctx:     ctx,
-		in:      in,
-		idx:     idx,
+		ctxSite: rt.newCtxSite(ctx, idx, in),
 		stopCh:  make(chan struct{}),
 		workers: rt.pollWorkers,
 	}
@@ -587,17 +655,9 @@ func (p *poller) dispatchDelta(d aggDelta) {
 	for _, id := range d.removals {
 		p.core.eng.Remove(id)
 	}
-	reduced, grouped := p.core.flush()
-	call := &ContextCall{
-		ContextName:      p.ctx.Name,
-		Interaction:      p.in,
-		InteractionIndex: p.idx,
-		Time:             d.at,
-		GroupedReduced:   reduced,
-		Grouped:          grouped,
-		rt:               p.rt,
-	}
-	p.rt.dispatchContext(p.ctx, p.in, call)
+	call := p.newCall(d.at)
+	call.GroupedReduced, call.Grouped = p.core.flush()
+	p.deliver(&call)
 }
 
 // rebuild rescans the registry and rebuilds the fleet snapshot: locals carry
@@ -823,13 +883,7 @@ func (p *poller) putReadings(rs []GroupedReading) {
 // dispatch runs the context handler for one periodic batch, applying
 // grouping and the MapReduce lowering when declared.
 func (p *poller) dispatch(batch periodicBatch) {
-	call := &ContextCall{
-		ContextName:      p.ctx.Name,
-		Interaction:      p.in,
-		InteractionIndex: p.idx,
-		Time:             batch.at,
-		rt:               p.rt,
-	}
+	call := p.newCall(batch.at)
 	if p.in.GroupBy == nil {
 		rs := make([]device.Reading, len(batch.readings))
 		for i, gr := range batch.readings {
@@ -845,7 +899,7 @@ func (p *poller) dispatch(batch periodicBatch) {
 		}
 		call.Grouped = grouped
 	}
-	p.rt.dispatchContext(p.ctx, p.in, call)
+	p.deliver(&call)
 }
 
 // runMapReduce lowers the grouped batch onto the MapReduce engine using the
@@ -873,37 +927,6 @@ func (p *poller) runMapReduce(readings []GroupedReading) map[string]any {
 		out[pr.Key] = pr.Value
 	}
 	return out
-}
-
-// dispatchContext invokes the context handler and routes its output
-// according to the declared publish mode.
-func (rt *Runtime) dispatchContext(ctx *check.Context, in *check.Interaction, call *ContextCall) {
-	rt.stats.contextTriggers.Add(1)
-	h := rt.contextHandler(ctx.Name)
-	if h == nil {
-		return
-	}
-	value, wantPublish, err := h.OnTrigger(call)
-	if err != nil {
-		rt.reportError(ctx.Name, err)
-		return
-	}
-	rt.routePublish(ctx, in, value, wantPublish)
-}
-
-// routePublish applies the interaction's declared publish mode to one
-// handler result.
-func (rt *Runtime) routePublish(ctx *check.Context, in *check.Interaction, value any, wantPublish bool) {
-	switch in.Publish {
-	case ast.AlwaysPublish:
-		rt.publishContext(ctx, value)
-	case ast.MaybePublish:
-		if wantPublish {
-			rt.publishContext(ctx, value)
-		}
-	case ast.NoPublish:
-		// Internal state update only.
-	}
 }
 
 // GroupKeys returns the sorted group keys of a grouped delivery; a helper

@@ -544,11 +544,18 @@ func (t *sourceTracker) loop(w *registry.Watcher) {
 }
 
 // trackedCount reports the number of devices currently attached (tests and
-// diagnostics).
+// diagnostics). Reservations whose subscription is still being set up do
+// not count: a device counted here already delivers what it emits.
 func (t *sourceTracker) trackedCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.subs)
+	n := 0
+	for _, td := range t.subs {
+		if td.attached() {
+			n++
+		}
+	}
+	return n
 }
 
 func (t *sourceTracker) add(e registry.Entity) {
@@ -727,6 +734,13 @@ func (d *trackedDevice) attach(cancel func()) bool {
 		return false
 	}
 	return true
+}
+
+// attached reports whether the attachment is live (attach ran, stop did not).
+func (d *trackedDevice) attached() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.cancel != nil && !d.stopped
 }
 
 func (d *trackedDevice) stop() {

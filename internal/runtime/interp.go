@@ -17,12 +17,17 @@ import (
 
 // interpContext is the interpreted implementation of one declared context.
 // OnTrigger derives a value from whatever the delivery carries (reading
-// value, context value, periodic batch, grouped aggregate), retains it as
-// the context's last state, and offers it for publication — the design's
-// publish mode (always/maybe/no publish) then decides whether it travels.
-// The MapReduce facet counts readings per group (an invertible sum, so
-// incremental aggregation and federation agg_sync both apply).
+// value, context value, periodic batch, grouped aggregate) and offers it for
+// publication — the design's publish mode (always/maybe/no publish) then
+// decides whether it travels. A context declaring `when required` also
+// retains the value as its last state to serve pulls; that is decided once
+// at Deploy time (required), so the per-event path of every other context
+// takes no lock. The MapReduce facet counts readings per group (an
+// invertible sum, so incremental aggregation and federation agg_sync both
+// apply).
 type interpContext struct {
+	required bool // the design declares `when required`: keep last for pulls
+
 	mu   sync.Mutex
 	last any
 }
@@ -59,9 +64,11 @@ func interpValue(call *ContextCall) any {
 // OnTrigger derives and republishes the interpreted value of a delivery.
 func (h *interpContext) OnTrigger(call *ContextCall) (any, bool, error) {
 	v := interpValue(call)
-	h.mu.Lock()
-	h.last = v
-	h.mu.Unlock()
+	if h.required {
+		h.mu.Lock()
+		h.last = v
+		h.mu.Unlock()
+	}
 	return v, true, nil
 }
 
@@ -131,11 +138,11 @@ func (rt *Runtime) autoImplement(model *check.Model) error {
 		haveCtrl[name] = true
 	}
 	rt.mu.Unlock()
-	for name := range model.Contexts {
+	for name, ctx := range model.Contexts {
 		if haveCtx[name] {
 			continue
 		}
-		if err := rt.ImplementContext(name, &interpContext{}); err != nil {
+		if err := rt.ImplementContext(name, &interpContext{required: ctx.Required}); err != nil {
 			return err
 		}
 	}

@@ -1,0 +1,496 @@
+package runtime
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/device"
+	"repro/internal/dsl"
+	"repro/internal/eventbus"
+)
+
+// White-box tests of the publication path (publish.go): batched publication
+// must be indistinguishable from per-value publication in everything but
+// the number of bus events, the value batch must honour the pooled-payload
+// contract under overflow and recycling, and a hot undeploy must account
+// for every queued value. All run under -race in CI.
+
+// relayDesign chains device → A → B → controller with the given publish
+// modes ("always publish" or "maybe publish"); N is a `no publish` leaf on A
+// (the checker rejects a subscription to a context that never publishes).
+func relayDesign(modeA, modeB string) string {
+	return fmt.Sprintf(`
+device Meter { source level as Integer; }
+device Display { action show(value as Integer); }
+
+context A as Integer {
+	when provided level from Meter
+	%s;
+}
+
+context B as Integer {
+	when provided A
+	%s;
+}
+
+context N as Integer {
+	when provided A
+	no publish;
+}
+
+controller K {
+	when provided B
+	do show on Display;
+}
+`, modeA, modeB)
+}
+
+// The handlers of the property test are pure functions of the value, so the
+// test can replay them as the per-value reference.
+var errRefused = errors.New("refused")
+
+func relayA(v int64) (int64, bool, error) {
+	if v%11 == 0 {
+		return 0, false, errRefused
+	}
+	return v*2 + 1, v%3 != 0, nil
+}
+
+func relayB(v int64) (int64, bool, error) { return v + 1000, v%5 != 0, nil }
+
+type relayCtx func(int64) (int64, bool, error)
+
+func (f relayCtx) OnTrigger(call *ContextCall) (any, bool, error) {
+	v := call.Value
+	if call.Reading != nil {
+		v = call.Reading.Value
+	}
+	out, want, err := f(v.(int64))
+	return out, want, err
+}
+
+// seqCtrl records the ordered value sequence a controller observes.
+type seqCtrl struct {
+	mu   sync.Mutex
+	seen []int64
+}
+
+func (c *seqCtrl) OnContext(call *ControllerCall) error {
+	c.mu.Lock()
+	c.seen = append(c.seen, call.Value.(int64))
+	c.mu.Unlock()
+	return nil
+}
+
+func (c *seqCtrl) snapshot() []int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]int64(nil), c.seen...)
+}
+
+// relayReference is the per-value publisher the batched path must match:
+// every reading walks the whole chain on its own, one bus event per hop.
+type relayReference struct {
+	seen                                   []int64
+	ctxTriggers, ctxPublishes, ctrlTrigger uint64
+	busPublished, busDelivered, errs       uint64
+	lastA, lastB                           any
+}
+
+func publishes(mode string, want bool) bool {
+	return mode == "always publish" || (mode == "maybe publish" && want)
+}
+
+func (r *relayReference) reading(v int64, modeA, modeB string) {
+	r.busPublished++ // the reading on the source topic
+	r.busDelivered++
+	r.ctxTriggers++
+	a, want, err := relayA(v)
+	if err != nil {
+		r.errs++
+		return
+	}
+	if !publishes(modeA, want) {
+		return
+	}
+	r.ctxPublishes++
+	r.lastA = a
+	r.busPublished++
+	r.busDelivered += 2 // to B and to N, which offers a value but never publishes
+	r.ctxTriggers += 2
+	b, want, _ := relayB(a)
+	if !publishes(modeB, want) {
+		return
+	}
+	r.ctxPublishes++
+	r.lastB = b
+	r.busPublished++
+	r.busDelivered++ // to K
+	r.ctrlTrigger++
+	r.seen = append(r.seen, b)
+}
+
+// TestPublicationPathMatchesPerValueReference drives seeded random delivery
+// sequences — typed batches, mixed (boxed-column) batches and single boxed
+// readings, of random sizes — through every always/maybe combination of a
+// context→context→controller chain with a `no publish` leaf, and requires the controller's ordered
+// value sequence and every counter to equal the per-value reference.
+func TestPublicationPathMatchesPerValueReference(t *testing.T) {
+	modes := []string{"always publish", "maybe publish"}
+	for _, modeA := range modes {
+		for _, modeB := range modes {
+			for seed := int64(1); seed <= 4; seed++ {
+				t.Run(fmt.Sprintf("%s/%s/seed%d", modeA, modeB, seed), func(t *testing.T) {
+					runRelayProperty(t, modeA, modeB, seed)
+				})
+			}
+		}
+	}
+}
+
+func runRelayProperty(t *testing.T, modeA, modeB string, seed int64) {
+	model, err := dsl.Load(relayDesign(modeA, modeB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errs atomic.Uint64
+	rt := New(model, WithErrorHandler(func(ComponentError) { errs.Add(1) }))
+	defer rt.Stop()
+	ctrl := &seqCtrl{}
+	for name, h := range map[string]ContextHandler{"A": relayCtx(relayA), "B": relayCtx(relayB), "N": relayCtx(relayB)} {
+		if err := rt.ImplementContext(name, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.ImplementController("K", ctrl); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(seed))
+	ref := &relayReference{}
+	topic := rt.sourceTopic("A", 0)
+	at := time.Unix(1000, 0)
+	next := int64(1)
+	reading := func() device.Reading {
+		r := device.Reading{DeviceID: "m1", Source: "level", Value: next, Time: at}
+		ref.reading(next, modeA, modeB)
+		next++
+		return r
+	}
+	for d := 0; d < 60; d++ {
+		switch shape := rng.Intn(4); shape {
+		case 0: // one boxed reading, the ablation payload
+			if err := rt.bus.Publish(topic, reading(), at); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			b := device.NewReadingBatch()
+			for i, n := 0, 1+rng.Intn(40); i < n; i++ {
+				b.Append(reading())
+			}
+			if shape == 1 {
+				// A foreign-typed row demotes the batch to its boxed
+				// column; the chain skips it (relayA would panic on it),
+				// so it rides last and is cut again by the deadline path.
+				b.Append(device.Reading{DeviceID: "m1", Source: "level", Value: "mixed", Time: at.Add(-time.Hour)})
+				b.CompactBefore(at)
+			}
+			err := rt.bus.Publish(topic, b, at)
+			b.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	waitUntil(t, "the chain to settle", func() bool {
+		bs := rt.BusStats()
+		return bs.Delivered == ref.busDelivered && rt.Stats().ControllerTriggers == ref.ctrlTrigger
+	})
+	if got := ctrl.snapshot(); !reflect.DeepEqual(got, ref.seen) {
+		t.Fatalf("controller saw %d values %v…, reference %d values %v…", len(got), head(got), len(ref.seen), head(ref.seen))
+	}
+	st, bs := rt.Stats(), rt.BusStats()
+	got := [...]uint64{st.ContextTriggers, st.ContextPublishes, st.ControllerTriggers, bs.Published, bs.Delivered, bs.Dropped, errs.Load()}
+	want := [...]uint64{ref.ctxTriggers, ref.ctxPublishes, ref.ctrlTrigger, ref.busPublished, ref.busDelivered, 0, ref.errs}
+	if got != want {
+		t.Fatalf("counters [ctxTriggers ctxPublishes ctrlTriggers busPublished busDelivered busDropped errors]\n got  %v\n want %v", got, want)
+	}
+	for name, want := range map[string]any{"A": ref.lastA, "B": ref.lastB, "N": nil} {
+		got, ok := rt.LastPublished(name)
+		if ok != (want != nil) || got != want {
+			t.Fatalf("LastPublished(%s) = %v, %v; reference %v", name, got, ok, want)
+		}
+	}
+}
+
+func head(s []int64) []int64 {
+	if len(s) > 8 {
+		return s[:8]
+	}
+	return s
+}
+
+// publishValues publishes one value batch of n copies of v, as a call site's
+// flush does, and returns it for reference inspection.
+func publishValues(t *testing.T, bus *eventbus.Bus, topic string, n int, v any) *valueBatch {
+	t.Helper()
+	b := newValueBatch()
+	for i := 0; i < n; i++ {
+		b.vals = append(b.vals, v)
+	}
+	err := bus.Publish(topic, b, time.Unix(1, 0))
+	b.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestValueBatchOverflowSettlesByWeight: under both drop policies every
+// published value is either delivered or counted dropped — by weight, not by
+// bus event — and every batch ends with no reference outstanding.
+func TestValueBatchOverflowSettlesByWeight(t *testing.T) {
+	for _, policy := range []eventbus.Policy{eventbus.DropOldest, eventbus.DropNewest} {
+		t.Run(policy.String(), func(t *testing.T) {
+			bus := eventbus.New()
+			defer bus.Close()
+			gate := make(chan struct{})
+			var handled atomic.Uint64
+			_, err := bus.Subscribe("context/C", func(ev eventbus.Event) {
+				<-gate
+				handled.Add(uint64(len(ev.Payload.(*valueBatch).vals)))
+			}, eventbus.WithQueue(4), eventbus.WithPolicy(policy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(7))
+			var published uint64
+			batches := make(map[*valueBatch]bool)
+			for i := 0; i < 50; i++ {
+				n := 1 + rng.Intn(9)
+				published += uint64(n)
+				batches[publishValues(t, bus, "context/C", n, i)] = true
+			}
+			close(gate)
+			waitUntil(t, "every value to settle", func() bool {
+				s := bus.Stats()
+				return s.Delivered+s.Dropped == published
+			})
+			s := bus.Stats()
+			if s.Published != published || s.Dropped == 0 || s.Delivered != handled.Load() {
+				t.Fatalf("published %d (want %d), delivered %d (handler saw %d), dropped %d (want > 0)",
+					s.Published, published, s.Delivered, handled.Load(), s.Dropped)
+			}
+			for b := range batches {
+				waitUntil(t, "the last reference to drop", func() bool { return b.refs.Load() == 0 })
+			}
+		})
+	}
+}
+
+// TestRaceRegression_ValueBatchRecycleVsSlowSubscriber is the value-batch
+// twin of eventbus's ReadingBatch regression: the producer drops its
+// reference right after the flush and the pool recycles eagerly, so a slow
+// subscriber still reading a delivered batch would observe the next round's
+// values (and -race the unsynchronized write) if the bus did not hold a
+// reference per subscriber until the delivery returns.
+func TestRaceRegression_ValueBatchRecycleVsSlowSubscriber(t *testing.T) {
+	const rows, rounds = 48, 200
+	bus := eventbus.New()
+	defer bus.Close()
+	var torn atomic.Int64
+	_, err := bus.Subscribe("context/C", func(ev eventbus.Event) {
+		b := ev.Payload.(*valueBatch)
+		want := b.vals[0]
+		time.Sleep(50 * time.Microsecond)
+		if len(b.vals) != rows {
+			torn.Add(1)
+		}
+		for _, v := range b.vals {
+			if v != want {
+				torn.Add(1)
+			}
+		}
+	}, eventbus.WithQueue(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := 1; g <= rounds; g++ {
+		publishValues(t, bus, "context/C", rows, g)
+	}
+	waitUntil(t, "every round to be delivered", func() bool { return bus.Stats().Delivered == rows*rounds })
+	if n := torn.Load(); n != 0 {
+		t.Fatalf("%d torn reads: subscriber observed a recycled value batch", n)
+	}
+}
+
+// TestValueBatchRecyclePinsNothingPastLen: reset clears exactly the used
+// prefix, and by the invariant that is the whole column — also after a
+// large round followed by a small one.
+func TestValueBatchRecyclePinsNothingPastLen(t *testing.T) {
+	b := newValueBatch()
+	defer b.Release()
+	for _, n := range []int{100, 3} {
+		for i := 0; i < n; i++ {
+			b.vals = append(b.vals, "pinned")
+		}
+		b.reset()
+		if len(b.vals) != 0 {
+			t.Fatalf("reset batch holds %d values", len(b.vals))
+		}
+		for i, v := range b.vals[:cap(b.vals)] {
+			if v != nil {
+				t.Fatalf("vals[%d] = %v pinned past len after a %d-value round", i, v, n)
+			}
+		}
+	}
+}
+
+func TestValueBatchOverReleasePanics(t *testing.T) {
+	b := newValueBatch()
+	b.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on over-release")
+		}
+	}()
+	b.Release()
+}
+
+// TestHostUndeployDrainsQueuedValueBatches: value batches queued in front of
+// a stalled controller when its app is hot-undeployed are still delivered —
+// every published value reaches the controller or a drop counter.
+func TestHostUndeployDrainsQueuedValueBatches(t *testing.T) {
+	h, err := NewHost(SubstrateConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	gate := make(chan struct{})
+	ctrl := &gatedCtrl{gate: gate}
+	rt, err := h.DeploySource("relay", relayDesign("always publish", "always publish"), AppConfig{
+		AutoImplement: true,
+		Controllers:   map[string]ControllerHandler{"K": ctrl},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deliveries, rows = 20, 10
+	topic := rt.sourceTopic("A", 0)
+	at := time.Unix(1000, 0)
+	for d := 0; d < deliveries; d++ {
+		b := device.NewReadingBatch()
+		for i := 0; i < rows; i++ {
+			b.Append(device.Reading{DeviceID: "m1", Source: "level", Value: int64(d*rows + i), Time: at})
+		}
+		err := rt.bus.Publish(topic, b, at)
+		b.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A and B have relayed everything; the controller is parked inside its
+	// first value with the other batches queued behind it.
+	waitUntil(t, "both contexts to publish", func() bool { return rt.Stats().ContextPublishes == 2*deliveries*rows })
+	if got := ctrl.n.Load(); got != 0 {
+		t.Fatalf("controller handled %d values while gated", got)
+	}
+	done := make(chan error, 1)
+	go func() { done <- h.Undeploy("relay") }()
+	waitUntil(t, "the undeploy to begin", func() bool { _, live := h.App("relay"); return !live })
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	st, bs := rt.Stats(), h.Stats().Bus
+	if got := ctrl.n.Load(); got != deliveries*rows || st.ControllerTriggers != deliveries*rows {
+		t.Fatalf("controller handled %d values (%d triggers), want %d", got, st.ControllerTriggers, deliveries*rows)
+	}
+	// Three topics carry every value once; A's has two subscribers (B, N).
+	if bs.Published != 3*deliveries*rows || bs.Delivered+bs.Dropped != 4*deliveries*rows {
+		t.Fatalf("bus published %d (want %d), delivered %d + dropped %d (want %d)",
+			bs.Published, 3*deliveries*rows, bs.Delivered, bs.Dropped, 4*deliveries*rows)
+	}
+}
+
+type gatedCtrl struct {
+	gate chan struct{}
+	n    atomic.Uint64
+}
+
+func (c *gatedCtrl) OnContext(*ControllerCall) error {
+	<-c.gate
+	c.n.Add(1)
+	return nil
+}
+
+// TestInterpretedContextServesPullsOnlyWhenRequired: the interpreted context
+// keeps its last value — and pays the lock for it — only when the design
+// declares `when required`, which autoImplement resolves at Deploy time.
+func TestInterpretedContextServesPullsOnlyWhenRequired(t *testing.T) {
+	model, err := dsl.Load(`
+device Meter { source level as Integer; source tick as Integer; }
+
+context Level as Integer {
+	when provided level from Meter
+	no publish;
+
+	when required;
+}
+
+context Probe as Integer {
+	when provided tick from Meter
+	get Level
+	always publish;
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := New(model)
+	defer rt.Stop()
+	pull := func(call *ContextCall) (any, bool, error) {
+		v, err := call.QueryContext("Level")
+		return v, true, err
+	}
+	if err := rt.ImplementContext("Probe", triggerFunc(pull)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.autoImplement(model); err != nil {
+		t.Fatal(err)
+	}
+	if lv := rt.contextHandler("Level").(*interpContext); !lv.required {
+		t.Fatal("interpreted Level context not marked required")
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	at := time.Unix(1000, 0)
+	publish := func(ctx, source string, v int64) {
+		r := device.Reading{DeviceID: "m1", Source: source, Value: v, Time: at}
+		if err := rt.bus.Publish(rt.sourceTopic(ctx, 0), r, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish("Level", "level", 42)
+	waitUntil(t, "Level to see the reading", func() bool { return rt.Stats().ContextTriggers == 1 })
+	publish("Probe", "tick", 1)
+	waitUntil(t, "Probe to publish", func() bool { return rt.Stats().ContextPublishes == 1 })
+	if got, _ := rt.LastPublished("Probe"); got != int64(42) {
+		t.Fatalf("Probe pulled %v from the interpreted Level context, want 42", got)
+	}
+}
+
+type triggerFunc func(*ContextCall) (any, bool, error)
+
+func (f triggerFunc) OnTrigger(call *ContextCall) (any, bool, error) { return f(call) }

@@ -56,6 +56,9 @@ type RequiredHandler interface {
 }
 
 // ControllerHandler is the SPI a controller implementation provides.
+// OnContext is invoked once per published value, serially per clause. The
+// call is borrowed: it, and every ActuatorProxy obtained from it, is valid
+// only until OnContext returns (see ControllerCall).
 type ControllerHandler interface {
 	OnContext(call *ControllerCall) error
 }
@@ -324,7 +327,7 @@ type Runtime struct {
 	aggByKey    map[string][]*provAgg  // kind+source -> provided-grouped aggregates
 	janitorOn   bool
 	watchers    []*registry.Watcher
-	lastValues  map[string]any // last published value per context
+	pubSites    map[string]*pubSite // per declared context; compiled once in Start
 	wg          sync.WaitGroup
 
 	// handlers is the read-mostly snapshot of contexts/controllers,
@@ -483,7 +486,6 @@ func newAppRuntime(model *check.Model) *Runtime {
 		clients:     make(map[string]*transport.Client),
 		ingestByKey: make(map[string][]*ingestor),
 		aggByKey:    make(map[string][]*provAgg),
-		lastValues:  make(map[string]any),
 		pollWorkers: defaultPollWorkers,
 	}
 	rt.handlers.Store(&handlerTables{
@@ -751,6 +753,7 @@ func (rt *Runtime) Start() error {
 		}
 	}
 	rt.started = true
+	rt.compilePubSitesLocked()
 	rt.mu.Unlock()
 
 	if rt.metricsAddr != "" {
@@ -894,15 +897,6 @@ func (rt *Runtime) BusStats() eventbus.Stats {
 	return rt.bus.Stats()
 }
 
-// LastPublished returns the most recent value published by a context, if
-// any. Useful for inspection and tests.
-func (rt *Runtime) LastPublished(contextName string) (any, bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	v, ok := rt.lastValues[contextName]
-	return v, ok
-}
-
 // ReportError feeds an external subsystem's failure into the runtime's
 // error accounting (Stats.Errors plus the WithErrorHandler callback), so
 // faults from cooperating tiers — e.g. federation sync — surface through
@@ -974,23 +968,3 @@ func (rt *Runtime) clientFor(id, endpoint string) (*transport.Client, error) {
 	rt.mu.Unlock()
 	return cli, nil
 }
-
-func (rt *Runtime) publishContext(ctx *check.Context, value any) {
-	// lastValues is written before the counter moves, so an observer that
-	// waits on ContextPublishes and then reads LastPublished never sees
-	// the previous round's value.
-	rt.mu.Lock()
-	rt.lastValues[ctx.Name] = value
-	rt.mu.Unlock()
-	rt.stats.contextPublishes.Add(1)
-	if err := rt.bus.Publish(rt.contextTopic(ctx.Name), value, rt.clock.Now()); err != nil && !errors.Is(err, eventbus.ErrClosed) {
-		rt.reportError(ctx.Name, err)
-	}
-}
-
-// Topic construction is prefix-aware: a hosted app's topics all live under
-// "app/<id>/", so N tenants on one shared bus can never cross-deliver — an
-// event published for app A's context is unroutable to app B by
-// construction, not by filtering.
-
-func (rt *Runtime) contextTopic(name string) string { return rt.topicPrefix + "context/" + name }
