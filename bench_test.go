@@ -491,16 +491,14 @@ func BenchmarkC5_Actuation(b *testing.B) {
 
 // BenchmarkSwarm_BusDelivery: the large-scale delivery substrate experiment.
 // One round fans 50k simulated sensor readings into per-source topics, as a
-// swarm-scale gather does. Configurations: the seed-style single-shard bus
-// with per-event publishes; the sharded bus with per-event publishes; and
-// the sharded bus using the PublishBatch fan-in path the runtime's source
-// forwarding now takes. The acceptance target is ≥2x readings/sec for the
-// sharded+batched path over single-shard.
+// swarm-scale gather does, one bus event per reading. Configurations: the
+// seed-style single-shard bus and the sharded bus. (The runtime's own fan-in
+// batches readings into one ReadingBatch event per burst; that path is
+// measured end to end by BenchmarkSwarm_EventStorm.)
 func BenchmarkSwarm_BusDelivery(b *testing.B) {
 	const devices = 50000
 	const topics = 64                 // distinct device-source topics
 	const perTopic = devices / topics // readings per topic per round
-	const chunk = 64                  // runtime's source fan-in batch size
 	payloads := make([][]any, topics) // topic -> readings of one round
 	topicNames := make([]string, topics)
 	for t := 0; t < topics; t++ {
@@ -551,25 +549,6 @@ func BenchmarkSwarm_BusDelivery(b *testing.B) {
 			for t := 0; t < topics; t++ {
 				for _, p := range payloads[t] {
 					if err := bus.Publish(topicNames[t], p, benchEpoch); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-		report(b)
-	})
-	b.Run("sharded-batch", func(b *testing.B) {
-		bus := mkBus(b, eventbus.DefaultShards)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for t := 0; t < topics; t++ {
-				round := payloads[t]
-				for lo := 0; lo < len(round); lo += chunk {
-					hi := lo + chunk
-					if hi > len(round) {
-						hi = len(round)
-					}
-					if err := bus.PublishBatch(topicNames[t], round[lo:hi], benchEpoch); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -860,17 +839,15 @@ func (c chanOnlySensor) Invoke(action string, args ...any) error {
 }
 
 // stormBenchWorld builds the event-storm application over a swarm, binding
-// either the push-capable sensors or the channel-only wrappers. boxed
-// selects the pre-typed-path ingestion ablation (IngestConfig.Boxed).
-func stormBenchWorld(b *testing.B, sensors int, push, boxed bool) (*runtime.Runtime, *devsim.Swarm, *stormCounter) {
+// either the push-capable sensors or the channel-only wrappers.
+func stormBenchWorld(b *testing.B, sensors int, push bool) (*runtime.Runtime, *devsim.Swarm, *stormCounter) {
 	b.Helper()
 	vc := simclock.NewVirtual(benchEpoch)
 	model, err := dsl.Load(stormDesign)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rt := runtime.New(model, runtime.WithClock(vc),
-		runtime.WithIngestConfig(runtime.IngestConfig{Boxed: boxed}))
+	rt := runtime.New(model, runtime.WithClock(vc))
 	swarm := devsim.NewSwarm(devsim.SwarmConfig{
 		Sensors: sensors, Lots: []string{"L00"}, GroupAttr: "lot", Seed: 7,
 	}, vc)
@@ -927,28 +904,25 @@ func waitAccounted(b *testing.B, rt *runtime.Runtime, delivered *stormCounter, w
 
 // BenchmarkSwarm_EventStorm: 10k/50k devices pushing readings through the
 // `when provided` path. One iteration emits one reading per device and
-// drains the pipeline. Three variants: per-device-subscription (one channel
-// + one forwarding goroutine per device, the pre-ingestion architecture),
-// boxed (ingestion shards carrying one `any` per reading, the pre-typed-path
-// pipeline), and typed (pooled columnar ReadingBatch payloads, the default).
+// drains the pipeline. Two variants: per-device-subscription (one channel
+// + one forwarding goroutine per device, the pre-ingestion architecture) and
+// typed (push sinks into pooled columnar ReadingBatch payloads, the default).
 // Acceptance targets: typed ≥3x events/sec over per-device-subscription at
-// 50k, ≥2x over boxed, and ~0 steady-state allocs/event. The allocs/event
+// 50k and ~0 steady-state allocs/event. The allocs/event
 // metric is the process-wide malloc delta across the measured iterations
 // over the measured accepted-event count — it charges the whole pipeline
 // (shards, bus, dispatch, handler), not just the bench goroutine.
 func BenchmarkSwarm_EventStorm(b *testing.B) {
 	for _, cfg := range []struct {
-		name  string
-		push  bool
-		boxed bool
+		name string
+		push bool
 	}{
-		{"per-device-subscription", false, false},
-		{"boxed", true, true},
-		{"typed", true, false},
+		{"per-device-subscription", false},
+		{"typed", true},
 	} {
 		for _, sensors := range []int{10000, 50000} {
 			b.Run(fmt.Sprintf("%s/sensors=%d", cfg.name, sensors), func(b *testing.B) {
-				rt, swarm, delivered := stormBenchWorld(b, sensors, cfg.push, cfg.boxed)
+				rt, swarm, delivered := stormBenchWorld(b, sensors, cfg.push)
 				var accepted uint64
 				// Warm the pipeline (shard buffers, subscription rings,
 				// handler caches, batch pool) so the measured iterations are
@@ -985,7 +959,7 @@ func BenchmarkSwarm_Churn(b *testing.B) {
 	const sensors = 50000
 	for _, churnPct := range []int{0, 1, 10} {
 		b.Run(fmt.Sprintf("churn=%d%%", churnPct), func(b *testing.B) {
-			rt, swarm, delivered := stormBenchWorld(b, sensors, true, false)
+			rt, swarm, delivered := stormBenchWorld(b, sensors, true)
 			cs, err := devsim.NewChurnSwarm(swarm, devsim.ChurnHooks{
 				Bind:   func(s *devsim.SwarmSensor) error { return rt.BindDevice(s) },
 				Unbind: rt.UnbindDevice,

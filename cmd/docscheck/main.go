@@ -15,6 +15,11 @@
 //   - Every `diaspecc <sub>` / `diaspecc host <sub>` reference in those
 //     documents must name a real subcommand, and every documented flag
 //     in docs/OPERATIONS.md must be defined by cmd/diaspecc.
+//   - No exported package-level identifier of internal/runtime whose godoc
+//     carries a `Deprecated:` paragraph may still be referenced from
+//     non-test code in this module or bench/ — godoc must not deprecate
+//     what the tree's own examples and benchmark call (the network-free
+//     share of what staticcheck SA1019 flags in the lint job).
 //
 // Run as `go run ./cmd/docscheck` from the repo root.
 package main
@@ -22,6 +27,10 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -78,6 +87,10 @@ func main() {
 	}
 	if data, err := os.ReadFile(operationsDoc); err == nil {
 		checkFlagRefs(fail, operationsDoc, string(data), flags)
+	}
+	if err := checkDeprecatedUse(fail, "."); err != nil {
+		fmt.Fprintln(os.Stderr, "docscheck:", err)
+		os.Exit(2)
 	}
 
 	if len(problems) > 0 {
@@ -300,4 +313,149 @@ func checkFlagRefs(fail func(string, ...any), doc, text string, flags map[string
 			fail("%s: documents flag `-%s`, which cmd/diaspecc does not define", doc, m[1])
 		}
 	}
+}
+
+// runtimeDir and runtimeImport locate the package whose deprecations are
+// audited.
+const (
+	runtimeDir    = "internal/runtime"
+	runtimeImport = "repro/internal/runtime"
+)
+
+// deprecatedDoc reports whether a godoc comment carries a paragraph that
+// starts with "Deprecated:" — the convention godoc, gopls and staticcheck
+// all key on.
+func deprecatedDoc(doc *ast.CommentGroup) bool {
+	if doc == nil {
+		return false
+	}
+	for _, para := range strings.Split(doc.Text(), "\n\n") {
+		if strings.HasPrefix(para, "Deprecated:") {
+			return true
+		}
+	}
+	return false
+}
+
+// deprecatedRuntimeIdents parses the non-test sources of internal/runtime
+// under root and returns its exported package-level identifiers (funcs,
+// types, vars, consts) documented as deprecated, mapped to the position of
+// their declaring name (file and offset: the walk re-parses the file, so a
+// token.Pos would not compare equal).
+func deprecatedRuntimeIdents(fset *token.FileSet, root string) (map[string]token.Position, error) {
+	dir := filepath.Join(root, runtimeDir)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]token.Position)
+	note := func(name *ast.Ident, docs ...*ast.CommentGroup) {
+		if !name.IsExported() {
+			return
+		}
+		for _, doc := range docs {
+			if deprecatedDoc(doc) {
+				out[name.Name] = fset.Position(name.Pos())
+			}
+		}
+	}
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					note(d.Name, d.Doc)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						note(sp.Name, sp.Doc, d.Doc)
+					case *ast.ValueSpec:
+						for _, name := range sp.Names {
+							note(name, sp.Doc, d.Doc)
+						}
+					}
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
+// checkDeprecatedUse walks every non-test Go file under root (the module
+// and bench/, which imports it) and reports references to deprecated
+// internal/runtime identifiers: `alias.Name` selectors in importing files,
+// bare `Name` identifiers inside the package itself.
+func checkDeprecatedUse(fail func(string, ...any), root string) error {
+	fset := token.NewFileSet()
+	deprecated, err := deprecatedRuntimeIdents(fset, root)
+	if err != nil || len(deprecated) == 0 {
+		return err
+	}
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		report := func(id *ast.Ident) {
+			fail("%s: uses runtime.%s, whose godoc marks it Deprecated — migrate the caller or drop the marker",
+				fset.Position(id.Pos()), id.Name)
+		}
+		rel, _ := filepath.Rel(root, filepath.Dir(path))
+		if filepath.ToSlash(rel) == runtimeDir {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if decl, dep := deprecated[id.Name]; dep && decl != fset.Position(id.Pos()) {
+						report(id)
+					}
+				}
+				return true
+			})
+			return nil
+		}
+		alias := ""
+		for _, imp := range file.Imports {
+			if strings.Trim(imp.Path.Value, `"`) == runtimeImport {
+				alias = "runtime"
+				if imp.Name != nil {
+					alias = imp.Name.Name
+				}
+			}
+		}
+		if alias == "" {
+			return nil
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == alias {
+					if _, dep := deprecated[sel.Sel.Name]; dep {
+						report(sel.Sel)
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
 }

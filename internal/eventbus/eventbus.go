@@ -13,9 +13,10 @@
 // To serve large device populations the bus is sharded: topics are hashed
 // into independent lock domains so publishers on unrelated topics never
 // contend, and subscriber lists are copy-on-write so the publish fast path
-// takes a shared lock and allocates nothing. PublishBatch amortizes the
-// remaining per-event bus overhead for swarm-scale fan-in, where thousands
-// of sensor readings target the same source topic in one delivery round.
+// takes a shared lock and allocates nothing. Swarm-scale fan-in, where
+// thousands of sensor readings target the same source topic in one delivery
+// round, amortizes the remaining per-event bus overhead by publishing one
+// Weighted payload (a device.ReadingBatch) per burst.
 package eventbus
 
 import (
@@ -133,6 +134,12 @@ type Bus struct {
 	published atomic.Uint64
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
+
+	// offered counts weight handed to subscriber queues (once per
+	// recipient); every unit ends up delivered, dropped or — on a stopping
+	// subscription — discarded. Idle compares the two sides.
+	offered   atomic.Uint64
+	discarded atomic.Uint64
 }
 
 // shard is one independent lock domain of the bus. The subscriber slices in
@@ -148,8 +155,7 @@ type shard struct {
 // Stats aggregates bus counters. Values are monotonically increasing over
 // the bus lifetime.
 type Stats struct {
-	// Published counts events accepted by Publish/PublishBatch while the
-	// bus was open.
+	// Published counts events accepted by Publish while the bus was open.
 	Published uint64
 	// Delivered counts events handed to subscriber handlers.
 	Delivered uint64
@@ -278,45 +284,15 @@ func (b *Bus) Publish(topic string, payload any, now time.Time) error {
 	subs := sh.subs[topic]
 	sh.mu.RUnlock()
 
-	b.published.Add(payloadWeight(payload))
+	w := payloadWeight(payload)
+	b.published.Add(w)
+	b.offered.Add(w * uint64(len(subs)))
 	ev := Event{Topic: topic, Payload: payload, Time: now, Seq: b.seq.Add(1)}
 	for _, s := range subs {
 		// One reference per recipient; the delivering goroutine (or the
 		// drop path) releases it. The publisher keeps its own reference.
 		retainPayload(payload)
 		s.enqueue(ev)
-	}
-	return nil
-}
-
-// PublishBatch delivers each payload to every current subscriber of topic,
-// as len(payloads) consecutive events sharing one event time. One shard-lock
-// acquisition, one subscriber-list lookup and one sequence reservation are
-// amortized over the whole batch, which is the fan-in fast path for
-// swarm-scale delivery rounds. Ordering within the batch is preserved per
-// subscriber.
-func (b *Bus) PublishBatch(topic string, payloads []any, now time.Time) error {
-	if len(payloads) == 0 {
-		return nil
-	}
-	sh := b.shard(topic)
-	sh.mu.RLock()
-	if sh.closed {
-		sh.mu.RUnlock()
-		return ErrClosed
-	}
-	subs := sh.subs[topic]
-	sh.mu.RUnlock()
-
-	n := uint64(len(payloads))
-	var weight uint64
-	for _, p := range payloads {
-		weight += payloadWeight(p)
-	}
-	b.published.Add(weight)
-	base := b.seq.Add(n) - n
-	for _, s := range subs {
-		s.enqueueBatch(topic, payloads, now, base)
 	}
 	return nil
 }
@@ -336,6 +312,20 @@ func (b *Bus) Stats() Stats {
 		Delivered: b.delivered.Load(),
 		Dropped:   b.dropped.Load(),
 	}
+}
+
+// Idle reports whether every event offered to a subscriber so far has been
+// settled: handed to its handler (and the handler returned), dropped by an
+// overflow policy, or discarded by a stopping subscription. A handler that
+// publishes does so before its own delivery settles, so a chain of topics is
+// never idle midway. Idle is an instant's truth: it says nothing about
+// events published after it returns.
+func (b *Bus) Idle() bool {
+	// Settled side first: each counter only grows and offered is read last,
+	// so equality proves the bus was idle when the last settled counter was
+	// read.
+	settled := b.delivered.Load() + b.dropped.Load() + b.discarded.Load()
+	return settled == b.offered.Load()
 }
 
 // Close cancels every subscription and waits for in-flight handler calls to
@@ -382,10 +372,9 @@ func (b *Bus) remove(s *Subscription) {
 }
 
 // Subscription is a single subscriber's registration on a topic. Its queue
-// is a mutex-guarded ring buffer rather than a channel so that batch
-// publishers enqueue a whole burst under one lock acquisition and the drain
-// goroutine removes events in chunks — the per-event synchronization cost
-// is amortized over the batch on both sides.
+// is a mutex-guarded ring buffer rather than a channel so that the drain
+// goroutine removes everything queued in one lock acquisition and DropOldest
+// can evict from the head in place.
 type Subscription struct {
 	bus    *Bus
 	topic  string
@@ -459,6 +448,11 @@ const (
 // s.mu. victim is only meaningful for enqEvicted; the caller releases and
 // accounts casualties (outside the lock where possible).
 func (s *Subscription) enqueueLocked(ev Event) (outcome enqOutcome, victim any) {
+	if s.stopped {
+		// The drain goroutine may already have exited: an event queued now
+		// would never be delivered nor its payload released.
+		return enqDiscarded, nil
+	}
 	switch s.policy {
 	case DropNewest:
 		if s.count == len(s.buf) {
@@ -498,6 +492,7 @@ func (s *Subscription) settle(outcome enqOutcome, victim, incoming any) uint64 {
 		releasePayload(incoming)
 		return w
 	case enqDiscarded:
+		s.bus.discarded.Add(payloadWeight(incoming))
 		releasePayload(incoming)
 	}
 	return 0
@@ -512,28 +507,6 @@ func (s *Subscription) enqueue(ev Event) {
 	}
 	if w := s.settle(outcome, victim, ev.Payload); w > 0 {
 		s.bus.dropped.Add(w)
-	}
-}
-
-// enqueueBatch applies the overflow policy to a whole burst of payloads
-// under one lock acquisition, materializing each Event in place (no
-// per-batch allocation). base is the sequence number preceding the batch.
-// Every payload is retained once for this subscriber before the policy runs.
-func (s *Subscription) enqueueBatch(topic string, payloads []any, at time.Time, base uint64) {
-	s.mu.Lock()
-	var dropped uint64
-	for i, payload := range payloads {
-		retainPayload(payload)
-		ev := Event{Topic: topic, Payload: payload, Time: at, Seq: base + uint64(i) + 1}
-		outcome, victim := s.enqueueLocked(ev)
-		if outcome != enqQueued {
-			// Releasing under s.mu is safe: payload Release takes no locks.
-			dropped += s.settle(outcome, victim, payload)
-		}
-	}
-	s.mu.Unlock()
-	if dropped > 0 {
-		s.bus.dropped.Add(dropped)
 	}
 }
 

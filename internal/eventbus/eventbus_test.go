@@ -244,6 +244,72 @@ func TestBlockPolicyAppliesBackpressure(t *testing.T) {
 	}
 }
 
+// TestIdleTracksOutstandingDeliveries checks the settled-versus-offered
+// ledger behind Idle through every way an offered event can end: delivered,
+// dropped by an overflow policy, discarded by a cancelled subscription — and
+// that a handler's own publication keeps the bus busy until it too settles.
+func TestIdleTracksOutstandingDeliveries(t *testing.T) {
+	b := New()
+	defer b.Close()
+	if !b.Idle() {
+		t.Fatal("fresh bus not idle")
+	}
+	if err := b.Publish("nobody", 1, t0); err != nil || !b.Idle() {
+		t.Fatalf("publish without subscribers left the bus busy (err %v)", err)
+	}
+	waitIdle := func(what string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !b.Idle(); {
+			if time.Now().After(deadline) {
+				t.Fatalf("bus never idle after %s: %+v", what, b.Stats())
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+
+	release := make(chan struct{})
+	var downstream atomic.Int64
+	if _, err := b.Subscribe("down", func(Event) { <-release; downstream.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Subscribe("up", func(ev Event) { _ = b.Publish("down", ev.Payload, t0) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Publish("up", 1, t0); err != nil {
+		t.Fatal(err)
+	}
+	if b.Idle() { // either "up" is unsettled or its publication to "down" is
+		t.Fatal("bus idle while a relayed event waits in a gated handler")
+	}
+	close(release)
+	waitIdle("the relay chain drained")
+	if downstream.Load() != 1 {
+		t.Fatalf("downstream saw %d events, want 1", downstream.Load())
+	}
+
+	gate := make(chan struct{})
+	sub, err := b.Subscribe("lossy", func(Event) { <-gate }, WithQueue(1), WithPolicy(DropNewest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ { // one in the handler or queue, the rest refused
+		if err := b.Publish("lossy", i, t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b.Idle() {
+		t.Fatal("bus idle with a delivery held in a gated handler")
+	}
+	close(gate)
+	waitIdle("drops and the held delivery settled")
+	sub.Cancel()
+	sub.enqueue(Event{Topic: "lossy", Payload: 9}) // a publisher that raced the cancel
+	b.offered.Add(1)
+	if !b.Idle() {
+		t.Fatalf("event offered to a cancelled subscription never settled: %+v", b.Stats())
+	}
+}
+
 func TestClosedBusRejectsOperations(t *testing.T) {
 	b := New()
 	b.Close()

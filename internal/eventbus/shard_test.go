@@ -60,174 +60,6 @@ func TestCrossShardOrderingPerTopic(t *testing.T) {
 	}
 }
 
-// TestPublishBatchDeliversInOrder checks the batch fast path end to end:
-// order preserved, consecutive bus-wide sequence numbers, shared time.
-func TestPublishBatchDeliversInOrder(t *testing.T) {
-	b := New()
-	defer b.Close()
-	const n = 100
-	var mu sync.Mutex
-	var got []Event
-	var wg sync.WaitGroup
-	wg.Add(n)
-	if _, err := b.Subscribe("t", func(ev Event) {
-		mu.Lock()
-		got = append(got, ev)
-		mu.Unlock()
-		wg.Done()
-	}, WithQueue(n)); err != nil {
-		t.Fatal(err)
-	}
-	payloads := make([]any, n)
-	for i := range payloads {
-		payloads[i] = i
-	}
-	if err := b.PublishBatch("t", payloads, shardT0); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	for i, ev := range got {
-		if ev.Payload.(int) != i {
-			t.Fatalf("event %d carries payload %v", i, ev.Payload)
-		}
-		if i > 0 && ev.Seq != got[i-1].Seq+1 {
-			t.Fatalf("batch seqs not consecutive: %d then %d", got[i-1].Seq, ev.Seq)
-		}
-		if !ev.Time.Equal(shardT0) {
-			t.Fatalf("event %d time = %v", i, ev.Time)
-		}
-	}
-	if st := b.Stats(); st.Published != n || st.Delivered != n {
-		t.Fatalf("stats = %+v, want %d published and delivered", st, n)
-	}
-}
-
-// TestPublishBatchOverflowPolicies overflows a small queue with one batch
-// under every policy while the handler is held idle.
-func TestPublishBatchOverflowPolicies(t *testing.T) {
-	const queue = 8
-	const batch = 100
-	payloads := make([]any, batch)
-	for i := range payloads {
-		payloads[i] = i
-	}
-
-	t.Run("drop-oldest", func(t *testing.T) {
-		b := New()
-		release := make(chan struct{})
-		var mu sync.Mutex
-		var got []int
-		if _, err := b.Subscribe("t", func(ev Event) {
-			<-release
-			mu.Lock()
-			got = append(got, ev.Payload.(int))
-			mu.Unlock()
-		}, WithQueue(queue), WithPolicy(DropOldest)); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.PublishBatch("t", payloads, shardT0); err != nil {
-			t.Fatal(err)
-		}
-		close(release)
-		b.Close()
-		mu.Lock()
-		defer mu.Unlock()
-		if len(got) == 0 || got[len(got)-1] != batch-1 {
-			t.Fatalf("last delivered = %v, want trailing event %d", got, batch-1)
-		}
-		if len(got) >= batch {
-			t.Fatalf("delivered %d of %d through a %d-slot drop-oldest queue", len(got), batch, queue)
-		}
-		if st := b.Stats(); st.Dropped == 0 || st.Dropped+st.Delivered != batch {
-			t.Fatalf("stats = %+v, want dropped+delivered = %d", st, batch)
-		}
-	})
-
-	t.Run("drop-newest", func(t *testing.T) {
-		b := New()
-		release := make(chan struct{})
-		var mu sync.Mutex
-		var got []int
-		if _, err := b.Subscribe("t", func(ev Event) {
-			<-release
-			mu.Lock()
-			got = append(got, ev.Payload.(int))
-			mu.Unlock()
-		}, WithQueue(queue), WithPolicy(DropNewest)); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.PublishBatch("t", payloads, shardT0); err != nil {
-			t.Fatal(err)
-		}
-		close(release)
-		b.Close()
-		mu.Lock()
-		defer mu.Unlock()
-		if len(got) == 0 || got[0] != 0 {
-			t.Fatalf("first delivered = %v, want leading event 0", got)
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i] != got[i-1]+1 {
-				t.Fatalf("drop-newest delivered non-prefix %v", got)
-			}
-		}
-		if st := b.Stats(); st.Dropped == 0 {
-			t.Fatal("Stats.Dropped = 0, want > 0")
-		}
-	})
-
-	t.Run("block", func(t *testing.T) {
-		b := New()
-		var mu sync.Mutex
-		var got []int
-		var wg sync.WaitGroup
-		wg.Add(batch)
-		if _, err := b.Subscribe("t", func(ev Event) {
-			mu.Lock()
-			got = append(got, ev.Payload.(int))
-			mu.Unlock()
-			wg.Done()
-		}, WithQueue(queue), WithPolicy(Block)); err != nil {
-			t.Fatal(err)
-		}
-		// The batch is far larger than the queue: the publisher must
-		// block mid-batch and still deliver everything in order.
-		if err := b.PublishBatch("t", payloads, shardT0); err != nil {
-			t.Fatal(err)
-		}
-		wg.Wait()
-		b.Close()
-		mu.Lock()
-		defer mu.Unlock()
-		if len(got) != batch {
-			t.Fatalf("delivered %d, want all %d", len(got), batch)
-		}
-		for i, v := range got {
-			if v != i {
-				t.Fatalf("event %d = %d, want %d", i, v, i)
-			}
-		}
-	})
-}
-
-// TestPublishBatchEmptyAndClosed covers the degenerate batch paths.
-func TestPublishBatchEmptyAndClosed(t *testing.T) {
-	b := New()
-	if err := b.PublishBatch("t", nil, shardT0); err != nil {
-		t.Fatalf("empty batch: %v", err)
-	}
-	if st := b.Stats(); st.Published != 0 {
-		t.Fatalf("empty batch counted: %+v", st)
-	}
-	b.Close()
-	if err := b.PublishBatch("t", []any{1}, shardT0); err != ErrClosed {
-		t.Fatalf("batch on closed bus: err = %v, want ErrClosed", err)
-	}
-}
-
 // TestWithShardsRounding checks the shard-count normalization.
 func TestWithShardsRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{

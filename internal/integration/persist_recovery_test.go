@@ -29,25 +29,55 @@ import (
 //   - rejoin the hub as the same incarnation: zero PeerRestartsSeen,
 //   - catch the hub up with traffic proportional to that gap, not the
 //     fleet, and converge the aggregate to exact device ground truth.
+//
+// The scenario runs once per way of standing the edge up — runtime.New, and
+// NewHost + Deploy with the app handle given to federation — because New is
+// a one-app host: recovery may not depend on the spelling.
 type persistEdge struct {
 	rt    *runtime.Runtime
+	stop  func() // tears down the app and its substrate
 	node  *federation.Node
 	swarm *devsim.Swarm
 	churn *devsim.ChurnSwarm
 }
 
-func newPersistEdge(t *testing.T, net *chaos.Net, hub *federation.Node, dir, addr string, sensors int, seed int64) *persistEdge {
+// persistEdgeCtors opens the edge's durable runtime. Only sync-round
+// barriers (and crash-free Close) make the WAL durable: the crash discards
+// everything after the last barrier, which is the sharpest version of the
+// recovery contract.
+var persistEdgeCtors = []struct {
+	name string
+	open func(t *testing.T, vc *simclock.Virtual, dir string) (*runtime.Runtime, func())
+}{
+	{"New", func(t *testing.T, vc *simclock.Virtual, dir string) (*runtime.Runtime, func()) {
+		rt := runtime.New(dsl.MustLoad(chaosEdgeDesign), runtime.WithClock(vc),
+			runtime.WithPersistence(dir, persist.Options{FlushInterval: time.Hour}))
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+		return rt, rt.Stop
+	}},
+	{"NewHost+Deploy", func(t *testing.T, vc *simclock.Virtual, dir string) (*runtime.Runtime, func()) {
+		h, err := runtime.NewHost(runtime.SubstrateConfig{
+			Clock: vc, PersistDir: dir, PersistOpts: persist.Options{FlushInterval: time.Hour},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := h.Deploy("edge", dsl.MustLoad(chaosEdgeDesign), runtime.AppConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt, h.Close
+	}},
+}
+
+func newPersistEdge(t *testing.T, open func(*testing.T, *simclock.Virtual, string) (*runtime.Runtime, func()),
+	net *chaos.Net, hub *federation.Node, dir, addr string, sensors int, seed int64) *persistEdge {
 	t.Helper()
 	e := &persistEdge{}
 	vc := simclock.NewVirtual(epoch)
-	// Only sync-round barriers (and crash-free Close) make the WAL durable:
-	// the crash discards everything after the last barrier, which is the
-	// sharpest version of the recovery contract.
-	e.rt = runtime.New(dsl.MustLoad(chaosEdgeDesign), runtime.WithClock(vc),
-		runtime.WithPersistence(dir, persist.Options{FlushInterval: time.Hour}))
-	if err := e.rt.Start(); err != nil {
-		t.Fatal(err)
-	}
+	e.rt, e.stop = open(t, vc, dir)
 	cfg := federation.Config{
 		Name: "edge0", Runtime: e.rt, ListenAddr: addr,
 		Exports: []federation.Export{{Kind: "PresenceSensor", Source: "presence"}},
@@ -87,6 +117,12 @@ func newPersistEdge(t *testing.T, net *chaos.Net, hub *federation.Node, dir, add
 }
 
 func TestPersistCrashRecoveryRejoin(t *testing.T) {
+	for _, ctor := range persistEdgeCtors {
+		t.Run(ctor.name, func(t *testing.T) { testPersistCrashRecoveryRejoin(t, ctor.open) })
+	}
+}
+
+func testPersistCrashRecoveryRejoin(t *testing.T, open func(*testing.T, *simclock.Virtual, string) (*runtime.Runtime, func())) {
 	seed := int64(envInt("CHAOS_SEED", 1))
 	sensors := envInt("CHAOS_SENSORS", 2000)
 	net := chaos.NewNet(seed)
@@ -107,7 +143,7 @@ func TestPersistCrashRecoveryRejoin(t *testing.T) {
 	}
 	t.Cleanup(hub.Close)
 
-	e := newPersistEdge(t, net, hub, dir, "", sensors, seed)
+	e := newPersistEdge(t, open, net, hub, dir, "", sensors, seed)
 	if err := hub.AddPeer(chaosPeerTimings(federation.PeerConfig{
 		Name: "edge0", Addr: e.node.Addr(),
 		Dialer: net.Dialer(syncLink("edge0")),
@@ -226,15 +262,15 @@ func TestPersistCrashRecoveryRejoin(t *testing.T) {
 	preSent, preRecv := hub.PeerBytes("edge0")
 	victimAddr := e.node.Addr()
 	e.node.Close()
-	e.rt.Stop()
+	e.stop()
 	net.Heal(syncLink("edge0"))
 	net.Heal(forwardLink("edge0"))
 
 	// The replacement boots from the crash image. The same swarm seed
 	// reproduces the same sensor population, so recovered registrations
 	// reclaim identically.
-	e2 := newPersistEdge(t, net, hub, dir, victimAddr, sensors, seed)
-	t.Cleanup(func() { e2.node.Close(); e2.rt.Stop() })
+	e2 := newPersistEdge(t, open, net, hub, dir, victimAddr, sensors, seed)
+	t.Cleanup(func() { e2.node.Close(); e2.stop() })
 	rec := e2.rt.Persistence().Recovered()
 	if rec == nil || len(rec.Entities) == 0 {
 		t.Fatalf("replacement recovered nothing from %s", dir)

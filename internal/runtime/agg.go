@@ -299,20 +299,12 @@ func (pa *provAgg) evictLocked(id string) (changed bool) {
 	return false
 }
 
-// onReading folds one delivered event into the aggregate and dispatches the
-// context with the updated per-group state. Serialized by pa.mu with
+// onBatch folds one delivered columnar batch into the aggregate under a
+// single lock acquisition, dispatching the context with the updated per-group
+// state once per row (trigger counts, pending adoption and retraction are
+// per reading; only the locking is amortized). pa.mu serializes it with
 // concurrent RemoteAggregate merges and watcher deltas; the bus already
-// serializes local events per subscription.
-func (pa *provAgg) onReading(r device.Reading) {
-	pa.mu.Lock()
-	defer pa.mu.Unlock()
-	pa.onReadingLocked(r)
-}
-
-// onBatch folds one typed columnar batch into the aggregate under a single
-// lock acquisition. Each row still dispatches individually, so trigger
-// counts, pending adoption and retraction semantics match the per-event
-// path exactly; only the locking is amortized. The row scratch is reused —
+// serializes local events per subscription. The row scratch is reused —
 // handlers borrow the Reading for the duration of OnTrigger.
 func (pa *provAgg) onBatch(b *device.ReadingBatch) {
 	pa.mu.Lock()

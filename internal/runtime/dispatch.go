@@ -103,8 +103,8 @@ func (cs *ctxSite) flush() {
 }
 
 // deliver dispatches a delivery that carries a single call (a periodic
-// round, a grouped aggregate, one boxed reading): its publication is a
-// batch of one through the same site.
+// round, a grouped aggregate): its publication is a batch of one through the
+// same site.
 func (cs *ctxSite) deliver(call *ContextCall) {
 	cs.rt.stats.contextTriggers.Add(1)
 	if h := cs.handler(); h != nil {
@@ -141,12 +141,7 @@ func (rt *Runtime) wireProvided(ctx *check.Context, idx int, in *check.Interacti
 			return err
 		}
 		onEvent = func(ev eventbus.Event) {
-			switch p := ev.Payload.(type) {
-			case *device.ReadingBatch:
-				pa.onBatch(p)
-			case device.Reading:
-				pa.onReading(p)
-			}
+			pa.onBatch(ev.Payload.(*device.ReadingBatch)) // ingestShard.flush is the topic's only publisher
 		}
 	}
 
@@ -187,22 +182,11 @@ type provCallSite struct {
 	call    ContextCall
 }
 
+// onEvent runs the handler once per row with the handler cached for the
+// whole batch — the fast path of the storm benchmarks — and publishes the
+// rows' results as one value batch.
 func (cs *provCallSite) onEvent(ev eventbus.Event) {
-	switch p := ev.Payload.(type) {
-	case *device.ReadingBatch:
-		cs.dispatchBatch(p)
-	case device.Reading:
-		// The boxed (ablation) payload shape: a delivery of one.
-		cs.scratch = p
-		cs.call.Time = p.Time
-		cs.deliver(&cs.call)
-	}
-}
-
-// dispatchBatch runs the handler once per row with the handler cached for
-// the whole batch — the typed fast path of the storm benchmarks — and
-// publishes the rows' results as one value batch.
-func (cs *provCallSite) dispatchBatch(b *device.ReadingBatch) {
+	b := ev.Payload.(*device.ReadingBatch) // ingestShard.flush is the topic's only publisher
 	n := b.Len()
 	cs.rt.stats.contextTriggers.Add(uint64(n))
 	h := cs.handler()

@@ -7,11 +7,11 @@ import (
 	"repro/internal/registry"
 )
 
-// deviceTable is the local-driver table of one substrate: device ID → bound
-// driver. A single-tenant Runtime owns its own table; a Host shares one
-// table across every deployed app, so a device bound once is resolvable by
-// all tenants (the "one fleet, N apps" model). The table carries its own
-// mutex — never a Runtime's — because bindings outlive any one app.
+// deviceTable is the local-driver table of one Host: device ID → bound
+// driver, shared by every attached app, so a device bound once is
+// resolvable by all tenants (the "one fleet, N apps" model). The table
+// carries its own mutex — never a Runtime's — because bindings outlive any
+// one app.
 type deviceTable struct {
 	mu sync.Mutex
 	m  map[string]device.Driver

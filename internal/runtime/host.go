@@ -21,12 +21,13 @@ import (
 	"repro/internal/transport"
 )
 
-// This file is the multi-tenant host: N independently authored DiaSpec apps
-// share one registry, one event bus, one device fleet and one store, each
-// with its own qos budgets, pollers, stats and namespaced topics. The
-// paper's premise is one orchestration app over a sensor fleet; the ROADMAP
-// north star ("millions of users") means thousands of such apps sharing the
-// fleet — the Host is the process shape that serves them.
+// This file is the host: the one owner of substrate state. N independently
+// authored DiaSpec apps share its registry, event bus, device fleet and
+// store, each with its own qos budgets, pollers, stats and namespaced
+// topics. The paper's premise is one orchestration app over a sensor fleet
+// (runtime.New: a private host with one app); the ROADMAP north star
+// ("millions of users") means thousands of such apps sharing the fleet
+// (NewHost + Deploy) — the same code serves both.
 
 // Typed deploy errors. Callers branch with errors.Is.
 var (
@@ -194,11 +195,15 @@ func (h *Host) MetricsAddr() string {
 	return h.metricsSrv.Addr()
 }
 
-// openPersistence mirrors the single-tenant runtime's recovery sequence,
-// with one difference: the store's aggregate-checkpoint source iterates the
-// live app set, and restored blobs are handed to each app at Deploy (keys
-// are appID-namespaced, see aggSnapKey).
+// openPersistence opens (or recovers) the store before any app can observe
+// the registry: restored registrations and generation sums are installed
+// first, every subsequent mutation is journaled write-ahead, and the store's
+// aggregate-checkpoint source iterates the live app set (restored blobs are
+// looked up by each app at wiring time under its aggSnapKey).
 func (h *Host) openPersistence(dir string, opts persist.Options) error {
+	// Aggregate checkpoints gob-encode design values of interface type; the
+	// wire codec's basic registrations cover the common shapes. Identical
+	// re-registration is a no-op, so this composes with transport use.
 	transport.RegisterType(time.Time{})
 	transport.RegisterType([]any(nil))
 	transport.RegisterType(map[string]any(nil))
@@ -210,6 +215,9 @@ func (h *Host) openPersistence(dir string, opts persist.Options) error {
 	if rec := store.Recovered(); rec != nil {
 		for _, re := range rec.Entities {
 			if err := h.reg.RestoreEntity(re.Entity, re.LeaseRemaining); err != nil {
+				// Only structurally invalid recovered data fails here; detach
+				// without writing (a clean Close would snapshot the partially
+				// restored registry over the good on-disk state).
 				store.Crash()
 				store.Close()
 				return fmt.Errorf("host: restore entity %s: %w", re.Entity.ID, err)
@@ -284,25 +292,7 @@ func (h *Host) Deploy(appID string, model *check.Model, cfg AppConfig) (*Runtime
 		return nil, err
 	}
 
-	rt := newAppRuntime(model)
-	rt.appID = appID
-	rt.topicPrefix = "app/" + appID + "/"
-	rt.clock = h.clock
-	rt.reg = h.reg
-	rt.bus = h.bus
-	rt.fleet = h.fleet
-	rt.store = h.store
-	rt.aggRestore = h.aggRestore
-	rt.ingestCfg = cfg.Ingest
-	rt.pollWorkers = cfg.PollWorkers
-	rt.mrCfg = cfg.MapReduce
-	rt.batchAgg = cfg.BatchAggregation
-	rt.onError = cfg.OnError
-	if rt.onError == nil {
-		rt.onError = h.onError
-	}
-	rt.normalize()
-
+	rt := h.attach(appID, model, cfg)
 	for name, ch := range cfg.Contexts {
 		if err := rt.ImplementContext(name, ch); err != nil {
 			return fail(fmt.Errorf("host: deploy %s: %v: %w", appID, err, ErrCheckFailed))
@@ -319,7 +309,7 @@ func (h *Host) Deploy(appID string, model *check.Model, cfg AppConfig) (*Runtime
 		}
 	}
 	if err := rt.Start(); err != nil {
-		rt.Stop()
+		rt.stopApp()
 		return fail(fmt.Errorf("host: deploy %s: %v: %w", appID, err, ErrCheckFailed))
 	}
 
@@ -329,12 +319,57 @@ func (h *Host) Deploy(appID string, model *check.Model, cfg AppConfig) (*Runtime
 		// placeholder, so this app must tear itself down.
 		delete(h.apps, appID)
 		h.mu.Unlock()
-		rt.Stop()
+		rt.stopApp()
 		return nil, fmt.Errorf("host: deploy %s: host closing: %w", appID, ErrDraining)
 	}
 	h.apps[appID] = rt
 	h.mu.Unlock()
 	return rt, nil
+}
+
+// attach builds appID's Runtime over this host's substrate — the first half
+// of Deploy, and all of what runtime.New does before returning: the app can
+// take Implement* and BindDevice calls, and Start wires it. The empty appID
+// is New's: no topic prefix, so a one-app host's topics (and, see
+// aggSnapKey, its checkpoint keys) carry no tenant namespace.
+func (h *Host) attach(appID string, model *check.Model, cfg AppConfig) *Runtime {
+	rt := &Runtime{
+		model:       model,
+		appID:       appID,
+		host:        h,
+		clock:       h.clock,
+		reg:         h.reg,
+		bus:         h.bus,
+		fleet:       h.fleet,
+		ingestCfg:   cfg.Ingest,
+		pollWorkers: cfg.PollWorkers,
+		mrCfg:       cfg.MapReduce,
+		batchAgg:    cfg.BatchAggregation,
+		onError:     cfg.OnError,
+		contexts:    make(map[string]ContextHandler),
+		controllers: make(map[string]ControllerHandler),
+		clients:     make(map[string]*transport.Client),
+		ingestByKey: make(map[string][]*ingestor),
+		aggByKey:    make(map[string][]*provAgg),
+	}
+	if appID != "" {
+		rt.topicPrefix = "app/" + appID + "/"
+	}
+	if rt.onError == nil {
+		rt.onError = h.onError
+	}
+	if rt.pollWorkers <= 0 {
+		// A zero-worker pool would hang the first non-empty round (no
+		// worker ever closes it); fall back to the default instead.
+		rt.pollWorkers = defaultPollWorkers
+	}
+	if rt.mrCfg.KeyHash == nil {
+		// Group keys are rendered attribute values, i.e. strings; skip
+		// the reflective default hash on the periodic hot path.
+		rt.mrCfg.KeyHash = mapreduce.StringKeyHash
+	}
+	rt.refreshHandlersLocked() // nothing shared yet: no lock needed
+	return rt
 }
 
 // DeploySource parses + checks a .diaspec design source and deploys it —
@@ -362,7 +397,7 @@ func (h *Host) Undeploy(appID string) error {
 	delete(h.apps, appID)
 	h.undeploys[appID] = true
 	h.mu.Unlock()
-	rt.Stop()
+	rt.stopApp()
 	h.mu.Lock()
 	delete(h.undeploys, appID)
 	h.mu.Unlock()
@@ -416,11 +451,12 @@ func (h *Host) Persistence() *persist.Store { return h.store }
 // Clock returns the substrate time source.
 func (h *Host) Clock() simclock.Clock { return h.clock }
 
-// BindDevice binds a driver into the shared fleet, validating it against
-// the deployed app designs: some app must declare the device kind (its
-// declaration supplies the kind taxonomy, exactly as in single-tenant
-// BindDevice). One binding serves every tenant — that is the "N apps, one
-// fleet" model.
+// BindDevice binds a local driver into the shared fleet and registers it
+// for discovery, validating it against the attached app designs: some app
+// must declare the device kind (its declaration supplies the kind taxonomy
+// and the attribute set). One binding serves every tenant — that is the "N
+// apps, one fleet" model. Binding may happen before or after the apps start
+// (the paper's runtime binding).
 func (h *Host) BindDevice(drv device.Driver, opts ...BindOption) error {
 	decl := h.kindDecl(drv.Kind())
 	if decl == nil {
@@ -440,6 +476,11 @@ func (h *Host) BindDevice(drv device.Driver, opts ...BindOption) error {
 			return fmt.Errorf("host: bind device %s: %w", drv.ID(), err)
 		}
 	}
+	// The driver is installed before Register so that watchers reacting to
+	// the Added notification resolve it locally — but rolled back if the
+	// registration fails, so a failed re-bind never leaves the device table
+	// disagreeing with the registry (poll snapshots cache resolved drivers
+	// and rebuild only on registry change).
 	prev, had := h.fleet.install(drv)
 	entity := registry.Entity{
 		ID:    registry.ID(drv.ID()),
@@ -454,17 +495,26 @@ func (h *Host) BindDevice(drv device.Driver, opts ...BindOption) error {
 	}
 	register := h.reg.Register
 	if h.store != nil {
+		// A reborn node re-binds drivers for registrations recovered from
+		// disk: Reclaim re-attaches without a duplicate error — and without
+		// bumping generations when the content is unchanged, so federation
+		// peers see no delta from a clean restart.
 		register = h.reg.Reclaim
 	}
 	if err := register(entity, ropts...); err != nil {
 		h.fleet.rollback(drv.ID(), prev, had)
 		return fmt.Errorf("host: bind device %s: %w", drv.ID(), err)
 	}
+	// Re-assert the driver entry now that the entity is registered: the
+	// lease janitor reaps entries whose ID is absent from the registry, so
+	// a reap that raced the window between the optimistic install above
+	// and Register must not win (reapExpired checks the registry under the
+	// same lock hold, making this store the tiebreaker).
 	h.fleet.reassert(drv)
 	return nil
 }
 
-// kindDecl resolves a device kind declaration across the deployed apps.
+// kindDecl resolves a device kind declaration across the attached apps.
 func (h *Host) kindDecl(kind string) *check.Device {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -479,8 +529,11 @@ func (h *Host) kindDecl(kind string) *check.Device {
 	return nil
 }
 
-// ensureLeaseJanitor mirrors the single-tenant janitor on the host's fleet
-// table: expired leases release their driver slots for all tenants at once.
+// ensureLeaseJanitor lazily starts the watcher that reaps device-table
+// entries of expired leased bindings, so a device that stops renewing
+// releases its driver slot — for all tenants at once — like an explicit
+// UnbindDevice would. Started on the first leased bind only: lease-free
+// populations keep their watcher-free register fast path.
 func (h *Host) ensureLeaseJanitor() error {
 	h.mu.Lock()
 	if h.janitorOn || h.closed {
@@ -507,6 +560,10 @@ func (h *Host) ensureLeaseJanitor() error {
 			if c.Type == registry.Expired {
 				h.fleet.reapExpired(string(c.Entity.ID), h.reg)
 			}
+			// The janitor watches every registry change, so a churn or
+			// bind storm can overflow its channel; like the source
+			// trackers, repair by re-checking every driver entry
+			// against the registry.
 			if m := w.Missed(); m != lastMissed {
 				lastMissed = m
 				for _, id := range h.fleet.ids() {
@@ -518,7 +575,9 @@ func (h *Host) ensureLeaseJanitor() error {
 	return nil
 }
 
-// UnbindDevice removes a device from the registry and the shared fleet.
+// UnbindDevice removes a device from the registry and the shared fleet. The
+// registry entry goes first so no snapshot rebuild can observe a registered
+// entity whose local driver is already gone.
 func (h *Host) UnbindDevice(id string) error {
 	err := h.reg.Unregister(registry.ID(id))
 	h.fleet.remove(id)
@@ -658,16 +717,19 @@ func (h *Host) Close() {
 	h.watchers = nil
 	h.mu.Unlock()
 	for _, rt := range apps {
-		rt.Stop()
+		rt.stopApp()
 	}
 	for _, w := range watchers {
 		w.Cancel()
 	}
 	h.wg.Wait()
 	h.bus.Close()
-	// The store seals with a final snapshot whose agg-checkpoint source
-	// iterates the deployed apps, so h.apps must stay populated (and the
-	// stopped runtimes must keep their engine state) until Close returns.
+	// The store seals with a final snapshot (after a Crash hook fired it
+	// writes nothing: the directory stays as the crash instant left it).
+	// That snapshot captures the registry, so the store seals before the
+	// registry closes, and its agg-checkpoint source iterates the attached
+	// apps, so h.apps must stay populated (and the stopped runtimes must
+	// keep their engine state) until Close returns.
 	if h.store != nil {
 		if err := h.store.Close(); err != nil && err != persist.ErrClosed && err != persist.ErrCrashed {
 			h.ReportError("persist", err)
@@ -740,60 +802,4 @@ func (a hostAdmin) AppStats() []transport.AppStatsRecord {
 		recs = append(recs, transport.AppStatsRecord{App: name, Counters: st.Gauges[name]})
 	}
 	return recs
-}
-
-// WithSubstrate adapts SubstrateConfig to the single-tenant constructor:
-// runtime.New(model, runtime.WithSubstrate(sub), runtime.WithTuning(app))
-// is the one-tenant spelling of NewHost + Deploy.
-func WithSubstrate(cfg SubstrateConfig) Option {
-	return func(rt *Runtime) {
-		if cfg.Clock != nil {
-			rt.clock = cfg.Clock
-		}
-		if cfg.Registry != nil {
-			rt.reg = cfg.Registry
-			rt.ownRegistry = false
-		}
-		if cfg.PersistDir != "" {
-			rt.persistDir = cfg.PersistDir
-			rt.persistOpts = cfg.PersistOpts
-		}
-		if cfg.OnError != nil {
-			rt.onError = cfg.OnError
-		}
-	}
-}
-
-// WithTuning adapts AppConfig to the single-tenant constructor. Handler
-// maps install immediately (the model is already bound); an invalid
-// handler surfaces from Start, like a recovery failure would.
-func WithTuning(cfg AppConfig) Option {
-	return func(rt *Runtime) {
-		rt.ingestCfg = cfg.Ingest
-		if cfg.PollWorkers != 0 {
-			rt.pollWorkers = cfg.PollWorkers
-		}
-		rt.mrCfg = cfg.MapReduce
-		if cfg.BatchAggregation {
-			rt.batchAgg = true
-		}
-		if cfg.OnError != nil {
-			rt.onError = cfg.OnError
-		}
-		for name, ch := range cfg.Contexts {
-			if err := rt.ImplementContext(name, ch); err != nil && rt.initErr == nil {
-				rt.initErr = fmt.Errorf("%v: %w", err, ErrCheckFailed)
-			}
-		}
-		for name, ch := range cfg.Controllers {
-			if err := rt.ImplementController(name, ch); err != nil && rt.initErr == nil {
-				rt.initErr = fmt.Errorf("%v: %w", err, ErrCheckFailed)
-			}
-		}
-		if cfg.AutoImplement {
-			if err := rt.autoImplement(rt.model); err != nil && rt.initErr == nil {
-				rt.initErr = fmt.Errorf("%v: %w", err, ErrCheckFailed)
-			}
-		}
-	}
 }

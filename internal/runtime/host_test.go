@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/dsl"
 	"repro/internal/dsl/check"
+	"repro/internal/persist"
 	"repro/internal/registry"
 	"repro/internal/simclock"
 )
@@ -162,6 +164,245 @@ func bindTenantSensor(t *testing.T, h *Host, app, devID string, vc *simclock.Vir
 		t.Fatal(err)
 	}
 	return d
+}
+
+// appSpec is one app of a test world: the ID it deploys under (and that
+// tenantDesign-style fixtures namespace their declarations with), its
+// checked design and its configuration.
+type appSpec struct {
+	id    string
+	model *check.Model
+	cfg   AppConfig
+}
+
+// worldCtor is one of the package's two ways to stand a substrate up and
+// start apps on it. runtime.New is a one-app host, so tests of substrate
+// behaviour (drain, lease reaping, persistence, fleet_stats) take the
+// constructor as input and run one body over both: nothing they assert may
+// depend on which spelling built the world.
+type worldCtor struct {
+	name   string
+	oneApp bool // New hosts exactly one app
+	// open starts one Runtime per spec over a substrate configured by sub;
+	// stop tears the whole world down (apps, then substrate).
+	open func(t *testing.T, sub SubstrateConfig, apps ...appSpec) (rts []*Runtime, stop func())
+}
+
+var worldCtors = []worldCtor{
+	{name: "New", oneApp: true, open: func(t *testing.T, sub SubstrateConfig, apps ...appSpec) ([]*Runtime, func()) {
+		t.Helper()
+		if len(apps) != 1 {
+			t.Fatalf("runtime.New hosts one app, got %d", len(apps))
+		}
+		app := apps[0]
+		rt := New(app.model, func(c *newConfig) { c.sub, c.app = sub, app.cfg })
+		for name, h := range app.cfg.Contexts {
+			if err := rt.ImplementContext(name, h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rt.Start(); err != nil {
+			rt.Stop()
+			t.Fatal(err)
+		}
+		return []*Runtime{rt}, rt.Stop
+	}},
+	{name: "NewHost+Deploy", open: func(t *testing.T, sub SubstrateConfig, apps ...appSpec) ([]*Runtime, func()) {
+		t.Helper()
+		h, err := NewHost(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rts []*Runtime
+		for _, app := range apps {
+			rt, err := h.Deploy(app.id, app.model, app.cfg)
+			if err != nil {
+				h.Close()
+				t.Fatal(err)
+			}
+			rts = append(rts, rt)
+		}
+		return rts, h.Close
+	}},
+}
+
+// TestNewIsOneAppHost pins what runtime.New promises on top of being a
+// host: the private substrate's lifecycle follows the Runtime's, and
+// everything observable from outside — fleet_stats scope, bus topics,
+// on-disk keys — is what the standalone single-tenant runtime produced.
+func TestNewIsOneAppHost(t *testing.T) {
+	vc := simclock.NewVirtual(hostEpoch)
+	model := mustLoadDesign(t, aggTenantDesign("solo"))
+
+	t.Run("stop-before-start-seals-store", func(t *testing.T) {
+		dir := t.TempDir()
+		rt := New(model, WithClock(vc), WithPersistence(dir, persist.Options{FlushInterval: time.Hour}))
+		d := newPushSensor("s-000", "Sensor_solo", registry.Attributes{"zone": "Z"}, vc.Now)
+		if err := rt.BindDevice(d); err != nil {
+			t.Fatal(err)
+		}
+		rt.Stop() // never started: the store must still seal with a snapshot
+		if err := rt.Persistence().Barrier(); !errors.Is(err, persist.ErrClosed) {
+			t.Fatalf("store after Stop: Barrier = %v, want ErrClosed", err)
+		}
+		rt2 := New(model, WithClock(vc), WithPersistence(dir, persist.Options{}))
+		defer rt2.Stop()
+		if _, ok := rt2.Registry().Get("s-000"); !ok {
+			t.Fatal("binding made before an unstarted runtime's Stop was not sealed to disk")
+		}
+	})
+
+	t.Run("stop-closes-owned-registry-only", func(t *testing.T) {
+		owned := New(model, WithClock(vc))
+		owned.Stop()
+		if err := owned.Registry().Register(registry.Entity{ID: "x", Kind: "Sensor_solo"}); !errors.Is(err, registry.ErrClosed) {
+			t.Fatalf("owned registry after Stop: Register = %v, want ErrClosed", err)
+		}
+		shared := registry.New(registry.WithClock(vc))
+		defer shared.Close()
+		rt := New(model, WithClock(vc), WithRegistry(shared))
+		if rt.Registry() != shared {
+			t.Fatal("WithRegistry not honored")
+		}
+		rt.Stop()
+		if err := shared.Register(registry.Entity{ID: "x", Kind: "Sensor_solo"}); err != nil {
+			t.Fatalf("shared registry closed by Stop: %v", err)
+		}
+	})
+
+	t.Run("default-scope-and-bare-topics", func(t *testing.T) {
+		rt := New(model, WithClock(vc))
+		defer rt.Stop()
+		if err := rt.ImplementContext("Count_solo", &aggCountHandler{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+		fs := rt.FleetStats()
+		if len(fs.Apps) != 1 || fs.Apps[0].App != "default" {
+			t.Fatalf("fleet_stats apps = %+v, want exactly the default scope", fs.Apps)
+		}
+		if len(fs.Budgets) != 1 || fs.Budgets[0].App != "default" {
+			t.Fatalf("fleet_stats budgets = %+v, want exactly the default scope", fs.Budgets)
+		}
+		if got := rt.sourceTopic("Count_solo", 0); got != "source/Count_solo/0" {
+			t.Fatalf("source topic = %q, want no app/ prefix", got)
+		}
+		if got := rt.pubSites["Count_solo"].topic; got != "context/Count_solo" {
+			t.Fatalf("context topic = %q, want no app/ prefix", got)
+		}
+		if n := rt.bus.Subscribers("source/Count_solo/0"); n != 1 {
+			t.Fatalf("%d subscribers on the bare source topic, want 1", n)
+		}
+	})
+
+	// A directory written by the last commit whose single-tenant runtime
+	// owned its own store (see testdata/wal_pr13/README.md): snapshot plus
+	// WAL tail, crash image.
+	t.Run("recovers-parent-wal", func(t *testing.T) {
+		dir := t.TempDir()
+		for _, name := range []string{"snap-00000001.00000002.snap", "wal-00000002.log"} {
+			img, err := os.ReadFile(filepath.Join("testdata/wal_pr13", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fixture := mustLoadDesign(t, `
+device Sensor { attribute zone as String; source presence as Boolean; }
+context Count as Integer {
+	when provided presence from Sensor
+	grouped by zone
+	with map as Boolean reduce as Integer
+	no publish;
+}`)
+		count := &aggCountHandler{}
+		rt := New(fixture, WithClock(vc), WithPersistence(dir, persist.Options{}))
+		defer rt.Stop()
+		if err := rt.ImplementContext("Count", count); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+		want := map[registry.ID]string{"s-0": "A", "s-1": "A", "s-2": "A", "s-3": "B", "s-4": "B", "s-tail": "B"}
+		if got := rt.Registry().Count(); got != len(want) {
+			t.Fatalf("recovered %d entities, want %d", got, len(want))
+		}
+		for id, zone := range want {
+			e, ok := rt.Registry().Get(id)
+			if !ok || e.Kind != "Sensor" || e.Attrs["zone"] != zone {
+				t.Fatalf("entity %s recovered as %+v (present %v), want a Sensor in zone %s", id, e, ok, zone)
+			}
+		}
+		if gen, all := rt.Registry().Generation("Sensor"), rt.Registry().Generation(""); gen != 8 || all != 8 {
+			t.Fatalf("recovered generations Sensor=%d all=%d, want 8 and 8", gen, all)
+		}
+		if blob := rt.host.aggRestore["Count#0"]; len(blob) == 0 {
+			t.Fatalf("no checkpoint under the un-namespaced key; recovered keys: %d", len(rt.host.aggRestore))
+		}
+		// The checkpoint holds one contribution per snapshotted sensor; one
+		// new reading re-derives the aggregate from it: counts continue.
+		d := newPushSensor("s-new", "Sensor", registry.Attributes{"zone": "A"}, vc.Now)
+		if err := rt.BindDevice(d); err != nil {
+			t.Fatal(err)
+		}
+		waitAttached(t, rt, 1)
+		d.Emit("presence", true)
+		waitUntil(t, "aggregate restored from the parent's checkpoint", func() bool {
+			return count.zone("A") == 4 && count.zone("B") == 2
+		})
+	})
+}
+
+// TestPersistenceRequiresOwnedRegistry is the misconfiguration parity check:
+// a shared registry's lifecycle is not the substrate's to journal, and both
+// constructors must say so — NewHost directly, New from Start — without
+// touching the directory.
+func TestPersistenceRequiresOwnedRegistry(t *testing.T) {
+	const want = "host: persistence requires the host-owned registry"
+	model := mustLoadDesign(t, tenantDesign("solo"))
+	for _, tc := range []struct {
+		name string
+		open func(reg *registry.Registry, dir string) error
+	}{
+		{"New", func(reg *registry.Registry, dir string) error {
+			rt := New(model, WithRegistry(reg), WithPersistence(dir, persist.Options{}))
+			defer rt.Stop()
+			if rt.Persistence() != nil {
+				t.Error("a store is attached to a registry the runtime does not own")
+			}
+			if err := rt.ImplementContext("Occ_solo", &recHandler{}); err != nil {
+				t.Fatal(err)
+			}
+			return rt.Start()
+		}},
+		{"NewHost", func(reg *registry.Registry, dir string) error {
+			h, err := NewHost(SubstrateConfig{Registry: reg, PersistDir: dir})
+			if h != nil {
+				h.Close()
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := registry.New()
+			defer reg.Close()
+			dir := t.TempDir()
+			if err := tc.open(reg, dir); err == nil || err.Error() != want {
+				t.Fatalf("got %v, want %q", err, want)
+			}
+			if files, _ := os.ReadDir(dir); len(files) != 0 {
+				t.Fatalf("refused configuration still wrote %d file(s) under the persistence directory", len(files))
+			}
+			if err := reg.Register(registry.Entity{ID: "x", Kind: "Sensor_solo"}); err != nil {
+				t.Fatalf("shared registry unusable after the refusal: %v", err)
+			}
+		})
+	}
 }
 
 func TestHostDeployTypedErrors(t *testing.T) {

@@ -19,7 +19,8 @@ import (
 // owns a small set of ingestion shards: devices push readings into their
 // shard — directly via device.PushSubscriber when the driver supports it,
 // through a per-device channel otherwise — and one worker per shard
-// coalesces whatever has accumulated into PublishBatch calls. Admission is
+// coalesces whatever has accumulated into pooled columnar
+// device.ReadingBatch payloads, each published as one bus event. Admission is
 // bounded by a qos.Budget per interaction, so a storm that outruns the
 // context handler drops at the intake (counted in Stats) instead of growing
 // queues without bound.
@@ -30,7 +31,7 @@ type IngestConfig struct {
 	// Shards is the number of intake buffers/workers per interaction;
 	// devices hash to a shard by ID. Default 8.
 	Shards int
-	// MaxBatch bounds one PublishBatch flush. Default 256.
+	// MaxBatch bounds the rows of one published ReadingBatch. Default 256.
 	MaxBatch int
 	// Budget bounds readings in flight (admitted at a shard but not yet
 	// handed to the delivery substrate) per interaction; beyond it new
@@ -41,11 +42,6 @@ type IngestConfig struct {
 	// MaxAge at flush time (by the runtime clock) are dropped and counted
 	// in Stats.IngestDeadlineDrops. Zero disables the deadline.
 	MaxAge time.Duration
-	// Boxed selects the pre-typed-path ingestion pipeline (one boxed `any`
-	// per reading through PublishBatch) instead of pooled columnar
-	// ReadingBatch payloads. It exists as the ablation baseline for the
-	// storm benchmarks; production configurations leave it false.
-	Boxed bool
 }
 
 func (c IngestConfig) withDefaults() IngestConfig {
@@ -67,14 +63,13 @@ var ingestSeed = maphash.MakeSeed()
 
 // ingestor is the ingestion pipeline of one device-source interaction: the
 // intake shards, their flush workers, and the interaction's admission
-// budget. Readings leave through PublishBatch on topic.
+// budget. Readings leave as ReadingBatch events published on topic.
 type ingestor struct {
 	rt       *Runtime
 	topic    string
 	budget   *qos.Budget
 	maxBatch int
 	maxAge   time.Duration
-	boxed    bool
 	shards   []*ingestShard
 	mask     uint64
 
@@ -96,7 +91,6 @@ func (rt *Runtime) newIngestor(topic string) *ingestor {
 		budget:   qos.NewBudget(cfg.Budget),
 		maxBatch: cfg.MaxBatch,
 		maxAge:   cfg.MaxAge,
-		boxed:    cfg.Boxed,
 		shards:   make([]*ingestShard, n),
 		mask:     uint64(n - 1),
 	}
@@ -135,32 +129,25 @@ func (ing *ingestor) stop() {
 // publishes it, so per-event synchronization is amortized over the burst on
 // both sides (mirroring the bus's ring-buffer subscriptions).
 //
-// On the typed (default) path readings accumulate into pooled columnar
-// device.ReadingBatch payloads sealed at MaxBatch rows, each published as a
-// single refcounted bus event — no per-reading boxing anywhere. The boxed
-// ablation path keeps the original []any buffer flushed through
-// PublishBatch.
+// Readings accumulate into pooled columnar device.ReadingBatch payloads
+// sealed at MaxBatch rows, each published as a single refcounted bus event —
+// no per-reading boxing anywhere.
 type ingestShard struct {
 	ing      *ingestor
 	mu       sync.Mutex
 	notEmpty sync.Cond
-	buf      []any                  // boxed path: pending readings as bus payloads
-	cur      *device.ReadingBatch   // typed path: open batch being filled
-	full     []*device.ReadingBatch // typed path: sealed batches awaiting flush
+	cur      *device.ReadingBatch   // open batch being filled
+	full     []*device.ReadingBatch // sealed batches awaiting flush
 	stopped  bool
 }
 
 // pendingLocked reports whether any intake is waiting; caller holds s.mu.
 func (s *ingestShard) pendingLocked() bool {
-	return len(s.buf) > 0 || len(s.full) > 0 || (s.cur != nil && s.cur.Len() > 0)
+	return len(s.full) > 0 || (s.cur != nil && s.cur.Len() > 0)
 }
 
 // appendLocked adds one admitted reading to the intake; caller holds s.mu.
 func (s *ingestShard) appendLocked(r device.Reading) {
-	if s.ing.boxed {
-		s.buf = append(s.buf, r)
-		return
-	}
 	if s.cur == nil {
 		s.cur = device.NewReadingBatch()
 	}
@@ -379,7 +366,6 @@ func (rt *Runtime) RemoteIngest(kind, source string, readings []device.Reading) 
 
 func (s *ingestShard) run() {
 	defer s.ing.rt.wg.Done()
-	var pending []any
 	var sealed []*device.ReadingBatch
 	for {
 		s.mu.Lock()
@@ -391,29 +377,25 @@ func (s *ingestShard) run() {
 			s.mu.Unlock()
 			return
 		}
-		pending, s.buf = s.buf, pending[:0]
 		sealed, s.full = s.full, sealed[:0]
 		cur := s.cur
 		s.cur = nil
 		s.mu.Unlock()
 		for i, b := range sealed {
-			s.flushTyped(b)
+			s.flush(b)
 			sealed[i] = nil // recycled batches must not be pinned by the swap slice
 		}
 		if cur != nil {
-			s.flushTyped(cur)
-		}
-		if len(pending) > 0 {
-			s.flush(pending)
+			s.flush(cur)
 		}
 	}
 }
 
-// flushTyped applies the deadline policy to one sealed batch and publishes
+// flush applies the deadline policy to one sealed batch and publishes
 // it as a single refcounted bus event, then returns the admitted units to
 // the budget and drops the producer's batch reference — the bus holds one
 // reference per subscriber until each delivery completes.
-func (s *ingestShard) flushTyped(b *device.ReadingBatch) {
+func (s *ingestShard) flush(b *device.ReadingBatch) {
 	ing := s.ing
 	admitted := b.Len()
 	if ing.maxAge > 0 {
@@ -431,46 +413,6 @@ func (s *ingestShard) flushTyped(b *device.ReadingBatch) {
 	}
 	b.Release()
 	ing.budget.Release(admitted)
-}
-
-// flush applies the deadline policy and publishes the burst in MaxBatch
-// chunks, then returns the admitted units to the budget. The bus copies
-// events out during PublishBatch, so the slice is recycled as the shard's
-// next intake buffer.
-func (s *ingestShard) flush(batch []any) {
-	ing := s.ing
-	admitted := len(batch)
-	if ing.maxAge > 0 {
-		cutoff := ing.rt.clock.Now().Add(-ing.maxAge)
-		kept := batch[:0]
-		for _, p := range batch {
-			if p.(device.Reading).Time.Before(cutoff) {
-				continue
-			}
-			kept = append(kept, p)
-		}
-		if stale := len(batch) - len(kept); stale > 0 {
-			ing.rt.stats.ingestDeadlineDrops.Add(uint64(stale))
-		}
-		batch = kept
-	}
-	for lo := 0; lo < len(batch); lo += ing.maxBatch {
-		hi := lo + ing.maxBatch
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		chunk := batch[lo:hi]
-		at := chunk[len(chunk)-1].(device.Reading).Time
-		if err := ing.rt.bus.PublishBatch(ing.topic, chunk, at); err != nil {
-			break
-		}
-		ing.rt.stats.ingestBatches.Add(1)
-		ing.rt.stats.ingestEvents.Add(uint64(len(chunk)))
-	}
-	ing.budget.Release(admitted)
-	// Drop payload references so recycled capacity does not retain
-	// reading values across quiet periods.
-	clear(batch[:cap(batch)])
 }
 
 // trackDeviceSource attaches the named source of every present and future
@@ -624,7 +566,7 @@ func (t *sourceTracker) add(e registry.Entity) {
 }
 
 // forward drains one channel-subscribed device into its ingestion shard —
-// the fallback (and ablation baseline) for drivers without PushSubscriber.
+// the fallback for drivers without PushSubscriber.
 // Each wakeup hands whatever the device already queued to the shard in one
 // call, so even the per-device-channel path batches its bus handoff.
 func (t *sourceTracker) forward(sub device.Subscription, shard *ingestShard) {

@@ -98,24 +98,25 @@ func TestIngestShardCoalescing(t *testing.T) {
 	waitUntil(t, "budget drain", func() bool { return ing.budget.InFlight() == 0 })
 }
 
-// TestIngestBudgetBackpressure blocks the consumer and checks that the
+// TestIngestBudgetBackpressure gates the consumer and checks that the
 // in-flight budget caps admissions, surplus readings are counted as budget
 // drops, and everything admitted is delivered once the consumer resumes.
-// It runs on the boxed ablation pipeline, whose chunked PublishBatch flush
-// holds all admitted units until the gated subscriber drains — the
-// deterministic setup this test's budget assertions rely on. (The typed
-// path releases budget per sealed batch as each publish lands; its exact
-// accounting is covered end-to-end by TestIngestEndToEndDelivery and the
-// storm examples.)
+// The pipeline releases budget per batch as each publish lands, so the test
+// first wedges the flush worker deterministically: one batch inside the
+// gated handler, one filling the subscription's single queue slot, and a
+// third blocked in Publish — from then on every admitted row stays in
+// flight until the gate opens.
 func TestIngestBudgetBackpressure(t *testing.T) {
 	rt := New(loadIngestModel(t), WithIngestConfig(IngestConfig{
-		Shards: 1, Budget: 8, MaxBatch: 8, Boxed: true,
+		Shards: 1, Budget: 8, MaxBatch: 4,
 	}))
+	defer rt.Stop()
 	gate := make(chan struct{})
-	var delivered atomic.Int64
-	if _, err := rt.bus.Subscribe("src", func(eventbus.Event) {
+	var entered, delivered atomic.Int64
+	if _, err := rt.bus.Subscribe("src", func(ev eventbus.Event) {
+		entered.Add(1)
 		<-gate
-		delivered.Add(1)
+		delivered.Add(int64(ev.Payload.(*device.ReadingBatch).Len()))
 	}, eventbus.WithQueue(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -123,26 +124,43 @@ func TestIngestBudgetBackpressure(t *testing.T) {
 	defer ing.stop()
 	sh := ing.shards[0]
 
-	full := make([]device.Reading, 8)
-	for i := range full {
-		full[i] = mkReading(fmt.Sprintf("d%d", i), ingestEpoch)
+	sh.Push(mkReading("in-handler", ingestEpoch))
+	waitUntil(t, "first batch to reach the gated handler", func() bool { return entered.Load() == 1 })
+	sh.Push(mkReading("queued", ingestEpoch))
+	waitUntil(t, "second batch to fill the queue slot", func() bool {
+		return ing.budget.InFlight() == 0 && rt.BusStats().Published == 2
+	})
+	sh.Push(mkReading("blocked", ingestEpoch)) // its Publish cannot return while gated
+
+	// 7 units are free: a burst of 9 is admitted up to the budget and its
+	// tail dropped; every admitted row stays in flight behind the gate.
+	burst := make([]device.Reading, 9)
+	for i := range burst {
+		burst[i] = mkReading(fmt.Sprintf("d%d", i), ingestEpoch)
 	}
-	sh.pushBatch(full) // fills the whole budget; the consumer is gated
+	sh.pushBatch(burst)
 	if got := ing.budget.InFlight(); got != 8 {
-		t.Fatalf("in flight = %d, want 8", got)
+		t.Fatalf("in flight while gated = %d, want the whole budget (8)", got)
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 3; i++ {
 		sh.Push(mkReading("late", ingestEpoch)) // beyond the budget: dropped
 	}
-	st := rt.stats.snapshot()
-	if st.IngestBudgetDrops != 5 {
-		t.Fatalf("IngestBudgetDrops = %d, want 5", st.IngestBudgetDrops)
+	if got := rt.Stats().IngestBudgetDrops; got != 2+3 {
+		t.Fatalf("IngestBudgetDrops = %d, want 5", got)
 	}
+	if got := ing.budget.InFlight(); got != 8 {
+		t.Fatalf("in flight after refused pushes = %d, want 8", got)
+	}
+	const admitted = 1 + 1 + 1 + 7
+	if got := ing.budget.Admitted(); got != admitted {
+		t.Fatalf("admitted = %d, want %d", got, admitted)
+	}
+
 	close(gate)
-	waitUntil(t, "gated delivery", func() bool { return delivered.Load() == 8 })
+	waitUntil(t, "gated delivery", func() bool { return delivered.Load() == admitted })
 	waitUntil(t, "budget release", func() bool { return ing.budget.InFlight() == 0 })
-	if st := rt.stats.snapshot(); st.IngestEvents != 8 {
-		t.Fatalf("IngestEvents = %d, want 8", st.IngestEvents)
+	if st := rt.Stats(); st.IngestEvents != admitted {
+		t.Fatalf("IngestEvents = %d, want %d", st.IngestEvents, admitted)
 	}
 }
 
@@ -263,19 +281,28 @@ func (d slowSubDriver) Subscribe(source string) (device.Subscription, error) {
 // TestSourceTrackerReleasesOnChurn is the churn regression test for the
 // tracker-slot leak: unregistration and lease expiry must both release the
 // device's attachment (and its push sink) while the runtime keeps running —
-// not only at shutdown — and the lease janitor must release the local
-// driver slot of an expired binding.
+// not only at shutdown — and the host's lease janitor must release the
+// local driver slot of an expired binding, whichever constructor built the
+// host.
 func TestSourceTrackerReleasesOnChurn(t *testing.T) {
+	for _, ctor := range worldCtors {
+		t.Run(ctor.name, func(t *testing.T) { testSourceTrackerReleasesOnChurn(t, ctor) })
+	}
+}
+
+// openIngestApp starts the ingestTestDesign app through ctor.
+func openIngestApp(t *testing.T, ctor worldCtor, vc *simclock.Virtual, h ContextHandler) (*Runtime, func()) {
+	t.Helper()
+	rts, stop := ctor.open(t, SubstrateConfig{Clock: vc}, appSpec{"ingest", loadIngestModel(t),
+		AppConfig{Contexts: map[string]ContextHandler{"OccupancyChange": h}}})
+	return rts[0], stop
+}
+
+func testSourceTrackerReleasesOnChurn(t *testing.T, ctor worldCtor) {
 	vc := simclock.NewVirtual(ingestEpoch)
-	rt := New(loadIngestModel(t), WithClock(vc))
 	delivered := &countingHandler{}
-	if err := rt.ImplementContext("OccupancyChange", delivered); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Stop()
+	rt, stop := openIngestApp(t, ctor, vc, delivered)
+	defer stop()
 
 	const n = 40
 	swarm := devsim.NewSwarm(devsim.SwarmConfig{
@@ -332,18 +359,19 @@ func TestSourceTrackerReleasesOnChurn(t *testing.T) {
 // registry: live sensors are renewed every step, churned-out ones are never
 // unregistered explicitly — their leases lapse — and both the tracker
 // attachment and the janitor-managed driver slot must be released before
-// the fleet settles.
+// the fleet settles. One body over both constructors: the janitor is the
+// host's either way.
 func TestChurnSwarmLeaseExpiry(t *testing.T) {
+	for _, ctor := range worldCtors {
+		t.Run(ctor.name, func(t *testing.T) { testChurnSwarmLeaseExpiry(t, ctor) })
+	}
+}
+
+func testChurnSwarmLeaseExpiry(t *testing.T, ctor worldCtor) {
 	vc := simclock.NewVirtual(ingestEpoch)
-	rt := New(loadIngestModel(t), WithClock(vc))
 	delivered := &countingHandler{}
-	if err := rt.ImplementContext("OccupancyChange", delivered); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Stop()
+	rt, stop := openIngestApp(t, ctor, vc, delivered)
+	defer stop()
 
 	const n, churned = 20, 5
 	const ttl = time.Minute

@@ -12,7 +12,7 @@ import (
 
 // This file is the operations plane of the runtime: the host-side
 // implementations of the `fleet_stats`, `drain` and `set_budget` admin wire
-// ops, plus the single-tenant equivalents. The design splits cleanly:
+// ops. The design splits cleanly:
 // transport defines the wire records, this file fills them from live
 // runtime state, internal/metrics renders them for Prometheus, and
 // `diaspecc top`/`diaspecc host` drive them over TCP.
@@ -141,6 +141,15 @@ func sortedScopeRecords(m map[string]map[string]uint64) []transport.AppStatsReco
 	return recs
 }
 
+// appScope names an app in operations-plane records: its ID, or "default"
+// for the one app of a runtime.New host (whose ID is empty).
+func appScope(appID string) string {
+	if appID == "" {
+		return "default"
+	}
+	return appID
+}
+
 // FleetStats assembles the host's whole operations surface into one
 // snapshot: substrate gauges, per-app counters, gauge sources, peer health
 // (when a peer source is registered), per-kind registry population, and
@@ -151,7 +160,7 @@ func (h *Host) FleetStats() transport.FleetStats {
 	st := h.Stats()
 	appRecs := make(map[string]map[string]uint64, len(st.Apps))
 	for id, s := range st.Apps {
-		appRecs[id] = s.Counters()
+		appRecs[appScope(id)] = s.Counters()
 	}
 	fs := transport.FleetStats{
 		Host:     transport.AppStatsRecord{App: "host", Counters: hostCounters(st)},
@@ -175,7 +184,7 @@ func (h *Host) FleetStats() transport.FleetStats {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		fs.Budgets = append(fs.Budgets, apps[id].budgetRecord(id))
+		fs.Budgets = append(fs.Budgets, apps[id].budgetRecord(appScope(id)))
 	}
 	if peerFn != nil {
 		fs.Peers = peerFn()
@@ -235,11 +244,12 @@ func (h *Host) Drain() (transport.DrainReport, error) {
 		}
 		time.Sleep(drainPollInterval)
 	}
-	if rep.Clean {
-		// The budgets released, so every admitted reading has been handed
-		// to the bus; let in-flight bus batches settle before snapshotting
-		// (two consecutive stable observations of the delivery counters).
-		h.settleBus(deadline)
+	// The budgets released, so every admitted reading has been handed to
+	// the bus; let the queued deliveries (and what their handlers publish)
+	// finish before snapshotting, so the snapshot's aggregate checkpoints
+	// cover them.
+	for rep.Clean && !h.bus.Idle() && time.Now().Before(deadline) {
+		time.Sleep(drainPollInterval)
 	}
 	if h.store != nil {
 		if err := h.store.Snapshot(); err != nil {
@@ -260,22 +270,6 @@ func (h *Host) Drain() (transport.DrainReport, error) {
 	return rep, nil
 }
 
-// settleBus waits until the shared bus's delivery counters hold still for
-// two consecutive observations (or the deadline passes) — the cheap proxy
-// for "published batches have reached their subscribers" that keeps the
-// final drain snapshot's aggregate checkpoints current.
-func (h *Host) settleBus(deadline time.Time) {
-	prev := h.bus.Stats()
-	for time.Now().Before(deadline) {
-		time.Sleep(drainPollInterval)
-		cur := h.bus.Stats()
-		if cur == prev {
-			return
-		}
-		prev = cur
-	}
-}
-
 // Draining reports whether a drain has been requested on this host.
 func (h *Host) Draining() bool { return h.draining.Load() }
 
@@ -290,60 +284,6 @@ func (h *Host) SetAppBudget(appID string, capacity int) error {
 	}
 	rt.setIngestBudget(capacity)
 	return nil
-}
-
-// FleetStats assembles the single-tenant equivalent of Host.FleetStats: the
-// runtime's own counters under its app scope (or "default"), its bus as the
-// substrate record, its registry summary and its budget occupancy — so the
-// metrics exporter and `diaspecc top` see the same shape whether they watch
-// one app or a thousand.
-func (rt *Runtime) FleetStats() transport.FleetStats {
-	scope := rt.appID
-	if scope == "" {
-		scope = "default"
-	}
-	bus := rt.BusStats()
-	st := HostStats{Bus: bus, Errors: rt.stats.errors.Load()}
-	return transport.FleetStats{
-		Host:     transport.AppStatsRecord{App: "host", Counters: hostCounters(st)},
-		Apps:     []transport.AppStatsRecord{{App: scope, Counters: rt.Stats().Counters()}},
-		Registry: registrySummary(rt.reg),
-		Budgets:  []transport.BudgetRecord{rt.budgetRecord(scope)},
-		Draining: rt.drainingFlag.Load(),
-	}
-}
-
-// Drain is the single-tenant form of Host.Drain: close admission, flush the
-// ingestion pipelines, snapshot if persistence is attached.
-func (rt *Runtime) Drain() (transport.DrainReport, error) {
-	start := time.Now()
-	rt.drainingFlag.Store(true)
-	refusedBefore := rt.drainDrops()
-	rep := transport.DrainReport{Apps: 1, InFlightAtStart: rt.beginDrain()}
-	deadline := start.Add(defaultDrainTimeout)
-	for {
-		if rt.ingestQuiesced() {
-			rep.Clean = true
-			break
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(drainPollInterval)
-	}
-	if rt.store != nil {
-		if err := rt.store.Snapshot(); err != nil {
-			if err != persist.ErrClosed && err != persist.ErrCrashed {
-				rep.DurationMillis = time.Since(start).Milliseconds()
-				return rep, fmt.Errorf("runtime: drain snapshot: %w", err)
-			}
-		} else {
-			rep.Snapshotted = true
-		}
-	}
-	rep.RefusedDuringDrain = rt.drainDrops() - refusedBefore
-	rep.DurationMillis = time.Since(start).Milliseconds()
-	return rep, nil
 }
 
 // FleetStats implements the fleet_stats admin op.

@@ -9,7 +9,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/persist"
+	"repro/internal/registry"
 	"repro/internal/simclock"
 )
 
@@ -75,33 +78,52 @@ func TestHostFleetStats(t *testing.T) {
 	}
 }
 
-// TestHostDrainUnderLoad is the drain exactness property: with emitters
-// racing the drain, (1) the report is clean, (2) every admitted reading is
-// delivered — none lost in a pipeline, (3) post-drain arrivals are refused
-// and counted as drain drops, never admitted, so
-// emitted == delivered + refused exactly.
-func TestHostDrainUnderLoad(t *testing.T) {
-	vc := simclock.NewVirtual(hostEpoch)
-	h, err := NewHost(SubstrateConfig{Clock: vc})
-	if err != nil {
-		t.Fatal(err)
+// TestDrainUnderLoad is the drain exactness property, over both
+// constructors: with emitters racing the drain, (1) the report is clean,
+// (2) every admitted reading is delivered — none lost in a pipeline, (3)
+// post-drain arrivals are refused and counted as drain drops, never
+// admitted, so emitted == delivered + refused exactly. Drain, Draining and
+// FleetStats are reached through an app handle, which delegates to the
+// owning host either way.
+func TestDrainUnderLoad(t *testing.T) {
+	for _, ctor := range worldCtors {
+		t.Run(ctor.name, func(t *testing.T) { testDrainUnderLoad(t, ctor) })
 	}
-	defer h.Close()
+}
 
-	handlers := map[string]*recHandler{"a": {}, "b": {}}
-	sensors := map[string][]*pushSensor{}
-	for id, hd := range handlers {
-		deployTenant(t, h, id, AppConfig{Contexts: map[string]ContextHandler{"Occ_" + id: hd}})
-		for i := 0; i < 3; i++ {
-			sensors[id] = append(sensors[id], bindTenantSensor(t, h, id, fmt.Sprintf("%s-%03d", id, i), vc))
-		}
-		rt, _ := h.App(id)
-		waitAttached(t, rt, 3)
+func testDrainUnderLoad(t *testing.T, ctor worldCtor) {
+	vc := simclock.NewVirtual(hostEpoch)
+	ids := []string{"a", "b"}
+	if ctor.oneApp {
+		ids = ids[:1]
 	}
+	handlers := map[string]*recHandler{}
+	var specs []appSpec
+	for _, id := range ids {
+		handlers[id] = &recHandler{}
+		specs = append(specs, appSpec{id, mustLoadDesign(t, tenantDesign(id)),
+			AppConfig{Contexts: map[string]ContextHandler{"Occ_" + id: handlers[id]}}})
+	}
+	rts, stop := ctor.open(t, SubstrateConfig{Clock: vc}, specs...)
+	defer stop()
+	apps := map[string]*Runtime{}
+	sensors := map[string][]*pushSensor{}
+	for i, id := range ids {
+		apps[id] = rts[i]
+		for j := 0; j < 3; j++ {
+			d := newPushSensor(fmt.Sprintf("%s-%03d", id, j), "Sensor_"+id, registry.Attributes{"lot": "L"}, vc.Now)
+			if err := rts[i].BindDevice(d); err != nil {
+				t.Fatal(err)
+			}
+			sensors[id] = append(sensors[id], d)
+		}
+		waitAttached(t, rts[i], 3)
+	}
+	front := rts[0] // any app handle reaches the one host
 
 	// Emitters pump until told to stop, counting exactly what they pushed.
 	var emitted atomic.Uint64
-	stop := make(chan struct{})
+	stopEmit := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, devs := range sensors {
 		for _, d := range devs {
@@ -110,7 +132,7 @@ func TestHostDrainUnderLoad(t *testing.T) {
 				defer wg.Done()
 				for i := 0; ; i++ {
 					select {
-					case <-stop:
+					case <-stopEmit:
 						return
 					default:
 					}
@@ -123,27 +145,31 @@ func TestHostDrainUnderLoad(t *testing.T) {
 
 	// Let real traffic build, then drain while the emitters race on.
 	waitUntil(t, "pre-drain traffic", func() bool {
-		return handlers["a"].n.Load() > 100 && handlers["b"].n.Load() > 100
+		for _, hd := range handlers {
+			if hd.n.Load() <= 100 {
+				return false
+			}
+		}
+		return true
 	})
-	rep, err := h.Drain()
+	rep, err := front.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean {
-		t.Fatalf("drain not clean: %+v", rep)
+	if !rep.Clean || rep.Apps != len(ids) {
+		t.Fatalf("drain not clean over %d apps: %+v", len(ids), rep)
 	}
-	if !h.Draining() {
+	if !front.host.Draining() {
 		t.Fatal("host not reporting draining state")
 	}
-	close(stop)
+	close(stopEmit)
 	wg.Wait()
 
 	// No admissions after the drain: further pushes only move the drain-drop
 	// counter.
-	var ingestedAt [2]uint64
-	for i, id := range []string{"a", "b"} {
-		rt, _ := h.App(id)
-		ingestedAt[i] = rt.Stats().IngestEvents
+	ingestedAt := map[string]uint64{}
+	for id, rt := range apps {
+		ingestedAt[id] = rt.Stats().IngestEvents
 	}
 	for _, devs := range sensors {
 		for _, d := range devs {
@@ -151,11 +177,10 @@ func TestHostDrainUnderLoad(t *testing.T) {
 			emitted.Add(1)
 		}
 	}
-	for i, id := range []string{"a", "b"} {
-		rt, _ := h.App(id)
+	for id, rt := range apps {
 		st := rt.Stats()
-		if st.IngestEvents != ingestedAt[i] {
-			t.Fatalf("app %s admitted events after drain: %d -> %d", id, ingestedAt[i], st.IngestEvents)
+		if st.IngestEvents != ingestedAt[id] {
+			t.Fatalf("app %s admitted events after drain: %d -> %d", id, ingestedAt[id], st.IngestEvents)
 		}
 		if st.IngestDrainDrops == 0 {
 			t.Fatalf("app %s counted no drain drops despite post-drain pushes", id)
@@ -167,8 +192,7 @@ func TestHostDrainUnderLoad(t *testing.T) {
 	// after. The two never double-count one reading.
 	var delivered, drops uint64
 	for id, hd := range handlers {
-		rt, _ := h.App(id)
-		st := rt.Stats()
+		st := apps[id].Stats()
 		if hd.n.Load() != st.IngestEvents {
 			t.Fatalf("app %s delivered %d of %d admitted — drain lost admitted readings",
 				id, hd.n.Load(), st.IngestEvents)
@@ -182,15 +206,104 @@ func TestHostDrainUnderLoad(t *testing.T) {
 	}
 
 	// Deploy is refused while draining; a second drain is idempotent.
-	if _, err := h.DeploySource("late", tenantDesign("late"), AppConfig{AutoImplement: true}); !errors.Is(err, ErrDraining) {
+	if _, err := front.host.DeploySource("late", tenantDesign("late"), AppConfig{AutoImplement: true}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("deploy during drain: got %v, want ErrDraining", err)
 	}
-	rep2, err := h.Drain()
+	rep2, err := front.Drain()
 	if err != nil || !rep2.Clean {
 		t.Fatalf("second drain: %+v, %v", rep2, err)
 	}
-	if !h.FleetStats().Draining {
+	fs := front.FleetStats()
+	if !fs.Draining {
 		t.Fatal("fleet_stats does not report draining")
+	}
+	if len(fs.Apps) != len(rts) {
+		t.Fatalf("fleet_stats apps: %+v", fs.Apps)
+	}
+	for i, rt := range rts { // ids are sorted, as the records are
+		if rec := fs.Apps[i]; rec.App != appScope(rt.appID) || rec.Counters["ingest_events"] != rt.Stats().IngestEvents {
+			t.Fatalf("fleet_stats record %+v does not describe app %q", rec, rt.appID)
+		}
+	}
+}
+
+// slowCount is aggCountHandler behind a gate, then slowed: every delivery
+// takes a moment, so a burst released right before a drain is still working
+// through the bus queue while the drain decides when to snapshot.
+type slowCount struct {
+	aggCountHandler
+	gate chan struct{}
+}
+
+func (h *slowCount) OnTrigger(call *ContextCall) (any, bool, error) {
+	<-h.gate
+	for start := time.Now(); time.Since(start) < 200*time.Microsecond; {
+		// Busy, not asleep: a sleep rounds up to ~1 ms a call.
+	}
+	return h.aggCountHandler.OnTrigger(call)
+}
+
+// TestDrainSnapshotCoversQueuedDeliveries is the regression test for the
+// single-tenant drain: its budgets release as soon as readings reach the
+// bus, and it used to snapshot right then — before the queued deliveries had
+// folded into the grouped aggregate — so a restart from the drained image
+// lost every reading a slow handler had not yet seen. Drain must wait for
+// the bus to go idle first: drain → crash → reopen restores an aggregate
+// equal to every accepted reading, whichever constructor built the world.
+func TestDrainSnapshotCoversQueuedDeliveries(t *testing.T) {
+	for _, ctor := range worldCtors {
+		t.Run(ctor.name, func(t *testing.T) {
+			vc := simclock.NewVirtual(hostEpoch)
+			dir := t.TempDir()
+			sub := SubstrateConfig{Clock: vc, PersistDir: dir, PersistOpts: persist.Options{FlushInterval: time.Hour}}
+			model := mustLoadDesign(t, aggTenantDesign("solo"))
+			open := func(h ContextHandler) (*Runtime, func()) {
+				rts, stop := ctor.open(t, sub, appSpec{"solo", model, AppConfig{
+					Contexts: map[string]ContextHandler{"Count_solo": h},
+				}})
+				return rts[0], stop
+			}
+			bind := func(rt *Runtime, id string) *pushSensor {
+				d := newPushSensor(id, "Sensor_solo", registry.Attributes{"zone": "Z"}, vc.Now)
+				if err := rt.BindDevice(d); err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+
+			slow := &slowCount{gate: make(chan struct{})}
+			rt, stop := open(slow)
+			const n = 200
+			devs := make([]*pushSensor, n)
+			for i := range devs {
+				devs[i] = bind(rt, fmt.Sprintf("s-%03d", i))
+			}
+			waitAttached(t, rt, n)
+			for _, d := range devs {
+				d.Emit("presence", true)
+			}
+			waitUntil(t, "every reading handed to the bus", func() bool {
+				return rt.Stats().IngestEvents == n && rt.ingestQuiesced()
+			})
+			close(slow.gate)
+			rep, err := rt.Drain()
+			if err != nil || !rep.Clean || !rep.Snapshotted {
+				t.Fatalf("drain: %+v, %v", rep, err)
+			}
+			rt.Persistence().Crash() // the drained image is all that survives
+			stop()
+
+			count := &aggCountHandler{}
+			rt2, stop2 := open(count)
+			defer stop2()
+			d := bind(rt2, "s-new")
+			waitAttached(t, rt2, 1)
+			d.Emit("presence", true)
+			waitUntil(t, "restored aggregate to surface", func() bool { return count.zone("Z") > 0 })
+			if got := count.zone("Z"); got != n+1 {
+				t.Fatalf("aggregate restored from the drained image counts %d sensors, want all %d accepted readings + 1", got, n)
+			}
+		})
 	}
 }
 
@@ -244,52 +357,6 @@ func TestHostSetAppBudget(t *testing.T) {
 
 	if err := h.SetAppBudget("ghost", 10); !errors.Is(err, ErrUnknownApp) {
 		t.Fatalf("set budget on unknown app: got %v, want ErrUnknownApp", err)
-	}
-}
-
-// TestRuntimeDrainSingleTenant checks the single-tenant Drain/FleetStats
-// surface: scope defaults to "default", drain closes admission and counts
-// refusals.
-func TestRuntimeDrainSingleTenant(t *testing.T) {
-	vc := simclock.NewVirtual(hostEpoch)
-	m := mustLoadDesign(t, tenantDesign("solo"))
-	hd := &recHandler{}
-	rt := New(m, WithClock(vc))
-	if err := rt.ImplementContext("Occ_solo", hd); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Stop()
-	d := newPushSensor("s-000", "Sensor_solo", map[string]string{"lot": "L"}, vc.Now)
-	if err := rt.BindDevice(d); err != nil {
-		t.Fatal(err)
-	}
-	waitAttached(t, rt, 1)
-
-	const n = 30
-	for i := 0; i < n; i++ {
-		d.Emit("presence", true)
-	}
-	waitUntil(t, "delivery", func() bool { return hd.n.Load() == n })
-
-	rep, err := rt.Drain()
-	if err != nil || !rep.Clean {
-		t.Fatalf("drain: %+v, %v", rep, err)
-	}
-	d.Emit("presence", true)
-	waitUntil(t, "drain refusal", func() bool { return rt.Stats().IngestDrainDrops == 1 })
-
-	fs := rt.FleetStats()
-	if len(fs.Apps) != 1 || fs.Apps[0].App != "default" {
-		t.Fatalf("single-tenant scope: %+v", fs.Apps)
-	}
-	if !fs.Draining {
-		t.Fatal("single-tenant fleet_stats does not report draining")
-	}
-	if fs.Apps[0].Counters["ingest_events"] != n {
-		t.Fatalf("ingest_events = %d, want %d", fs.Apps[0].Counters["ingest_events"], n)
 	}
 }
 

@@ -4,97 +4,24 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
-	"time"
-
-	"repro/internal/persist"
-	"repro/internal/transport"
 )
 
-// This file wires the durability subsystem (internal/persist) into the
-// runtime: WithPersistence opens (or recovers) a store in New, restored
-// registrations and generation sums are installed before any component
-// observes the registry, every subsequent mutation is journaled write-ahead,
-// and the incremental aggregation engines contribute checkpoint blobs to
-// snapshots and restore them at wiring time — so a restarted node resumes
-// with its fleet, its generations and its per-group aggregates instead of
-// an empty world.
-
-// WithPersistence attaches a write-ahead log + snapshot store rooted at dir.
-// New recovers the previous incarnation's state from it; an open or recovery
-// failure is reported by Start (the functional Option cannot return one).
-// Requires the runtime-owned registry (the default): a shared registry's
-// lifecycle is not the runtime's to journal.
-func WithPersistence(dir string, opts persist.Options) Option {
-	return func(rt *Runtime) {
-		rt.persistDir = dir
-		rt.persistOpts = opts
-	}
-}
-
-// Persistence returns the attached store, nil when WithPersistence was not
-// used (or its directory failed to open). The federation tier uses it to
-// restore its boot epoch and peer cursors and to barrier before advertising
-// generations.
-func (rt *Runtime) Persistence() *persist.Store { return rt.store }
-
-// openPersistence runs inside New, after the registry exists and before any
-// caller can mutate it.
-func (rt *Runtime) openPersistence() {
-	// Aggregate checkpoints gob-encode design values of interface type; the
-	// wire codec's basic registrations cover the common shapes. Identical
-	// re-registration is a no-op, so this composes with transport use.
-	transport.RegisterType(time.Time{})
-	transport.RegisterType([]any(nil))
-	transport.RegisterType(map[string]any(nil))
-
-	store, err := persist.Open(rt.persistDir, rt.persistOpts)
-	if err != nil {
-		rt.persistErr = fmt.Errorf("runtime: open persistence in %s: %w", rt.persistDir, err)
-		return
-	}
-	if rec := store.Recovered(); rec != nil {
-		for _, re := range rec.Entities {
-			if err := rt.reg.RestoreEntity(re.Entity, re.LeaseRemaining); err != nil {
-				// Only structurally invalid recovered data fails here; detach
-				// without writing (a clean Close would snapshot the partially
-				// restored registry over the good on-disk state).
-				store.Crash()
-				store.Close()
-				rt.persistErr = fmt.Errorf("runtime: restore entity %s: %w", re.Entity.ID, err)
-				return
-			}
-		}
-		rt.reg.RestoreGenerations(rec.GenAll, rec.Gens)
-		rt.aggRestore = rec.Aggs
-	}
-	rt.store = store
-	rt.reg.SetJournal(store.Journal())
-	store.SetRegistry(rt.reg)
-	store.AddSource(rt.captureAggCheckpoints)
-}
-
-// closePersistence seals the store on Stop: a final snapshot and a sealed
-// WAL — or, after a Crash hook fired, nothing at all (the directory must
-// stay exactly as the crash instant left it).
-func (rt *Runtime) closePersistence() {
-	if rt.store == nil {
-		return
-	}
-	if err := rt.store.Close(); err != nil && err != persist.ErrClosed && err != persist.ErrCrashed {
-		rt.reportError("persist", err)
-	}
-}
+// This file is the per-app half of durability (the host opens, recovers and
+// seals the store, see Host.openPersistence): the incremental aggregation
+// engines contribute checkpoint blobs to snapshots and restore them at
+// wiring time — so a restarted node resumes with its per-group aggregates,
+// not just its fleet and generations.
 
 // aggKey is the stable snapshot key of one grouped interaction's engine.
 func (pa *provAgg) aggKey() string {
 	return pa.ctx.Name + "#" + strconv.Itoa(pa.idx)
 }
 
-// aggSnapKey namespaces an engine's snapshot key by tenant: hosted apps
+// aggSnapKey namespaces an engine's snapshot key by tenant: deployed apps
 // share one store, and two apps may declare identically named contexts.
 // The NUL separator cannot collide with app IDs (Deploy rejects NUL) or
-// with single-tenant keys (appID "" leaves the legacy key unchanged, so
-// existing on-disk snapshots restore without migration).
+// with New's keys (appID "" leaves the key bare, so snapshots written by
+// runtime.New before it was a one-app host restore without migration).
 func (rt *Runtime) aggSnapKey(pa *provAgg) string {
 	if rt.appID == "" {
 		return pa.aggKey()
@@ -132,7 +59,7 @@ func (rt *Runtime) captureAggCheckpoints(add func(key string, blob []byte)) {
 // registry resync — so contributions of devices that did not survive
 // recovery are retracted by the resync that follows.
 func (rt *Runtime) restoreAggState(pa *provAgg) {
-	blob := rt.aggRestore[rt.aggSnapKey(pa)]
+	blob := rt.host.aggRestore[rt.aggSnapKey(pa)]
 	if len(blob) == 0 {
 		return
 	}

@@ -137,8 +137,8 @@ func (r *relayReference) reading(v int64, modeA, modeB string) {
 }
 
 // TestPublicationPathMatchesPerValueReference drives seeded random delivery
-// sequences — typed batches, mixed (boxed-column) batches and single boxed
-// readings, of random sizes — through every always/maybe combination of a
+// sequences — typed batches and mixed (boxed-column) batches of random
+// sizes, down to a batch of one — through every always/maybe combination of a
 // context→context→controller chain with a `no publish` leaf, and requires the controller's ordered
 // value sequence and every counter to equal the per-value reference.
 func TestPublicationPathMatchesPerValueReference(t *testing.T) {
@@ -187,28 +187,26 @@ func runRelayProperty(t *testing.T, modeA, modeB string, seed int64) {
 		return r
 	}
 	for d := 0; d < 60; d++ {
-		switch shape := rng.Intn(4); shape {
-		case 0: // one boxed reading, the ablation payload
-			if err := rt.bus.Publish(topic, reading(), at); err != nil {
-				t.Fatal(err)
-			}
-		default:
-			b := device.NewReadingBatch()
-			for i, n := 0, 1+rng.Intn(40); i < n; i++ {
-				b.Append(reading())
-			}
-			if shape == 1 {
-				// A foreign-typed row demotes the batch to its boxed
-				// column; the chain skips it (relayA would panic on it),
-				// so it rides last and is cut again by the deadline path.
-				b.Append(device.Reading{DeviceID: "m1", Source: "level", Value: "mixed", Time: at.Add(-time.Hour)})
-				b.CompactBefore(at)
-			}
-			err := rt.bus.Publish(topic, b, at)
-			b.Release()
-			if err != nil {
-				t.Fatal(err)
-			}
+		shape := rng.Intn(4)
+		rows := 1 + rng.Intn(40)
+		if shape == 0 {
+			rows = 1
+		}
+		b := device.NewReadingBatch()
+		for i := 0; i < rows; i++ {
+			b.Append(reading())
+		}
+		if shape == 1 {
+			// A foreign-typed row demotes the batch to its boxed
+			// column; the chain skips it (relayA would panic on it),
+			// so it rides last and is cut again by the deadline path.
+			b.Append(device.Reading{DeviceID: "m1", Source: "level", Value: "mixed", Time: at.Add(-time.Hour)})
+			b.CompactBefore(at)
+		}
+		err := rt.bus.Publish(topic, b, at)
+		b.Release()
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -477,8 +475,11 @@ context Probe as Integer {
 	}
 	at := time.Unix(1000, 0)
 	publish := func(ctx, source string, v int64) {
-		r := device.Reading{DeviceID: "m1", Source: source, Value: v, Time: at}
-		if err := rt.bus.Publish(rt.sourceTopic(ctx, 0), r, at); err != nil {
+		b := device.NewReadingBatch()
+		b.Append(device.Reading{DeviceID: "m1", Source: source, Value: v, Time: at})
+		err := rt.bus.Publish(rt.sourceTopic(ctx, 0), b, at)
+		b.Release()
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -34,7 +34,6 @@ import (
 	"repro/internal/dsl/check"
 	"repro/internal/eventbus"
 	"repro/internal/mapreduce"
-	"repro/internal/metrics"
 	"repro/internal/persist"
 	"repro/internal/registry"
 	"repro/internal/simclock"
@@ -121,7 +120,7 @@ type Stats struct {
 	// IngestEvents counts readings the event-ingestion pipeline published
 	// into device-source topics.
 	IngestEvents uint64
-	// IngestBatches counts PublishBatch flushes of the ingestion pipeline;
+	// IngestBatches counts ReadingBatch flushes of the ingestion pipeline;
 	// IngestEvents/IngestBatches is the achieved coalescing factor.
 	IngestBatches uint64
 	// IngestBudgetDrops counts readings refused because the interaction's
@@ -275,43 +274,38 @@ func (c *statCounters) snapshot() Stats {
 	}
 }
 
-// Runtime hosts one application built from a checked design. A Runtime is
-// either single-tenant (runtime.New: it owns its bus, registry, device table
-// and store) or one app of a multi-tenant Host (Host.Deploy: the substrate
-// is shared and host-owned, topics are namespaced per app, and Stop releases
-// only this app's subscriptions and pipelines).
+// Runtime is one application built from a checked design, running on a
+// Host's substrate. The Host owns everything apps share — bus, registry,
+// device table, store, lease janitor, metrics listener, drain state — and a
+// Runtime owns only what is per app: handlers, subscriptions, pollers,
+// ingestion pipelines and counters. runtime.New builds a private one-app
+// Host for the Runtime it returns; Host.Deploy adds one to a shared Host.
+// The substrate methods on Runtime (BindDevice, Persistence, Drain, …)
+// delegate to that owning Host.
 type Runtime struct {
 	model       *check.Model
-	reg         *registry.Registry
-	bus         *eventbus.Bus
-	fleet       *deviceTable
-	clock       simclock.Clock
 	mrCfg       mapreduce.Config
 	ingestCfg   IngestConfig
 	pollWorkers int
 	batchAgg    bool
+	onError     func(ComponentError)
 
-	// Tenancy. appID is "" for a single-tenant runtime; topicPrefix
-	// namespaces every bus topic of a hosted app ("app/<id>/") so N apps
-	// share one bus without topic collisions. The own* flags record which
-	// substrate pieces Stop may tear down.
+	// host owns the substrate. reg, bus, fleet and clock are copies of its
+	// fields taken at attach so hot paths skip the indirection.
+	host  *Host
+	reg   *registry.Registry
+	bus   *eventbus.Bus
+	fleet *deviceTable
+	clock simclock.Clock
+
+	// Tenancy. appID is "" exactly when New built the host for this
+	// runtime alone (Deploy rejects the empty ID): Stop then closes it.
+	// topicPrefix namespaces every bus topic of a deployed app
+	// ("app/<id>/") so N apps share one bus without topic collisions.
 	appID       string
 	topicPrefix string
-	ownBus      bool
-	ownStore    bool
 
-	onError     func(ComponentError)
-	ownRegistry bool
-
-	// Durability (see persist.go). store/persistErr are written in New (or
-	// by Host.Deploy) and read-only afterwards; aggRestore is consumed at
-	// wiring time in Start.
-	store       *persist.Store
-	persistDir  string
-	persistOpts persist.Options
-	persistErr  error
-	initErr     error // deferred Option-time failure, surfaced by Start
-	aggRestore  map[string][]byte
+	initErr error // New's substrate failure, surfaced by Start
 
 	mu          sync.Mutex
 	started     bool
@@ -325,22 +319,14 @@ type Runtime struct {
 	ingestors   []*ingestor
 	ingestByKey map[string][]*ingestor // kind+source -> consuming pipelines
 	aggByKey    map[string][]*provAgg  // kind+source -> provided-grouped aggregates
-	janitorOn   bool
-	watchers    []*registry.Watcher
-	pubSites    map[string]*pubSite // per declared context; compiled once in Start
+	watchers    []*registry.Watcher    // source trackers' and aggregates' registry watches
+	pubSites    map[string]*pubSite    // per declared context; compiled once in Start
 	wg          sync.WaitGroup
 
 	// handlers is the read-mostly snapshot of contexts/controllers,
 	// rebuilt copy-on-write by Implement* so per-event dispatch loads it
 	// atomically instead of taking mu.
 	handlers atomic.Pointer[handlerTables]
-
-	// Operations plane (see ops.go): drainingFlag closes event admission,
-	// metricsAddr/metricsSrv are the opt-in Prometheus endpoint of a
-	// single-tenant runtime (a hosted app shares its Host's endpoint).
-	drainingFlag atomic.Bool
-	metricsAddr  string
-	metricsSrv   *metrics.Server
 
 	stats statCounters // lock-free; not guarded by mu
 }
@@ -377,56 +363,47 @@ func (rt *Runtime) controllerHandler(name string) ControllerHandler {
 	return rt.handlers.Load().controllers[name]
 }
 
-// Option configures a single-tenant Runtime.
-//
-// Deprecated naming note: the flat Option pile predates the multi-tenant
-// Host API, which splits configuration into SubstrateConfig (shared
-// infrastructure: clock, registry, persistence, error sink) and AppConfig
-// (per-app tunables: handlers, ingestion, poll workers, MapReduce). New code
-// should prefer NewHost + Deploy with those structs — or WithSubstrate /
-// WithTuning, which adapt them to this constructor. Each individual Option
-// below is retained as a back-compat alias for single-tenant runtimes.
-type Option func(*Runtime)
+// Option configures runtime.New. Each one sets a field of the same
+// SubstrateConfig / AppConfig pair that NewHost and Host.Deploy take as
+// structs, so New(model, opts...) is exactly the one-app spelling of
+// NewHost + Deploy.
+type Option func(*newConfig)
+
+type newConfig struct {
+	sub SubstrateConfig
+	app AppConfig
+}
 
 // WithClock sets the time source (virtual clocks make periodic designs
 // deterministic). Default: real time.
-//
-// Deprecated: set SubstrateConfig.Clock (via NewHost or WithSubstrate).
-func WithClock(c simclock.Clock) Option {
-	return func(rt *Runtime) { rt.clock = c }
+func WithClock(clock simclock.Clock) Option {
+	return func(c *newConfig) { c.sub.Clock = clock }
 }
 
 // WithRegistry shares an externally owned registry (e.g. one populated by a
-// separate deployment process). By default the runtime creates and owns one.
-//
-// Deprecated: set SubstrateConfig.Registry (via NewHost or WithSubstrate).
+// separate deployment process). By default the runtime creates one and
+// closes it in Stop.
 func WithRegistry(r *registry.Registry) Option {
-	return func(rt *Runtime) { rt.reg = r; rt.ownRegistry = false }
+	return func(c *newConfig) { c.sub.Registry = r }
 }
 
 // WithMapReduceConfig tunes the processing engine used for
 // `with map … reduce …` interactions.
-//
-// Deprecated: set AppConfig.MapReduce (via Host.Deploy or WithTuning).
 func WithMapReduceConfig(cfg mapreduce.Config) Option {
-	return func(rt *Runtime) { rt.mrCfg = cfg }
+	return func(c *newConfig) { c.app.MapReduce = cfg }
 }
 
 // WithErrorHandler installs a callback invoked on every component error.
 // Errors are always counted in Stats regardless.
-//
-// Deprecated: set SubstrateConfig.OnError or AppConfig.OnError.
 func WithErrorHandler(f func(ComponentError)) Option {
-	return func(rt *Runtime) { rt.onError = f }
+	return func(c *newConfig) { c.sub.OnError = f }
 }
 
 // WithIngestConfig tunes the event-driven ingestion pipeline behind
 // `when provided` device sources (shard count, batch size, in-flight budget
 // and deadline). The zero value of every field selects its default.
-//
-// Deprecated: set AppConfig.Ingest (via Host.Deploy or WithTuning).
 func WithIngestConfig(cfg IngestConfig) Option {
-	return func(rt *Runtime) { rt.ingestCfg = cfg }
+	return func(c *newConfig) { c.app.Ingest = cfg }
 }
 
 // defaultPollWorkers is the per-poller query pool bound when none (or a
@@ -438,98 +415,53 @@ const defaultPollWorkers = 32
 // poller (the pool still grows lazily with the fleet, so small fleets park
 // no idle workers). Zero or negative falls back to the default (32) — a
 // zero-worker pool could never complete a round.
-//
-// Deprecated: set AppConfig.PollWorkers (via Host.Deploy or WithTuning).
 func WithPollWorkers(n int) Option {
-	return func(rt *Runtime) { rt.pollWorkers = n }
+	return func(c *newConfig) { c.app.PollWorkers = n }
 }
 
 // WithBatchAggregation makes grouped periodic interactions re-run the full
 // batch MapReduce every round instead of maintaining state in the
 // incremental engine — the pre-incremental behavior, kept as the ablation
 // baseline and correctness oracle (examples/aggstorm cross-checks the two).
-//
-// Deprecated: set AppConfig.BatchAggregation (via Host.Deploy or
-// WithTuning).
 func WithBatchAggregation() Option {
-	return func(rt *Runtime) { rt.batchAgg = true }
+	return func(c *newConfig) { c.app.BatchAggregation = true }
 }
 
-// WithMetricsAddr opts a single-tenant runtime into the Prometheus scrape
-// endpoint: Start listens on addr (use "127.0.0.1:0" for an ephemeral port)
-// and serves /metrics rendered from FleetStats. Hosted apps share their
-// Host's endpoint (SubstrateConfig.MetricsAddr) instead.
+// WithMetricsAddr opts the runtime into the Prometheus scrape endpoint: New
+// listens on addr (use "127.0.0.1:0" for an ephemeral port) and serves
+// /metrics rendered from FleetStats.
 func WithMetricsAddr(addr string) Option {
-	return func(rt *Runtime) { rt.metricsAddr = addr }
+	return func(c *newConfig) { c.sub.MetricsAddr = addr }
 }
 
-// MetricsAddr reports the live metrics listener address ("" when the
-// endpoint was not enabled or the runtime has not started).
-func (rt *Runtime) MetricsAddr() string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.metricsSrv == nil {
-		return ""
-	}
-	return rt.metricsSrv.Addr()
+// WithPersistence attaches a write-ahead log + snapshot store rooted at dir.
+// New recovers the previous incarnation's state from it; an open or recovery
+// failure is reported by Start (New cannot return one). Incompatible with
+// WithRegistry: a shared registry's lifecycle is not the runtime's to
+// journal.
+func WithPersistence(dir string, opts persist.Options) Option {
+	return func(c *newConfig) { c.sub.PersistDir, c.sub.PersistOpts = dir, opts }
 }
 
-// newAppRuntime allocates the per-app state every Runtime needs, tenancy
-// aside. Both constructors — single-tenant New and Host.Deploy — build on
-// it.
-func newAppRuntime(model *check.Model) *Runtime {
-	rt := &Runtime{
-		model:       model,
-		clock:       simclock.Real{},
-		contexts:    make(map[string]ContextHandler),
-		controllers: make(map[string]ControllerHandler),
-		clients:     make(map[string]*transport.Client),
-		ingestByKey: make(map[string][]*ingestor),
-		aggByKey:    make(map[string][]*provAgg),
-		pollWorkers: defaultPollWorkers,
-	}
-	rt.handlers.Store(&handlerTables{
-		contexts:    map[string]ContextHandler{},
-		controllers: map[string]ControllerHandler{},
-	})
-	return rt
-}
-
-// normalize applies the cross-constructor defaults after configuration.
-func (rt *Runtime) normalize() {
-	if rt.pollWorkers <= 0 {
-		// A zero-worker pool would hang the first non-empty round (no
-		// worker ever closes it); fall back to the default instead.
-		rt.pollWorkers = defaultPollWorkers
-	}
-	if rt.mrCfg.KeyHash == nil {
-		// Group keys are rendered attribute values, i.e. strings; skip
-		// the reflective default hash on the periodic hot path.
-		rt.mrCfg.KeyHash = mapreduce.StringKeyHash
-	}
-}
-
-// New creates a single-tenant Runtime for the given checked design model: a
-// thin one-tenant configuration of the same machinery Host runs N apps on,
-// kept API-compatible. The runtime owns its bus, device table, registry
-// (unless WithRegistry) and store (if WithPersistence).
+// New creates the Runtime of a checked design model on a private one-app
+// Host: app ID "" (no topic prefix, un-namespaced aggregate checkpoint keys,
+// fleet_stats scope "default"). The substrate is this runtime's alone, so
+// Stop closes it. A substrate that fails to come up (persistence
+// misconfigured or unrecoverable, metrics address in use) leaves the handle
+// usable on a bare substrate and fails Start with the cause.
 func New(model *check.Model, opts ...Option) *Runtime {
-	rt := newAppRuntime(model)
-	rt.ownRegistry = true
-	rt.ownBus = true
-	rt.ownStore = true
-	rt.fleet = newDeviceTable()
+	var cfg newConfig
 	for _, o := range opts {
-		o(rt)
+		o(&cfg)
 	}
-	if rt.reg == nil {
-		rt.reg = registry.New(registry.WithClock(rt.clock))
+	h, err := NewHost(cfg.sub)
+	if err != nil {
+		bare := SubstrateConfig{Clock: cfg.sub.Clock, Registry: cfg.sub.Registry, OnError: cfg.sub.OnError}
+		h, _ = NewHost(bare) // nothing left in the config that can fail
 	}
-	rt.normalize()
-	rt.bus = eventbus.New()
-	if rt.persistDir != "" {
-		rt.openPersistence()
-	}
+	rt := h.attach("", model, cfg.app)
+	rt.initErr = err
+	h.apps[""] = rt
 	return rt
 }
 
@@ -558,127 +490,36 @@ func WithLease(ttl time.Duration) BindOption {
 	return func(c *bindConfig) { c.ttl = ttl }
 }
 
-// BindDevice binds a local driver: validates it against the design's device
-// taxonomy and registers it for discovery. Binding may happen before or
-// after Start (the paper's runtime binding).
+// BindDevice binds a local driver into the owning host's fleet; see
+// Host.BindDevice. Binding may happen before or after Start (the paper's
+// runtime binding).
 func (rt *Runtime) BindDevice(drv device.Driver, opts ...BindOption) error {
-	decl, ok := rt.model.Devices[drv.Kind()]
-	if !ok {
-		return fmt.Errorf("runtime: device kind %s not declared in the design", drv.Kind())
-	}
-	for name := range drv.Attributes() {
-		if _, ok := decl.Attributes[name]; !ok {
-			return fmt.Errorf("runtime: device %s has undeclared attribute %s", drv.ID(), name)
-		}
-	}
-	var cfg bindConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.ttl > 0 {
-		if err := rt.ensureLeaseJanitor(); err != nil {
-			return fmt.Errorf("runtime: bind device %s: %w", drv.ID(), err)
-		}
-	}
-	// The driver is installed before Register so that watchers reacting to
-	// the Added notification resolve it locally — but rolled back if the
-	// registration fails, so a failed re-bind never leaves the device table
-	// disagreeing with the registry (poll snapshots cache resolved drivers
-	// and rebuild only on registry change).
-	prev, had := rt.fleet.install(drv)
-	entity := registry.Entity{
-		ID:    registry.ID(drv.ID()),
-		Kind:  drv.Kind(),
-		Kinds: decl.Kinds(),
-		Attrs: drv.Attributes(),
-		Bound: registry.BindRuntime,
-	}
-	var ropts []registry.RegisterOption
-	if cfg.ttl > 0 {
-		ropts = append(ropts, registry.WithTTL(cfg.ttl))
-	}
-	register := rt.reg.Register
-	if rt.store != nil {
-		// A reborn node re-binds drivers for registrations recovered from
-		// disk: Reclaim re-attaches without a duplicate error — and without
-		// bumping generations when the content is unchanged, so federation
-		// peers see no delta from a clean restart.
-		register = rt.reg.Reclaim
-	}
-	if err := register(entity, ropts...); err != nil {
-		rt.fleet.rollback(drv.ID(), prev, had)
-		return fmt.Errorf("runtime: bind device %s: %w", drv.ID(), err)
-	}
-	// Re-assert the driver entry now that the entity is registered: the
-	// lease janitor reaps entries whose ID is absent from the registry, so
-	// a reap that raced the window between the optimistic install above
-	// and Register must not win (reapExpired checks the registry under the
-	// same lock hold, making this store the tiebreaker).
-	rt.fleet.reassert(drv)
-	return nil
+	return rt.host.BindDevice(drv, opts...)
 }
 
-// ensureLeaseJanitor lazily starts the watcher that reaps device-table
-// entries of expired leased bindings, so a device that stops renewing
-// releases its driver slot like an explicit UnbindDevice would. Started on
-// the first leased bind only: lease-free populations keep their watcher-free
-// register fast path.
-func (rt *Runtime) ensureLeaseJanitor() error {
-	rt.mu.Lock()
-	if rt.janitorOn || rt.stopped {
-		rt.mu.Unlock()
-		return nil
-	}
-	rt.janitorOn = true
-	rt.mu.Unlock()
-	w, err := rt.reg.Watch(registry.Query{}, trackerWatchBuf)
-	if err != nil {
-		rt.mu.Lock()
-		rt.janitorOn = false
-		rt.mu.Unlock()
-		return err
-	}
-	rt.mu.Lock()
-	rt.watchers = append(rt.watchers, w)
-	rt.mu.Unlock()
-	rt.wg.Add(1)
-	go func() {
-		defer rt.wg.Done()
-		var lastMissed uint64
-		for c := range w.C() {
-			if c.Type == registry.Expired {
-				rt.fleet.reapExpired(string(c.Entity.ID), rt.reg)
-			}
-			// The janitor watches every registry change, so a churn or
-			// bind storm can overflow its channel; like the source
-			// trackers, repair by re-checking every driver entry
-			// against the registry.
-			if m := w.Missed(); m != lastMissed {
-				lastMissed = m
-				for _, id := range rt.fleet.ids() {
-					rt.fleet.reapExpired(id, rt.reg)
-				}
-			}
-		}
-	}()
-	return nil
-}
+// UnbindDevice removes a device from the registry and the host's fleet.
+func (rt *Runtime) UnbindDevice(id string) error { return rt.host.UnbindDevice(id) }
 
 // LocalDriver returns the locally bound driver for id, if any. The
 // federation tier uses it to host exported devices on the node's transport
 // server without re-resolving through the registry.
-func (rt *Runtime) LocalDriver(id string) (device.Driver, bool) {
-	return rt.fleet.get(id)
-}
+func (rt *Runtime) LocalDriver(id string) (device.Driver, bool) { return rt.host.LocalDriver(id) }
 
-// UnbindDevice removes a device from the registry and the runtime. The
-// registry entry goes first so no snapshot rebuild can observe a registered
-// entity whose local driver is already gone.
-func (rt *Runtime) UnbindDevice(id string) error {
-	err := rt.reg.Unregister(registry.ID(id))
-	rt.fleet.remove(id)
-	return err
-}
+// Persistence returns the host's store, nil when persistence was not
+// configured (or its directory failed to open). The federation tier uses it
+// to restore its boot epoch and peer cursors and to barrier before
+// advertising generations.
+func (rt *Runtime) Persistence() *persist.Store { return rt.host.Persistence() }
+
+// MetricsAddr reports the host's live metrics listener address ("" when
+// the endpoint was not enabled).
+func (rt *Runtime) MetricsAddr() string { return rt.host.MetricsAddr() }
+
+// FleetStats is the owning host's operations snapshot; see Host.FleetStats.
+func (rt *Runtime) FleetStats() transport.FleetStats { return rt.host.FleetStats() }
+
+// Drain quiesces the owning host; see Host.Drain.
+func (rt *Runtime) Drain() (transport.DrainReport, error) { return rt.host.Drain() }
 
 // ImplementContext installs the implementation of a declared context.
 func (rt *Runtime) ImplementContext(name string, h ContextHandler) error {
@@ -729,9 +570,6 @@ func needsMapReduce(ctx *check.Context) bool {
 // subscriptions (current and future, via registry watches) for device
 // sources, and pollers for periodic interactions.
 func (rt *Runtime) Start() error {
-	if rt.persistErr != nil {
-		return rt.persistErr
-	}
 	if rt.initErr != nil {
 		return rt.initErr
 	}
@@ -755,16 +593,6 @@ func (rt *Runtime) Start() error {
 	rt.started = true
 	rt.compilePubSitesLocked()
 	rt.mu.Unlock()
-
-	if rt.metricsAddr != "" {
-		srv, err := metrics.NewServer(rt.metricsAddr, rt.FleetStats)
-		if err != nil {
-			return err
-		}
-		rt.mu.Lock()
-		rt.metricsSrv = srv
-		rt.mu.Unlock()
-	}
 
 	for _, name := range rt.model.ContextNames() {
 		ctx := rt.model.Contexts[name]
@@ -792,20 +620,24 @@ func (rt *Runtime) Start() error {
 	return nil
 }
 
-// Stop tears down pollers, subscriptions and transports. It is idempotent.
-// A single-tenant runtime also closes its bus, store and registry; a hosted
-// app releases only its own bus subscriptions and pipelines — the shared
-// substrate stays live for the other tenants (Undeploy calls Stop, and the
-// Host seals the substrate in Close).
+// Stop tears down the app: pollers, pipelines, subscriptions and transports.
+// It is idempotent. On a runtime built by New it then closes the private
+// host — bus, store (final snapshot) and an owned registry; an app deployed
+// on a shared Host leaves the substrate live for the other tenants.
 func (rt *Runtime) Stop() {
+	rt.stopApp()
+	if rt.appID == "" {
+		rt.host.Close()
+	}
+}
+
+// stopApp releases everything the app holds on the substrate and nothing of
+// the substrate itself; Host.Close and Undeploy end apps through it.
+func (rt *Runtime) stopApp() {
 	rt.mu.Lock()
 	if rt.stopped || !rt.started {
-		sealStore := !rt.stopped && rt.ownStore
 		rt.stopped = true
 		rt.mu.Unlock()
-		if sealStore {
-			rt.closePersistence()
-		}
 		return
 	}
 	rt.stopped = true
@@ -817,17 +649,11 @@ func (rt *Runtime) Stop() {
 	subs := rt.subs
 	rt.pollers, rt.trackers, rt.ingestors, rt.watchers, rt.subs = nil, nil, nil, nil, nil
 	rt.ingestByKey = make(map[string][]*ingestor)
-	// aggByKey is deliberately kept: the store's final snapshot (sealed
-	// below for single-tenant runtimes, by Host.Close for hosted apps)
-	// captures each engine's checkpoint from it after the pipelines drain.
+	// aggByKey is deliberately kept: the store's final snapshot (sealed by
+	// Host.Close) captures each engine's checkpoint from it after the
+	// pipelines drain.
 	rt.clients = make(map[string]*transport.Client)
-	msrv := rt.metricsSrv
-	rt.metricsSrv = nil
 	rt.mu.Unlock()
-
-	if msrv != nil {
-		_ = msrv.Close()
-	}
 
 	// Watcher cancellation closes each tracker's loop, which releases its
 	// device attachments (stopAll); trackers that somehow never entered
@@ -845,34 +671,21 @@ func (rt *Runtime) Stop() {
 		ing.stop()
 	}
 	rt.wg.Wait()
-	if rt.ownBus {
-		rt.bus.Close()
-	} else {
-		// Hosted app on a shared bus: cancel this app's subscriptions only.
-		// Cancellation drains each subscription's queue first, so events the
-		// app's pipelines handed to the bus before wg drained (ingest shards
-		// flush on stop) are still delivered and counted — hot undeploy
-		// keeps delivered+dropped accounting exact.
-		for _, s := range subs {
-			s.Cancel()
-		}
+	// Cancel this app's subscriptions only. Cancellation drains each
+	// subscription's queue first, so events the app's pipelines handed to
+	// the bus before wg drained (ingest shards flush on stop) are still
+	// delivered and counted — hot undeploy keeps delivered+dropped
+	// accounting exact.
+	for _, s := range subs {
+		s.Cancel()
 	}
 	for _, c := range clients {
 		c.Close()
 	}
-	// The store's final snapshot captures the registry, so it must be sealed
-	// before the registry closes (after Crash this writes nothing). Hosted
-	// apps skip both: store and registry belong to the Host.
-	if rt.ownStore {
-		rt.closePersistence()
-	}
-	if rt.ownRegistry {
-		rt.reg.Close()
-	}
 }
 
-// subscribe is the tracked form of bus.Subscribe: a hosted app must be able
-// to release exactly its own subscriptions at Undeploy without closing the
+// subscribe is the tracked form of bus.Subscribe: an app must be able to
+// release exactly its own subscriptions at Undeploy without closing the
 // shared bus, so every wiring path records what it subscribed.
 func (rt *Runtime) subscribe(topic string, h eventbus.Handler, opts ...eventbus.SubOption) error {
 	sub, err := rt.bus.Subscribe(topic, h, opts...)
