@@ -357,10 +357,11 @@ type Node struct {
 	exporters []*exporter
 	watchers  []*registry.Watcher
 
-	// dedup holds per-sender-stream replay protection for event_batch:
-	// one (seq, accepted) pair per stream suffices because each stream is
-	// a single ordered flusher. Entries are tiny and bounded by the number
-	// of peer forward buffers that ever talked to this node.
+	// dedup holds per-sender-stream replay protection for event_batch: the
+	// highest sequence number ingested and a ring of the last forwardWindow
+	// admission counts, which covers every chunk a sender can have
+	// unacknowledged. Entries are small and bounded by the number of peer
+	// forward buffers that ever talked to this node.
 	dedupMu sync.Mutex
 	dedup   map[uint64]*streamState
 
@@ -1112,12 +1113,16 @@ func (h nodeHandler) SyncKinds(kinds []string, gens []uint64) []transport.SyncDe
 // pushed locally. A batch replayed under a (stream, seq) the node already
 // ingested — the sender lost the response when the connection died mid-RPC
 // and spooled the chunk for replay — is suppressed instead of re-ingested:
-// each sender stream is one ordered flusher, so its sequence numbers only
-// move forward and any seq at or below the last ingested one is a replay.
+// a stream's flusher sends its chunks in sequence order on every connection
+// and replays a severed window from its oldest unacknowledged chunk, so the
+// set ingested is always a prefix of the sequence and any seq at or below
+// the highest ingested one is a replay. It is answered the count it was
+// answered the first time, from the stream's ring.
 // The per-stream mutex serializes ingestion within a stream because a dying
-// connection's buffered request can race the retry arriving on the fresh
+// connection's buffered requests can race the replay arriving on the fresh
 // connection — without it both copies could pass the check before either
-// records the seq.
+// records the seq. Whichever copy of a chunk arrives first is ingested; the
+// other is the replay.
 func (h nodeHandler) IngestEventBatch(stream, seq uint64, kind, source string, readings []device.Reading) int {
 	n := h.n
 	if stream == 0 {
@@ -1133,26 +1138,38 @@ func (h nodeHandler) IngestEventBatch(stream, seq uint64, kind, source string, r
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if seq <= st.seq {
+	slot := &st.ring[seq%forwardWindow]
+	if seq <= st.max {
 		n.stats.eventDupsSuppressed.Add(1)
-		if seq == st.seq {
-			return st.accepted
+		if slot.seq == seq {
+			return slot.accepted
 		}
-		// An even older chunk surfacing from a dead connection's buffer:
-		// its response goes nowhere (the sender has long moved on), so the
-		// count only needs to not double-ingest.
+		// Older than the ring: a chunk surfacing from a dead connection's
+		// buffer after the sender has long moved on. Its response goes
+		// nowhere, so the count only needs to not double-ingest.
 		return 0
 	}
 	accepted := n.rt.RemoteIngest(kind, source, readings)
-	st.seq, st.accepted = seq, accepted
+	st.max = seq
+	*slot = ingestedChunk{seq: seq, accepted: accepted}
 	return accepted
 }
 
-// streamState is the replay-protection state of one sender stream: the last
-// sequence number ingested and the admission count it was answered with.
-// Stream flushers send one chunk at a time in order, so one entry suffices.
+// streamState is the replay-protection state of one sender stream: the
+// highest sequence number ingested and, for the last forwardWindow chunks
+// ingested, the admission count each was answered with. A sender keeps at
+// most forwardWindow chunks unacknowledged, so every chunk it can still
+// replay is in the ring (it replaced a single (seq, accepted) pair, which
+// sufficed while flushers sent one chunk at a time).
 type streamState struct {
-	mu       sync.Mutex
+	mu   sync.Mutex
+	max  uint64
+	ring [forwardWindow]ingestedChunk // slot seq % forwardWindow
+}
+
+// ingestedChunk is one ring entry; the seq tells a slot's current tenant
+// from an older chunk that mapped to the same slot.
+type ingestedChunk struct {
 	seq      uint64
 	accepted int
 }

@@ -390,10 +390,35 @@ func (p *peer) stopBuffers() {
 	}
 }
 
+// forwardWindow is how many event_batch chunks one stream keeps on the wire
+// before it waits for the oldest answer — and therefore how many admission
+// counts the receiver remembers per stream (streamState.ring), so that every
+// chunk of a severed window can be answered from cache when it is replayed.
+// One constant, because the two must agree. It replaces stop-and-wait
+// forwarding (one round trip per chunk). 8 is the knee of a sweep on
+// storm.fed (CHANGES.md, PR 20): capacity grows with every doubling up to 8
+// and is flat within run-to-run noise at 16 and 32, while a cut replays, and
+// a receiver remembers, a whole window — so the smallest value on the
+// plateau. 8 chunks of the default MaxBatch keep 2,048 readings in flight, a
+// small share of any forward budget.
+const forwardWindow = 8
+
+// swapRetainWindows bounds the capacity a swap buffer may keep between
+// flushes, in windows (forwardWindow × MaxBatch readings each). A burst that
+// piles up more — a stalled peer, a healed partition — is flushed from a
+// slice that is then dropped, so the buffer regrows from the bursts actually
+// seen instead of pinning its high-water mark for the life of the stream.
+// 32 windows (65,536 readings at the default MaxBatch, 4.7 MB a slice) clear
+// the capacity append settles on for a 25k-reading burst with room to
+// spare; at 16 that capacity sat on the bound and every burst regrew its
+// slice from nothing.
+const swapRetainWindows = 32
+
 // fwdBuffer is one (peer, kind, source) coalescing buffer plus its flusher.
 // push appends under the buffer mutex; the flusher swaps the buffer out
-// wholesale and ships it in MaxBatch-sized event_batch RPCs, so per-event
-// synchronization and per-RPC overhead are both amortized over the burst.
+// wholesale and ships it in MaxBatch-sized event_batch RPCs, a window of
+// them in flight at a time, so per-event synchronization, per-RPC overhead
+// and the round trip itself are all amortized over the burst.
 type fwdBuffer struct {
 	p      *peer
 	kind   string
@@ -409,8 +434,14 @@ type fwdBuffer struct {
 
 	mu       sync.Mutex
 	notEmpty sync.Cond
-	buf      []device.Reading
-	stopped  bool
+	// buf takes the pushes; the flusher swaps it against the emptied slice
+	// of its previous flush. Invariant of both swap slices: every slot at or
+	// past len is the zero Reading. They start nil, append writes only below
+	// the new len, and the flusher zeroes exactly [0, len) of a slice before
+	// truncating it to len 0 — so clearing the used prefix is enough to
+	// release every payload reference.
+	buf     []device.Reading
+	stopped bool
 }
 
 // streamSeq disambiguates buffer streams created close together in time.
@@ -447,7 +478,8 @@ func (b *fwdBuffer) push(r device.Reading) {
 
 func (b *fwdBuffer) run() {
 	defer b.p.n.wg.Done()
-	var pending []device.Reading
+	retain := swapRetainWindows * forwardWindow * b.p.cfg.MaxBatch
+	var spare []device.Reading
 	for {
 		b.mu.Lock()
 		for len(b.buf) == 0 && !b.stopped {
@@ -457,62 +489,109 @@ func (b *fwdBuffer) run() {
 			b.mu.Unlock()
 			return // stopped and fully drained
 		}
-		pending, b.buf = b.buf, pending[:0]
+		batch := b.buf
+		b.buf = spare
 		b.mu.Unlock()
-		b.flush(pending)
+		b.flush(batch)
+		// Drop payload references so recycled capacity does not retain
+		// reading values across quiet periods: the used prefix only (see the
+		// invariant on fwdBuffer.buf), not the whole capacity.
+		clear(batch)
+		spare = nil
+		if cap(batch) <= retain {
+			spare = batch[:0]
+		}
 	}
 }
 
-// flush ships one swapped-out burst in MaxBatch chunks and returns the
-// admitted units to the peer budget. A chunk that dies on a connection-level
-// failure is spooled: the flusher parks on the managed client's UpChan and
-// replays the chunk when the link heals, keeping its readings' budget units
-// held the whole time — the in-flight budget IS the retry-queue bound, so a
-// long partition fills it and new readings drop (accounted) at the intake
-// while nothing already admitted is lost. Application-level RPC errors keep
-// the old semantics: the chunk is dropped and counted, accounting stays
-// exact.
+// flush ships one swapped-out burst in MaxBatch chunks, up to forwardWindow
+// of them on the wire at once, and returns the admitted units to the peer
+// budget. Chunk i of the burst travels as sequence number base+1+i on every
+// attempt. Answers are settled oldest first. When a chunk dies on a
+// connection-level failure it is spooled together with everything younger:
+// the flusher collects what is left of the window, parks on the managed
+// client's UpChan, and replays from that chunk on, in order, under the
+// original (stream, seq) — the receiver answers the ones it had already
+// ingested from its per-stream ring, so edge forwarded == hub admitted stays
+// exact. The readings keep their budget units the whole time — the in-flight
+// budget IS the retry-queue bound, so a long partition fills it and new
+// readings drop (accounted) at the intake while nothing already admitted is
+// lost. Application-level RPC errors keep the old semantics: the chunk is
+// dropped and counted, accounting stays exact.
 func (b *fwdBuffer) flush(batch []device.Reading) {
 	p := b.p
 	n := p.n
-	for lo := 0; lo < len(batch); {
-		hi := lo + p.cfg.MaxBatch
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		chunk := batch[lo:hi]
-		lo = hi
-		// One sequence number per chunk, held across retries: the receiver
-		// recognizes a replay of a chunk it already ingested (the response
-		// was lost mid-RPC) and answers the original count — exactly-once.
-		b.seq++
-		for {
-			accepted, err := p.client.PublishEventBatch(b.kind, b.source, b.stream, b.seq, chunk)
+	size := p.cfg.MaxBatch
+	chunks := (len(batch) + size - 1) / size
+	chunk := func(i int) []device.Reading { return batch[i*size : min((i+1)*size, len(batch))] }
+	base := b.seq
+	b.seq += uint64(chunks)
+
+	var window [forwardWindow]transport.EventBatchCall
+	// Chunks below acked are settled; [acked, sent) are on the wire.
+	acked, sent := 0, 0
+	// sendErr is why filling stopped. Once a send failed nothing younger is
+	// started until the window is collected: chunk i+1 must never reach the
+	// receiver on a connection that did not carry chunk i first, or the
+	// receiver would take the late chunk i for a replay.
+	var sendErr error
+	for acked < chunks {
+		for sendErr == nil && sent < chunks && sent-acked < forwardWindow {
+			window[sent%forwardWindow], sendErr = p.client.StartEventBatch(
+				b.kind, b.source, b.stream, base+1+uint64(sent), chunk(sent))
 			n.stats.eventBatchesSent.Add(1)
-			if err == nil {
-				n.stats.eventsForwarded.Add(uint64(accepted))
-				break
+			if sendErr == nil {
+				sent++
 			}
-			if transport.IsConnFailure(err) {
-				select {
-				case <-n.stopCh:
-					// Closing: no heal is coming, fall through to drop.
-				default:
-					n.stats.forwardRetries.Add(1)
-					select {
-					case <-p.client.UpChan():
-						continue // link healed: replay this chunk
-					case <-n.stopCh:
-						// Closing mid-outage: fall through to drop.
-					}
-				}
+		}
+		// Settle the oldest chunk: by its answer when it was sent, by the
+		// send failure otherwise.
+		accepted, err := 0, sendErr
+		if acked < sent {
+			accepted, err = window[acked%forwardWindow].Wait()
+		}
+		if err == nil {
+			n.stats.eventsForwarded.Add(uint64(accepted))
+			acked++
+			continue
+		}
+		if transport.IsConnFailure(err) && b.awaitHeal() {
+			// Link healed: replay from this chunk. The younger chunks'
+			// answers are collected and discarded — whichever of them the
+			// receiver ingested, the replay is answered the same count.
+			for i := acked + 1; i < sent; i++ {
+				_, _ = window[i%forwardWindow].Wait()
 			}
-			n.stats.forwardSendDrops.Add(uint64(len(chunk)))
-			break
+			sent, sendErr = acked, nil
+			continue
+		}
+		// An application-level error, or closing with no heal coming: the
+		// chunk is dropped and counted. Younger chunks still on the wire
+		// settle by their own answers.
+		n.stats.forwardSendDrops.Add(uint64(len(chunk(acked))))
+		acked++
+		if sent < acked {
+			sent, sendErr = acked, nil
 		}
 	}
 	p.budget.Release(len(batch))
-	// Drop payload references so recycled capacity does not retain
-	// reading values across quiet periods.
-	clear(batch[:cap(batch)])
+}
+
+// awaitHeal parks the flusher after a connection-level failure until the
+// peer link is up again (true), or reports false when the node is closing
+// and no heal is coming.
+func (b *fwdBuffer) awaitHeal() bool {
+	n := b.p.n
+	select {
+	case <-n.stopCh:
+		return false
+	default:
+	}
+	n.stats.forwardRetries.Add(1)
+	select {
+	case <-b.p.client.UpChan():
+		return true
+	case <-n.stopCh:
+		return false
+	}
 }

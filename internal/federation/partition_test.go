@@ -382,3 +382,66 @@ func TestAggSyncCatchesUpAfterHeal(t *testing.T) {
 		t.Fatalf("raw events crossed an aggregated export: %+v", est)
 	}
 }
+
+// TestSwapBuffersShedTheirHighWaterMark: a backlog that piled up behind a
+// dark peer is flushed from slices that are then dropped, so a quiet stream
+// goes back to holding a few windows of capacity instead of its worst burst
+// for life — and every reading of the backlog is still accounted.
+func TestSwapBuffersShedTheirHighWaterMark(t *testing.T) {
+	const (
+		sensors  = 500
+		backlog  = 100_000
+		maxBatch = 64
+		bound    = federation.SwapRetainWindows * federation.ForwardWindow * maxBatch // per swap slice
+	)
+	cn := chaos.NewNet(14)
+	crt, consumer, delivered := newConsumerNode(t, "hub")
+	_, owner, _, cs := newOwnerNode(t, "edge", sensors)
+	if err := owner.AddPeer(func() federation.PeerConfig {
+		pc := chaosPeer(cn, "edge->hub", "hub", consumer.Addr())
+		pc.ForwardEvents = true
+		pc.ForwardBudget = -1 // the whole backlog spools
+		pc.MaxBatch = maxBatch
+		return pc
+	}()); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.BindAll(); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, cs)
+	sunk := func() uint64 {
+		ost, cst := owner.Stats(), crt.Stats()
+		return delivered.n.Load() + ost.ForwardBudgetDrops + ost.ForwardSendDrops + ost.ForwardUnrouted +
+			cst.FederationEventDrops + cst.IngestBudgetDrops + cst.IngestDeadlineDrops + cst.IngestDrainDrops
+	}
+	swapCap := func() int { return owner.SwapCapacity("hub", "PresenceSensor", "presence") }
+
+	cn.Partition("edge->hub")
+	waitHealth(t, owner, "hub", transport.HealthPartitioned)
+	accepted := uint64(cs.StormLive(backlog))
+	if accepted != backlog {
+		t.Fatalf("swarm accepted %d of %d readings", accepted, backlog)
+	}
+	if got := swapCap(); got < backlog/2 {
+		t.Fatalf("backlog did not pile up in the swap buffers: capacity %d", got)
+	}
+	cn.Heal("edge->hub")
+	waitFor(t, "backlog replayed", func() bool { return sunk() == accepted })
+
+	// Quiet traffic: each small flush swaps the two slices, so both come
+	// around as the one taking pushes; whichever carried the backlog was
+	// flushed from once more and then dropped.
+	for i := 0; i < 4; i++ {
+		accepted += uint64(cs.StormLive(10))
+		waitFor(t, "quiet flush", func() bool { return sunk() == accepted })
+		if i >= 2 {
+			if got := swapCap(); got > bound {
+				t.Fatalf("after quiet flush %d a swap slice still holds %d readings of capacity, bound %d", i+1, got, bound)
+			}
+		}
+	}
+	if st := owner.Stats(); st.ForwardRetries == 0 {
+		t.Fatalf("the backlog never spooled through the outage: %+v", st)
+	}
+}

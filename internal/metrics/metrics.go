@@ -22,6 +22,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -239,14 +240,19 @@ func Handler(source func() transport.FleetStats) http.Handler {
 }
 
 // Server is an opt-in HTTP listener serving /metrics (and / as an alias)
-// from a snapshot source.
+// from a snapshot source, and the runtime profiles under /debug/pprof/.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
 }
 
 // NewServer starts a metrics endpoint on addr ("127.0.0.1:0" for an
-// ephemeral port). Every scrape calls source() for a fresh snapshot.
+// ephemeral port). Every scrape calls source() for a fresh snapshot. The
+// same listener serves net/http/pprof under /debug/pprof/ — on this mux
+// only, never on http.DefaultServeMux — so `go tool pprof
+// http://ADDR/debug/pprof/profile` works against any process an operator
+// already opted into scraping; the listener is off by default, and where it
+// is on it should be bound as narrowly as the scrape allows.
 func NewServer(addr string, source func() transport.FleetStats) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -255,6 +261,11 @@ func NewServer(addr string, source func() transport.FleetStats) (*Server, error)
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler(source))
 	mux.Handle("/", Handler(source))
+	mux.HandleFunc("/debug/pprof/", pprof.Index) // also serves the named profiles (heap, goroutine, allocs, ...)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s := &Server{ln: ln, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"io"
+	"net/http"
 	"regexp"
 	"strconv"
 	"strings"
@@ -206,5 +208,45 @@ func TestWriteEscapesAndSanitizes(t *testing.T) {
 	vals := parseExposition(t, b.String())
 	if _, ok := vals[`diaspec_app_weird_name_x{app=ev\"il\\app\n}`]; !ok {
 		t.Fatalf("sanitized/escaped sample missing in:\n%s", b.String())
+	}
+}
+
+// TestServerServesMetricsAndPprof starts the opt-in listener and checks both
+// of its surfaces: the exposition on /metrics and /, and the runtime
+// profiles under /debug/pprof/ (index, a named profile, a short CPU profile).
+func TestServerServesMetricsAndPprof(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", sampleFleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	get := func(path string) (int, string, string) {
+		t.Helper()
+		resp, err := http.Get("http://" + srv.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
+	}
+	for _, path := range []string{"/metrics", "/"} {
+		code, ctype, body := get(path)
+		if code != http.StatusOK || !strings.HasPrefix(ctype, "text/plain; version=0.0.4") {
+			t.Fatalf("GET %s: status %d, content type %q", path, code, ctype)
+		}
+		parseExposition(t, body)
+	}
+	if code, _, body := get("/debug/pprof/"); code != http.StatusOK || !strings.Contains(body, "goroutine") {
+		t.Fatalf("GET /debug/pprof/: status %d, index does not list the goroutine profile", code)
+	}
+	if code, _, body := get("/debug/pprof/goroutine?debug=1"); code != http.StatusOK || !strings.Contains(body, "goroutine profile:") {
+		t.Fatalf("GET /debug/pprof/goroutine: status %d, body %.60q", code, body)
+	}
+	if code, ctype, body := get("/debug/pprof/profile?seconds=1"); code != http.StatusOK || ctype != "application/octet-stream" || len(body) == 0 {
+		t.Fatalf("GET /debug/pprof/profile: status %d, content type %q, %d bytes", code, ctype, len(body))
 	}
 }

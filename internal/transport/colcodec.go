@@ -46,9 +46,8 @@ const (
 )
 
 // colEnc is a pooled encoder: an append buffer plus the per-frame string
-// intern table. Release after the enclosing call completes (the frame is
-// written synchronously inside Client.call, so the buffer is free once the
-// call returns).
+// intern table. Release after the request is sent (the frame is written
+// synchronously inside Client.send, so the buffer is free once it returns).
 type colEnc struct {
 	buf    []byte
 	tokens map[string]uint64
@@ -191,13 +190,49 @@ func (e *colEnc) encodeAggSync(groups []GroupPartial) (bin []byte, ok bool) {
 	return e.buf, true
 }
 
-// colDec is the bounds-checked reader over one colv1 payload. Every decode
+// colDec is the bounds-checked reader over colv1 payloads, plus the decode
+// state one server connection keeps from payload to payload (the zero value
+// is ready to use; a connection's serve loop is its only user). Every decode
 // error wraps ErrBadFrame: the server treats it like a malformed frame and
 // ends the connection, never itself.
 type colDec struct {
 	data []byte
 	pos  int
-	tab  []string
+	// tab is the current payload's token table (token k names the k-th
+	// string the payload introduced). It is truncated, not freed, between
+	// payloads, so a steady stream of batches never regrows it.
+	tab []string
+	// intern holds the one string this connection already allocated for a
+	// given byte sequence: a fleet's device IDs and source names recur in
+	// every batch, and without the table each reading costs one string
+	// allocation. The bytes come from outside the process, so the table is
+	// bounded twice over (internMaxEntries, internMaxLen); past the bounds
+	// strings decode exactly as before, one allocation each.
+	intern map[string]string
+}
+
+// Bounds of one connection's decode state. A hostile peer can pin at most
+// internMaxEntries*internMaxLen bytes of string data (4 MiB) plus a
+// tabMaxRetain-entry token table per connection.
+const (
+	// internMaxEntries caps the intern table; a 50k-device edge and its
+	// source names fit with room to spare.
+	internMaxEntries = 1 << 16
+	// internMaxLen is the longest string worth interning: identifiers are
+	// short, and a long string value is not worth pinning for the
+	// connection's life.
+	internMaxLen = 64
+	// tabMaxRetain is the largest token table kept between payloads.
+	tabMaxRetain = 1 << 12
+)
+
+// start points the decoder at a new payload, recycling the token table.
+func (d *colDec) start(bin []byte) {
+	d.data, d.pos = bin, 0
+	if cap(d.tab) > tabMaxRetain {
+		d.tab = nil
+	}
+	d.tab = d.tab[:0]
 }
 
 func errBad(format string, args ...any) error {
@@ -259,8 +294,18 @@ func (d *colDec) str() (string, error) {
 	if n > uint64(len(d.data)-d.pos) {
 		return "", errBad("string length %d exceeds remaining %d bytes", n, len(d.data)-d.pos)
 	}
-	s := string(d.data[d.pos : d.pos+int(n)])
+	raw := d.data[d.pos : d.pos+int(n)]
 	d.pos += int(n)
+	s, ok := d.intern[string(raw)] // the conversion in a map index does not allocate
+	if !ok {
+		s = string(raw)
+		if len(s) <= internMaxLen && len(d.intern) < internMaxEntries {
+			if d.intern == nil {
+				d.intern = make(map[string]string)
+			}
+			d.intern[s] = s
+		}
+	}
 	d.tab = append(d.tab, s)
 	return s, nil
 }
@@ -327,9 +372,11 @@ func (d *colDec) decodeValue(tag byte) (any, error) {
 // Any structural violation returns an error wrapping ErrBadFrame. scratch,
 // when capacious enough, is recycled as the backing array — the serve loop
 // passes its per-connection buffer, legal because FederationHandler
-// implementations must not retain the slice past the call.
-func decodeReadings(bin []byte, scratch []device.Reading) ([]device.Reading, error) {
-	d := &colDec{data: bin}
+// implementations must not retain the slice past the call. Against a warm
+// intern table and a fitting scratch, a batch of codec-scalar values decodes
+// without allocating.
+func (d *colDec) decodeReadings(bin []byte, scratch []device.Reading) ([]device.Reading, error) {
+	d.start(bin)
 	// Each row needs at least one byte per column: id, src, time, value.
 	n, err := d.header(4)
 	if err != nil {
@@ -378,6 +425,7 @@ func decodeReadings(bin []byte, scratch []device.Reading) ([]device.Reading, err
 	if d.pos != len(d.data) {
 		return nil, errBad("%d trailing bytes", len(d.data)-d.pos)
 	}
+	d.data = nil // do not pin the payload past its decode
 	return readings, nil
 }
 
@@ -385,8 +433,8 @@ func decodeReadings(bin []byte, scratch []device.Reading) ([]device.Reading, err
 // partials. Any structural violation returns an error wrapping ErrBadFrame.
 // scratch is recycled as the backing array under the same no-retention
 // contract as decodeReadings.
-func decodeAggSync(bin []byte, scratch []GroupPartial) ([]GroupPartial, error) {
-	d := &colDec{data: bin}
+func (d *colDec) decodeAggSync(bin []byte, scratch []GroupPartial) ([]GroupPartial, error) {
+	d.start(bin)
 	// Each group needs at least a group token, a flags byte and a tag byte.
 	n, err := d.header(3)
 	if err != nil {
@@ -425,5 +473,6 @@ func decodeAggSync(bin []byte, scratch []GroupPartial) ([]GroupPartial, error) {
 	if d.pos != len(d.data) {
 		return nil, errBad("%d trailing bytes", len(d.data)-d.pos)
 	}
+	d.data = nil
 	return groups, nil
 }

@@ -94,7 +94,7 @@ func TestColCodecRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for round := 0; round < 20; round++ {
 				want := mk(1+rng.Intn(64), value)
-				got, err := decodeReadings(encodeReadingsOrFatal(t, want), nil)
+				got, err := new(colDec).decodeReadings(encodeReadingsOrFatal(t, want), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,7 +145,7 @@ func TestColCodecAggRoundTrip(t *testing.T) {
 		{Group: "cellar", Value: "wet"},
 		{Group: "garage", Value: 7},
 	}
-	got, err := decodeAggSync(encodeAggOrFatal(t, want), nil)
+	got, err := new(colDec).decodeAggSync(encodeAggOrFatal(t, want), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func FuzzDecodeEventBatch(f *testing.F) {
 		{DeviceID: "m2", Source: "mode", Value: "boost", Time: time.Unix(0, 1_700_000_001_000_000_000)},
 	}))
 	f.Fuzz(func(t *testing.T, bin []byte) {
-		readings, err := decodeReadings(bin, nil)
+		readings, err := new(colDec).decodeReadings(bin, nil)
 		if err != nil {
 			if !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("decode error does not wrap ErrBadFrame: %v", err)
@@ -363,7 +363,7 @@ func FuzzDecodeAggSync(f *testing.F) {
 		{Group: "garage", Value: true},
 	}))
 	f.Fuzz(func(t *testing.T, bin []byte) {
-		groups, err := decodeAggSync(bin, nil)
+		groups, err := new(colDec).decodeAggSync(bin, nil)
 		if err != nil {
 			if !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("decode error does not wrap ErrBadFrame: %v", err)

@@ -77,6 +77,15 @@ func FuzzWireCodec(f *testing.F) {
 		Readings: []device.Reading{{DeviceID: "s1", Source: "presence", Value: true}}}))
 	f.Add(encodeFrames(f, request{ID: 5, Op: "subscribe", Device: "ghost", Facet: "presence", SubID: 9}))
 	f.Add(encodeFrames(f, request{ID: 6, Op: "bogus_op"}))
+	// Two column-codec batches on one connection, the first introducing more
+	// distinct strings than the connection's intern table may hold
+	// (TestInternTableIsBounded checks the decode and the bound directly).
+	f.Add(encodeFrames(f,
+		request{ID: 7, Op: "event_batch_bin", Kind: "Sensor", Facet: "presence", Stream: 1, Seq: 1,
+			Bin: encodeReadingsOrFatal(f, internFlood())},
+		request{ID: 8, Op: "event_batch_bin", Kind: "Sensor", Facet: "presence", Stream: 1, Seq: 2,
+			Bin: encodeReadingsOrFatal(f, boolChunk(4))},
+	))
 
 	// Known-hostile shapes.
 	valid := encodeFrames(f, request{ID: 1, Op: "ping"})

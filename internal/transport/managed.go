@@ -435,11 +435,25 @@ func (m *ManagedClient) SyncRegistry(kinds []string, gens []uint64) ([]SyncDelta
 	return p.deltas, p.boot, err
 }
 
-// PublishEventBatch forwards one coalesced batch of device readings.
+// PublishEventBatch forwards one coalesced batch of device readings:
+// StartEventBatch followed by Wait.
 func (m *ManagedClient) PublishEventBatch(kind, source string, stream, seq uint64, readings []device.Reading) (int, error) {
-	return do(m, func(c *Client) (int, error) {
-		return c.PublishEventBatch(kind, source, stream, seq, readings)
+	b, err := m.StartEventBatch(kind, source, stream, seq, readings)
+	if err != nil {
+		return 0, err
+	}
+	return b.Wait()
+}
+
+// StartEventBatch sends one batch on the live connection without waiting for
+// its answer (see Client.StartEventBatch). A connection failure, whether the
+// send or the returned call's Wait sees it, feeds the health ladder.
+func (m *ManagedClient) StartEventBatch(kind, source string, stream, seq uint64, readings []device.Reading) (EventBatchCall, error) {
+	b, err := do(m, func(c *Client) (EventBatchCall, error) {
+		return c.StartEventBatch(kind, source, stream, seq, readings)
 	})
+	b.m = m
+	return b, err
 }
 
 // PublishAggSync forwards one node's per-group partial aggregates.

@@ -232,12 +232,14 @@ type FederationHandler interface {
 	// IngestEventBatch lands one forwarded event batch and reports how
 	// many readings were admitted (the rest were dropped by the
 	// receiver's admission budget and are accounted there). stream/seq
-	// identify the batch for replay protection: a sender that lost the
-	// response to a batch the receiver already ingested (the connection
-	// died mid-RPC) retries it under the same (stream, seq), and the
-	// implementation must answer the original admission count without
-	// ingesting twice — exactly-once delivery is what keeps the
-	// federation's delivered+dropped accounting exact across partitions.
+	// identify the batch for replay protection: a sender keeps several
+	// batches of one stream in flight, in sequence order, and when the
+	// connection dies mid-RPC replays every batch it has no answer for
+	// under the same (stream, seq), oldest first — including those the
+	// receiver already ingested. The implementation must answer each of
+	// them its original admission count without ingesting twice —
+	// exactly-once delivery is what keeps the federation's
+	// delivered+dropped accounting exact across partitions.
 	// stream 0 disables replay protection.
 	IngestEventBatch(stream, seq uint64, kind, source string, readings []device.Reading) int
 	// IngestAggSync merges one peer's node-local per-group partial
@@ -555,9 +557,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	// loop is one goroutine, the handlers never retain the slices, so each
 	// decoded batch reuses the previous one's backing array. Entries carry
 	// only this connection's last batch until overwritten, bounding what the
-	// buffers pin.
+	// buffers pin. colState carries the column decoder's intern and token
+	// tables the same way, so a steady stream of event batches decodes
+	// without allocating.
 	var readingScratch []device.Reading
 	var groupScratch []GroupPartial
+	var colState colDec
 
 	for {
 		var req request
@@ -651,7 +656,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				send(response{ID: req.ID, Err: "federation not served here"})
 				continue
 			}
-			readings, err := decodeReadings(req.Bin, readingScratch)
+			readings, err := colState.decodeReadings(req.Bin, readingScratch)
 			if err != nil {
 				// A payload the column decoder rejects is as poisonous as a
 				// malformed frame: only this connection dies, never the
@@ -677,7 +682,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				send(response{ID: req.ID, Err: "federation not served here"})
 				continue
 			}
-			groups, err := decodeAggSync(req.Bin, groupScratch)
+			groups, err := colState.decodeAggSync(req.Bin, groupScratch)
 			if err != nil {
 				return // poison this connection, like a malformed frame
 			}
@@ -1008,16 +1013,45 @@ func (c *Client) failAll(err error) {
 	}
 }
 
-func (c *Client) call(req request) (response, error) {
+// waiter is the receiving half of one call: the channel its answer arrives
+// on and the timer that bounds the wait. Both are recycled through
+// waiterPool. It replaces a per-call channel plus time.After: under the
+// pre-Go-1.23 timer semantics go.mod selects, an abandoned time.After timer
+// stays in the runtime's heap until it fires, so every RPC used to leave one
+// call-timeout's worth of timer behind (tens of thousands live at forwarding
+// rates).
+type waiter struct {
+	ch    chan callResult
+	timer *time.Timer
+}
+
+var waiterPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waiter{ch: make(chan callResult, 1), timer: t}
+}}
+
+// sentCall is a request that is on the wire and whose answer has not been
+// collected yet: what send returns and wait consumes, exactly once.
+type sentCall struct {
+	id                uint64
+	w                 *waiter
+	op, device, facet string // for the timeout message
+}
+
+// send writes one request frame and registers its waiter. Requests leave in
+// the order send is called, and the server answers a connection's requests
+// in arrival order, so several sent calls may be outstanding at once.
+func (c *Client) send(req request) (sentCall, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return response{}, ErrClosed
+		return sentCall{}, ErrClosed
 	}
 	c.nextID++
 	req.ID = c.nextID
-	ch := make(chan callResult, 1)
-	c.pending[req.ID] = ch
+	w := waiterPool.Get().(*waiter)
+	c.pending[req.ID] = w.ch
 	// The write deadline bounds how long one frame may take to drain into
 	// the socket: a peer that accepted the connection but stopped reading
 	// (or a chaos link that blackholes bytes) fails the write instead of
@@ -1029,15 +1063,33 @@ func (c *Client) call(req request) (response, error) {
 		// A partially-written frame poisons the stream for the peer, and a
 		// failed gob encode poisons the local encoder state: either way
 		// this connection is done. Closing it wakes the read loop, which
-		// fails the remaining pending calls with ErrConnLost.
+		// fails the remaining pending calls with ErrConnLost. The waiter is
+		// not pooled again: failAll may already have answered into it.
 		c.mu.Lock()
 		delete(c.pending, req.ID)
 		c.mu.Unlock()
 		_ = c.conn.Close()
-		return response{}, fmt.Errorf("%w: send %s: %v", ErrConnLost, req.Op, err)
+		return sentCall{}, fmt.Errorf("%w: send %s: %v", ErrConnLost, req.Op, err)
 	}
+	return sentCall{id: req.ID, w: w, op: req.Op, device: req.Device, facet: req.Facet}, nil
+}
+
+// wait collects the answer to one sent call, bounded by the call timeout
+// counted from now.
+func (c *Client) wait(sc sentCall) (response, error) {
+	w := sc.w
+	w.timer.Reset(c.timeout)
 	select {
-	case res := <-ch:
+	case res := <-w.ch:
+		if !w.timer.Stop() {
+			// The timer fired while the answer was being taken; empty its
+			// channel so the next Reset starts clean.
+			select {
+			case <-w.timer.C:
+			default:
+			}
+		}
+		waiterPool.Put(w)
 		if res.err != nil {
 			return response{}, res.err
 		}
@@ -1045,12 +1097,23 @@ func (c *Client) call(req request) (response, error) {
 			return res.resp, errors.New(res.resp.Err)
 		}
 		return res.resp, nil
-	case <-time.After(c.timeout):
+	case <-w.timer.C:
 		c.mu.Lock()
-		delete(c.pending, req.ID)
+		delete(c.pending, sc.id)
 		c.mu.Unlock()
-		return response{}, fmt.Errorf("%w after %v (%s %s.%s)", ErrTimeout, c.timeout, req.Op, req.Device, req.Facet)
+		// The waiter is dropped, not pooled: the read loop may have looked
+		// its channel up already and deliver the late answer into it.
+		return response{}, fmt.Errorf("%w after %v (%s %s.%s)", ErrTimeout, c.timeout, sc.op, sc.device, sc.facet)
 	}
+}
+
+// call is one request/response round trip: send, then wait.
+func (c *Client) call(req request) (response, error) {
+	sc, err := c.send(req)
+	if err != nil {
+		return response{}, err
+	}
+	return c.wait(sc)
 }
 
 // Ping performs one empty round trip — the heartbeat probe ManagedClient
@@ -1204,26 +1267,61 @@ func (c *Client) SyncRegistry(kinds []string, gens []uint64) (deltas []SyncDelta
 // Batches whose readings are all of one codec-supported type travel over
 // the compact column codec when the peer speaks it; everything else — and
 // every batch sent to a pre-codec peer — falls back to the gob op
-// (counted by CodecFallbacks).
+// (counted by CodecFallbacks). It is StartEventBatch followed by Wait.
 func (c *Client) PublishEventBatch(kind, source string, stream, seq uint64, readings []device.Reading) (accepted int, err error) {
+	b, err := c.StartEventBatch(kind, source, stream, seq, readings)
+	if err != nil {
+		return 0, err
+	}
+	return b.Wait()
+}
+
+// EventBatchCall is one event batch on the wire: StartEventBatch sent it and
+// Wait, called exactly once, collects the receiver's admission count. The
+// zero value is an empty batch that sent nothing and waits for nothing.
+type EventBatchCall struct {
+	c    *Client
+	sent sentCall
+	// m is set when the batch was started through a ManagedClient, whose
+	// health ladder must hear about a connection failure seen by Wait.
+	m *ManagedClient
+}
+
+// StartEventBatch is the sending half of PublishEventBatch: it encodes the
+// batch and writes its frame, and returns without waiting for the answer, so
+// a forwarder can keep several batches of one stream in flight. The server
+// handles a connection's requests in order: batches started in sequence on
+// one client are ingested in that sequence. readings may be reused as soon
+// as StartEventBatch returns.
+func (c *Client) StartEventBatch(kind, source string, stream, seq uint64, readings []device.Reading) (EventBatchCall, error) {
 	if len(readings) == 0 {
-		return 0, nil
+		return EventBatchCall{}, nil
 	}
 	if c.colV1() {
 		enc := getColEnc()
 		if bin, ok := enc.encodeReadings(readings); ok {
-			resp, err := c.call(request{Op: "event_batch_bin", Kind: kind, Facet: source, Stream: stream, Seq: seq, Bin: bin})
+			sc, err := c.send(request{Op: "event_batch_bin", Kind: kind, Facet: source, Stream: stream, Seq: seq, Bin: bin})
 			enc.release()
-			if err != nil {
-				return 0, err
-			}
-			return resp.Accepted, nil
+			return EventBatchCall{c: c, sent: sc}, err
 		}
 		enc.release()
 	}
 	c.codecFallbacks.Add(1)
-	resp, err := c.call(request{Op: "event_batch", Kind: kind, Facet: source, Stream: stream, Seq: seq, Readings: readings})
+	sc, err := c.send(request{Op: "event_batch", Kind: kind, Facet: source, Stream: stream, Seq: seq, Readings: readings})
+	return EventBatchCall{c: c, sent: sc}, err
+}
+
+// Wait blocks until the receiver answered the batch (or the call timeout,
+// counted from now, passed) and reports how many readings it admitted.
+func (b EventBatchCall) Wait() (accepted int, err error) {
+	if b.c == nil {
+		return 0, nil
+	}
+	resp, err := b.c.wait(b.sent)
 	if err != nil {
+		if b.m != nil && IsConnFailure(err) {
+			b.m.connFailed(b.c)
+		}
 		return 0, err
 	}
 	return resp.Accepted, nil
