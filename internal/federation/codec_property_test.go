@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/device"
+	"repro/internal/devsim"
 	"repro/internal/devsim/chaos"
 	"repro/internal/dsl"
 	"repro/internal/federation"
@@ -41,12 +43,28 @@ func (c *recordCtx) sequences() map[string][]bool {
 	return out
 }
 
+// indexedSensor makes a swarm sensor's pushed readings indexed, which
+// leaves them without a colv1 column form: the same storm then crosses the
+// wire as gob slices, chosen by the payload alone.
+type indexedSensor struct{ *devsim.SwarmSensor }
+
+func (d indexedSensor) SubscribePush(source string, sink device.Sink) (func(), error) {
+	return d.SwarmSensor.SubscribePush(source, indexSink{sink})
+}
+
+type indexSink struct{ device.Sink }
+
+func (s indexSink) Push(r device.Reading) {
+	r.Index = "slot"
+	s.Sink.Push(r)
+}
+
 // runChaosForwardStorm drives one owner→consumer event-forwarding pair
 // through a deterministic storm-partition-spool-heal-replay cycle and
 // returns what the consumer's context observed plus the owner's final
-// stats. consumerOpts configures the consumer's transport server — the
-// mixed-version run passes transport.WithoutColumnCodec.
-func runChaosForwardStorm(t *testing.T, consumerOpts ...transport.ServerOption) (map[string][]bool, federation.Stats) {
+// stats. indexed makes every forwarded reading indexed, so every batch
+// travels as the gob reference encoding instead of colv1.
+func runChaosForwardStorm(t *testing.T, indexed bool) (map[string][]bool, federation.Stats) {
 	t.Helper()
 	const sensors = 40
 	cn := chaos.NewNet(21)
@@ -64,13 +82,17 @@ func runChaosForwardStorm(t *testing.T, consumerOpts ...transport.ServerOption) 
 		t.Fatal(err)
 	}
 	t.Cleanup(crt.Stop)
-	consumer, err := federation.New(federation.Config{Name: "hub", Runtime: crt, ServerOpts: consumerOpts})
+	consumer, err := federation.New(federation.Config{Name: "hub", Runtime: crt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(consumer.Close)
 
-	_, owner, _, cs := newOwnerNode(t, "edge", sensors)
+	wrap := func(s *devsim.SwarmSensor) device.Driver { return s }
+	if indexed {
+		wrap = func(s *devsim.SwarmSensor) device.Driver { return indexedSensor{s} }
+	}
+	_, owner, _, cs := newOwnerNodeWrapping(t, "edge", sensors, wrap)
 	if err := owner.AddPeer(func() federation.PeerConfig {
 		pc := chaosPeer(cn, "edge->hub", "hub", consumer.Addr())
 		pc.ForwardEvents = true
@@ -111,8 +133,7 @@ func runChaosForwardStorm(t *testing.T, consumerOpts ...transport.ServerOption) 
 	waitHealth(t, owner, "hub", transport.HealthUp)
 	waitFor(t, "replay drains the spool", func() bool { return rec.n.Load() == accepted })
 
-	// Post-heal traffic rides whatever codec the fresh connection
-	// negotiated.
+	// Post-heal traffic rides the fresh connection.
 	accepted += uint64(cs.StormLive(cs.LiveCount()))
 	waitFor(t, "post-heal delivery", func() bool { return rec.n.Load() == accepted })
 
@@ -120,35 +141,30 @@ func runChaosForwardStorm(t *testing.T, consumerOpts ...transport.ServerOption) 
 }
 
 // TestColumnCodecEquivalenceUnderChaos is the wire-format property test:
-// the same deterministic storm (seeded swarm, virtual clock, identical
-// partition/heal schedule) runs once against a column-codec consumer and
-// once against a consumer impersonating a pre-codec build. Both pairs must
+// colv1 ≡ reference. The same deterministic storm (seeded swarm, virtual
+// clock, identical partition/heal schedule) runs once with Boolean rows,
+// which travel as colv1 frames, and once with the same rows made indexed,
+// which have no column form and travel as gob slices. Both runs must
 // deliver exactly once through the outage, and the per-device value
 // sequences the consuming context observes must be identical — the codec
-// changes bytes on the wire, never semantics. The mixed-version pair must
-// also show the negotiation actually fell back (codec_fallbacks > 0 on the
-// sender), while the capable pair shipped its batches binary.
+// changes bytes on the wire, never semantics. The payload alone picks the
+// encoding, so the Boolean storm counts no fallback at all, even for a
+// publish that races the partition cut, while the indexed storm counts
+// its batches as fallbacks.
 func TestColumnCodecEquivalenceUnderChaos(t *testing.T) {
-	colSeqs, colStats := runChaosForwardStorm(t)
-	gobSeqs, gobStats := runChaosForwardStorm(t, transport.WithoutColumnCodec())
+	colSeqs, colStats := runChaosForwardStorm(t, false)
+	refSeqs, refStats := runChaosForwardStorm(t, true)
 
-	if !reflect.DeepEqual(colSeqs, gobSeqs) {
-		t.Fatalf("codec changed delivery semantics:\n colv1: %v\n gob:   %v", colSeqs, gobSeqs)
+	if !reflect.DeepEqual(colSeqs, refSeqs) {
+		t.Fatalf("codec changed delivery semantics:\n colv1: %v\n gob:   %v", colSeqs, refSeqs)
 	}
 	if len(colSeqs) == 0 {
 		t.Fatal("storm delivered nothing; the property was tested vacuously")
 	}
-	if gobStats.CodecFallbacks == 0 {
-		t.Fatalf("mixed-version pair never fell back to gob: %+v", gobStats)
+	if colStats.EventBatchesSent == 0 || colStats.CodecFallbacks != 0 {
+		t.Fatalf("Boolean storm sent %d batches with %d gob fallbacks, want >0 and 0", colStats.EventBatchesSent, colStats.CodecFallbacks)
 	}
-	if colStats.EventBatchesSent == 0 {
-		t.Fatalf("capable pair sent no batches: %+v", colStats)
-	}
-	// The capable pair may log a stray fallback when a publish races the
-	// partition cut (the capability probe dies with the connection), but
-	// steady-state traffic must be binary: fallbacks stay well below the
-	// batch count.
-	if colStats.CodecFallbacks*2 >= colStats.EventBatchesSent {
-		t.Fatalf("capable pair fell back on %d of %d batches", colStats.CodecFallbacks, colStats.EventBatchesSent)
+	if refStats.CodecFallbacks == 0 {
+		t.Fatalf("indexed storm never travelled as gob: %+v", refStats)
 	}
 }

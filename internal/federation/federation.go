@@ -95,10 +95,6 @@ type Config struct {
 	ListenAddr string
 	// Exports lists the device kinds (and event sources) this node offers.
 	Exports []Export
-	// ServerOpts is passed through to the node's transport server.
-	// Mixed-version-fleet tests use transport.WithoutColumnCodec here to
-	// model a peer built before the compact column codec existed.
-	ServerOpts []transport.ServerOption
 }
 
 // PeerConfig configures one peer connection.
@@ -226,11 +222,10 @@ type Stats struct {
 	// the sender lost the response mid-partition and retried a batch that
 	// had already landed.
 	EventDupsSuppressed uint64
-	// CodecFallbacks counts event batches and agg syncs sent to peers over
-	// the gob ops instead of the compact column codec — the peer predates
-	// the codec (a mixed-version fleet) or the payload could not travel in
-	// column form (indexed readings, mixed or composite value types). A
-	// homogeneous fleet on scalar payloads holds this at zero.
+	// CodecFallbacks counts event batches and agg syncs sent to peers as
+	// gob slices instead of colv1 column frames because the payload has no
+	// column form (indexed readings, nil, mixed or composite value types).
+	// A fleet on scalar payloads holds this at zero.
 	CodecFallbacks uint64
 }
 
@@ -419,11 +414,11 @@ func New(cfg Config) (*Node, error) {
 	// the reborn process as the same incarnation (catch-up stays a delta
 	// sync); a fresh one records its epoch before any peer can observe it.
 	store := endpoint.Persistence()
-	srvOpts := append([]transport.ServerOption(nil), cfg.ServerOpts...)
+	var boot uint64 // 0 keeps the fresh epoch NewServer draws
 	if store != nil {
-		srvOpts = append(srvOpts, transport.WithBoot(store.Boot()))
+		boot = store.Boot()
 	}
-	srv, err := transport.NewServer(addr, srvOpts...)
+	srv, err := transport.NewServer(addr, transport.WithBoot(boot))
 	if err != nil {
 		return nil, err
 	}

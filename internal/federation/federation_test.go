@@ -98,6 +98,13 @@ func newConsumerNode(t *testing.T, name string) (*runtime.Runtime, *federation.N
 // kind (and its presence source) plus panels, with a bound swarm.
 func newOwnerNode(t *testing.T, name string, sensors int) (*runtime.Runtime, *federation.Node, *devsim.Swarm, *devsim.ChurnSwarm) {
 	t.Helper()
+	return newOwnerNodeWrapping(t, name, sensors, func(s *devsim.SwarmSensor) device.Driver { return s })
+}
+
+// newOwnerNodeWrapping is newOwnerNode binding wrap(sensor) instead of each
+// swarm sensor itself.
+func newOwnerNodeWrapping(t *testing.T, name string, sensors int, wrap func(*devsim.SwarmSensor) device.Driver) (*runtime.Runtime, *federation.Node, *devsim.Swarm, *devsim.ChurnSwarm) {
+	t.Helper()
 	model, err := dsl.Load(ownerDesign)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +131,7 @@ func newOwnerNode(t *testing.T, name string, sensors int) (*runtime.Runtime, *fe
 		Sensors: sensors, Lots: []string{name}, GroupAttr: "zone", Seed: 7,
 	}, vc)
 	cs, err := devsim.NewChurnSwarm(swarm, devsim.ChurnHooks{
-		Bind:   func(s *devsim.SwarmSensor) error { return rt.BindDevice(s) },
+		Bind:   func(s *devsim.SwarmSensor) error { return rt.BindDevice(wrap(s)) },
 		Unbind: rt.UnbindDevice,
 	})
 	if err != nil {

@@ -150,8 +150,8 @@ func newReplayRig(t *testing.T, seed int64) *replayRig {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// One plain burst first: it negotiates the codec and ships the gob type
-	// descriptors, so every later request frame is one small write.
+	// One plain burst first: it ships the gob type descriptors, so every
+	// later request frame is one small write.
 	r.forward(t, 2)
 	waitFor(t, "warm-up delivery", func() bool { return r.rec.n.Load() == 2 })
 	return r

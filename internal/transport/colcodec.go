@@ -16,23 +16,16 @@ import (
 // as N independently-tagged structs travels instead as a version byte plus
 // column-major arrays — interned device IDs and sources, delta-encoded
 // zigzag-varint timestamps, and ONE value column specialized to the batch's
-// common dynamic type. The payload rides in the gob envelope's Bin field
-// (ops "event_batch_bin"/"agg_sync_bin"), so the persistent gob stream
-// framing is untouched and mixed-version fleets negotiate down to plain gob
-// via the "codec_caps" probe (see Client.colV1).
+// common dynamic type. The payload rides in the gob envelope's Bin field of
+// the "event_batch"/"agg_sync" request, so the persistent gob stream framing
+// is untouched. The payload picks the encoding, not the connection: every
+// node of a fleet is built from one tree and decodes both forms.
 //
 // The codec is deliberately partial: a batch with any indexed reading, a
-// mixed-type burst, or an exotic value type falls back to the gob op for
-// that whole call (counted by CodecFallbacks). Times cross the wire as unix
-// nanoseconds, preserving the instant but not the wall-clock location —
-// the same contract as any epoch-based wire format.
-
-// CodecColV1 is the capability name of the column codec, as advertised in
-// "codec_caps" answers.
-const CodecColV1 = "colv1"
-
-// serverCodecs is what a codec-enabled server advertises.
-var serverCodecs = []string{CodecColV1}
+// mixed-type burst, or an exotic value type travels as the request's gob
+// slice instead, for that whole call (counted by CodecFallbacks). Times
+// cross the wire as unix nanoseconds, preserving the instant but not the
+// wall-clock location — the same contract as any epoch-based wire format.
 
 // Value-column type tags. Tag 0 means "no value" (nil) and only appears in
 // agg_sync payloads.
@@ -368,7 +361,7 @@ func (d *colDec) decodeValue(tag byte) (any, error) {
 	}
 }
 
-// decodeReadings decodes one "event_batch_bin" payload back into readings.
+// decodeReadings decodes one "event_batch" Bin payload back into readings.
 // Any structural violation returns an error wrapping ErrBadFrame. scratch,
 // when capacious enough, is recycled as the backing array — the serve loop
 // passes its per-connection buffer, legal because FederationHandler
@@ -429,7 +422,7 @@ func (d *colDec) decodeReadings(bin []byte, scratch []device.Reading) ([]device.
 	return readings, nil
 }
 
-// decodeAggSync decodes one "agg_sync_bin" payload back into group
+// decodeAggSync decodes one "agg_sync" Bin payload back into group
 // partials. Any structural violation returns an error wrapping ErrBadFrame.
 // scratch is recycled as the backing array under the same no-retention
 // contract as decodeReadings.

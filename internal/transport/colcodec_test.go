@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -161,145 +163,179 @@ func TestColCodecAggRoundTrip(t *testing.T) {
 	}
 }
 
-// TestColumnCodecNegotiation proves a capable pair uses the binary ops
-// end-to-end with zero fallbacks, and that ineligible payloads on the same
-// connection fall back per call and are counted.
-func TestColumnCodecNegotiation(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	fed := &fakeFed{accepted: 1 << 20, merged: 1}
-	srv.ServeFederation(fed)
+// teeConn copies every byte a client writes into out, so a test can decode
+// the requests the client put on the wire. A plain Client writes only from
+// its calling goroutine, so a test that reads out between calls needs no
+// lock.
+type teeConn struct {
+	net.Conn
+	out *bytes.Buffer
+}
 
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+func (c teeConn) Write(p []byte) (int, error) {
+	c.out.Write(p)
+	return c.Conn.Write(p)
+}
 
-	want := []device.Reading{
-		{DeviceID: "s1", Source: "presence", Value: true, Time: time.Now()},
-		{DeviceID: "s2", Source: "presence", Value: false, Time: time.Now()},
-	}
-	accepted, err := cli.PublishEventBatch("Sensor", "presence", 1, 1, want)
-	if err != nil || accepted != len(want) {
-		t.Fatalf("typed publish: accepted=%d err=%v", accepted, err)
-	}
-	if got := cli.colCaps.Load(); got != capColV1 {
-		t.Fatalf("caps verdict %d after probe, want capColV1", got)
-	}
-	if n := cli.CodecFallbacks(); n != 0 {
-		t.Fatalf("capable pair counted %d fallbacks", n)
-	}
-	fed.mu.Lock()
-	got := append([]device.Reading(nil), fed.gotReadings...)
-	fed.mu.Unlock()
-	if err := sameReadings(got, want); err != nil {
-		t.Fatalf("readings through the binary op: %v", err)
-	}
-
-	// An indexed reading cannot travel in column form: the call falls back
-	// to gob, is counted, and still lands.
-	indexed := device.Reading{DeviceID: "s3", Source: "presence", Value: true, Index: "slot9", Time: time.Now()}
-	if _, err := cli.PublishEventBatch("Sensor", "presence", 1, 2, []device.Reading{indexed}); err != nil {
-		t.Fatal(err)
-	}
-	if n := cli.CodecFallbacks(); n != 1 {
-		t.Fatalf("indexed publish counted %d fallbacks, want 1", n)
-	}
-
-	if merged, err := cli.PublishAggSync("Sensor", "presence", "nodeA", []GroupPartial{{Group: "g", Value: 1.0}}); err != nil || merged != 1 {
-		t.Fatalf("agg sync over binary op: merged=%d err=%v", merged, err)
-	}
-	if n := cli.CodecFallbacks(); n != 1 {
-		t.Fatalf("scalar agg sync counted a fallback (total %d)", n)
+// sentRequests decodes the request frames a teeConn recorded.
+func sentRequests(t *testing.T, raw []byte) []request {
+	t.Helper()
+	dec := newFrameDecoder(bytes.NewReader(raw))
+	var reqs []request
+	for {
+		var req request
+		if err := dec.decode(&req); err != nil {
+			if errors.Is(err, io.EOF) {
+				return reqs
+			}
+			t.Fatalf("decode recorded request: %v", err)
+		}
+		reqs = append(reqs, req)
 	}
 }
 
-// TestColumnCodecOldServerFallsBackToGob proves the mixed-version story: a
-// server built without the codec answers the probe with unknown-op, the
-// client caches gob-only for the connection's life, and every publish still
-// lands (counted as fallbacks).
-func TestColumnCodecOldServerFallsBackToGob(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", WithoutColumnCodec())
-	if err != nil {
-		t.Fatal(err)
+// TestPayloadPicksWireEncoding pins the one rule that chooses an encoding:
+// a payload with a column form travels as a colv1 frame in Bin with no
+// fallback counted; one without (indexed readings, composite combiner
+// partials) travels as the gob slice, is counted, and lands intact. Every
+// case runs on a fresh connection, so nothing about the connection can
+// influence the choice.
+func TestPayloadPicksWireEncoding(t *testing.T) {
+	now := time.Now()
+	scalar := []device.Reading{
+		{DeviceID: "s1", Source: "presence", Value: true, Time: now},
+		{DeviceID: "s2", Source: "presence", Value: false, Time: now},
 	}
-	defer srv.Close()
-	fed := &fakeFed{accepted: 1 << 20, merged: 1}
-	srv.ServeFederation(fed)
+	indexed := []device.Reading{{DeviceID: "s3", Source: "presence", Value: true, Index: "slot9", Time: now}}
+	scalarAgg := []GroupPartial{{Group: "g", Value: 1.0}, {Group: "h", Removed: true}}
+	compositeAgg := []GroupPartial{{Group: "g", Value: []any{3.5, int64(2)}}}
 
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		readings []device.Reading // published as an event batch when set
+		groups   []GroupPartial   // published as an agg sync otherwise
+		bin      bool
+	}{
+		{name: "scalar batch", readings: scalar, bin: true},
+		{name: "indexed batch", readings: indexed},
+		{name: "scalar agg partial", groups: scalarAgg, bin: true},
+		{name: "composite agg partial", groups: compositeAgg},
 	}
-	defer cli.Close()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := NewServer("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			fed := &fakeFed{accepted: 1 << 20, merged: 1}
+			srv.ServeFederation(fed)
+			var wire bytes.Buffer
+			cli, err := Dial(srv.Addr(), WithDialer(func(addr string) (net.Conn, error) {
+				conn, err := net.Dial("tcp", addr)
+				return teeConn{Conn: conn, out: &wire}, err
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
 
-	want := []device.Reading{{DeviceID: "s1", Source: "presence", Value: 3.5, Time: time.Now()}}
-	for seq := uint64(1); seq <= 3; seq++ {
-		if accepted, err := cli.PublishEventBatch("Sensor", "presence", 1, seq, want); err != nil || accepted != 1 {
-			t.Fatalf("seq %d: accepted=%d err=%v", seq, accepted, err)
-		}
-	}
-	if _, err := cli.PublishAggSync("Sensor", "presence", "nodeA", []GroupPartial{{Group: "g", Value: 1.0}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := cli.colCaps.Load(); got != capGobOnly {
-		t.Fatalf("caps verdict %d against old server, want capGobOnly", got)
-	}
-	if n := cli.CodecFallbacks(); n != 4 {
-		t.Fatalf("old-server fallbacks = %d, want 4", n)
-	}
-	fed.mu.Lock()
-	rows := len(fed.gotReadings)
-	fed.mu.Unlock()
-	if rows != 3 {
-		t.Fatalf("old server ingested %d readings, want 3", rows)
+			if tc.readings != nil {
+				if accepted, err := cli.PublishEventBatch("Sensor", "presence", 1, 1, tc.readings); err != nil || accepted != len(tc.readings) {
+					t.Fatalf("publish: accepted=%d err=%v", accepted, err)
+				}
+			} else if merged, err := cli.PublishAggSync("Sensor", "presence", "nodeA", tc.groups); err != nil || merged != 1 {
+				t.Fatalf("agg sync: merged=%d err=%v", merged, err)
+			}
+
+			reqs := sentRequests(t, wire.Bytes())
+			if len(reqs) != 1 {
+				t.Fatalf("client sent %d requests, want exactly the one publish", len(reqs))
+			}
+			req := reqs[0]
+			gobRows := len(req.Readings) + len(req.Groups)
+			if tc.bin != (len(req.Bin) > 0) || tc.bin == (gobRows > 0) {
+				t.Fatalf("%s request carried %d Bin bytes and %d gob rows, want column form %v", req.Op, len(req.Bin), gobRows, tc.bin)
+			}
+			wantFallbacks := uint64(1)
+			if tc.bin {
+				wantFallbacks = 0
+			}
+			if n := cli.CodecFallbacks(); n != wantFallbacks {
+				t.Fatalf("counted %d fallbacks, want %d", n, wantFallbacks)
+			}
+
+			fed.mu.Lock()
+			defer fed.mu.Unlock()
+			if tc.readings != nil {
+				if err := sameReadings(fed.gotReadings, tc.readings); err != nil {
+					t.Fatalf("landed readings: %v", err)
+				}
+			} else if !reflect.DeepEqual(fed.gotGroups, tc.groups) {
+				t.Fatalf("landed groups %+v, want %+v", fed.gotGroups, tc.groups)
+			}
+		})
 	}
 }
 
 // TestMalformedBinPayloadEndsOnlyThatConn is the binary-payload twin of
 // TestMalformedFrameEndsOnlyThatConn: a well-framed request whose colv1
-// payload is garbage poisons that connection, never the server, and nothing
-// reaches the federation handler.
+// payload is garbage, or that carries both a colv1 frame and a gob slice,
+// poisons that connection, never the server, and nothing reaches the
+// federation handler — a request is never ingested twice or by a silent
+// pick of one encoding.
 func TestMalformedBinPayloadEndsOnlyThatConn(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	fed := &fakeFed{accepted: 1 << 20}
+	fed := &fakeFed{accepted: 1 << 20, merged: 1}
 	srv.ServeFederation(fed)
 
-	// Conn 1 frames a valid gob envelope around a hostile colv1 payload.
-	bad, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bad.Close()
-	fw := newFrameWriter(bad)
 	hostile := []byte{1, 0xff, 0xff, 0xff, 0xff, 0x0f} // version 1, absurd count
-	if err := fw.send(&request{ID: 1, Op: "event_batch_bin", Kind: "Sensor", Facet: "presence", Bin: hostile}); err != nil {
-		t.Fatal(err)
+	row := device.Reading{DeviceID: "s1", Source: "presence", Value: true, Time: time.Now()}
+	group := GroupPartial{Group: "g", Value: 1.0}
+	cases := []struct {
+		name string
+		req  request
+	}{
+		{"event_batch hostile Bin", request{Op: "event_batch", Bin: hostile}},
+		{"event_batch Bin and Readings", request{Op: "event_batch", Stream: 1, Seq: 1,
+			Bin: encodeReadingsOrFatal(t, []device.Reading{row}), Readings: []device.Reading{row}}},
+		{"agg_sync hostile Bin", request{Op: "agg_sync", Bin: hostile}},
+		{"agg_sync Bin and Groups", request{Op: "agg_sync", Origin: "nodeA",
+			Bin: encodeAggOrFatal(t, []GroupPartial{group}), Groups: []GroupPartial{group}}},
 	}
-	_ = bad.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := bad.Read(make([]byte, 1)); err == nil {
-		t.Fatal("server kept a connection that sent a malformed binary payload")
-	}
-	if fed.calls.Load() != 0 {
-		t.Fatal("malformed payload reached the federation handler")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer bad.Close()
+			req := tc.req
+			req.ID, req.Kind, req.Facet = 1, "Sensor", "presence"
+			if err := newFrameWriter(bad).send(&req); err != nil {
+				t.Fatal(err)
+			}
+			_ = bad.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := bad.Read(make([]byte, 1)); err == nil {
+				t.Fatal("server kept a connection that sent a hostile payload")
+			}
+			if fed.calls.Load() != 0 {
+				t.Fatal("hostile payload reached the federation handler")
+			}
+		})
 	}
 
-	// Conn 2, arriving after the abuse, negotiates and publishes normally.
+	// A connection arriving after the abuse publishes normally.
 	cli, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if accepted, err := cli.PublishEventBatch("Sensor", "presence", 1, 1,
-		[]device.Reading{{DeviceID: "s1", Source: "presence", Value: true, Time: time.Now()}}); err != nil || accepted != 1 {
+	if accepted, err := cli.PublishEventBatch("Sensor", "presence", 1, 1, []device.Reading{row}); err != nil || accepted != 1 {
 		t.Fatalf("healthy conn after abuse: accepted=%d err=%v", accepted, err)
 	}
 }

@@ -32,7 +32,9 @@ func encodeFrames(t testing.TB, reqs ...request) []byte {
 }
 
 // serveBytes runs one serveConn round against raw client-side bytes and
-// fails the test if the serve loop does not terminate promptly.
+// fails the test if the serve loop does not terminate promptly. A
+// federation handler is installed so federation payloads reach the colv1
+// decoder instead of stopping at "federation not served here".
 func serveBytes(t testing.TB, data []byte) {
 	t.Helper()
 	ensureBasicTypes()
@@ -40,6 +42,7 @@ func serveBytes(t testing.TB, data []byte) {
 		drivers: make(map[string]device.Driver),
 		conns:   make(map[net.Conn]struct{}),
 	}
+	srv.ServeFederation(&fakeFed{accepted: 1 << 20, merged: 1})
 	cliSide, srvSide := net.Pipe()
 	srv.conns[srvSide] = struct{}{}
 	srv.wg.Add(1)
@@ -81,11 +84,15 @@ func FuzzWireCodec(f *testing.F) {
 	// distinct strings than the connection's intern table may hold
 	// (TestInternTableIsBounded checks the decode and the bound directly).
 	f.Add(encodeFrames(f,
-		request{ID: 7, Op: "event_batch_bin", Kind: "Sensor", Facet: "presence", Stream: 1, Seq: 1,
+		request{ID: 7, Op: "event_batch", Kind: "Sensor", Facet: "presence", Stream: 1, Seq: 1,
 			Bin: encodeReadingsOrFatal(f, internFlood())},
-		request{ID: 8, Op: "event_batch_bin", Kind: "Sensor", Facet: "presence", Stream: 1, Seq: 2,
+		request{ID: 8, Op: "event_batch", Kind: "Sensor", Facet: "presence", Stream: 1, Seq: 2,
 			Bin: encodeReadingsOrFatal(f, boolChunk(4))},
 	))
+	// A batch carrying both encodings, which must end the connection
+	// without ingesting either.
+	f.Add(encodeFrames(f, request{ID: 9, Op: "event_batch", Kind: "Sensor", Facet: "presence", Stream: 1, Seq: 1,
+		Bin: encodeReadingsOrFatal(f, boolChunk(2)), Readings: boolChunk(2)}))
 
 	// Known-hostile shapes.
 	valid := encodeFrames(f, request{ID: 1, Op: "ping"})

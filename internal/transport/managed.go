@@ -116,7 +116,7 @@ type ManagedClient struct {
 	heartbeatMisses atomic.Uint64
 	fastFails       atomic.Uint64
 
-	// codecFallbacks accumulates gob-fallback publishes across every
+	// codecFallbacks accumulates gob-slice publishes across every
 	// connection this link dials, so the counter survives reconnects.
 	codecFallbacks atomic.Uint64
 
@@ -172,9 +172,8 @@ func (m *ManagedClient) HeartbeatMisses() uint64 { return m.heartbeatMisses.Load
 // FastFails counts calls refused with ErrPeerDown while disconnected.
 func (m *ManagedClient) FastFails() uint64 { return m.fastFails.Load() }
 
-// CodecFallbacks counts event batches and agg syncs shipped over the gob
-// ops instead of the column codec — because the peer predates the codec or
-// the payload cannot travel in column form — cumulative across reconnects.
+// CodecFallbacks counts event batches and agg syncs shipped as gob slices
+// because the payload has no column form, cumulative across reconnects.
 func (m *ManagedClient) CodecFallbacks() uint64 { return m.codecFallbacks.Load() }
 
 // BytesSent reports cumulative bytes written across all connections.

@@ -42,7 +42,7 @@ func ensureBasicTypes() {
 
 type request struct {
 	ID      uint64
-	Op      string // "query", "query_batch", "invoke", "command_batch", "subscribe", "cancel", "registry_sync", "event_batch", "event_batch_bin", "agg_sync", "agg_sync_bin", "codec_caps", "host_deploy", "host_remove", "host_list", "host_stats", "fleet_stats", "drain", "set_budget", "ping"
+	Op      string // "query", "query_batch", "invoke", "command_batch", "subscribe", "cancel", "registry_sync", "event_batch", "agg_sync", "host_deploy", "host_remove", "host_list", "host_stats", "fleet_stats", "drain", "set_budget", "ping"
 	Device  string
 	Devices []string // for "query_batch"/"command_batch": the devices to answer for
 	Facet   string
@@ -58,7 +58,7 @@ type request struct {
 	Groups   []GroupPartial   // "agg_sync": the per-group partial aggregates
 	Stream   uint64           // "event_batch": sender stream identity (0 = no replay protection)
 	Seq      uint64           // "event_batch": per-stream sequence number
-	Bin      []byte           // "event_batch_bin"/"agg_sync_bin": colv1 column payload
+	Bin      []byte           // "event_batch"/"agg_sync": the colv1 frame, when the payload has a column form (then Readings/Groups stay empty)
 
 	// Host-admin fields (gob omits them elsewhere).
 	App      string // "host_deploy"/"host_remove"/"set_budget": target app ID
@@ -80,7 +80,6 @@ type response struct {
 	Deltas   []SyncDelta // "registry_sync" answer
 	Accepted int         // "event_batch": readings admitted by the receiver
 	Boot     uint64      // "registry_sync": the answering server's boot epoch
-	Caps     []string    // "codec_caps": wire codecs this server speaks
 
 	Apps     []HostAppInfo    // "host_list" answer
 	AppStats []AppStatsRecord // "host_stats" answer
@@ -312,10 +311,6 @@ type Server struct {
 	closed  bool
 	wg      sync.WaitGroup
 
-	// noColCodec makes the server answer the column-codec ops exactly like
-	// a build predating them — the mixed-version-fleet test switch.
-	noColCodec bool
-
 	fed   atomic.Pointer[fedBox]
 	admin atomic.Pointer[adminBox]
 }
@@ -339,15 +334,6 @@ func WithBoot(epoch uint64) ServerOption {
 			s.boot = epoch
 		}
 	}
-}
-
-// WithoutColumnCodec disables the compact binary column codec on this
-// server: "codec_caps", "event_batch_bin" and "agg_sync_bin" all answer as
-// unknown ops, exactly like a server built before the codec existed.
-// Mixed-version federation tests use it to prove clients negotiate down to
-// the gob ops against an old peer.
-func WithoutColumnCodec() ServerOption {
-	return func(s *Server) { s.noColCodec = true }
 }
 
 // NewServer starts a server listening on addr ("127.0.0.1:0" for an
@@ -553,16 +539,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}
 
-	// Per-connection decode buffers for the binary federation ops: the serve
-	// loop is one goroutine, the handlers never retain the slices, so each
-	// decoded batch reuses the previous one's backing array. Entries carry
-	// only this connection's last batch until overwritten, bounding what the
-	// buffers pin. colState carries the column decoder's intern and token
-	// tables the same way, so a steady stream of event batches decodes
-	// without allocating.
-	var readingScratch []device.Reading
-	var groupScratch []GroupPartial
-	var colState colDec
+	var scratch fedScratch
 
 	for {
 		var req request
@@ -573,14 +550,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			// the conn; the serve loop itself never panics or hangs on
 			// hostile bytes.
 			return
-		}
-		if s.noColCodec {
-			switch req.Op {
-			case "codec_caps", "event_batch_bin", "agg_sync_bin":
-				// Impersonate a pre-codec build: these ops do not exist.
-				send(response{ID: req.ID, Err: "unknown op " + req.Op})
-				continue
-			}
 		}
 		switch req.Op {
 		case "ping":
@@ -635,113 +604,27 @@ func (s *Server) serveConn(conn net.Conn) {
 				errs[i] = errString(drv.Invoke(req.Facet, req.Args...))
 			}
 			send(response{ID: req.ID, Errs: errs})
-		case "registry_sync":
+		case "registry_sync", "event_batch", "agg_sync":
 			fed := s.federation()
 			if fed == nil {
 				send(response{ID: req.ID, Err: "federation not served here"})
 				continue
 			}
-			send(response{ID: req.ID, Deltas: fed.SyncKinds(req.Kinds, req.Gens), Boot: s.boot})
-		case "event_batch":
-			fed := s.federation()
-			if fed == nil {
-				send(response{ID: req.ID, Err: "federation not served here"})
-				continue
-			}
-			n := fed.IngestEventBatch(req.Stream, req.Seq, req.Kind, req.Facet, req.Readings)
-			send(response{ID: req.ID, Accepted: n})
-		case "event_batch_bin":
-			fed := s.federation()
-			if fed == nil {
-				send(response{ID: req.ID, Err: "federation not served here"})
-				continue
-			}
-			readings, err := colState.decodeReadings(req.Bin, readingScratch)
+			resp, err := s.serveFederation(fed, &req, &scratch)
 			if err != nil {
-				// A payload the column decoder rejects is as poisonous as a
-				// malformed frame: only this connection dies, never the
-				// server, and nothing partially-decoded reaches the handler.
+				// A hostile payload is as poisonous as a malformed frame:
+				// only this connection dies, never the server, and nothing
+				// partially decoded reaches the handler.
 				return
 			}
-			n := fed.IngestEventBatch(req.Stream, req.Seq, req.Kind, req.Facet, readings)
-			// The handler contract forbids retaining the slice, so its
-			// backing array is this connection's to recycle.
-			readingScratch = readings
-			send(response{ID: req.ID, Accepted: n})
-		case "agg_sync":
-			fed := s.federation()
-			if fed == nil {
-				send(response{ID: req.ID, Err: "federation not served here"})
-				continue
-			}
-			n := fed.IngestAggSync(req.Kind, req.Facet, req.Origin, req.Groups)
-			send(response{ID: req.ID, Accepted: n})
-		case "agg_sync_bin":
-			fed := s.federation()
-			if fed == nil {
-				send(response{ID: req.ID, Err: "federation not served here"})
-				continue
-			}
-			groups, err := colState.decodeAggSync(req.Bin, groupScratch)
-			if err != nil {
-				return // poison this connection, like a malformed frame
-			}
-			n := fed.IngestAggSync(req.Kind, req.Facet, req.Origin, groups)
-			groupScratch = groups
-			send(response{ID: req.ID, Accepted: n})
-		case "codec_caps":
-			send(response{ID: req.ID, Caps: serverCodecs})
-		case "host_deploy":
+			send(resp)
+		case "host_deploy", "host_remove", "host_list", "host_stats", "fleet_stats", "drain", "set_budget":
 			adm := s.adminHandler()
 			if adm == nil {
 				send(response{ID: req.ID, Err: "host admin not served here"})
 				continue
 			}
-			send(response{ID: req.ID, Err: errString(adm.DeployApp(req.App, req.Design))})
-		case "host_remove":
-			adm := s.adminHandler()
-			if adm == nil {
-				send(response{ID: req.ID, Err: "host admin not served here"})
-				continue
-			}
-			send(response{ID: req.ID, Err: errString(adm.RemoveApp(req.App))})
-		case "host_list":
-			adm := s.adminHandler()
-			if adm == nil {
-				send(response{ID: req.ID, Err: "host admin not served here"})
-				continue
-			}
-			send(response{ID: req.ID, Apps: adm.ListApps()})
-		case "host_stats":
-			adm := s.adminHandler()
-			if adm == nil {
-				send(response{ID: req.ID, Err: "host admin not served here"})
-				continue
-			}
-			send(response{ID: req.ID, AppStats: adm.AppStats()})
-		case "fleet_stats":
-			adm := s.adminHandler()
-			if adm == nil {
-				send(response{ID: req.ID, Err: "host admin not served here"})
-				continue
-			}
-			fs := adm.FleetStats()
-			send(response{ID: req.ID, Fleet: &fs})
-		case "drain":
-			adm := s.adminHandler()
-			if adm == nil {
-				send(response{ID: req.ID, Err: "host admin not served here"})
-				continue
-			}
-			rep, err := adm.Drain()
-			send(response{ID: req.ID, Drained: &rep, Err: errString(err)})
-		case "set_budget":
-			adm := s.adminHandler()
-			if adm == nil {
-				send(response{ID: req.ID, Err: "host admin not served here"})
-				continue
-			}
-			send(response{ID: req.ID, Err: errString(adm.SetBudget(req.App, req.Capacity))})
+			send(serveAdmin(adm, &req))
 		case "subscribe":
 			drv := s.lookup(req.Device)
 			if drv == nil {
@@ -788,6 +671,77 @@ func (s *Server) serveConn(conn net.Conn) {
 		default:
 			send(response{ID: req.ID, Err: "unknown op " + req.Op})
 		}
+	}
+}
+
+// fedScratch is one connection's recycled decode state for the federation
+// ops: the serve loop is one goroutine and handlers never retain the slices,
+// so each decoded batch reuses the previous one's backing array, and col
+// keeps the column decoder's intern and token tables warm, so a steady
+// stream of event batches decodes without allocating. Entries carry only
+// the connection's last batch until overwritten, bounding what they pin.
+type fedScratch struct {
+	readings []device.Reading
+	groups   []GroupPartial
+	col      colDec
+}
+
+// serveFederation answers one federation op. The payload picks its own
+// decoding: a request with Bin carries a colv1 frame, one without carries
+// the gob Readings/Groups slice. An error means the payload is hostile — a
+// frame the decoder rejects, or a request carrying both encodings — and the
+// caller must end the connection before anything is ingested.
+func (s *Server) serveFederation(fed FederationHandler, req *request, sc *fedScratch) (response, error) {
+	var err error
+	switch req.Op {
+	case "registry_sync":
+		return response{ID: req.ID, Deltas: fed.SyncKinds(req.Kinds, req.Gens), Boot: s.boot}, nil
+	case "event_batch":
+		readings := req.Readings
+		if len(req.Bin) > 0 {
+			if len(readings) > 0 {
+				return response{}, errBad("event batch carries both Bin and Readings")
+			}
+			if readings, err = sc.col.decodeReadings(req.Bin, sc.readings); err != nil {
+				return response{}, err
+			}
+			sc.readings = readings
+		}
+		return response{ID: req.ID, Accepted: fed.IngestEventBatch(req.Stream, req.Seq, req.Kind, req.Facet, readings)}, nil
+	default: // "agg_sync"
+		groups := req.Groups
+		if len(req.Bin) > 0 {
+			if len(groups) > 0 {
+				return response{}, errBad("agg sync carries both Bin and Groups")
+			}
+			if groups, err = sc.col.decodeAggSync(req.Bin, sc.groups); err != nil {
+				return response{}, err
+			}
+			sc.groups = groups
+		}
+		return response{ID: req.ID, Accepted: fed.IngestAggSync(req.Kind, req.Facet, req.Origin, groups)}, nil
+	}
+}
+
+// serveAdmin answers one host-administration op.
+func serveAdmin(adm AdminHandler, req *request) response {
+	switch req.Op {
+	case "host_deploy":
+		return response{ID: req.ID, Err: errString(adm.DeployApp(req.App, req.Design))}
+	case "host_remove":
+		return response{ID: req.ID, Err: errString(adm.RemoveApp(req.App))}
+	case "host_list":
+		return response{ID: req.ID, Apps: adm.ListApps()}
+	case "host_stats":
+		return response{ID: req.ID, AppStats: adm.AppStats()}
+	case "fleet_stats":
+		fs := adm.FleetStats()
+		return response{ID: req.ID, Fleet: &fs}
+	case "drain":
+		rep, err := adm.Drain()
+		return response{ID: req.ID, Drained: &rep, Err: errString(err)}
+	default: // "set_budget"
+		return response{ID: req.ID, Err: errString(adm.SetBudget(req.App, req.Capacity))}
 	}
 }
 
@@ -841,22 +795,11 @@ type Client struct {
 	bytesSent atomic.Uint64
 	bytesRecv atomic.Uint64
 
-	// colCaps caches the peer's column-codec verdict for this connection:
-	// capUnknown until the first batch publish probes "codec_caps".
-	colCaps atomic.Int32
-	// codecFallbacks counts event batches and agg syncs shipped over the
-	// gob ops instead of the column codec — because the peer predates the
-	// codec or the payload cannot travel in column form. ManagedClient
-	// shares one counter across reconnects (see withFallbackCounter).
+	// codecFallbacks counts event batches and agg syncs shipped as gob
+	// slices because the payload has no column form. ManagedClient shares
+	// one counter across reconnects (see withFallbackCounter).
 	codecFallbacks *atomic.Uint64
 }
-
-// Column-codec capability states (Client.colCaps).
-const (
-	capUnknown int32 = iota
-	capColV1
-	capGobOnly
-)
 
 // BytesSent reports the total bytes this client has written to the wire —
 // the sync-payload gauge federation benchmarks use to show agg_sync stays
@@ -1264,10 +1207,10 @@ func (c *Client) SyncRegistry(kinds []string, gens []uint64) (deltas []SyncDelta
 // batch idempotent: replaying the same (stream, seq) after a mid-RPC
 // connection loss returns the original admission count instead of
 // ingesting twice (stream 0 opts out).
-// Batches whose readings are all of one codec-supported type travel over
-// the compact column codec when the peer speaks it; everything else — and
-// every batch sent to a pre-codec peer — falls back to the gob op
-// (counted by CodecFallbacks). It is StartEventBatch followed by Wait.
+// A batch whose readings are all of one codec-supported type travels as a
+// colv1 frame in the request's Bin; any other batch travels as the gob
+// Readings slice and is counted by CodecFallbacks. It is StartEventBatch
+// followed by Wait.
 func (c *Client) PublishEventBatch(kind, source string, stream, seq uint64, readings []device.Reading) (accepted int, err error) {
 	b, err := c.StartEventBatch(kind, source, stream, seq, readings)
 	if err != nil {
@@ -1297,17 +1240,16 @@ func (c *Client) StartEventBatch(kind, source string, stream, seq uint64, readin
 	if len(readings) == 0 {
 		return EventBatchCall{}, nil
 	}
-	if c.colV1() {
-		enc := getColEnc()
-		if bin, ok := enc.encodeReadings(readings); ok {
-			sc, err := c.send(request{Op: "event_batch_bin", Kind: kind, Facet: source, Stream: stream, Seq: seq, Bin: bin})
-			enc.release()
-			return EventBatchCall{c: c, sent: sc}, err
-		}
-		enc.release()
+	req := request{Op: "event_batch", Kind: kind, Facet: source, Stream: stream, Seq: seq}
+	enc := getColEnc()
+	defer enc.release()
+	if bin, ok := enc.encodeReadings(readings); ok {
+		req.Bin = bin
+	} else {
+		c.codecFallbacks.Add(1)
+		req.Readings = readings
 	}
-	c.codecFallbacks.Add(1)
-	sc, err := c.send(request{Op: "event_batch", Kind: kind, Facet: source, Stream: stream, Seq: seq, Readings: readings})
+	sc, err := c.send(req)
 	return EventBatchCall{c: c, sent: sc}, err
 }
 
@@ -1328,65 +1270,31 @@ func (b EventBatchCall) Wait() (accepted int, err error) {
 }
 
 // CodecFallbacks reports how many event batches and agg syncs this client
-// shipped over the gob ops instead of the column codec.
+// shipped as gob slices because the payload had no column form.
 func (c *Client) CodecFallbacks() uint64 { return c.codecFallbacks.Load() }
-
-// colV1 reports whether the peer speaks the column codec, probing once per
-// connection with a "codec_caps" round trip. The verdict is cached for the
-// connection's life: a pre-codec server answers the probe with its
-// unknown-op error, which caches gob-only. A transport-level probe failure
-// caches nothing — the connection is dying anyway and the caller's own gob
-// call will surface the real error.
-func (c *Client) colV1() bool {
-	switch c.colCaps.Load() {
-	case capColV1:
-		return true
-	case capGobOnly:
-		return false
-	}
-	resp, err := c.call(request{Op: "codec_caps"})
-	if err != nil {
-		if !IsConnFailure(err) {
-			c.colCaps.Store(capGobOnly)
-		}
-		return false
-	}
-	for _, name := range resp.Caps {
-		if name == CodecColV1 {
-			c.colCaps.Store(capColV1)
-			return true
-		}
-	}
-	c.colCaps.Store(capGobOnly)
-	return false
-}
 
 // PublishAggSync forwards one node's per-group partial aggregates for
 // (kind, source) to the server's federation handler — the O(groups)
 // alternative to forwarding raw readings when the consuming context's
 // reduce phase is combinable. It reports how many consuming interactions
 // merged the partials (0 = unrouted on the receiver).
-// Syncs whose partial values are all codec-supported scalars travel over
-// the compact column codec when the peer speaks it; composite partials (a
-// combiner's struct state) and pre-codec peers fall back to the gob op.
+// A sync whose partial values are all codec-supported scalars travels as a
+// colv1 frame in the request's Bin; composite partials (a combiner's struct
+// state) travel as the gob Groups slice and are counted by CodecFallbacks.
 func (c *Client) PublishAggSync(kind, source, origin string, groups []GroupPartial) (int, error) {
 	if len(groups) == 0 {
 		return 0, nil
 	}
-	if c.colV1() {
-		enc := getColEnc()
-		if bin, ok := enc.encodeAggSync(groups); ok {
-			resp, err := c.call(request{Op: "agg_sync_bin", Kind: kind, Facet: source, Origin: origin, Bin: bin})
-			enc.release()
-			if err != nil {
-				return 0, err
-			}
-			return resp.Accepted, nil
-		}
-		enc.release()
+	req := request{Op: "agg_sync", Kind: kind, Facet: source, Origin: origin}
+	enc := getColEnc()
+	defer enc.release()
+	if bin, ok := enc.encodeAggSync(groups); ok {
+		req.Bin = bin
+	} else {
+		c.codecFallbacks.Add(1)
+		req.Groups = groups
 	}
-	c.codecFallbacks.Add(1)
-	resp, err := c.call(request{Op: "agg_sync", Kind: kind, Facet: source, Origin: origin, Groups: groups})
+	resp, err := c.call(req)
 	if err != nil {
 		return 0, err
 	}
