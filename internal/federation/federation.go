@@ -183,8 +183,9 @@ type Stats struct {
 	// the node's transport server on behalf of exported kinds
 	// (overlapping exports of one kind share a refcounted hosting).
 	ExportedHosted uint64
-	// ExporterReconciles counts registry rescans forced by overflowed
-	// exporter watcher channels during churn or bind storms.
+	// ExporterReconciles counts registry rescans forced by an exporter
+	// falling so far behind that its watcher queue passed its bound and
+	// lost notifications; 0 in healthy operation, bind storms included.
 	ExporterReconciles uint64
 	// AggSyncsSent counts agg_sync RPCs carrying partial aggregates to
 	// peers; AggGroupsSent counts the group partials they carried.

@@ -275,6 +275,39 @@ func TestSyncRescansOnlyOnChange(t *testing.T) {
 	}
 }
 
+// slowPushSensor makes an exporter fall behind the registry: attaching its
+// forwarding sink takes a millisecond.
+type slowPushSensor struct{ *devsim.SwarmSensor }
+
+func (s slowPushSensor) SubscribePush(source string, sink device.Sink) (func(), error) {
+	time.Sleep(time.Millisecond)
+	return s.SwarmSensor.SubscribePush(source, sink)
+}
+
+// TestBindBurstBehindSlowExporterDoesNotReconcile: a burst of exported binds,
+// then of unbinds, far ahead of a slowed exporter is handed over as queued
+// deltas: every live sensor ends up hosted and sink-attached, every
+// departed one released, and not one full-fleet reconcile ran.
+func TestBindBurstBehindSlowExporterDoesNotReconcile(t *testing.T) {
+	const sensors = 200 // over three times the 64 notifications an exporter once buffered
+	_, owner, _, cs := newOwnerNodeWrapping(t, "edge", sensors, func(s *devsim.SwarmSensor) device.Driver {
+		return slowPushSensor{s}
+	})
+	if err := cs.BindAll(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "every bound sensor hosted", func() bool { return owner.Stats().ExportedHosted == sensors })
+	settle(t, cs)
+	if err := cs.ChurnOut(sensors/2, false); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "unbound sensors unhosted", func() bool { return owner.Stats().ExportedHosted == sensors/2 })
+	settle(t, cs)
+	if got := owner.Stats().ExporterReconciles; got != 0 {
+		t.Fatalf("ExporterReconciles = %d after a bind burst, want 0", got)
+	}
+}
+
 // Sender-side budget exhaustion must drop at the intake and count exactly:
 // accepted == delivered + budget drops (+ send drops, none here).
 func TestForwardBudgetDropsAccounted(t *testing.T) {

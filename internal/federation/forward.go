@@ -24,8 +24,9 @@ import (
 // exporter keeps one Export's device attachments in step with the registry,
 // exactly like the runtime's sourceTracker: every local entity of the kind
 // is hosted (and, when the export names a source, sink-attached) while
-// registered, released on unregister or lease expiry, with a reconciling
-// scan whenever the watcher channel overflowed under churn.
+// registered, released on unregister or lease expiry, applying the
+// watcher's queued deltas batch by batch and falling back to a reconciling
+// scan only when the watcher reports lost notifications.
 type exporter struct {
 	n      *Node
 	kind   string
@@ -38,16 +39,10 @@ type exporter struct {
 
 	mu   sync.Mutex
 	subs map[registry.ID]*exportedDevice
-
-	lastMissed uint64 // exporter goroutine only
 }
 
-// exporterWatchBuf is the watcher channel capacity of one exporter; churn
-// storms that overflow it trigger a reconciling scan.
-const exporterWatchBuf = 64
-
 func (n *Node) startExporter(ex Export) error {
-	w, err := n.reg.Watch(registry.Query{Kind: ex.Kind}, exporterWatchBuf)
+	w, err := n.reg.Watch(registry.Query{Kind: ex.Kind})
 	if err != nil {
 		return err
 	}
@@ -87,15 +82,21 @@ func (n *Node) startExporter(ex Export) error {
 
 func (e *exporter) loop(w *registry.Watcher) {
 	defer e.n.wg.Done()
-	for c := range w.C() {
-		switch c.Type {
-		case registry.Added, registry.Updated:
-			e.add(c.Entity)
-		case registry.Removed, registry.Expired:
-			e.remove(c.Entity.ID)
+	var batch []registry.Change
+	for {
+		var lost, ok bool
+		if batch, lost, ok = w.Next(batch); !ok {
+			break
 		}
-		if m := w.Missed(); m != e.lastMissed {
-			e.lastMissed = m
+		for _, c := range batch {
+			switch c.Type {
+			case registry.Added, registry.Updated:
+				e.add(c.Entity)
+			case registry.Removed, registry.Expired:
+				e.remove(c.Entity.ID)
+			}
+		}
+		if lost {
 			e.reconcile()
 		}
 	}
@@ -213,7 +214,7 @@ func (e *exporter) stopAll() {
 }
 
 // reconcile repairs the attachment table against a registry scan after
-// watcher notifications were dropped, mirroring sourceTracker.reconcile.
+// watcher notifications were lost, mirroring sourceTracker.reconcile.
 func (e *exporter) reconcile() {
 	e.n.stats.exporterReconciles.Add(1)
 	live := make(map[registry.ID]registry.Entity)

@@ -166,11 +166,10 @@ func TestReclaimIdenticalKeepsGenerations(t *testing.T) {
 		t.Fatalf("RestoreEntity: %v", err)
 	}
 	r.RestoreGenerations(10, map[string]uint64{"PresenceSensor": 10})
-	w, err := r.Watch(Query{}, 8)
+	w, err := r.Watch(Query{})
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
 	}
-	defer w.Cancel()
 
 	if err := r.Reclaim(persistEntity(1, "A"), WithTTL(time.Minute)); err != nil {
 		t.Fatalf("Reclaim: %v", err)
@@ -181,13 +180,14 @@ func TestReclaimIdenticalKeepsGenerations(t *testing.T) {
 	if got := r.Generation("PresenceSensor"); got != 10 {
 		t.Fatalf("identical reclaim moved generation to %d, want 10", got)
 	}
-	select {
-	case c := <-w.C():
-		if c.Type != Updated || c.Entity.ID != "dev-001" {
-			t.Fatalf("watcher saw %v %s, want Updated dev-001", c.Type, c.Entity.ID)
-		}
-	default:
-		t.Fatalf("identical reclaim did not notify watchers")
+	// Cancel first so Next returns what was queued instead of blocking.
+	w.Cancel()
+	batch, _, _ := w.Next(nil)
+	if len(batch) != 1 {
+		t.Fatalf("identical reclaim queued %d notifications, want 1", len(batch))
+	}
+	if c := batch[0]; c.Type != Updated || c.Entity.ID != "dev-001" {
+		t.Fatalf("watcher saw %v %s, want Updated dev-001", c.Type, c.Entity.ID)
 	}
 	// The reclaim's lease is live: it expires if never renewed.
 	vc.Advance(2 * time.Minute)

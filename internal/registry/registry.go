@@ -578,18 +578,17 @@ func (r *Registry) Sweep() int {
 	return n
 }
 
-// Watch registers a watcher whose channel receives changes matching q.
-// The channel has capacity buf (minimum 1); when it is full the oldest
-// pending notification is dropped and the watcher's Missed counter
-// incremented. Close the watcher with its Cancel method.
-func (r *Registry) Watch(q Query, buf int) (*Watcher, error) {
-	if buf < 1 {
-		buf = 1
-	}
+// Watch registers a watcher that queues every change matching q, in commit
+// order, until its consumer takes them with Next. The queue holds more than a
+// fleet-sized burst (watchQueueBound changes): only a consumer that far
+// behind loses notifications, and Next then reports the loss once so the
+// consumer can repair its state against a Scan. Close the watcher with its
+// Cancel method.
+func (r *Registry) Watch(q Query) (*Watcher, error) {
 	w := &Watcher{
-		reg: r,
-		q:   q,
-		ch:  make(chan Change, buf),
+		reg:    r,
+		q:      q,
+		signal: make(chan struct{}, 1),
 	}
 	r.watchMu.Lock()
 	defer r.watchMu.Unlock()
@@ -601,11 +600,11 @@ func (r *Registry) Watch(q Query, buf int) (*Watcher, error) {
 	return w, nil
 }
 
-// Close shuts down the registry: all watcher channels are closed and
-// further mutations fail with ErrClosed. Mutators re-check the closed flag
-// under their shard lock, so taking every shard lock once here is a barrier
-// guaranteeing no mutation (or watcher notification) commits after Close
-// returns.
+// Close shuts down the registry: every watcher is closed (its Next hands over
+// what is still queued, then reports the end) and further mutations fail
+// with ErrClosed. Mutators re-check the closed flag under their shard lock,
+// so taking every shard lock once here is a barrier guaranteeing no mutation
+// (or watcher notification) commits after Close returns.
 func (r *Registry) Close() {
 	if r.closed.Swap(true) {
 		return
@@ -619,7 +618,7 @@ func (r *Registry) Close() {
 	r.watchMu.Lock()
 	defer r.watchMu.Unlock()
 	for w := range r.watchers {
-		close(w.ch)
+		close(w.signal)
 	}
 	r.watchers = make(map[*Watcher]struct{})
 	r.watchCount.Store(0)
@@ -747,10 +746,11 @@ func (r *Registry) sweepShardLocked(sh *regShard, now time.Time) int {
 	return n
 }
 
-// notify fans a change out to matching watchers. Callers hold the mutated
-// entity's shard lock; the watcher lock nests inside shard locks. With no
-// watchers registered (the common swarm-bind case) it returns without
-// touching the global lock, keeping shard writes independent.
+// notify queues a change on every matching watcher. Callers hold the mutated
+// entity's shard lock; watchMu nests inside shard locks and each watcher's
+// own lock inside watchMu. With no watchers registered (the common
+// swarm-bind case) it returns without touching the global lock, keeping
+// shard writes independent.
 func (r *Registry) notify(c Change) {
 	if r.watchCount.Load() == 0 {
 		return
@@ -764,52 +764,103 @@ func (r *Registry) notify(c Change) {
 		if !matchesWhere(c.Entity.Attrs, w.q.Where) {
 			continue
 		}
+		w.mu.Lock()
+		if len(w.pending) >= watchQueueBound {
+			w.lost = true
+			w.mu.Unlock()
+			continue
+		}
 		ev := c
 		ev.Entity = cloneEntity(c.Entity)
-		for {
+		w.pending = append(w.pending, ev)
+		wake := len(w.pending) == 1
+		w.mu.Unlock()
+		// Only the empty → non-empty transition needs a wake-up: a consumer
+		// parks only after seeing an empty queue. The send stays under
+		// watchMu, which is what closes signal, so it never meets a closed
+		// channel.
+		if wake {
 			select {
-			case w.ch <- ev:
+			case w.signal <- struct{}{}:
 			default:
-				select {
-				case <-w.ch:
-					w.missed++
-				default:
-				}
-				continue
 			}
-			break
 		}
 	}
 }
 
-// Watcher receives registry change notifications.
+// watchQueueBound is the number of changes a watcher queues for a consumer
+// that has not called Next; past it changes are dropped and Next reports the
+// loss. It sits above a 50k-device bind burst, so a healthy consumer never
+// reaches it: a fleet-sized bind storm is handed over as queued deltas, not
+// answered with repeated full-fleet repairs.
+const watchQueueBound = 1 << 16
+
+// watchRetain bounds the capacity of a batch buffer Next keeps for reuse. A
+// burst's larger buffer is dropped after it was consumed, so a quiet watcher
+// holds at most two buffers of this size (about 28 KB each) instead of its
+// worst burst for life — a host runs one watcher per tracked kind per app.
+const watchRetain = 256
+
+// Watcher queues registry change notifications for one consumer. The queue
+// is double-buffered: notify appends to pending, and Next swaps pending for
+// the consumer's spent batch, so a steady stream of changes allocates
+// nothing and a burst of any size is handed over in one call.
 type Watcher struct {
-	reg    *Registry
-	q      Query
-	ch     chan Change
-	missed uint64
+	reg *Registry
+	q   Query
+	// signal holds a wake-up token for a consumer parked in Next; it is
+	// closed, under reg.watchMu, when the watcher is cancelled.
+	signal chan struct{}
+
+	mu      sync.Mutex // nests inside reg.watchMu
+	pending []Change
+	lost    bool // pending reached watchQueueBound and dropped a change
 }
 
-// C returns the notification channel. It is closed when the watcher is
-// cancelled or the registry closed.
-func (w *Watcher) C() <-chan Change { return w.ch }
-
-// Missed reports how many notifications were dropped because the channel was
-// full.
-func (w *Watcher) Missed() uint64 {
-	w.reg.watchMu.Lock()
-	defer w.reg.watchMu.Unlock()
-	return w.missed
+// Next blocks until changes are queued and returns all of them, oldest
+// first. lost reports, once, that changes were dropped since the previous
+// call because the queue passed its bound: the consumer must then repair its
+// state against a Scan. ok is false once the watcher is cancelled or the
+// registry closed and every queued change has been handed over.
+//
+// dst is the batch returned by the previous call, given back for reuse: Next
+// clears it (so it pins no Entity) and keeps it as the next queue unless its
+// capacity exceeds watchRetain. The returned batch is the caller's until
+// its next call to Next. Next must not be called concurrently with itself.
+func (w *Watcher) Next(dst []Change) (batch []Change, lost, ok bool) {
+	clear(dst)
+	if cap(dst) > watchRetain {
+		dst = nil
+	}
+	dst = dst[:0]
+	for {
+		w.mu.Lock()
+		if len(w.pending) > 0 || w.lost {
+			batch, w.pending = w.pending, dst
+			lost, w.lost = w.lost, false
+			w.mu.Unlock()
+			return batch, lost, true
+		}
+		w.mu.Unlock()
+		// A closed signal means the queue is empty for good: notify stops
+		// before the close (both hold watchMu), and every notification that
+		// made the queue non-empty after the check above left a token, which
+		// the receive returns before it reports the close.
+		if _, open := <-w.signal; !open {
+			return dst, false, false
+		}
+	}
 }
 
-// Cancel detaches the watcher and closes its channel. Idempotent.
+// Cancel detaches the watcher and wakes its consumer; Next still hands over
+// the changes queued before the cancel. Idempotent.
 func (w *Watcher) Cancel() {
 	w.reg.watchMu.Lock()
 	defer w.reg.watchMu.Unlock()
 	if _, ok := w.reg.watchers[w]; ok {
 		delete(w.reg.watchers, w)
 		w.reg.watchCount.Add(-1)
-		close(w.ch)
+		close(w.signal)
 	}
 }
 

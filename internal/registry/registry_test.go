@@ -225,7 +225,7 @@ func TestWatchReceivesMatchingChanges(t *testing.T) {
 	vc := simclock.NewVirtual(epoch)
 	r := New(WithClock(vc))
 	defer r.Close()
-	w, err := r.Watch(Query{Kind: "PresenceSensor", Where: Attributes{"parkingLot": "A22"}}, 16)
+	w, err := r.Watch(Query{Kind: "PresenceSensor", Where: Attributes{"parkingLot": "A22"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,70 +239,57 @@ func TestWatchReceivesMatchingChanges(t *testing.T) {
 	vc.Advance(2 * time.Minute)
 	r.Sweep()
 
+	// Notifications are queued synchronously by the mutation, so both are
+	// pending now and Next returns them without blocking.
+	batch, lost, ok := w.Next(nil)
+	if !ok || lost {
+		t.Fatalf("Next ok=%v lost=%v, want ok and nothing lost", ok, lost)
+	}
 	want := []ChangeType{Added, Expired}
+	if len(batch) != len(want) {
+		t.Fatalf("got %d changes %+v, want %v", len(batch), batch, want)
+	}
 	for i, wt := range want {
-		select {
-		case c := <-w.C():
-			if c.Type != wt || c.Entity.ID != "s1" {
-				t.Fatalf("change %d = %v/%s, want %v/s1", i, c.Type, c.Entity.ID, wt)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("missing change %d (%v)", i, wt)
+		if c := batch[i]; c.Type != wt || c.Entity.ID != "s1" {
+			t.Fatalf("change %d = %v/%s, want %v/s1", i, c.Type, c.Entity.ID, wt)
 		}
 	}
-	select {
-	case c := <-w.C():
-		t.Fatalf("unexpected extra change %+v", c)
-	default:
-	}
-}
-
-func TestWatchOverflowDropsOldestAndCounts(t *testing.T) {
-	r := New()
-	defer r.Close()
-	w, err := r.Watch(Query{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Cancel()
-	for i := 0; i < 5; i++ {
-		if err := r.Register(sensor(fmt.Sprintf("s%d", i), "A22")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := <-w.C()
-	if c.Entity.ID != "s4" {
-		t.Fatalf("kept change = %s, want newest s4", c.Entity.ID)
-	}
-	if w.Missed() != 4 {
-		t.Fatalf("Missed = %d, want 4", w.Missed())
+	w.Cancel()
+	if extra, _, ok := w.Next(batch); ok || len(extra) != 0 {
+		t.Fatalf("unexpected extra changes %+v", extra)
 	}
 }
 
 func TestWatcherCancelIdempotent(t *testing.T) {
 	r := New()
 	defer r.Close()
-	w, err := r.Watch(Query{}, 1)
+	w, err := r.Watch(Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.Cancel()
 	w.Cancel()
-	if _, ok := <-w.C(); ok {
-		t.Fatal("cancelled watcher channel not closed")
+	if _, _, ok := w.Next(nil); ok {
+		t.Fatal("cancelled watcher still open")
+	}
+	if err := r.Register(sensor("s1", "A22")); err != nil {
+		t.Fatal(err)
+	}
+	if batch, _, ok := w.Next(nil); ok || len(batch) != 0 {
+		t.Fatalf("cancelled watcher received %+v", batch)
 	}
 }
 
 func TestCloseRejectsMutations(t *testing.T) {
 	r := New()
-	w, err := r.Watch(Query{}, 1)
+	w, err := r.Watch(Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
 	r.Close() // idempotent
-	if _, ok := <-w.C(); ok {
-		t.Fatal("watcher channel not closed on registry Close")
+	if _, _, ok := w.Next(nil); ok {
+		t.Fatal("watcher not closed on registry Close")
 	}
 	if err := r.Register(sensor("s1", "A22")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Register after Close err = %v, want ErrClosed", err)
@@ -310,7 +297,7 @@ func TestCloseRejectsMutations(t *testing.T) {
 	if err := r.Unregister("s1"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Unregister after Close err = %v, want ErrClosed", err)
 	}
-	if _, err := r.Watch(Query{}, 1); !errors.Is(err, ErrClosed) {
+	if _, err := r.Watch(Query{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Watch after Close err = %v, want ErrClosed", err)
 	}
 }

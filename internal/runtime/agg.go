@@ -189,7 +189,7 @@ func (rt *Runtime) newProvAgg(ctx *check.Context, idx int, in *check.Interaction
 	// arrives); the scan below seeds it with the population registered
 	// before wiring. Watch-then-scan means a bind racing this window is
 	// seen at least once (duplicate deltas are idempotent).
-	w, err := rt.reg.Watch(registry.Query{Kind: pa.kind}, trackerWatchBuf)
+	w, err := rt.reg.Watch(registry.Query{Kind: pa.kind})
 	if err != nil {
 		return nil, err
 	}
@@ -207,31 +207,20 @@ func (rt *Runtime) newProvAgg(ctx *check.Context, idx int, in *check.Interaction
 }
 
 // watch applies the registry's incremental deltas to the device→group
-// cache, coalescing bursts (a churn storm is applied per drained batch,
-// with one dispatch, not one per notification). Only a watcher-channel
-// overflow falls back to a full reconciling scan — the event hot path
+// cache, one queued batch at a time (a churn storm is applied with one
+// dispatch, not one per notification). Only a watcher that fell past its
+// queue bound falls back to a full reconciling scan — the event hot path
 // never scans the registry.
 func (pa *provAgg) watch(w *registry.Watcher) {
 	defer pa.rt.wg.Done()
-	var lastMissed uint64
-	batch := make([]registry.Change, 0, trackerWatchBuf)
-	for c := range w.C() {
-		batch = append(batch[:0], c)
-	drain:
-		for len(batch) < cap(batch) {
-			select {
-			case more, ok := <-w.C():
-				if !ok {
-					break drain
-				}
-				batch = append(batch, more)
-			default:
-				break drain
-			}
+	var batch []registry.Change
+	for {
+		var lost, ok bool
+		if batch, lost, ok = w.Next(batch); !ok {
+			return
 		}
 		pa.applyChanges(batch)
-		if m := w.Missed(); m != lastMissed {
-			lastMissed = m
+		if lost {
 			pa.resync()
 		}
 	}

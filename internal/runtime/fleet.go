@@ -82,8 +82,8 @@ func (t *deviceTable) reapExpired(id string, reg *registry.Registry) {
 	delete(t.m, id)
 }
 
-// ids snapshots the bound device IDs (the janitor's overflow fallback
-// rechecks each against the registry).
+// ids snapshots the bound device IDs (the janitor's lost-notification
+// fallback rechecks each against the registry).
 func (t *deviceTable) ids() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -542,7 +542,7 @@ func (h *Host) ensureLeaseJanitor() error {
 	}
 	h.janitorOn = true
 	h.mu.Unlock()
-	w, err := h.reg.Watch(registry.Query{}, trackerWatchBuf)
+	w, err := h.reg.Watch(registry.Query{})
 	if err != nil {
 		h.mu.Lock()
 		h.janitorOn = false
@@ -555,17 +555,21 @@ func (h *Host) ensureLeaseJanitor() error {
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
-		var lastMissed uint64
-		for c := range w.C() {
-			if c.Type == registry.Expired {
-				h.fleet.reapExpired(string(c.Entity.ID), h.reg)
+		var batch []registry.Change
+		for {
+			var lost, ok bool
+			if batch, lost, ok = w.Next(batch); !ok {
+				return
 			}
-			// The janitor watches every registry change, so a churn or
-			// bind storm can overflow its channel; like the source
-			// trackers, repair by re-checking every driver entry
-			// against the registry.
-			if m := w.Missed(); m != lastMissed {
-				lastMissed = m
+			for _, c := range batch {
+				if c.Type == registry.Expired {
+					h.fleet.reapExpired(string(c.Entity.ID), h.reg)
+				}
+			}
+			// The janitor watches every registry change; if it fell past
+			// the watcher's queue bound, repair like the source trackers
+			// do, by re-checking every driver entry against the registry.
+			if lost {
 				for _, id := range h.fleet.ids() {
 					h.fleet.reapExpired(id, h.reg)
 				}

@@ -417,9 +417,9 @@ func (s *ingestShard) flush(b *device.ReadingBatch) {
 
 // trackDeviceSource attaches the named source of every present and future
 // device of the given kind to the interaction's ingestion pipeline,
-// reconciling with the registry when watcher notifications are missed.
+// reconciling with the registry when watcher notifications are lost.
 func (rt *Runtime) trackDeviceSource(kind, source string, ing *ingestor) error {
-	w, err := rt.reg.Watch(registry.Query{Kind: kind}, trackerWatchBuf)
+	w, err := rt.reg.Watch(registry.Query{Kind: kind})
 	if err != nil {
 		return err
 	}
@@ -443,19 +443,14 @@ func (rt *Runtime) trackDeviceSource(kind, source string, ing *ingestor) error {
 	return nil
 }
 
-// trackerWatchBuf is the watcher channel capacity of one source tracker.
-// Overflow under churn storms is tolerated: the tracker detects the missed
-// notifications and reconciles against a registry scan.
-const trackerWatchBuf = 64
-
 // sourceTracker keeps one interaction's device attachments in step with the
 // registry: every device of the kind gets exactly one attachment (a push
 // sink or a channel subscription) while registered, released as soon as it
-// unregisters or its lease expires — not at runtime shutdown. When the
-// watcher channel overflowed (Missed moved), the tracker reconciles its
-// attachment table against a registry scan, so a churn storm that outruns
-// the notification buffer neither leaks tracker state nor keeps delivering
-// for departed devices.
+// unregisters or its lease expires — not at runtime shutdown. The watcher
+// hands a bind or churn storm over as one queued batch of deltas; only when
+// the tracker fell past the queue's bound and lost notifications does it
+// reconcile its attachment table against a registry scan, so even then it
+// neither leaks tracker state nor keeps delivering for departed devices.
 type sourceTracker struct {
 	rt     *Runtime
 	kind   string
@@ -464,21 +459,25 @@ type sourceTracker struct {
 
 	mu   sync.Mutex
 	subs map[registry.ID]*trackedDevice
-
-	lastMissed uint64 // tracker goroutine only
 }
 
 func (t *sourceTracker) loop(w *registry.Watcher) {
 	defer t.rt.wg.Done()
-	for c := range w.C() {
-		switch c.Type {
-		case registry.Added, registry.Updated:
-			t.add(c.Entity)
-		case registry.Removed, registry.Expired:
-			t.remove(c.Entity.ID)
+	var batch []registry.Change
+	for {
+		var lost, ok bool
+		if batch, lost, ok = w.Next(batch); !ok {
+			break
 		}
-		if m := w.Missed(); m != t.lastMissed {
-			t.lastMissed = m
+		for _, c := range batch {
+			switch c.Type {
+			case registry.Added, registry.Updated:
+				t.add(c.Entity)
+			case registry.Removed, registry.Expired:
+				t.remove(c.Entity.ID)
+			}
+		}
+		if lost {
 			t.reconcile()
 		}
 	}
@@ -615,11 +614,11 @@ func (t *sourceTracker) stopAll() {
 }
 
 // reconcile repairs the attachment table against a registry scan after
-// watcher notifications were dropped: devices present in the registry but
-// not attached are added, attachments whose device is gone are released.
-// The scan observes every change committed before it takes each shard lock,
-// and any change racing the scan still has its notification in flight, so
-// the table converges once the channel drains.
+// watcher notifications were lost: devices present in the registry but not
+// attached are added, attachments whose device is gone are released. The
+// scan observes every change committed before it takes each shard lock, and
+// any change racing the scan is still queued on the watcher, so the table
+// converges once the queue drains.
 func (t *sourceTracker) reconcile() {
 	t.rt.stats.trackerReconciles.Add(1)
 	live := make(map[registry.ID]registry.Entity)

@@ -238,11 +238,12 @@ func (c *countingHandler) OnTrigger(*ContextCall) (any, bool, error) {
 	return nil, false, nil
 }
 
-// TestTrackerWatcherOverflowConverges forces real watcher overflow — the
-// tracker loop is slowed by drivers whose Subscribe sleeps — and checks the
-// attachment table still converges to the registered population via
-// reconciliation.
-func TestTrackerWatcherOverflowConverges(t *testing.T) {
+// TestBindBurstBehindStalledTrackerDoesNotReconcile: a bind burst and an
+// unbind burst that run far ahead of a tracker slowed by drivers whose
+// Subscribe sleeps are handed over as queued deltas. The attachment table
+// converges to the registered population without a single full-fleet
+// reconcile — a bind storm is not a lost notification.
+func TestBindBurstBehindStalledTrackerDoesNotReconcile(t *testing.T) {
 	rt := New(loadIngestModel(t))
 	if err := rt.ImplementContext("OccupancyChange", &countingHandler{}); err != nil {
 		t.Fatal(err)
@@ -252,7 +253,7 @@ func TestTrackerWatcherOverflowConverges(t *testing.T) {
 	}
 	defer rt.Stop()
 
-	const n = 3 * trackerWatchBuf
+	const n = 200 // over three times the 64 notifications a tracker once buffered
 	for i := 0; i < n; i++ {
 		if err := rt.BindDevice(slowSubDriver{
 			Base: device.NewBase(fmt.Sprintf("slow-%03d", i), "PresenceSensor", nil, nil, nil),
@@ -261,16 +262,51 @@ func TestTrackerWatcherOverflowConverges(t *testing.T) {
 		}
 	}
 	tr := rt.trackers[0]
-	waitUntil(t, "overflowed adds to converge", func() bool { return tr.trackedCount() == n })
+	waitUntil(t, "burst adds to converge", func() bool { return tr.trackedCount() == n })
 	for i := 0; i < n; i += 2 {
 		if err := rt.UnbindDevice(fmt.Sprintf("slow-%03d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, "overflowed removes to converge", func() bool { return tr.trackedCount() == n/2 })
+	waitUntil(t, "burst removes to converge", func() bool { return tr.trackedCount() == n/2 })
+	if got := rt.Stats().TrackerReconciles; got != 0 {
+		t.Fatalf("TrackerReconciles = %d after a bind burst, want 0", got)
+	}
 }
 
-// slowSubDriver makes the tracker loop fall behind its watcher channel.
+// TestLeaseJanitorReapsExpiryBurst: a few thousand leased bindings expiring
+// in one clock step reach the host's lease janitor as one burst of Expired
+// changes, and every one of them leaves the driver table.
+func TestLeaseJanitorReapsExpiryBurst(t *testing.T) {
+	vc := simclock.NewVirtual(ingestEpoch)
+	rt := New(loadIngestModel(t), WithClock(vc))
+	if err := rt.ImplementContext("OccupancyChange", &countingHandler{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+
+	const n = 3000
+	for i := 0; i < n; i++ {
+		b := device.NewBase(fmt.Sprintf("leased-%04d", i), "PresenceSensor", nil, nil, vc.Now)
+		if err := rt.BindDevice(b, WithLease(time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(rt.fleet.ids()); got != n {
+		t.Fatalf("driver table holds %d bindings, want %d", got, n)
+	}
+	vc.Advance(2 * time.Minute)
+	rt.reg.Sweep()
+	if got := rt.reg.Count(); got != 0 {
+		t.Fatalf("%d leased registrations survived the sweep", got)
+	}
+	waitUntil(t, "janitor to reap every expired binding", func() bool { return len(rt.fleet.ids()) == 0 })
+}
+
+// slowSubDriver makes the tracker loop fall behind the registry.
 type slowSubDriver struct{ *device.Base }
 
 func (d slowSubDriver) Subscribe(source string) (device.Subscription, error) {

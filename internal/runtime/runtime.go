@@ -135,8 +135,9 @@ type Stats struct {
 	// are accounted separately from budget drops so post-drain arrivals
 	// never masquerade as backpressure.
 	IngestDrainDrops uint64
-	// TrackerReconciles counts registry rescans forced by overflowed
-	// source-tracker watcher channels during churn storms.
+	// TrackerReconciles counts registry rescans forced by a source tracker
+	// falling so far behind that its watcher queue passed its bound and
+	// lost notifications; 0 in healthy operation, bind storms included.
 	TrackerReconciles uint64
 	// FederationEventsIn counts readings admitted into the ingestion
 	// pipeline from federation peers via RemoteIngest.
