@@ -68,7 +68,8 @@ func (k ColKind) String() string {
 //     of the delivery: they must not retain the batch, any Reading filled
 //     from it, or any sub-slice past the handler return, and must not call
 //     Release themselves — the delivering bus does.
-//   - The final Release resets the batch and returns it to the pool; any
+//   - The final Release returns the batch to the pool as it is, and
+//     NewReadingBatch clears it on the goroutine about to refill it; any
 //     access after the last release is a use-after-recycle bug (the -race
 //     regression tests in eventbus exercise exactly this).
 type ReadingBatch struct {
@@ -100,10 +101,14 @@ var batchPoolMisses atomic.Uint64
 func BatchPoolMisses() uint64 { return batchPoolMisses.Load() }
 
 // NewReadingBatch returns an empty batch holding one reference, recycled
-// from the pool when possible.
+// from the pool when possible. A recycled batch is reset here, by the
+// goroutine about to fill it, rather than by the last Release on the
+// consuming goroutine: the clear then touches the cache lines the
+// producer's appends are about to write, and stays off the delivery path.
 func NewReadingBatch() *ReadingBatch {
 	if v := batchPool.Get(); v != nil {
 		b := v.(*ReadingBatch)
+		b.reset()
 		b.refs.Store(1)
 		return b
 	}
@@ -117,46 +122,35 @@ func NewReadingBatch() *ReadingBatch {
 // holder.
 func (b *ReadingBatch) Retain() { b.refs.Add(1) }
 
-// Release drops one reference; the last release resets the batch and
-// returns it to the pool. Releasing below zero panics: it means a holder
-// released a batch it did not own.
+// Release drops one reference; the last release returns the batch to the
+// pool without clearing it (NewReadingBatch does that on reuse), so a pooled
+// batch keeps its last rows' strings, boxed values and time locations
+// reachable until it is reused or the pool drops it, which takes at most two
+// GC cycles. Releasing below zero panics: it means a holder released a batch
+// it did not own.
 func (b *ReadingBatch) Release() {
 	switch n := b.refs.Add(-1); {
 	case n == 0:
-		b.reset()
 		batchPool.Put(b)
 	case n < 0:
 		panic("device: ReadingBatch over-released")
 	}
 }
 
-// reset clears the columns for reuse, so a pooled batch does not retain
-// strings, boxed values or time locations across quiet periods.
-//
-// Invariant: cells of a pointer-carrying column past its len are always
-// zero — truncate and demote zero what they drop, and reset what was in
-// use. By it, clearing the used prefix alone would do, and would save the
-// ~6% of a storm's CPU that clearing 256-capacity columns after ~12-row
-// batches costs. It is deliberately not done yet: that saving lands on the
-// subscription goroutine, which then drains fast enough to shrink ingestion
-// batches (14 → 9 rows on bench/ storm.local), and the extra empty→pending
-// wake-ups cost the producers in ingestShard.Push more than the clear cost
-// the consumer (events_per_s −12%, measured in PR 13). Switch to clear(b.x)
-// together with a cheaper hand-off there.
+// reset empties the batch for reuse. Invariant: cells of a pointer-carrying
+// column past its len are always zero — truncate and demote zero what they
+// drop, and reset what was in use — so clearing the used prefix leaves
+// every column zero up to its capacity.
 func (b *ReadingBatch) reset() {
-	clearFull(b.ids)
-	clearFull(b.srcs)
-	clearFull(b.times)
-	clearFull(b.strs)
-	clearFull(b.anys)
+	clear(b.ids)
+	clear(b.srcs)
+	clear(b.times)
+	clear(b.strs)
+	clear(b.anys)
 	b.ids, b.srcs, b.times = b.ids[:0], b.srcs[:0], b.times[:0]
 	b.bools, b.ints, b.floats = b.bools[:0], b.ints[:0], b.floats[:0]
 	b.strs, b.anys, b.idxs = b.strs[:0], b.anys[:0], nil
 	b.kind = ColNone
-}
-
-func clearFull[T any](s []T) {
-	clear(s[:cap(s)])
 }
 
 // Len reports the number of rows.
@@ -239,7 +233,7 @@ func (b *ReadingBatch) demote() {
 		for _, v := range b.strs {
 			b.anys = append(b.anys, v)
 		}
-		clearFull(b.strs)
+		clear(b.strs)
 		b.strs = b.strs[:0]
 	}
 	b.kind = ColAny

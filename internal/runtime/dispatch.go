@@ -141,7 +141,7 @@ func (rt *Runtime) wireProvided(ctx *check.Context, idx int, in *check.Interacti
 			return err
 		}
 		onEvent = func(ev eventbus.Event) {
-			pa.onBatch(ev.Payload.(*device.ReadingBatch)) // ingestShard.flush is the topic's only publisher
+			pa.onBatch(ev.Payload.(*device.ReadingBatch)) // ingestor.flush is the topic's only publisher
 		}
 	}
 
@@ -186,7 +186,7 @@ type provCallSite struct {
 // whole batch — the fast path of the storm benchmarks — and publishes the
 // rows' results as one value batch.
 func (cs *provCallSite) onEvent(ev eventbus.Event) {
-	b := ev.Payload.(*device.ReadingBatch) // ingestShard.flush is the topic's only publisher
+	b := ev.Payload.(*device.ReadingBatch) // ingestor.flush is the topic's only publisher
 	n := b.Len()
 	cs.rt.stats.contextTriggers.Add(uint64(n))
 	h := cs.handler()

@@ -18,8 +18,8 @@ import (
 // cost 50k goroutines and a scheduler wakeup per event), each interaction
 // owns a small set of ingestion shards: devices push readings into their
 // shard — directly via device.PushSubscriber when the driver supports it,
-// through a per-device channel otherwise — and one worker per shard
-// coalesces whatever has accumulated into pooled columnar
+// through a per-device channel otherwise — and the interaction's one flush
+// worker coalesces whatever has accumulated into pooled columnar
 // device.ReadingBatch payloads, each published as one bus event. Admission is
 // bounded by a qos.Budget per interaction, so a storm that outruns the
 // context handler drops at the intake (counted in Stats) instead of growing
@@ -28,8 +28,9 @@ import (
 // IngestConfig shapes the ingestion pipeline of one `when provided`
 // device-source interaction.
 type IngestConfig struct {
-	// Shards is the number of intake buffers/workers per interaction;
-	// devices hash to a shard by ID. Default 8.
+	// Shards is the number of intake lock stripes per interaction; devices
+	// hash to a shard by ID, so concurrent producers of different devices
+	// rarely share a lock. One flush worker drains all of them. Default 8.
 	Shards int
 	// MaxBatch bounds the rows of one published ReadingBatch. Default 256.
 	MaxBatch int
@@ -62,8 +63,16 @@ func (c IngestConfig) withDefaults() IngestConfig {
 var ingestSeed = maphash.MakeSeed()
 
 // ingestor is the ingestion pipeline of one device-source interaction: the
-// intake shards, their flush workers, and the interaction's admission
-// budget. Readings leave as ReadingBatch events published on topic.
+// intake shards, the ready queue of shards holding readings, the one flush
+// worker draining it (run), and the interaction's admission budget. Readings
+// leave as ReadingBatch events published on topic.
+//
+// A shard is on the ready queue exactly while it holds readings the worker
+// has not yet swapped out. Producers enqueue a shard on its empty →
+// non-empty transition while still holding the shard lock (lock order:
+// shard, then queue; the worker never holds both), and only the worker
+// empties a shard, after taking it off the queue — so a shard is queued at
+// most once, and a push to a non-empty shard needs no queue operation.
 type ingestor struct {
 	rt       *Runtime
 	topic    string
@@ -73,7 +82,12 @@ type ingestor struct {
 	shards   []*ingestShard
 	mask     uint64
 
-	// draining closes admission without stopping the flush workers: set by
+	qmu     sync.Mutex
+	wake    sync.Cond // signalled when ready turns non-empty and at stop
+	ready   []*ingestShard
+	stopped bool // refuses enqueues: the worker exits once ready is empty
+
+	// draining closes admission without stopping the flush worker: set by
 	// the operations plane's drain, it turns every subsequent push into an
 	// IngestDrainDrops count while buffered readings keep flowing out.
 	draining atomic.Bool
@@ -94,13 +108,12 @@ func (rt *Runtime) newIngestor(topic string) *ingestor {
 		shards:   make([]*ingestShard, n),
 		mask:     uint64(n - 1),
 	}
+	ing.wake.L = &ing.qmu
 	for i := range ing.shards {
-		s := &ingestShard{ing: ing}
-		s.notEmpty.L = &s.mu
-		ing.shards[i] = s
-		rt.wg.Add(1)
-		go s.run()
+		ing.shards[i] = &ingestShard{ing: ing}
 	}
+	rt.wg.Add(1)
+	go ing.run()
 	rt.mu.Lock()
 	rt.ingestors = append(rt.ingestors, ing)
 	rt.mu.Unlock()
@@ -113,19 +126,37 @@ func (ing *ingestor) shardFor(id string) *ingestShard {
 	return ing.shards[maphash.String(ingestSeed, id)&ing.mask]
 }
 
-// stop wakes every shard worker for shutdown. Buffered readings are still
-// flushed before the workers exit (the bus closes only after rt.wg drains).
+// stop closes the ready queue and wakes the flush worker for shutdown.
+// Readings already admitted are still flushed before the worker exits (the
+// bus closes only after rt.wg drains); a push that would turn a shard
+// non-empty from now on is refused and its budget units returned.
 func (ing *ingestor) stop() {
-	for _, s := range ing.shards {
-		s.mu.Lock()
-		s.stopped = true
-		s.notEmpty.Signal()
-		s.mu.Unlock()
-	}
+	ing.qmu.Lock()
+	ing.stopped = true
+	ing.wake.Signal()
+	ing.qmu.Unlock()
 }
 
-// ingestShard is one intake buffer plus its flush worker. Push appends under
-// the shard mutex; the worker swaps the accumulated work out wholesale and
+// enqueueLocked puts a shard that is about to turn non-empty on the ready
+// queue, waking the worker when the queue was empty. The caller holds s.mu
+// and fills the shard only if enqueueLocked reports true: once the ingestor
+// has stopped the worker may have exited, and readings in a shard it never
+// takes would keep their budget units forever.
+func (ing *ingestor) enqueueLocked(s *ingestShard) bool {
+	ing.qmu.Lock()
+	ok := !ing.stopped
+	if ok {
+		ing.ready = append(ing.ready, s)
+		if len(ing.ready) == 1 {
+			ing.wake.Signal()
+		}
+	}
+	ing.qmu.Unlock()
+	return ok
+}
+
+// ingestShard is one intake lock stripe. Push appends under the shard mutex;
+// the ingestor's flush worker swaps the accumulated work out wholesale and
 // publishes it, so per-event synchronization is amortized over the burst on
 // both sides (mirroring the bus's ring-buffer subscriptions).
 //
@@ -133,12 +164,10 @@ func (ing *ingestor) stop() {
 // sealed at MaxBatch rows, each published as a single refcounted bus event —
 // no per-reading boxing anywhere.
 type ingestShard struct {
-	ing      *ingestor
-	mu       sync.Mutex
-	notEmpty sync.Cond
-	cur      *device.ReadingBatch   // open batch being filled
-	full     []*device.ReadingBatch // sealed batches awaiting flush
-	stopped  bool
+	ing  *ingestor
+	mu   sync.Mutex
+	cur  *device.ReadingBatch   // open batch being filled
+	full []*device.ReadingBatch // sealed batches awaiting flush
 }
 
 // pendingLocked reports whether any intake is waiting; caller holds s.mu.
@@ -170,16 +199,12 @@ func (s *ingestShard) Push(r device.Reading) {
 		return
 	}
 	s.mu.Lock()
-	if s.stopped {
+	if !s.pendingLocked() && !ing.enqueueLocked(s) {
 		s.mu.Unlock()
 		ing.budget.Release(1)
 		return
 	}
-	wasEmpty := !s.pendingLocked()
 	s.appendLocked(r)
-	if wasEmpty {
-		s.notEmpty.Signal()
-	}
 	s.mu.Unlock()
 }
 
@@ -201,25 +226,21 @@ func (s *ingestShard) pushBatch(batch []device.Reading) {
 }
 
 // appendAdmitted installs readings whose budget units are already acquired
-// into the shard intake, releasing the units if the shard has stopped. It is
-// the budget-free lower half of pushBatch, shared with the federation
+// into the shard intake, releasing the units if the ingestor has stopped. It
+// is the budget-free lower half of pushBatch, shared with the federation
 // remote-ingest path (which applies its own admission accounting).
 func (s *ingestShard) appendAdmitted(batch []device.Reading) {
 	if len(batch) == 0 {
 		return
 	}
 	s.mu.Lock()
-	if s.stopped {
+	if !s.pendingLocked() && !s.ing.enqueueLocked(s) {
 		s.mu.Unlock()
 		s.ing.budget.Release(len(batch))
 		return
 	}
-	wasEmpty := !s.pendingLocked()
 	for _, r := range batch {
 		s.appendLocked(r)
-	}
-	if wasEmpty {
-		s.notEmpty.Signal()
 	}
 	s.mu.Unlock()
 }
@@ -364,29 +385,39 @@ func (rt *Runtime) RemoteIngest(kind, source string, readings []device.Reading) 
 	return minAdmitted
 }
 
-func (s *ingestShard) run() {
-	defer s.ing.rt.wg.Done()
+// run is the interaction's flush worker. It swaps the whole ready queue out
+// against its spent one and drains the listed shards in FIFO order; with a
+// fixed device → shard hash that keeps per-device order on the bus. It
+// exits once stopped with the queue empty, which by the ready-queue
+// invariant means every shard is empty too.
+func (ing *ingestor) run() {
+	defer ing.rt.wg.Done()
+	var taken []*ingestShard
 	var sealed []*device.ReadingBatch
 	for {
-		s.mu.Lock()
-		for !s.pendingLocked() && !s.stopped {
-			s.notEmpty.Wait()
+		ing.qmu.Lock()
+		for len(ing.ready) == 0 && !ing.stopped {
+			ing.wake.Wait()
 		}
-		if !s.pendingLocked() {
-			// Stopped and fully drained.
-			s.mu.Unlock()
+		if len(ing.ready) == 0 {
+			ing.qmu.Unlock()
 			return
 		}
-		sealed, s.full = s.full, sealed[:0]
-		cur := s.cur
-		s.cur = nil
-		s.mu.Unlock()
-		for i, b := range sealed {
-			s.flush(b)
-			sealed[i] = nil // recycled batches must not be pinned by the swap slice
-		}
-		if cur != nil {
-			s.flush(cur)
+		taken, ing.ready = ing.ready, taken[:0]
+		ing.qmu.Unlock()
+		for _, s := range taken {
+			s.mu.Lock()
+			sealed, s.full = s.full, sealed[:0]
+			cur := s.cur
+			s.cur = nil
+			s.mu.Unlock()
+			for i, b := range sealed {
+				ing.flush(b)
+				sealed[i] = nil // recycled batches must not be pinned by the swap slice
+			}
+			if cur != nil {
+				ing.flush(cur)
+			}
 		}
 	}
 }
@@ -395,8 +426,7 @@ func (s *ingestShard) run() {
 // it as a single refcounted bus event, then returns the admitted units to
 // the budget and drops the producer's batch reference — the bus holds one
 // reference per subscriber until each delivery completes.
-func (s *ingestShard) flush(b *device.ReadingBatch) {
-	ing := s.ing
+func (ing *ingestor) flush(b *device.ReadingBatch) {
 	admitted := b.Len()
 	if ing.maxAge > 0 {
 		cutoff := ing.rt.clock.Now().Add(-ing.maxAge)

@@ -2,6 +2,9 @@ package runtime
 
 import (
 	"fmt"
+	"hash/maphash"
+	goruntime "runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -498,4 +501,199 @@ func TestIngestEndToEndDelivery(t *testing.T) {
 	if st.IngestBatches == 0 || st.IngestBatches > st.IngestEvents {
 		t.Fatalf("implausible IngestBatches = %d for %d events", st.IngestBatches, st.IngestEvents)
 	}
+}
+
+func intReading(id string, seq int64) device.Reading {
+	return device.Reading{DeviceID: id, Source: "presence", Value: seq, Time: ingestEpoch}
+}
+
+// shardDevices returns one device ID per shard of ing, each hashing to its
+// own shard, all starting with prefix.
+func shardDevices(ing *ingestor, prefix string) []string {
+	ids := make([]string, len(ing.shards))
+	for i, found := 0, 0; found < len(ids); i++ {
+		id := fmt.Sprintf("%s-%d", prefix, i)
+		if k := maphash.String(ingestSeed, id) & ing.mask; ids[k] == "" {
+			ids[k] = id
+			found++
+		}
+	}
+	return ids
+}
+
+// seqSubscriber checks, on the subscription's own goroutine, that every
+// device's int64 readings arrive strictly increasing: a reading delivered
+// twice, or two readings of one device swapped, is a violation.
+type seqSubscriber struct {
+	delivered  atomic.Int64
+	violations atomic.Int64
+	last       map[string]int64
+}
+
+func subscribeSeq(t *testing.T, rt *Runtime, topic string) *seqSubscriber {
+	t.Helper()
+	s := &seqSubscriber{last: make(map[string]int64)}
+	if _, err := rt.bus.Subscribe(topic, func(ev eventbus.Event) {
+		b := ev.Payload.(*device.ReadingBatch)
+		for i, v := range b.Ints() {
+			id := b.IDAt(i)
+			if prev, ok := s.last[id]; ok && v <= prev {
+				s.violations.Add(1)
+			}
+			s.last[id] = v
+		}
+		s.delivered.Add(int64(b.Len()))
+	}, eventbus.WithQueue(1024)); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestIngestStopRace: producers push into every shard, one reading at a time
+// and in bursts, while stop runs and after the flush worker has exited. A
+// push that turns a shard non-empty enqueues it before releasing the shard
+// lock, so it either lands before the worker's last look at the ready queue
+// or is refused: no reading and no budget unit is left in a shard the worker
+// will never take again, and nothing is delivered twice. The race sits in a
+// window of a few instructions, so each run stops many ingestors (CI also
+// repeats it under -race).
+func TestIngestStopRace(t *testing.T) {
+	rt := New(loadIngestModel(t), WithIngestConfig(IngestConfig{Shards: 8}))
+	defer rt.Stop()
+	sub := subscribeSeq(t, rt, "src")
+	const producers, rounds = 4, 30
+	for round := 0; round < rounds; round++ {
+		ing := rt.newIngestor("src")
+		var quit atomic.Bool
+		var pushes atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < producers; g++ {
+			ids := shardDevices(ing, fmt.Sprintf("r%d-g%d", round, g))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				burst := make([]device.Reading, 3)
+				var seq int64
+				for !quit.Load() {
+					for _, id := range ids {
+						sh := ing.shardFor(id)
+						sh.Push(intReading(id, seq))
+						seq++
+						for i := range burst {
+							burst[i] = intReading(id, seq)
+							seq++
+						}
+						sh.pushBatch(burst)
+					}
+					pushes.Add(1)
+				}
+			}()
+		}
+		waitUntil(t, "producers to get going", func() bool { return pushes.Load() >= 50 })
+		ing.stop()
+		rt.wg.Wait() // the flush worker has exited; the producers are still pushing
+		quit.Store(true)
+		wg.Wait()
+		if n := ing.budget.InFlight(); n != 0 {
+			t.Fatalf("round %d: %d budget units held after the flush worker exited", round, n)
+		}
+	}
+	waitUntil(t, "delivery of every flushed reading", func() bool {
+		return uint64(sub.delivered.Load()) == rt.stats.snapshot().IngestEvents
+	})
+	if n := sub.violations.Load(); n != 0 {
+		t.Fatalf("%d readings delivered twice or out of order", n)
+	}
+}
+
+// TestIngestPerDeviceOrder: four producers own disjoint device sets covering
+// all eight shards and alternate local pushes with federation batches
+// (RemoteIngest fans one batch over the shards by a counting sort). The one
+// flush worker drains the shards in ready-queue order, so each device's
+// readings reach the bus in the order its producer handed them over, each
+// exactly once.
+func TestIngestPerDeviceOrder(t *testing.T) {
+	rt := New(loadIngestModel(t), WithIngestConfig(IngestConfig{Shards: 8, Budget: -1}))
+	defer rt.Stop()
+	sub := subscribeSeq(t, rt, "src")
+	ing := rt.newIngestor("src")
+	defer ing.stop()
+	key := ingestKey("PresenceSensor", "presence")
+	rt.mu.Lock()
+	rt.ingestByKey[key] = append(rt.ingestByKey[key], ing)
+	rt.mu.Unlock()
+
+	const producers, perShard, rounds = 4, 2, 200
+	var wg sync.WaitGroup
+	for g := 0; g < producers; g++ {
+		var ids []string
+		for k := 0; k < perShard; k++ {
+			ids = append(ids, shardDevices(ing, fmt.Sprintf("g%d-%d", g, k))...)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			batch := make([]device.Reading, len(ids))
+			var seq int64
+			for r := 0; r < rounds; r++ {
+				for i, id := range ids {
+					batch[i] = intReading(id, seq)
+				}
+				seq++
+				if n := rt.RemoteIngest("PresenceSensor", "presence", batch); n != len(batch) {
+					t.Errorf("RemoteIngest admitted %d of %d", n, len(batch))
+					return
+				}
+				for _, id := range ids {
+					ing.shardFor(id).Push(intReading(id, seq))
+				}
+				seq++
+			}
+		}()
+	}
+	wg.Wait()
+	total := int64(producers * perShard * len(ing.shards) * rounds * 2)
+	waitUntil(t, "every reading", func() bool { return sub.delivered.Load() >= total })
+	if got := sub.delivered.Load(); got != total {
+		t.Fatalf("delivered %d readings, want %d", got, total)
+	}
+	if n := sub.violations.Load(); n != 0 {
+		t.Fatalf("%d readings delivered twice or out of a device's order", n)
+	}
+}
+
+// TestIngestorStartsOneGoroutine pins the fixed cost of a `when provided`
+// interaction: one flush worker whatever the shard count, gone after stop.
+func TestIngestorStartsOneGoroutine(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rt := New(loadIngestModel(t), WithIngestConfig(IngestConfig{Shards: shards}))
+			defer rt.Stop()
+			base := settledGoroutines()
+			ing := rt.newIngestor("src")
+			if got := settledGoroutines() - base; got != 1 {
+				t.Fatalf("newIngestor started %d goroutines, want 1", got)
+			}
+			ing.stop()
+			rt.wg.Wait()
+			if got := settledGoroutines() - base; got != 0 {
+				t.Fatalf("%d goroutines left after stop, want 0", got)
+			}
+		})
+	}
+}
+
+// settledGoroutines reads runtime.NumGoroutine until three reads 5 ms apart
+// agree, so goroutines of earlier tests still winding down do not count.
+func settledGoroutines() int {
+	n, same := goruntime.NumGoroutine(), 0
+	for same < 2 {
+		time.Sleep(5 * time.Millisecond)
+		if m := goruntime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }
