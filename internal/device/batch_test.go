@@ -149,10 +149,10 @@ func TestReadingBatchRecycleResets(t *testing.T) {
 	}
 }
 
-// assertNothingPinned checks what NewReadingBatch hands back over the FULL
-// capacity of every pointer-carrying column: a cell left behind past len
-// would pin its string, boxed value or time location for as long as the
-// reused batch lives.
+// assertNothingPinned checks a reset batch — what NewReadingBatch hands back
+// on reuse — over the FULL capacity of every pointer-carrying column: a cell
+// left behind past len would pin its string, boxed value or time location
+// for as long as the reused batch lives.
 func assertNothingPinned(t *testing.T, b *ReadingBatch) {
 	t.Helper()
 	for i, v := range b.ids[:cap(b.ids)] {
@@ -199,12 +199,13 @@ func TestReadingBatchRecyclePinsNothingPastLen(t *testing.T) {
 	boxed := func(int) any { return []int{1} }
 
 	b := NewReadingBatch()
+	defer b.Release()
 
 	// A large burst followed by a small one.
 	fill(b, 200, str)
-	b = recycled(t, b)
+	b.reset()
 	fill(b, 10, str)
-	b = recycled(t, b)
+	b.reset()
 	assertNothingPinned(t, b)
 
 	// truncate (the deadline policy) zeroes what it drops, before any
@@ -218,7 +219,7 @@ func TestReadingBatchRecyclePinsNothingPastLen(t *testing.T) {
 			t.Fatalf("times[%d] = %v pinned past len after truncate", b.Len()+i, v)
 		}
 	}
-	b = recycled(t, b)
+	b.reset()
 	assertNothingPinned(t, b)
 
 	// demote zeroes the typed string column it abandons.
@@ -227,9 +228,8 @@ func TestReadingBatchRecyclePinsNothingPastLen(t *testing.T) {
 	if b.Kind() != ColAny {
 		t.Fatalf("kind = %v, want ColAny", b.Kind())
 	}
-	b = recycled(t, b)
+	b.reset()
 	assertNothingPinned(t, b)
-	b.Release()
 }
 
 func TestReadingBatchOverReleasePanics(t *testing.T) {

@@ -31,6 +31,13 @@ type IngestConfig struct {
 	// Shards is the number of intake lock stripes per interaction; devices
 	// hash to a shard by ID, so concurrent producers of different devices
 	// rarely share a lock. One flush worker drains all of them. Default 8.
+	//
+	// The stripes pay off only under concurrent producers. In
+	// BenchmarkIngestConcurrentProducers on 2 Xeon cores (Go 1.24, median
+	// of 10 alternating runs), 8 stripes beat a single intake lock with
+	// one flush worker: 61 vs 108 ns per reading with 8 channel-fallback
+	// forwarders, 61 vs 74 with 4, and 46 vs 58 with 4 hub connections.
+	// A lone hub connection pays 63 vs 50 for the fan-out sort.
 	Shards int
 	// MaxBatch bounds the rows of one published ReadingBatch. Default 256.
 	MaxBatch int
