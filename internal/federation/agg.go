@@ -209,7 +209,9 @@ func (s *aggSink) seed(b *aggBuffer) {
 // pushes mark groups dirty, the flusher coalesces whatever accumulated
 // into one agg_sync RPC carrying the groups' current partials. A failed
 // RPC re-marks its groups and retries after a short backoff — the payload
-// is idempotent, so retry is always safe.
+// is idempotent, so retry is always safe. It is a set, not a handoff.Queue:
+// a queue would grow with every aggregate update for as long as a partition
+// lasts, where the set holds each dirty group once.
 type aggBuffer struct {
 	p    *peer
 	sink *aggSink

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/handoff"
 	"repro/internal/registry"
 	"repro/internal/transport"
 )
@@ -355,17 +356,16 @@ func (p *peer) bufferFor(kind, source string) *fwdBuffer {
 	if b, ok := p.buffers[key]; ok {
 		return b
 	}
-	b := &fwdBuffer{p: p, kind: kind, source: source, stream: newStreamID()}
-	b.notEmpty.L = &b.mu
+	b := &fwdBuffer{p: p, kind: kind, source: source, stream: newStreamID(),
+		queue: handoff.New[device.Reading](swapRetainWindows*forwardWindow*p.cfg.MaxBatch, 0)}
+	p.buffers[key] = b
 	if p.stopped {
-		// The node is closing: create the buffer pre-stopped with no
+		// The node is closing: create the buffer already closed with no
 		// flusher, so pushes drain as accounted drops instead of leaking
 		// a goroutine past Close's wait.
-		b.stopped = true
-		p.buffers[key] = b
+		b.queue.Close()
 		return b
 	}
-	p.buffers[key] = b
 	p.n.wg.Add(1)
 	go b.run()
 	return b
@@ -378,10 +378,7 @@ func (p *peer) stopBuffers() {
 	defer p.mu.Unlock()
 	p.stopped = true
 	for _, b := range p.buffers {
-		b.mu.Lock()
-		b.stopped = true
-		b.notEmpty.Signal()
-		b.mu.Unlock()
+		b.queue.Close()
 	}
 	for _, b := range p.aggBuffers {
 		b.mu.Lock()
@@ -404,22 +401,20 @@ func (p *peer) stopBuffers() {
 // small share of any forward budget.
 const forwardWindow = 8
 
-// swapRetainWindows bounds the capacity a swap buffer may keep between
-// flushes, in windows (forwardWindow × MaxBatch readings each). A burst that
-// piles up more — a stalled peer, a healed partition — is flushed from a
-// slice that is then dropped, so the buffer regrows from the bursts actually
-// seen instead of pinning its high-water mark for the life of the stream.
-// 32 windows (65,536 readings at the default MaxBatch, 4.7 MB a slice) clear
-// the capacity append settles on for a 25k-reading burst with room to
-// spare; at 16 that capacity sat on the bound and every burst regrew its
-// slice from nothing.
+// swapRetainWindows is a forward queue's retain bound, in windows
+// (forwardWindow × MaxBatch readings each): a burst that piles up more — a
+// stalled peer, a healed partition — is flushed from a slice that is then
+// dropped. 32 windows (65,536 readings at the default MaxBatch, 4.7 MB a
+// slice) clear the capacity append settles on for a 25k-reading burst with
+// room to spare; at 16 that capacity sat on the bound and every burst
+// regrew its slice from nothing.
 const swapRetainWindows = 32
 
 // fwdBuffer is one (peer, kind, source) coalescing buffer plus its flusher.
-// push appends under the buffer mutex; the flusher swaps the buffer out
-// wholesale and ships it in MaxBatch-sized event_batch RPCs, a window of
-// them in flight at a time, so per-event synchronization, per-RPC overhead
-// and the round trip itself are all amortized over the burst.
+// push queues one reading; the flusher takes the queue wholesale and ships
+// it in MaxBatch-sized event_batch RPCs, a window of them in flight at a
+// time, so per-event synchronization, per-RPC overhead and the round trip
+// itself are all amortized over the burst.
 type fwdBuffer struct {
 	p      *peer
 	kind   string
@@ -433,16 +428,7 @@ type fwdBuffer struct {
 	stream uint64
 	seq    uint64
 
-	mu       sync.Mutex
-	notEmpty sync.Cond
-	// buf takes the pushes; the flusher swaps it against the emptied slice
-	// of its previous flush. Invariant of both swap slices: every slot at or
-	// past len is the zero Reading. They start nil, append writes only below
-	// the new len, and the flusher zeroes exactly [0, len) of a slice before
-	// truncating it to len 0 — so clearing the used prefix is enough to
-	// release every payload reference.
-	buf     []device.Reading
-	stopped bool
+	queue *handoff.Queue[device.Reading] // closed by stopBuffers
 }
 
 // streamSeq disambiguates buffer streams created close together in time.
@@ -463,45 +449,22 @@ func (b *fwdBuffer) push(r device.Reading) {
 		p.n.stats.forwardBudgetDrops.Add(1)
 		return
 	}
-	b.mu.Lock()
-	if b.stopped {
-		b.mu.Unlock()
+	if !b.queue.Push(r) {
 		p.budget.Release(1)
 		p.n.stats.forwardSendDrops.Add(1)
-		return
 	}
-	b.buf = append(b.buf, r)
-	if len(b.buf) == 1 {
-		b.notEmpty.Signal()
-	}
-	b.mu.Unlock()
 }
 
+// run is the flusher: it ships every burst until the queue closes empty.
 func (b *fwdBuffer) run() {
 	defer b.p.n.wg.Done()
-	retain := swapRetainWindows * forwardWindow * b.p.cfg.MaxBatch
-	var spare []device.Reading
+	var batch []device.Reading
 	for {
-		b.mu.Lock()
-		for len(b.buf) == 0 && !b.stopped {
-			b.notEmpty.Wait()
+		var ok bool
+		if batch, _, ok = b.queue.Take(batch); !ok {
+			return
 		}
-		if len(b.buf) == 0 {
-			b.mu.Unlock()
-			return // stopped and fully drained
-		}
-		batch := b.buf
-		b.buf = spare
-		b.mu.Unlock()
 		b.flush(batch)
-		// Drop payload references so recycled capacity does not retain
-		// reading values across quiet periods: the used prefix only (see the
-		// invariant on fwdBuffer.buf), not the whole capacity.
-		clear(batch)
-		spare = nil
-		if cap(batch) <= retain {
-			spare = batch[:0]
-		}
 	}
 }
 

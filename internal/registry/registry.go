@@ -29,6 +29,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/handoff"
+
 	"repro/internal/simclock"
 )
 
@@ -586,9 +588,9 @@ func (r *Registry) Sweep() int {
 // Cancel method.
 func (r *Registry) Watch(q Query) (*Watcher, error) {
 	w := &Watcher{
-		reg:    r,
-		q:      q,
-		signal: make(chan struct{}, 1),
+		reg:   r,
+		q:     q,
+		queue: handoff.New[Change](watchRetain, watchQueueBound),
 	}
 	r.watchMu.Lock()
 	defer r.watchMu.Unlock()
@@ -618,7 +620,7 @@ func (r *Registry) Close() {
 	r.watchMu.Lock()
 	defer r.watchMu.Unlock()
 	for w := range r.watchers {
-		close(w.signal)
+		w.queue.Close()
 	}
 	r.watchers = make(map[*Watcher]struct{})
 	r.watchCount.Store(0)
@@ -748,7 +750,8 @@ func (r *Registry) sweepShardLocked(sh *regShard, now time.Time) int {
 
 // notify queues a change on every matching watcher. Callers hold the mutated
 // entity's shard lock; watchMu nests inside shard locks and each watcher's
-// own lock inside watchMu. With no watchers registered (the common
+// queue lock inside watchMu, so a change pushed here is ordered before any
+// Cancel or Close of the watcher. With no watchers registered (the common
 // swarm-bind case) it returns without touching the global lock, keeping
 // shard writes independent.
 func (r *Registry) notify(c Change) {
@@ -764,27 +767,9 @@ func (r *Registry) notify(c Change) {
 		if !matchesWhere(c.Entity.Attrs, w.q.Where) {
 			continue
 		}
-		w.mu.Lock()
-		if len(w.pending) >= watchQueueBound {
-			w.lost = true
-			w.mu.Unlock()
-			continue
-		}
 		ev := c
 		ev.Entity = cloneEntity(c.Entity)
-		w.pending = append(w.pending, ev)
-		wake := len(w.pending) == 1
-		w.mu.Unlock()
-		// Only the empty → non-empty transition needs a wake-up: a consumer
-		// parks only after seeing an empty queue. The send stays under
-		// watchMu, which is what closes signal, so it never meets a closed
-		// channel.
-		if wake {
-			select {
-			case w.signal <- struct{}{}:
-			default:
-			}
-		}
+		w.queue.Push(ev)
 	}
 }
 
@@ -795,26 +780,16 @@ func (r *Registry) notify(c Change) {
 // answered with repeated full-fleet repairs.
 const watchQueueBound = 1 << 16
 
-// watchRetain bounds the capacity of a batch buffer Next keeps for reuse. A
-// burst's larger buffer is dropped after it was consumed, so a quiet watcher
-// holds at most two buffers of this size (about 28 KB each) instead of its
-// worst burst for life — a host runs one watcher per tracked kind per app.
+// watchRetain is a watcher queue's retain bound: a quiet watcher holds at
+// most two buffers of this size (about 28 KB each), not its worst burst — a
+// host runs one watcher per tracked kind per app.
 const watchRetain = 256
 
-// Watcher queues registry change notifications for one consumer. The queue
-// is double-buffered: notify appends to pending, and Next swaps pending for
-// the consumer's spent batch, so a steady stream of changes allocates
-// nothing and a burst of any size is handed over in one call.
+// Watcher queues registry change notifications for one consumer.
 type Watcher struct {
-	reg *Registry
-	q   Query
-	// signal holds a wake-up token for a consumer parked in Next; it is
-	// closed, under reg.watchMu, when the watcher is cancelled.
-	signal chan struct{}
-
-	mu      sync.Mutex // nests inside reg.watchMu
-	pending []Change
-	lost    bool // pending reached watchQueueBound and dropped a change
+	reg   *Registry
+	q     Query
+	queue *handoff.Queue[Change]
 }
 
 // Next blocks until changes are queued and returns all of them, oldest
@@ -823,33 +798,12 @@ type Watcher struct {
 // state against a Scan. ok is false once the watcher is cancelled or the
 // registry closed and every queued change has been handed over.
 //
-// dst is the batch returned by the previous call, given back for reuse: Next
-// clears it (so it pins no Entity) and keeps it as the next queue unless its
-// capacity exceeds watchRetain. The returned batch is the caller's until
-// its next call to Next. Next must not be called concurrently with itself.
+// dst is the batch returned by the previous call, given back for reuse as in
+// handoff.Queue.Take: it is cleared, so it pins no Entity. The returned batch
+// is the caller's until its next call to Next. Next must not be called
+// concurrently with itself.
 func (w *Watcher) Next(dst []Change) (batch []Change, lost, ok bool) {
-	clear(dst)
-	if cap(dst) > watchRetain {
-		dst = nil
-	}
-	dst = dst[:0]
-	for {
-		w.mu.Lock()
-		if len(w.pending) > 0 || w.lost {
-			batch, w.pending = w.pending, dst
-			lost, w.lost = w.lost, false
-			w.mu.Unlock()
-			return batch, lost, true
-		}
-		w.mu.Unlock()
-		// A closed signal means the queue is empty for good: notify stops
-		// before the close (both hold watchMu), and every notification that
-		// made the queue non-empty after the check above left a token, which
-		// the receive returns before it reports the close.
-		if _, open := <-w.signal; !open {
-			return dst, false, false
-		}
-	}
+	return w.queue.Take(dst)
 }
 
 // Cancel detaches the watcher and wakes its consumer; Next still hands over
@@ -860,7 +814,7 @@ func (w *Watcher) Cancel() {
 	if _, ok := w.reg.watchers[w]; ok {
 		delete(w.reg.watchers, w)
 		w.reg.watchCount.Add(-1)
-		close(w.signal)
+		w.queue.Close()
 	}
 }
 

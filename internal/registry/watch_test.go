@@ -183,9 +183,9 @@ func TestCancelAndCloseWakeParkedNext(t *testing.T) {
 	}
 }
 
-// TestWatchBurstShedsBuffers: after a 50k-change burst, neither of a
-// watcher's two batch buffers keeps capacity above watchRetain, and a batch
-// given back to Next pins no Entity.
+// TestWatchBurstShedsBuffers: after a 50k-change burst, the consumer's batch
+// no longer keeps capacity above watchRetain, and a batch given back to Next
+// pins no Entity. The queue's own buffers are covered by the handoff tests.
 func TestWatchBurstShedsBuffers(t *testing.T) {
 	const burst = 50_000
 	r := New()
@@ -219,16 +219,6 @@ func TestWatchBurstShedsBuffers(t *testing.T) {
 	}
 	if cap(batch) > watchRetain {
 		t.Fatalf("consumer batch keeps capacity %d, bound %d", cap(batch), watchRetain)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if cap(w.pending) > watchRetain {
-		t.Fatalf("queue keeps capacity %d, bound %d", cap(w.pending), watchRetain)
-	}
-	for i, c := range w.pending[:cap(w.pending)] {
-		if c.Entity.Attrs != nil || c.Entity.Kinds != nil {
-			t.Fatalf("recycled queue slot %d pins an entity: %+v", i, c)
-		}
 	}
 }
 

@@ -114,8 +114,7 @@ type Host struct {
 	onError     func(ComponentError)
 	ownRegistry bool
 
-	store      *persist.Store
-	aggRestore map[string][]byte
+	store *persist.Store
 
 	mu         sync.Mutex
 	apps       map[string]*Runtime // nil value = Deploy in flight (slot reserved)
@@ -125,6 +124,10 @@ type Host struct {
 	watchers   []*registry.Watcher
 	gauges     map[string]func() map[string]uint64
 	peerSource func() []transport.PeerStatusRecord
+	// aggRestore holds the recovered aggregate checkpoints, keyed by
+	// aggSnapKey. Every snapshot carries them forward, so an app that is
+	// not redeployed yet keeps its checkpoint; Undeploy drops the app's.
+	aggRestore map[string][]byte
 	wg         sync.WaitGroup
 
 	// Operations plane (see ops.go): the drain flag closes event admission
@@ -198,8 +201,9 @@ func (h *Host) MetricsAddr() string {
 // openPersistence opens (or recovers) the store before any app can observe
 // the registry: restored registrations and generation sums are installed
 // first, every subsequent mutation is journaled write-ahead, and the store's
-// aggregate-checkpoint source iterates the live app set (restored blobs are
-// looked up by each app at wiring time under its aggSnapKey).
+// aggregate-checkpoint source contributes the recovered blobs (looked up by
+// each app at wiring time under its aggSnapKey) overlaid by the live app
+// set's captures.
 func (h *Host) openPersistence(dir string, opts persist.Options) error {
 	// Aggregate checkpoints gob-encode design values of interface type; the
 	// wire codec's basic registrations cover the common shapes. Identical
@@ -230,6 +234,13 @@ func (h *Host) openPersistence(dir string, opts persist.Options) error {
 	h.reg.SetJournal(store.Journal())
 	store.SetRegistry(h.reg)
 	store.AddSource(func(add func(key string, blob []byte)) {
+		// Recovered checkpoints first: a live app's capture overwrites its
+		// own by key, and an app not yet redeployed keeps its checkpoint.
+		h.mu.Lock()
+		for key, blob := range h.aggRestore {
+			add(key, blob)
+		}
+		h.mu.Unlock()
 		for _, rt := range h.snapshotApps() {
 			rt.captureAggCheckpoints(add)
 		}
@@ -396,6 +407,12 @@ func (h *Host) Undeploy(appID string) error {
 	}
 	delete(h.apps, appID)
 	h.undeploys[appID] = true
+	prefix := appID + "\x00"
+	for key := range h.aggRestore {
+		if strings.HasPrefix(key, prefix) {
+			delete(h.aggRestore, key)
+		}
+	}
 	h.mu.Unlock()
 	rt.stopApp()
 	h.mu.Lock()

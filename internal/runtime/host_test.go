@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -788,6 +789,72 @@ func TestHostPersistPerAppAggCheckpoints(t *testing.T) {
 	db2.Emit("presence", true)
 	waitUntil(t, "tenant a restored aggregate", func() bool { return ca2.zone("Z") == devsA+1 })
 	waitUntil(t, "tenant b restored aggregate", func() bool { return cb2.zone("Z") == devsB+1 })
+}
+
+// TestHostRecoveredAggCheckpointSurvivesUntilRedeploy: a host restarted
+// without redeploying an app still writes that app's recovered aggregate
+// checkpoint into its snapshots, so a later incarnation that redeploys the
+// app resumes the aggregate; Undeploy drops the checkpoint for good.
+func TestHostRecoveredAggCheckpointSurvivesUntilRedeploy(t *testing.T) {
+	dir, err := os.MkdirTemp("", "hostpersist")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	vc := simclock.NewVirtual(hostEpoch)
+	open := func() *Host {
+		h, err := NewHost(SubstrateConfig{Clock: vc, PersistDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	deploy := func(h *Host) (*Runtime, *aggCountHandler) {
+		c := &aggCountHandler{}
+		rt, err := h.DeploySource("a", aggTenantDesign("a"), AppConfig{
+			Contexts: map[string]ContextHandler{"Count_a": c},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt, c
+	}
+
+	const devs = 4
+	h := open()
+	rt, c := deploy(h)
+	for i := 0; i < devs; i++ {
+		d := bindTenantSensor2(t, h, "a", fmt.Sprintf("a-%03d", i), vc)
+		waitAttached(t, rt, i+1)
+		d.Emit("presence", true)
+	}
+	waitUntil(t, "aggregate", func() bool { return c.zone("Z") == devs })
+	h.Close()
+
+	// An incarnation that never redeploys the app snapshots on Close.
+	open().Close()
+
+	h = open()
+	rt, c = deploy(h)
+	d := bindTenantSensor2(t, h, "a", "a-100", vc)
+	waitAttached(t, rt, 1)
+	d.Emit("presence", true)
+	waitUntil(t, "aggregate after redeploy", func() bool { return c.zone("Z") != 0 })
+	if got := c.zone("Z"); got != devs+1 {
+		t.Fatalf("redeployed aggregate counts %d devices, want %d: the checkpoint was lost", got, devs+1)
+	}
+	if err := h.Undeploy("a"); err != nil {
+		t.Fatal(err)
+	}
+	h.Close()
+
+	h = open()
+	defer h.Close()
+	for key := range h.aggRestore {
+		if strings.HasPrefix(key, "a\x00") {
+			t.Fatalf("undeployed app's checkpoint %q was recovered", key)
+		}
+	}
 }
 
 // bindTenantSensor2 is bindTenantSensor with the zone attribute of the

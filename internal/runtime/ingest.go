@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/handoff"
 	"repro/internal/qos"
 	"repro/internal/registry"
 )
@@ -75,11 +76,13 @@ var ingestSeed = maphash.MakeSeed()
 // leave as ReadingBatch events published on topic.
 //
 // A shard is on the ready queue exactly while it holds readings the worker
-// has not yet swapped out. Producers enqueue a shard on its empty →
-// non-empty transition while still holding the shard lock (lock order:
-// shard, then queue; the worker never holds both), and only the worker
-// empties a shard, after taking it off the queue — so a shard is queued at
-// most once, and a push to a non-empty shard needs no queue operation.
+// has not yet swapped out. Producers push a shard on its empty → non-empty
+// transition while still holding the shard lock, and fill it only if the
+// push succeeded: after stop the worker may have exited, and readings in a
+// shard it never takes would keep their budget units forever. Only the
+// worker empties a shard, after taking it off the queue — so a shard is
+// queued at most once (the queue never outgrows its retain bound of
+// len(shards)), and a push to a non-empty shard needs no queue operation.
 type ingestor struct {
 	rt       *Runtime
 	topic    string
@@ -88,11 +91,7 @@ type ingestor struct {
 	maxAge   time.Duration
 	shards   []*ingestShard
 	mask     uint64
-
-	qmu     sync.Mutex
-	wake    sync.Cond // signalled when ready turns non-empty and at stop
-	ready   []*ingestShard
-	stopped bool // refuses enqueues: the worker exits once ready is empty
+	ready    *handoff.Queue[*ingestShard]
 
 	// draining closes admission without stopping the flush worker: set by
 	// the operations plane's drain, it turns every subsequent push into an
@@ -114,8 +113,8 @@ func (rt *Runtime) newIngestor(topic string) *ingestor {
 		maxAge:   cfg.MaxAge,
 		shards:   make([]*ingestShard, n),
 		mask:     uint64(n - 1),
+		ready:    handoff.New[*ingestShard](n, 0),
 	}
-	ing.wake.L = &ing.qmu
 	for i := range ing.shards {
 		ing.shards[i] = &ingestShard{ing: ing}
 	}
@@ -133,34 +132,11 @@ func (ing *ingestor) shardFor(id string) *ingestShard {
 	return ing.shards[maphash.String(ingestSeed, id)&ing.mask]
 }
 
-// stop closes the ready queue and wakes the flush worker for shutdown.
-// Readings already admitted are still flushed before the worker exits (the
-// bus closes only after rt.wg drains); a push that would turn a shard
-// non-empty from now on is refused and its budget units returned.
-func (ing *ingestor) stop() {
-	ing.qmu.Lock()
-	ing.stopped = true
-	ing.wake.Signal()
-	ing.qmu.Unlock()
-}
-
-// enqueueLocked puts a shard that is about to turn non-empty on the ready
-// queue, waking the worker when the queue was empty. The caller holds s.mu
-// and fills the shard only if enqueueLocked reports true: once the ingestor
-// has stopped the worker may have exited, and readings in a shard it never
-// takes would keep their budget units forever.
-func (ing *ingestor) enqueueLocked(s *ingestShard) bool {
-	ing.qmu.Lock()
-	ok := !ing.stopped
-	if ok {
-		ing.ready = append(ing.ready, s)
-		if len(ing.ready) == 1 {
-			ing.wake.Signal()
-		}
-	}
-	ing.qmu.Unlock()
-	return ok
-}
+// stop closes the ready queue for shutdown. Readings already admitted are
+// still flushed before the worker exits (the bus closes only after rt.wg
+// drains); a push that would turn a shard non-empty from now on is refused
+// and its budget units returned.
+func (ing *ingestor) stop() { ing.ready.Close() }
 
 // ingestShard is one intake lock stripe. Push appends under the shard mutex;
 // the ingestor's flush worker swaps the accumulated work out wholesale and
@@ -206,7 +182,7 @@ func (s *ingestShard) Push(r device.Reading) {
 		return
 	}
 	s.mu.Lock()
-	if !s.pendingLocked() && !ing.enqueueLocked(s) {
+	if !s.pendingLocked() && !ing.ready.Push(s) {
 		s.mu.Unlock()
 		ing.budget.Release(1)
 		return
@@ -241,7 +217,7 @@ func (s *ingestShard) appendAdmitted(batch []device.Reading) {
 		return
 	}
 	s.mu.Lock()
-	if !s.pendingLocked() && !s.ing.enqueueLocked(s) {
+	if !s.pendingLocked() && !s.ing.ready.Push(s) {
 		s.mu.Unlock()
 		s.ing.budget.Release(len(batch))
 		return
@@ -392,26 +368,20 @@ func (rt *Runtime) RemoteIngest(kind, source string, readings []device.Reading) 
 	return minAdmitted
 }
 
-// run is the interaction's flush worker. It swaps the whole ready queue out
-// against its spent one and drains the listed shards in FIFO order; with a
-// fixed device → shard hash that keeps per-device order on the bus. It
-// exits once stopped with the queue empty, which by the ready-queue
-// invariant means every shard is empty too.
+// run is the interaction's flush worker. It takes the whole ready queue and
+// drains the listed shards in FIFO order; with a fixed device → shard hash
+// that keeps per-device order on the bus. It exits once the queue is closed
+// and drained, which by the ready-queue invariant means every shard is empty
+// too.
 func (ing *ingestor) run() {
 	defer ing.rt.wg.Done()
 	var taken []*ingestShard
 	var sealed []*device.ReadingBatch
 	for {
-		ing.qmu.Lock()
-		for len(ing.ready) == 0 && !ing.stopped {
-			ing.wake.Wait()
-		}
-		if len(ing.ready) == 0 {
-			ing.qmu.Unlock()
+		var ok bool
+		if taken, _, ok = ing.ready.Take(taken); !ok {
 			return
 		}
-		taken, ing.ready = ing.ready, taken[:0]
-		ing.qmu.Unlock()
 		for _, s := range taken {
 			s.mu.Lock()
 			sealed, s.full = s.full, sealed[:0]

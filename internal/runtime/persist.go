@@ -59,7 +59,9 @@ func (rt *Runtime) captureAggCheckpoints(add func(key string, blob []byte)) {
 // registry resync — so contributions of devices that did not survive
 // recovery are retracted by the resync that follows.
 func (rt *Runtime) restoreAggState(pa *provAgg) {
+	rt.host.mu.Lock()
 	blob := rt.host.aggRestore[rt.aggSnapKey(pa)]
+	rt.host.mu.Unlock()
 	if len(blob) == 0 {
 		return
 	}
