@@ -46,16 +46,22 @@ func New[T any](retain, bound int) *Queue[T] {
 // reports.
 func (q *Queue[T]) Push(v T) bool {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.closed {
+		q.mu.Unlock()
 		return false
 	}
 	if q.bound > 0 && len(q.pending) >= q.bound {
 		q.lost = true
+		q.mu.Unlock()
 		return false
 	}
 	q.pending = append(q.pending, v)
-	if len(q.pending) == 1 {
+	wake := len(q.pending) == 1
+	q.mu.Unlock()
+	// Outside the lock, so the woken consumer does not block on it: Wait
+	// joins the wake list before it unlocks, so this Signal still reaches
+	// a consumer that saw the queue empty.
+	if wake {
 		q.wake.Signal()
 	}
 	return true
