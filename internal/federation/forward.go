@@ -402,12 +402,9 @@ func (p *peer) stopBuffers() {
 const forwardWindow = 8
 
 // swapRetainWindows is a forward queue's retain bound, in windows
-// (forwardWindow × MaxBatch readings each): a burst that piles up more — a
-// stalled peer, a healed partition — is flushed from a slice that is then
-// dropped. 32 windows (65,536 readings at the default MaxBatch, 4.7 MB a
-// slice) clear the capacity append settles on for a 25k-reading burst with
-// room to spare; at 16 that capacity sat on the bound and every burst
-// regrew its slice from nothing.
+// (forwardWindow × MaxBatch readings each). 32 windows (65,536 readings at
+// the default MaxBatch, 4.7 MB a slice) clear the capacity append settles on
+// for a 25k-reading burst; at 16 every burst regrew its slice from nothing.
 const swapRetainWindows = 32
 
 // fwdBuffer is one (peer, kind, source) coalescing buffer plus its flusher.
