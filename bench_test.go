@@ -668,12 +668,9 @@ context Vacancy as Integer {
 `
 
 // BenchmarkSwarm_IncrementalAgg: one grouped-aggregation round over a
-// 50k-sensor fleet at 1%/10%/100% change rates, batch MapReduce vs the
-// delta-aware incremental engine. The batch path re-maps and re-reduces
-// all 50k readings every round regardless of the change rate; the
-// incremental path pays O(changed) upserts plus O(dirty groups)
-// re-reduction. The acceptance target is ≥5x round latency at the 1%
-// change rate. The incremental runs report the dirty-group ratio as a
+// 50k-sensor fleet at 1%/10%/100% change rates on the delta-aware
+// incremental engine, which pays O(changed) upserts plus O(dirty groups)
+// re-reduction per round. The runs report the dirty-group ratio as a
 // custom metric (benchdiff prints it as the reuse summary).
 func BenchmarkSwarm_IncrementalAgg(b *testing.B) {
 	const sensors = 50000
@@ -682,60 +679,52 @@ func BenchmarkSwarm_IncrementalAgg(b *testing.B) {
 	for i := range lotNames {
 		lotNames[i] = fmt.Sprintf("L%03d", i)
 	}
-	for _, mode := range []struct {
-		name string
-		opts []runtime.Option
-	}{
-		{"batch", []runtime.Option{runtime.WithBatchAggregation()}},
-		{"incremental", nil},
-	} {
-		for _, rate := range []float64{0.01, 0.10, 1.0} {
-			b.Run(fmt.Sprintf("%s/change=%.0f%%", mode.name, rate*100), func(b *testing.B) {
-				vc := simclock.NewVirtual(benchEpoch)
-				model, err := dsl.Load(aggBenchDesign)
-				if err != nil {
+	for _, rate := range []float64{0.01, 0.10, 1.0} {
+		b.Run(fmt.Sprintf("incremental/change=%.0f%%", rate*100), func(b *testing.B) {
+			vc := simclock.NewVirtual(benchEpoch)
+			model, err := dsl.Load(aggBenchDesign)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rt := runtime.New(model, runtime.WithClock(vc))
+			swarm := devsim.NewSwarm(devsim.SwarmConfig{
+				Sensors: sensors, Lots: lotNames, GroupAttr: "lot", Seed: 7,
+			}, vc)
+			for _, s := range swarm.Sensors() {
+				if err := rt.BindDevice(s); err != nil {
 					b.Fatal(err)
 				}
-				rt := runtime.New(model, append([]runtime.Option{runtime.WithClock(vc)}, mode.opts...)...)
-				swarm := devsim.NewSwarm(devsim.SwarmConfig{
-					Sensors: sensors, Lots: lotNames, GroupAttr: "lot", Seed: 7,
-				}, vc)
-				for _, s := range swarm.Sensors() {
-					if err := rt.BindDevice(s); err != nil {
-						b.Fatal(err)
-					}
+			}
+			h := &benchVacancy{}
+			if err := rt.ImplementContext("Vacancy", h); err != nil {
+				b.Fatal(err)
+			}
+			if err := rt.Start(); err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(rt.Stop)
+			round := func() {
+				before := h.triggers.Load()
+				vc.Advance(10 * time.Minute)
+				for h.triggers.Load() <= before {
+					time.Sleep(10 * time.Microsecond)
 				}
-				h := &benchVacancy{}
-				if err := rt.ImplementContext("Vacancy", h); err != nil {
-					b.Fatal(err)
-				}
-				if err := rt.Start(); err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(rt.Stop)
-				round := func() {
-					before := h.triggers.Load()
-					vc.Advance(10 * time.Minute)
-					for h.triggers.Load() <= before {
-						time.Sleep(10 * time.Microsecond)
-					}
-				}
-				round() // warm: snapshot built, engine seeded with the full fleet
-				st0 := rt.Stats()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					swarm.DeltaRound(rate)
-					round()
-				}
-				b.StopTimer()
-				st1 := rt.Stats()
-				b.ReportMetric(float64(sensors)*float64(b.N)/b.Elapsed().Seconds(), "readings/sec")
-				if total := st1.GroupsTotal - st0.GroupsTotal; total > 0 {
-					dirty := st1.GroupsDirty - st0.GroupsDirty
-					b.ReportMetric(100*float64(dirty)/float64(total), "%dirty-groups")
-				}
-			})
-		}
+			}
+			round() // warm: snapshot built, engine seeded with the full fleet
+			st0 := rt.Stats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				swarm.DeltaRound(rate)
+				round()
+			}
+			b.StopTimer()
+			st1 := rt.Stats()
+			b.ReportMetric(float64(sensors)*float64(b.N)/b.Elapsed().Seconds(), "readings/sec")
+			if total := st1.GroupsTotal - st0.GroupsTotal; total > 0 {
+				dirty := st1.GroupsDirty - st0.GroupsDirty
+				b.ReportMetric(100*float64(dirty)/float64(total), "%dirty-groups")
+			}
+		})
 	}
 }
 

@@ -1,15 +1,13 @@
 // Command aggstorm exercises incremental grouped aggregation at swarm
-// scale: a population of presence sensors is polled periodically by TWO
-// runtimes over the same simulated fleet and the same virtual clock — one
-// on the delta-aware incremental engine (the default), one forced onto the
-// full batch MapReduce (`runtime.WithBatchAggregation`, the correctness
-// oracle). Between rounds a configurable fraction of the fleet changes
-// state (1%, 10%, 100%), and a slice of the fleet churns out of and back
-// into the registry, forcing snapshot rebuilds and engine resets.
+// scale: a population of presence sensors is polled periodically by a
+// runtime whose grouped MapReduce delivery rides the delta-aware
+// incremental engine. Between rounds a configurable fraction of the fleet
+// changes state (1%, 10%, 100%), and a slice of the fleet churns out of and
+// back into the registry, forcing snapshot rebuilds and engine resets.
 //
 // Every round the scenario cross-checks, exactly:
 //
-//	incremental aggregate == batch aggregate == ground truth
+//	incremental aggregate == ground truth
 //
 // where ground truth is recomputed from the simulator's occupancy table
 // over the currently bound population. Any divergence fails the run. The
@@ -51,8 +49,7 @@ context Vacancy as Integer {
 `
 
 // vacancy is the combinable aggregate: count vacant spaces per lot. The
-// incremental engine uses Combine/Uncombine for O(1) folds; the batch
-// runtime ignores them.
+// incremental engine uses Combine/Uncombine for O(1) folds.
 type vacancy struct {
 	mu       sync.Mutex
 	last     map[string]int
@@ -108,13 +105,13 @@ type world struct {
 	h  *vacancy
 }
 
-func newWorld(swarm *devsim.Swarm, vc *simclock.Virtual, opts ...runtime.Option) (*world, error) {
+func newWorld(swarm *devsim.Swarm, vc *simclock.Virtual) (*world, error) {
 	model, err := dsl.Load(design)
 	if err != nil {
 		return nil, err
 	}
 	w := &world{h: &vacancy{}}
-	w.rt = runtime.New(model, append([]runtime.Option{runtime.WithClock(vc)}, opts...)...)
+	w.rt = runtime.New(model, runtime.WithClock(vc))
 	if err := w.rt.ImplementContext("Vacancy", w.h); err != nil {
 		return nil, err
 	}
@@ -144,31 +141,24 @@ func run(sensors, lots, rounds int, churnFrac float64) error {
 		return err
 	}
 	defer inc.rt.Stop()
-	bat, err := newWorld(swarm, vc, runtime.WithBatchAggregation())
-	if err != nil {
-		return err
-	}
-	defer bat.rt.Stop()
 
-	// unbound tracks sensors currently churned out (of both runtimes), so
+	// unbound tracks sensors currently churned out, so
 	// ground truth covers exactly the bound population.
 	unbound := make(map[int]bool)
 	churnCursor := 0
 	churnN := int(churnFrac * float64(sensors))
 
 	round := func() error {
-		_, incBefore := inc.h.snapshot()
-		_, batBefore := bat.h.snapshot()
+		_, before := inc.h.snapshot()
 		vc.Advance(10 * time.Minute)
 		deadline := time.Now().Add(60 * time.Second)
 		for {
-			_, it := inc.h.snapshot()
-			_, bt := bat.h.snapshot()
-			if it > incBefore && bt > batBefore {
+			_, n := inc.h.snapshot()
+			if n > before {
 				return nil
 			}
 			if time.Now().After(deadline) {
-				return fmt.Errorf("round stalled (inc %d->%d, batch %d->%d)", incBefore, it, batBefore, bt)
+				return fmt.Errorf("round stalled (triggers %d->%d)", before, n)
 			}
 			time.Sleep(50 * time.Microsecond)
 		}
@@ -191,14 +181,9 @@ func run(sensors, lots, rounds int, churnFrac float64) error {
 	}
 
 	crossCheck := func(phase string, r int) error {
-		want := groundTruth()
 		gi, _ := inc.h.snapshot()
-		gb, _ := bat.h.snapshot()
-		if err := sameMap(gi, want); err != nil {
+		if err := sameMap(gi, groundTruth()); err != nil {
 			return fmt.Errorf("%s round %d: incremental diverged from ground truth: %v", phase, r, err)
-		}
-		if err := sameMap(gb, want); err != nil {
-			return fmt.Errorf("%s round %d: batch oracle diverged from ground truth: %v", phase, r, err)
 		}
 		return nil
 	}
@@ -218,17 +203,14 @@ func run(sensors, lots, rounds int, churnFrac float64) error {
 			}
 		}
 
-		// Churn a slice of the fleet out of both registries and back in:
-		// the snapshot rebuild resets the incremental engine, which must
-		// still agree with the oracle afterwards.
+		// Churn a slice of the fleet out of the registry and back in: the
+		// snapshot rebuild resets the incremental engine, which must still
+		// agree with ground truth afterwards.
 		if churnN > 0 {
 			for i := churnCursor; i < churnCursor+churnN; i++ {
 				idx := i % sensors
 				id := swarm.Sensors()[idx].ID()
 				if err := inc.rt.UnbindDevice(id); err != nil {
-					return err
-				}
-				if err := bat.rt.UnbindDevice(id); err != nil {
 					return err
 				}
 				unbound[idx] = true
@@ -242,9 +224,6 @@ func run(sensors, lots, rounds int, churnFrac float64) error {
 			for i := churnCursor; i < churnCursor+churnN; i++ {
 				idx := i % sensors
 				if err := inc.rt.BindDevice(swarm.Sensors()[idx]); err != nil {
-					return err
-				}
-				if err := bat.rt.BindDevice(swarm.Sensors()[idx]); err != nil {
 					return err
 				}
 				delete(unbound, idx)
@@ -268,7 +247,7 @@ func run(sensors, lots, rounds int, churnFrac float64) error {
 	}
 
 	st := inc.rt.Stats()
-	fmt.Printf("cross-check OK: incremental == batch == ground truth at every round; ")
+	fmt.Printf("cross-check OK: incremental == ground truth at every round; ")
 	fmt.Printf("lifetime dirty ratio %.1f%% (%d/%d), reuse %d, snapshot rebuilds %d\n",
 		100*float64(st.GroupsDirty)/float64(max(st.GroupsTotal, 1)),
 		st.GroupsDirty, st.GroupsTotal, st.AggReuse, st.PollSnapshotRebuilds)

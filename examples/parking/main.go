@@ -288,6 +288,11 @@ func run(spacesPerLot, hours int) error {
 			fmt.Printf("%02d:%02d  %-44s %s\n", now.Hour(), now.Minute(), strings.Join(free, " "), cityMsg)
 		}
 	}
+	// A run spanning a day closes the 24-hour window; its delivery is
+	// asynchronous, so wait for the digest before reporting.
+	if hours >= 24 {
+		waitUntil(func() bool { _, ok := msgr.LastCall("sendMessage"); return ok })
+	}
 	if digest, ok := msgr.LastCall("sendMessage"); ok {
 		fmt.Println("manager digest:", digest)
 	}
@@ -301,11 +306,13 @@ func run(spacesPerLot, hours int) error {
 // 10-minute contexts) complete, so virtual-time advances do not outrun the
 // pollers.
 func waitForPolls(rt *runtime.Runtime, before uint64) {
+	waitUntil(func() bool { return rt.Stats().PeriodicPolls >= before+2 })
+}
+
+// waitUntil polls cond for up to 10 seconds of real time.
+func waitUntil(cond func() bool) {
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if rt.Stats().PeriodicPolls >= before+2 {
-			return
-		}
+	for time.Now().Before(deadline) && !cond() {
 		time.Sleep(100 * time.Microsecond)
 	}
 }

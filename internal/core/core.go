@@ -31,7 +31,7 @@ type App struct {
 }
 
 // NewApp parses, checks and prepares an application from DiaSpec source.
-// Runtime options (clock, registry, MapReduce tuning, error handler) are
+// Runtime options (clock, registry, ingestion tuning, error handler) are
 // passed through to the runtime.
 func NewApp(designSrc string, opts ...runtime.Option) (*App, error) {
 	model, err := dsl.Load(designSrc)

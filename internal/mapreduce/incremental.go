@@ -5,10 +5,11 @@ import "sort"
 // This file implements the incremental half of the MapReduce substrate: an
 // engine that maintains per-group aggregation state between rounds so a
 // mostly-unchanged input only pays for what changed. It is the processing
-// core behind the runtime's delta-aware `grouped by … with map … reduce …`
-// lowering: at 50k devices with 1% of readings changing per round, the batch
-// engine re-maps and re-reduces all 50k readings while the incremental
-// engine touches ~500 inputs and re-reduces only the groups they live in.
+// core behind the runtime's `grouped by … with map … reduce …` lowering,
+// `every` windows included: at 50k devices with 1% of readings changing per
+// round, the batch engine re-maps and re-reduces all 50k readings while the
+// incremental engine touches ~500 inputs and re-reduces only the groups
+// they live in.
 //
 // The engine is observationally equivalent to the batch engine: feeding any
 // sequence of Upsert/Remove deltas and flushing must produce the same
@@ -71,8 +72,13 @@ type Incremental[K comparable, V any] struct {
 	dirty  map[K]struct{}
 	out    map[K]V
 
-	// Scratch reused across Upserts/Flushes.
+	// Scratch reused across Upserts/Flushes. emit appends to emitBuf and
+	// lift keeps a reduce's last emission; both are bound once, so passing
+	// them to the map and reduce phases allocates nothing.
 	emitBuf   []Pair[K, V]
+	emit      func(K, V)
+	lift      V
+	keepLift  func(K, V)
 	idBuf     []string
 	lastDirty int
 	lastTotal int
@@ -94,7 +100,7 @@ func NewIncremental[K comparable, V any](
 	if combine == nil {
 		uncombine = nil
 	}
-	return &Incremental[K, V]{
+	inc := &Incremental[K, V]{
 		m:         m,
 		r:         r,
 		combine:   combine,
@@ -104,6 +110,9 @@ func NewIncremental[K comparable, V any](
 		dirty:     make(map[K]struct{}),
 		out:       make(map[K]V),
 	}
+	inc.emit = func(k K, v V) { inc.emitBuf = append(inc.emitBuf, Pair[K, V]{Key: k, Value: v}) }
+	inc.keepLift = func(_ K, v V) { inc.lift = v }
+	return inc
 }
 
 // Len reports the number of live inputs.
@@ -127,10 +136,10 @@ func (inc *Incremental[K, V]) LastFlushTotal() int { return inc.lastTotal }
 
 // Reset drops all state, as after NewIncremental.
 func (inc *Incremental[K, V]) Reset() {
-	inc.inputs = make(map[string][]K)
-	inc.groups = make(map[K]*incGroup[K, V])
-	inc.dirty = make(map[K]struct{})
-	inc.out = make(map[K]V)
+	clear(inc.inputs)
+	clear(inc.groups)
+	clear(inc.dirty)
+	inc.out = make(map[K]V) // the previous output may still be in a caller's hands
 	inc.lastDirty, inc.lastTotal = 0, 0
 }
 
@@ -140,9 +149,7 @@ func (inc *Incremental[K, V]) Reset() {
 // the groups it previously contributed to), exactly as in a batch run.
 func (inc *Incremental[K, V]) Upsert(id string, key K, value V) {
 	inc.emitBuf = inc.emitBuf[:0]
-	inc.m(key, value, func(k K, v V) {
-		inc.emitBuf = append(inc.emitBuf, Pair[K, V]{Key: k, Value: v})
-	})
+	inc.m(key, value, inc.emit)
 	inc.replaceContribution(id, inc.emitBuf, false)
 }
 
@@ -312,10 +319,10 @@ func (inc *Incremental[K, V]) liftOf(key K, mem *incMember[V]) V {
 	if mem.liftOK {
 		return mem.lift
 	}
-	var last V
-	inc.r(key, mem.values, func(_ K, v V) { last = v })
-	mem.lift, mem.liftOK = last, true
-	return last
+	var zero V
+	inc.r(key, mem.values, inc.keepLift)
+	mem.lift, mem.liftOK, inc.lift = inc.lift, true, zero
+	return mem.lift
 }
 
 func (inc *Incremental[K, V]) markDirty(key K) {
@@ -401,9 +408,7 @@ func (inc *Incremental[K, V]) replay(key K, g *incGroup[K, V]) {
 		values = append(values, g.members[id].values...)
 	}
 	inc.emitBuf = inc.emitBuf[:0]
-	inc.r(key, values, func(k K, v V) {
-		inc.emitBuf = append(inc.emitBuf, Pair[K, V]{Key: k, Value: v})
-	})
+	inc.r(key, values, inc.emit)
 	inc.retract(g, inc.emitBuf)
 	g.emitted = g.emitted[:0]
 	for _, p := range inc.emitBuf {

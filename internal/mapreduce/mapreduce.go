@@ -1,8 +1,9 @@
-// Package mapreduce is a from-scratch parallel MapReduce executor. It is the
-// processing substrate behind DiaSpec's `grouped by … with map … reduce …`
-// clause (paper §IV.2, Figure 8 line 4, Figure 10): the runtime lowers a
-// grouped periodic delivery onto a Map phase over individual sensor readings
-// and a Reduce phase over per-group value lists, executing both in parallel.
+// Package mapreduce is a from-scratch MapReduce substrate behind DiaSpec's
+// `grouped by … with map … reduce …` clause (paper §IV.2, Figure 8 line 4,
+// Figure 10): a Map phase over individual sensor readings and a Reduce phase
+// over per-group value lists. The runtime lowers every grouped interaction
+// onto Incremental (incremental.go); Run is the parallel batch executor the
+// scaling benches measure and the reference Incremental is tested against.
 //
 // The engine is deliberately deterministic: values presented to a reducer are
 // ordered by the position of the input record that produced them, so a
@@ -150,18 +151,6 @@ func fnvUint64(x uint64) uint64 {
 		x >>= 8
 	}
 	return h
-}
-
-// StringKeyHash is a KeyHash optimized for string intermediate keys: it
-// hashes the bytes directly with FNV-1a and allocates nothing. Non-string
-// keys fall back to the reflective default. The runtime installs it for the
-// `grouped by` lowering, whose keys are always rendered attribute values.
-func StringKeyHash(k any) uint64 {
-	s, ok := k.(string)
-	if !ok {
-		return defaultKeyHash(k)
-	}
-	return fnvString(s)
 }
 
 // seqValue orders intermediate values by provenance so reducers observe a

@@ -5,29 +5,23 @@
 //
 //   - Deadline: wraps a driver so queries and actuations that exceed a time
 //     budget are reported as QoS violations;
-//   - Retry: wraps a driver with bounded retry and deterministic backoff for
-//     transient errors (e.g. simulated LPWAN loss);
-//   - FaultInjector: wraps a driver to inject failures for robustness tests,
-//     complementing transport.Link's loss model with device-level errors;
 //   - Monitor: collects violation records for inspection;
 //   - Budget: a bounded in-flight admission counter, the backpressure
 //     primitive behind the runtime's event-ingestion pipeline.
 //
-// All wrappers preserve the device.Driver interface, so they compose with
-// each other, with transport proxies and with the runtime transparently.
+// Deadline preserves the device.Driver interface, so it composes with
+// transport proxies (and transport.Link's loss model) and with the runtime
+// transparently.
 package qos
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/device"
 	"repro/internal/registry"
-	"repro/internal/simclock"
 )
 
 // Violation records one QoS constraint breach.
@@ -227,179 +221,3 @@ func (b *Budget) Admitted() uint64 { return b.admitted.Load() }
 
 // Rejected reports the total units refused at admission.
 func (b *Budget) Rejected() uint64 { return b.rejected.Load() }
-
-// RetryPolicy bounds retries of transient operations.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries (minimum 1).
-	MaxAttempts int
-	// Backoff is the pause between tries, multiplied by the attempt
-	// number (linear backoff). Zero disables pausing.
-	Backoff time.Duration
-	// RetryIf decides whether an error is transient; nil retries all
-	// errors.
-	RetryIf func(error) bool
-}
-
-// Retry wraps a driver with retry semantics on Query and Invoke.
-type Retry struct {
-	inner  device.Driver
-	policy RetryPolicy
-	clock  simclock.Clock
-
-	mu      sync.Mutex
-	retries uint64
-}
-
-var _ device.Driver = (*Retry)(nil)
-
-// NewRetry wraps drv. clock is used for backoff sleeps; nil uses real time.
-func NewRetry(drv device.Driver, policy RetryPolicy, clock simclock.Clock) *Retry {
-	if policy.MaxAttempts < 1 {
-		policy.MaxAttempts = 1
-	}
-	if clock == nil {
-		clock = simclock.Real{}
-	}
-	return &Retry{inner: drv, policy: policy, clock: clock}
-}
-
-// Retries reports how many retry attempts (beyond first tries) were made.
-func (r *Retry) Retries() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.retries
-}
-
-func (r *Retry) attempt(op func() error) error {
-	var err error
-	for try := 1; try <= r.policy.MaxAttempts; try++ {
-		err = op()
-		if err == nil {
-			return nil
-		}
-		if r.policy.RetryIf != nil && !r.policy.RetryIf(err) {
-			return err
-		}
-		if try == r.policy.MaxAttempts {
-			break
-		}
-		r.mu.Lock()
-		r.retries++
-		r.mu.Unlock()
-		if r.policy.Backoff > 0 {
-			r.clock.Sleep(time.Duration(try) * r.policy.Backoff)
-		}
-	}
-	return fmt.Errorf("qos: %d attempts failed: %w", r.policy.MaxAttempts, err)
-}
-
-// ID implements device.Driver.
-func (r *Retry) ID() string { return r.inner.ID() }
-
-// Kind implements device.Driver.
-func (r *Retry) Kind() string { return r.inner.Kind() }
-
-// Kinds implements device.Driver.
-func (r *Retry) Kinds() []string { return r.inner.Kinds() }
-
-// Attributes implements device.Driver.
-func (r *Retry) Attributes() registry.Attributes { return r.inner.Attributes() }
-
-// Query implements device.Driver.
-func (r *Retry) Query(source string) (any, error) {
-	var v any
-	err := r.attempt(func() error {
-		var e error
-		v, e = r.inner.Query(source)
-		return e
-	})
-	return v, err
-}
-
-// Subscribe implements device.Driver.
-func (r *Retry) Subscribe(source string) (device.Subscription, error) {
-	var s device.Subscription
-	err := r.attempt(func() error {
-		var e error
-		s, e = r.inner.Subscribe(source)
-		return e
-	})
-	return s, err
-}
-
-// Invoke implements device.Driver.
-func (r *Retry) Invoke(action string, args ...any) error {
-	return r.attempt(func() error { return r.inner.Invoke(action, args...) })
-}
-
-// ErrInjected is the base error of injected faults.
-var ErrInjected = errors.New("qos: injected fault")
-
-// FaultInjector wraps a driver and fails a deterministic fraction of
-// operations, for failure-injection tests of orchestration code.
-type FaultInjector struct {
-	inner device.Driver
-
-	mu       sync.Mutex
-	rng      *rand.Rand
-	failRate float64
-	injected uint64
-}
-
-var _ device.Driver = (*FaultInjector)(nil)
-
-// NewFaultInjector wraps drv; failRate in [0, 1] is the probability each
-// Query/Invoke fails with ErrInjected.
-func NewFaultInjector(drv device.Driver, failRate float64, seed int64) *FaultInjector {
-	return &FaultInjector{inner: drv, rng: rand.New(rand.NewSource(seed)), failRate: failRate}
-}
-
-// Injected reports how many operations were failed.
-func (f *FaultInjector) Injected() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.injected
-}
-
-func (f *FaultInjector) maybeFail(op, facet string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.rng.Float64() < f.failRate {
-		f.injected++
-		return fmt.Errorf("%w: %s %s.%s", ErrInjected, op, f.inner.ID(), facet)
-	}
-	return nil
-}
-
-// ID implements device.Driver.
-func (f *FaultInjector) ID() string { return f.inner.ID() }
-
-// Kind implements device.Driver.
-func (f *FaultInjector) Kind() string { return f.inner.Kind() }
-
-// Kinds implements device.Driver.
-func (f *FaultInjector) Kinds() []string { return f.inner.Kinds() }
-
-// Attributes implements device.Driver.
-func (f *FaultInjector) Attributes() registry.Attributes { return f.inner.Attributes() }
-
-// Query implements device.Driver.
-func (f *FaultInjector) Query(source string) (any, error) {
-	if err := f.maybeFail("query", source); err != nil {
-		return nil, err
-	}
-	return f.inner.Query(source)
-}
-
-// Subscribe implements device.Driver.
-func (f *FaultInjector) Subscribe(source string) (device.Subscription, error) {
-	return f.inner.Subscribe(source)
-}
-
-// Invoke implements device.Driver.
-func (f *FaultInjector) Invoke(action string, args ...any) error {
-	if err := f.maybeFail("invoke", action); err != nil {
-		return err
-	}
-	return f.inner.Invoke(action, args...)
-}

@@ -1,14 +1,12 @@
 package qos
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/device"
 	"repro/internal/registry"
-	"repro/internal/simclock"
 )
 
 func slowDevice(delay time.Duration) *device.Base {
@@ -72,166 +70,5 @@ func TestDeadlinePreservesIdentityAndSubscribe(t *testing.T) {
 	inner.Emit("s", 1)
 	if r := <-sub.C(); r.Value != 1 {
 		t.Fatalf("reading = %+v", r)
-	}
-}
-
-type flaky struct {
-	*device.Base
-	failures int
-	calls    int
-}
-
-func newFlaky(failures int) *flaky {
-	f := &flaky{Base: device.NewBase("f1", "F", nil, nil, nil), failures: failures}
-	f.OnQuery("s", func() (any, error) {
-		f.calls++
-		if f.calls <= f.failures {
-			return nil, errors.New("transient")
-		}
-		return "ok", nil
-	})
-	f.OnAction("act", func(...any) error {
-		f.calls++
-		if f.calls <= f.failures {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	return f
-}
-
-func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
-	f := newFlaky(2)
-	r := NewRetry(f, RetryPolicy{MaxAttempts: 3}, nil)
-	v, err := r.Query("s")
-	if err != nil || v != "ok" {
-		t.Fatalf("Query = %v, %v", v, err)
-	}
-	if r.Retries() != 2 {
-		t.Fatalf("Retries = %d, want 2", r.Retries())
-	}
-}
-
-func TestRetryExhaustsAttempts(t *testing.T) {
-	f := newFlaky(100)
-	r := NewRetry(f, RetryPolicy{MaxAttempts: 3}, nil)
-	_, err := r.Query("s")
-	if err == nil || !strings.Contains(err.Error(), "3 attempts failed") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestRetryHonoursRetryIf(t *testing.T) {
-	f := newFlaky(100)
-	r := NewRetry(f, RetryPolicy{
-		MaxAttempts: 5,
-		RetryIf:     func(error) bool { return false },
-	}, nil)
-	if _, err := r.Query("s"); err == nil {
-		t.Fatal("want error")
-	}
-	if r.Retries() != 0 {
-		t.Fatalf("Retries = %d, want 0 (non-retryable)", r.Retries())
-	}
-}
-
-func TestRetryBackoffUsesClock(t *testing.T) {
-	vc := simclock.NewVirtual(time.Date(2017, 6, 5, 0, 0, 0, 0, time.UTC))
-	f := newFlaky(1)
-	r := NewRetry(f, RetryPolicy{MaxAttempts: 2, Backoff: time.Minute}, vc)
-	done := make(chan error, 1)
-	go func() {
-		_, err := r.Query("s")
-		done <- err
-	}()
-	// First attempt fails; the retry sleeps one virtual minute.
-	deadline := time.Now().Add(5 * time.Second)
-	for vc.PendingTimers() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("retry never slept on the virtual clock")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	vc.Advance(time.Minute)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRetryInvokeAndSubscribe(t *testing.T) {
-	f := newFlaky(1)
-	r := NewRetry(f, RetryPolicy{MaxAttempts: 2}, nil)
-	if err := r.Invoke("act"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Subscribe("s"); err != nil {
-		t.Fatal(err)
-	}
-	if r.ID() != "f1" || r.Kind() != "F" || len(r.Kinds()) != 1 || r.Attributes() != nil {
-		t.Fatal("identity not passed through")
-	}
-}
-
-func TestFaultInjectorDeterministicRate(t *testing.T) {
-	run := func() (uint64, int) {
-		b := device.NewBase("d1", "D", nil, nil, nil)
-		b.OnQuery("s", func() (any, error) { return 1, nil })
-		fi := NewFaultInjector(b, 0.3, 7)
-		okCount := 0
-		for i := 0; i < 1000; i++ {
-			if _, err := fi.Query("s"); err == nil {
-				okCount++
-			} else if !errors.Is(err, ErrInjected) {
-				return 0, -1
-			}
-		}
-		return fi.Injected(), okCount
-	}
-	inj1, ok1 := run()
-	inj2, ok2 := run()
-	if ok1 == -1 {
-		t.Fatal("wrong error type")
-	}
-	if inj1 != inj2 || ok1 != ok2 {
-		t.Fatal("fault injection not deterministic")
-	}
-	if inj1 < 250 || inj1 > 350 {
-		t.Fatalf("injected %d of 1000 at rate 0.3", inj1)
-	}
-}
-
-func TestFaultInjectorInvokeAndPassthrough(t *testing.T) {
-	b := device.NewBase("d1", "D", nil, nil, nil)
-	acted := 0
-	b.OnAction("act", func(...any) error { acted++; return nil })
-	fi := NewFaultInjector(b, 1.0, 1)
-	if err := fi.Invoke("act"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v", err)
-	}
-	if acted != 0 {
-		t.Fatal("action executed despite injection")
-	}
-	if fi.ID() != "d1" || fi.Kind() != "D" || len(fi.Kinds()) != 1 || fi.Attributes() != nil {
-		t.Fatal("identity not passed through")
-	}
-	if _, err := fi.Subscribe("s"); err != nil {
-		t.Fatal("Subscribe should pass through injection")
-	}
-}
-
-func TestWrappersCompose(t *testing.T) {
-	// Retry over FaultInjector: transient injected faults are retried
-	// away with near-certainty at a low rate.
-	b := device.NewBase("d1", "D", nil, nil, nil)
-	b.OnQuery("s", func() (any, error) { return 1, nil })
-	fi := NewFaultInjector(b, 0.5, 3)
-	r := NewRetry(fi, RetryPolicy{MaxAttempts: 10}, nil)
-	for i := 0; i < 50; i++ {
-		if _, err := r.Query("s"); err != nil {
-			t.Fatalf("composed query %d failed: %v", i, err)
-		}
-	}
-	if fi.Injected() == 0 {
-		t.Fatal("injector never fired; test vacuous")
 	}
 }

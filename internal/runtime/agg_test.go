@@ -1,12 +1,15 @@
 package runtime_test
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/device"
 	"repro/internal/dsl"
+	"repro/internal/mapreduce"
 	"repro/internal/registry"
 	"repro/internal/runtime"
 	"repro/internal/simclock"
@@ -78,6 +81,7 @@ type aggWorld struct {
 
 	mu       sync.Mutex
 	occupied map[string]bool
+	zones    map[string]string
 }
 
 func newAggWorld(t *testing.T, opts ...runtime.Option) *aggWorld {
@@ -87,6 +91,7 @@ func newAggWorld(t *testing.T, opts ...runtime.Option) *aggWorld {
 		vc:       vc,
 		h:        &vacancyAggHandler{},
 		occupied: make(map[string]bool),
+		zones:    make(map[string]string),
 	}
 	w.rt = runtime.New(dsl.MustLoad(periodicAggDesign), append([]runtime.Option{runtime.WithClock(vc)}, opts...)...)
 	if err := w.rt.ImplementContext("Vacancy", w.h); err != nil {
@@ -99,6 +104,7 @@ func (w *aggWorld) bind(t *testing.T, id, zone string, occ bool) *device.Base {
 	t.Helper()
 	w.mu.Lock()
 	w.occupied[id] = occ
+	w.zones[id] = zone
 	w.mu.Unlock()
 	d := device.NewBase(id, "S", nil, registry.Attributes{"zone": zone}, w.vc.Now)
 	d.OnQuery("occupied", func() (any, error) {
@@ -208,43 +214,40 @@ func TestIncrementalPeriodicAggregate(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesBatchAggregation runs the same scenario through
-// the incremental path and the WithBatchAggregation oracle and asserts
-// identical published aggregates round for round.
+// TestIncrementalMatchesBatchAggregation drives the incremental path
+// through value changes and asserts every published aggregate equals a
+// batch mapreduce.Run of the handler's phases over the round's ground-truth
+// readings.
 func TestIncrementalMatchesBatchAggregation(t *testing.T) {
-	inc := newAggWorld(t)
-	batch := newAggWorld(t, runtime.WithBatchAggregation())
-	for _, w := range []*aggWorld{inc, batch} {
-		w.bind(t, "a0", "za", false)
-		w.bind(t, "a1", "za", false)
-		w.bind(t, "b0", "zb", true)
-		w.bind(t, "b1", "zb", false)
-		if err := w.rt.Start(); err != nil {
-			t.Fatal(err)
-		}
-		defer w.rt.Stop()
+	w := newAggWorld(t)
+	w.bind(t, "a0", "za", false)
+	w.bind(t, "a1", "za", false)
+	w.bind(t, "b0", "zb", true)
+	w.bind(t, "b1", "zb", false)
+	if err := w.rt.Start(); err != nil {
+		t.Fatal(err)
 	}
-	steps := []func(w *aggWorld){
-		func(w *aggWorld) {},
-		func(w *aggWorld) { w.set("a0", true) },
-		func(w *aggWorld) { w.set("b0", false); w.set("a1", true) },
-		func(w *aggWorld) { w.set("a0", false) },
+	defer w.rt.Stop()
+	steps := []func(){
+		func() {},
+		func() { w.set("a0", true) },
+		func() { w.set("b0", false); w.set("a1", true) },
+		func() { w.set("a0", false) },
 	}
-	for i, step := range steps {
-		step(inc)
-		step(batch)
-		inc.round(t)
-		batch.round(t)
-		gi, _ := inc.h.snapshot()
-		gb, _ := batch.h.snapshot()
-		if len(gi) != len(gb) {
-			t.Fatalf("step %d: incremental %v, batch %v", i, gi, gb)
+	for _, step := range steps {
+		step()
+		w.round(t)
+		w.mu.Lock()
+		var in []mapreduce.Pair[string, any]
+		for _, id := range []string{"a0", "a1", "b0", "b1"} {
+			in = append(in, mapreduce.Pair[string, any]{Key: w.zones[id], Value: w.occupied[id]})
 		}
-		for k, v := range gb {
-			if gi[k] != v {
-				t.Fatalf("step %d: incremental %v, batch %v", i, gi, gb)
-			}
+		w.mu.Unlock()
+		want := make(map[string]int)
+		for _, p := range mapreduce.Run(in, w.h.Map, w.h.Reduce, mapreduce.Config{}) {
+			want[p.Key] = p.Value.(int)
 		}
+		w.expect(t, want)
 	}
 }
 
@@ -491,6 +494,161 @@ context Agg as Integer { when periodic level from S <1 min> grouped by zone ever
 	defer mu.Unlock()
 	if len(windows) != 1 || len(windows[0]) != 2 {
 		t.Fatalf("windows = %v, want one partial window of 2 readings", windows)
+	}
+}
+
+// windowRecorder records each delivered window as one map: the reduced
+// value per group, or a copy of the group's raw value list.
+type windowRecorder struct {
+	mu      sync.Mutex
+	windows []map[string]any
+}
+
+func (w *windowRecorder) OnTrigger(call *runtime.ContextCall) (any, bool, error) {
+	got := make(map[string]any)
+	for k, v := range call.GroupedReduced {
+		got[k] = v
+	}
+	for k, vs := range call.Grouped {
+		got[k] = append([]any(nil), vs...)
+	}
+	w.mu.Lock()
+	w.windows = append(w.windows, got)
+	w.mu.Unlock()
+	return len(got), false, nil
+}
+
+func (w *windowRecorder) delivered() []map[string]any {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]map[string]any(nil), w.windows...)
+}
+
+func identityMap(k string, v any, emit func(string, any)) { emit(k, v) }
+
+func listReduce(k string, vs []any, emit func(string, any)) { emit(k, vs) }
+
+func sumInts(vs []any) int {
+	s := 0
+	for _, v := range vs {
+		s += v.(int)
+	}
+	return s
+}
+
+// sumWindow is combinable; its Map drops levels divisible by 3, so some
+// readings contribute to no group.
+type sumWindow struct{ windowRecorder }
+
+func (*sumWindow) Map(k string, v any, emit func(string, any)) {
+	if v.(int)%3 != 0 {
+		emit(k, v)
+	}
+}
+func (*sumWindow) Reduce(k string, vs []any, emit func(string, any)) { emit(k, sumInts(vs)) }
+func (*sumWindow) Combine(_ string, a, b any) any                    { return a.(int) + b.(int) }
+func (*sumWindow) Uncombine(_ string, a, v any) any                  { return a.(int) - v.(int) }
+
+// orderWindow is non-combinable and order-sensitive: a polynomial hash of
+// the group's values in the order the reducer sees them.
+type orderWindow struct{ windowRecorder }
+
+func (*orderWindow) Map(k string, v any, emit func(string, any)) { identityMap(k, v, emit) }
+func (*orderWindow) Reduce(k string, vs []any, emit func(string, any)) {
+	h := 0
+	for _, v := range vs {
+		h = h*31 + v.(int)
+	}
+	emit(k, h)
+}
+
+// twiceWindow's Reduce emits twice for one key; the last emission wins.
+type twiceWindow struct{ windowRecorder }
+
+func (*twiceWindow) Map(k string, v any, emit func(string, any)) { identityMap(k, v, emit) }
+func (*twiceWindow) Reduce(k string, vs []any, emit func(string, any)) {
+	emit(k, len(vs))
+	emit(k, sumInts(vs))
+}
+
+// TestEveryWindowMatchesBatchRun delivers `every` windows through the
+// incremental engine and checks each against mapreduce.RunSequential over
+// the window's readings in window order (tick-major, then device order):
+// two full windows, then a partial one flushed by Stop.
+func TestEveryWindowMatchesBatchRun(t *testing.T) {
+	sum, order, twice, raw := &sumWindow{}, &orderWindow{}, &twiceWindow{}, &windowRecorder{}
+	const mr = "with map as Integer reduce as Integer"
+	cases := []struct {
+		name   string
+		clause string
+		h      runtime.ContextHandler
+		rec    *windowRecorder
+		m      mapreduce.MapFunc[string, any, string, any]
+		r      mapreduce.ReduceFunc[string, any, string, any]
+	}{
+		{"combinable-sum", mr, sum, &sum.windowRecorder, sum.Map, sum.Reduce},
+		{"ordered-reduce", mr, order, &order.windowRecorder, order.Map, order.Reduce},
+		{"raw-grouped", "", raw, raw, identityMap, listReduce},
+		{"reduce-emits-twice", mr, twice, &twice.windowRecorder, twice.Map, twice.Reduce},
+	}
+	zone := func(i int) string { return []string{"za", "za", "za", "zb", "zb"}[i] }
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			vc := simclock.NewVirtual(epoch)
+			rt := runtime.New(dsl.MustLoad(`
+device S { attribute zone as String; source level as Integer; }
+context Agg as Integer { when periodic level from S <1 min> grouped by zone every <3 min> `+tc.clause+` no publish; }
+`), runtime.WithClock(vc))
+			defer rt.Stop()
+			// Device i answers its k-th query with 10k+i.
+			for i := 0; i < 5; i++ {
+				i, k := i, 0
+				d := device.NewBase(fmt.Sprintf("s%d", i), "S", nil, registry.Attributes{"zone": zone(i)}, vc.Now)
+				d.OnQuery("level", func() (any, error) { k++; return 10*k + i, nil })
+				if err := rt.BindDevice(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := rt.ImplementContext("Agg", tc.h); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Start(); err != nil {
+				t.Fatal(err)
+			}
+			tick := func() {
+				before := rt.Stats().PeriodicPolls
+				vc.Advance(time.Minute)
+				waitFor(t, "poll", func() bool { return rt.Stats().PeriodicPolls > before })
+			}
+			for i := 0; i < 6; i++ {
+				tick()
+			}
+			waitFor(t, "two full windows", func() bool { return len(tc.rec.delivered()) == 2 })
+			tick()
+			tick()
+			rt.Stop()
+
+			got := tc.rec.delivered()
+			windows := [][]int{{1, 2, 3}, {4, 5, 6}, {7, 8}}
+			if len(got) != len(windows) {
+				t.Fatalf("%d windows delivered, want %d", len(got), len(windows))
+			}
+			for w, ticks := range windows {
+				var in []mapreduce.Pair[string, any]
+				for _, k := range ticks {
+					for i := 0; i < 5; i++ {
+						in = append(in, mapreduce.Pair[string, any]{Key: zone(i), Value: 10*k + i})
+					}
+				}
+				want := make(map[string]any)
+				for _, p := range mapreduce.RunSequential(in, tc.m, tc.r) {
+					want[p.Key] = p.Value
+				}
+				if !reflect.DeepEqual(got[w], want) {
+					t.Fatalf("window %d = %v, want %v", w, got[w], want)
+				}
+			}
+		})
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"repro/internal/dsl/ast"
 	"repro/internal/dsl/check"
 	"repro/internal/eventbus"
-	"repro/internal/mapreduce"
 	"repro/internal/registry"
 	"repro/internal/simclock"
 	"repro/internal/transport"
@@ -249,19 +248,21 @@ type poller struct {
 	// or replaces it.
 	snap *pollSnapshot
 
-	// Incremental aggregation (grouped interactions without an `every`
-	// window): the poll loop diffs each round's readings against the
-	// per-slot last-value cache below and publishes only the deltas; the
-	// dispatch side folds them into the interaction's engine (core). The
+	// Incremental aggregation (every grouped interaction): the dispatch
+	// side folds deltas into the interaction's engine (core). Round by
+	// round, the poll loop diffs each round's readings against the
+	// per-slot last-value cache below and publishes only the deltas. The
 	// cache is keyed to the snapshot epoch — a rebuild (fleet change)
 	// invalidates it and the next delta resets the engine and re-feeds
-	// the full round.
+	// the full round. An `every` window is delivered as one reset delta
+	// holding the whole window instead.
 	aggOn     bool
 	prevVals  []any
 	prevOk    []bool
 	snapEpoch uint64
 	prevEpoch uint64   // epoch prevVals/prevOk describe; differs => reset
 	core      *aggCore // owned by the dispatch (bus-handler) side
+	winIDs    []string // window position ids; dispatch side only
 
 	// Persistent query pool: up to workers goroutines block on rounds and
 	// work-steal targets through the round's cursors. The pool grows
@@ -291,11 +292,7 @@ func (rt *Runtime) startPoller(ctx *check.Context, idx int, in *check.Interactio
 	if in.Every > 0 {
 		p.flushEvery = int(in.Every / in.Period)
 	}
-	// Incremental aggregation applies to grouped interactions polled round
-	// by round; `every` windows concatenate several rounds per delivery
-	// (the same device contributes one value per tick), which is a batch
-	// semantic, so they keep the batch lowering.
-	p.aggOn = in.GroupBy != nil && p.flushEvery == 0 && !rt.batchAgg
+	p.aggOn = in.GroupBy != nil
 	// Deliver batches through the bus so handler invocations for this
 	// interaction are serialized like every other delivery. dispatch fully
 	// copies the batch out, so the readings buffer is recycled afterwards.
@@ -349,12 +346,10 @@ func (p *poller) flushWindow() {
 	if p.flushEvery == 0 || len(p.window) == 0 {
 		return
 	}
-	batch := periodicBatch{readings: p.window, at: p.rt.clock.Now()}
+	readings := p.window
 	p.window = nil
 	p.ticksInWin = 0
-	if err := p.rt.bus.Publish(p.rt.periodicTopic(p.ctx.Name, p.idx), batch, batch.at); err != nil {
-		p.putReadings(batch.readings)
-	}
+	p.publish(readings, p.rt.clock.Now())
 }
 
 // scanItem is what one registry-scan visit captures during a snapshot
@@ -405,7 +400,7 @@ type pollSnapshot struct {
 // pool and either delivers the batch immediately or accumulates it into the
 // `every` window. With an unchanged fleet this performs no registry scan, no
 // sort and no target allocation — the generation check is the only registry
-// interaction. Incrementally aggregated interactions publish the round's
+// interaction. Grouped interactions without a window publish the round's
 // per-slot diff (changed readings + dropped-out devices) instead of the
 // full batch.
 func (p *poller) poll(at time.Time) {
@@ -420,7 +415,7 @@ func (p *poller) poll(at time.Time) {
 	}
 	p.rt.stats.periodicPolls.Add(1)
 
-	if p.aggOn {
+	if p.aggOn && p.flushEvery == 0 {
 		p.publishDelta(at, snap)
 		return
 	}
@@ -451,10 +446,20 @@ func (p *poller) poll(at time.Time) {
 		p.window = nil
 		p.ticksInWin = 0
 	}
-	batch := periodicBatch{readings: readings, at: at}
-	if err := p.rt.bus.Publish(p.rt.periodicTopic(p.ctx.Name, p.idx), batch, at); err != nil {
+	p.publish(readings, at)
+}
+
+// publish delivers one round or one closed `every` window: as a
+// periodicBatch to an ungrouped interaction, and to a grouped one as a reset
+// delta that rebuilds the engine from exactly these readings, so no reading
+// outlives its window.
+func (p *poller) publish(readings []GroupedReading, at time.Time) {
+	var payload any = periodicBatch{readings: readings, at: at}
+	if p.aggOn {
+		payload = aggDelta{upserts: readings, reset: true, window: true, at: at}
+	}
+	if err := p.rt.bus.Publish(p.rt.periodicTopic(p.ctx.Name, p.idx), payload, at); err != nil {
 		p.putReadings(readings)
-		return
 	}
 }
 
@@ -514,11 +519,14 @@ func (p *poller) runRound(at time.Time, snap *pollSnapshot) bool {
 // readings whose value changed since the previous round, the devices that
 // answered last round but not this one, and whether the dispatch-side
 // engine must reset first (snapshot rebuilt: slots renumbered, fleet
-// membership changed — the whole round rides in upserts).
+// membership changed — the whole round rides in upserts). A window delta
+// carries a whole closed `every` window, reset included; its upserts are
+// keyed by window position, since one device contributes once per tick.
 type aggDelta struct {
 	upserts  []GroupedReading
 	removals []string
 	reset    bool
+	window   bool
 	at       time.Time
 }
 
@@ -616,10 +624,10 @@ func valuesEqual(a, b any) bool {
 	}
 }
 
-// dispatchDelta folds one round's delta into the interaction's engine and
-// dispatches the handler with the updated aggregate. Runs on the bus
-// handler goroutine, serialized with every other delivery of this
-// interaction.
+// dispatchDelta folds one round's delta, or one closed window, into the
+// interaction's engine and dispatches the handler with the updated
+// aggregate. Runs on the bus handler goroutine, serialized with every other
+// delivery of this interaction.
 func (p *poller) dispatchDelta(d aggDelta) {
 	if p.core == nil {
 		core, err := newAggCore(p.rt, p.ctx.Name, p.in)
@@ -634,7 +642,11 @@ func (p *poller) dispatchDelta(d aggDelta) {
 	}
 	for i := range d.upserts {
 		gr := &d.upserts[i]
-		p.core.eng.Upsert(gr.Reading.DeviceID, gr.Group, gr.Reading.Value)
+		id := gr.Reading.DeviceID
+		if d.window {
+			id = p.windowID(i)
+		}
+		p.core.eng.Upsert(id, gr.Group, gr.Reading.Value)
 	}
 	for _, id := range d.removals {
 		p.core.eng.Remove(id)
@@ -642,6 +654,17 @@ func (p *poller) dispatchDelta(d aggDelta) {
 	call := p.newCall(d.at)
 	call.GroupedReduced, call.Grouped = p.core.flush()
 	p.deliver(&call)
+}
+
+// windowID is the engine input id of window position i: fixed-width hex,
+// so the engine's id-ordered replay presents values in window order
+// (tick-major, then slot order), the order a batch run over the window
+// gives them. Ids are cached across windows.
+func (p *poller) windowID(i int) string {
+	for len(p.winIDs) <= i {
+		p.winIDs = append(p.winIDs, fmt.Sprintf("%08x", len(p.winIDs)))
+	}
+	return p.winIDs[i]
 }
 
 // rebuild rescans the registry and rebuilds the fleet snapshot: locals carry
@@ -864,53 +887,16 @@ func (p *poller) putReadings(rs []GroupedReading) {
 	p.readingsPool.Put(&rs)
 }
 
-// dispatch runs the context handler for one periodic batch, applying
-// grouping and the MapReduce lowering when declared.
+// dispatch runs the context handler for one ungrouped periodic batch.
+// Grouped interactions never get here: they ride the engine (dispatchDelta).
 func (p *poller) dispatch(batch periodicBatch) {
 	call := p.newCall(batch.at)
-	if p.in.GroupBy == nil {
-		rs := make([]device.Reading, len(batch.readings))
-		for i, gr := range batch.readings {
-			rs[i] = gr.Reading
-		}
-		call.Readings = rs
-	} else if p.in.MapType != nil {
-		call.GroupedReduced = p.runMapReduce(batch.readings)
-	} else {
-		grouped := make(map[string][]any)
-		for _, gr := range batch.readings {
-			grouped[gr.Group] = append(grouped[gr.Group], gr.Reading.Value)
-		}
-		call.Grouped = grouped
+	rs := make([]device.Reading, len(batch.readings))
+	for i, gr := range batch.readings {
+		rs[i] = gr.Reading
 	}
+	call.Readings = rs
 	p.deliver(&call)
-}
-
-// runMapReduce lowers the grouped batch onto the MapReduce engine using the
-// handler's Map and Reduce phases (paper Figure 10). When Reduce emits
-// several values for one key, the last emission wins, matching the paper's
-// one-value-per-group framework contract.
-func (p *poller) runMapReduce(readings []GroupedReading) map[string]any {
-	h := p.rt.contextHandler(p.ctx.Name)
-	mr, ok := h.(MapReducer)
-	if !ok {
-		p.rt.reportError(p.ctx.Name, fmt.Errorf("handler does not implement MapReducer"))
-		return nil
-	}
-	in := make([]mapreduce.Pair[string, any], len(readings))
-	for i, gr := range readings {
-		in[i] = mapreduce.Pair[string, any]{Key: gr.Group, Value: gr.Reading.Value}
-	}
-	pairs := mapreduce.Run(in,
-		func(k string, v any, emit func(string, any)) { mr.Map(k, v, emit) },
-		func(k string, vs []any, emit func(string, any)) { mr.Reduce(k, vs, emit) },
-		p.rt.mrCfg,
-	)
-	out := make(map[string]any, len(pairs))
-	for _, pr := range pairs {
-		out[pr.Key] = pr.Value
-	}
-	return out
 }
 
 // GroupKeys returns the sorted group keys of a grouped delivery; a helper

@@ -13,7 +13,6 @@ import (
 	"repro/internal/dsl"
 	"repro/internal/dsl/check"
 	"repro/internal/eventbus"
-	"repro/internal/mapreduce"
 	"repro/internal/metrics"
 	"repro/internal/persist"
 	"repro/internal/registry"
@@ -73,7 +72,7 @@ type SubstrateConfig struct {
 }
 
 // AppConfig configures one deployed app — the per-tenant half of the split:
-// handlers, ingestion qos, poll-pool and processing tunables. Every zero
+// handlers, ingestion qos and poll-pool tunables. Every zero
 // field selects its default, so AppConfig{AutoImplement: true} deploys any
 // checked design.
 type AppConfig struct {
@@ -92,11 +91,6 @@ type AppConfig struct {
 	// PollWorkers bounds each periodic poller's query pool. Zero or
 	// negative selects the default.
 	PollWorkers int
-	// MapReduce tunes the `with map … reduce …` processing engine.
-	MapReduce mapreduce.Config
-	// BatchAggregation re-runs full batch MapReduce every round instead of
-	// incremental maintenance (the ablation baseline).
-	BatchAggregation bool
 	// OnError sinks this app's component errors, overriding the
 	// substrate's OnError.
 	OnError func(ComponentError)
@@ -354,8 +348,6 @@ func (h *Host) attach(appID string, model *check.Model, cfg AppConfig) *Runtime 
 		fleet:       h.fleet,
 		ingestCfg:   cfg.Ingest,
 		pollWorkers: cfg.PollWorkers,
-		mrCfg:       cfg.MapReduce,
-		batchAgg:    cfg.BatchAggregation,
 		onError:     cfg.OnError,
 		contexts:    make(map[string]ContextHandler),
 		controllers: make(map[string]ControllerHandler),
@@ -373,11 +365,6 @@ func (h *Host) attach(appID string, model *check.Model, cfg AppConfig) *Runtime 
 		// A zero-worker pool would hang the first non-empty round (no
 		// worker ever closes it); fall back to the default instead.
 		rt.pollWorkers = defaultPollWorkers
-	}
-	if rt.mrCfg.KeyHash == nil {
-		// Group keys are rendered attribute values, i.e. strings; skip
-		// the reflective default hash on the periodic hot path.
-		rt.mrCfg.KeyHash = mapreduce.StringKeyHash
 	}
 	rt.refreshHandlersLocked() // nothing shared yet: no lock needed
 	return rt

@@ -11,9 +11,9 @@
 //   - delivering: event-driven triggers ride the event bus, periodic
 //     triggers are driven by a clock-based poller that queries device
 //     fleets, and query-driven pulls are served through ContextCall;
-//   - processing: `grouped by` periodic deliveries are partitioned per
-//     attribute value and optionally lowered onto the parallel MapReduce
-//     engine when the design declares `with map … reduce …`;
+//   - processing: `grouped by` deliveries are partitioned per attribute
+//     value by the incremental MapReduce engine, which also runs the
+//     design's `with map … reduce …` lowering when declared;
 //   - actuating: controllers receive context values and actuate devices
 //     through discovery-filtered proxies restricted to the design's
 //     `do … on …` set.
@@ -33,7 +33,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/dsl/check"
 	"repro/internal/eventbus"
-	"repro/internal/mapreduce"
 	"repro/internal/persist"
 	"repro/internal/registry"
 	"repro/internal/simclock"
@@ -64,8 +63,8 @@ type ControllerHandler interface {
 
 // MapReducer is optionally implemented by context handlers whose design
 // declares `with map … reduce …` (paper Figure 10). Keys are rendered
-// attribute values (e.g. the parking lot); the runtime executes Map over
-// individual readings and Reduce over per-group lists in parallel.
+// attribute values (e.g. the parking lot); the runtime executes Map once per
+// reading and Reduce over the per-group lists of the groups that changed.
 type MapReducer interface {
 	Map(key string, value any, emit func(key string, v any))
 	Reduce(key string, values []any, emit func(key string, v any))
@@ -285,10 +284,8 @@ func (c *statCounters) snapshot() Stats {
 // delegate to that owning Host.
 type Runtime struct {
 	model       *check.Model
-	mrCfg       mapreduce.Config
 	ingestCfg   IngestConfig
 	pollWorkers int
-	batchAgg    bool
 	onError     func(ComponentError)
 
 	// host owns the substrate. reg, bus, fleet and clock are copies of its
@@ -388,12 +385,6 @@ func WithRegistry(r *registry.Registry) Option {
 	return func(c *newConfig) { c.sub.Registry = r }
 }
 
-// WithMapReduceConfig tunes the processing engine used for
-// `with map … reduce …` interactions.
-func WithMapReduceConfig(cfg mapreduce.Config) Option {
-	return func(c *newConfig) { c.app.MapReduce = cfg }
-}
-
 // WithErrorHandler installs a callback invoked on every component error.
 // Errors are always counted in Stats regardless.
 func WithErrorHandler(f func(ComponentError)) Option {
@@ -418,14 +409,6 @@ const defaultPollWorkers = 32
 // zero-worker pool could never complete a round.
 func WithPollWorkers(n int) Option {
 	return func(c *newConfig) { c.app.PollWorkers = n }
-}
-
-// WithBatchAggregation makes grouped periodic interactions re-run the full
-// batch MapReduce every round instead of maintaining state in the
-// incremental engine — the pre-incremental behavior, kept as the ablation
-// baseline and correctness oracle (examples/aggstorm cross-checks the two).
-func WithBatchAggregation() Option {
-	return func(c *newConfig) { c.app.BatchAggregation = true }
 }
 
 // WithMetricsAddr opts the runtime into the Prometheus scrape endpoint: New

@@ -11,7 +11,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/dsl"
 	"repro/internal/dsl/designs"
-	"repro/internal/mapreduce"
 	"repro/internal/registry"
 	"repro/internal/runtime"
 	"repro/internal/simclock"
@@ -984,8 +983,7 @@ context C as Integer { when provided beat from Pulse always publish; }
 controller K { when provided C do flash on Lamp; }
 `)
 	vc := simclock.NewVirtual(epoch)
-	rt := runtime.New(model, runtime.WithClock(vc),
-		runtime.WithMapReduceConfig(mapreduce.Config{Workers: 2}))
+	rt := runtime.New(model, runtime.WithClock(vc))
 	defer rt.Stop()
 	if rt.Model() != model {
 		t.Fatal("Model() wrong")
