@@ -2,6 +2,7 @@ package federation
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/transport"
@@ -26,6 +27,13 @@ func (n *Node) ForwardBurst(peerName, kind, source string, batch []device.Readin
 	}
 	b := &fwdBuffer{p: p, kind: kind, source: source, stream: newStreamID()}
 	b.flush(batch)
+}
+
+// SetExporterLag makes every exporter wait d before it applies each batch of
+// registry changes, until the returned function restores it.
+func SetExporterLag(d time.Duration) (restore func()) {
+	exporterLag.Store(int64(d))
+	return func() { exporterLag.Store(0) }
 }
 
 // InterposeFederationHandler wraps the handler this node's transport server

@@ -1099,9 +1099,31 @@ func (h nodeHandler) SyncKinds(kinds []string, gens []uint64) []transport.SyncDe
 			ents = append(ents, ce)
 			return true
 		})
+		if changed {
+			// The scan can see a registration the kind's exporters have not
+			// applied yet; a peer that got the mirror first would reach a
+			// device this node does not host.
+			n.exportersCaughtUp(kind)
+		}
 		out[i] = transport.SyncDelta{Kind: kind, Gen: gen, Changed: changed, Entities: ents}
 	}
 	return out
+}
+
+// exportersCaughtUp waits, bounded, for every exporter of kind to apply the
+// registry changes queued so far.
+func (n *Node) exportersCaughtUp(kind string) {
+	n.mu.Lock()
+	var exs []*exporter
+	for _, e := range n.exporters {
+		if e.kind == kind {
+			exs = append(exs, e)
+		}
+	}
+	n.mu.Unlock()
+	for _, e := range exs {
+		e.caughtUp()
+	}
 }
 
 // IngestEventBatch implements transport.FederationHandler: forwarded

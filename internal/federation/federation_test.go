@@ -425,6 +425,50 @@ func TestCrossNodeCommandBatch(t *testing.T) {
 	}
 }
 
+// TestSyncAdvertisesOnlyHostedEntities: a registry sync must not advertise
+// a local entity before the kind's exporter hosts its driver, or a peer
+// actuating the fresh mirror hits "unknown device". The owner's exporters
+// are held 200 ms behind the registry, so without the wait the sync always
+// wins that race.
+func TestSyncAdvertisesOnlyHostedEntities(t *testing.T) {
+	t.Cleanup(federation.SetExporterLag(200 * time.Millisecond))
+	crt, consumer, _ := newConsumerNode(t, "hub")
+	ort, owner, _, _ := newOwnerNode(t, "edge", 1)
+	if err := consumer.AddPeer(federation.PeerConfig{
+		Name: "edge", Addr: owner.Addr(), Import: []string{"ZonePanel"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const panels = 5
+	for i := 0; i < panels; i++ {
+		r := devsim.NewRecorderDevice(fmt.Sprintf("panel-%02d", i), "ZonePanel", nil,
+			registry.Attributes{"zone": "edge"}, []string{"update"}, nil)
+		if err := ort.BindDevice(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := consumer.SyncPeers(); err != nil {
+		t.Fatal(err)
+	}
+	ents := crt.Registry().Discover(registry.Query{Kind: "ZonePanel"})
+	if len(ents) != panels {
+		t.Fatalf("discovered %d panels, want %d", len(ents), panels)
+	}
+	ids := make([]string, len(ents))
+	for i, e := range ents {
+		ids[i] = string(e.ID)
+	}
+	errs, err := dialOrFatal(t, ents[0].Endpoint).CommandBatch(ids, "update", "free")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, es := range errs {
+		if es != "" {
+			t.Fatalf("panel %s advertised before it was hosted: %s", ids[i], es)
+		}
+	}
+}
+
 func dialOrFatal(t *testing.T, addr string) *transport.Client {
 	t.Helper()
 	cli, err := transport.Dial(addr)

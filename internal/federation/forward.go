@@ -2,6 +2,7 @@ package federation
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,10 +38,26 @@ type exporter struct {
 	// forwarding. The exporter resolves it per tracked device so the
 	// aggregating sink never touches the registry on the emission path.
 	groupAttr string
+	w         *registry.Watcher
 
 	mu   sync.Mutex
 	subs map[registry.ID]*exportedDevice
+
+	// applied counts the watcher changes the loop has applied, the
+	// reconcile after a loss included; caughtUp waits on it. appliedCh is
+	// closed and replaced each time applied moves.
+	applyMu   sync.Mutex
+	applied   uint64
+	appliedCh chan struct{}
 }
+
+// exporterCatchUp bounds how long a registry sync waits for an exporter to
+// apply the changes it is about to advertise.
+const exporterCatchUp = time.Second
+
+// exporterLag delays each exporter batch by the stored duration. It is zero
+// except in tests that hold an exporter behind the registry.
+var exporterLag atomic.Int64
 
 func (n *Node) startExporter(ex Export) error {
 	w, err := n.reg.Watch(registry.Query{Kind: ex.Kind})
@@ -48,10 +65,12 @@ func (n *Node) startExporter(ex Export) error {
 		return err
 	}
 	e := &exporter{
-		n:      n,
-		kind:   ex.Kind,
-		source: ex.Source,
-		subs:   make(map[registry.ID]*exportedDevice),
+		n:         n,
+		kind:      ex.Kind,
+		source:    ex.Source,
+		w:         w,
+		subs:      make(map[registry.ID]*exportedDevice),
+		appliedCh: make(chan struct{}),
 	}
 	if ex.Source != "" {
 		e.sink = n.sinks[exportKey(ex.Kind, ex.Source)]
@@ -77,17 +96,21 @@ func (n *Node) startExporter(ex Export) error {
 		e.add(ent)
 	}
 	n.wg.Add(1)
-	go e.loop(w)
+	go e.loop()
 	return nil
 }
 
-func (e *exporter) loop(w *registry.Watcher) {
+func (e *exporter) loop() {
 	defer e.n.wg.Done()
 	var batch []registry.Change
+	var applied uint64
 	for {
 		var lost, ok bool
-		if batch, lost, ok = w.Next(batch); !ok {
+		if batch, lost, ok = e.w.Next(batch); !ok {
 			break
+		}
+		if d := exporterLag.Load(); d > 0 {
+			time.Sleep(time.Duration(d))
 		}
 		for _, c := range batch {
 			switch c.Type {
@@ -100,8 +123,48 @@ func (e *exporter) loop(w *registry.Watcher) {
 		if lost {
 			e.reconcile()
 		}
+		applied += uint64(len(batch))
+		e.advance(applied)
 	}
 	e.stopAll()
+	e.advance(math.MaxUint64) // a stopped exporter keeps no sync waiting
+}
+
+// advance records that the loop has applied n watcher changes and wakes
+// caughtUp waiters.
+func (e *exporter) advance(n uint64) {
+	e.applyMu.Lock()
+	e.applied = n
+	close(e.appliedCh)
+	e.appliedCh = make(chan struct{})
+	e.applyMu.Unlock()
+}
+
+// caughtUp waits, at most exporterCatchUp, until the loop has applied every
+// change the watcher queued before the call. After a registry scan, that
+// makes every local entity the scan saw hosted (or released again), so a
+// sync never advertises a device a peer cannot reach yet.
+func (e *exporter) caughtUp() {
+	target := e.w.Queued()
+	var timeout <-chan time.Time
+	for {
+		e.applyMu.Lock()
+		done, wake := e.applied >= target, e.appliedCh
+		e.applyMu.Unlock()
+		if done {
+			return
+		}
+		if timeout == nil {
+			t := time.NewTimer(exporterCatchUp)
+			defer t.Stop()
+			timeout = t.C
+		}
+		select {
+		case <-wake:
+		case <-timeout:
+			return
+		}
+	}
 }
 
 // scanCopy captures the identity fields add needs from one scanned entity

@@ -27,7 +27,8 @@ type Queue[T any] struct {
 	mu      sync.Mutex
 	wake    sync.Cond // signalled on the empty → non-empty push and on Close
 	pending []T
-	lost    bool // a push was dropped at the bound since the last Take
+	queued  uint64 // pushes queued since New
+	lost    bool   // a push was dropped at the bound since the last Take
 	closed  bool
 }
 
@@ -56,6 +57,7 @@ func (q *Queue[T]) Push(v T) bool {
 		return false
 	}
 	q.pending = append(q.pending, v)
+	q.queued++
 	wake := len(q.pending) == 1
 	q.mu.Unlock()
 	// Outside the lock, so the woken consumer does not block on it: Wait
@@ -94,6 +96,16 @@ func (q *Queue[T]) Take(spent []T) (batch []T, lost, ok bool) {
 	batch, q.pending = q.pending, spent
 	lost, q.lost = q.lost, false
 	return batch, lost, true
+}
+
+// Queued reports how many pushes the queue has queued since New, dropped
+// ones not counted. A consumer that counts the items Take hands it knows it
+// has taken every item queued before a Queued call once its count reaches
+// the result.
+func (q *Queue[T]) Queued() uint64 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.queued
 }
 
 // Close refuses further pushes and wakes a parked Take; items already pending

@@ -42,24 +42,35 @@ type ckptState[K comparable, V any] struct {
 }
 
 // Inputs calls fn for every contributing input id with the group keys it
-// emitted. Restore-time reconciliation uses it to retract inputs whose
-// originating devices did not survive recovery.
+// emitted; records whose map phase emitted nothing are skipped.
+// Restore-time reconciliation uses it to retract inputs whose originating
+// devices did not survive recovery.
 func (inc *Incremental[K, V]) Inputs(fn func(id string, keys []K)) {
-	for id, keys := range inc.inputs {
+	for id, rec := range inc.inputs {
+		if rec.n == 0 {
+			continue
+		}
+		keys := make([]K, rec.n)
+		for i, mem := range rec.mems[:rec.n] {
+			keys[i] = mem.g.key
+		}
 		fn(id, keys)
 	}
 }
 
 // Checkpoint writes the engine's full retained state to w. The engine must
 // be quiescent for the duration of the call (callers hold whatever lock
-// serializes Upsert/Flush).
+// serializes Upsert/Flush). Records that contribute to no group are not
+// written: the checkpoint holds the same state as one of an engine that
+// dropped them.
 func (inc *Incremental[K, V]) Checkpoint(w io.Writer) error {
 	st := ckptState[K, V]{
-		Inputs: inc.inputs,
+		Inputs: make(map[string][]K, inc.live),
 		Groups: make(map[K]ckptGroup[K, V], len(inc.groups)),
 		Dirty:  make([]K, 0, len(inc.dirty)),
 		Out:    inc.out,
 	}
+	inc.Inputs(func(id string, keys []K) { st.Inputs[id] = keys })
 	for k, g := range inc.groups {
 		cg := ckptGroup[K, V]{
 			Members:   make(map[string]ckptMember[V], len(g.members)),
@@ -67,13 +78,13 @@ func (inc *Incremental[K, V]) Checkpoint(w io.Writer) error {
 			PartialOK: g.partialOK,
 			Emitted:   g.emitted,
 		}
-		for id, mem := range g.members {
-			cg.Members[id] = ckptMember[V]{Values: mem.values, Lift: mem.lift, LiftOK: mem.liftOK}
+		for _, mem := range g.members {
+			cg.Members[mem.rec.id] = ckptMember[V]{Values: mem.values, Lift: mem.lift, LiftOK: mem.liftOK}
 		}
 		st.Groups[k] = cg
 	}
-	for k := range inc.dirty {
-		st.Dirty = append(st.Dirty, k)
+	for _, g := range inc.dirty {
+		st.Dirty = append(st.Dirty, g.key)
 	}
 	if err := gob.NewEncoder(w).Encode(&st); err != nil {
 		return fmt.Errorf("mapreduce: checkpoint: %w", err)
@@ -91,12 +102,12 @@ func (inc *Incremental[K, V]) Restore(r io.Reader) error {
 		return fmt.Errorf("mapreduce: restore: %w", err)
 	}
 	inc.Reset()
-	if st.Inputs != nil {
-		inc.inputs = st.Inputs
-	}
+	// The input records are rebuilt from the group members; st.Inputs
+	// lists the same memberships keyed by input.
 	for k, cg := range st.Groups {
 		g := &incGroup[K, V]{
-			members:   make(map[string]*incMember[V], len(cg.Members)),
+			key:       k,
+			members:   make([]*incMember[K, V], 0, len(cg.Members)),
 			partial:   cg.Partial,
 			partialOK: cg.PartialOK,
 			emitted:   cg.Emitted,
@@ -107,12 +118,24 @@ func (inc *Incremental[K, V]) Restore(r io.Reader) error {
 			g.partialOK = false
 		}
 		for id, cm := range cg.Members {
-			g.members[id] = &incMember[V]{values: cm.Values, lift: cm.Lift, liftOK: cm.LiftOK}
+			rec := inc.Input(id)
+			if rec.n == 0 {
+				inc.live++
+			}
+			mem := rec.addMember()
+			mem.g, mem.pos, mem.values, mem.lift, mem.liftOK = g, len(g.members), cm.Values, cm.Lift, cm.LiftOK
+			rec.n++
+			g.members = append(g.members, mem)
 		}
 		inc.groups[k] = g
 	}
 	for _, k := range st.Dirty {
-		inc.dirty[k] = struct{}{}
+		g := inc.groups[k]
+		if g == nil {
+			g = &incGroup[K, V]{key: k}
+			inc.groups[k] = g
+		}
+		inc.markDirty(g)
 	}
 	if st.Out != nil {
 		inc.out = st.Out

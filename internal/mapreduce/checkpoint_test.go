@@ -153,6 +153,52 @@ func TestInputsIteration(t *testing.T) {
 	}
 }
 
+// TestCheckpointSkipsEmptyRecords: inputs whose map phase emits nothing
+// keep a record in the engine but not in a checkpoint. The format is
+// unchanged, and an engine that installs the checkpoint's Inputs map as its
+// id index (as earlier versions of Restore did) must find only contributing
+// inputs there, each with its groups.
+func TestCheckpointSkipsEmptyRecords(t *testing.T) {
+	eng := newBoolIntEngine(true, true)
+	eng.Upsert("dev-000", "A", false) // vacant: contributes to A
+	eng.Upsert("dev-001", "A", true)  // occupied: empty record
+	eng.Upsert("dev-002", "B", false)
+	eng.Upsert("dev-002", "B", true) // contributed, now empty; B emptied
+	var buf bytes.Buffer
+	if err := eng.inner.Checkpoint(&buf); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	raw := buf.Bytes()
+
+	var st ckptState[string, any]
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&st); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(st.Inputs, map[string][]string{"dev-000": {"A"}}) {
+		t.Fatalf("checkpoint inputs = %v, want only dev-000 in A", st.Inputs)
+	}
+	for k, g := range st.Groups {
+		for id := range g.Members {
+			if id != "dev-000" {
+				t.Fatalf("group %s holds member %s", k, id)
+			}
+		}
+	}
+
+	clone := newBoolIntEngine(true, true)
+	if err := clone.inner.Restore(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if clone.inner.Len() != 1 || clone.inner.Has("dev-001") || !clone.inner.Has("dev-000") {
+		t.Fatalf("restored Len=%d Has(dev-001)=%v", clone.inner.Len(), clone.inner.Has("dev-001"))
+	}
+	out1, _ := eng.Flush(nil)
+	out2, _ := clone.Flush(nil)
+	if !reflect.DeepEqual(out1, out2) || out1["A"] != 1 {
+		t.Fatalf("restored output %v, original %v", out2, out1)
+	}
+}
+
 func sortStrings(s []string) {
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {

@@ -1,6 +1,9 @@
 package mapreduce
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // This file implements the incremental half of the MapReduce substrate: an
 // engine that maintains per-group aggregation state between rounds so a
@@ -30,18 +33,65 @@ type CombineFunc[K comparable, V any] func(key K, a, b V) V
 // (min, max) should leave it nil.
 type UncombineFunc[K comparable, V any] func(key K, acc, v V) V
 
+// Handle is the engine's record of one input, returned by
+// Incremental.Input. It points at the input's member in each group the
+// input contributes to, so an upsert through it (UpsertHandle) finds the
+// previous contributions without looking the id up.
+type Handle[K comparable, V any] struct {
+	id string
+	// epoch is the engine epoch the record belongs to: Reset moves the
+	// engine's, Remove zeroes the record's, so an upsert through a stale
+	// handle is caught instead of corrupting the groups.
+	epoch uint64
+	// mems[:n] are the input's memberships, one per group it contributes
+	// to; mems[n:] are spares kept for reuse, so an input whose map phase
+	// stops and resumes emitting allocates nothing.
+	mems []*incMember[K, V]
+	n    int
+	// The first member and its slot in mems live in the record itself: an
+	// input that feeds one group costs one allocation.
+	first    incMember[K, V]
+	firstPtr [1]*incMember[K, V]
+}
+
 // incMember is one input's contribution to one group: the values its map
 // phase emitted for the group and, on the combiner path, their lifted
 // partial aggregate.
-type incMember[V any] struct {
-	values []V
+type incMember[K comparable, V any] struct {
+	rec    *Handle[K, V]
+	g      *incGroup[K, V] // nil while the member is a spare
+	pos    int             // index in g.members
+	values []V             // starts on one, for the usual single emission
+	one    [1]V
 	lift   V
 	liftOK bool
 }
 
+// newHandle returns an empty record of input id in the current epoch.
+func (inc *Incremental[K, V]) newHandle(id string) *Handle[K, V] {
+	rec := &Handle[K, V]{id: id, epoch: inc.epoch}
+	rec.mems = rec.firstPtr[:0]
+	return rec
+}
+
+// addMember appends a spare member to rec: the record's own first, then
+// allocated ones.
+func (rec *Handle[K, V]) addMember() *incMember[K, V] {
+	mem := &rec.first
+	if len(rec.mems) > 0 {
+		mem = &incMember[K, V]{}
+	}
+	mem.rec = rec
+	mem.values = mem.one[:0]
+	rec.mems = append(rec.mems, mem)
+	return mem
+}
+
 // incGroup is the retained state of one intermediate key.
 type incGroup[K comparable, V any] struct {
-	members map[string]*incMember[V]
+	key     K
+	members []*incMember[K, V]
+	dirty   bool // queued on Incremental.dirty
 	// partial is the combine-fold over the members' lifts; valid only
 	// while partialOK (additions keep it incrementally, removals and
 	// updates without an UncombineFunc invalidate it until re-folded).
@@ -60,6 +110,14 @@ type incGroup[K comparable, V any] struct {
 // updating a persistent output map in place so unchanged groups keep their
 // prior output with no rebuild.
 //
+// Each input is one record (a Handle) that points at its member in each
+// group it feeds; a group keeps its members in a slice. A record lives
+// from its first upsert until Remove or Reset, also while its map phase
+// emits nothing, so an input that flips between contributing and not
+// neither inserts into nor deletes from the id index. A caller that feeds
+// the same inputs round after round keeps the handles Input returns and
+// upserts through them (UpsertHandle), hashing no id at all.
+//
 // An Incremental is not safe for concurrent use; callers serialize access.
 type Incremental[K comparable, V any] struct {
 	m         MapFunc[K, V, K, V]
@@ -67,9 +125,11 @@ type Incremental[K comparable, V any] struct {
 	combine   CombineFunc[K, V]
 	uncombine UncombineFunc[K, V]
 
-	inputs map[string][]K // input id -> groups it currently contributes to
+	inputs map[string]*Handle[K, V]
+	live   int // records with at least one membership
+	epoch  uint64
 	groups map[K]*incGroup[K, V]
-	dirty  map[K]struct{}
+	dirty  []*incGroup[K, V]
 	out    map[K]V
 
 	// Scratch reused across Upserts/Flushes. emit appends to emitBuf and
@@ -79,7 +139,6 @@ type Incremental[K comparable, V any] struct {
 	emit      func(K, V)
 	lift      V
 	keepLift  func(K, V)
-	idBuf     []string
 	lastDirty int
 	lastTotal int
 }
@@ -105,9 +164,9 @@ func NewIncremental[K comparable, V any](
 		r:         r,
 		combine:   combine,
 		uncombine: uncombine,
-		inputs:    make(map[string][]K),
+		inputs:    make(map[string]*Handle[K, V]),
+		epoch:     1,
 		groups:    make(map[K]*incGroup[K, V]),
-		dirty:     make(map[K]struct{}),
 		out:       make(map[K]V),
 	}
 	inc.emit = func(k K, v V) { inc.emitBuf = append(inc.emitBuf, Pair[K, V]{Key: k, Value: v}) }
@@ -115,13 +174,13 @@ func NewIncremental[K comparable, V any](
 	return inc
 }
 
-// Len reports the number of live inputs.
-func (inc *Incremental[K, V]) Len() int { return len(inc.inputs) }
+// Len reports the number of inputs that contribute to at least one group.
+func (inc *Incremental[K, V]) Len() int { return inc.live }
 
 // Has reports whether the input currently contributes to any group.
 func (inc *Incremental[K, V]) Has(id string) bool {
-	_, ok := inc.inputs[id]
-	return ok
+	rec := inc.inputs[id]
+	return rec != nil && rec.n > 0
 }
 
 // GroupCount reports the number of live groups.
@@ -134,13 +193,30 @@ func (inc *Incremental[K, V]) LastFlushDirty() int { return inc.lastDirty }
 // (before empty dirty groups were dropped).
 func (inc *Incremental[K, V]) LastFlushTotal() int { return inc.lastTotal }
 
-// Reset drops all state, as after NewIncremental.
+// Reset drops all state, as after NewIncremental. Every handle Input
+// returned before becomes invalid.
 func (inc *Incremental[K, V]) Reset() {
 	clear(inc.inputs)
+	inc.live = 0
+	inc.epoch++
 	clear(inc.groups)
 	clear(inc.dirty)
+	inc.dirty = inc.dirty[:0]
 	inc.out = make(map[K]V) // the previous output may still be in a caller's hands
 	inc.lastDirty, inc.lastTotal = 0, 0
+}
+
+// Input returns the record of input id, creating one that contributes to
+// no group on first use. The handle stays valid across upserts, those
+// whose map phase emits nothing included, until Remove(id) or Reset
+// invalidates it; UpsertHandle panics on an invalidated handle.
+func (inc *Incremental[K, V]) Input(id string) *Handle[K, V] {
+	rec := inc.inputs[id]
+	if rec == nil {
+		rec = inc.newHandle(id)
+		inc.inputs[id] = rec
+	}
+	return rec
 }
 
 // Upsert feeds one input's current (key, value): the map phase runs once
@@ -148,9 +224,18 @@ func (inc *Incremental[K, V]) Reset() {
 // whose map phase emits nothing contributes to no group (and drops out of
 // the groups it previously contributed to), exactly as in a batch run.
 func (inc *Incremental[K, V]) Upsert(id string, key K, value V) {
+	inc.UpsertHandle(inc.Input(id), key, value)
+}
+
+// UpsertHandle is Upsert for the input whose handle Input returned. It
+// panics if Remove or Reset invalidated the handle.
+func (inc *Incremental[K, V]) UpsertHandle(h *Handle[K, V], key K, value V) {
+	if h.epoch != inc.epoch {
+		panic("mapreduce: upsert through an input handle invalidated by Remove or Reset")
+	}
 	inc.emitBuf = inc.emitBuf[:0]
 	inc.m(key, value, inc.emit)
-	inc.replaceContribution(id, inc.emitBuf, false)
+	inc.replaceContribution(h, inc.emitBuf, false)
 }
 
 // UpsertPartial feeds one input as a pre-aggregated partial for a single
@@ -163,142 +248,163 @@ func (inc *Incremental[K, V]) UpsertPartial(id string, key K, partial V) {
 		panic("mapreduce: UpsertPartial requires a CombineFunc")
 	}
 	inc.emitBuf = append(inc.emitBuf[:0], Pair[K, V]{Key: key, Value: partial})
-	inc.replaceContribution(id, inc.emitBuf, true)
+	inc.replaceContribution(inc.Input(id), inc.emitBuf, true)
 }
 
-// Remove drops one input and its contributions.
+// Remove drops one input, its contributions and its record: the input's
+// handle becomes invalid, and a later upsert of the id starts a new record.
 func (inc *Incremental[K, V]) Remove(id string) {
-	old, ok := inc.inputs[id]
-	if !ok {
+	rec := inc.inputs[id]
+	if rec == nil {
 		return
 	}
-	for _, g := range old {
-		inc.removeMember(g, id)
+	if rec.n > 0 {
+		inc.live--
+	}
+	for rec.n > 0 {
+		inc.leave(rec, 0)
 	}
 	delete(inc.inputs, id)
+	rec.epoch = 0
 }
 
 // replaceContribution swaps an input's contribution set for the given
 // emissions. When lifted is true the emission values are already partial
 // aggregates (UpsertPartial) rather than map outputs.
-func (inc *Incremental[K, V]) replaceContribution(id string, emits []Pair[K, V], lifted bool) {
-	old := inc.inputs[id]
+func (inc *Incremental[K, V]) replaceContribution(rec *Handle[K, V], emits []Pair[K, V], lifted bool) {
+	wasLive := rec.n > 0
 
-	// Remove the input from groups it no longer emits to.
-	kept := old[:0]
-	for _, g := range old {
-		found := false
-		for i := range emits {
-			if emits[i].Key == g {
-				found = true
-				break
-			}
-		}
-		if found {
-			kept = append(kept, g)
+	// Leave the groups the input no longer emits to.
+	for i := 0; i < rec.n; {
+		if emitsKey(emits, rec.mems[i].g.key) {
+			i++
 		} else {
-			inc.removeMember(g, id)
+			inc.leave(rec, i)
 		}
 	}
 
 	// Install the new per-group values, emission order preserved within
 	// each group.
-	groups := kept
-	for i := 0; i < len(emits); i++ {
+	for i := range emits {
 		k := emits[i].Key
-		dup := false
-		for j := 0; j < i; j++ {
-			if emits[j].Key == k {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if emitsKey(emits[:i], k) {
 			continue
 		}
-		var vals []V
-		for j := i; j < len(emits); j++ {
-			if emits[j].Key == k {
-				vals = append(vals, emits[j].Value)
-			}
-		}
-		inc.setMember(k, id, vals, lifted)
-		present := false
-		for _, g := range groups {
-			if g == k {
-				present = true
+		var mem *incMember[K, V]
+		for _, m := range rec.mems[:rec.n] {
+			if m.g.key == k {
+				mem = m
 				break
 			}
 		}
-		if !present {
-			groups = append(groups, k)
+		joined := mem == nil
+		if joined {
+			mem = inc.join(rec, k)
+		}
+		prevLift, prevLiftOK := mem.lift, mem.liftOK
+		mem.values = mem.values[:0]
+		for j := i; j < len(emits); j++ {
+			if emits[j].Key == k {
+				mem.values = append(mem.values, emits[j].Value)
+			}
+		}
+		var zero V
+		mem.lift, mem.liftOK = zero, false
+		if lifted {
+			mem.lift, mem.liftOK = mem.values[0], true
+			clear(mem.values)
+			mem.values = mem.values[:0]
+		}
+		inc.fold(mem, joined, prevLift, prevLiftOK)
+	}
+
+	if isLive := rec.n > 0; isLive != wasLive {
+		if isLive {
+			inc.live++
+		} else {
+			inc.live--
 		}
 	}
-
-	if len(groups) == 0 {
-		delete(inc.inputs, id)
-		return
-	}
-	inc.inputs[id] = groups
 }
 
-// setMember installs or replaces one input's contribution to one group,
-// keeping the combiner-path partial incrementally maintained where
-// possible.
-func (inc *Incremental[K, V]) setMember(key K, id string, values []V, lifted bool) {
+func emitsKey[K comparable, V any](emits []Pair[K, V], k K) bool {
+	for i := range emits {
+		if emits[i].Key == k {
+			return true
+		}
+	}
+	return false
+}
+
+// join makes a spare (or new) member of rec a member of group key.
+func (inc *Incremental[K, V]) join(rec *Handle[K, V], key K) *incMember[K, V] {
 	g := inc.groups[key]
 	if g == nil {
-		g = &incGroup[K, V]{members: make(map[string]*incMember[V])}
+		g = &incGroup[K, V]{key: key}
 		inc.groups[key] = g
 	}
-	inc.markDirty(key)
-
-	prev := g.members[id]
-	mem := &incMember[V]{values: values}
-	if lifted {
-		mem.lift, mem.liftOK = values[0], true
-		mem.values = nil
+	if rec.n == len(rec.mems) {
+		rec.addMember()
 	}
-	g.members[id] = mem
+	mem := rec.mems[rec.n]
+	rec.n++
+	mem.g, mem.pos = g, len(g.members)
+	g.members = append(g.members, mem)
+	return mem
+}
 
+// fold marks the member's group dirty and keeps the combiner-path partial
+// incrementally maintained where possible. joined reports a new member;
+// otherwise prevLift is the member's lift before this update.
+func (inc *Incremental[K, V]) fold(mem *incMember[K, V], joined bool, prevLift V, prevLiftOK bool) {
+	g := mem.g
+	inc.markDirty(g)
 	if inc.combine == nil {
 		return
 	}
 	if len(g.members) == 1 {
 		// Only member (newly added or updated in place): its lift is the
 		// whole fold.
-		g.partial, g.partialOK = inc.liftOf(key, mem), true
+		g.partial, g.partialOK = inc.liftOf(g.key, mem), true
 		return
 	}
-	if prev == nil {
+	if joined {
 		// Pure addition: fold the new lift in, O(1).
 		if g.partialOK {
-			g.partial = inc.combine(key, g.partial, inc.liftOf(key, mem))
+			g.partial = inc.combine(g.key, g.partial, inc.liftOf(g.key, mem))
 		}
 		return
 	}
 	// Update of an existing member: subtract the old lift and fold the new
 	// one when the monoid is invertible, otherwise re-fold at flush.
-	if inc.uncombine != nil && g.partialOK && prev.liftOK {
-		g.partial = inc.combine(key,
-			inc.uncombine(key, g.partial, prev.lift), inc.liftOf(key, mem))
+	if inc.uncombine != nil && g.partialOK && prevLiftOK {
+		g.partial = inc.combine(g.key,
+			inc.uncombine(g.key, g.partial, prevLift), inc.liftOf(g.key, mem))
 		return
 	}
 	g.partialOK = false
 }
 
-// removeMember drops one input from one group.
-func (inc *Incremental[K, V]) removeMember(key K, id string) {
-	g := inc.groups[key]
-	if g == nil {
-		return
-	}
-	mem, ok := g.members[id]
-	if !ok {
-		return
-	}
-	delete(g.members, id)
-	inc.markDirty(key)
+// leave drops rec's i-th membership from its group, swap-removing the
+// member by its stored position, and keeps the member as a spare.
+func (inc *Incremental[K, V]) leave(rec *Handle[K, V], i int) {
+	mem := rec.mems[i]
+	g := mem.g
+	last := len(g.members) - 1
+	moved := g.members[last]
+	g.members[mem.pos], moved.pos = moved, mem.pos
+	g.members[last] = nil
+	g.members = g.members[:last]
+	inc.markDirty(g)
+
+	rec.n--
+	rec.mems[i], rec.mems[rec.n] = rec.mems[rec.n], mem
+	lift, liftOK := mem.lift, mem.liftOK
+	var zero V
+	mem.g, mem.lift, mem.liftOK = nil, zero, false
+	clear(mem.values)
+	mem.values = mem.values[:0]
+
 	if inc.combine == nil {
 		return
 	}
@@ -306,8 +412,8 @@ func (inc *Incremental[K, V]) removeMember(key K, id string) {
 		g.partialOK = false
 		return
 	}
-	if inc.uncombine != nil && g.partialOK && mem.liftOK {
-		g.partial = inc.uncombine(key, g.partial, mem.lift)
+	if inc.uncombine != nil && g.partialOK && liftOK {
+		g.partial = inc.uncombine(g.key, g.partial, lift)
 	} else {
 		g.partialOK = false
 	}
@@ -315,7 +421,7 @@ func (inc *Incremental[K, V]) removeMember(key K, id string) {
 
 // liftOf returns (computing and caching on first use) the member's partial
 // aggregate: the reduce phase applied to its own values.
-func (inc *Incremental[K, V]) liftOf(key K, mem *incMember[V]) V {
+func (inc *Incremental[K, V]) liftOf(key K, mem *incMember[K, V]) V {
 	if mem.liftOK {
 		return mem.lift
 	}
@@ -325,8 +431,11 @@ func (inc *Incremental[K, V]) liftOf(key K, mem *incMember[V]) V {
 	return mem.lift
 }
 
-func (inc *Incremental[K, V]) markDirty(key K) {
-	inc.dirty[key] = struct{}{}
+func (inc *Incremental[K, V]) markDirty(g *incGroup[K, V]) {
+	if !g.dirty {
+		g.dirty = true
+		inc.dirty = append(inc.dirty, g)
+	}
 }
 
 // Flush re-reduces every dirty group and returns the engine's persistent
@@ -340,13 +449,10 @@ func (inc *Incremental[K, V]) markDirty(key K) {
 func (inc *Incremental[K, V]) Flush(changed []K) (map[K]V, []K) {
 	inc.lastTotal = len(inc.groups)
 	inc.lastDirty = len(inc.dirty)
-	for k := range inc.dirty {
-		delete(inc.dirty, k)
+	for _, g := range inc.dirty {
+		g.dirty = false
+		k := g.key
 		changed = append(changed, k)
-		g := inc.groups[k]
-		if g == nil {
-			continue
-		}
 		if len(g.members) == 0 {
 			inc.retract(g, nil)
 			delete(inc.groups, k)
@@ -354,7 +460,7 @@ func (inc *Incremental[K, V]) Flush(changed []K) (map[K]V, []K) {
 		}
 		if inc.combine != nil {
 			if !g.partialOK {
-				inc.refold(k, g)
+				inc.refold(g)
 			}
 			if len(g.emitted) == 1 && g.emitted[0] == k {
 				inc.out[k] = g.partial
@@ -365,8 +471,10 @@ func (inc *Incremental[K, V]) Flush(changed []K) (map[K]V, []K) {
 			}
 			continue
 		}
-		inc.replay(k, g)
+		inc.replay(g)
 	}
+	clear(inc.dirty)
+	inc.dirty = inc.dirty[:0]
 	return inc.out, changed
 }
 
@@ -375,15 +483,14 @@ func (inc *Incremental[K, V]) Flush(changed []K) (map[K]V, []K) {
 func (inc *Incremental[K, V]) Output() map[K]V { return inc.out }
 
 // refold rebuilds a group's combiner partial from its members' lifts.
-func (inc *Incremental[K, V]) refold(key K, g *incGroup[K, V]) {
-	first := true
-	for _, mem := range g.members {
-		l := inc.liftOf(key, mem)
-		if first {
-			g.partial, first = l, false
+func (inc *Incremental[K, V]) refold(g *incGroup[K, V]) {
+	for i, mem := range g.members {
+		l := inc.liftOf(g.key, mem)
+		if i == 0 {
+			g.partial = l
 			continue
 		}
-		g.partial = inc.combine(key, g.partial, l)
+		g.partial = inc.combine(g.key, g.partial, l)
 	}
 	g.partialOK = true
 }
@@ -391,24 +498,22 @@ func (inc *Incremental[K, V]) refold(key K, g *incGroup[K, V]) {
 // replay re-reduces a group from its full value list, ordered by input id
 // (the order a batch run over id-sorted input presents), and installs the
 // emissions in the output map, retracting stale ones.
-func (inc *Incremental[K, V]) replay(key K, g *incGroup[K, V]) {
-	ids := inc.idBuf[:0]
+func (inc *Incremental[K, V]) replay(g *incGroup[K, V]) {
+	slices.SortFunc(g.members, func(a, b *incMember[K, V]) int { return strings.Compare(a.rec.id, b.rec.id) })
 	n := 0
-	for id, mem := range g.members {
-		ids = append(ids, id)
+	for i, mem := range g.members {
+		mem.pos = i
 		n += len(mem.values)
 	}
-	sort.Strings(ids)
-	inc.idBuf = ids
 
 	// Fresh per flush: replay reducers may emit the slice itself (the
 	// runtime's raw `grouped by` lowering does) and retain it.
 	values := make([]V, 0, n)
-	for _, id := range ids {
-		values = append(values, g.members[id].values...)
+	for _, mem := range g.members {
+		values = append(values, mem.values...)
 	}
 	inc.emitBuf = inc.emitBuf[:0]
-	inc.r(key, values, inc.emit)
+	inc.r(g.key, values, inc.emit)
 	inc.retract(g, inc.emitBuf)
 	g.emitted = g.emitted[:0]
 	for _, p := range inc.emitBuf {

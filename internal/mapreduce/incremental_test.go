@@ -272,6 +272,91 @@ func TestIncrementalReset(t *testing.T) {
 	}
 }
 
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestHandleLifetime: a handle stays the input's record across an upsert
+// whose map phase emits nothing (which leaves it out of Len and Has), and
+// Remove or Reset invalidates it.
+func TestHandleLifetime(t *testing.T) {
+	eng := newBoolIntEngine(true, true).inner
+	h := eng.Input("x")
+	eng.UpsertHandle(h, "A", false) // vacant: contributes
+	eng.UpsertHandle(h, "A", true)  // occupied: emits nothing
+	if eng.Has("x") || eng.Len() != 0 {
+		t.Fatalf("empty record counted: Has=%v Len=%d", eng.Has("x"), eng.Len())
+	}
+	if eng.Input("x") != h {
+		t.Fatal("an upsert that emitted nothing replaced the record")
+	}
+	eng.UpsertHandle(h, "A", false)
+	if out, _ := eng.Flush(nil); out["A"] != 1 || eng.Len() != 1 {
+		t.Fatalf("handle upsert after an empty one: out=%v Len=%d", out, eng.Len())
+	}
+
+	eng.Remove("x")
+	mustPanic(t, "upsert through a removed handle", func() { eng.UpsertHandle(h, "A", false) })
+	h2 := eng.Input("x")
+	if h2 == h {
+		t.Fatal("Remove kept the record")
+	}
+	eng.UpsertHandle(h2, "A", false)
+	eng.Reset()
+	mustPanic(t, "upsert through a handle from before Reset", func() { eng.UpsertHandle(h2, "A", false) })
+	if out, _ := eng.Flush(nil); len(out) != 0 || eng.Len() != 0 {
+		t.Fatalf("reset left state: out=%v Len=%d", out, eng.Len())
+	}
+}
+
+// TestUpsertHandleAllocs pins the steady-state cost of a handle upsert of
+// an existing input on the combiner path: zero allocations, both for a
+// value update and for an input that stops and resumes contributing.
+func TestUpsertHandleAllocs(t *testing.T) {
+	eng := NewIncremental[string, int](
+		func(k string, v int, emit func(string, int)) {
+			if v >= 0 {
+				emit(k, v)
+			}
+		},
+		func(k string, vs []int, emit func(string, int)) {
+			s := 0
+			for _, v := range vs {
+				s += v
+			}
+			emit(k, s)
+		},
+		func(_ string, a, b int) int { return a + b },
+		func(_ string, acc, v int) int { return acc - v })
+	eng.Upsert("other", "A", 1)
+	h := eng.Input("x")
+	eng.UpsertHandle(h, "A", 1)
+	var changed []string
+	_, changed = eng.Flush(changed)
+	v := 0
+	if n := testing.AllocsPerRun(100, func() {
+		v++
+		eng.UpsertHandle(h, "A", v)
+		_, changed = eng.Flush(changed[:0])
+	}); n != 0 {
+		t.Errorf("value update allocates %.1f per upsert+flush, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		v = -v
+		eng.UpsertHandle(h, "A", v)
+		_, changed = eng.Flush(changed[:0])
+	}); n != 0 {
+		t.Errorf("leave/rejoin allocates %.1f per upsert+flush, want 0", n)
+	}
+}
+
 // TestDefaultKeyHashAllocs asserts the common-key fast paths allocate
 // nothing (the reflective fallback is reserved for exotic key types).
 func TestDefaultKeyHashAllocs(t *testing.T) {

@@ -806,6 +806,12 @@ func (w *Watcher) Next(dst []Change) (batch []Change, lost, ok bool) {
 	return w.queue.Take(dst)
 }
 
+// Queued reports how many changes the watcher has queued since Watch, those
+// dropped past its bound not counted. A change is queued before its mutation
+// releases its shard lock, so every change a Scan that returned before the
+// call observed is counted.
+func (w *Watcher) Queued() uint64 { return w.queue.Queued() }
+
 // Cancel detaches the watcher and wakes its consumer; Next still hands over
 // the changes queued before the cancel. Idempotent.
 func (w *Watcher) Cancel() {

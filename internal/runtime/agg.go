@@ -275,17 +275,17 @@ func (pa *provAgg) trackLocked(id, group string) (changed bool) {
 }
 
 // evictLocked drops one departed device, reporting whether it contributed.
+// The engine record goes either way: a device whose last reading mapped to
+// nothing still has one.
 func (pa *provAgg) evictLocked(id string) (changed bool) {
 	if _, tracked := pa.groupOf[id]; !tracked {
 		return false
 	}
 	delete(pa.groupOf, id)
 	delete(pa.pending, id)
-	if pa.core.eng.Has(id) {
-		pa.core.eng.Remove(id)
-		return true
-	}
-	return false
+	changed = pa.core.eng.Has(id)
+	pa.core.eng.Remove(id)
+	return changed
 }
 
 // onBatch folds one delivered columnar batch into the aggregate under a

@@ -3,6 +3,7 @@ package runtime_test
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -82,6 +83,7 @@ type aggWorld struct {
 	mu       sync.Mutex
 	occupied map[string]bool
 	zones    map[string]string
+	failing  map[string]bool // devices whose query errors
 }
 
 func newAggWorld(t *testing.T, opts ...runtime.Option) *aggWorld {
@@ -92,6 +94,7 @@ func newAggWorld(t *testing.T, opts ...runtime.Option) *aggWorld {
 		h:        &vacancyAggHandler{},
 		occupied: make(map[string]bool),
 		zones:    make(map[string]string),
+		failing:  make(map[string]bool),
 	}
 	w.rt = runtime.New(dsl.MustLoad(periodicAggDesign), append([]runtime.Option{runtime.WithClock(vc)}, opts...)...)
 	if err := w.rt.ImplementContext("Vacancy", w.h); err != nil {
@@ -110,6 +113,9 @@ func (w *aggWorld) bind(t *testing.T, id, zone string, occ bool) *device.Base {
 	d.OnQuery("occupied", func() (any, error) {
 		w.mu.Lock()
 		defer w.mu.Unlock()
+		if w.failing[id] {
+			return nil, fmt.Errorf("%s: sensor fault", id)
+		}
 		return w.occupied[id], nil
 	})
 	if err := w.rt.BindDevice(d); err != nil {
@@ -248,6 +254,73 @@ func TestIncrementalMatchesBatchAggregation(t *testing.T) {
 			want[p.Key] = p.Value.(int)
 		}
 		w.expect(t, want)
+	}
+}
+
+// TestPeriodicFailureThenBindMatchesBatch drives the per-slot delta path
+// through a device that stops answering (a removal by slot), answers again,
+// and a registry bind between rounds (a snapshot rebuild and an engine
+// reset), checking every published aggregate against a batch mapreduce.Run
+// over the devices that answered the round.
+func TestPeriodicFailureThenBindMatchesBatch(t *testing.T) {
+	w := newAggWorld(t)
+	w.bind(t, "a0", "za", false)
+	w.bind(t, "a1", "za", false)
+	w.bind(t, "b0", "zb", false)
+	w.bind(t, "b1", "zb", true)
+	if err := w.rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer w.rt.Stop()
+	fail := func(id string, on bool) {
+		w.mu.Lock()
+		w.failing[id] = on
+		w.mu.Unlock()
+	}
+	unbind := func(id string) {
+		if err := w.rt.UnbindDevice(id); err != nil {
+			t.Fatal(err)
+		}
+		w.mu.Lock()
+		delete(w.zones, id)
+		w.mu.Unlock()
+	}
+	steps := []func(){
+		func() {},
+		func() { fail("a1", true) },
+		func() { w.set("b1", false) },
+		func() { fail("a1", false); w.set("a1", true) },
+		func() { w.bind(t, "a2", "za", false) },
+		func() { w.set("a0", true) },
+		func() { unbind("b1") },
+		func() { w.set("a0", false) },
+		func() { fail("b0", true); w.bind(t, "b2", "zb", false) },
+		func() { fail("b0", false) },
+	}
+	for i, step := range steps {
+		step()
+		w.round(t)
+		w.mu.Lock()
+		var ids []string
+		for id := range w.zones {
+			if !w.failing[id] {
+				ids = append(ids, id)
+			}
+		}
+		sort.Strings(ids)
+		var in []mapreduce.Pair[string, any]
+		for _, id := range ids {
+			in = append(in, mapreduce.Pair[string, any]{Key: w.zones[id], Value: w.occupied[id]})
+		}
+		w.mu.Unlock()
+		want := make(map[string]int)
+		for _, p := range mapreduce.Run(in, w.h.Map, w.h.Reduce, mapreduce.Config{}) {
+			want[p.Key] = p.Value.(int)
+		}
+		got, _ := w.h.snapshot()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: aggregate = %v, batch run = %v", i, got, want)
+		}
 	}
 }
 

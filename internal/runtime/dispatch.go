@@ -19,8 +19,8 @@ type GroupedReading struct {
 
 // periodicBatch is the payload delivered for one periodic interaction round.
 type periodicBatch struct {
-	readings []GroupedReading
-	at       time.Time
+	out *pollOut
+	at  time.Time
 }
 
 func (rt *Runtime) sourceTopic(ctxName string, idx int) string {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/dsl/check"
 	"repro/internal/eventbus"
+	"repro/internal/mapreduce"
 	"repro/internal/registry"
 	"repro/internal/simclock"
 	"repro/internal/transport"
@@ -21,15 +22,16 @@ import (
 // proportional to fleet size only in queries issued, not in bookkeeping: the
 // fleet snapshot is cached across ticks (keyed on the registry's kind
 // generation), drivers are resolved at snapshot-rebuild time, queries run on
-// a persistent worker pool, and the out/ok/readings buffers are reused
-// across rounds.
+// a persistent worker pool that stores only each slot's value, and a
+// GroupedReading is built only for what a round publishes.
 type poller struct {
 	ctxSite  // dispatch side (bus-handler goroutine) owns out
 	stopCh   chan struct{}
 	stopOnce sync.Once
+	topic    string
 
 	// Every-window accumulation.
-	window     []GroupedReading
+	window     *pollOut
 	ticksInWin int
 	flushEvery int
 
@@ -39,22 +41,26 @@ type poller struct {
 
 	// Incremental aggregation (every grouped interaction): the dispatch
 	// side folds deltas into the interaction's engine (core). Round by
-	// round, the poll loop diffs each round's readings against the
-	// per-slot last-value cache below and publishes only the deltas. The
-	// cache is keyed to the snapshot epoch — a rebuild (fleet change)
-	// invalidates it and the next delta resets the engine and re-feeds
-	// the full round. An `every` window is delivered as one reset delta
-	// holding the whole window instead.
+	// round, the poll loop diffs each round's values against the per-slot
+	// last-value cache below and publishes only the deltas, each upsert
+	// with its slot. The cache is keyed to the snapshot epoch — a rebuild
+	// (fleet change) invalidates it and the next delta resets the engine
+	// and re-feeds the full round. An `every` window is delivered as one
+	// reset delta holding the whole window instead.
 	aggOn     bool
 	prevVals  []any
 	prevOk    []bool
 	snapEpoch uint64
 	prevEpoch uint64   // epoch prevVals/prevOk describe; differs => reset
 	core      *aggCore // owned by the dispatch (bus-handler) side
-	winIDs    []string // window position ids; dispatch side only
+	// handles holds the engine record of each slot's device, so a round's
+	// upserts walk slots and hash no id. Dispatch side only: cleared on a
+	// reset delta, nil'd on a removal.
+	handles []*mapreduce.Handle[string, any]
+	winIDs  []string // window position ids; dispatch side only
 
 	// Persistent query pool: up to workers goroutines block on rounds and
-	// work-steal targets through the round's cursors. The pool grows
+	// claim targets in chunks through the round's cursors. The pool grows
 	// lazily with the snapshot's work units (started counts live workers),
 	// so small fleets never park 32 idle goroutines.
 	workers int
@@ -62,20 +68,20 @@ type poller struct {
 	rounds  chan *pollRound
 
 	// Scratch reused across rebuilds/rounds; poller goroutine only,
-	// except out/ok which the pool workers fill during a round.
+	// except vals/ok which the pool workers fill during a round.
 	scanBuf []scanItem
-	outBuf  []GroupedReading
-	okBuf   []bool
+	vals    []any
+	ok      []bool
 
-	// readingsPool recycles the per-round readings slice once dispatch
-	// has consumed the batch.
-	readingsPool sync.Pool
+	// outs recycles what rounds publish once dispatch has consumed it.
+	outs sync.Pool
 }
 
 func (rt *Runtime) startPoller(ctx *check.Context, idx int, in *check.Interaction) {
 	p := &poller{
 		ctxSite: rt.newCtxSite(ctx, idx, in),
 		stopCh:  make(chan struct{}),
+		topic:   rt.periodicTopic(ctx.Name, idx),
 		workers: rt.pollWorkers,
 	}
 	if in.Every > 0 {
@@ -84,15 +90,15 @@ func (rt *Runtime) startPoller(ctx *check.Context, idx int, in *check.Interactio
 	p.aggOn = in.GroupBy != nil
 	// Deliver batches through the bus so handler invocations for this
 	// interaction are serialized like every other delivery. dispatch fully
-	// copies the batch out, so the readings buffer is recycled afterwards.
-	if err := rt.subscribe(rt.periodicTopic(ctx.Name, idx), func(ev eventbus.Event) {
+	// copies the batch out, so the published buffers are recycled afterwards.
+	if err := rt.subscribe(p.topic, func(ev eventbus.Event) {
 		switch batch := ev.Payload.(type) {
 		case periodicBatch:
 			p.dispatch(batch)
-			p.putReadings(batch.readings)
+			p.putOut(batch.out)
 		case aggDelta:
 			p.dispatchDelta(batch)
-			p.putReadings(batch.upserts)
+			p.putOut(batch.out)
 		}
 	}); err != nil {
 		rt.reportError(ctx.Name, err)
@@ -132,13 +138,13 @@ func (p *poller) run(ticker *simclock.Ticker) {
 // drains queued deliveries before closing, which keeps the flush ordered
 // after every full-window batch already published.
 func (p *poller) flushWindow() {
-	if p.flushEvery == 0 || len(p.window) == 0 {
+	if p.flushEvery == 0 || p.window == nil || len(p.window.readings) == 0 {
 		return
 	}
-	readings := p.window
+	out := p.window
 	p.window = nil
 	p.ticksInWin = 0
-	p.publish(readings, p.rt.clock.Now())
+	p.publish(out, p.rt.clock.Now())
 }
 
 // scanItem is what one registry-scan visit captures during a snapshot
@@ -153,8 +159,6 @@ type scanItem struct {
 // and, when the driver supports it, its pre-resolved query function —
 // already in hand so a steady-state tick touches no runtime lock.
 type pollTarget struct {
-	id    string
-	group string
 	drv   device.Driver
 	query device.QueryFunc // fast path via device.SnapshotQuerier; may be nil
 }
@@ -166,7 +170,7 @@ type endpointBatch struct {
 	endpoint string
 	ids      []string
 	groups   []string
-	base     int // first slot of this batch in the round's out/ok buffers
+	base     int // first slot of this batch in the round's vals/ok buffers
 }
 
 // pollSnapshot is the cached fleet of one periodic interaction, valid while
@@ -176,9 +180,10 @@ type pollSnapshot struct {
 	locals  []pollTarget
 	remotes []endpointBatch
 	total   int
-	// ids maps round slots back to device IDs; filled only for
-	// incrementally aggregated interactions (removal deltas name devices).
-	ids []string
+	// ids and groups give each round slot's device ID and `grouped by`
+	// value: the locals first, then each endpoint batch from its base.
+	ids    []string
+	groups []string
 	// incomplete marks a snapshot missing targets whose endpoint could
 	// not be dialed; the next tick rebuilds (and so redials) even with an
 	// unchanged generation, matching the old per-round retry behavior.
@@ -199,7 +204,7 @@ func (p *poller) poll(at time.Time) {
 	}
 	snap := p.snap
 
-	if snap.total > 0 && !p.runRound(at, snap) {
+	if snap.total > 0 && !p.runRound(snap) {
 		return // stopped mid-round
 	}
 	p.rt.stats.periodicPolls.Add(1)
@@ -208,78 +213,89 @@ func (p *poller) poll(at time.Time) {
 		p.publishDelta(at, snap)
 		return
 	}
-
-	var readings []GroupedReading
-	if snap.total > 0 {
-		out := p.outBuf[:snap.total]
-		kept := p.getReadings()
-		if cap(kept) < snap.total {
-			kept = make([]GroupedReading, 0, snap.total)
-		}
-		for i, good := range p.okBuf[:snap.total] {
-			if good {
-				kept = append(kept, out[i])
-			}
-		}
-		readings = kept
+	if p.flushEvery == 0 {
+		p.publish(p.appendAnswered(p.getOut(), snap, at), at)
+		return
 	}
-
-	if p.flushEvery > 0 {
-		p.window = append(p.window, readings...)
-		p.putReadings(readings) // copied into the window; recycle now
-		p.ticksInWin++
-		if p.ticksInWin < p.flushEvery {
-			return
-		}
-		readings = p.window
-		p.window = nil
-		p.ticksInWin = 0
+	if p.window == nil {
+		p.window = p.getOut()
 	}
-	p.publish(readings, at)
+	p.appendAnswered(p.window, snap, at)
+	if p.ticksInWin++; p.ticksInWin < p.flushEvery {
+		return
+	}
+	out := p.window
+	p.window, p.ticksInWin = nil, 0
+	p.publish(out, at)
+}
+
+// reading materializes slot i of the round just run. It is the only place a
+// round builds a GroupedReading, and it runs only for what is published.
+func (p *poller) reading(snap *pollSnapshot, i int, at time.Time) GroupedReading {
+	return GroupedReading{
+		Group: snap.groups[i],
+		Reading: device.Reading{
+			DeviceID: snap.ids[i],
+			Source:   p.in.TriggerSource.Name,
+			Value:    p.vals[i],
+			Time:     at,
+		},
+	}
+}
+
+// appendAnswered appends the reading of every slot that answered the round.
+func (p *poller) appendAnswered(out *pollOut, snap *pollSnapshot, at time.Time) *pollOut {
+	for i, good := range p.ok[:snap.total] {
+		if good {
+			out.readings = append(out.readings, p.reading(snap, i, at))
+		}
+	}
+	return out
 }
 
 // publish delivers one round or one closed `every` window: as a
 // periodicBatch to an ungrouped interaction, and to a grouped one as a reset
 // delta that rebuilds the engine from exactly these readings, so no reading
 // outlives its window.
-func (p *poller) publish(readings []GroupedReading, at time.Time) {
-	var payload any = periodicBatch{readings: readings, at: at}
+func (p *poller) publish(out *pollOut, at time.Time) {
+	var payload any = periodicBatch{out: out, at: at}
 	if p.aggOn {
-		payload = aggDelta{upserts: readings, reset: true, window: true, at: at}
+		payload = aggDelta{out: out, reset: true, window: true, at: at}
 	}
-	if err := p.rt.bus.Publish(p.rt.periodicTopic(p.ctx.Name, p.idx), payload, at); err != nil {
-		p.putReadings(readings)
+	if err := p.rt.bus.Publish(p.topic, payload, at); err != nil {
+		p.putOut(out)
 	}
 }
 
+// pollClaim is how many local targets a worker claims per cursor move: one
+// atomic add per chunk instead of per target keeps the pool's workers off
+// a shared cache line.
+const pollClaim = 128
+
 // runRound executes one query round over the snapshot through the worker
-// pool, filling p.outBuf/p.okBuf per slot. It reports false when the poller
+// pool, filling p.vals/p.ok per slot. It reports false when the poller
 // stopped before the round completed.
-func (p *poller) runRound(at time.Time, snap *pollSnapshot) bool {
-	if cap(p.outBuf) < snap.total {
-		p.outBuf = make([]GroupedReading, snap.total)
-		p.okBuf = make([]bool, snap.total)
+func (p *poller) runRound(snap *pollSnapshot) bool {
+	if cap(p.vals) < snap.total {
+		p.vals = make([]any, snap.total)
+		p.ok = make([]bool, snap.total)
 	}
-	out := p.outBuf[:snap.total]
-	ok := p.okBuf[:snap.total]
-	for i := range ok {
-		ok[i] = false
-	}
+	ok := p.ok[:snap.total]
+	clear(ok)
 	round := &pollRound{
 		p:      p,
 		snap:   snap,
-		at:     at,
 		source: p.in.TriggerSource.Name,
-		out:    out,
+		vals:   p.vals[:snap.total],
 		ok:     ok,
 		done:   make(chan struct{}),
 	}
-	// Hand the round to at most one worker per unit of work (remote
-	// batches + local targets) so small fleets don't wake the whole
-	// pool for one query's worth of polling; grow the pool to match.
+	// Hand the round to at most one worker per unit of work (a remote
+	// batch or a claim of local targets) so small fleets don't wake the
+	// whole pool for one query's worth of polling; grow the pool to match.
 	// p.rt.wg stays >0 for the poller's own goroutine while poll
 	// runs, so Add here cannot race a Stop-side Wait reaching zero.
-	hands := len(snap.remotes) + len(snap.locals)
+	hands := len(snap.remotes) + (len(snap.locals)+pollClaim-1)/pollClaim
 	if hands > p.workers {
 		hands = p.workers
 	}
@@ -304,19 +320,40 @@ func (p *poller) runRound(at time.Time, snap *pollSnapshot) bool {
 	return true
 }
 
+// pollOut is what one round or one window publishes, recycled through
+// poller.outs once dispatch has consumed it.
+type pollOut struct {
+	readings []GroupedReading
+	slots    []int // delta rounds: the slot of each reading
+	removed  []int // delta rounds: slots that answered last round but not this one
+}
+
+func (p *poller) getOut() *pollOut {
+	if v := p.outs.Get(); v != nil {
+		return v.(*pollOut)
+	}
+	return &pollOut{}
+}
+
+func (p *poller) putOut(out *pollOut) {
+	out.readings, out.slots, out.removed = out.readings[:0], out.slots[:0], out.removed[:0]
+	p.outs.Put(out)
+}
+
 // aggDelta is the payload of one incrementally aggregated round: the
-// readings whose value changed since the previous round, the devices that
-// answered last round but not this one, and whether the dispatch-side
-// engine must reset first (snapshot rebuilt: slots renumbered, fleet
-// membership changed — the whole round rides in upserts). A window delta
-// carries a whole closed `every` window, reset included; its upserts are
-// keyed by window position, since one device contributes once per tick.
+// readings whose value changed since the previous round with their slots,
+// the slots that dropped out, and whether the dispatch-side engine must
+// reset first (snapshot rebuilt: slots renumbered, fleet membership changed
+// — the whole round rides in the upserts). ids names the snapshot's slots.
+// A window delta carries a whole closed `every` window, reset included,
+// without slots; its upserts are keyed by window position, since one device
+// contributes once per tick.
 type aggDelta struct {
-	upserts  []GroupedReading
-	removals []string
-	reset    bool
-	window   bool
-	at       time.Time
+	out    *pollOut
+	ids    []string
+	reset  bool
+	window bool
+	at     time.Time
 }
 
 // publishDelta diffs the round against the per-slot last-value cache and
@@ -333,35 +370,31 @@ func (p *poller) publishDelta(at time.Time, snap *pollSnapshot) {
 		}
 		p.prevVals = p.prevVals[:snap.total]
 		p.prevOk = p.prevOk[:snap.total]
-		for i := range p.prevOk {
-			p.prevOk[i] = false
-			p.prevVals[i] = nil
-		}
+		clear(p.prevVals)
+		clear(p.prevOk)
 		p.prevEpoch = p.snapEpoch
 	}
-	ups := p.getReadings()
-	var removals []string
-	out := p.outBuf[:snap.total]
-	ok := p.okBuf[:snap.total]
-	for i := 0; i < snap.total; i++ {
-		if ok[i] {
-			if !p.prevOk[i] || !valuesEqual(p.prevVals[i], out[i].Reading.Value) {
-				ups = append(ups, out[i])
-				p.prevVals[i] = out[i].Reading.Value
-				p.prevOk[i] = true
+	out := p.getOut()
+	vals := p.vals[:snap.total]
+	for i, good := range p.ok[:snap.total] {
+		switch {
+		case good:
+			if !p.prevOk[i] || !valuesEqual(p.prevVals[i], vals[i]) {
+				out.readings = append(out.readings, p.reading(snap, i, at))
+				out.slots = append(out.slots, i)
+				p.prevVals[i], p.prevOk[i] = vals[i], true
 			}
-		} else if p.prevOk[i] {
+		case p.prevOk[i]:
 			// Answered last round, failed this one: its value drops out of
 			// the aggregate until it answers again, matching the batch
 			// path's per-round membership.
-			removals = append(removals, snap.ids[i])
-			p.prevOk[i] = false
-			p.prevVals[i] = nil
+			out.removed = append(out.removed, i)
+			p.prevVals[i], p.prevOk[i] = nil, false
 		}
 	}
-	batch := aggDelta{upserts: ups, removals: removals, reset: reset, at: at}
-	if err := p.rt.bus.Publish(p.rt.periodicTopic(p.ctx.Name, p.idx), batch, at); err != nil {
-		p.putReadings(ups)
+	d := aggDelta{out: out, ids: snap.ids, reset: reset, at: at}
+	if err := p.rt.bus.Publish(p.topic, d, at); err != nil {
+		p.putOut(out)
 	}
 }
 
@@ -416,7 +449,9 @@ func valuesEqual(a, b any) bool {
 // dispatchDelta folds one round's delta, or one closed window, into the
 // interaction's engine and dispatches the handler with the updated
 // aggregate. Runs on the bus handler goroutine, serialized with every other
-// delivery of this interaction.
+// delivery of this interaction. A round's upserts go through the per-slot
+// engine handles, so only a slot's first upsert after a reset or a removal
+// looks its device up by id.
 func (p *poller) dispatchDelta(d aggDelta) {
 	if p.core == nil {
 		core, err := newAggCore(p.rt, p.ctx.Name, p.in)
@@ -426,19 +461,32 @@ func (p *poller) dispatchDelta(d aggDelta) {
 		}
 		p.core = core
 	}
+	eng := p.core.eng
 	if d.reset {
 		p.core.reset()
-	}
-	for i := range d.upserts {
-		gr := &d.upserts[i]
-		id := gr.Reading.DeviceID
-		if d.window {
-			id = p.windowID(i)
+		clear(p.handles[:cap(p.handles)])
+		if cap(p.handles) < len(d.ids) {
+			p.handles = make([]*mapreduce.Handle[string, any], len(d.ids))
 		}
-		p.core.eng.Upsert(id, gr.Group, gr.Reading.Value)
+		p.handles = p.handles[:len(d.ids)]
 	}
-	for _, id := range d.removals {
-		p.core.eng.Remove(id)
+	for i := range d.out.readings {
+		gr := &d.out.readings[i]
+		if d.window {
+			eng.Upsert(p.windowID(i), gr.Group, gr.Reading.Value)
+			continue
+		}
+		slot := d.out.slots[i]
+		h := p.handles[slot]
+		if h == nil {
+			h = eng.Input(gr.Reading.DeviceID)
+			p.handles[slot] = h
+		}
+		eng.UpsertHandle(h, gr.Group, gr.Reading.Value)
+	}
+	for _, slot := range d.out.removed {
+		eng.Remove(d.ids[slot])
+		p.handles[slot] = nil
 	}
 	call := p.newCall(d.at)
 	call.GroupedReduced, call.Grouped = p.core.flush()
@@ -481,7 +529,11 @@ func (p *poller) rebuild(gen uint64) {
 	sort.Slice(items, func(i, j int) bool { return items[i].id < items[j].id })
 	p.scanBuf = items
 
-	snap := &pollSnapshot{gen: gen}
+	snap := &pollSnapshot{
+		gen:    gen,
+		ids:    make([]string, 0, len(items)),
+		groups: make([]string, 0, len(items)),
+	}
 	source := p.in.TriggerSource.Name
 	drvs := make([]device.Driver, len(items))
 	ids := make([]string, len(items))
@@ -494,13 +546,15 @@ func (p *poller) rebuild(gen uint64) {
 	for i := range items {
 		it := &items[i]
 		if drv := drvs[i]; drv != nil {
-			t := pollTarget{id: it.id, group: it.group, drv: drv}
+			t := pollTarget{drv: drv}
 			if sq, ok := drv.(device.SnapshotQuerier); ok {
 				if q, err := sq.Querier(source); err == nil {
 					t.query = q
 				}
 			}
 			snap.locals = append(snap.locals, t)
+			snap.ids = append(snap.ids, it.id)
+			snap.groups = append(snap.groups, it.group)
 			continue
 		}
 		cli, err := p.rt.clientFor(it.id, it.endpoint)
@@ -522,36 +576,27 @@ func (p *poller) rebuild(gen uint64) {
 		eb.ids = append(eb.ids, it.id)
 		eb.groups = append(eb.groups, it.group)
 	}
-	base := len(snap.locals)
 	for i := range snap.remotes {
-		snap.remotes[i].base = base
-		base += len(snap.remotes[i].ids)
+		eb := &snap.remotes[i]
+		eb.base = len(snap.ids)
+		snap.ids = append(snap.ids, eb.ids...)
+		snap.groups = append(snap.groups, eb.groups...)
 	}
-	snap.total = base
-	if p.aggOn {
-		snap.ids = make([]string, snap.total)
-		for i := range snap.locals {
-			snap.ids[i] = snap.locals[i].id
-		}
-		for i := range snap.remotes {
-			eb := &snap.remotes[i]
-			copy(snap.ids[eb.base:], eb.ids)
-		}
-	}
+	snap.total = len(snap.ids)
 	p.snap = snap
 	p.snapEpoch++
 	p.rt.stats.pollSnapshotRebuilds.Add(1)
 }
 
 // pollRound is one tick's unit of pool work: workers drain the remote
-// batches, then the local targets, through shared cursors. pending counts
-// outstanding worker hand-offs; the last one closes done.
+// batches, then the local targets in claims of pollClaim, through shared
+// cursors, storing each answered slot's value. pending counts outstanding
+// worker hand-offs; the last one closes done.
 type pollRound struct {
 	p      *poller
 	snap   *pollSnapshot
-	at     time.Time
 	source string
-	out    []GroupedReading
+	vals   []any
 	ok     []bool
 
 	localCur  atomic.Int64
@@ -585,32 +630,26 @@ func (r *pollRound) work() {
 		r.queryBatch(&snap.remotes[i])
 	}
 	for {
-		i := int(r.localCur.Add(1)) - 1
-		if i >= len(snap.locals) {
+		hi := int(r.localCur.Add(pollClaim))
+		lo := hi - pollClaim
+		if lo >= len(snap.locals) {
 			break
 		}
-		t := &snap.locals[i]
-		var v any
-		var err error
-		if t.query != nil {
-			v, err = t.query()
-		} else {
-			v, err = t.drv.Query(r.source)
+		for i := lo; i < min(hi, len(snap.locals)); i++ {
+			t := &snap.locals[i]
+			var v any
+			var err error
+			if t.query != nil {
+				v, err = t.query()
+			} else {
+				v, err = t.drv.Query(r.source)
+			}
+			if err != nil {
+				r.p.rt.reportError("poll:"+snap.ids[i], err)
+				continue
+			}
+			r.vals[i], r.ok[i] = v, true
 		}
-		if err != nil {
-			r.p.rt.reportError("poll:"+t.id, err)
-			continue
-		}
-		r.out[i] = GroupedReading{
-			Group: t.group,
-			Reading: device.Reading{
-				DeviceID: t.id,
-				Source:   r.source,
-				Value:    v,
-				Time:     r.at,
-			},
-		}
-		r.ok[i] = true
 	}
 }
 
@@ -647,41 +686,17 @@ func (r *pollRound) queryBatch(b *endpointBatch) {
 				v = vals[j]
 			}
 			slot := b.base + i
-			r.out[slot] = GroupedReading{
-				Group: b.groups[i],
-				Reading: device.Reading{
-					DeviceID: b.ids[i],
-					Source:   r.source,
-					Value:    v,
-					Time:     r.at,
-				},
-			}
-			r.ok[slot] = true
+			r.vals[slot], r.ok[slot] = v, true
 		}
 	}
-}
-
-func (p *poller) getReadings() []GroupedReading {
-	if v := p.readingsPool.Get(); v != nil {
-		return (*v.(*[]GroupedReading))[:0]
-	}
-	return nil
-}
-
-func (p *poller) putReadings(rs []GroupedReading) {
-	if rs == nil {
-		return
-	}
-	rs = rs[:0]
-	p.readingsPool.Put(&rs)
 }
 
 // dispatch runs the context handler for one ungrouped periodic batch.
 // Grouped interactions never get here: they ride the engine (dispatchDelta).
 func (p *poller) dispatch(batch periodicBatch) {
 	call := p.newCall(batch.at)
-	rs := make([]device.Reading, len(batch.readings))
-	for i, gr := range batch.readings {
+	rs := make([]device.Reading, len(batch.out.readings))
+	for i, gr := range batch.out.readings {
 		rs[i] = gr.Reading
 	}
 	call.Readings = rs
