@@ -44,11 +44,8 @@ type exporter struct {
 	subs map[registry.ID]*exportedDevice
 
 	// applied counts the watcher changes the loop has applied, the
-	// reconcile after a loss included; caughtUp waits on it. appliedCh is
-	// closed and replaced each time applied moves.
-	applyMu   sync.Mutex
-	applied   uint64
-	appliedCh chan struct{}
+	// reconcile after a loss included; caughtUp waits on it.
+	applied atomic.Uint64
 }
 
 // exporterCatchUp bounds how long a registry sync waits for an exporter to
@@ -65,12 +62,11 @@ func (n *Node) startExporter(ex Export) error {
 		return err
 	}
 	e := &exporter{
-		n:         n,
-		kind:      ex.Kind,
-		source:    ex.Source,
-		w:         w,
-		subs:      make(map[registry.ID]*exportedDevice),
-		appliedCh: make(chan struct{}),
+		n:      n,
+		kind:   ex.Kind,
+		source: ex.Source,
+		w:      w,
+		subs:   make(map[registry.ID]*exportedDevice),
 	}
 	if ex.Source != "" {
 		e.sink = n.sinks[exportKey(ex.Kind, ex.Source)]
@@ -103,7 +99,6 @@ func (n *Node) startExporter(ex Export) error {
 func (e *exporter) loop() {
 	defer e.n.wg.Done()
 	var batch []registry.Change
-	var applied uint64
 	for {
 		var lost, ok bool
 		if batch, lost, ok = e.w.Next(batch); !ok {
@@ -123,47 +118,21 @@ func (e *exporter) loop() {
 		if lost {
 			e.reconcile()
 		}
-		applied += uint64(len(batch))
-		e.advance(applied)
+		e.applied.Add(uint64(len(batch)))
 	}
 	e.stopAll()
-	e.advance(math.MaxUint64) // a stopped exporter keeps no sync waiting
-}
-
-// advance records that the loop has applied n watcher changes and wakes
-// caughtUp waiters.
-func (e *exporter) advance(n uint64) {
-	e.applyMu.Lock()
-	e.applied = n
-	close(e.appliedCh)
-	e.appliedCh = make(chan struct{})
-	e.applyMu.Unlock()
+	e.applied.Store(math.MaxUint64) // a stopped exporter keeps no sync waiting
 }
 
 // caughtUp waits, at most exporterCatchUp, until the loop has applied every
 // change the watcher queued before the call. After a registry scan, that
 // makes every local entity the scan saw hosted (or released again), so a
-// sync never advertises a device a peer cannot reach yet.
+// sync never advertises a device a peer cannot reach yet. The wait is rare
+// and short, so it polls.
 func (e *exporter) caughtUp() {
 	target := e.w.Queued()
-	var timeout <-chan time.Time
-	for {
-		e.applyMu.Lock()
-		done, wake := e.applied >= target, e.appliedCh
-		e.applyMu.Unlock()
-		if done {
-			return
-		}
-		if timeout == nil {
-			t := time.NewTimer(exporterCatchUp)
-			defer t.Stop()
-			timeout = t.C
-		}
-		select {
-		case <-wake:
-		case <-timeout:
-			return
-		}
+	for deadline := time.Now().Add(exporterCatchUp); e.applied.Load() < target && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
