@@ -130,12 +130,9 @@ func (inc *Incremental[K, V]) Restore(r io.Reader) error {
 		inc.groups[k] = g
 	}
 	for _, k := range st.Dirty {
-		g := inc.groups[k]
-		if g == nil {
-			g = &incGroup[K, V]{key: k}
-			inc.groups[k] = g
+		if g := inc.groups[k]; g != nil {
+			inc.markDirty(g)
 		}
-		inc.markDirty(g)
 	}
 	if st.Out != nil {
 		inc.out = st.Out

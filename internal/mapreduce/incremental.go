@@ -67,13 +67,6 @@ type incMember[K comparable, V any] struct {
 	liftOK bool
 }
 
-// newHandle returns an empty record of input id in the current epoch.
-func (inc *Incremental[K, V]) newHandle(id string) *Handle[K, V] {
-	rec := &Handle[K, V]{id: id, epoch: inc.epoch}
-	rec.mems = rec.firstPtr[:0]
-	return rec
-}
-
 // addMember appends a spare member to rec: the record's own first, then
 // allocated ones.
 func (rec *Handle[K, V]) addMember() *incMember[K, V] {
@@ -213,7 +206,8 @@ func (inc *Incremental[K, V]) Reset() {
 func (inc *Incremental[K, V]) Input(id string) *Handle[K, V] {
 	rec := inc.inputs[id]
 	if rec == nil {
-		rec = inc.newHandle(id)
+		rec = &Handle[K, V]{id: id, epoch: inc.epoch}
+		rec.mems = rec.firstPtr[:0]
 		inc.inputs[id] = rec
 	}
 	return rec

@@ -318,12 +318,14 @@ func TestHandleLifetime(t *testing.T) {
 
 // TestUpsertHandleAllocs pins the steady-state cost of a handle upsert of
 // an existing input on the combiner path: zero allocations, both for a
-// value update and for an input that stops and resumes contributing.
+// value update and for an input that stops and resumes contributing. The
+// map feeds two groups, so the input has a member beyond its inline one.
 func TestUpsertHandleAllocs(t *testing.T) {
 	eng := NewIncremental[string, int](
 		func(k string, v int, emit func(string, int)) {
 			if v >= 0 {
 				emit(k, v)
+				emit("B", v)
 			}
 		},
 		func(k string, vs []int, emit func(string, int)) {
@@ -349,11 +351,12 @@ func TestUpsertHandleAllocs(t *testing.T) {
 		t.Errorf("value update allocates %.1f per upsert+flush, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		v = -v
-		eng.UpsertHandle(h, "A", v)
+		eng.UpsertHandle(h, "A", -v) // leaves both groups
+		_, changed = eng.Flush(changed[:0])
+		eng.UpsertHandle(h, "A", v) // rejoins them
 		_, changed = eng.Flush(changed[:0])
 	}); n != 0 {
-		t.Errorf("leave/rejoin allocates %.1f per upsert+flush, want 0", n)
+		t.Errorf("leave/rejoin allocates %.1f per cycle, want 0", n)
 	}
 }
 
