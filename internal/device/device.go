@@ -73,8 +73,10 @@ type Driver interface {
 // resolves the querier once per fleet-snapshot rebuild and then calls the
 // returned function on every tick, skipping the per-call source lookup (and,
 // for drivers backed by a shared state table, the per-call locking). The
-// returned function must stay valid for the lifetime of the driver and be
-// safe for concurrent use.
+// returned function must stay valid for the lifetime of the driver, be safe
+// for concurrent use, and not block: the poller calls a run of them in a row
+// on one worker goroutine. A driver whose reads wait on I/O should not
+// implement SnapshotQuerier; its Query calls are spread across the pool.
 type SnapshotQuerier interface {
 	Querier(source string) (QueryFunc, error)
 }

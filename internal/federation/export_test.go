@@ -29,11 +29,19 @@ func (n *Node) ForwardBurst(peerName, kind, source string, batch []device.Readin
 	b.flush(batch)
 }
 
-// SetExporterLag makes every exporter wait d before it applies each batch of
-// registry changes, until the returned function restores it.
-func SetExporterLag(d time.Duration) (restore func()) {
-	exporterLag.Store(int64(d))
-	return func() { exporterLag.Store(0) }
+// ExporterCatchUp exposes the bound on a registry sync's exporter wait.
+const ExporterCatchUp = exporterCatchUp
+
+// SetExporterLag makes this node's exporters wait d before they apply each
+// batch of registry changes, until the returned function restores it.
+func (n *Node) SetExporterLag(d time.Duration) (restore func()) {
+	n.exporterLag.Store(int64(d))
+	return func() { n.exporterLag.Store(0) }
+}
+
+// SyncKinds answers a registry sync as this node's transport server would.
+func (n *Node) SyncKinds(kinds []string, gens []uint64) []transport.SyncDelta {
+	return nodeHandler{n}.SyncKinds(kinds, gens)
 }
 
 // InterposeFederationHandler wraps the handler this node's transport server

@@ -352,6 +352,9 @@ type Node struct {
 
 	exporters []*exporter
 	watchers  []*registry.Watcher
+	// exporterLag delays each exporter batch by the stored duration. It is
+	// zero except in tests that hold a node's exporters behind its registry.
+	exporterLag atomic.Int64
 
 	// dedup holds per-sender-stream replay protection for event_batch: the
 	// highest sequence number ingested and a ring of the last forwardWindow
@@ -1070,6 +1073,7 @@ func (h nodeHandler) SyncKinds(kinds []string, gens []uint64) []transport.SyncDe
 		}
 	}
 	addr := n.srv.Addr()
+	var marks []exporterMark
 	for i, kind := range kinds {
 		if !n.exportedKind(kind) {
 			out[i] = transport.SyncDelta{Kind: kind}
@@ -1103,27 +1107,14 @@ func (h nodeHandler) SyncKinds(kinds []string, gens []uint64) []transport.SyncDe
 			// The scan can see a registration the kind's exporters have not
 			// applied yet; a peer that got the mirror first would reach a
 			// device this node does not host.
-			n.exportersCaughtUp(kind)
+			marks = n.markExporters(kind, marks)
 		}
 		out[i] = transport.SyncDelta{Kind: kind, Gen: gen, Changed: changed, Entities: ents}
 	}
+	// One deadline for the whole call: lagging exporters on many kinds must
+	// not hold the peer past its call timeout.
+	waitApplied(marks, time.Now().Add(exporterCatchUp))
 	return out
-}
-
-// exportersCaughtUp waits, bounded, for every exporter of kind to apply the
-// registry changes queued so far.
-func (n *Node) exportersCaughtUp(kind string) {
-	n.mu.Lock()
-	var exs []*exporter
-	for _, e := range n.exporters {
-		if e.kind == kind {
-			exs = append(exs, e)
-		}
-	}
-	n.mu.Unlock()
-	for _, e := range exs {
-		e.caughtUp()
-	}
 }
 
 // IngestEventBatch implements transport.FederationHandler: forwarded

@@ -431,9 +431,9 @@ func TestCrossNodeCommandBatch(t *testing.T) {
 // are held 200 ms behind the registry, so without the wait the sync always
 // wins that race.
 func TestSyncAdvertisesOnlyHostedEntities(t *testing.T) {
-	t.Cleanup(federation.SetExporterLag(200 * time.Millisecond))
 	crt, consumer, _ := newConsumerNode(t, "hub")
 	ort, owner, _, _ := newOwnerNode(t, "edge", 1)
+	t.Cleanup(owner.SetExporterLag(200 * time.Millisecond))
 	if err := consumer.AddPeer(federation.PeerConfig{
 		Name: "edge", Addr: owner.Addr(), Import: []string{"ZonePanel"},
 	}); err != nil {
@@ -466,6 +466,33 @@ func TestSyncAdvertisesOnlyHostedEntities(t *testing.T) {
 		if es != "" {
 			t.Fatalf("panel %s advertised before it was hosted: %s", ids[i], es)
 		}
+	}
+}
+
+// TestSyncWaitsOnceForAllKinds: a sync shares one catch-up deadline across
+// the kinds it answers, so exporters stuck far behind on two kinds hold the
+// call about ExporterCatchUp, not ExporterCatchUp per kind.
+func TestSyncWaitsOnceForAllKinds(t *testing.T) {
+	ort, owner, _, _ := newOwnerNode(t, "edge", 1)
+	t.Cleanup(owner.SetExporterLag(5 * federation.ExporterCatchUp / 2))
+	sensor := device.NewBase("sensor-00", "PresenceSensor", nil, registry.Attributes{"zone": "edge"}, nil)
+	panel := devsim.NewRecorderDevice("panel-00", "ZonePanel", nil,
+		registry.Attributes{"zone": "edge"}, []string{"update"}, nil)
+	for _, d := range []device.Driver{sensor, panel} {
+		if err := ort.BindDevice(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	deltas := owner.SyncKinds([]string{"PresenceSensor", "ZonePanel"}, nil)
+	took := time.Since(start)
+	for _, d := range deltas {
+		if !d.Changed || len(d.Entities) != 1 {
+			t.Errorf("kind %s: changed %v with %d entities, want one", d.Kind, d.Changed, len(d.Entities))
+		}
+	}
+	if limit := 3 * federation.ExporterCatchUp / 2; took > limit {
+		t.Errorf("sync over two lagging kinds took %v, want < %v", took, limit)
 	}
 }
 

@@ -48,13 +48,10 @@ type exporter struct {
 	applied atomic.Uint64
 }
 
-// exporterCatchUp bounds how long a registry sync waits for an exporter to
-// apply the changes it is about to advertise.
+// exporterCatchUp bounds how long one registry sync waits, over all the
+// kinds it answers, for exporters to apply the changes it is about to
+// advertise.
 const exporterCatchUp = time.Second
-
-// exporterLag delays each exporter batch by the stored duration. It is zero
-// except in tests that hold an exporter behind the registry.
-var exporterLag atomic.Int64
 
 func (n *Node) startExporter(ex Export) error {
 	w, err := n.reg.Watch(registry.Query{Kind: ex.Kind})
@@ -104,7 +101,7 @@ func (e *exporter) loop() {
 		if batch, lost, ok = e.w.Next(batch); !ok {
 			break
 		}
-		if d := exporterLag.Load(); d > 0 {
+		if d := e.n.exporterLag.Load(); d > 0 {
 			time.Sleep(time.Duration(d))
 		}
 		for _, c := range batch {
@@ -124,15 +121,35 @@ func (e *exporter) loop() {
 	e.applied.Store(math.MaxUint64) // a stopped exporter keeps no sync waiting
 }
 
-// caughtUp waits, at most exporterCatchUp, until the loop has applied every
-// change the watcher queued before the call. After a registry scan, that
-// makes every local entity the scan saw hosted (or released again), so a
-// sync never advertises a device a peer cannot reach yet. The wait is rare
-// and short, so it polls.
-func (e *exporter) caughtUp() {
-	target := e.w.Queued()
-	for deadline := time.Now().Add(exporterCatchUp); e.applied.Load() < target && time.Now().Before(deadline); {
-		time.Sleep(100 * time.Microsecond)
+// exporterMark is an exporter and the count of watcher changes its loop
+// must have applied: every change queued when the mark was taken.
+type exporterMark struct {
+	e      *exporter
+	target uint64
+}
+
+// markExporters appends a mark for every exporter of kind. Taken right
+// after a registry scan, a mark covers every local entity the scan saw.
+func (n *Node) markExporters(kind string, marks []exporterMark) []exporterMark {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, e := range n.exporters {
+		if e.kind == kind {
+			marks = append(marks, exporterMark{e: e, target: e.w.Queued()})
+		}
+	}
+	return marks
+}
+
+// waitApplied waits until every marked exporter has applied its changes, so
+// each scanned entity is hosted (or released again) and a sync never
+// advertises a device a peer cannot reach yet, or until deadline passes.
+// The wait is rare and short, so it polls.
+func waitApplied(marks []exporterMark, deadline time.Time) {
+	for _, m := range marks {
+		for m.e.applied.Load() < m.target && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
+		}
 	}
 }
 

@@ -122,8 +122,8 @@ func (inc *Incremental[K, V]) Restore(r io.Reader) error {
 			if rec.n == 0 {
 				inc.live++
 			}
-			mem := rec.addMember()
-			mem.g, mem.pos, mem.values, mem.lift, mem.liftOK = g, len(g.members), cm.Values, cm.Lift, cm.LiftOK
+			mem := &incMember[K, V]{rec: rec, g: g, pos: len(g.members), values: cm.Values, lift: cm.Lift, liftOK: cm.LiftOK}
+			rec.mems = append(rec.mems, mem)
 			rec.n++
 			g.members = append(g.members, mem)
 		}

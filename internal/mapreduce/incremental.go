@@ -48,10 +48,6 @@ type Handle[K comparable, V any] struct {
 	// stops and resumes emitting allocates nothing.
 	mems []*incMember[K, V]
 	n    int
-	// The first member and its slot in mems live in the record itself: an
-	// input that feeds one group costs one allocation.
-	first    incMember[K, V]
-	firstPtr [1]*incMember[K, V]
 }
 
 // incMember is one input's contribution to one group: the values its map
@@ -61,23 +57,9 @@ type incMember[K comparable, V any] struct {
 	rec    *Handle[K, V]
 	g      *incGroup[K, V] // nil while the member is a spare
 	pos    int             // index in g.members
-	values []V             // starts on one, for the usual single emission
-	one    [1]V
+	values []V
 	lift   V
 	liftOK bool
-}
-
-// addMember appends a spare member to rec: the record's own first, then
-// allocated ones.
-func (rec *Handle[K, V]) addMember() *incMember[K, V] {
-	mem := &rec.first
-	if len(rec.mems) > 0 {
-		mem = &incMember[K, V]{}
-	}
-	mem.rec = rec
-	mem.values = mem.one[:0]
-	rec.mems = append(rec.mems, mem)
-	return mem
 }
 
 // incGroup is the retained state of one intermediate key.
@@ -207,7 +189,6 @@ func (inc *Incremental[K, V]) Input(id string) *Handle[K, V] {
 	rec := inc.inputs[id]
 	if rec == nil {
 		rec = &Handle[K, V]{id: id, epoch: inc.epoch}
-		rec.mems = rec.firstPtr[:0]
 		inc.inputs[id] = rec
 	}
 	return rec
@@ -338,7 +319,7 @@ func (inc *Incremental[K, V]) join(rec *Handle[K, V], key K) *incMember[K, V] {
 		inc.groups[key] = g
 	}
 	if rec.n == len(rec.mems) {
-		rec.addMember()
+		rec.mems = append(rec.mems, &incMember[K, V]{rec: rec})
 	}
 	mem := rec.mems[rec.n]
 	rec.n++

@@ -180,6 +180,11 @@ type pollSnapshot struct {
 	locals  []pollTarget
 	remotes []endpointBatch
 	total   int
+	// claim is how many local targets a worker takes per cursor move:
+	// pollClaim when every local has a pre-resolved (non-blocking) query
+	// function, else 1, so drivers that block in Query are still queried
+	// concurrently across the pool.
+	claim int
 	// ids and groups give each round slot's device ID and `grouped by`
 	// value: the locals first, then each endpoint batch from its base.
 	ids    []string
@@ -267,9 +272,12 @@ func (p *poller) publish(out *pollOut, at time.Time) {
 	}
 }
 
-// pollClaim is how many local targets a worker claims per cursor move: one
-// atomic add per chunk instead of per target keeps the pool's workers off
-// a shared cache line.
+// pollClaim is how many local targets a worker claims per cursor move when
+// every local target answers through a non-blocking device.SnapshotQuerier
+// function: one atomic add per chunk instead of per target keeps the pool's
+// workers off a shared cache line. Any other driver may block in Query (a
+// link round trip, real I/O), so a snapshot holding one claims one target at
+// a time and keeps the pool's queries concurrent.
 const pollClaim = 128
 
 // runRound executes one query round over the snapshot through the worker
@@ -295,7 +303,7 @@ func (p *poller) runRound(snap *pollSnapshot) bool {
 	// whole pool for one query's worth of polling; grow the pool to match.
 	// p.rt.wg stays >0 for the poller's own goroutine while poll
 	// runs, so Add here cannot race a Stop-side Wait reaching zero.
-	hands := len(snap.remotes) + (len(snap.locals)+pollClaim-1)/pollClaim
+	hands := len(snap.remotes) + (len(snap.locals)+snap.claim-1)/snap.claim
 	if hands > p.workers {
 		hands = p.workers
 	}
@@ -583,13 +591,20 @@ func (p *poller) rebuild(gen uint64) {
 		snap.groups = append(snap.groups, eb.groups...)
 	}
 	snap.total = len(snap.ids)
+	snap.claim = pollClaim
+	for i := range snap.locals {
+		if snap.locals[i].query == nil {
+			snap.claim = 1
+			break
+		}
+	}
 	p.snap = snap
 	p.snapEpoch++
 	p.rt.stats.pollSnapshotRebuilds.Add(1)
 }
 
 // pollRound is one tick's unit of pool work: workers drain the remote
-// batches, then the local targets in claims of pollClaim, through shared
+// batches, then the local targets in claims of snap.claim, through shared
 // cursors, storing each answered slot's value. pending counts outstanding
 // worker hand-offs; the last one closes done.
 type pollRound struct {
@@ -630,8 +645,8 @@ func (r *pollRound) work() {
 		r.queryBatch(&snap.remotes[i])
 	}
 	for {
-		hi := int(r.localCur.Add(pollClaim))
-		lo := hi - pollClaim
+		hi := int(r.localCur.Add(int64(snap.claim)))
+		lo := hi - snap.claim
 		if lo >= len(snap.locals) {
 			break
 		}

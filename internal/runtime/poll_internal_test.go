@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/devsim"
@@ -115,6 +116,53 @@ context Vacancy as Integer {
 	flipRound()
 	flipRound()
 	return flipRound
+}
+
+// TestBlockingQueriesSpreadAcrossPool: drivers without a pre-resolved
+// querier may block in Query (a link round trip, real I/O), so a round hands
+// them to the pool one at a time. 64 drivers that each sleep for one query
+// must finish in about ceil(64/workers) sleeps on the default pool, not in
+// the 64 a single worker running a claim of them in a row would take.
+func TestBlockingQueriesSpreadAcrossPool(t *testing.T) {
+	const drivers, sleep = 64, 20 * time.Millisecond
+	vc := simclock.NewVirtual(hostEpoch)
+	rt := New(dsl.MustLoad(`
+device S { attribute lot as String; source presence as Boolean; }
+context Vacancy as Integer {
+	when periodic presence from S <1 min> grouped by lot with map as Boolean reduce as Integer no publish;
+}
+`), WithClock(vc))
+	defer rt.Stop()
+	h := roundVacancy{done: make(chan struct{})}
+	if err := rt.ImplementContext("Vacancy", h); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < drivers; i++ {
+		d := device.NewBase(fmt.Sprintf("s%02d", i), "S", nil, registry.Attributes{"lot": "L"}, vc.Now)
+		d.OnQuery("presence", func() (any, error) {
+			time.Sleep(sleep)
+			return false, nil
+		})
+		if err := rt.BindDevice(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	p := rt.pollers[0]
+	start := time.Now()
+	p.poll(vc.Now())
+	<-h.done
+	took := time.Since(start)
+	if p.snap.claim != 1 {
+		t.Errorf("claim = %d for drivers without a querier, want 1", p.snap.claim)
+	}
+	// ceil(64/32) = 2 sleeps on the default pool; allow 8x for a loaded
+	// machine, still far below the 64 sleeps of a serial round.
+	if limit := 16 * sleep; took > limit {
+		t.Errorf("round over %d blocking drivers took %v, want < %v (serial: %v)", drivers, took, limit, drivers*sleep)
+	}
 }
 
 // TestEvictedSilentDeviceLeavesNoRecord: a device whose last reading mapped
