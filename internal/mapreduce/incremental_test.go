@@ -319,7 +319,7 @@ func TestHandleLifetime(t *testing.T) {
 // TestUpsertHandleAllocs pins the steady-state cost of a handle upsert of
 // an existing input on the combiner path: zero allocations, both for a
 // value update and for an input that stops and resumes contributing. The
-// map feeds two groups, so the input has a member beyond its inline one.
+// map feeds two groups, so the input reuses two spare members.
 func TestUpsertHandleAllocs(t *testing.T) {
 	eng := NewIncremental[string, int](
 		func(k string, v int, emit func(string, int)) {
