@@ -334,6 +334,7 @@ func (c *checker) errf(pos token.Position, format string, args ...any) {
 
 func (c *checker) collectDecls() {
 	seen := make(map[string]token.Position)
+	var structs []*ast.StructureDecl // the declarations registered in Structs
 	for _, decl := range c.design.Decls {
 		name := decl.DeclName()
 		if prev, dup := seen[name]; dup {
@@ -358,6 +359,7 @@ func (c *checker) collectDecls() {
 			c.m.Controllers[d.Name] = &Controller{Name: d.Name, Decl: d}
 		case *ast.StructureDecl:
 			c.m.Structs[d.Name] = &Struct{Name: d.Name}
+			structs = append(structs, d)
 		case *ast.EnumerationDecl:
 			vals := make(map[string]bool, len(d.Values))
 			for _, v := range d.Values {
@@ -370,12 +372,9 @@ func (c *checker) collectDecls() {
 		}
 	}
 	// Struct fields may reference other structs/enums, so resolve after
-	// all names are known.
-	for _, decl := range c.design.Decls {
-		s, ok := decl.(*ast.StructureDecl)
-		if !ok {
-			continue
-		}
+	// all names are known. A structure whose name duplicates an earlier
+	// declaration was reported above and has no Struct to fill.
+	for _, s := range structs {
 		st := c.m.Structs[s.Name]
 		fieldSeen := make(map[string]bool)
 		for _, f := range s.Fields {

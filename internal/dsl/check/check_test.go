@@ -282,6 +282,12 @@ func TestDuplicateDeclarations(t *testing.T) {
 device D { source s as Integer; }
 device D { source t as Integer; }
 `, "duplicate declaration of D")
+	// A structure named like an earlier declaration gets no Struct, so the
+	// checker must not resolve its fields into one.
+	loadErr(t, `
+device S { }
+structure S { f as Integer; }
+`, "duplicate declaration of S")
 }
 
 func TestDuplicateMembersRejected(t *testing.T) {

@@ -399,7 +399,7 @@ func (s *Store) Snapshot() error {
 			},
 			func(e registry.Entity, leaseRemaining time.Duration) {
 				state.entities = append(state.entities, snapEntity{
-					entity:         cloneEntity(e),
+					entity:         e,
 					leaseRemaining: leaseRemaining,
 				})
 			},
@@ -723,11 +723,4 @@ func (r *replayState) genSums() (all uint64, kinds map[string]uint64) {
 		}
 	}
 	return all, kinds
-}
-
-// cloneEntity deep-copies an entity captured under a shard lock.
-func cloneEntity(e registry.Entity) registry.Entity {
-	e.Attrs = e.Attrs.Clone()
-	e.Kinds = append([]string(nil), e.Kinds...)
-	return e
 }

@@ -19,6 +19,7 @@ package registry
 // fresh shard counters, keeping the sums monotonic across restarts.
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -81,7 +82,8 @@ func (r *Registry) journalLocked(sh *regShard, typ ChangeType, rec *record, now 
 	if jp == nil {
 		return
 	}
-	e := &rec.entity
+	sh.journalEnt = rec.entity()
+	e := &sh.journalEnt
 	m := Mutation{
 		Type:     typ,
 		Shard:    sh.idx,
@@ -98,6 +100,7 @@ func (r *Registry) journalLocked(sh *regShard, typ ChangeType, rec *record, now 
 		}
 	}
 	(*jp)(m)
+	sh.journalEnt = Entity{}
 }
 
 // genBase is the recovered generation floor installed by RestoreGenerations.
@@ -164,19 +167,19 @@ func (r *Registry) RestoreEntity(e Entity, leaseRemaining time.Duration) error {
 		return ErrClosed
 	}
 	if old, ok := sh.entities[e.ID]; ok {
-		unindexLocked(sh, &old.entity)
+		sh.unindexLocked(old)
 		if !old.expires.IsZero() {
 			sh.leased--
 		}
 	}
-	rec := &record{entity: e}
+	rec := &record{}
 	if leaseRemaining > 0 {
 		rec.expires = now.Add(leaseRemaining)
 		sh.leased++
 		sh.noteLeaseLocked(rec.expires)
 	}
 	sh.entities[e.ID] = rec
-	indexLocked(sh, &rec.entity)
+	sh.indexLocked(rec, &e)
 	return nil
 }
 
@@ -191,7 +194,6 @@ func (r *Registry) Reclaim(e Entity, opts ...RegisterOption) error {
 	if err := normalizeEntity(&e); err != nil {
 		return err
 	}
-	e.Attrs = e.Attrs.Clone()
 	var cfg registerConfig
 	for _, o := range opts {
 		o(&cfg)
@@ -205,11 +207,10 @@ func (r *Registry) Reclaim(e Entity, opts ...RegisterOption) error {
 	}
 	r.sweepShardLocked(sh, now)
 	rec, ok := sh.entities[e.ID]
-	if ok && !entityEqual(&rec.entity, &e) {
+	if ok && !rec.equal(&e) {
 		// Same ID, changed content: a journaled, generation-bumping update.
-		unindexLocked(sh, &rec.entity)
-		rec.entity = e
-		indexLocked(sh, &rec.entity)
+		sh.unindexLocked(rec)
+		sh.indexLocked(rec, &e)
 		if cfg.ttl > 0 {
 			if rec.expires.IsZero() {
 				sh.leased++
@@ -218,8 +219,8 @@ func (r *Registry) Reclaim(e Entity, opts ...RegisterOption) error {
 			sh.noteLeaseLocked(rec.expires)
 		}
 		r.journalLocked(sh, Updated, rec, now)
-		sh.bumpLocked(&rec.entity)
-		r.notify(Change{Type: Updated, Entity: rec.entity})
+		sh.bumpLocked(rec)
+		r.notify(Change{Type: Updated, Entity: rec.entity()})
 		return nil
 	}
 	if ok {
@@ -233,20 +234,20 @@ func (r *Registry) Reclaim(e Entity, opts ...RegisterOption) error {
 			rec.expires = now.Add(cfg.ttl)
 			sh.noteLeaseLocked(rec.expires)
 		}
-		r.notify(Change{Type: Updated, Entity: rec.entity})
+		r.notify(Change{Type: Updated, Entity: rec.entity()})
 		return nil
 	}
-	rec = &record{entity: e}
+	rec = &record{}
 	if cfg.ttl > 0 {
 		rec.expires = now.Add(cfg.ttl)
 		sh.leased++
 		sh.noteLeaseLocked(rec.expires)
 	}
 	sh.entities[e.ID] = rec
-	indexLocked(sh, &rec.entity)
+	sh.indexLocked(rec, &e)
 	r.journalLocked(sh, Added, rec, now)
-	sh.bumpLocked(&rec.entity)
-	r.notify(Change{Type: Added, Entity: rec.entity})
+	sh.bumpLocked(rec)
+	r.notify(Change{Type: Added, Entity: rec.entity()})
 	return nil
 }
 
@@ -254,9 +255,10 @@ func (r *Registry) Reclaim(e Entity, opts ...RegisterOption) error {
 // under its own lock, after sweeping expired leases — shard is called once
 // with the shard's generation counters, then ent once per entity with the
 // lease time it has left (zero = no lease). The kinds map is freshly
-// allocated per shard and may be retained; the Entity shares the registry's
-// internals — encode it during the call, do not retain it, and do not call
-// back into the Registry from either callback.
+// allocated per shard and may be retained. The Entity may be retained too:
+// its Kinds and Attrs are its shard's shape, which is never mutated — but
+// shared with the registry and every entity of equal content, so they must
+// not be mutated. Do not call back into the Registry from either callback.
 func (r *Registry) CaptureState(
 	shard func(idx int, genAll uint64, kinds map[string]uint64),
 	ent func(e Entity, leaseRemaining time.Duration),
@@ -277,7 +279,7 @@ func (r *Registry) CaptureState(
 			if !rec.expires.IsZero() {
 				rem = rec.expires.Sub(now)
 			}
-			ent(rec.entity, rem)
+			ent(rec.entity(), rem)
 		}
 		sh.mu.Unlock()
 	}
@@ -297,20 +299,16 @@ func normalizeEntity(e *Entity) error {
 	return nil
 }
 
-// entityEqual reports whether two entities have identical content.
-func entityEqual(a, b *Entity) bool {
-	if a.ID != b.ID || a.Kind != b.Kind || a.Endpoint != b.Endpoint ||
-		a.Origin != b.Origin || a.Bound != b.Bound ||
-		len(a.Kinds) != len(b.Kinds) || len(a.Attrs) != len(b.Attrs) {
+// equal reports whether rec holds exactly e's content.
+func (rec *record) equal(e *Entity) bool {
+	s := rec.shape
+	if rec.id != e.ID || s.kind != e.Kind || rec.endpoint != e.Endpoint ||
+		s.origin != e.Origin || s.bound != e.Bound ||
+		!slices.Equal(s.kinds, e.Kinds) || len(s.attrs) != len(e.Attrs) {
 		return false
 	}
-	for i, k := range a.Kinds {
-		if b.Kinds[i] != k {
-			return false
-		}
-	}
-	for k, v := range a.Attrs {
-		if b.Attrs[k] != v {
+	for k, v := range s.attrs {
+		if w, ok := e.Attrs[k]; !ok || w != v {
 			return false
 		}
 	}

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -172,9 +173,29 @@ var (
 	errEmptyKind = errors.New("registry: empty entity kind")
 )
 
+// record is one registration: everything but its ID, endpoint and lease
+// lives in its shape, shared with every record of the shard that has equal
+// content (see shape.go).
 type record struct {
-	entity  Entity
-	expires time.Time // zero when the registration has no lease
+	id       ID
+	endpoint string
+	shape    *shape
+	expires  time.Time // zero when the registration has no lease
+}
+
+// entity assembles the record's Entity. Kinds and Attrs are the shape's:
+// read-only, like everything Scan hands out.
+func (rec *record) entity() Entity {
+	s := rec.shape
+	return Entity{
+		ID:       rec.id,
+		Kind:     s.kind,
+		Kinds:    s.kinds,
+		Attrs:    s.attrs,
+		Endpoint: rec.endpoint,
+		Origin:   s.origin,
+		Bound:    s.bound,
+	}
 }
 
 // DefaultShards is the shard count used when WithShards is not given.
@@ -212,6 +233,19 @@ type regShard struct {
 	byAttr   map[string]map[ID]struct{} // "key\x00value" -> ids
 	leased   int                        // registrations carrying a lease
 
+	// shapes interns the distinct contents of the shard's records by
+	// canonical key (see shape.go). keyBuf and names are the scratch space
+	// a lookup encodes the key in; lastKinds is the kinds slice of the
+	// newest shape, reused by the next one with equal kinds.
+	shapes    map[string]*shape
+	keyBuf    []byte
+	names     []string
+	lastKinds []string
+
+	// journalEnt holds the Entity a journal call points at, so journaling
+	// allocates no Entity per mutation; cleared after each call.
+	journalEnt Entity
+
 	// genAll and gens are the shard's membership-change counters, bumped
 	// (under mu) on every register/update/unregister/expire, per kind in
 	// the entity's taxonomy. Readers sum them across shards lock-free, so
@@ -228,11 +262,11 @@ type regShard struct {
 	_ [32]byte // keep neighbouring shard locks off one cache line
 }
 
-// bumpLocked records a membership/attribute change for e's kinds. Callers
+// bumpLocked records a membership/attribute change for rec's kinds. Callers
 // hold sh.mu.
-func (sh *regShard) bumpLocked(e *Entity) {
+func (sh *regShard) bumpLocked(rec *record) {
 	sh.genAll.Add(1)
-	for _, k := range e.Kinds {
+	for _, k := range rec.shape.kinds {
 		sh.kindGen(k).Add(1)
 	}
 }
@@ -298,6 +332,7 @@ func New(opts ...Option) *Registry {
 		sh.entities = make(map[ID]*record)
 		sh.byKind = make(map[string]map[ID]struct{})
 		sh.byAttr = make(map[string]map[ID]struct{})
+		sh.shapes = make(map[string]*shape)
 	}
 	return r
 }
@@ -322,12 +357,14 @@ func WithTTL(d time.Duration) RegisterOption {
 }
 
 // Register adds e to the registry. It fails with ErrDuplicate if the ID is
-// already present (and not expired).
+// already present (and not expired). The registry keeps neither e.Kinds nor
+// e.Attrs: it points the record at the shard's shape of equal content,
+// copying them only when the shard holds no such shape yet, so the caller
+// may reuse or mutate both afterwards.
 func (r *Registry) Register(e Entity, opts ...RegisterOption) error {
 	if err := normalizeEntity(&e); err != nil {
 		return err
 	}
-	e.Attrs = e.Attrs.Clone()
 	var cfg registerConfig
 	for _, o := range opts {
 		o(&cfg)
@@ -345,23 +382,24 @@ func (r *Registry) Register(e Entity, opts ...RegisterOption) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrDuplicate, e.ID)
 	}
-	rec := &record{entity: e}
+	rec := &record{}
 	if cfg.ttl > 0 {
 		rec.expires = now.Add(cfg.ttl)
 		sh.leased++
 		sh.noteLeaseLocked(rec.expires)
 	}
 	sh.entities[e.ID] = rec
-	indexLocked(sh, &rec.entity)
+	sh.indexLocked(rec, &e)
 	r.journalLocked(sh, Added, rec, now)
-	sh.bumpLocked(&rec.entity)
-	r.notify(Change{Type: Added, Entity: rec.entity})
+	sh.bumpLocked(rec)
+	r.notify(Change{Type: Added, Entity: rec.entity()})
 	sh.mu.Unlock()
 	return nil
 }
 
 // Update replaces the attributes and endpoint of an existing entity. The
-// kind and lease are unchanged.
+// kind and lease are unchanged. Like Register, it keeps no reference to
+// attrs.
 func (r *Registry) Update(id ID, attrs Attributes, endpoint string) error {
 	now := r.clock.Now()
 	sh := r.shard(id)
@@ -375,13 +413,13 @@ func (r *Registry) Update(id ID, attrs Attributes, endpoint string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	unindexLocked(sh, &rec.entity)
-	rec.entity.Attrs = attrs.Clone()
-	rec.entity.Endpoint = endpoint
-	indexLocked(sh, &rec.entity)
+	e := rec.entity()
+	e.Attrs, e.Endpoint = attrs, endpoint
+	sh.unindexLocked(rec)
+	sh.indexLocked(rec, &e)
 	r.journalLocked(sh, Updated, rec, now)
-	sh.bumpLocked(&rec.entity)
-	r.notify(Change{Type: Updated, Entity: rec.entity})
+	sh.bumpLocked(rec)
+	r.notify(Change{Type: Updated, Entity: rec.entity()})
 	return nil
 }
 
@@ -438,7 +476,7 @@ func (r *Registry) Get(id ID) (Entity, bool) {
 	if !ok {
 		return Entity{}, false
 	}
-	return cloneEntity(rec.entity), true
+	return cloneEntity(rec.entity()), true
 }
 
 // Discover returns entities matching q, sorted by ID for determinism. Each
@@ -453,10 +491,10 @@ func (r *Registry) Discover(q Query) []Entity {
 		r.sweepShardLocked(sh, now)
 		for id := range candidateIDsLocked(sh, q) {
 			rec := sh.entities[id]
-			if rec == nil || !matchesQuery(&rec.entity, q) {
+			if rec == nil || !matchesQuery(rec.shape, q) {
 				continue
 			}
-			out = append(out, cloneEntity(rec.entity))
+			out = append(out, cloneEntity(rec.entity()))
 		}
 		sh.mu.Unlock()
 	}
@@ -474,9 +512,10 @@ func (r *Registry) Discover(q Query) []Entity {
 // holds only one shard lock at a time and clones nothing.
 //
 // The Entity passed to fn shares the registry's internal maps and slices:
-// fn must not mutate or retain it (copy the fields it needs), and must not
-// call back into the Registry. Visit order is unspecified; q.Limit bounds
-// the number of visits.
+// its Kinds and Attrs are the shard's shape, shared by every entity of equal
+// content, so fn must not mutate them nor retain the Entity (copy the fields
+// it needs), and must not call back into the Registry. Visit order is
+// unspecified; q.Limit bounds the number of visits.
 func (r *Registry) Scan(q Query, fn func(Entity) bool) {
 	now := r.clock.Now()
 	visited := 0
@@ -486,11 +525,11 @@ func (r *Registry) Scan(q Query, fn func(Entity) bool) {
 		r.sweepShardLocked(sh, now)
 		for id := range candidateIDsLocked(sh, q) {
 			rec := sh.entities[id]
-			if rec == nil || !matchesQuery(&rec.entity, q) {
+			if rec == nil || !matchesQuery(rec.shape, q) {
 				continue
 			}
 			visited++
-			if !fn(rec.entity) || (q.Limit > 0 && visited >= q.Limit) {
+			if !fn(rec.entity()) || (q.Limit > 0 && visited >= q.Limit) {
 				sh.mu.Unlock()
 				return
 			}
@@ -656,62 +695,75 @@ func candidateIDsLocked(sh *regShard, q Query) map[ID]struct{} {
 	return all
 }
 
-func matchesQuery(e *Entity, q Query) bool {
-	if q.Kind != "" && !e.isKind(q.Kind) {
+func matchesQuery(s *shape, q Query) bool {
+	if q.Kind != "" && !slices.Contains(s.kinds, q.Kind) {
 		return false
 	}
-	return matchesWhere(e.Attrs, q.Where)
+	return matchesWhere(s.attrs, q.Where)
 }
 
-func indexLocked(sh *regShard, e *Entity) {
-	for _, k := range e.Kinds {
-		set := sh.byKind[k]
-		if set == nil {
-			set = make(map[ID]struct{})
-			sh.byKind[k] = set
-		}
-		set[e.ID] = struct{}{}
+// indexLocked installs e as rec's content: it points the record at the
+// shard's shape for e — whose Kinds and Attrs may belong to the caller — and
+// posts its ID under each kind and attribute. Every install (Register,
+// Update, Reclaim, RestoreEntity) passes here.
+func (sh *regShard) indexLocked(rec *record, e *Entity) {
+	s := sh.internLocked(e)
+	rec.id, rec.endpoint, rec.shape = e.ID, e.Endpoint, s
+	id := rec.id
+	for _, k := range s.kinds {
+		addPosting(sh.byKind, k, id)
 	}
-	for k, v := range e.Attrs {
-		key := attrKey(k, v)
-		set := sh.byAttr[key]
-		if set == nil {
-			set = make(map[ID]struct{})
-			sh.byAttr[key] = set
-		}
-		set[e.ID] = struct{}{}
+	for p := int(s.attrsAt); p < len(s.key); {
+		var key string
+		_, _, key, p = s.attr(p)
+		addPosting(sh.byAttr, key, id)
 	}
 }
 
-func unindexLocked(sh *regShard, e *Entity) {
-	for _, k := range e.Kinds {
-		if set := sh.byKind[k]; set != nil {
-			delete(set, e.ID)
-			if len(set) == 0 {
-				delete(sh.byKind, k)
-			}
-		}
+// unindexLocked withdraws rec's postings and releases its shape. The record
+// keeps its shape pointer: a shape is never mutated, so the removal's
+// journal entry and notification still read it.
+func (sh *regShard) unindexLocked(rec *record) {
+	s := rec.shape
+	id := rec.id
+	for _, k := range s.kinds {
+		dropPosting(sh.byKind, k, id)
 	}
-	for k, v := range e.Attrs {
-		key := attrKey(k, v)
-		if set := sh.byAttr[key]; set != nil {
-			delete(set, e.ID)
-			if len(set) == 0 {
-				delete(sh.byAttr, key)
-			}
+	for p := int(s.attrsAt); p < len(s.key); {
+		var key string
+		_, _, key, p = s.attr(p)
+		dropPosting(sh.byAttr, key, id)
+	}
+	sh.releaseLocked(s)
+}
+
+func addPosting(index map[string]map[ID]struct{}, key string, id ID) {
+	set := index[key]
+	if set == nil {
+		set = make(map[ID]struct{})
+		index[key] = set
+	}
+	set[id] = struct{}{}
+}
+
+func dropPosting(index map[string]map[ID]struct{}, key string, id ID) {
+	if set := index[key]; set != nil {
+		delete(set, id)
+		if len(set) == 0 {
+			delete(index, key)
 		}
 	}
 }
 
 func (r *Registry) removeLocked(sh *regShard, rec *record, why ChangeType) {
-	delete(sh.entities, rec.entity.ID)
-	unindexLocked(sh, &rec.entity)
+	delete(sh.entities, rec.id)
+	sh.unindexLocked(rec)
 	if !rec.expires.IsZero() {
 		sh.leased--
 	}
 	r.journalLocked(sh, why, rec, time.Time{})
-	sh.bumpLocked(&rec.entity)
-	r.notify(Change{Type: why, Entity: rec.entity})
+	sh.bumpLocked(rec)
+	r.notify(Change{Type: why, Entity: rec.entity()})
 }
 
 // sweepShardLocked evicts expired leases. It is O(1) unless the shard holds
