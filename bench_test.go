@@ -1,7 +1,7 @@
-// Package repro holds the benchmark harness that regenerates every
-// experiment in EXPERIMENTS.md (the paper has no numeric tables; its figures
-// and quantitative claims F1–F2 and C1–C5 are reproduced here plus the
-// ablations listed in DESIGN.md §5). Run with:
+// Package repro holds the benchmark harness that regenerates the paper's
+// figures and quantitative claims F1–F2 and C1–C5 (the paper has no numeric
+// tables; README "Benchmarks" maps each claim to its benchmark), plus the
+// large-scale experiments and ablations. Run with:
 //
 //	go test -bench=. -benchmem .
 package repro_test
@@ -24,7 +24,6 @@ import (
 	"repro/internal/dsl"
 	"repro/internal/dsl/designs"
 	"repro/internal/eventbus"
-	"repro/internal/mapreduce"
 	"repro/internal/registry"
 	"repro/internal/runtime"
 	"repro/internal/simclock"
@@ -271,49 +270,10 @@ func BenchmarkC1_GeneratedFraction(b *testing.B) {
 	}
 }
 
-// BenchmarkC2_MapReduceScaling (paper §IV.2): the `grouped by`/MapReduce
-// lowering versus the sequential fold, across dataset sizes and worker
-// counts. On a single-core host the CPU-bound variant shows engine overhead
-// rather than speedup; the gather variant below shows the I/O-bound case.
-func BenchmarkC2_MapReduceScaling(b *testing.B) {
-	vacancyMap := func(lot string, present bool, emit func(string, bool)) {
-		if !present {
-			emit(lot, true)
-		}
-	}
-	countReduce := func(lot string, vs []bool, emit func(string, int)) {
-		emit(lot, len(vs))
-	}
-	lots := []string{"L00", "L01", "L02", "L03", "L04"}
-	mkInput := func(n int) []mapreduce.Pair[string, bool] {
-		in := make([]mapreduce.Pair[string, bool], n)
-		for i := range in {
-			in[i] = mapreduce.Pair[string, bool]{Key: lots[i%len(lots)], Value: i%3 == 0}
-		}
-		return in
-	}
-	for _, n := range []int{1000, 10000, 100000} {
-		in := mkInput(n)
-		b.Run(fmt.Sprintf("sequential/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mapreduce.RunSequential(in, vacancyMap, countReduce)
-			}
-		})
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("mapreduce/n=%d/workers=%d", n, w), func(b *testing.B) {
-				cfg := mapreduce.Config{Workers: w}
-				for i := 0; i < b.N; i++ {
-					mapreduce.Run(in, vacancyMap, countReduce, cfg)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkC2_GatherConcurrency: the realistic large-scale case — readings
-// are gathered from devices across a simulated LPWAN link, so per-reading
-// latency dominates and the runtime's concurrent gather wins even on one
-// core.
+// BenchmarkC2_GatherConcurrency (paper §IV.2): the gather half of the
+// `grouped by`/MapReduce lowering at large scale — readings are gathered
+// from devices across a simulated LPWAN link, so per-reading latency
+// dominates and the runtime's concurrent gather wins even on one core.
 func BenchmarkC2_GatherConcurrency(b *testing.B) {
 	const n = 64
 	mkDevices := func() []device.Driver {
@@ -1019,31 +979,8 @@ func BenchmarkSwarm_RegistryScan(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_Shuffle: partitioned parallel shuffle vs single-point
-// merge (DESIGN.md §5).
-func BenchmarkAblation_Shuffle(b *testing.B) {
-	in := make([]mapreduce.Pair[string, bool], 100000)
-	for i := range in {
-		in[i] = mapreduce.Pair[string, bool]{Key: fmt.Sprintf("L%02d", i%40), Value: i%3 == 0}
-	}
-	m := func(lot string, present bool, emit func(string, bool)) {
-		if !present {
-			emit(lot, true)
-		}
-	}
-	r := func(lot string, vs []bool, emit func(string, int)) { emit(lot, len(vs)) }
-	for _, sh := range []mapreduce.Shuffle{mapreduce.ShuffleSingle, mapreduce.ShufflePartitioned} {
-		b.Run(sh.String(), func(b *testing.B) {
-			cfg := mapreduce.Config{Workers: 4, Shuffle: sh}
-			for i := 0; i < b.N; i++ {
-				mapreduce.Run(in, m, r, cfg)
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_BusPolicy: event-bus overflow policies under a fast
-// publisher (DESIGN.md §5).
+// publisher.
 func BenchmarkAblation_BusPolicy(b *testing.B) {
 	for _, policy := range []eventbus.Policy{eventbus.Block, eventbus.DropOldest, eventbus.DropNewest} {
 		b.Run(policy.String(), func(b *testing.B) {
@@ -1067,7 +1004,7 @@ func BenchmarkAblation_BusPolicy(b *testing.B) {
 }
 
 // BenchmarkAblation_Codec: gob vs JSON for one periodic batch of readings
-// (DESIGN.md §5; the transport uses gob).
+// (the transport's request envelope is gob).
 func BenchmarkAblation_Codec(b *testing.B) {
 	type wireReading struct {
 		DeviceID string

@@ -86,7 +86,7 @@ func numbered(src []byte) string {
 
 // CountLines reports the number of non-blank lines in src — the unit used by
 // the paper's "generated code may represent up to 80% of the resulting
-// application code" claim (C1 in EXPERIMENTS.md).
+// application code" claim (C1 in README "Benchmarks").
 func CountLines(src []byte) int {
 	n := 0
 	for _, line := range strings.Split(string(src), "\n") {

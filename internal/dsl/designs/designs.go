@@ -17,8 +17,6 @@
 //     `update`.
 //   - The `...` ellipses in Figure 6's enumerations are filled with
 //     concrete values.
-//
-// Each repair is also recorded in EXPERIMENTS.md.
 package designs
 
 // Cooker is the complete design of the cooker monitoring application

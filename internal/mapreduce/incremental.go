@@ -10,13 +10,13 @@ import (
 // mostly-unchanged input only pays for what changed. It is the processing
 // core behind the runtime's `grouped by … with map … reduce …` lowering,
 // `every` windows included: at 50k devices with 1% of readings changing per
-// round, the batch engine re-maps and re-reduces all 50k readings while the
+// round, a batch run re-maps and re-reduces all 50k readings while the
 // incremental engine touches ~500 inputs and re-reduces only the groups
 // they live in.
 //
-// The engine is observationally equivalent to the batch engine: feeding any
+// The engine is observationally equivalent to a batch run: feeding any
 // sequence of Upsert/Remove deltas and flushing must produce the same
-// output as Run over the final input set ordered by input id
+// output as RunSequential over the final input set ordered by input id
 // (property-tested in incremental_test.go).
 
 // CombineFunc merges two partial aggregates of one group into one. It is

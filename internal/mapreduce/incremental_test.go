@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -14,7 +13,7 @@ import (
 // occupied inputs contribute to no group — membership churns with value
 // changes, the hardest delta case.
 
-// oracle runs the batch engine over the final input state, id-ordered, and
+// oracle runs RunSequential over the final input state, id-ordered, and
 // collapses the output to a map — the reference the incremental engine must
 // reproduce exactly.
 func oracle[V any](
@@ -33,7 +32,7 @@ func oracle[V any](
 	for i, id := range ids {
 		in[i] = final[id]
 	}
-	pairs := Run(in, m, r, Config{})
+	pairs := RunSequential(in, m, r)
 	out := make(map[string]V, len(pairs))
 	for _, p := range pairs {
 		out[p.Key] = p.Value
@@ -105,8 +104,8 @@ func newBoolIntEngine(combine, uncombine bool) boolIntEngine {
 }
 
 // TestIncrementalMatchesBatch is the correctness property: the incremental
-// engine over a randomized delta stream is observationally identical to the
-// batch engine over the final state — on the replay path, the O(1) combiner
+// engine over a randomized delta stream is observationally identical to
+// RunSequential over the final state — on the replay path, the O(1) combiner
 // path, and the invertible-combiner path.
 func TestIncrementalMatchesBatch(t *testing.T) {
 	modes := []struct {
@@ -138,7 +137,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 }
 
 // TestIncrementalReplayValueOrder verifies the replay path presents values
-// in input-id order (the batch engine's order over id-sorted input), so
+// in input-id order (RunSequential's order over id-sorted input), so
 // order-sensitive reducers agree between the two engines.
 func TestIncrementalReplayValueOrder(t *testing.T) {
 	m := func(k string, v any, emit func(string, any)) { emit(k, v) }
@@ -357,35 +356,5 @@ func TestUpsertHandleAllocs(t *testing.T) {
 		_, changed = eng.Flush(changed[:0])
 	}); n != 0 {
 		t.Errorf("leave/rejoin allocates %.1f per cycle, want 0", n)
-	}
-}
-
-// TestDefaultKeyHashAllocs asserts the common-key fast paths allocate
-// nothing (the reflective fallback is reserved for exotic key types).
-func TestDefaultKeyHashAllocs(t *testing.T) {
-	keys := []any{"parking-lot-A22", int(42), int64(-7), uint32(9), true}
-	for _, k := range keys {
-		k := k
-		if n := testing.AllocsPerRun(100, func() { defaultKeyHash(k) }); n != 0 {
-			t.Errorf("defaultKeyHash(%T) allocates %.0f per call, want 0", k, n)
-		}
-	}
-}
-
-// TestDefaultKeyHashAgreement verifies the string fast path agrees with
-// the reflective fallback's FNV-1a over the key's rendering, and distinct
-// keys spread.
-func TestDefaultKeyHashAgreement(t *testing.T) {
-	h := fnv.New64a()
-	h.Write([]byte("L07"))
-	if defaultKeyHash("L07") != h.Sum64() {
-		t.Fatal("string fast path diverges from the reflective hash")
-	}
-	seen := make(map[uint64]bool)
-	for i := 0; i < 100; i++ {
-		seen[defaultKeyHash(i)] = true
-	}
-	if len(seen) < 100 {
-		t.Fatalf("int hash collides heavily: %d distinct of 100", len(seen))
 	}
 }

@@ -2,14 +2,9 @@ package mapreduce
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"testing/quick"
-	"time"
 )
 
 // vacancyMap is the paper's Figure 10 Map phase: emit true for each vacant
@@ -25,24 +20,13 @@ func countReduce(lot string, values []bool, emit func(string, int)) {
 	emit(lot, len(values))
 }
 
-func parkingInput(n int, seed int64) []Pair[string, bool] {
-	rng := rand.New(rand.NewSource(seed))
-	lots := []string{"A22", "B16", "D6", "E3", "F9"}
-	in := make([]Pair[string, bool], n)
-	for i := range in {
-		in[i] = Pair[string, bool]{Key: lots[rng.Intn(len(lots))], Value: rng.Intn(100) < 70}
-	}
-	return in
-}
-
 func TestFigure10ParkingAvailability(t *testing.T) {
 	in := []Pair[string, bool]{
 		{"A22", true}, {"A22", false}, {"A22", false},
 		{"B16", true}, {"B16", true},
 		{"D6", false},
 	}
-	got := Run(in, vacancyMap, countReduce, Config{Workers: 4})
-	SortByKeyString(got)
+	got := RunSequential(in, vacancyMap, countReduce)
 	want := []Pair[string, int]{{"A22", 2}, {"D6", 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("availability = %v, want %v", got, want)
@@ -50,31 +34,14 @@ func TestFigure10ParkingAvailability(t *testing.T) {
 }
 
 func TestEmptyInput(t *testing.T) {
-	if got := Run(nil, vacancyMap, countReduce, Config{}); got != nil {
-		t.Fatalf("Run(nil) = %v, want nil", got)
-	}
 	if got := RunSequential(nil, vacancyMap, countReduce); got != nil {
 		t.Fatalf("RunSequential(nil) = %v, want nil", got)
 	}
 }
 
-func TestParallelMatchesSequentialBothShuffles(t *testing.T) {
-	in := parkingInput(10_000, 42)
-	want := RunSequential(in, vacancyMap, countReduce)
-	SortByKeyString(want)
-	for _, sh := range []Shuffle{ShufflePartitioned, ShuffleSingle} {
-		for _, workers := range []int{1, 2, 3, 8} {
-			got := Run(in, vacancyMap, countReduce, Config{Workers: workers, Shuffle: sh})
-			SortByKeyString(got)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shuffle=%v workers=%d: got %v, want %v", sh, workers, got, want)
-			}
-		}
-	}
-}
-
-// Reducer value order must match sequential execution even under parallel
-// map scheduling; this is what makes non-commutative reducers usable.
+// Reducer values arrive in the order of the input records that produced
+// them, and groups in first-emission order; this is what makes
+// non-commutative reducers usable.
 func TestValueOrderIsInputOrder(t *testing.T) {
 	const n = 5000
 	in := make([]Pair[string, int], n)
@@ -89,12 +56,16 @@ func TestValueOrderIsInputOrder(t *testing.T) {
 		}
 		emit(k, b.String())
 	}
-	want := RunSequential(in, identity, concat)
-	SortByKeyString(want)
-	got := Run(in, identity, concat, Config{Workers: 8, ChunkSize: 17})
-	SortByKeyString(got)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("parallel value order differs from input order")
+	var want []Pair[string, string]
+	for g := 0; g < 7; g++ {
+		var b strings.Builder
+		for i := g; i < n; i += 7 {
+			fmt.Fprintf(&b, "%d,", i)
+		}
+		want = append(want, Pair[string, string]{Key: fmt.Sprintf("g%d", g), Value: b.String()})
+	}
+	if got := RunSequential(in, identity, concat); !reflect.DeepEqual(got, want) {
+		t.Fatal("reducer values differ from input order")
 	}
 }
 
@@ -112,8 +83,7 @@ func TestMultipleEmitsPerRecord(t *testing.T) {
 		}
 		emit(k, s)
 	}
-	got := Run(in, fanOut, sum, Config{Workers: 4})
-	SortByKeyString(got)
+	got := RunSequential(in, fanOut, sum)
 	want := []Pair[string, int]{{"x", 3}, {"y", 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -130,109 +100,9 @@ func TestReduceCanEmitZeroOrMany(t *testing.T) {
 		emit(k, vs[0])
 		emit(k+"-copy", vs[0])
 	}
-	got := Run(in, identity, expand, Config{Workers: 2})
-	SortByKeyString(got)
+	got := RunSequential(in, identity, expand)
 	want := []Pair[string, int]{{"b", 2}, {"b-copy", 2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
-func TestMapPhaseRunsConcurrently(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	const n = 256
-	in := make([]Pair[int, int], n)
-	for i := range in {
-		in[i] = Pair[int, int]{Key: i, Value: i}
-	}
-	var inFlight atomic.Int64
-	sawTwo := make(chan struct{})
-	var closeOnce sync.Once
-	m := func(k, v int, emit func(int, int)) {
-		if inFlight.Add(1) >= 2 {
-			closeOnce.Do(func() { close(sawTwo) })
-		}
-		// Wait briefly for a second concurrent map call; the rendezvous
-		// succeeds as soon as any two calls overlap.
-		select {
-		case <-sawTwo:
-		case <-time.After(10 * time.Millisecond):
-		}
-		inFlight.Add(-1)
-		emit(k%4, v)
-	}
-	r := func(k int, vs []int, emit func(int, int)) { emit(k, len(vs)) }
-	Run(in, m, r, Config{Workers: 4, ChunkSize: 8})
-	select {
-	case <-sawTwo:
-	default:
-		t.Fatal("map phase never ran 2 tasks concurrently")
-	}
-}
-
-func TestCustomKeyHashIsUsed(t *testing.T) {
-	in := parkingInput(1000, 7)
-	var called atomic.Int64
-	cfg := Config{
-		Workers: 4,
-		KeyHash: func(k any) uint64 {
-			called.Add(1)
-			return uint64(len(k.(string)))
-		},
-	}
-	got := Run(in, vacancyMap, countReduce, cfg)
-	want := RunSequential(in, vacancyMap, countReduce)
-	SortByKeyString(got)
-	SortByKeyString(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("custom hash changed results")
-	}
-	if called.Load() == 0 {
-		t.Fatal("custom KeyHash never called")
-	}
-}
-
-func TestShuffleString(t *testing.T) {
-	if ShufflePartitioned.String() != "partitioned" || ShuffleSingle.String() != "single" ||
-		Shuffle(7).String() != "Shuffle(7)" {
-		t.Fatal("Shuffle.String() wrong")
-	}
-}
-
-// Property: for arbitrary inputs, parallel Run ≡ RunSequential (word-count
-// style job exercising grouping, multi-emit and value ordering).
-func TestQuickParallelEquivalence(t *testing.T) {
-	m := func(_ int, sentence string, emit func(string, int)) {
-		for _, w := range strings.Fields(sentence) {
-			emit(w, 1)
-		}
-	}
-	r := func(w string, vs []int, emit func(string, int)) {
-		emit(w, len(vs))
-	}
-	words := []string{"sense", "compute", "control", "orchestrate", "iot"}
-	f := func(picks []uint8, workers uint8) bool {
-		if len(picks) > 300 {
-			picks = picks[:300]
-		}
-		in := make([]Pair[int, string], len(picks))
-		for i, p := range picks {
-			var b strings.Builder
-			for j := 0; j < int(p%4)+1; j++ {
-				b.WriteString(words[(int(p)+j)%len(words)])
-				b.WriteByte(' ')
-			}
-			in[i] = Pair[int, string]{Key: i, Value: b.String()}
-		}
-		want := RunSequential(in, m, r)
-		SortByKeyString(want)
-		got := Run(in, m, r, Config{Workers: int(workers%8) + 1, ChunkSize: 13})
-		SortByKeyString(got)
-		return reflect.DeepEqual(got, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -58,11 +58,6 @@ type Mutation struct {
 // (buffer, don't fsync) and never call back into the Registry.
 type Journal func(Mutation)
 
-// WithJournal installs a journal at construction time.
-func WithJournal(j Journal) Option {
-	return func(r *Registry) { r.SetJournal(j) }
-}
-
 // SetJournal installs (or replaces) the journal. Mutations committed before
 // the call are not replayed; installing the journal before the first
 // mutation — as runtime.WithPersistence does — captures everything.

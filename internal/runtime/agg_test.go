@@ -222,8 +222,8 @@ func TestIncrementalPeriodicAggregate(t *testing.T) {
 
 // TestIncrementalMatchesBatchAggregation drives the incremental path
 // through value changes and asserts every published aggregate equals a
-// batch mapreduce.Run of the handler's phases over the round's ground-truth
-// readings.
+// batch mapreduce.RunSequential of the handler's phases over the round's
+// ground-truth readings.
 func TestIncrementalMatchesBatchAggregation(t *testing.T) {
 	w := newAggWorld(t)
 	w.bind(t, "a0", "za", false)
@@ -250,7 +250,7 @@ func TestIncrementalMatchesBatchAggregation(t *testing.T) {
 		}
 		w.mu.Unlock()
 		want := make(map[string]int)
-		for _, p := range mapreduce.Run(in, w.h.Map, w.h.Reduce, mapreduce.Config{}) {
+		for _, p := range mapreduce.RunSequential(in, w.h.Map, w.h.Reduce) {
 			want[p.Key] = p.Value.(int)
 		}
 		w.expect(t, want)
@@ -260,8 +260,8 @@ func TestIncrementalMatchesBatchAggregation(t *testing.T) {
 // TestPeriodicFailureThenBindMatchesBatch drives the per-slot delta path
 // through a device that stops answering (a removal by slot), answers again,
 // and a registry bind between rounds (a snapshot rebuild and an engine
-// reset), checking every published aggregate against a batch mapreduce.Run
-// over the devices that answered the round.
+// reset), checking every published aggregate against a batch
+// mapreduce.RunSequential over the devices that answered the round.
 func TestPeriodicFailureThenBindMatchesBatch(t *testing.T) {
 	w := newAggWorld(t)
 	w.bind(t, "a0", "za", false)
@@ -314,7 +314,7 @@ func TestPeriodicFailureThenBindMatchesBatch(t *testing.T) {
 		}
 		w.mu.Unlock()
 		want := make(map[string]int)
-		for _, p := range mapreduce.Run(in, w.h.Map, w.h.Reduce, mapreduce.Config{}) {
+		for _, p := range mapreduce.RunSequential(in, w.h.Map, w.h.Reduce) {
 			want[p.Key] = p.Value.(int)
 		}
 		got, _ := w.h.snapshot()
