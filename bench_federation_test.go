@@ -150,15 +150,12 @@ func (w *fedBenchWorld) quiesce(b *testing.B) {
 	}
 }
 
-// waitFedAccounted waits until delivered plus every cross-node drop counter
-// reaches the accepted ground truth.
+// waitFedAccounted waits until delivered plus both nodes' drop ledgers reach
+// the accepted ground truth.
 func waitFedAccounted(b *testing.B, w *fedBenchWorld, want uint64) {
 	b.Helper()
 	for deadline := time.Now().Add(60 * time.Second); ; {
-		hst := w.hubRT.Stats()
-		est := w.edge.Stats()
-		got := w.ctx.n.Load() + hst.IngestBudgetDrops + hst.IngestDeadlineDrops +
-			hst.FederationEventDrops + est.ForwardBudgetDrops + est.ForwardSendDrops
+		got := w.ctx.n.Load() + w.hubRT.Stats().Drops() + w.edge.Stats().Drops()
 		if got >= want {
 			if got > want {
 				b.Fatalf("accounted %d events, ground truth %d", got, want)

@@ -831,13 +831,13 @@ func waitAttached(b *testing.B, swarm *devsim.Swarm, want int) {
 	}
 }
 
-// waitAccounted waits until delivered plus the pipeline's drop counters
-// reach the accepted-event ground truth.
+// waitAccounted waits until delivered plus the app's drop ledger reaches
+// the accepted-event ground truth.
 func waitAccounted(b *testing.B, rt *runtime.Runtime, delivered *stormCounter, want uint64) {
 	b.Helper()
 	for deadline := time.Now().Add(60 * time.Second); ; {
 		st := rt.Stats()
-		got := delivered.n.Load() + st.IngestBudgetDrops + st.IngestDeadlineDrops
+		got := delivered.n.Load() + st.Drops()
 		if got >= want {
 			if got > want {
 				b.Fatalf("accounted %d events, ground truth %d", got, want)

@@ -10,6 +10,8 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/metrics"
+	"repro/internal/runtime"
 	"repro/internal/transport"
 )
 
@@ -93,11 +95,15 @@ func appByID(recs []transport.AppStatsRecord) map[string]map[string]uint64 {
 	return m
 }
 
-// dropsOf sums every drop counter of one app scope: local admission
-// (budget, deadline, drain) plus federation ingress refusals.
-func dropsOf(c map[string]uint64) uint64 {
-	return c["ingest_budget_drops"] + c["ingest_deadline_drops"] +
-		c["ingest_drain_drops"] + c["federation_event_drops"]
+// appDrops names the app drop ledger: runtime.Stats' counters tagged ",drop".
+var appDrops = metrics.NewTable[runtime.Stats]().DropNames()
+
+// dropsOf sums one app scope's drop ledger: runtime.Stats.Drops on the wire.
+func dropsOf(c map[string]uint64) (n uint64) {
+	for _, name := range appDrops {
+		n += c[name]
+	}
+	return n
 }
 
 // renderTop renders one dashboard frame from two consecutive fleet_stats

@@ -1,12 +1,27 @@
 package main
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/runtime"
 	"repro/internal/transport"
 )
+
+// TestDropsOfMatchesLedger checks that top's DROPS column sums the same
+// rows as runtime.Stats.Drops, with every counter holding a distinct value.
+func TestDropsOfMatchesLedger(t *testing.T) {
+	var s runtime.Stats
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(1 << i)
+	}
+	if got, want := dropsOf(s.Counters()), s.Drops(); got != want || want == 0 {
+		t.Fatalf("dropsOf = %d, Stats.Drops = %d", got, want)
+	}
+}
 
 func topFixture(events uint64) transport.FleetStats {
 	return transport.FleetStats{

@@ -320,8 +320,7 @@ func run(sensors, edges, cycles int, churnFrac float64, seed int64, latency, jit
 		return err
 	}
 	sentBefore, recvBefore := w.hub.PeerBytes(victim.name)
-	st := victim.node.Stats()
-	w.retired += st.ForwardBudgetDrops + st.ForwardSendDrops + st.ForwardUnrouted
+	w.retired += victim.node.Stats().Drops()
 	acceptedBefore := victim.accepted
 	liveBefore := victim.churn.LiveCount()
 	victimAddr := victim.node.Addr()
@@ -495,11 +494,9 @@ func (w *world) accepted() uint64 {
 func (w *world) sunk() uint64 {
 	total := w.agg.delivered.Load() + w.retired
 	for _, e := range w.edges {
-		st := e.node.Stats()
-		total += st.ForwardBudgetDrops + st.ForwardSendDrops + st.ForwardUnrouted
+		total += e.node.Stats().Drops()
 	}
-	hst := w.hubRT.Stats()
-	return total + hst.FederationEventDrops + hst.IngestBudgetDrops + hst.IngestDeadlineDrops
+	return total + w.hubRT.Stats().Drops()
 }
 
 func (w *world) waitAccounted(what string) error {

@@ -149,14 +149,14 @@ func run(sensors, lots int, churnFrac float64, rounds, burst int) error {
 	}
 	st := rt.Stats()
 	got, want := delivered.n.Load(), cs.Expected()
-	accounted := got + st.IngestBudgetDrops + st.IngestDeadlineDrops
+	accounted := got + st.Drops()
 	ok := "OK"
 	if accounted != want || cs.Forbidden() != 0 {
 		ok = "MISMATCH"
 	}
 	in, out := cs.Churned()
 	fmt.Printf("cross-check %s: delivered %d + dropped %d = %d, ground truth %d, forbidden %d (churned in %d / out %d)\n",
-		ok, got, st.IngestBudgetDrops+st.IngestDeadlineDrops, accounted, want, cs.Forbidden(), in, out)
+		ok, got, st.Drops(), accounted, want, cs.Forbidden(), in, out)
 	fmt.Printf("ingest: %d events in %d batches (%.1f events/batch), %d budget drops, %d deadline drops, %d reconciles\n",
 		st.IngestEvents, st.IngestBatches,
 		float64(st.IngestEvents)/float64(max64(st.IngestBatches, 1)),
@@ -180,14 +180,14 @@ func settle(cs *devsim.ChurnSwarm) error {
 }
 
 // waitDelivered waits until every accepted reading is accounted for:
-// delivered plus the pipeline's drop counters must reach want, and reaching
+// delivered plus the app's drop ledger must reach want, and reaching
 // past it means duplicated or stale delivery, which fails immediately.
 func waitDelivered(rt *runtime.Runtime, c *counter, want uint64) error {
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		st := rt.Stats()
 		got := c.n.Load()
-		accounted := got + st.IngestBudgetDrops + st.IngestDeadlineDrops
+		accounted := got + st.Drops()
 		if accounted == want {
 			return nil
 		}

@@ -382,11 +382,9 @@ func groundTruth(hub *devsim.ChurnSwarm, edges []*edge) uint64 {
 // totalDrops sums every drop counter a reading can fall into between an
 // attached sensor and the hub's context handler, across all nodes.
 func totalDrops(hubRT *runtime.Runtime, edges []*edge) uint64 {
-	st := hubRT.Stats()
-	drops := st.IngestBudgetDrops + st.IngestDeadlineDrops + st.FederationEventDrops
+	drops := hubRT.Stats().Drops()
 	for _, e := range edges {
-		fs := e.node.Stats()
-		drops += fs.ForwardBudgetDrops + fs.ForwardSendDrops + fs.ForwardUnrouted
+		drops += e.node.Stats().Drops()
 	}
 	return drops
 }

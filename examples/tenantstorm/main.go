@@ -279,8 +279,7 @@ func run(apps, devicesPer, rounds, burst, satBurst int, metricsAddr string) erro
 		if err := waitTenant(tn, want); err != nil {
 			return err
 		}
-		st := tn.rt.Stats()
-		drops := st.IngestBudgetDrops + st.IngestDeadlineDrops
+		drops := tn.rt.Stats().Drops()
 		if !tn.saturated && drops != 0 {
 			return fmt.Errorf("tenant %s dropped %d events without saturation", tn.id, drops)
 		}
@@ -353,14 +352,13 @@ func settle(cs *devsim.ChurnSwarm) error {
 }
 
 // waitTenant waits until one tenant's accounting is exact: delivered plus
-// its own drop counters reach the tenant's ground truth — overshoot means
+// its own drop ledger reach the tenant's ground truth — overshoot means
 // duplicated or cross-tenant delivery and fails immediately.
 func waitTenant(tn *tenant, want uint64) error {
 	deadline := time.Now().Add(120 * time.Second)
 	for {
-		st := tn.rt.Stats()
 		got := tn.delivered.n.Load()
-		accounted := got + st.IngestBudgetDrops + st.IngestDeadlineDrops
+		accounted := got + tn.rt.Stats().Drops()
 		if accounted == want {
 			return nil
 		}

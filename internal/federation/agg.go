@@ -104,7 +104,7 @@ func (s *aggSink) Push(r device.Reading) {
 		// Already detached (or never tracked): its contribution must not
 		// resurrect.
 		s.mu.Unlock()
-		s.n.stats.forwardUnrouted.Add(1)
+		s.n.stats[statForwardUnrouted].Add(1)
 		return
 	}
 	s.eng.Upsert(r.DeviceID, group, r.Value)
@@ -262,7 +262,7 @@ func (b *aggBuffer) run() {
 		groups := b.sink.partials(keys)
 		merged, err := b.p.client.PublishAggSync(b.sink.kind, b.sink.source, n.name, groups)
 		if err != nil {
-			n.stats.aggSyncErrors.Add(1)
+			n.stats[statAggSyncErrors].Add(1)
 			if stopped {
 				return // closing: don't spin on a dead peer
 			}
@@ -284,10 +284,10 @@ func (b *aggBuffer) run() {
 			}
 			continue
 		}
-		n.stats.aggSyncsSent.Add(1)
-		n.stats.aggGroupsSent.Add(uint64(len(groups)))
+		n.stats[statAggSyncsSent].Add(1)
+		n.stats[statAggGroupsSent].Add(uint64(len(groups)))
 		if merged == 0 {
-			n.stats.aggSyncsUnrouted.Add(1)
+			n.stats[statAggSyncsUnrouted].Add(1)
 		}
 	}
 }

@@ -19,8 +19,9 @@
 //
 // Delivery accounting stays exact across node boundaries: every reading
 // accepted from an attached device is either delivered to the consuming
-// context or counted in exactly one drop counter (sender forward budget,
-// sender send failure, receiver admission, receiver deadline).
+// context or counted in exactly one row of a drop ledger — the sender's
+// Stats.Drops() (forward budget, send failure, unrouted) or the receiving
+// app's runtime.Stats.Drops() (admission, deadline, drain).
 package federation
 
 import (
@@ -33,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/metrics"
 	"repro/internal/persist"
 	"repro/internal/qos"
 	"repro/internal/registry"
@@ -147,174 +149,141 @@ func (c PeerConfig) withDefaults() PeerConfig {
 }
 
 // Stats aggregates a node's federation counters. All values are cumulative
-// except MirrorsLive.
+// except MirrorsLive, ExportedHosted and the peer health gauges. Each
+// field's tag names the counter on the wire (Counters, docs/OPERATIONS.md);
+// ",drop" marks the node's rows of the drop ledger, summed by Drops. The
+// fields up to PeersUp are the live rows of statCounters, in row order;
+// PeersUp and the fields after it are read from the peer links at Stats.
 type Stats struct {
 	// SyncRounds counts completed SyncPeers rounds.
-	SyncRounds uint64
+	SyncRounds uint64 `counter:"sync_rounds"`
 	// SyncErrors counts failed per-peer sync attempts.
-	SyncErrors uint64
+	SyncErrors uint64 `counter:"sync_errors"`
 	// KindsScanned counts sync answers that carried a changed kind (the
 	// peer had to scan); steady state holds this constant while
 	// SyncRounds grows.
-	KindsScanned uint64
+	KindsScanned uint64 `counter:"kinds_scanned"`
 	// MirrorsAdded/MirrorsUpdated/MirrorsRemoved count mirror-entry
 	// mutations applied to the local registry.
-	MirrorsAdded   uint64
-	MirrorsUpdated uint64
-	MirrorsRemoved uint64
+	MirrorsAdded   uint64 `counter:"mirrors_added"`
+	MirrorsUpdated uint64 `counter:"mirrors_updated"`
+	MirrorsRemoved uint64 `counter:"mirrors_removed"`
 	// MirrorsLive is the number of mirror entries currently registered on
 	// behalf of peers. After churn plus a sync it must equal the owners'
 	// live exported population — a higher value is a leak.
-	MirrorsLive uint64
+	MirrorsLive uint64 `counter:"mirrors_live"`
 	// EventsForwarded counts readings sent to peers and admitted there.
-	EventsForwarded uint64
+	EventsForwarded uint64 `counter:"events_forwarded"`
 	// EventBatchesSent counts event_batch RPCs issued;
 	// EventsForwarded/EventBatchesSent is the achieved coalescing factor.
-	EventBatchesSent uint64
+	EventBatchesSent uint64 `counter:"event_batches_sent"`
 	// ForwardBudgetDrops counts readings refused at the sender because a
 	// peer's in-flight budget was exhausted.
-	ForwardBudgetDrops uint64
+	ForwardBudgetDrops uint64 `counter:"forward_budget_drops,drop"`
 	// ForwardSendDrops counts readings lost to failed event_batch RPCs.
-	ForwardSendDrops uint64
+	ForwardSendDrops uint64 `counter:"forward_send_drops,drop"`
 	// ForwardUnrouted counts readings accepted from a device while no
 	// event-forwarding peer was configured for their source.
-	ForwardUnrouted uint64
+	ForwardUnrouted uint64 `counter:"forward_unrouted,drop"`
 	// ExportedHosted counts distinct local drivers currently hosted on
 	// the node's transport server on behalf of exported kinds
 	// (overlapping exports of one kind share a refcounted hosting).
-	ExportedHosted uint64
+	ExportedHosted uint64 `counter:"exported_hosted"`
 	// ExporterReconciles counts registry rescans forced by an exporter
 	// falling so far behind that its watcher queue passed its bound and
 	// lost notifications; 0 in healthy operation, bind storms included.
-	ExporterReconciles uint64
+	ExporterReconciles uint64 `counter:"exporter_reconciles"`
 	// AggSyncsSent counts agg_sync RPCs carrying partial aggregates to
 	// peers; AggGroupsSent counts the group partials they carried.
 	// AggGroupsSent/AggSyncsSent is the achieved coalescing factor.
-	AggSyncsSent  uint64
-	AggGroupsSent uint64
+	AggSyncsSent  uint64 `counter:"agg_syncs_sent"`
+	AggGroupsSent uint64 `counter:"agg_groups_sent"`
 	// AggSyncErrors counts failed agg_sync RPCs (their groups are
 	// re-marked dirty and retried; the protocol is idempotent).
-	AggSyncErrors uint64
+	AggSyncErrors uint64 `counter:"agg_sync_errors"`
 	// AggSyncsUnrouted counts agg_syncs a peer accepted but merged into
 	// no interaction (no consuming grouped context, or its handler lacks
 	// a Combiner).
-	AggSyncsUnrouted uint64
-	// PeersUp/PeersDegraded/PeersPartitioned are the current peer-link
-	// health gauges (they sum to the number of added peers).
-	PeersUp          uint64
-	PeersDegraded    uint64
-	PeersPartitioned uint64
-	// PeerReconnects counts successful peer-link reconnections;
-	// HeartbeatMisses counts failed heartbeat probes across all peers.
-	PeerReconnects  uint64
-	HeartbeatMisses uint64
+	AggSyncsUnrouted uint64 `counter:"agg_syncs_unrouted"`
 	// ForwardRetries counts event_batch bursts that were spooled through a
 	// peer outage and replayed after the link healed (each retry keeps its
 	// readings' budget units held — that is the retry-queue bound).
-	ForwardRetries uint64
+	ForwardRetries uint64 `counter:"forward_retries"`
 	// PeerRestartsSeen counts boot-epoch changes observed in registry
 	// syncs: the peer process restarted, so cached generations were
 	// discarded and its mirror set rebuilt from scratch. An ordinary
 	// partition/heal never increments this — reconnect catch-up is pure
 	// delta replay.
-	PeerRestartsSeen uint64
+	PeerRestartsSeen uint64 `counter:"peer_restarts_seen"`
 	// EventDupsSuppressed counts replayed event_batch RPCs this node
 	// answered from the replay-protection cache instead of re-ingesting:
 	// the sender lost the response mid-partition and retried a batch that
 	// had already landed.
-	EventDupsSuppressed uint64
+	EventDupsSuppressed uint64 `counter:"event_dups_suppressed"`
+	// PeersUp/PeersDegraded/PeersPartitioned are the current peer-link
+	// health gauges (they sum to the number of added peers).
+	PeersUp          uint64 `counter:"peers_up"`
+	PeersDegraded    uint64 `counter:"peers_degraded"`
+	PeersPartitioned uint64 `counter:"peers_partitioned"`
+	// PeerReconnects counts successful peer-link reconnections;
+	// HeartbeatMisses counts failed heartbeat probes across all peers.
+	PeerReconnects  uint64 `counter:"peer_reconnects"`
+	HeartbeatMisses uint64 `counter:"heartbeat_misses"`
 	// CodecFallbacks counts event batches and agg syncs sent to peers as
 	// gob slices instead of colv1 column frames because the payload has no
 	// column form (indexed readings, nil, mixed or composite value types).
 	// A fleet on scalar payloads holds this at zero.
-	CodecFallbacks uint64
+	CodecFallbacks uint64 `counter:"codec_fallbacks"`
 }
+
+// statTable reads the Stats tags once.
+var statTable = metrics.NewTable[Stats]()
 
 // Counters flattens the snapshot into a name → value map — the gauge form
 // runtime.Host.AddGauges ingests, so a multi-tenant host's Stats() carries
 // its federation tier's counters without an import cycle:
 //
 //	host.AddGauges("federation", func() map[string]uint64 { return node.Stats().Counters() })
-func (s Stats) Counters() map[string]uint64 {
-	return map[string]uint64{
-		"sync_rounds":           s.SyncRounds,
-		"sync_errors":           s.SyncErrors,
-		"kinds_scanned":         s.KindsScanned,
-		"mirrors_added":         s.MirrorsAdded,
-		"mirrors_updated":       s.MirrorsUpdated,
-		"mirrors_removed":       s.MirrorsRemoved,
-		"mirrors_live":          s.MirrorsLive,
-		"events_forwarded":      s.EventsForwarded,
-		"event_batches_sent":    s.EventBatchesSent,
-		"forward_budget_drops":  s.ForwardBudgetDrops,
-		"forward_send_drops":    s.ForwardSendDrops,
-		"forward_unrouted":      s.ForwardUnrouted,
-		"exported_hosted":       s.ExportedHosted,
-		"exporter_reconciles":   s.ExporterReconciles,
-		"agg_syncs_sent":        s.AggSyncsSent,
-		"agg_groups_sent":       s.AggGroupsSent,
-		"agg_sync_errors":       s.AggSyncErrors,
-		"agg_syncs_unrouted":    s.AggSyncsUnrouted,
-		"peers_up":              s.PeersUp,
-		"peers_degraded":        s.PeersDegraded,
-		"peers_partitioned":     s.PeersPartitioned,
-		"peer_reconnects":       s.PeerReconnects,
-		"heartbeat_misses":      s.HeartbeatMisses,
-		"forward_retries":       s.ForwardRetries,
-		"peer_restarts_seen":    s.PeerRestartsSeen,
-		"event_dups_suppressed": s.EventDupsSuppressed,
-		"codec_fallbacks":       s.CodecFallbacks,
-	}
-}
+func (s Stats) Counters() map[string]uint64 { return statTable.Map(&s) }
 
-type statCounters struct {
-	syncRounds          atomic.Uint64
-	syncErrors          atomic.Uint64
-	kindsScanned        atomic.Uint64
-	mirrorsAdded        atomic.Uint64
-	mirrorsUpdated      atomic.Uint64
-	mirrorsRemoved      atomic.Uint64
-	mirrorsLive         atomic.Uint64
-	eventsForwarded     atomic.Uint64
-	eventBatchesSent    atomic.Uint64
-	forwardBudgetDrops  atomic.Uint64
-	forwardSendDrops    atomic.Uint64
-	forwardUnrouted     atomic.Uint64
-	exportedHosted      atomic.Uint64
-	exporterReconciles  atomic.Uint64
-	aggSyncsSent        atomic.Uint64
-	aggGroupsSent       atomic.Uint64
-	aggSyncErrors       atomic.Uint64
-	aggSyncsUnrouted    atomic.Uint64
-	forwardRetries      atomic.Uint64
-	peerRestartsSeen    atomic.Uint64
-	eventDupsSuppressed atomic.Uint64
-}
+// Drops sums the node's drop ledger: every reading it accepted from a
+// device for forwarding and then shed before a peer admitted it. A
+// cross-node ledger adds the receiving apps' runtime.Stats.Drops().
+func (s Stats) Drops() uint64 { return statTable.Drops(&s) }
+
+// Rows of statCounters, one per live Stats field and in field order.
+const (
+	statSyncRounds = iota
+	statSyncErrors
+	statKindsScanned
+	statMirrorsAdded
+	statMirrorsUpdated
+	statMirrorsRemoved
+	statMirrorsLive
+	statEventsForwarded
+	statEventBatchesSent
+	statForwardBudgetDrops
+	statForwardSendDrops
+	statForwardUnrouted
+	statExportedHosted
+	statExporterReconciles
+	statAggSyncsSent
+	statAggGroupsSent
+	statAggSyncErrors
+	statAggSyncsUnrouted
+	statForwardRetries
+	statPeerRestartsSeen
+	statEventDupsSuppressed
+	numStats // the peer health gauges from PeersUp on are read at Stats
+)
+
+// statCounters is the live, lock-free form of Stats.
+type statCounters [numStats]atomic.Uint64
 
 func (c *statCounters) snapshot() Stats {
-	return Stats{
-		SyncRounds:          c.syncRounds.Load(),
-		SyncErrors:          c.syncErrors.Load(),
-		KindsScanned:        c.kindsScanned.Load(),
-		MirrorsAdded:        c.mirrorsAdded.Load(),
-		MirrorsUpdated:      c.mirrorsUpdated.Load(),
-		MirrorsRemoved:      c.mirrorsRemoved.Load(),
-		MirrorsLive:         c.mirrorsLive.Load(),
-		EventsForwarded:     c.eventsForwarded.Load(),
-		EventBatchesSent:    c.eventBatchesSent.Load(),
-		ForwardBudgetDrops:  c.forwardBudgetDrops.Load(),
-		ForwardSendDrops:    c.forwardSendDrops.Load(),
-		ForwardUnrouted:     c.forwardUnrouted.Load(),
-		ExportedHosted:      c.exportedHosted.Load(),
-		ExporterReconciles:  c.exporterReconciles.Load(),
-		AggSyncsSent:        c.aggSyncsSent.Load(),
-		AggGroupsSent:       c.aggGroupsSent.Load(),
-		AggSyncErrors:       c.aggSyncErrors.Load(),
-		AggSyncsUnrouted:    c.aggSyncsUnrouted.Load(),
-		ForwardRetries:      c.forwardRetries.Load(),
-		PeerRestartsSeen:    c.peerRestartsSeen.Load(),
-		EventDupsSuppressed: c.eventDupsSuppressed.Load(),
-	}
+	var s Stats
+	statTable.Load(&s, c[:])
+	return s
 }
 
 // Node is one federation endpoint: it hosts this process's exported devices,
@@ -549,7 +518,7 @@ func (n *Node) hostDevice(id string, drv device.Driver) {
 	n.hostCounts[id]++
 	if n.hostCounts[id] == 1 {
 		n.srv.Host(drv)
-		n.stats.exportedHosted.Add(1)
+		n.stats[statExportedHosted].Add(1)
 	}
 }
 
@@ -565,7 +534,7 @@ func (n *Node) unhostDevice(id string) {
 	if n.hostCounts[id] == 0 {
 		delete(n.hostCounts, id)
 		n.srv.Unhost(id)
-		n.stats.exportedHosted.Add(^uint64(0))
+		n.stats[statExportedHosted].Add(^uint64(0))
 	}
 }
 
@@ -685,7 +654,7 @@ func (n *Node) restorePeerState(p *peer) {
 			return true
 		})
 	}
-	n.stats.mirrorsLive.Add(uint64(adopted))
+	n.stats[statMirrorsLive].Add(uint64(adopted))
 }
 
 // PeerBytes reports the total bytes sent to and received from the named
@@ -746,13 +715,13 @@ func (n *Node) SyncPeers() error {
 		go func(i int, p *peer) {
 			defer wg.Done()
 			if err := n.syncPeer(p); err != nil {
-				n.stats.syncErrors.Add(1)
+				n.stats[statSyncErrors].Add(1)
 				errs[i] = fmt.Errorf("federation: sync %s: %w", p.name, err)
 			}
 		}(i, p)
 	}
 	wg.Wait()
-	n.stats.syncRounds.Add(1)
+	n.stats[statSyncRounds].Add(1)
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -789,7 +758,7 @@ func (n *Node) syncPeer(p *peer) error {
 	}
 	p.mu.Unlock()
 	if restarted {
-		n.stats.peerRestartsSeen.Add(1)
+		n.stats[statPeerRestartsSeen].Add(1)
 		deltas, _, err = p.client.SyncRegistry(kinds, make([]uint64, len(kinds)))
 		if err != nil {
 			return err
@@ -806,7 +775,7 @@ func (n *Node) syncPeer(p *peer) error {
 			continue
 		}
 		if d.Changed {
-			n.stats.kindsScanned.Add(1)
+			n.stats[statKindsScanned].Add(1)
 		}
 		n.applyDelta(p, d)
 	}
@@ -876,8 +845,8 @@ func (n *Node) applyDelta(p *peer, d transport.SyncDelta) {
 		p.mu.Lock()
 		p.mirrors[d.Kind][e.ID] = mirrorEntry{endpoint: e.Endpoint, attrs: e.Attrs.Clone()}
 		p.mu.Unlock()
-		n.stats.mirrorsAdded.Add(1)
-		n.stats.mirrorsLive.Add(1)
+		n.stats[statMirrorsAdded].Add(1)
+		n.stats[statMirrorsLive].Add(1)
 	}
 	for _, e := range updates {
 		if err := n.reg.Update(e.ID, e.Attrs, e.Endpoint); err != nil {
@@ -888,7 +857,7 @@ func (n *Node) applyDelta(p *peer, d transport.SyncDelta) {
 		p.mu.Lock()
 		p.mirrors[d.Kind][e.ID] = mirrorEntry{endpoint: e.Endpoint, attrs: e.Attrs.Clone()}
 		p.mu.Unlock()
-		n.stats.mirrorsUpdated.Add(1)
+		n.stats[statMirrorsUpdated].Add(1)
 	}
 	for _, id := range removes {
 		if err := n.reg.Unregister(id); err != nil && !errors.Is(err, registry.ErrNotFound) {
@@ -899,8 +868,8 @@ func (n *Node) applyDelta(p *peer, d transport.SyncDelta) {
 		p.mu.Lock()
 		delete(p.mirrors[d.Kind], id)
 		p.mu.Unlock()
-		n.stats.mirrorsRemoved.Add(1)
-		n.stats.mirrorsLive.Add(^uint64(0))
+		n.stats[statMirrorsRemoved].Add(1)
+		n.stats[statMirrorsLive].Add(^uint64(0))
 	}
 	if failed {
 		return // keep the old generation: the next round re-requests and retries
@@ -994,8 +963,8 @@ func (p *peer) removeMirrors(n *Node) {
 	p.mu.Unlock()
 	for _, id := range ids {
 		if err := n.reg.Unregister(id); err == nil {
-			n.stats.mirrorsRemoved.Add(1)
-			n.stats.mirrorsLive.Add(^uint64(0))
+			n.stats[statMirrorsRemoved].Add(1)
+			n.stats[statMirrorsLive].Add(^uint64(0))
 		}
 	}
 }
@@ -1149,7 +1118,7 @@ func (h nodeHandler) IngestEventBatch(stream, seq uint64, kind, source string, r
 	defer st.mu.Unlock()
 	slot := &st.ring[seq%forwardWindow]
 	if seq <= st.max {
-		n.stats.eventDupsSuppressed.Add(1)
+		n.stats[statEventDupsSuppressed].Add(1)
 		if slot.seq == seq {
 			return slot.accepted
 		}

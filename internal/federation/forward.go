@@ -266,7 +266,7 @@ func (e *exporter) stopAll() {
 // reconcile repairs the attachment table against a registry scan after
 // watcher notifications were lost, mirroring sourceTracker.reconcile.
 func (e *exporter) reconcile() {
-	e.n.stats.exporterReconciles.Add(1)
+	e.n.stats[statExporterReconciles].Add(1)
 	live := make(map[registry.ID]registry.Entity)
 	e.n.reg.Scan(registry.Query{Kind: e.kind}, func(ent registry.Entity) bool {
 		if ent.Origin == "" {
@@ -388,7 +388,7 @@ func (s *fwdSink) addBuffer(b *fwdBuffer) {
 func (s *fwdSink) Push(r device.Reading) {
 	bufs := *s.buffers.Load()
 	if len(bufs) == 0 {
-		s.n.stats.forwardUnrouted.Add(1)
+		s.n.stats[statForwardUnrouted].Add(1)
 		return
 	}
 	for _, b := range bufs {
@@ -492,12 +492,12 @@ func newStreamID() uint64 {
 func (b *fwdBuffer) push(r device.Reading) {
 	p := b.p
 	if p.budget.AcquireUpTo(1) == 0 {
-		p.n.stats.forwardBudgetDrops.Add(1)
+		p.n.stats[statForwardBudgetDrops].Add(1)
 		return
 	}
 	if !b.queue.Push(r) {
 		p.budget.Release(1)
-		p.n.stats.forwardSendDrops.Add(1)
+		p.n.stats[statForwardSendDrops].Add(1)
 	}
 }
 
@@ -549,7 +549,7 @@ func (b *fwdBuffer) flush(batch []device.Reading) {
 		for sendErr == nil && sent < chunks && sent-acked < forwardWindow {
 			window[sent%forwardWindow], sendErr = p.client.StartEventBatch(
 				b.kind, b.source, b.stream, base+1+uint64(sent), chunk(sent))
-			n.stats.eventBatchesSent.Add(1)
+			n.stats[statEventBatchesSent].Add(1)
 			if sendErr == nil {
 				sent++
 			}
@@ -561,7 +561,7 @@ func (b *fwdBuffer) flush(batch []device.Reading) {
 			accepted, err = window[acked%forwardWindow].Wait()
 		}
 		if err == nil {
-			n.stats.eventsForwarded.Add(uint64(accepted))
+			n.stats[statEventsForwarded].Add(uint64(accepted))
 			acked++
 			continue
 		}
@@ -578,7 +578,7 @@ func (b *fwdBuffer) flush(batch []device.Reading) {
 		// An application-level error, or closing with no heal coming: the
 		// chunk is dropped and counted. Younger chunks still on the wire
 		// settle by their own answers.
-		n.stats.forwardSendDrops.Add(uint64(len(chunk(acked))))
+		n.stats[statForwardSendDrops].Add(uint64(len(chunk(acked))))
 		acked++
 		if sent < acked {
 			sent, sendErr = acked, nil
@@ -597,7 +597,7 @@ func (b *fwdBuffer) awaitHeal() bool {
 		return false
 	default:
 	}
-	n.stats.forwardRetries.Add(1)
+	n.stats[statForwardRetries].Add(1)
 	select {
 	case <-b.p.client.UpChan():
 		return true

@@ -77,9 +77,7 @@ func TestPartitionSpoolsThenReplaysWithoutResync(t *testing.T) {
 	// The tight 64-unit budget can clamp even the baseline burst, so every
 	// delivery assertion in this test is the exact-accounting form.
 	sunk := func() uint64 {
-		ost := owner.Stats()
-		return delivered.n.Load() + ost.ForwardBudgetDrops + ost.ForwardSendDrops +
-			ost.ForwardUnrouted + crt.Stats().FederationEventDrops
+		return delivered.n.Load() + owner.Stats().Drops() + crt.Stats().Drops()
 	}
 	accepted := uint64(cs.StormLive(cs.LiveCount()))
 	waitFor(t, "baseline delivery", func() bool { return sunk() == accepted })
@@ -410,9 +408,7 @@ func TestSwapBuffersShedTheirHighWaterMark(t *testing.T) {
 	}
 	settle(t, cs)
 	sunk := func() uint64 {
-		ost, cst := owner.Stats(), crt.Stats()
-		return delivered.n.Load() + ost.ForwardBudgetDrops + ost.ForwardSendDrops + ost.ForwardUnrouted +
-			cst.FederationEventDrops + cst.IngestBudgetDrops + cst.IngestDeadlineDrops + cst.IngestDrainDrops
+		return delivered.n.Load() + owner.Stats().Drops() + crt.Stats().Drops()
 	}
 
 	cn.Partition("edge->hub")

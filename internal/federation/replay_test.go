@@ -202,8 +202,7 @@ func (r *replayRig) checkExact(t *testing.T, wantDups uint64) {
 	if est.EventsForwarded != hst.FederationEventsIn {
 		t.Fatalf("edge forwarded %d readings, hub admitted %d", est.EventsForwarded, hst.FederationEventsIn)
 	}
-	drops := est.ForwardBudgetDrops + est.ForwardSendDrops + est.ForwardUnrouted + hst.FederationEventDrops +
-		hst.IngestBudgetDrops + hst.IngestDeadlineDrops + hst.IngestDrainDrops
+	drops := est.Drops() + hst.Drops()
 	if got := r.rec.n.Load() + drops; got != uint64(r.sent) {
 		t.Fatalf("delivered %d + dropped %d != accepted %d", r.rec.n.Load(), drops, r.sent)
 	}

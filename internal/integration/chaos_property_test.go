@@ -197,11 +197,9 @@ func buildPropWorld(seed int64) (w *propWorld, err error) {
 func (w *propWorld) sunk() uint64 {
 	total := w.agg.delivered.Load()
 	for _, e := range w.edges {
-		st := e.node.Stats()
-		total += st.ForwardBudgetDrops + st.ForwardSendDrops + st.ForwardUnrouted
+		total += e.node.Stats().Drops()
 	}
-	hst := w.hubRT.Stats()
-	return total + hst.FederationEventDrops + hst.IngestBudgetDrops + hst.IngestDeadlineDrops
+	return total + w.hubRT.Stats().Drops()
 }
 
 func (w *propWorld) accepted() uint64 {

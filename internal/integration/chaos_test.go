@@ -220,11 +220,9 @@ func newChaosWorld(t *testing.T, seed int64, sensorsPerEdge, edgeCount int) *cha
 func (w *chaosWorld) sunk() uint64 {
 	total := w.agg.delivered.Load()
 	for _, e := range w.edges {
-		st := e.node.Stats()
-		total += st.ForwardBudgetDrops + st.ForwardSendDrops + st.ForwardUnrouted
+		total += e.node.Stats().Drops()
 	}
-	hst := w.hubRT.Stats()
-	return total + hst.FederationEventDrops + hst.IngestBudgetDrops + hst.IngestDeadlineDrops
+	return total + w.hubRT.Stats().Drops()
 }
 
 func (w *chaosWorld) accepted() uint64 {

@@ -159,11 +159,7 @@ func testPersistCrashRecoveryRejoin(t *testing.T, open func(*testing.T, *simcloc
 
 	var accepted, retired uint64
 	sunk := func() uint64 {
-		total := agg.delivered.Load() + retired
-		st := e.node.Stats()
-		total += st.ForwardBudgetDrops + st.ForwardSendDrops + st.ForwardUnrouted
-		hst := hubRT.Stats()
-		return total + hst.FederationEventDrops + hst.IngestBudgetDrops + hst.IngestDeadlineDrops
+		return agg.delivered.Load() + retired + e.node.Stats().Drops() + hubRT.Stats().Drops()
 	}
 	drain := func(what string) {
 		t.Helper()
@@ -257,8 +253,7 @@ func testPersistCrashRecoveryRejoin(t *testing.T, open func(*testing.T, *simcloc
 	// The node is dead: retire its drop counters into the accounting ledger
 	// (they die with the process), note the hub's byte cursor, and tear it
 	// down. The store crashed first, so the teardown writes nothing to disk.
-	deadStats := e.node.Stats()
-	retired += deadStats.ForwardBudgetDrops + deadStats.ForwardSendDrops + deadStats.ForwardUnrouted
+	retired += e.node.Stats().Drops()
 	preSent, preRecv := hub.PeerBytes("edge0")
 	victimAddr := e.node.Addr()
 	e.node.Close()

@@ -23,8 +23,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/transport"
@@ -43,6 +45,72 @@ var gaugeCounters = map[string]bool{
 	"peers_degraded":    true,
 	"peers_partitioned": true,
 	"exported_hosted":   true,
+}
+
+// Table is a counter scope declared by the struct S: each field is a uint64
+// tagged `counter:"<wire name>"`, plus ",drop" on the rows of the scope's
+// drop ledger (readings accepted and then shed, so delivered + Drops ==
+// accepted). Load fills the leading fields from an atomic array whose row
+// constants follow field order. Reflection runs only here, on snapshot and
+// export, never on a bump.
+type Table[S any] struct {
+	names []string // wire name per field
+	drops []int    // indices of the ,drop fields
+}
+
+// NewTable reads S's tags; a field that is not a tagged uint64 panics.
+func NewTable[S any]() *Table[S] {
+	typ := reflect.TypeFor[S]()
+	t := &Table[S]{names: make([]string, typ.NumField())}
+	for i := range t.names {
+		f := typ.Field(i)
+		name, opt, _ := strings.Cut(f.Tag.Get("counter"), ",")
+		if f.Type.Kind() != reflect.Uint64 || name == "" || (opt != "" && opt != "drop") {
+			panic(fmt.Sprintf("metrics: %s.%s is not a tagged uint64 counter", typ, f.Name))
+		}
+		t.names[i] = name
+		if opt == "drop" {
+			t.drops = append(t.drops, i)
+		}
+	}
+	return t
+}
+
+// Load copies rows into the leading len(rows) fields of *s.
+func (t *Table[S]) Load(s *S, rows []atomic.Uint64) {
+	v := reflect.ValueOf(s).Elem()
+	for i := range rows {
+		v.Field(i).SetUint(rows[i].Load())
+	}
+}
+
+// Map flattens *s into a wire name → value map.
+func (t *Table[S]) Map(s *S) map[string]uint64 {
+	v := reflect.ValueOf(s).Elem()
+	m := make(map[string]uint64, len(t.names))
+	for i, name := range t.names {
+		m[name] = v.Field(i).Uint()
+	}
+	return m
+}
+
+// Drops sums the drop ledger rows of *s.
+func (t *Table[S]) Drops(s *S) uint64 {
+	v := reflect.ValueOf(s).Elem()
+	var n uint64
+	for _, i := range t.drops {
+		n += v.Field(i).Uint()
+	}
+	return n
+}
+
+// DropNames lists the wire names of the drop ledger rows.
+func (t *Table[S]) DropNames() []string {
+	names := make([]string, len(t.drops))
+	for k, i := range t.drops {
+		names[k] = t.names[i]
+	}
+	return names
 }
 
 // peerHealthValue renders the health ladder as a numeric gauge: 2 = up,

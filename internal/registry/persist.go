@@ -117,20 +117,6 @@ func (r *Registry) RestoreGenerations(all uint64, kinds map[string]uint64) {
 	r.base.Store(&genBase{all: all, kinds: cp})
 }
 
-// GenerationBase returns the restored generation floor (zeros when none was
-// installed). The map is a copy.
-func (r *Registry) GenerationBase() (all uint64, kinds map[string]uint64) {
-	b := r.base.Load()
-	if b == nil {
-		return 0, nil
-	}
-	cp := make(map[string]uint64, len(b.kinds))
-	for k, v := range b.kinds {
-		cp[k] = v
-	}
-	return b.all, cp
-}
-
 // baseFor returns the restored floor for one kind ("" = all kinds).
 func (r *Registry) baseFor(kind string) uint64 {
 	b := r.base.Load()

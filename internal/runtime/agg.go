@@ -421,7 +421,7 @@ func (rt *Runtime) RemoteAggregate(kind, source, origin string, partials []trans
 		applied++
 	}
 	if applied > 0 {
-		rt.stats.fedAggPartialsIn.Add(uint64(len(partials) * applied))
+		rt.stats[statFederationAggPartialsIn].Add(uint64(len(partials) * applied))
 	}
 	return applied
 }

@@ -36,7 +36,7 @@ type ctrlCallSite struct {
 func (cs *ctrlCallSite) onEvent(ev eventbus.Event) {
 	b := ev.Payload.(*valueBatch) // pubSite.flush is the topic's only publisher
 	rt := cs.call.rt
-	rt.stats.controllerTriggers.Add(uint64(len(b.vals)))
+	rt.stats[statControllerTriggers].Add(uint64(len(b.vals)))
 	h := rt.controllerHandler(cs.name)
 	if h == nil {
 		return
@@ -170,7 +170,7 @@ func (c *ControllerCall) InvokeBatch(proxies []*ActuatorProxy, action string, ar
 				errs = append(errs, fmt.Errorf("runtime: actuate %s.%s: %w", p.entity.ID, action, err))
 				continue
 			}
-			c.rt.stats.actuations.Add(1)
+			c.rt.stats[statActuations].Add(1)
 			ok++
 			continue
 		}
@@ -196,7 +196,7 @@ func (c *ControllerCall) InvokeBatch(proxies []*ActuatorProxy, action string, ar
 				hi = len(g.ids)
 			}
 			chunk := g.ids[lo:hi]
-			c.rt.stats.fedCommandChunks.Add(1)
+			c.rt.stats[statFederationCommandChunks].Add(1)
 			perDevice, err := g.client.CommandBatch(chunk, action, args...)
 			if err != nil {
 				// A failed chunk loses only its own devices; remaining
@@ -209,7 +209,7 @@ func (c *ControllerCall) InvokeBatch(proxies []*ActuatorProxy, action string, ar
 					errs = append(errs, fmt.Errorf("runtime: actuate %s.%s: %s", chunk[i], action, es))
 					continue
 				}
-				c.rt.stats.actuations.Add(1)
+				c.rt.stats[statActuations].Add(1)
 				ok++
 			}
 		}
@@ -254,6 +254,6 @@ func (p *ActuatorProxy) Invoke(action string, args ...any) error {
 	if err := drv.Invoke(action, args...); err != nil {
 		return fmt.Errorf("runtime: actuate %s.%s: %w", p.entity.ID, action, err)
 	}
-	p.call.rt.stats.actuations.Add(1)
+	p.call.rt.stats[statActuations].Add(1)
 	return nil
 }

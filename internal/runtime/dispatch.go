@@ -97,7 +97,7 @@ func (cs *ctxSite) flush() {
 // round, a grouped aggregate): its publication is a batch of one through the
 // same site.
 func (cs *ctxSite) deliver(call *ContextCall) {
-	cs.rt.stats.contextTriggers.Add(1)
+	cs.rt.stats[statContextTriggers].Add(1)
 	if h := cs.handler(); h != nil {
 		cs.trigger(h, call)
 		cs.flush()
@@ -179,7 +179,7 @@ type provCallSite struct {
 func (cs *provCallSite) onEvent(ev eventbus.Event) {
 	b := ev.Payload.(*device.ReadingBatch) // ingestor.flush is the topic's only publisher
 	n := b.Len()
-	cs.rt.stats.contextTriggers.Add(uint64(n))
+	cs.rt.stats[statContextTriggers].Add(uint64(n))
 	h := cs.handler()
 	if h == nil {
 		return
@@ -206,7 +206,7 @@ type ctxValueSite struct {
 
 func (cs *ctxValueSite) onEvent(ev eventbus.Event) {
 	b := ev.Payload.(*valueBatch) // pubSite.flush is the topic's only publisher
-	cs.rt.stats.contextTriggers.Add(uint64(len(b.vals)))
+	cs.rt.stats[statContextTriggers].Add(uint64(len(b.vals)))
 	h := cs.handler()
 	if h == nil {
 		return

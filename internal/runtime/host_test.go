@@ -522,7 +522,7 @@ func TestHostHotDeployIsolation(t *testing.T) {
 	for _, appID := range []string{"a", "b"} {
 		rt, _ := h.App(appID)
 		st := rt.Stats()
-		if st.IngestBudgetDrops != 0 || st.IngestDeadlineDrops != 0 {
+		if st.Drops() != 0 {
 			t.Fatalf("tenant %s dropped events during hot churn: %+v", appID, st)
 		}
 		if st.IngestEvents != want {

@@ -174,11 +174,11 @@ func (s *ingestShard) appendLocked(r device.Reading) {
 func (s *ingestShard) Push(r device.Reading) {
 	ing := s.ing
 	if ing.draining.Load() {
-		ing.rt.stats.ingestDrainDrops.Add(1)
+		ing.rt.stats[statIngestDrainDrops].Add(1)
 		return
 	}
 	if ing.budget.AcquireUpTo(1) == 0 {
-		ing.rt.stats.ingestBudgetDrops.Add(1)
+		ing.rt.stats[statIngestBudgetDrops].Add(1)
 		return
 	}
 	s.mu.Lock()
@@ -198,12 +198,12 @@ func (s *ingestShard) Push(r device.Reading) {
 func (s *ingestShard) pushBatch(batch []device.Reading) {
 	ing := s.ing
 	if ing.draining.Load() {
-		ing.rt.stats.ingestDrainDrops.Add(uint64(len(batch)))
+		ing.rt.stats[statIngestDrainDrops].Add(uint64(len(batch)))
 		return
 	}
 	admitted := ing.budget.AcquireUpTo(len(batch))
 	if dropped := len(batch) - admitted; dropped > 0 {
-		ing.rt.stats.ingestBudgetDrops.Add(uint64(dropped))
+		ing.rt.stats[statIngestBudgetDrops].Add(uint64(dropped))
 	}
 	s.appendAdmitted(batch[:admitted])
 }
@@ -348,7 +348,7 @@ func (rt *Runtime) RemoteIngest(kind, source string, readings []device.Reading) 
 	ings := rt.ingestByKey[ingestKey(kind, source)]
 	rt.mu.Unlock()
 	if len(ings) == 0 {
-		rt.stats.fedEventDrops.Add(uint64(len(readings)))
+		rt.stats[statFederationEventDrops].Add(uint64(len(readings)))
 		return 0
 	}
 	minAdmitted := len(readings)
@@ -360,10 +360,10 @@ func (rt *Runtime) RemoteIngest(kind, source string, readings []device.Reading) 
 			minAdmitted = n
 		}
 	}
-	rt.stats.fedEventBatchesIn.Add(1)
-	rt.stats.fedEventsIn.Add(uint64(total))
+	rt.stats[statFederationEventBatchesIn].Add(1)
+	rt.stats[statFederationEventsIn].Add(uint64(total))
 	if dropped := len(readings)*len(ings) - total; dropped > 0 {
-		rt.stats.fedEventDrops.Add(uint64(dropped))
+		rt.stats[statFederationEventDrops].Add(uint64(dropped))
 	}
 	return minAdmitted
 }
@@ -408,14 +408,14 @@ func (ing *ingestor) flush(b *device.ReadingBatch) {
 	if ing.maxAge > 0 {
 		cutoff := ing.rt.clock.Now().Add(-ing.maxAge)
 		if stale := b.CompactBefore(cutoff); stale > 0 {
-			ing.rt.stats.ingestDeadlineDrops.Add(uint64(stale))
+			ing.rt.stats[statIngestDeadlineDrops].Add(uint64(stale))
 		}
 	}
 	if n := b.Len(); n > 0 {
 		at := b.TimeAt(n - 1)
 		if err := ing.rt.bus.Publish(ing.topic, b, at); err == nil {
-			ing.rt.stats.ingestBatches.Add(1)
-			ing.rt.stats.ingestEvents.Add(uint64(n))
+			ing.rt.stats[statIngestBatches].Add(1)
+			ing.rt.stats[statIngestEvents].Add(uint64(n))
 		}
 	}
 	b.Release()
@@ -627,7 +627,7 @@ func (t *sourceTracker) stopAll() {
 // any change racing the scan is still queued on the watcher, so the table
 // converges once the queue drains.
 func (t *sourceTracker) reconcile() {
-	t.rt.stats.trackerReconciles.Add(1)
+	t.rt.stats[statTrackerReconciles].Add(1)
 	live := make(map[registry.ID]registry.Entity)
 	t.rt.reg.Scan(registry.Query{Kind: t.kind}, func(e registry.Entity) bool {
 		// Copy the scalar identity fields only; Scan forbids retaining

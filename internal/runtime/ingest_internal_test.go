@@ -495,7 +495,7 @@ func TestIngestEndToEndDelivery(t *testing.T) {
 	if st.IngestEvents != uint64(accepted) {
 		t.Fatalf("IngestEvents = %d, want %d", st.IngestEvents, accepted)
 	}
-	if st.IngestBudgetDrops != 0 || st.IngestDeadlineDrops != 0 {
+	if st.Drops() != 0 {
 		t.Fatalf("unexpected drops: %+v", st)
 	}
 	if st.IngestBatches == 0 || st.IngestBatches > st.IngestEvents {

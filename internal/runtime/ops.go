@@ -87,7 +87,7 @@ func (rt *Runtime) budgetRecord(scope string) transport.BudgetRecord {
 }
 
 // drainDrops reads the app's cumulative drain-refusal count.
-func (rt *Runtime) drainDrops() uint64 { return rt.stats.ingestDrainDrops.Load() }
+func (rt *Runtime) drainDrops() uint64 { return rt.stats[statIngestDrainDrops].Load() }
 
 // registrySummary folds one registry scan into sorted per-kind population
 // counts, mirrors broken out.

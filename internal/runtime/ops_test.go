@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +20,74 @@ import (
 // White-box tests of the operations plane (ops.go): fleet_stats assembly,
 // the drain-under-load exactness property, live budget retuning, and the
 // Prometheus endpoint end to end. All run under -race in CI.
+
+// statRows pairs each statCounters row with the Stats field it loads into.
+var statRows = map[int]string{
+	statContextTriggers: "ContextTriggers", statContextPublishes: "ContextPublishes",
+	statControllerTriggers: "ControllerTriggers", statPeriodicPolls: "PeriodicPolls",
+	statPollSnapshotRebuilds: "PollSnapshotRebuilds", statIngestEvents: "IngestEvents",
+	statIngestBatches: "IngestBatches", statIngestBudgetDrops: "IngestBudgetDrops",
+	statIngestDeadlineDrops: "IngestDeadlineDrops", statIngestDrainDrops: "IngestDrainDrops",
+	statTrackerReconciles: "TrackerReconciles", statFederationEventsIn: "FederationEventsIn",
+	statFederationEventBatchesIn: "FederationEventBatchesIn", statFederationEventDrops: "FederationEventDrops",
+	statFederationCommandChunks: "FederationCommandChunks", statFederationAggPartialsIn: "FederationAggPartialsIn",
+	statGroupsDirty: "GroupsDirty", statGroupsTotal: "GroupsTotal", statAggReuse: "AggReuse",
+	statActuations: "Actuations", statErrors: "Errors",
+}
+
+// TestStatTable pins the counter table: every row loads into the Stats
+// field of its name, Counters exports each field under its tag, the drop
+// ledger is exactly the counters named *drop*, and Drops sums it.
+func TestStatTable(t *testing.T) {
+	var c statCounters
+	for row := range c {
+		c[row].Store(1 << row)
+	}
+	s := c.snapshot()
+	v := reflect.ValueOf(&s).Elem()
+	for i := numStats; i < v.NumField(); i++ {
+		v.Field(i).SetUint(1 << i) // the fields computed at snapshot
+	}
+	if len(statRows) != numStats {
+		t.Fatalf("statRows covers %d of %d rows", len(statRows), numStats)
+	}
+	for row, field := range statRows {
+		if v.FieldByName(field).Uint() != 1<<row {
+			t.Errorf("row %d does not load into %s", row, field)
+		}
+	}
+	counters, drops := s.Counters(), uint64(0)
+	for i := 0; i < v.NumField(); i++ {
+		name, opt, _ := strings.Cut(v.Type().Field(i).Tag.Get("counter"), ",")
+		isDrop := strings.Contains(name, "drop")
+		if counters[name] != v.Field(i).Uint() || isDrop != (opt == "drop") {
+			t.Errorf("%s: exported %d, want %d; tagged %q", name, counters[name], v.Field(i).Uint(), opt)
+		}
+		if isDrop {
+			drops += v.Field(i).Uint()
+		}
+	}
+	if len(counters) != v.NumField() || s.Drops() != drops {
+		t.Fatalf("%d counters for %d fields; Drops() = %d, want %d", len(counters), v.NumField(), s.Drops(), drops)
+	}
+}
+
+// TestStatsSnapshotAllocations pins a snapshot and its ledger sum at zero
+// allocations: the benchmarks poll Stats() inside their timed loops.
+func TestStatsSnapshotAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation counts are not meaningful under -race")
+	}
+	var rt Runtime
+	var s Stats
+	if n := testing.AllocsPerRun(100, func() { s = rt.Stats() }); n != 0 {
+		t.Errorf("Stats() allocates %.0f, want 0", n)
+	}
+	var drops uint64
+	if n := testing.AllocsPerRun(100, func() { drops += s.Drops() }); n != 0 {
+		t.Errorf("Drops() allocates %.0f, want 0", n)
+	}
+}
 
 // TestHostFleetStats checks the one-call snapshot carries every section:
 // host substrate counters, per-app counters sorted by ID, gauge sources,
@@ -198,7 +267,7 @@ func testDrainUnderLoad(t *testing.T, ctor worldCtor) {
 				id, hd.n.Load(), st.IngestEvents)
 		}
 		delivered += hd.n.Load()
-		drops += st.IngestBudgetDrops + st.IngestDeadlineDrops + st.IngestDrainDrops
+		drops += st.Drops()
 	}
 	if delivered+drops != emitted.Load() {
 		t.Fatalf("accounting broken: delivered %d + refused %d != emitted %d",

@@ -212,7 +212,7 @@ func (p *poller) poll(at time.Time) {
 	if snap.total > 0 && !p.runRound(snap) {
 		return // stopped mid-round
 	}
-	p.rt.stats.periodicPolls.Add(1)
+	p.rt.stats[statPeriodicPolls].Add(1)
 
 	if p.aggOn && p.flushEvery == 0 {
 		p.publishDelta(at, snap)
@@ -600,7 +600,7 @@ func (p *poller) rebuild(gen uint64) {
 	}
 	p.snap = snap
 	p.snapEpoch++
-	p.rt.stats.pollSnapshotRebuilds.Add(1)
+	p.rt.stats[statPollSnapshotRebuilds].Add(1)
 }
 
 // pollRound is one tick's unit of pool work: workers drain the remote

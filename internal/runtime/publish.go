@@ -92,7 +92,7 @@ func (s *pubSite) flush(b *valueBatch) {
 	s.mu.Lock()
 	s.last, s.set = b.vals[n-1], true
 	s.mu.Unlock()
-	rt.stats.contextPublishes.Add(uint64(n))
+	rt.stats[statContextPublishes].Add(uint64(n))
 	err := rt.bus.Publish(s.topic, b, rt.clock.Now())
 	b.Release()
 	if err != nil && !errors.Is(err, eventbus.ErrClosed) {

@@ -33,6 +33,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/dsl/check"
 	"repro/internal/eventbus"
+	"repro/internal/metrics"
 	"repro/internal/persist"
 	"repro/internal/registry"
 	"repro/internal/simclock"
@@ -101,177 +102,146 @@ func (e ComponentError) Error() string {
 	return fmt.Sprintf("runtime: component %s: %v", e.Component, e.Err)
 }
 
-// Stats aggregates runtime counters.
+// Stats aggregates runtime counters. Each field's tag names the counter on
+// the wire (Counters, docs/OPERATIONS.md); ",drop" marks the app's rows of
+// the drop ledger, summed by Drops. The fields up to PoolMisses are the live
+// rows of statCounters, in row order.
 type Stats struct {
 	// ContextTriggers counts deliveries dispatched to context handlers.
-	ContextTriggers uint64
+	ContextTriggers uint64 `counter:"context_triggers"`
 	// ContextPublishes counts values published by contexts.
-	ContextPublishes uint64
+	ContextPublishes uint64 `counter:"context_publishes"`
 	// ControllerTriggers counts deliveries dispatched to controllers.
-	ControllerTriggers uint64
+	ControllerTriggers uint64 `counter:"controller_triggers"`
 	// PeriodicPolls counts completed periodic polling rounds (including
 	// rounds accumulated into an `every` window).
-	PeriodicPolls uint64
+	PeriodicPolls uint64 `counter:"periodic_polls"`
 	// PollSnapshotRebuilds counts periodic rounds that had to rescan the
 	// registry because the fleet changed since the previous round. A
 	// steady-state fleet holds this constant while PeriodicPolls grows.
-	PollSnapshotRebuilds uint64
+	PollSnapshotRebuilds uint64 `counter:"poll_snapshot_rebuilds"`
 	// IngestEvents counts readings the event-ingestion pipeline published
 	// into device-source topics.
-	IngestEvents uint64
+	IngestEvents uint64 `counter:"ingest_events"`
 	// IngestBatches counts ReadingBatch flushes of the ingestion pipeline;
 	// IngestEvents/IngestBatches is the achieved coalescing factor.
-	IngestBatches uint64
+	IngestBatches uint64 `counter:"ingest_batches"`
 	// IngestBudgetDrops counts readings refused because the interaction's
 	// in-flight qos budget was exhausted (the drop policy).
-	IngestBudgetDrops uint64
+	IngestBudgetDrops uint64 `counter:"ingest_budget_drops,drop"`
 	// IngestDeadlineDrops counts readings dropped at flush because they
 	// were older than the configured IngestConfig.MaxAge (the deadline
 	// policy).
-	IngestDeadlineDrops uint64
+	IngestDeadlineDrops uint64 `counter:"ingest_deadline_drops,drop"`
 	// IngestDrainDrops counts readings refused because they arrived after
 	// a drain closed admission (the operations plane's `drain` op). They
 	// are accounted separately from budget drops so post-drain arrivals
 	// never masquerade as backpressure.
-	IngestDrainDrops uint64
+	IngestDrainDrops uint64 `counter:"ingest_drain_drops,drop"`
 	// TrackerReconciles counts registry rescans forced by a source tracker
 	// falling so far behind that its watcher queue passed its bound and
 	// lost notifications; 0 in healthy operation, bind storms included.
-	TrackerReconciles uint64
+	TrackerReconciles uint64 `counter:"tracker_reconciles"`
 	// FederationEventsIn counts readings admitted into the ingestion
 	// pipeline from federation peers via RemoteIngest.
-	FederationEventsIn uint64
+	FederationEventsIn uint64 `counter:"federation_events_in"`
 	// FederationEventBatchesIn counts RemoteIngest batches served;
 	// FederationEventsIn/FederationEventBatchesIn is the cross-node
 	// coalescing factor actually achieved.
-	FederationEventBatchesIn uint64
+	FederationEventBatchesIn uint64 `counter:"federation_event_batches_in"`
 	// FederationEventDrops counts peer-forwarded readings refused at
 	// admission (budget exhausted, or no interaction consumes the batch's
 	// kind+source). These are accounted here, not in IngestBudgetDrops,
 	// so cross-node delivery accounting stays exact per counter.
-	FederationEventDrops uint64
+	FederationEventDrops uint64 `counter:"federation_event_drops,drop"`
 	// FederationCommandChunks counts command_batch round trips issued by
 	// batched actuation (ControllerCall.InvokeBatch); compare against
 	// Actuations to see the fan-out amortization.
-	FederationCommandChunks uint64
+	FederationCommandChunks uint64 `counter:"federation_command_chunks"`
 	// FederationAggPartialsIn counts per-group partial aggregates merged
 	// from federation peers via RemoteAggregate (the agg_sync receive
 	// path).
-	FederationAggPartialsIn uint64
+	FederationAggPartialsIn uint64 `counter:"federation_agg_partials_in"`
 	// GroupsDirty counts groups re-reduced by incremental grouped
 	// aggregation across all flushes; GroupsTotal counts groups live at
 	// those flushes. GroupsDirty/GroupsTotal is the fraction of
 	// aggregation work actually performed.
-	GroupsDirty uint64
+	GroupsDirty uint64 `counter:"groups_dirty"`
 	// GroupsTotal counts groups live across incremental flushes (see
 	// GroupsDirty).
-	GroupsTotal uint64
+	GroupsTotal uint64 `counter:"groups_total"`
 	// AggReuse counts clean groups whose output was served from the
 	// previous round's aggregate without re-reducing — the incremental
 	// engine's savings, GroupsTotal - GroupsDirty accumulated.
-	AggReuse uint64
+	AggReuse uint64 `counter:"agg_reuse"`
 	// Actuations counts successful device action invocations.
-	Actuations uint64
+	Actuations uint64 `counter:"actuations"`
 	// Errors counts component errors.
-	Errors uint64
+	Errors uint64 `counter:"errors"`
 	// PoolMisses counts typed reading-batch allocations the batch pool
 	// could not serve from recycled buffers (process-wide, shared across
 	// every runtime in the process). Steady state holds this flat; growth
 	// means batches are leaking a Release or the GC cleared the pool.
-	PoolMisses uint64
+	PoolMisses uint64 `counter:"pool_misses"`
 }
+
+// statTable reads the Stats tags once.
+var statTable = metrics.NewTable[Stats]()
 
 // Counters flattens the snapshot into a name → value map — the wire form
 // the `diaspecc host stats` admin op ships, so adding a Stats field never
 // changes the transport schema.
-func (s Stats) Counters() map[string]uint64 {
-	return map[string]uint64{
-		"context_triggers":            s.ContextTriggers,
-		"context_publishes":           s.ContextPublishes,
-		"controller_triggers":         s.ControllerTriggers,
-		"periodic_polls":              s.PeriodicPolls,
-		"poll_snapshot_rebuilds":      s.PollSnapshotRebuilds,
-		"ingest_events":               s.IngestEvents,
-		"ingest_batches":              s.IngestBatches,
-		"ingest_budget_drops":         s.IngestBudgetDrops,
-		"ingest_deadline_drops":       s.IngestDeadlineDrops,
-		"ingest_drain_drops":          s.IngestDrainDrops,
-		"tracker_reconciles":          s.TrackerReconciles,
-		"federation_events_in":        s.FederationEventsIn,
-		"federation_event_batches_in": s.FederationEventBatchesIn,
-		"federation_event_drops":      s.FederationEventDrops,
-		"federation_command_chunks":   s.FederationCommandChunks,
-		"federation_agg_partials_in":  s.FederationAggPartialsIn,
-		"groups_dirty":                s.GroupsDirty,
-		"groups_total":                s.GroupsTotal,
-		"agg_reuse":                   s.AggReuse,
-		"actuations":                  s.Actuations,
-		"errors":                      s.Errors,
-		"pool_misses":                 s.PoolMisses,
-	}
-}
+func (s Stats) Counters() map[string]uint64 { return statTable.Map(&s) }
+
+// Drops sums the app's drop ledger: every reading it accepted and then
+// shed, so delivered + Drops() == accepted.
+func (s Stats) Drops() uint64 { return statTable.Drops(&s) }
+
+// Rows of statCounters, one per live Stats field and in field order.
+const (
+	statContextTriggers = iota
+	statContextPublishes
+	statControllerTriggers
+	statPeriodicPolls
+	statPollSnapshotRebuilds
+	statIngestEvents
+	statIngestBatches
+	statIngestBudgetDrops
+	statIngestDeadlineDrops
+	statIngestDrainDrops
+	statTrackerReconciles
+	statFederationEventsIn
+	statFederationEventBatchesIn
+	statFederationEventDrops
+	statFederationCommandChunks
+	statFederationAggPartialsIn
+	statGroupsDirty
+	statGroupsTotal
+	statAggReuse
+	statActuations
+	statErrors
+	numStats // PoolMisses, the last field, is process-wide and read at snapshot
+)
 
 // statCounters is the live, lock-free form of Stats: polling rounds and
 // dispatch bump these without touching the runtime mutex.
-type statCounters struct {
-	contextTriggers      atomic.Uint64
-	contextPublishes     atomic.Uint64
-	controllerTriggers   atomic.Uint64
-	periodicPolls        atomic.Uint64
-	pollSnapshotRebuilds atomic.Uint64
-	ingestEvents         atomic.Uint64
-	ingestBatches        atomic.Uint64
-	ingestBudgetDrops    atomic.Uint64
-	ingestDeadlineDrops  atomic.Uint64
-	ingestDrainDrops     atomic.Uint64
-	trackerReconciles    atomic.Uint64
-	fedEventsIn          atomic.Uint64
-	fedEventBatchesIn    atomic.Uint64
-	fedEventDrops        atomic.Uint64
-	fedCommandChunks     atomic.Uint64
-	fedAggPartialsIn     atomic.Uint64
-	groupsDirty          atomic.Uint64
-	groupsTotal          atomic.Uint64
-	aggReuse             atomic.Uint64
-	actuations           atomic.Uint64
-	errors               atomic.Uint64
-}
+type statCounters [numStats]atomic.Uint64
 
 // noteFlush accumulates one incremental-aggregation flush into the
 // dirty/total/reuse counters.
 func (c *statCounters) noteFlush(dirty, total int) {
-	c.groupsDirty.Add(uint64(dirty))
-	c.groupsTotal.Add(uint64(total))
+	c[statGroupsDirty].Add(uint64(dirty))
+	c[statGroupsTotal].Add(uint64(total))
 	if total > dirty {
-		c.aggReuse.Add(uint64(total - dirty))
+		c[statAggReuse].Add(uint64(total - dirty))
 	}
 }
 
 func (c *statCounters) snapshot() Stats {
-	return Stats{
-		ContextTriggers:          c.contextTriggers.Load(),
-		ContextPublishes:         c.contextPublishes.Load(),
-		ControllerTriggers:       c.controllerTriggers.Load(),
-		PeriodicPolls:            c.periodicPolls.Load(),
-		PollSnapshotRebuilds:     c.pollSnapshotRebuilds.Load(),
-		IngestEvents:             c.ingestEvents.Load(),
-		IngestBatches:            c.ingestBatches.Load(),
-		IngestBudgetDrops:        c.ingestBudgetDrops.Load(),
-		IngestDeadlineDrops:      c.ingestDeadlineDrops.Load(),
-		IngestDrainDrops:         c.ingestDrainDrops.Load(),
-		TrackerReconciles:        c.trackerReconciles.Load(),
-		FederationEventsIn:       c.fedEventsIn.Load(),
-		FederationEventBatchesIn: c.fedEventBatchesIn.Load(),
-		FederationEventDrops:     c.fedEventDrops.Load(),
-		FederationCommandChunks:  c.fedCommandChunks.Load(),
-		FederationAggPartialsIn:  c.fedAggPartialsIn.Load(),
-		GroupsDirty:              c.groupsDirty.Load(),
-		GroupsTotal:              c.groupsTotal.Load(),
-		AggReuse:                 c.aggReuse.Load(),
-		Actuations:               c.actuations.Load(),
-		Errors:                   c.errors.Load(),
-		PoolMisses:               device.BatchPoolMisses(),
-	}
+	var s Stats
+	statTable.Load(&s, c[:])
+	s.PoolMisses = device.BatchPoolMisses()
+	return s
 }
 
 // Runtime is one application built from a checked design, running on a
@@ -704,7 +674,7 @@ func (rt *Runtime) ReportError(component string, err error) {
 
 func (rt *Runtime) reportError(component string, err error) {
 	ce := ComponentError{Component: component, Err: err, Time: rt.clock.Now()}
-	rt.stats.errors.Add(1)
+	rt.stats[statErrors].Add(1)
 	if handler := rt.onError; handler != nil {
 		handler(ce)
 	}
