@@ -339,15 +339,15 @@ func TestForwardBudgetDropsAccounted(t *testing.T) {
 		accepted += uint64(cs.StormLive(cs.LiveCount()))
 	}
 	waitFor(t, "accounted delivery", func() bool {
-		return delivered.n.Load()+owner.Stats().Drops()+crt.Stats().Drops() == accepted
+		return delivered.n.Load()+owner.Stats().Drops() == accepted
 	})
+	if crt.Stats().Drops() != 0 {
+		t.Fatalf("receiver dropped despite default budget: %+v", crt.Stats())
+	}
 	// The budget must actually have clamped something at this burst rate,
 	// otherwise the test proves nothing.
 	if owner.Stats().ForwardBudgetDrops == 0 {
 		t.Skip("burst never outran the forward budget on this machine")
-	}
-	if crt.Stats().FederationEventDrops != 0 {
-		t.Fatalf("receiver dropped despite default budget: %+v", crt.Stats())
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -58,15 +59,16 @@ type Table[S any] struct {
 	drops []int    // indices of the ,drop fields
 }
 
-// NewTable reads S's tags; a field that is not a tagged uint64 panics.
+// NewTable reads S's tags; a field that is not a tagged uint64, or whose
+// wire name another field already uses, panics.
 func NewTable[S any]() *Table[S] {
 	typ := reflect.TypeFor[S]()
 	t := &Table[S]{names: make([]string, typ.NumField())}
 	for i := range t.names {
 		f := typ.Field(i)
 		name, opt, _ := strings.Cut(f.Tag.Get("counter"), ",")
-		if f.Type.Kind() != reflect.Uint64 || name == "" || (opt != "" && opt != "drop") {
-			panic(fmt.Sprintf("metrics: %s.%s is not a tagged uint64 counter", typ, f.Name))
+		if f.Type.Kind() != reflect.Uint64 || name == "" || (opt != "" && opt != "drop") || slices.Contains(t.names[:i], name) {
+			panic(fmt.Sprintf("metrics: %s.%s is not a uniquely tagged uint64 counter", typ, f.Name))
 		}
 		t.names[i] = name
 		if opt == "drop" {

@@ -3,9 +3,11 @@ package metrics
 import (
 	"io"
 	"net/http"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/transport"
@@ -248,5 +250,61 @@ func TestServerServesMetricsAndPprof(t *testing.T) {
 	}
 	if code, ctype, body := get("/debug/pprof/profile?seconds=1"); code != http.StatusOK || ctype != "application/octet-stream" || len(body) == 0 {
 		t.Fatalf("GET /debug/pprof/profile: status %d, content type %q, %d bytes", code, ctype, len(body))
+	}
+}
+
+// tableFixture is a counter scope: two live rows and one field computed at
+// snapshot; the last two are drop rows.
+type tableFixture struct {
+	Sent    uint64 `counter:"sent"`
+	Dropped uint64 `counter:"dropped,drop"`
+	Lost    uint64 `counter:"lost,drop"`
+}
+
+// TestTable checks Load fills the leading fields in row order, Map exports
+// each field once under its tag, and Drops/DropNames cover exactly the
+// ,drop rows.
+func TestTable(t *testing.T) {
+	tab := NewTable[tableFixture]()
+	var rows [2]atomic.Uint64
+	rows[0].Store(1)
+	rows[1].Store(2)
+	s := tableFixture{Lost: 4}
+	tab.Load(&s, rows[:])
+	if s != (tableFixture{Sent: 1, Dropped: 2, Lost: 4}) {
+		t.Fatalf("Load = %+v", s)
+	}
+	if m := tab.Map(&s); !reflect.DeepEqual(m, map[string]uint64{"sent": 1, "dropped": 2, "lost": 4}) {
+		t.Fatalf("Map = %v", m)
+	}
+	if d, names := tab.Drops(&s), tab.DropNames(); d != 6 || !reflect.DeepEqual(names, []string{"dropped", "lost"}) {
+		t.Fatalf("Drops = %d over %v, want 6 over [dropped lost]", d, names)
+	}
+}
+
+// TestTableRejectsBadTags checks NewTable panics on an untagged field, an
+// unknown tag option and a wire name used twice.
+func TestTableRejectsBadTags(t *testing.T) {
+	for name, newTable := range map[string]func(){
+		"untagged": func() { NewTable[struct{ N uint64 }]() },
+		"unknown option": func() {
+			NewTable[struct {
+				N uint64 `counter:"n,gauge"`
+			}]()
+		},
+		"duplicate name": func() {
+			NewTable[struct {
+				A, B uint64 `counter:"n"`
+			}]()
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewTable did not panic", name)
+				}
+			}()
+			newTable()
+		}()
 	}
 }
