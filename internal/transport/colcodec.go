@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/device"
@@ -14,12 +13,18 @@ import (
 // replaces gob for the two federation hot-path payloads: forwarded event
 // batches and partial-aggregate syncs. A batch of N readings that gob ships
 // as N independently-tagged structs travels instead as a version byte plus
-// column-major arrays — interned device IDs and sources, delta-encoded
-// zigzag-varint timestamps, and ONE value column specialized to the batch's
-// common dynamic type. The payload rides in the gob envelope's Bin field of
-// the "event_batch"/"agg_sync" request, so the persistent gob stream framing
-// is untouched. The payload picks the encoding, not the connection: every
-// node of a fleet is built from one tree and decodes both forms.
+// column-major arrays — dictionary-coded device IDs and sources,
+// delta-encoded zigzag-varint timestamps, and ONE value column specialized
+// to the batch's common dynamic type. The payload rides in the gob
+// envelope's Bin field of the "event_batch"/"agg_sync" request, so the
+// persistent gob stream framing is untouched. The payload picks the
+// encoding, not the connection: every node of a fleet is built from one tree
+// and decodes both forms.
+//
+// Strings are coded against one dictionary per connection, so a device ID
+// crosses a connection once, not once per batch. The dictionary is protocol
+// state: both ends advance it in wire order (see Client.send), and a
+// reconnect starts both ends' dictionaries empty.
 //
 // The codec is deliberately partial: a batch with any indexed reading, a
 // mixed-type burst, or an exotic value type travels as the request's gob
@@ -38,35 +43,36 @@ const (
 	colvInt
 )
 
-// colEnc is a pooled encoder: an append buffer plus the per-frame string
-// intern table. Release after the request is sent (the frame is written
-// synchronously inside Client.send, so the buffer is free once it returns).
+// colVersion is the payload's version byte. Version 1 coded strings against
+// a per-payload table; a version-1 payload is refused, not misread.
+const colVersion = 2
+
+// colEnc is one connection's encoder: an append buffer plus the strings the
+// connection has introduced so far (the zero value is ready to use). A
+// Client owns one and uses it only under its write lock, immediately before
+// the encoded payload's frame is written.
 type colEnc struct {
 	buf    []byte
 	tokens map[string]uint64
 }
 
-var colEncPool = sync.Pool{
-	New: func() any { return &colEnc{tokens: make(map[string]uint64)} },
-}
-
-func getColEnc() *colEnc { return colEncPool.Get().(*colEnc) }
-
-func (e *colEnc) release() {
-	e.buf = e.buf[:0]
-	clear(e.tokens)
-	colEncPool.Put(e)
-}
-
-// str appends one interned string: uvarint token 0 introduces a new string
-// (length + bytes follow, and it joins the table); token k>0 references the
-// k-th previously-introduced string of this frame.
+// str appends one dictionary-coded string: uvarint token 0 introduces a
+// literal (length + bytes follow); token k>0 references the k-th string this
+// connection introduced. A literal joins the dictionary only while it is
+// short and the dictionary has room (internMaxLen, internMaxEntries) — the
+// rule colDec.str applies, so both ends assign the same tokens without
+// negotiating.
 func (e *colEnc) str(s string) {
 	if tok, ok := e.tokens[s]; ok {
 		e.buf = binary.AppendUvarint(e.buf, tok)
 		return
 	}
-	e.tokens[s] = uint64(len(e.tokens) + 1)
+	if len(s) <= internMaxLen && len(e.tokens) < internMaxEntries {
+		if e.tokens == nil {
+			e.tokens = make(map[string]uint64)
+		}
+		e.tokens[s] = uint64(len(e.tokens) + 1)
+	}
 	e.buf = binary.AppendUvarint(e.buf, 0)
 	e.buf = binary.AppendUvarint(e.buf, uint64(len(s)))
 	e.buf = append(e.buf, s...)
@@ -116,7 +122,8 @@ func (e *colEnc) appendValue(tag byte, v any) {
 
 // encodeReadings encodes one event batch into the colv1 payload, or reports
 // ok=false when the batch cannot travel in column form (an indexed reading,
-// a nil/mixed-type/exotic value) and must fall back to the gob op.
+// a nil/mixed-type/exotic value) and must fall back to the gob op; a refusal
+// leaves the dictionary untouched. bin is valid until the next encode.
 func (e *colEnc) encodeReadings(readings []device.Reading) (bin []byte, ok bool) {
 	var tag byte
 	for i := range readings {
@@ -134,7 +141,7 @@ func (e *colEnc) encodeReadings(readings []device.Reading) (bin []byte, ok bool)
 			return nil, false
 		}
 	}
-	e.buf = append(e.buf, 1) // version
+	e.buf = append(e.buf[:0], colVersion)
 	e.buf = binary.AppendUvarint(e.buf, uint64(len(readings)))
 	for i := range readings {
 		e.str(readings[i].DeviceID)
@@ -160,14 +167,14 @@ func (e *colEnc) encodeReadings(readings []device.Reading) (bin []byte, ok bool)
 // encodeAggSync encodes one partial-aggregate sync into the colv1 payload,
 // or reports ok=false when any group's partial value is of a type the codec
 // does not carry (e.g. a combiner's composite struct) and the call must fall
-// back to the gob op.
+// back to the gob op. The rest of its contract is encodeReadings'.
 func (e *colEnc) encodeAggSync(groups []GroupPartial) (bin []byte, ok bool) {
 	for i := range groups {
 		if _, ok := valueTag(groups[i].Value); !ok {
 			return nil, false
 		}
 	}
-	e.buf = append(e.buf, 1) // version
+	e.buf = append(e.buf[:0], colVersion)
 	e.buf = binary.AppendUvarint(e.buf, uint64(len(groups)))
 	for i := range groups {
 		g := &groups[i]
@@ -183,50 +190,36 @@ func (e *colEnc) encodeAggSync(groups []GroupPartial) (bin []byte, ok bool) {
 	return e.buf, true
 }
 
-// colDec is the bounds-checked reader over colv1 payloads, plus the decode
-// state one server connection keeps from payload to payload (the zero value
-// is ready to use; a connection's serve loop is its only user). Every decode
-// error wraps ErrBadFrame: the server treats it like a malformed frame and
-// ends the connection, never itself.
+// colDec is the bounds-checked reader over colv1 payloads, plus the string
+// dictionary one server connection keeps from payload to payload (the zero
+// value is ready to use; a connection's serve loop is its only user, and it
+// decodes every colv1 payload in arrival order). Every decode error wraps
+// ErrBadFrame: the server treats it like a malformed frame and ends the
+// connection, never itself.
 type colDec struct {
 	data []byte
 	pos  int
-	// tab is the current payload's token table (token k names the k-th
-	// string the payload introduced). It is truncated, not freed, between
-	// payloads, so a steady stream of batches never regrows it.
+	// tab is the connection's dictionary: token k names tab[k-1], the k-th
+	// string the connection introduced. A reference is a slice index and
+	// allocates nothing, so a steady stream of batches over known devices
+	// decodes without allocating.
 	tab []string
-	// intern holds the one string this connection already allocated for a
-	// given byte sequence: a fleet's device IDs and source names recur in
-	// every batch, and without the table each reading costs one string
-	// allocation. The bytes come from outside the process, so the table is
-	// bounded twice over (internMaxEntries, internMaxLen); past the bounds
-	// strings decode exactly as before, one allocation each.
-	intern map[string]string
 }
 
-// Bounds of one connection's decode state. A hostile peer can pin at most
-// internMaxEntries*internMaxLen bytes of string data (4 MiB) plus a
-// tabMaxRetain-entry token table per connection.
+// Bounds of one connection's string dictionary, applied identically by
+// colEnc.str and colDec.str. The bytes come from outside the process, so a
+// hostile peer can pin at most internMaxEntries*internMaxLen bytes of string
+// data (4 MiB) plus the 1 MiB slice indexing it per connection; past the
+// bounds strings still decode, as literals that allocate once each.
 const (
-	// internMaxEntries caps the intern table; a 50k-device edge and its
+	// internMaxEntries caps the dictionary; a 50k-device edge and its
 	// source names fit with room to spare.
 	internMaxEntries = 1 << 16
-	// internMaxLen is the longest string worth interning: identifiers are
+	// internMaxLen is the longest string worth a token: identifiers are
 	// short, and a long string value is not worth pinning for the
 	// connection's life.
 	internMaxLen = 64
-	// tabMaxRetain is the largest token table kept between payloads.
-	tabMaxRetain = 1 << 12
 )
-
-// start points the decoder at a new payload, recycling the token table.
-func (d *colDec) start(bin []byte) {
-	d.data, d.pos = bin, 0
-	if cap(d.tab) > tabMaxRetain {
-		d.tab = nil
-	}
-	d.tab = d.tab[:0]
-}
 
 func errBad(format string, args ...any) error {
 	return fmt.Errorf("%w: colv1: %s", ErrBadFrame, fmt.Sprintf(format, args...))
@@ -268,7 +261,8 @@ func (d *colDec) float() (float64, error) {
 	return v, nil
 }
 
-// str decodes one interned string (see colEnc.str for the token scheme).
+// str decodes one dictionary-coded string (see colEnc.str for the token
+// scheme and the rule by which a literal joins the dictionary).
 func (d *colDec) str() (string, error) {
 	tok, err := d.uvarint()
 	if err != nil {
@@ -276,7 +270,7 @@ func (d *colDec) str() (string, error) {
 	}
 	if tok > 0 {
 		if tok > uint64(len(d.tab)) {
-			return "", errBad("string token %d out of table (%d entries)", tok, len(d.tab))
+			return "", errBad("string token %d out of dictionary (%d entries)", tok, len(d.tab))
 		}
 		return d.tab[tok-1], nil
 	}
@@ -287,19 +281,11 @@ func (d *colDec) str() (string, error) {
 	if n > uint64(len(d.data)-d.pos) {
 		return "", errBad("string length %d exceeds remaining %d bytes", n, len(d.data)-d.pos)
 	}
-	raw := d.data[d.pos : d.pos+int(n)]
+	s := string(d.data[d.pos : d.pos+int(n)])
 	d.pos += int(n)
-	s, ok := d.intern[string(raw)] // the conversion in a map index does not allocate
-	if !ok {
-		s = string(raw)
-		if len(s) <= internMaxLen && len(d.intern) < internMaxEntries {
-			if d.intern == nil {
-				d.intern = make(map[string]string)
-			}
-			d.intern[s] = s
-		}
+	if len(s) <= internMaxLen && len(d.tab) < internMaxEntries {
+		d.tab = append(d.tab, s)
 	}
-	d.tab = append(d.tab, s)
 	return s, nil
 }
 
@@ -311,7 +297,7 @@ func (d *colDec) header(minBytes int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if ver != 1 {
+	if ver != colVersion {
 		return 0, errBad("unknown version %d", ver)
 	}
 	n, err := d.uvarint()
@@ -365,11 +351,11 @@ func (d *colDec) decodeValue(tag byte) (any, error) {
 // Any structural violation returns an error wrapping ErrBadFrame. scratch,
 // when capacious enough, is recycled as the backing array — the serve loop
 // passes its per-connection buffer, legal because FederationHandler
-// implementations must not retain the slice past the call. Against a warm
-// intern table and a fitting scratch, a batch of codec-scalar values decodes
-// without allocating.
+// implementations must not retain the slice past the call. A batch whose
+// strings the connection already introduced decodes into a fitting scratch
+// without allocating, for codec-scalar values.
 func (d *colDec) decodeReadings(bin []byte, scratch []device.Reading) ([]device.Reading, error) {
-	d.start(bin)
+	d.data, d.pos = bin, 0
 	// Each row needs at least one byte per column: id, src, time, value.
 	n, err := d.header(4)
 	if err != nil {
@@ -427,7 +413,7 @@ func (d *colDec) decodeReadings(bin []byte, scratch []device.Reading) ([]device.
 // scratch is recycled as the backing array under the same no-retention
 // contract as decodeReadings.
 func (d *colDec) decodeAggSync(bin []byte, scratch []GroupPartial) ([]GroupPartial, error) {
-	d.start(bin)
+	d.data, d.pos = bin, 0
 	// Each group needs at least a group token, a flags byte and a tag byte.
 	n, err := d.header(3)
 	if err != nil {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -15,12 +16,16 @@ import (
 	"repro/internal/device"
 )
 
-// encodeReadingsOrFatal encodes readings with a throwaway encoder, copying
-// the payload out so the test owns it.
+// encodeReadingsOrFatal encodes readings as the first payload of a fresh
+// connection, copying the payload out so the test owns it.
 func encodeReadingsOrFatal(t testing.TB, readings []device.Reading) []byte {
 	t.Helper()
-	enc := getColEnc()
-	defer enc.release()
+	return encodeOn(t, new(colEnc), readings)
+}
+
+// encodeOn encodes readings as the next payload of enc's connection.
+func encodeOn(t testing.TB, enc *colEnc, readings []device.Reading) []byte {
+	t.Helper()
 	bin, ok := enc.encodeReadings(readings)
 	if !ok {
 		t.Fatalf("encodeReadings refused a codec-eligible batch: %+v", readings)
@@ -30,8 +35,12 @@ func encodeReadingsOrFatal(t testing.TB, readings []device.Reading) []byte {
 
 func encodeAggOrFatal(t testing.TB, groups []GroupPartial) []byte {
 	t.Helper()
-	enc := getColEnc()
-	defer enc.release()
+	return encodeAggOn(t, new(colEnc), groups)
+}
+
+// encodeAggOn encodes groups as the next payload of enc's connection.
+func encodeAggOn(t testing.TB, enc *colEnc, groups []GroupPartial) []byte {
+	t.Helper()
 	bin, ok := enc.encodeAggSync(groups)
 	if !ok {
 		t.Fatalf("encodeAggSync refused codec-eligible groups: %+v", groups)
@@ -126,10 +135,12 @@ func TestColCodecRefusesNonColumnarBatches(t *testing.T) {
 	}
 	for name, readings := range cases {
 		t.Run(name, func(t *testing.T) {
-			enc := getColEnc()
-			defer enc.release()
+			enc := new(colEnc)
 			if _, ok := enc.encodeReadings(readings); ok {
 				t.Fatalf("codec accepted a batch that must fall back to gob")
+			}
+			if len(enc.tokens) != 0 || len(enc.buf) != 0 {
+				t.Fatalf("a refused batch advanced the dictionary to %d entries", len(enc.tokens))
 			}
 		})
 	}
@@ -155,10 +166,8 @@ func TestColCodecAggRoundTrip(t *testing.T) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
 	}
 
-	enc := getColEnc()
-	defer enc.release()
 	composite := []GroupPartial{{Group: "g", Value: struct{ Sum, N int }{3, 1}}}
-	if _, ok := enc.encodeAggSync(composite); ok {
+	if _, ok := new(colEnc).encodeAggSync(composite); ok {
 		t.Fatal("codec accepted a composite partial that must fall back to gob")
 	}
 }
@@ -280,10 +289,11 @@ func TestPayloadPicksWireEncoding(t *testing.T) {
 
 // TestMalformedBinPayloadEndsOnlyThatConn is the binary-payload twin of
 // TestMalformedFrameEndsOnlyThatConn: a well-framed request whose colv1
-// payload is garbage, or that carries both a colv1 frame and a gob slice,
-// poisons that connection, never the server, and nothing reaches the
-// federation handler — a request is never ingested twice or by a silent
-// pick of one encoding.
+// payload is garbage, is of the old per-payload version, references a
+// string its connection never introduced, or carries both a colv1 frame and
+// a gob slice, poisons that connection, never the server, and nothing
+// reaches the federation handler — a request is never ingested twice, by a
+// silent pick of one encoding, or with strings from another connection.
 func TestMalformedBinPayloadEndsOnlyThatConn(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0")
 	if err != nil {
@@ -293,14 +303,35 @@ func TestMalformedBinPayloadEndsOnlyThatConn(t *testing.T) {
 	fed := &fakeFed{accepted: 1 << 20, merged: 1}
 	srv.ServeFederation(fed)
 
-	hostile := []byte{1, 0xff, 0xff, 0xff, 0xff, 0x0f} // version 1, absurd count
+	hostile := []byte{colVersion, 0xff, 0xff, 0xff, 0xff, 0x0f} // absurd count
+	// A version-1 payload (per-payload string table) of two Boolean rows.
+	version1 := []byte("\x01\x02\x00\x02s1\x00\x02s2\x00\x01p\x03\xd0\x0f\xe8\a\x01\x01\x00")
 	row := device.Reading{DeviceID: "s1", Source: "presence", Value: true, Time: time.Now()}
 	group := GroupPartial{Group: "g", Value: 1.0}
+	// foreign is a connection's second payload: it references the strings
+	// the first introduced, so it is valid on that connection only.
+	enc := new(colEnc)
+	intro := encodeOn(t, enc, []device.Reading{row})
+	foreign := encodeOn(t, enc, []device.Reading{row})
+	var warm colDec
+	if _, err := warm.decodeReadings(intro, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := warm.decodeReadings(foreign, nil); err != nil || sameReadings(got, []device.Reading{row}) != nil {
+		t.Fatalf("the payload does not decode on its own connection: %v", err)
+	}
+	for name, bin := range map[string][]byte{"version 1": version1, "foreign token": foreign} {
+		if _, err := new(colDec).decodeReadings(bin, nil); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("%s payload on a fresh connection: err %v, want ErrBadFrame", name, err)
+		}
+	}
 	cases := []struct {
 		name string
 		req  request
 	}{
 		{"event_batch hostile Bin", request{Op: "event_batch", Bin: hostile}},
+		{"event_batch version 1 Bin", request{Op: "event_batch", Stream: 1, Seq: 1, Bin: version1}},
+		{"event_batch token never introduced", request{Op: "event_batch", Stream: 1, Seq: 1, Bin: foreign}},
 		{"event_batch Bin and Readings", request{Op: "event_batch", Stream: 1, Seq: 1,
 			Bin: encodeReadingsOrFatal(t, []device.Reading{row}), Readings: []device.Reading{row}}},
 		{"agg_sync hostile Bin", request{Op: "agg_sync", Bin: hostile}},
@@ -340,48 +371,107 @@ func TestMalformedBinPayloadEndsOnlyThatConn(t *testing.T) {
 	}
 }
 
-// fuzzDecodeSeeds are hostile shapes shared by both decoder fuzz targets.
-func fuzzDecodeSeeds(f *testing.F) {
-	f.Add([]byte{})                                // empty payload
-	f.Add([]byte{0})                               // version 0
-	f.Add([]byte{2, 1})                            // unknown version
-	f.Add([]byte{1})                               // missing count
-	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0x0f}) // absurd count
-	f.Add([]byte{1, 1, 0, 0xff})                   // string length past end
-	f.Add([]byte{1, 2, 0, 1, 'a', 9})              // intern token out of table
-	f.Add([]byte{1, 1, 0, 1, 'a', 0, 1, 'b', 0})   // truncated mid-columns
+// fuzzPayloads joins the payloads one connection receives into one fuzz
+// input, in the format splitPayloads reads back.
+func fuzzPayloads(bins ...[]byte) []byte {
+	var data []byte
+	for _, bin := range bins {
+		data = binary.AppendUvarint(data, uint64(len(bin)))
+		data = append(data, bin...)
+	}
+	return data
 }
 
-// FuzzDecodeEventBatch drives the event-batch column decoder with mutated
-// payloads: it must never panic, and every rejection must wrap ErrBadFrame
-// so the server's poison-the-conn contract holds.
-func FuzzDecodeEventBatch(f *testing.F) {
-	fuzzDecodeSeeds(f)
-	f.Add(encodeReadingsOrFatal(f, []device.Reading{
-		{DeviceID: "s1", Source: "presence", Value: true, Time: time.Unix(0, 1_700_000_000_000_000_000)},
-		{DeviceID: "s2", Source: "presence", Value: false, Time: time.Unix(0, 1_700_000_000_000_000_500)},
-	}))
-	f.Add(encodeReadingsOrFatal(f, []device.Reading{
-		{DeviceID: "t1", Source: "temperature", Value: 21.75, Time: time.Unix(0, 1_700_000_000_000_000_000)},
-	}))
-	f.Add(encodeReadingsOrFatal(f, []device.Reading{
-		{DeviceID: "m1", Source: "mode", Value: "eco", Time: time.Unix(0, 1_700_000_000_000_000_000)},
-		{DeviceID: "m2", Source: "mode", Value: "boost", Time: time.Unix(0, 1_700_000_001_000_000_000)},
-	}))
-	f.Fuzz(func(t *testing.T, bin []byte) {
-		readings, err := new(colDec).decodeReadings(bin, nil)
+// splitPayloads cuts one fuzz input into the payloads one connection
+// receives in sequence, each a uvarint length and that many bytes. A tail
+// that does not parse as one is the last payload as it stands.
+func splitPayloads(data []byte) [][]byte {
+	var bins [][]byte
+	for len(data) > 0 {
+		n, k := binary.Uvarint(data)
+		if k <= 0 || n > uint64(len(data)-k) {
+			return append(bins, data)
+		}
+		bins = append(bins, data[k:k+int(n)])
+		data = data[k+int(n):]
+	}
+	return bins
+}
+
+// fuzzDecodeSeeds are hostile shapes shared by both decoder fuzz targets,
+// each the first payload of its connection.
+func fuzzDecodeSeeds(f *testing.F) {
+	for _, bin := range [][]byte{
+		{},                   // empty payload
+		{0},                  // version 0
+		{1, 1, 0, 1, 'a', 9}, // version 1: per-payload string table
+		{colVersion + 1, 1},  // unknown version
+		{colVersion},         // missing count
+		{colVersion, 0xff, 0xff, 0xff, 0xff, 0x0f}, // absurd count
+		{colVersion, 1, 0, 0xff},                   // string length past end
+		{colVersion, 2, 0, 1, 'a', 9},              // string token out of dictionary
+		{colVersion, 1, 0, 1, 'a', 0, 1, 'b', 0},   // truncated mid-columns
+	} {
+		f.Add(fuzzPayloads(bin))
+	}
+}
+
+// decodeConn decodes a fuzz input's payloads in sequence on one connection's
+// decoder, the way the serve loop does. Every rejection must wrap
+// ErrBadFrame so the server's poison-the-conn contract holds, and ends the
+// connection; the dictionary never exceeds its bound.
+func decodeConn(t *testing.T, data []byte, decode func(d *colDec, bin []byte) error) {
+	var d colDec
+	for i, bin := range splitPayloads(data) {
+		err := decode(&d, bin)
+		if len(d.tab) > internMaxEntries {
+			t.Fatalf("payload %d: dictionary holds %d strings, cap %d", i, len(d.tab), internMaxEntries)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrBadFrame) {
-				t.Fatalf("decode error does not wrap ErrBadFrame: %v", err)
+				t.Fatalf("payload %d: decode error does not wrap ErrBadFrame: %v", i, err)
 			}
 			return
 		}
-		// Accepted payloads must re-encode and decode to the same rows
-		// unless they used a representation the encoder itself avoids
-		// (e.g. the int tag); spot-check structural sanity instead.
-		for i := range readings {
-			_ = readings[i].Time.UnixNano()
-		}
+	}
+}
+
+// FuzzDecodeEventBatch drives the event-batch column decoder with mutated
+// payloads, several in sequence on one connection's decoder: it must never
+// panic, and every rejection must wrap ErrBadFrame.
+func FuzzDecodeEventBatch(f *testing.F) {
+	fuzzDecodeSeeds(f)
+	enc := new(colEnc)
+	intro := encodeOn(f, enc, []device.Reading{
+		{DeviceID: "s1", Source: "presence", Value: true, Time: time.Unix(0, 1_700_000_000_000_000_000)},
+		{DeviceID: "s2", Source: "presence", Value: false, Time: time.Unix(0, 1_700_000_000_000_000_500)},
+	})
+	// The same connection's next payload references what the first
+	// introduced; alone it names tokens its connection never introduced.
+	warm := encodeOn(f, enc, []device.Reading{
+		{DeviceID: "s2", Source: "presence", Value: true, Time: time.Unix(0, 1_700_000_001_000_000_000)},
+		{DeviceID: "s3", Source: "presence", Value: true, Time: time.Unix(0, 1_700_000_001_000_000_000)},
+	})
+	f.Add(fuzzPayloads(intro))
+	f.Add(fuzzPayloads(intro, warm))
+	f.Add(fuzzPayloads(warm))
+	f.Add(fuzzPayloads(encodeReadingsOrFatal(f, []device.Reading{
+		{DeviceID: "t1", Source: "temperature", Value: 21.75, Time: time.Unix(0, 1_700_000_000_000_000_000)},
+	})))
+	f.Add(fuzzPayloads(encodeReadingsOrFatal(f, []device.Reading{
+		{DeviceID: "m1", Source: "mode", Value: "eco", Time: time.Unix(0, 1_700_000_000_000_000_000)},
+		{DeviceID: "m2", Source: "mode", Value: "boost", Time: time.Unix(0, 1_700_000_001_000_000_000)},
+	})))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decodeConn(t, data, func(d *colDec, bin []byte) error {
+			readings, err := d.decodeReadings(bin, nil)
+			// Accepted payloads may use representations the encoder itself
+			// avoids (e.g. the int tag); spot-check structural sanity.
+			for i := range readings {
+				_ = readings[i].Time.UnixNano()
+			}
+			return err
+		})
 	})
 }
 
@@ -389,25 +479,26 @@ func FuzzDecodeEventBatch(f *testing.F) {
 // payload decoder.
 func FuzzDecodeAggSync(f *testing.F) {
 	fuzzDecodeSeeds(f)
-	f.Add(encodeAggOrFatal(f, []GroupPartial{
+	enc := new(colEnc)
+	intro := encodeAggOn(f, enc, []GroupPartial{
 		{Group: "kitchen", Value: 21.5},
 		{Group: "attic", Removed: true},
-	}))
-	f.Add(encodeAggOrFatal(f, []GroupPartial{
+	})
+	warm := encodeAggOn(f, enc, []GroupPartial{{Group: "kitchen", Value: "wet"}, {Group: "cellar", Value: 2}})
+	f.Add(fuzzPayloads(intro))
+	f.Add(fuzzPayloads(intro, warm))
+	f.Add(fuzzPayloads(encodeAggOrFatal(f, []GroupPartial{
 		{Group: "hall", Value: int64(12)},
 		{Group: "hall", Value: "wet"},
 		{Group: "garage", Value: true},
-	}))
-	f.Fuzz(func(t *testing.T, bin []byte) {
-		groups, err := new(colDec).decodeAggSync(bin, nil)
-		if err != nil {
-			if !errors.Is(err, ErrBadFrame) {
-				t.Fatalf("decode error does not wrap ErrBadFrame: %v", err)
+	})))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decodeConn(t, data, func(d *colDec, bin []byte) error {
+			groups, err := d.decodeAggSync(bin, nil)
+			for i := range groups {
+				_ = len(groups[i].Group)
 			}
-			return
-		}
-		for i := range groups {
-			_ = len(groups[i].Group)
-		}
+			return err
+		})
 	})
 }

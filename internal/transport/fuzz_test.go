@@ -81,13 +81,14 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add(encodeFrames(f, request{ID: 5, Op: "subscribe", Device: "ghost", Facet: "presence", SubID: 9}))
 	f.Add(encodeFrames(f, request{ID: 6, Op: "bogus_op"}))
 	// Two column-codec batches on one connection, the first introducing more
-	// distinct strings than the connection's intern table may hold
+	// distinct strings than the connection's dictionary may hold
 	// (TestInternTableIsBounded checks the decode and the bound directly).
+	enc := new(colEnc)
 	f.Add(encodeFrames(f,
 		request{ID: 7, Op: "event_batch", Kind: "Sensor", Facet: "presence", Stream: 1, Seq: 1,
-			Bin: encodeReadingsOrFatal(f, internFlood())},
+			Bin: encodeOn(f, enc, internFlood())},
 		request{ID: 8, Op: "event_batch", Kind: "Sensor", Facet: "presence", Stream: 1, Seq: 2,
-			Bin: encodeReadingsOrFatal(f, boolChunk(4))},
+			Bin: encodeOn(f, enc, boolChunk(4))},
 	))
 	// A batch carrying both encodings, which must end the connection
 	// without ingesting either.

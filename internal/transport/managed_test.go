@@ -1,10 +1,15 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
+	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/device"
 )
 
 func waitCond(t *testing.T, timeout time.Duration, what string, cond func() bool) {
@@ -186,5 +191,91 @@ func TestManagedClientCloseWhileReconnecting(t *testing.T) {
 	}
 	if err := m.Ping(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ping after close: %v, want ErrClosed", err)
+	}
+}
+
+// A reconnect is a new connection, and both ends of it start with empty
+// string dictionaries: the first batch on the new connection re-introduces
+// every string it carries, and the hub decodes the batches before and after
+// the cut exactly.
+func TestManagedReconnectRestartsDictionary(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	fed := &fakeFed{accepted: 1 << 20, merged: 1}
+	srv.ServeFederation(fed)
+
+	var (
+		mu    sync.Mutex
+		conns []net.Conn
+		wires []*bytes.Buffer // each connection's client-side bytes
+	)
+	m, err := DialManaged(ManagedConfig{
+		Addr: srv.Addr(),
+		Dialer: func(addr string) (net.Conn, error) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			wire := new(bytes.Buffer)
+			mu.Lock()
+			conns, wires = append(conns, conn), append(wires, wire)
+			mu.Unlock()
+			return teeConn{Conn: conn, out: wire}, nil
+		},
+		CallTimeout:       5 * time.Second,
+		HeartbeatInterval: 10 * time.Millisecond,
+		BackoffBase:       5 * time.Millisecond,
+		Seed:              1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	chunk := boolChunk(64)
+	publish := func(seq uint64) {
+		if accepted, err := m.PublishEventBatch("PresenceSensor", "presence", 1, seq, chunk); err != nil || accepted != len(chunk) {
+			t.Fatalf("batch %d: accepted %d err %v", seq, accepted, err)
+		}
+	}
+	publish(1)
+	mu.Lock()
+	_ = conns[0].Close()
+	mu.Unlock()
+	waitCond(t, 5*time.Second, "reconnect", func() bool { return m.Reconnects() > 0 && m.Connected() })
+	publish(2)
+	m.Close() // no more writes: the recorded wires are final
+
+	fed.mu.Lock()
+	landed := fed.gotReadings
+	fed.mu.Unlock()
+	if err := sameReadings(landed, append(append([]device.Reading(nil), chunk...), chunk...)); err != nil {
+		t.Fatalf("hub decoded the batches around the cut wrongly: %v", err)
+	}
+	if len(wires) != 2 {
+		t.Fatalf("link dialed %d connections, want 2", len(wires))
+	}
+	for i, wire := range wires {
+		var batches [][]byte
+		for _, req := range sentRequests(t, wire.Bytes()) {
+			if req.Op == "event_batch" {
+				batches = append(batches, req.Bin)
+			}
+		}
+		if len(batches) != 1 {
+			t.Fatalf("connection %d carried %d event batches, want 1", i, len(batches))
+		}
+		// A fresh decoder knows no token, so it decodes the batch only if
+		// the batch introduces every string it uses.
+		got, err := new(colDec).decodeReadings(batches[0], nil)
+		if err != nil {
+			t.Fatalf("connection %d: first batch does not stand alone: %v", i, err)
+		}
+		if err := sameReadings(got, chunk); err != nil {
+			t.Fatalf("connection %d: %v", i, err)
+		}
 	}
 }

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -74,14 +76,17 @@ func TestPingAllocations(t *testing.T) {
 	}
 }
 
-// A 256-reading Boolean chunk decoded against a warm intern table and a
-// fitting scratch slice allocates nothing: device IDs and the source come
-// from the table, Boolean values box without allocating.
+// A connection's steady-state payload — a 256-reading Boolean chunk whose
+// device IDs and source the connection already introduced, i.e. the second
+// encode of the chunk through one encoder — decoded into a fitting scratch
+// slice allocates nothing: every string is a dictionary reference, and
+// Boolean values box without allocating.
 func TestDecodeReadingsWarmAllocatesNothing(t *testing.T) {
 	chunk := boolChunk(256)
-	bin := encodeReadingsOrFatal(t, chunk)
+	enc := new(colEnc)
+	first, warm := encodeOn(t, enc, chunk), encodeOn(t, enc, chunk)
 	var d colDec
-	scratch, err := d.decodeReadings(bin, nil)
+	scratch, err := d.decodeReadings(first, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +94,7 @@ func TestDecodeReadingsWarmAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := testing.AllocsPerRun(200, func() {
-		if scratch, err = d.decodeReadings(bin, scratch); err != nil {
+		if scratch, err = d.decodeReadings(warm, scratch); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -115,7 +120,7 @@ func TestPublishEventBatchAllocationsPerChunk(t *testing.T) {
 	srv.ServeFederation(nopFed{})
 	measure := func(n int) float64 {
 		chunk := boolChunk(n)
-		for i := 0; i < 20; i++ { // warm the intern table, scratch and pools at this size
+		for i := 0; i < 20; i++ { // warm the dictionary, scratch and pools at this size
 			if _, err := cli.PublishEventBatch("PresenceSensor", "presence", 0, 0, chunk); err != nil {
 				t.Fatal(err)
 			}
@@ -133,8 +138,97 @@ func TestPublishEventBatchAllocationsPerChunk(t *testing.T) {
 	}
 }
 
-// internFlood is an event batch that introduces more distinct strings than
-// the intern table may hold.
+// Concurrent publishers on one Client share its dictionary. Each payload is
+// encoded under the lock that writes its frame, so whatever the
+// interleaving, the hub decodes every batch exactly, including strings
+// another goroutine introduced moments before.
+func TestConcurrentBatchesShareOneDictionary(t *testing.T) {
+	srv, cli := newServerAndClient(t)
+	fed := &fakeFed{accepted: 1 << 20, merged: 1}
+	srv.ServeFederation(fed)
+	const writers, rounds, rows = 4, 50, 16
+	// Row i of writer w's round r carries the value v = w*1000 + r*rows + i
+	// and device ID "r<r>-<i>": every round brings new strings, and whichever
+	// writer reaches a round first introduces them for the others.
+	deviceOf := func(v int64) string {
+		return fmt.Sprintf("r%d-%d", v%1000/rows, v%rows)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				batch := make([]device.Reading, rows)
+				for i := range batch {
+					v := int64(w*1000 + r*rows + i)
+					batch[i] = device.Reading{DeviceID: deviceOf(v), Source: "presence", Value: v, Time: time.Unix(0, v)}
+				}
+				if n, err := cli.PublishEventBatch("Sensor", "presence", uint64(w+1), uint64(r+1), batch); err != nil || n != rows {
+					t.Errorf("writer %d round %d: accepted %d err %v", w, r, n, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	fed.mu.Lock()
+	defer fed.mu.Unlock()
+	if len(fed.gotReadings) != writers*rounds*rows {
+		t.Fatalf("hub landed %d readings, want %d", len(fed.gotReadings), writers*rounds*rows)
+	}
+	for _, r := range fed.gotReadings {
+		if want := deviceOf(r.Value.(int64)); r.DeviceID != want || r.Source != "presence" {
+			t.Fatalf("reading %v landed as %s/%s, want %s/presence", r.Value, r.DeviceID, r.Source, want)
+		}
+	}
+}
+
+// linkBytesPerReading bounds what a reading whose device the connection has
+// already sent costs on the wire, envelope included: a device ID is a
+// dictionary token, so the cost does not grow with the ID's length.
+const linkBytesPerReading = 8
+
+func TestWarmChunkWireBytesPerReading(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.ServeFederation(nopFed{})
+	stamp := time.Unix(0, 1_700_000_000_000_000_000)
+	perReading := func(idWidth int) float64 {
+		cli, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		chunk := make([]device.Reading, 256)
+		for i := range chunk {
+			chunk[i] = device.Reading{DeviceID: fmt.Sprintf("%0*d", idWidth, i), Source: "presence", Value: i%3 == 0, Time: stamp}
+		}
+		// The first publish introduces the chunk's strings (and sends gob's
+		// type descriptors); the second is the connection's steady state.
+		if _, err := cli.PublishEventBatch("PresenceSensor", "presence", 1, 1, chunk); err != nil {
+			t.Fatal(err)
+		}
+		before := cli.BytesSent()
+		if _, err := cli.PublishEventBatch("PresenceSensor", "presence", 1, 2, chunk); err != nil {
+			t.Fatal(err)
+		}
+		return float64(cli.BytesSent()-before) / float64(len(chunk))
+	}
+	short, long := perReading(6), perReading(40)
+	if short > linkBytesPerReading || long > linkBytesPerReading {
+		t.Fatalf("a warm chunk costs %.2f B/reading with 6-character IDs and %.2f with 40-character IDs, want at most %d", short, long, linkBytesPerReading)
+	}
+	if short != long {
+		t.Fatalf("a warm chunk's cost depends on ID length: %.2f B/reading with 6-character IDs, %.2f with 40-character IDs", short, long)
+	}
+}
+
+// internFlood is a stream of readings that introduces more distinct strings
+// than one connection's dictionary may hold.
 func internFlood() []device.Reading {
 	rs := make([]device.Reading, internMaxEntries+100)
 	for i := range rs {
@@ -143,39 +237,52 @@ func internFlood() []device.Reading {
 	return rs
 }
 
-// The intern table is fed by bytes from outside the process: past its bound
-// it must stop growing and decoding must stay correct.
+// The dictionary is fed by bytes from outside the process: over many
+// payloads it never grows past its bound, strings past the bound or past
+// the length limit still decode, and both ends keep assigning the same
+// tokens.
 func TestInternTableIsBounded(t *testing.T) {
 	flood := internFlood()
-	bin := encodeReadingsOrFatal(t, flood)
+	enc := new(colEnc)
 	var d colDec
-	for round := 0; round < 2; round++ {
-		got, err := d.decodeReadings(bin, nil)
+	for round := 0; round < 2; round++ { // the second round references, or re-sends past the cap
+		for lo := 0; lo < len(flood); lo += 8192 {
+			part := flood[lo:min(lo+8192, len(flood))]
+			got, err := d.decodeReadings(encodeOn(t, enc, part), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameReadings(got, part); err != nil {
+				t.Fatalf("round %d, rows %d..: %v", round, lo, err)
+			}
+			if len(d.tab) > internMaxEntries || len(d.tab) != len(enc.tokens) {
+				t.Fatalf("round %d, rows %d..: decoder holds %d strings, encoder %d, cap %d", round, lo, len(d.tab), len(enc.tokens), internMaxEntries)
+			}
+		}
+	}
+	if len(d.tab) != internMaxEntries {
+		t.Fatalf("dictionary holds %d strings after the flood, want the cap %d", len(d.tab), internMaxEntries)
+	}
+
+	// A string past the length bound decodes but gets no token, so the next
+	// string introduced still gets the next token on both ends.
+	long := string(make([]byte, internMaxLen+1))
+	enc, d = new(colEnc), colDec{}
+	for i, rows := range [][]device.Reading{
+		{{DeviceID: long, Source: "s", Value: true, Time: time.Unix(0, 1)}},
+		{{DeviceID: "next", Source: "s", Value: true, Time: time.Unix(0, 2)}, {DeviceID: long, Source: "s", Value: false, Time: time.Unix(0, 3)}},
+		{{DeviceID: "next", Source: "s", Value: false, Time: time.Unix(0, 4)}},
+	} {
+		got, err := d.decodeReadings(encodeOn(t, enc, rows), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sameReadings(got, flood); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if len(d.intern) != internMaxEntries {
-			t.Fatalf("round %d: intern table holds %d entries, want the cap %d", round, len(d.intern), internMaxEntries)
+		if err := sameReadings(got, rows); err != nil {
+			t.Fatalf("payload %d: %v", i, err)
 		}
 	}
-	// Strings past the length bound are decoded, not interned.
-	long := []device.Reading{{DeviceID: string(make([]byte, internMaxLen+1)), Source: "s", Value: true, Time: time.Unix(0, 1)}}
-	var d2 colDec
-	if _, err := d2.decodeReadings(encodeReadingsOrFatal(t, long), nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(d2.intern) != 1 {
-		t.Fatalf("intern table holds %d entries after one short and one over-long string, want 1", len(d2.intern))
-	}
-	// The token table is not kept past its retention bound either.
-	if cap(d.tab) > tabMaxRetain {
-		d.start(nil)
-		if cap(d.tab) > tabMaxRetain {
-			t.Fatalf("token table keeps %d slots between payloads, bound %d", cap(d.tab), tabMaxRetain)
-		}
+	if want := []string{"s", "next"}; !reflect.DeepEqual(d.tab, want) || enc.tokens["s"] != 1 || enc.tokens["next"] != 2 || len(enc.tokens) != 2 {
+		t.Fatalf("decoder dictionary %q, encoder %v; want %q as tokens 1 and 2 on both ends", d.tab, enc.tokens, want)
 	}
 }
 

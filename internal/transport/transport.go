@@ -540,9 +540,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 
 	var scratch fedScratch
+	var req request // one heap value for the connection, zeroed per request
 
 	for {
-		var req request
+		req = request{}
 		if err := dec.decode(&req); err != nil {
 			// EOF, broken conn, or a malformed/oversized/truncated frame:
 			// all of them poison the stream, so the connection ends here.
@@ -605,12 +606,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			send(response{ID: req.ID, Errs: errs})
 		case "registry_sync", "event_batch", "agg_sync":
-			fed := s.federation()
-			if fed == nil {
-				send(response{ID: req.ID, Err: "federation not served here"})
-				continue
-			}
-			resp, err := s.serveFederation(fed, &req, &scratch)
+			resp, err := s.serveFederation(s.federation(), &req, &scratch)
 			if err != nil {
 				// A hostile payload is as poisonous as a malformed frame:
 				// only this connection dies, never the server, and nothing
@@ -674,12 +670,13 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// fedScratch is one connection's recycled decode state for the federation
-// ops: the serve loop is one goroutine and handlers never retain the slices,
-// so each decoded batch reuses the previous one's backing array, and col
-// keeps the column decoder's intern and token tables warm, so a steady
-// stream of event batches decodes without allocating. Entries carry only
-// the connection's last batch until overwritten, bounding what they pin.
+// fedScratch is one connection's decode state for the federation ops: the
+// serve loop is one goroutine and handlers never retain the slices, so each
+// decoded batch reuses the previous one's backing array, and col holds the
+// connection's string dictionary, so a steady stream of event batches over
+// known devices decodes without allocating. The slices carry only the
+// connection's last batch until overwritten, bounding what they pin. A
+// reconnect is a new connection: a fresh fedScratch, an empty dictionary.
 type fedScratch struct {
 	readings []device.Reading
 	groups   []GroupPartial
@@ -688,38 +685,37 @@ type fedScratch struct {
 
 // serveFederation answers one federation op. The payload picks its own
 // decoding: a request with Bin carries a colv1 frame, one without carries
-// the gob Readings/Groups slice. An error means the payload is hostile — a
-// frame the decoder rejects, or a request carrying both encodings — and the
-// caller must end the connection before anything is ingested.
+// the gob Readings/Groups slice. A colv1 frame is decoded even where no
+// handler is installed: it advances the connection's string dictionary. An
+// error means the payload is hostile — a frame the decoder rejects, or a
+// request carrying both encodings — and the caller must end the connection
+// before anything is ingested.
 func (s *Server) serveFederation(fed FederationHandler, req *request, sc *fedScratch) (response, error) {
 	var err error
+	switch {
+	case len(req.Bin) == 0:
+	case len(req.Readings) > 0 || len(req.Groups) > 0:
+		return response{}, errBad("%s carries both Bin and a gob slice", req.Op)
+	case req.Op == "event_batch":
+		sc.readings, err = sc.col.decodeReadings(req.Bin, sc.readings)
+		req.Readings = sc.readings
+	case req.Op == "agg_sync":
+		sc.groups, err = sc.col.decodeAggSync(req.Bin, sc.groups)
+		req.Groups = sc.groups
+	}
+	if err != nil {
+		return response{}, err
+	}
+	if fed == nil {
+		return response{ID: req.ID, Err: "federation not served here"}, nil
+	}
 	switch req.Op {
 	case "registry_sync":
 		return response{ID: req.ID, Deltas: fed.SyncKinds(req.Kinds, req.Gens), Boot: s.boot}, nil
 	case "event_batch":
-		readings := req.Readings
-		if len(req.Bin) > 0 {
-			if len(readings) > 0 {
-				return response{}, errBad("event batch carries both Bin and Readings")
-			}
-			if readings, err = sc.col.decodeReadings(req.Bin, sc.readings); err != nil {
-				return response{}, err
-			}
-			sc.readings = readings
-		}
-		return response{ID: req.ID, Accepted: fed.IngestEventBatch(req.Stream, req.Seq, req.Kind, req.Facet, readings)}, nil
+		return response{ID: req.ID, Accepted: fed.IngestEventBatch(req.Stream, req.Seq, req.Kind, req.Facet, req.Readings)}, nil
 	default: // "agg_sync"
-		groups := req.Groups
-		if len(req.Bin) > 0 {
-			if len(groups) > 0 {
-				return response{}, errBad("agg sync carries both Bin and Groups")
-			}
-			if groups, err = sc.col.decodeAggSync(req.Bin, sc.groups); err != nil {
-				return response{}, err
-			}
-			sc.groups = groups
-		}
-		return response{ID: req.ID, Accepted: fed.IngestAggSync(req.Kind, req.Facet, req.Origin, groups)}, nil
+		return response{ID: req.ID, Accepted: fed.IngestAggSync(req.Kind, req.Facet, req.Origin, req.Groups)}, nil
 	}
 }
 
@@ -787,6 +783,7 @@ type Client struct {
 	pending map[uint64]chan callResult
 	subs    map[uint64]*clientSub
 	closed  bool
+	enc     colEnc // the connection's colv1 dictionary; send uses it under mu
 
 	timeout time.Duration
 	dialer  Dialer
@@ -984,7 +981,8 @@ type sentCall struct {
 
 // send writes one request frame and registers its waiter. Requests leave in
 // the order send is called, and the server answers a connection's requests
-// in arrival order, so several sent calls may be outstanding at once.
+// in arrival order, so several sent calls may be outstanding at once. An
+// event batch or agg sync is given its column form here (see colForm).
 func (c *Client) send(req request) (sentCall, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -1000,14 +998,17 @@ func (c *Client) send(req request) (sentCall, error) {
 	// (or a chaos link that blackholes bytes) fails the write instead of
 	// blocking every caller behind c.mu forever.
 	_ = c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
+	c.colForm(&req)
 	err := c.fw.send(&req)
 	c.mu.Unlock()
 	if err != nil {
-		// A partially-written frame poisons the stream for the peer, and a
-		// failed gob encode poisons the local encoder state: either way
-		// this connection is done. Closing it wakes the read loop, which
-		// fails the remaining pending calls with ErrConnLost. The waiter is
-		// not pooled again: failAll may already have answered into it.
+		// A partially-written frame poisons the stream for the peer, a
+		// failed gob encode poisons the local encoder state, and a frame
+		// that missed the wire after colForm advanced the dictionary leaves
+		// the peer's behind: every error here must end this connection.
+		// Closing it wakes the read loop, which fails the remaining pending
+		// calls with ErrConnLost. The waiter is not pooled again: failAll
+		// may already have answered into it.
 		c.mu.Lock()
 		delete(c.pending, req.ID)
 		c.mu.Unlock()
@@ -1015,6 +1016,30 @@ func (c *Client) send(req request) (sentCall, error) {
 		return sentCall{}, fmt.Errorf("%w: send %s: %v", ErrConnLost, req.Op, err)
 	}
 	return sentCall{id: req.ID, w: w, op: req.Op, device: req.Device, facet: req.Facet}, nil
+}
+
+// colForm moves an event batch's readings or an agg sync's groups into a
+// colv1 payload coded against the connection's string dictionary, or leaves
+// them as the gob slice, counted by CodecFallbacks, when they have no
+// column form. It runs under c.mu right before the frame is written, so the
+// dictionary advances in the order payloads reach the wire.
+func (c *Client) colForm(req *request) {
+	var ok bool
+	switch {
+	case len(req.Readings) > 0:
+		if req.Bin, ok = c.enc.encodeReadings(req.Readings); ok {
+			req.Readings = nil
+		}
+	case len(req.Groups) > 0:
+		if req.Bin, ok = c.enc.encodeAggSync(req.Groups); ok {
+			req.Groups = nil
+		}
+	default:
+		return
+	}
+	if !ok {
+		c.codecFallbacks.Add(1)
+	}
 }
 
 // wait collects the answer to one sent call, bounded by the call timeout
@@ -1240,16 +1265,7 @@ func (c *Client) StartEventBatch(kind, source string, stream, seq uint64, readin
 	if len(readings) == 0 {
 		return EventBatchCall{}, nil
 	}
-	req := request{Op: "event_batch", Kind: kind, Facet: source, Stream: stream, Seq: seq}
-	enc := getColEnc()
-	defer enc.release()
-	if bin, ok := enc.encodeReadings(readings); ok {
-		req.Bin = bin
-	} else {
-		c.codecFallbacks.Add(1)
-		req.Readings = readings
-	}
-	sc, err := c.send(req)
+	sc, err := c.send(request{Op: "event_batch", Kind: kind, Facet: source, Stream: stream, Seq: seq, Readings: readings})
 	return EventBatchCall{c: c, sent: sc}, err
 }
 
@@ -1285,16 +1301,7 @@ func (c *Client) PublishAggSync(kind, source, origin string, groups []GroupParti
 	if len(groups) == 0 {
 		return 0, nil
 	}
-	req := request{Op: "agg_sync", Kind: kind, Facet: source, Origin: origin}
-	enc := getColEnc()
-	defer enc.release()
-	if bin, ok := enc.encodeAggSync(groups); ok {
-		req.Bin = bin
-	} else {
-		c.codecFallbacks.Add(1)
-		req.Groups = groups
-	}
-	resp, err := c.call(req)
+	resp, err := c.call(request{Op: "agg_sync", Kind: kind, Facet: source, Origin: origin, Groups: groups})
 	if err != nil {
 		return 0, err
 	}
