@@ -229,6 +229,18 @@ func (askCtrl) OnContext(call *runtime.ControllerCall) error {
 	return nil
 }
 
+// pullCtx pulls the cooker's consumption on every trigger and signals done.
+type pullCtx struct {
+	done sync.WaitGroup
+	err  error // the last pull's failure, read after done
+}
+
+func (p *pullCtx) OnTrigger(call *runtime.ContextCall) (any, bool, error) {
+	_, p.err = call.QueryDevice("Cooker", "consumption")
+	p.done.Done()
+	return nil, false, nil
+}
+
 type neverCtx struct{}
 
 func (neverCtx) OnTrigger(*runtime.ContextCall) (any, bool, error) { return nil, false, nil }
@@ -345,12 +357,43 @@ func BenchmarkC3_DeliveryModels(b *testing.B) {
 		}
 	})
 	b.Run("query", func(b *testing.B) {
-		d := device.NewBase("s1", "S", nil, nil, nil)
-		d.OnQuery("v", func() (any, error) { return true, nil })
+		// One query-driven pull (`get consumption from Cooker`) through
+		// ContextCall.QueryDevice, triggered by a clock event as
+		// BenchmarkF2_SCCLoop triggers its pull.
+		vc := simclock.NewVirtual(benchEpoch)
+		model, err := dsl.Load(designs.Cooker)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt := runtime.New(model, runtime.WithClock(vc))
+		defer rt.Stop()
+		clock := device.NewBase("clock-1", "Clock", nil, nil, vc.Now)
+		cooker := device.NewBase("cooker-1", "Cooker", nil, nil, vc.Now)
+		cooker.OnQuery("consumption", func() (any, error) { return 1500.0, nil })
+		for _, d := range []*device.Base{clock, cooker} {
+			if err := rt.BindDevice(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		pull := &pullCtx{}
+		for _, err := range []error{
+			rt.ImplementContext("Alert", pull),
+			rt.ImplementController("Notify", benchSink{}),
+			rt.ImplementContext("RemoteTurnOff", neverCtx{}),
+			rt.ImplementController("TurnOff", benchSink{}),
+			rt.Start(),
+		} {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := d.Query("v"); err != nil {
-				b.Fatal(err)
+			pull.done.Add(1)
+			clock.Emit("tickSecond", i)
+			pull.done.Wait()
+			if pull.err != nil {
+				b.Fatal(pull.err)
 			}
 		}
 	})

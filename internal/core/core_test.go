@@ -167,14 +167,12 @@ func TestServeDevicesRemoteBinding(t *testing.T) {
 
 	// Process B: the orchestrating app, sharing a registry entry that
 	// points at A's endpoint.
-	reg := registry.New(registry.WithClock(vc))
-	app, err := core.NewApp(tinyDesign, runtime.WithClock(vc), runtime.WithRegistry(reg))
+	app, err := core.NewApp(tinyDesign, runtime.WithClock(vc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer app.Stop()
-	defer reg.Close()
-	if err := reg.Register(thermo.Entity(addr)); err != nil {
+	if err := app.Runtime().Registry().Register(thermo.Entity(addr)); err != nil {
 		t.Fatal(err)
 	}
 	vent := device.NewBase("vent-1", "Vent", nil, nil, vc.Now)

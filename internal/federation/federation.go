@@ -240,10 +240,9 @@ type Stats struct {
 var statTable = metrics.NewTable[Stats]()
 
 // Counters flattens the snapshot into a name → value map — the gauge form
-// runtime.Host.AddGauges ingests, so a multi-tenant host's Stats() carries
-// its federation tier's counters without an import cycle:
-//
-//	host.AddGauges("federation", func() map[string]uint64 { return node.Stats().Counters() })
+// runtime.Host.AddGauges ingests. New registers it as the "federation"
+// gauge source of an endpoint that has an operations plane (runtime.Host),
+// so the host's Stats(), fleet_stats and /metrics carry every row.
 func (s Stats) Counters() map[string]uint64 { return statTable.Map(&s) }
 
 // Drops sums the node's drop ledger: every reading it accepted from a
@@ -433,12 +432,15 @@ func New(cfg Config) (*Node, error) {
 			return nil, err
 		}
 	}
-	// Endpoints with an operations plane (runtime.Host) get the per-peer
-	// health feed wired automatically, so fleet_stats and /metrics carry
+	// Endpoints with an operations plane (runtime.Host) get the node's
+	// counters and per-peer health feed wired automatically, so
+	// fleet_stats and /metrics carry diaspec_federation_* and
 	// diaspec_peer_* series without example code doing anything.
 	if ops, ok := endpoint.(interface {
+		AddGauges(name string, fn func() map[string]uint64)
 		AddPeerSource(func() []transport.PeerStatusRecord)
 	}); ok {
+		ops.AddGauges("federation", func() map[string]uint64 { return n.Stats().Counters() })
 		ops.AddPeerSource(n.PeerStatuses)
 	}
 	return n, nil

@@ -1,10 +1,13 @@
 package federation
 
 import (
+	"maps"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/runtime"
 )
 
 // statRows pairs each statCounters row with the Stats field it loads into.
@@ -60,5 +63,34 @@ func TestStatsSnapshotAllocations(t *testing.T) {
 	var drops uint64
 	if n := testing.AllocsPerRun(100, func() { drops += s.Drops() }); n != 0 {
 		t.Errorf("Drops() allocates %.0f, want 0", n)
+	}
+}
+
+// TestHostFleetStatsCarriesFederationRows: a node backed by a runtime.Host
+// registers its counters as the host's "federation" gauge source, so
+// fleet_stats carries every Stats row, the drop ledger included.
+func TestHostFleetStatsCarriesFederationRows(t *testing.T) {
+	h, err := runtime.NewHost(runtime.SubstrateConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	n, err := New(Config{Name: "hub", Endpoint: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.stats[statForwardUnrouted].Add(3)
+	var got map[string]uint64
+	for _, g := range h.FleetStats().Gauges {
+		if g.App == "federation" {
+			got = g.Counters
+		}
+	}
+	if want := n.Stats().Counters(); !maps.Equal(got, want) {
+		t.Fatalf("fleet_stats federation scope = %v, want every Stats row %v", got, want)
+	}
+	if got["forward_unrouted"] != 3 {
+		t.Fatalf("forward_unrouted = %d, want 3", got["forward_unrouted"])
 	}
 }

@@ -234,8 +234,12 @@ func TestFleetChurnAcrossPeriods(t *testing.T) {
 // periodic readings over the network.
 func TestDistributedSensorSites(t *testing.T) {
 	vc := simclock.NewVirtual(epoch)
-	reg := registry.New(registry.WithClock(vc))
-	t.Cleanup(reg.Close)
+	app, err := core.NewApp(lotDesign, runtime.WithClock(vc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(app.Stop)
+	reg := app.Runtime().Registry()
 
 	for site := 0; site < 2; site++ {
 		srv, err := transport.NewServer("127.0.0.1:0")
@@ -252,11 +256,6 @@ func TestDistributedSensorSites(t *testing.T) {
 		}
 	}
 
-	app, err := core.NewApp(lotDesign, runtime.WithClock(vc), runtime.WithRegistry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(app.Stop)
 	panel := device.NewBase("panel-A22", "DisplayPanel", nil,
 		registry.Attributes{"location": "A22"}, vc.Now)
 	var mu sync.Mutex

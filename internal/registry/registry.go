@@ -513,9 +513,11 @@ func (r *Registry) Discover(q Query) []Entity {
 //
 // The Entity passed to fn shares the registry's internal maps and slices:
 // its Kinds and Attrs are the shard's shape, shared by every entity of equal
-// content, so fn must not mutate them nor retain the Entity (copy the fields
-// it needs), and must not call back into the Registry. Visit order is
-// unspecified; q.Limit bounds the number of visits.
+// content. A shape is immutable, so fn may retain the Entity and its fields
+// read-only past the call (a fleet snapshot keeps its Attrs), but must
+// never mutate Kinds or Attrs — copy them to change them — and must not
+// call back into the Registry. Visit order is unspecified; q.Limit bounds
+// the number of visits.
 func (r *Registry) Scan(q Query, fn func(Entity) bool) {
 	now := r.clock.Now()
 	visited := 0

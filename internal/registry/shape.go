@@ -13,12 +13,12 @@ import (
 // and postings.
 //
 // A shape is immutable once built. Its kinds slice and attrs map are shared
-// read-only by every record that carries it, by Scan and ScanIfChanged
-// callbacks and by CaptureState (which may retain them); Get, Discover and
-// watch changes hand out deep copies. refs counts the records pointing at the
-// shape: indexLocked takes a reference and unindexLocked drops it, deleting
-// the shape from the shard's table at zero. The record keeps its pointer, so
-// a release never rebuilds the key.
+// read-only by every record that carries it and by Scan and ScanIfChanged
+// callbacks and CaptureState, all of which may retain them; Get, Discover
+// and watch changes hand out deep copies. refs counts the records pointing
+// at the shape: indexLocked takes a reference and unindexLocked drops it,
+// deleting the shape from the shard's table at zero. The record keeps its
+// pointer, so a release never rebuilds the key.
 type shape struct {
 	// key is the canonical encoding of the shape and its table key. The
 	// kind, origin, kinds, attribute names and values, and every byAttr

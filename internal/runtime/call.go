@@ -1,8 +1,11 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/device"
@@ -73,56 +76,69 @@ type SourceValue struct {
 
 // QueryDevice performs the interaction's declared `get <source> from
 // <Device>` pull: every bound device of that kind is queried and the
-// answers returned. It fails if the design does not declare the pull,
-// keeping implementations conformant with their design.
+// answers returned in device ID order, each with its own copy of the
+// device's attributes. It fails if the design does not declare the pull,
+// keeping implementations conformant with their design, and when no device
+// answered, with the first failure.
 func (c *ContextCall) QueryDevice(deviceKind, source string) ([]SourceValue, error) {
-	var g *check.Get
-	for _, cand := range c.Interaction.Gets {
-		if cand.Kind == check.FromDeviceSource &&
-			cand.Device.Name == deviceKind && cand.Source.Name == source {
-			g = cand
-			break
+	for _, g := range c.Interaction.Gets {
+		if g.Kind == check.FromDeviceSource && g.Device.Name == deviceKind && g.Source.Name == source {
+			return c.rt.pullSites[g].pull()
 		}
 	}
-	if g == nil {
-		return nil, fmt.Errorf("runtime: context %s: design declares no 'get %s from %s' in this interaction",
-			c.ContextName, source, deviceKind)
-	}
-	// Capture identities with a shard-by-shard scan, then query outside
-	// the registry locks: a gather over a 50k-device fleet must not stall
-	// concurrent binds.
-	type pullTarget struct {
-		id       string
-		endpoint string
-		attrs    registry.Attributes
-	}
-	var targets []pullTarget
-	c.rt.reg.Scan(registry.Query{Kind: deviceKind}, func(e registry.Entity) bool {
-		targets = append(targets, pullTarget{id: string(e.ID), endpoint: e.Endpoint, attrs: e.Attrs.Clone()})
-		return true
-	})
-	sort.Slice(targets, func(i, j int) bool { return targets[i].id < targets[j].id })
-	out := make([]SourceValue, 0, len(targets))
-	var firstErr error
-	for _, t := range targets {
-		drv, err := c.rt.driverByID(t.id, t.endpoint)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+	return nil, fmt.Errorf("runtime: context %s: design declares no 'get %s from %s' in this interaction",
+		c.ContextName, source, deviceKind)
+}
+
+// pullSite serves one declared `get <source> from <Device>` through the
+// fleetView a periodic poller uses: the snapshot is rebuilt on the first
+// pull after the fleet changed, and each pull is one round run on the
+// calling handler's goroutine — remote devices in one QueryBatch per
+// endpoint chunk, locals through their querier functions. mu serializes
+// pulls; a pull's failures go to its caller, not to the runtime's error
+// handler.
+type pullSite struct {
+	mu sync.Mutex
+	rt *Runtime
+	fleetView
+	err error // first failure of the pull in progress
+}
+
+// compilePullSitesLocked builds the pull site of every declared device-source
+// get, keyed by its clause. Caller holds rt.mu.
+func (rt *Runtime) compilePullSitesLocked() {
+	rt.pullSites = make(map[*check.Get]*pullSite)
+	for _, ctx := range rt.model.Contexts {
+		for _, in := range ctx.Interactions {
+			for _, g := range in.Gets {
+				if g.Kind == check.FromDeviceSource {
+					s := &pullSite{rt: rt, fleetView: fleetView{kind: g.Device.Name, source: g.Source.Name}}
+					s.fail = func(_ string, err error) { s.err = cmp.Or(s.err, err) } // keep the first
+					rt.pullSites[g] = s
+				}
 			}
-			continue
 		}
-		v, err := drv.Query(source)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		out = append(out, SourceValue{DeviceID: t.id, Attrs: t.attrs, Value: v})
 	}
-	if len(out) == 0 && firstErr != nil {
-		return nil, firstErr
+}
+
+func (s *pullSite) pull() ([]SourceValue, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.err = nil
+	s.refresh(s.rt)
+	snap := s.snap
+	s.round(snap).work()
+	out := make([]SourceValue, 0, snap.total)
+	for i, good := range s.ok[:snap.total] {
+		if good {
+			out = append(out, SourceValue{DeviceID: snap.ids[i], Attrs: snap.attrs[i].Clone(), Value: s.vals[i]})
+		}
+	}
+	if len(snap.remotes) > 0 { // slots hold the locals, then each endpoint's batch: merge them into ID order
+		slices.SortFunc(out, func(a, b SourceValue) int { return strings.Compare(a.DeviceID, b.DeviceID) })
+	}
+	if len(out) == 0 && s.err != nil {
+		return nil, s.err
 	}
 	return out, nil
 }

@@ -43,18 +43,15 @@ var (
 )
 
 // SubstrateConfig configures the shared infrastructure of a Host — what all
-// tenants see: the time source, the entity registry, durability, and the
-// substrate-level error sink. App-level tunables live in AppConfig.
+// tenants see: the time source, durability, and the substrate-level error
+// sink. The host creates and owns the entity registry. App-level tunables
+// live in AppConfig.
 type SubstrateConfig struct {
 	// Clock is the time source. Default: real time.
 	Clock simclock.Clock
-	// Registry shares an externally owned registry. Default: the host
-	// creates and owns one.
-	Registry *registry.Registry
 	// PersistDir attaches a write-ahead log + snapshot store rooted there;
 	// NewHost recovers the previous incarnation's fleet, generations and
-	// per-app aggregate checkpoints from it. Requires the host-owned
-	// registry.
+	// per-app aggregate checkpoints from it.
 	PersistDir  string
 	PersistOpts persist.Options
 	// OnError receives substrate-level failures and every hosted app's
@@ -101,12 +98,11 @@ type AppConfig struct {
 // namespaced bus topics and per-tenant qos budgets, so installing or
 // draining one app never drops another app's events.
 type Host struct {
-	clock       simclock.Clock
-	reg         *registry.Registry
-	bus         *eventbus.Bus
-	fleet       *deviceTable
-	onError     func(ComponentError)
-	ownRegistry bool
+	clock   simclock.Clock
+	reg     *registry.Registry
+	bus     *eventbus.Bus
+	fleet   *deviceTable
+	onError func(ComponentError)
 
 	store *persist.Store
 
@@ -151,21 +147,12 @@ func NewHost(cfg SubstrateConfig) (*Host, error) {
 	if h.clock == nil {
 		h.clock = simclock.Real{}
 	}
-	if cfg.Registry != nil {
-		h.reg = cfg.Registry
-	} else {
-		h.reg = registry.New(registry.WithClock(h.clock))
-		h.ownRegistry = true
-	}
+	h.reg = registry.New(registry.WithClock(h.clock))
 	h.drainTimeout = cfg.DrainTimeout
 	if h.drainTimeout <= 0 {
 		h.drainTimeout = defaultDrainTimeout
 	}
 	if cfg.PersistDir != "" {
-		if !h.ownRegistry {
-			h.bus.Close()
-			return nil, errors.New("host: persistence requires the host-owned registry")
-		}
 		if err := h.openPersistence(cfg.PersistDir, cfg.PersistOpts); err != nil {
 			h.bus.Close()
 			h.reg.Close()
@@ -704,7 +691,7 @@ func (h *Host) AddGauges(name string, fn func() map[string]uint64) {
 }
 
 // Close drains every app and seals the substrate: bus, store (final
-// snapshot), and registry if host-owned. Idempotent.
+// snapshot), and registry. Idempotent.
 func (h *Host) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -743,9 +730,7 @@ func (h *Host) Close() {
 			h.ReportError("persist", err)
 		}
 	}
-	if h.ownRegistry {
-		h.reg.Close()
-	}
+	h.reg.Close()
 	h.mu.Lock()
 	h.apps = make(map[string]*Runtime)
 	h.mu.Unlock()

@@ -259,16 +259,6 @@ func TestNewIsOneAppHost(t *testing.T) {
 		if err := owned.Registry().Register(registry.Entity{ID: "x", Kind: "Sensor_solo"}); !errors.Is(err, registry.ErrClosed) {
 			t.Fatalf("owned registry after Stop: Register = %v, want ErrClosed", err)
 		}
-		shared := registry.New(registry.WithClock(vc))
-		defer shared.Close()
-		rt := New(model, WithClock(vc), WithRegistry(shared))
-		if rt.Registry() != shared {
-			t.Fatal("WithRegistry not honored")
-		}
-		rt.Stop()
-		if err := shared.Register(registry.Entity{ID: "x", Kind: "Sensor_solo"}); err != nil {
-			t.Fatalf("shared registry closed by Stop: %v", err)
-		}
 	})
 
 	t.Run("default-scope-and-bare-topics", func(t *testing.T) {
@@ -359,50 +349,26 @@ context Count as Integer {
 	})
 }
 
-// TestPersistenceRequiresOwnedRegistry is the misconfiguration parity check:
-// a shared registry's lifecycle is not the substrate's to journal, and both
-// constructors must say so — NewHost directly, New from Start — without
-// touching the directory.
-func TestPersistenceRequiresOwnedRegistry(t *testing.T) {
-	const want = "host: persistence requires the host-owned registry"
-	model := mustLoadDesign(t, tenantDesign("solo"))
-	for _, tc := range []struct {
-		name string
-		open func(reg *registry.Registry, dir string) error
-	}{
-		{"New", func(reg *registry.Registry, dir string) error {
-			rt := New(model, WithRegistry(reg), WithPersistence(dir, persist.Options{}))
-			defer rt.Stop()
-			if rt.Persistence() != nil {
-				t.Error("a store is attached to a registry the runtime does not own")
-			}
-			if err := rt.ImplementContext("Occ_solo", &recHandler{}); err != nil {
-				t.Fatal(err)
-			}
-			return rt.Start()
-		}},
-		{"NewHost", func(reg *registry.Registry, dir string) error {
-			h, err := NewHost(SubstrateConfig{Registry: reg, PersistDir: dir})
-			if h != nil {
-				h.Close()
-			}
-			return err
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			reg := registry.New()
-			defer reg.Close()
-			dir := t.TempDir()
-			if err := tc.open(reg, dir); err == nil || err.Error() != want {
-				t.Fatalf("got %v, want %q", err, want)
-			}
-			if files, _ := os.ReadDir(dir); len(files) != 0 {
-				t.Fatalf("refused configuration still wrote %d file(s) under the persistence directory", len(files))
-			}
-			if err := reg.Register(registry.Entity{ID: "x", Kind: "Sensor_solo"}); err != nil {
-				t.Fatalf("shared registry unusable after the refusal: %v", err)
-			}
-		})
+// TestSubstrateFailureParity: a substrate that cannot come up fails both
+// constructors with the same error — NewHost directly, New from Start.
+func TestSubstrateFailureParity(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(file, "store") // under a regular file: cannot be created
+	h, hostErr := NewHost(SubstrateConfig{PersistDir: dir})
+	if hostErr == nil {
+		h.Close()
+		t.Fatal("NewHost opened persistence under a regular file")
+	}
+	rt := New(mustLoadDesign(t, tenantDesign("solo")), WithPersistence(dir, persist.Options{}))
+	defer rt.Stop()
+	if err := rt.ImplementContext("Occ_solo", &recHandler{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(); err == nil || err.Error() != hostErr.Error() {
+		t.Fatalf("Start = %v, want NewHost's %q", err, hostErr)
 	}
 }
 

@@ -20,9 +20,8 @@ import (
 
 // poller drives one `when periodic` interaction. Steady-state work is
 // proportional to fleet size only in queries issued, not in bookkeeping: the
-// fleet snapshot is cached across ticks (keyed on the registry's kind
-// generation), drivers are resolved at snapshot-rebuild time, queries run on
-// a persistent worker pool that stores only each slot's value, and a
+// fleet snapshot is cached across ticks (fleetView), queries run on a
+// persistent worker pool that stores only each slot's value, and a
 // GroupedReading is built only for what a round publishes.
 type poller struct {
 	ctxSite  // dispatch side (bus-handler goroutine) owns out
@@ -30,14 +29,14 @@ type poller struct {
 	stopOnce sync.Once
 	topic    string
 
+	// fleetView is the trigger kind's fleet; only the poller goroutine
+	// refreshes it, and the pool workers fill its vals/ok during a round.
+	fleetView
+
 	// Every-window accumulation.
 	window     *pollOut
 	ticksInWin int
 	flushEvery int
-
-	// snap is the cached fleet snapshot; only the poller goroutine reads
-	// or replaces it.
-	snap *pollSnapshot
 
 	// Incremental aggregation (every grouped interaction): the dispatch
 	// side folds deltas into the interaction's engine (core). Round by
@@ -67,12 +66,6 @@ type poller struct {
 	started int
 	rounds  chan *pollRound
 
-	// Scratch reused across rebuilds/rounds; poller goroutine only,
-	// except vals/ok which the pool workers fill during a round.
-	scanBuf []scanItem
-	vals    []any
-	ok      []bool
-
 	// outs recycles what rounds publish once dispatch has consumed it.
 	outs sync.Pool
 }
@@ -83,11 +76,18 @@ func (rt *Runtime) startPoller(ctx *check.Context, idx int, in *check.Interactio
 		stopCh:  make(chan struct{}),
 		topic:   rt.periodicTopic(ctx.Name, idx),
 		workers: rt.pollWorkers,
+		fleetView: fleetView{
+			kind:   in.TriggerDevice.Name,
+			source: in.TriggerSource.Name,
+			fail:   func(key string, err error) { rt.reportError("poll:"+key, err) },
+		},
 	}
 	if in.Every > 0 {
 		p.flushEvery = int(in.Every / in.Period)
 	}
-	p.aggOn = in.GroupBy != nil
+	if p.aggOn = in.GroupBy != nil; p.aggOn {
+		p.groupAttr = in.GroupBy.Name
+	}
 	// Deliver batches through the bus so handler invocations for this
 	// interaction are serialized like every other delivery. dispatch fully
 	// copies the batch out, so the published buffers are recycled afterwards.
@@ -147,12 +147,32 @@ func (p *poller) flushWindow() {
 	p.publish(out, p.rt.clock.Now())
 }
 
+// fleetView is one device kind's fleet as the target of rounds that read
+// one source from every device, shared by a periodic poller and a
+// query-driven pull site. The snapshot is cached across rounds, keyed on
+// the registry's kind generation, and drivers, querier functions and
+// endpoint clients are resolved when it is rebuilt, so a round over an
+// unchanged fleet touches neither the registry nor a runtime lock. Its
+// owner refreshes it and runs its rounds one at a time.
+type fleetView struct {
+	kind, source string
+	groupAttr    string // `grouped by` attribute read into each slot's group; "" for none
+	// fail receives every failure of a rebuild or round, keyed by device
+	// ID or, for a failed endpoint request, by endpoint.
+	fail func(key string, err error)
+
+	snap    *pollSnapshot
+	scanBuf []scanItem // rebuild scratch
+	vals    []any      // a round's answers per slot, valid where ok is set
+	ok      []bool
+}
+
 // scanItem is what one registry-scan visit captures during a snapshot
-// rebuild.
+// rebuild. attrs is the registry's immutable shape map, never cloned.
 type scanItem struct {
 	id       string
 	endpoint string
-	group    string
+	attrs    registry.Attributes
 }
 
 // pollTarget is one locally bound device of the snapshot, with its driver —
@@ -170,11 +190,12 @@ type endpointBatch struct {
 	endpoint string
 	ids      []string
 	groups   []string
+	attrs    []registry.Attributes
 	base     int // first slot of this batch in the round's vals/ok buffers
 }
 
-// pollSnapshot is the cached fleet of one periodic interaction, valid while
-// the registry generation for the trigger kind stays at gen.
+// pollSnapshot is the cached fleet of one fleetView, valid while the
+// registry generation for its kind stays at gen.
 type pollSnapshot struct {
 	gen     uint64
 	locals  []pollTarget
@@ -185,10 +206,13 @@ type pollSnapshot struct {
 	// function, else 1, so drivers that block in Query are still queried
 	// concurrently across the pool.
 	claim int
-	// ids and groups give each round slot's device ID and `grouped by`
-	// value: the locals first, then each endpoint batch from its base.
+	// ids, groups and attrs give each round slot's device ID, `grouped by`
+	// value and attributes (the registry's shape map, shared read-only):
+	// the locals first, in ID order, then each endpoint batch from its
+	// base, each in ID order.
 	ids    []string
 	groups []string
+	attrs  []registry.Attributes
 	// incomplete marks a snapshot missing targets whose endpoint could
 	// not be dialed; the next tick rebuilds (and so redials) even with an
 	// unchanged generation, matching the old per-round retry behavior.
@@ -203,9 +227,9 @@ type pollSnapshot struct {
 // per-slot diff (changed readings + dropped-out devices) instead of the
 // full batch.
 func (p *poller) poll(at time.Time) {
-	gen := p.rt.reg.Generation(p.in.TriggerDevice.Name)
-	if p.snap == nil || p.snap.gen != gen || p.snap.incomplete {
-		p.rebuild(gen)
+	if p.refresh(p.rt) {
+		p.snapEpoch++
+		p.rt.stats[statPollSnapshotRebuilds].Add(1)
 	}
 	snap := p.snap
 
@@ -241,7 +265,7 @@ func (p *poller) reading(snap *pollSnapshot, i int, at time.Time) GroupedReading
 		Group: snap.groups[i],
 		Reading: device.Reading{
 			DeviceID: snap.ids[i],
-			Source:   p.in.TriggerSource.Name,
+			Source:   p.source,
 			Value:    p.vals[i],
 			Time:     at,
 		},
@@ -284,20 +308,8 @@ const pollClaim = 128
 // pool, filling p.vals/p.ok per slot. It reports false when the poller
 // stopped before the round completed.
 func (p *poller) runRound(snap *pollSnapshot) bool {
-	if cap(p.vals) < snap.total {
-		p.vals = make([]any, snap.total)
-		p.ok = make([]bool, snap.total)
-	}
-	ok := p.ok[:snap.total]
-	clear(ok)
-	round := &pollRound{
-		p:      p,
-		snap:   snap,
-		source: p.in.TriggerSource.Name,
-		vals:   p.vals[:snap.total],
-		ok:     ok,
-		done:   make(chan struct{}),
-	}
+	round := p.round(snap)
+	round.done = make(chan struct{})
 	// Hand the round to at most one worker per unit of work (a remote
 	// batch or a claim of local targets) so small fleets don't wake the
 	// whole pool for one query's worth of polling; grow the pool to match.
@@ -512,67 +524,67 @@ func (p *poller) windowID(i int) string {
 	return p.winIDs[i]
 }
 
-// rebuild rescans the registry and rebuilds the fleet snapshot: locals carry
-// their resolved driver (and pre-resolved querier where supported), remotes
-// are grouped per endpoint around the cached transport client. gen is the
-// generation observed before the scan, so any mutation racing the scan moves
-// the generation past it and forces a rebuild on the next tick.
-func (p *poller) rebuild(gen uint64) {
-	groupAttr := ""
-	if p.in.GroupBy != nil {
-		groupAttr = p.in.GroupBy.Name
+// refresh rescans the registry and rebuilds the snapshot when the fleet
+// changed since it was built, or when the build could not reach an
+// endpoint, and reports whether it did. Locals carry their resolved driver
+// (and pre-resolved querier where supported), remotes are grouped per
+// endpoint around the cached transport client. The generation is read
+// before the scan, so any mutation racing the scan moves the generation
+// past it and forces a rebuild on the next refresh.
+func (v *fleetView) refresh(rt *Runtime) bool {
+	gen := rt.reg.Generation(v.kind)
+	if v.snap != nil && v.snap.gen == gen && !v.snap.incomplete {
+		return false
 	}
-	items := p.scanBuf[:0]
-	p.rt.reg.Scan(registry.Query{Kind: p.in.TriggerDevice.Name}, func(e registry.Entity) bool {
-		items = append(items, scanItem{
-			id:       string(e.ID),
-			endpoint: e.Endpoint,
-			group:    e.Attrs[groupAttr],
-		})
+	items := v.scanBuf[:0]
+	rt.reg.Scan(registry.Query{Kind: v.kind}, func(e registry.Entity) bool {
+		items = append(items, scanItem{id: string(e.ID), endpoint: e.Endpoint, attrs: e.Attrs})
 		return true
 	})
 	// Scan visits in shard order; restore ID order so reading positions —
 	// and therefore the value order MapReduce presents to reducers — stay
 	// deterministic across rounds and rebuilds.
 	sort.Slice(items, func(i, j int) bool { return items[i].id < items[j].id })
-	p.scanBuf = items
+	v.scanBuf = items
 
 	snap := &pollSnapshot{
 		gen:    gen,
+		claim:  pollClaim,
 		ids:    make([]string, 0, len(items)),
 		groups: make([]string, 0, len(items)),
+		attrs:  make([]registry.Attributes, 0, len(items)),
 	}
-	source := p.in.TriggerSource.Name
 	drvs := make([]device.Driver, len(items))
 	ids := make([]string, len(items))
 	for i := range items {
 		ids[i] = items[i].id
 	}
-	p.rt.fleet.resolve(ids, drvs)
+	rt.fleet.resolve(ids, drvs)
 
-	var remoteIdx map[string]int // endpoint -> snap.remotes index
+	remoteIdx := map[string]int{} // endpoint -> snap.remotes index
 	for i := range items {
 		it := &items[i]
 		if drv := drvs[i]; drv != nil {
 			t := pollTarget{drv: drv}
 			if sq, ok := drv.(device.SnapshotQuerier); ok {
-				if q, err := sq.Querier(source); err == nil {
+				if q, err := sq.Querier(v.source); err == nil {
 					t.query = q
 				}
 			}
+			if t.query == nil {
+				snap.claim = 1 // drv may block in Query
+			}
 			snap.locals = append(snap.locals, t)
 			snap.ids = append(snap.ids, it.id)
-			snap.groups = append(snap.groups, it.group)
+			snap.groups = append(snap.groups, it.attrs[v.groupAttr])
+			snap.attrs = append(snap.attrs, it.attrs)
 			continue
 		}
-		cli, err := p.rt.clientFor(it.id, it.endpoint)
+		cli, err := rt.clientFor(it.id, it.endpoint)
 		if err != nil {
-			p.rt.reportError("poll:"+it.id, err)
+			v.fail(it.id, err)
 			snap.incomplete = true
 			continue
-		}
-		if remoteIdx == nil {
-			remoteIdx = make(map[string]int)
 		}
 		bi, ok := remoteIdx[it.endpoint]
 		if !ok {
@@ -582,37 +594,41 @@ func (p *poller) rebuild(gen uint64) {
 		}
 		eb := &snap.remotes[bi]
 		eb.ids = append(eb.ids, it.id)
-		eb.groups = append(eb.groups, it.group)
+		eb.groups = append(eb.groups, it.attrs[v.groupAttr])
+		eb.attrs = append(eb.attrs, it.attrs)
 	}
 	for i := range snap.remotes {
 		eb := &snap.remotes[i]
 		eb.base = len(snap.ids)
 		snap.ids = append(snap.ids, eb.ids...)
 		snap.groups = append(snap.groups, eb.groups...)
+		snap.attrs = append(snap.attrs, eb.attrs...)
 	}
 	snap.total = len(snap.ids)
-	snap.claim = pollClaim
-	for i := range snap.locals {
-		if snap.locals[i].query == nil {
-			snap.claim = 1
-			break
-		}
-	}
-	p.snap = snap
-	p.snapEpoch++
-	p.rt.stats[statPollSnapshotRebuilds].Add(1)
+	v.snap = snap
+	return true
 }
 
-// pollRound is one tick's unit of pool work: workers drain the remote
-// batches, then the local targets in claims of snap.claim, through shared
-// cursors, storing each answered slot's value. pending counts outstanding
-// worker hand-offs; the last one closes done.
+// round returns a round over snap, the current snapshot, with every slot
+// unanswered. Its owner runs it: a poller through its worker pool, a pull
+// site by calling work on its own goroutine.
+func (v *fleetView) round(snap *pollSnapshot) *pollRound {
+	if cap(v.vals) < snap.total {
+		v.vals, v.ok = make([]any, snap.total), make([]bool, snap.total)
+	}
+	clear(v.ok)
+	return &pollRound{v: v, snap: snap}
+}
+
+// pollRound is one round over a fleetView's snapshot: whoever runs work
+// drains the remote batches, then the local targets in claims of
+// snap.claim, through shared cursors, storing each answered slot in the
+// view's vals/ok and sending each failure to its fail. A poller hands one
+// round to several pool workers; pending counts outstanding hand-offs, and
+// the last one closes done.
 type pollRound struct {
-	p      *poller
-	snap   *pollSnapshot
-	source string
-	vals   []any
-	ok     []bool
+	v    *fleetView
+	snap *pollSnapshot
 
 	localCur  atomic.Int64
 	remoteCur atomic.Int64
@@ -636,13 +652,13 @@ func (p *poller) worker() {
 }
 
 func (r *pollRound) work() {
-	snap := r.snap
+	v, snap := r.v, r.snap
 	for {
 		i := int(r.remoteCur.Add(1)) - 1
 		if i >= len(snap.remotes) {
 			break
 		}
-		r.queryBatch(&snap.remotes[i])
+		v.queryBatch(&snap.remotes[i])
 	}
 	for {
 		hi := int(r.localCur.Add(int64(snap.claim)))
@@ -652,18 +668,18 @@ func (r *pollRound) work() {
 		}
 		for i := lo; i < min(hi, len(snap.locals)); i++ {
 			t := &snap.locals[i]
-			var v any
+			var val any
 			var err error
 			if t.query != nil {
-				v, err = t.query()
+				val, err = t.query()
 			} else {
-				v, err = t.drv.Query(r.source)
+				val, err = t.drv.Query(v.source)
 			}
 			if err != nil {
-				r.p.rt.reportError("poll:"+snap.ids[i], err)
+				v.fail(snap.ids[i], err)
 				continue
 			}
-			r.vals[i], r.ok[i] = v, true
+			v.vals[i], v.ok[i] = val, true
 		}
 	}
 }
@@ -677,31 +693,31 @@ const remoteBatchChunk = 256
 
 // queryBatch answers every device of one remote endpoint in
 // remoteBatchChunk-sized round trips.
-func (r *pollRound) queryBatch(b *endpointBatch) {
+func (v *fleetView) queryBatch(b *endpointBatch) {
 	for lo := 0; lo < len(b.ids); lo += remoteBatchChunk {
 		hi := lo + remoteBatchChunk
 		if hi > len(b.ids) {
 			hi = len(b.ids)
 		}
-		vals, errs, err := b.client.QueryBatch(b.ids[lo:hi], r.source)
+		vals, errs, err := b.client.QueryBatch(b.ids[lo:hi], v.source)
 		if err != nil {
 			// One failed chunk loses only its own devices this round;
 			// the remaining chunks are still attempted, preserving the
 			// old per-device failure isolation (at chunk granularity).
-			r.p.rt.reportError("poll:"+b.endpoint, err)
+			v.fail(b.endpoint, err)
 			continue
 		}
 		for i := lo; i < hi; i++ {
 			if j := i - lo; j < len(errs) && errs[j] != "" {
-				r.p.rt.reportError("poll:"+b.ids[i], errors.New(errs[j]))
+				v.fail(b.ids[i], errors.New(errs[j]))
 				continue
 			}
-			var v any
+			var val any
 			if j := i - lo; j < len(vals) {
-				v = vals[j]
+				val = vals[j]
 			}
 			slot := b.base + i
-			r.vals[slot], r.ok[slot] = v, true
+			v.vals[slot], v.ok[slot] = val, true
 		}
 	}
 }

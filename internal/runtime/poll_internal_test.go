@@ -2,6 +2,10 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +15,7 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/registry"
 	"repro/internal/simclock"
+	"repro/internal/transport"
 )
 
 // roundVacancy is windowVacancy that signals every delivered round.
@@ -223,4 +228,270 @@ context Occupancy as Integer {
 			t.Error("evicted device left its engine record behind")
 		}
 	})
+}
+
+// pullDesign declares one query-driven pull, `get v from S`, on an
+// interaction nothing triggers: the pull tests call QueryDevice on a
+// ContextCall of it directly.
+const pullDesign = `
+device S { attribute lot as String; source v as Float; }
+device T { source tick as Integer; }
+context C as Integer { when provided tick from T get v from S no publish; }
+`
+
+// pullCall starts a runtime on pullDesign, with bind run between New and
+// Start, and returns a ContextCall of its one interaction.
+func pullCall(tb testing.TB, bind func(rt *Runtime)) (*Runtime, *ContextCall) {
+	tb.Helper()
+	vc := simclock.NewVirtual(hostEpoch)
+	rt := New(dsl.MustLoad(pullDesign), WithClock(vc))
+	tb.Cleanup(rt.Stop)
+	if err := rt.ImplementContext("C", &recHandler{}); err != nil {
+		tb.Fatal(err)
+	}
+	bind(rt)
+	if err := rt.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	return rt, &ContextCall{ContextName: "C", Interaction: rt.model.Contexts["C"].Interactions[0], rt: rt}
+}
+
+// pullSensor is a device of kind S answering v with its index, boxed once
+// so a query allocates nothing of its own.
+func pullSensor(i int) *device.Base {
+	d := device.NewBase(fmt.Sprintf("s%05d", i), "S", nil, registry.Attributes{"lot": fmt.Sprintf("L%02d", i%10)}, nil)
+	v := any(float64(i))
+	d.OnQuery("v", func() (any, error) { return v, nil })
+	return d
+}
+
+// checkPull asserts one pull answered devices want, in ID order, each with
+// its value and a copy of its attributes.
+func checkPull(t *testing.T, vs []SourceValue, err error, want []int) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != len(want) {
+		t.Fatalf("pull answered %d devices, want %d", len(vs), len(want))
+	}
+	for k, i := range want {
+		v := vs[k]
+		if v.DeviceID != fmt.Sprintf("s%05d", i) || v.Value != float64(i) || v.Attrs["lot"] != fmt.Sprintf("L%02d", i%10) {
+			t.Fatalf("answer %d = %+v, want device %d", k, v, i)
+		}
+	}
+}
+
+// pullRemoteDevices is the fleet of the remote pull test, all behind one
+// endpoint: one `query` per device would be 5,000 round trips.
+const pullRemoteDevices = 5000
+
+// TestPullRemoteFleetBatched: a query-driven pull over a remote fleet rides
+// the poller's endpoint batches. A warm pull over 5,000 devices behind one
+// server sends at most 16 B per device on the runtime's cached client: one
+// query_batch per remoteBatchChunk devices, not one query each (27 B per
+// device for this fleet).
+func TestPullRemoteFleetBatched(t *testing.T) {
+	srv, err := transport.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	want := make([]int, pullRemoteDevices)
+	rt, call := pullCall(t, func(rt *Runtime) {
+		for i := range want {
+			d := pullSensor(i)
+			srv.Host(d)
+			if err := rt.Registry().Register(d.Entity(srv.Addr())); err != nil {
+				t.Fatal(err)
+			}
+			want[i] = i
+		}
+	})
+	vs, err := call.QueryDevice("S", "v")
+	checkPull(t, vs, err, want)
+	rt.mu.Lock()
+	cli := rt.clients[srv.Addr()]
+	rt.mu.Unlock()
+	before, start := cli.BytesSent(), time.Now()
+	vs, err = call.QueryDevice("S", "v")
+	took := time.Since(start)
+	checkPull(t, vs, err, want)
+	perDevice := float64(cli.BytesSent()-before) / pullRemoteDevices
+	t.Logf("warm pull over %d remote devices: %.1f B sent per device, %v", pullRemoteDevices, perDevice, took)
+	if perDevice > 16 {
+		t.Errorf("warm pull sent %.1f B per device, want <= 16 (one query_batch per %d devices)", perDevice, remoteBatchChunk)
+	}
+	if st := rt.Stats(); st.Errors != 0 || st.PollSnapshotRebuilds != 0 {
+		t.Errorf("errors = %d, poll_snapshot_rebuilds = %d after two pulls, want 0 and 0", st.Errors, st.PollSnapshotRebuilds)
+	}
+}
+
+// TestPullReusesSnapshot: a pull over an unchanged fleet answers from the
+// site's snapshot without rescanning the registry; a bind of the pulled
+// kind forces a rebuild on the next pull, and a bind of another kind does
+// not.
+func TestPullReusesSnapshot(t *testing.T) {
+	rt, call := pullCall(t, func(rt *Runtime) {
+		for i := 0; i < 3; i++ {
+			if err := rt.BindDevice(pullSensor(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	site := rt.pullSites[call.Interaction.Gets[0]]
+	vs, err := call.QueryDevice("S", "v")
+	checkPull(t, vs, err, []int{0, 1, 2})
+	first := site.snap
+	vs, err = call.QueryDevice("S", "v")
+	checkPull(t, vs, err, []int{0, 1, 2})
+	if site.snap != first {
+		t.Fatal("a pull over an unchanged fleet rebuilt the site's snapshot")
+	}
+	if err := rt.BindDevice(device.NewBase("t1", "T", nil, nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+	vs, err = call.QueryDevice("S", "v")
+	checkPull(t, vs, err, []int{0, 1, 2})
+	if site.snap != first {
+		t.Fatal("a bind of another kind rebuilt the site's snapshot")
+	}
+	if err := rt.BindDevice(pullSensor(3)); err != nil {
+		t.Fatal(err)
+	}
+	vs, err = call.QueryDevice("S", "v")
+	checkPull(t, vs, err, []int{0, 1, 2, 3})
+	if site.snap == first {
+		t.Fatal("a bind of the pulled kind did not rebuild the site's snapshot")
+	}
+	vs[0].Attrs["lot"] = "mutated"
+	vs, err = call.QueryDevice("S", "v")
+	checkPull(t, vs, err, []int{0, 1, 2, 3})
+	if st := rt.Stats(); st.PollSnapshotRebuilds != 0 {
+		t.Errorf("poll_snapshot_rebuilds = %d after pulls, want 0 (it counts poller rebuilds only)", st.PollSnapshotRebuilds)
+	}
+}
+
+// TestPullMixedFleetOrderAndErrors: local and remote answers interleave in
+// device ID order, and a pull's failures go to the caller, never to the
+// runtime's error handler: an unreachable endpoint fails the pull only
+// when no device answered.
+func TestPullMixedFleetOrderAndErrors(t *testing.T) {
+	srv, err := transport.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dead, err := transport.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr()
+	dead.Close()
+	var reported atomic.Uint64
+	vc := simclock.NewVirtual(hostEpoch)
+	rt := New(dsl.MustLoad(pullDesign), WithClock(vc), WithErrorHandler(func(ComponentError) { reported.Add(1) }))
+	defer rt.Stop()
+	if err := rt.ImplementContext("C", &recHandler{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	call := &ContextCall{ContextName: "C", Interaction: rt.model.Contexts["C"].Interactions[0], rt: rt}
+
+	unreachable := pullSensor(9)
+	if err := rt.Registry().Register(unreachable.Entity(deadAddr)); err != nil {
+		t.Fatal(err)
+	}
+	if vs, err := call.QueryDevice("S", "v"); err == nil || len(vs) != 0 {
+		t.Fatalf("pull over an unreachable fleet = %v, %v; want the dial error", vs, err)
+	}
+	for i := 0; i < 6; i++ {
+		d := pullSensor(i)
+		if i%2 == 0 {
+			err = rt.BindDevice(d)
+		} else {
+			srv.Host(d)
+			err = rt.Registry().Register(d.Entity(srv.Addr()))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	vs, err := call.QueryDevice("S", "v")
+	checkPull(t, vs, err, []int{0, 1, 2, 3, 4, 5})
+	if n := reported.Load(); n != 0 {
+		t.Errorf("pull failures reached the error handler %d times, want 0", n)
+	}
+}
+
+// pullLocalDevices and pullAllocBound: a warm pull over 5,000 local
+// devices allocates the result slice and one attribute copy per device.
+// The bound is what a per-call scan, clone, sort and per-device loop
+// allocates for this fleet.
+const (
+	pullLocalDevices = 5000
+	pullAllocBound   = 10020
+)
+
+// TestPullAllocs pins allocations per warm local pull.
+func TestPullAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	_, call := pullCall(t, func(rt *Runtime) {
+		for i := 0; i < pullLocalDevices; i++ {
+			if err := rt.BindDevice(pullSensor(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	var err error
+	n := testing.AllocsPerRun(10, func() {
+		var vs []SourceValue
+		if vs, err = call.QueryDevice("S", "v"); err == nil && len(vs) != pullLocalDevices {
+			err = fmt.Errorf("pull answered %d devices", len(vs))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("warm pull over %d local devices: %.0f allocs", pullLocalDevices, n)
+	if n > pullAllocBound {
+		t.Errorf("warm pull allocates %.0f, want <= %d", n, pullAllocBound)
+	}
+}
+
+// TestPullConcurrent: pulls of one site from several goroutines while the
+// pulled kind churns stay race-clean, each answering in ID order.
+func TestPullConcurrent(t *testing.T) {
+	rt, call := pullCall(t, func(rt *Runtime) {
+		for i := 0; i < 8; i++ {
+			if err := rt.BindDevice(pullSensor(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				vs, err := call.QueryDevice("S", "v")
+				if err != nil || len(vs) < 8 || !slices.IsSortedFunc(vs, func(a, b SourceValue) int { return strings.Compare(a.DeviceID, b.DeviceID) }) {
+					t.Errorf("concurrent pull = %d answers, %v; want >= 8 in ID order", len(vs), err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 8; i < 28; i++ {
+		if err := rt.BindDevice(pullSensor(i)); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
 }

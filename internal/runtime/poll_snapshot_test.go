@@ -127,8 +127,8 @@ func TestPollSnapshotRemoteFleetAndLeaseExpiry(t *testing.T) {
 	defer srv.Close()
 
 	vc := simclock.NewVirtual(epoch)
-	reg := registry.New(registry.WithClock(vc))
-	defer reg.Close()
+	rt := runtime.New(dsl.MustLoad(snapDesign), runtime.WithClock(vc))
+	defer rt.Stop()
 
 	const fleet = 8
 	for i := 0; i < fleet; i++ {
@@ -138,13 +138,11 @@ func TestPollSnapshotRemoteFleetAndLeaseExpiry(t *testing.T) {
 		if i == 0 {
 			ttl = registry.WithTTL(90 * time.Second) // expires after round 1
 		}
-		if err := reg.Register(d.Entity(srv.Addr()), ttl); err != nil {
+		if err := rt.Registry().Register(d.Entity(srv.Addr()), ttl); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	rt := runtime.New(dsl.MustLoad(snapDesign), runtime.WithClock(vc), runtime.WithRegistry(reg))
-	defer rt.Stop()
 	if err := rt.ImplementContext("C", funcContext(func(call *runtime.ContextCall) (any, bool, error) {
 		return len(call.Readings), true, nil
 	})); err != nil {

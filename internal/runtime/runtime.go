@@ -285,10 +285,11 @@ type Runtime struct {
 	pollers     []*poller
 	trackers    []*sourceTracker
 	ingestors   []*ingestor
-	ingestByKey map[string][]*ingestor // kind+source -> consuming pipelines
-	aggByKey    map[string][]*provAgg  // kind+source -> provided-grouped aggregates
-	watchers    []*registry.Watcher    // source trackers' and aggregates' registry watches
-	pubSites    map[string]*pubSite    // per declared context; compiled once in Start
+	ingestByKey map[string][]*ingestor   // kind+source -> consuming pipelines
+	aggByKey    map[string][]*provAgg    // kind+source -> provided-grouped aggregates
+	watchers    []*registry.Watcher      // source trackers' and aggregates' registry watches
+	pubSites    map[string]*pubSite      // per declared context; compiled once in Start
+	pullSites   map[*check.Get]*pullSite // per declared device-source get; compiled once in Start
 	wg          sync.WaitGroup
 
 	// handlers is the read-mostly snapshot of contexts/controllers,
@@ -348,13 +349,6 @@ func WithClock(clock simclock.Clock) Option {
 	return func(c *newConfig) { c.sub.Clock = clock }
 }
 
-// WithRegistry shares an externally owned registry (e.g. one populated by a
-// separate deployment process). By default the runtime creates one and
-// closes it in Stop.
-func WithRegistry(r *registry.Registry) Option {
-	return func(c *newConfig) { c.sub.Registry = r }
-}
-
 // WithErrorHandler installs a callback invoked on every component error.
 // Errors are always counted in Stats regardless.
 func WithErrorHandler(f func(ComponentError)) Option {
@@ -390,9 +384,7 @@ func WithMetricsAddr(addr string) Option {
 
 // WithPersistence attaches a write-ahead log + snapshot store rooted at dir.
 // New recovers the previous incarnation's state from it; an open or recovery
-// failure is reported by Start (New cannot return one). Incompatible with
-// WithRegistry: a shared registry's lifecycle is not the runtime's to
-// journal.
+// failure is reported by Start (New cannot return one).
 func WithPersistence(dir string, opts persist.Options) Option {
 	return func(c *newConfig) { c.sub.PersistDir, c.sub.PersistOpts = dir, opts }
 }
@@ -410,7 +402,7 @@ func New(model *check.Model, opts ...Option) *Runtime {
 	}
 	h, err := NewHost(cfg.sub)
 	if err != nil {
-		bare := SubstrateConfig{Clock: cfg.sub.Clock, Registry: cfg.sub.Registry, OnError: cfg.sub.OnError}
+		bare := SubstrateConfig{Clock: cfg.sub.Clock, OnError: cfg.sub.OnError}
 		h, _ = NewHost(bare) // nothing left in the config that can fail
 	}
 	rt := h.attach("", model, cfg.app)
@@ -422,7 +414,7 @@ func New(model *check.Model, opts ...Option) *Runtime {
 // Model returns the design model this runtime executes.
 func (rt *Runtime) Model() *check.Model { return rt.model }
 
-// Registry returns the entity registry (shared or owned).
+// Registry returns the host's entity registry.
 func (rt *Runtime) Registry() *registry.Registry { return rt.reg }
 
 // Clock returns the runtime's time source.
@@ -546,6 +538,7 @@ func (rt *Runtime) Start() error {
 	}
 	rt.started = true
 	rt.compilePubSitesLocked()
+	rt.compilePullSitesLocked()
 	rt.mu.Unlock()
 
 	for _, name := range rt.model.ContextNames() {
@@ -576,7 +569,7 @@ func (rt *Runtime) Start() error {
 
 // Stop tears down the app: pollers, pipelines, subscriptions and transports.
 // It is idempotent. On a runtime built by New it then closes the private
-// host — bus, store (final snapshot) and an owned registry; an app deployed
+// host — bus, store (final snapshot) and registry; an app deployed
 // on a shared Host leaves the substrate live for the other tenants.
 func (rt *Runtime) Stop() {
 	rt.stopApp()
@@ -692,21 +685,6 @@ func (rt *Runtime) driverFor(e registry.Entity) (device.Driver, error) {
 		return nil, err
 	}
 	return transport.NewRemoteDriver(cli, e), nil
-}
-
-// driverByID is driverFor for hot paths that carry only the identity and
-// endpoint of an entity (e.g. poll targets captured by a registry scan),
-// avoiding the full entity clone. The returned remote proxies carry no
-// attribute metadata; callers use them for Query/Invoke only.
-func (rt *Runtime) driverByID(id, endpoint string) (device.Driver, error) {
-	if drv, ok := rt.fleet.get(id); ok {
-		return drv, nil
-	}
-	cli, err := rt.clientFor(id, endpoint)
-	if err != nil {
-		return nil, err
-	}
-	return transport.NewRemoteDriver(cli, registry.Entity{ID: registry.ID(id), Endpoint: endpoint}), nil
 }
 
 // clientFor returns the cached transport client for endpoint, dialing it on

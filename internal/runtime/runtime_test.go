@@ -883,8 +883,10 @@ func TestRemoteDeviceViaSharedRegistry(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	vc := simclock.NewVirtual(epoch)
-	reg := registry.New(registry.WithClock(vc))
-	t.Cleanup(reg.Close)
+	model := dsl.MustLoad(designs.Cooker)
+	rt := runtime.New(model, runtime.WithClock(vc))
+	defer rt.Stop()
+	reg := rt.Registry()
 
 	cooker := device.NewBase("cooker-remote", "Cooker", nil, nil, vc.Now)
 	consumption := 900.0
@@ -905,10 +907,6 @@ func TestRemoteDeviceViaSharedRegistry(t *testing.T) {
 	if err := reg.Register(cooker.Entity(srv.Addr())); err != nil {
 		t.Fatal(err)
 	}
-
-	model := dsl.MustLoad(designs.Cooker)
-	rt := runtime.New(model, runtime.WithClock(vc), runtime.WithRegistry(reg))
-	defer rt.Stop()
 
 	clockDev := device.NewBase("clock-1", "Clock", nil, nil, vc.Now)
 	prompter := device.NewBase("tv-1", "Prompter", nil, nil, vc.Now)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/dsl"
-	"repro/internal/registry"
 	"repro/internal/runtime"
 	"repro/internal/simclock"
 	"repro/internal/transport"
@@ -22,8 +21,12 @@ func TestStopClosesRemoteClients(t *testing.T) {
 	defer srv.Close()
 
 	vc := simclock.NewVirtual(epoch)
-	reg := registry.New(registry.WithClock(vc))
-	defer reg.Close()
+	model := dsl.MustLoad(`
+device S { source v as Integer; }
+context C as Integer { when periodic v from S <1 min> always publish; }
+`)
+	rt := runtime.New(model, runtime.WithClock(vc))
+	reg := rt.Registry()
 
 	sensor := device.NewBase("rs-1", "S", nil, nil, vc.Now)
 	sensor.OnQuery("v", func() (any, error) { return 1, nil })
@@ -32,11 +35,6 @@ func TestStopClosesRemoteClients(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	model := dsl.MustLoad(`
-device S { source v as Integer; }
-context C as Integer { when periodic v from S <1 min> always publish; }
-`)
-	rt := runtime.New(model, runtime.WithClock(vc), runtime.WithRegistry(reg))
 	if err := rt.ImplementContext("C", funcContext(func(call *runtime.ContextCall) (any, bool, error) {
 		return len(call.Readings), true, nil
 	})); err != nil {
