@@ -413,7 +413,8 @@ func BenchmarkC3_DeliveryModels(b *testing.B) {
 }
 
 // BenchmarkC4_Discovery (paper §IV binding): attribute-filtered discovery
-// across registry sizes.
+// across registry sizes, then through a runtime controller (the `runtime/`
+// rows).
 func BenchmarkC4_Discovery(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -439,7 +440,103 @@ func BenchmarkC4_Discovery(b *testing.B) {
 			}
 		})
 	}
+	// The paper's Figure 11 chain as a controller runs it:
+	// ControllerCall.DevicesWhere for one lot's panel, 1 of 100 panels among
+	// 10,000 sensors. warm repeats it over an unchanged fleet; rebind binds
+	// or unbinds another panel (untimed) before each call, so every call
+	// rebuilds its discovery view.
+	b.Run("runtime/warm", func(b *testing.B) { benchControllerDiscovery(b, false) })
+	b.Run("runtime/rebind", func(b *testing.B) { benchControllerDiscovery(b, true) })
 }
+
+// benchControllerDiscovery runs the timed loop inside one OnContext, where a
+// ControllerCall is live.
+func benchControllerDiscovery(b *testing.B, rebind bool) {
+	model, err := dsl.Load(`
+device Sensor { attribute lot as String; source presence as Boolean; }
+device LotPanel { attribute location as String; action update(free as Integer); }
+device Pulse { source beat as Integer; }
+context Beat as Integer { when provided beat from Pulse always publish; }
+controller Updater { when provided Beat do update on LotPanel; }
+`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt := runtime.New(model)
+	defer rt.Stop()
+	reg := rt.Registry()
+	for i := 0; i < 10000; i++ {
+		e := registry.Entity{ID: registry.ID(fmt.Sprintf("s%05d", i)), Kind: "Sensor",
+			Attrs: registry.Attributes{"lot": fmt.Sprintf("L%02d", i%100)}}
+		if err := reg.Register(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		e := registry.Entity{ID: registry.ID(fmt.Sprintf("panel-%02d", i)), Kind: "LotPanel",
+			Attrs: registry.Attributes{"location": fmt.Sprintf("L%02d", i)}}
+		if err := reg.Register(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	extra := registry.Entity{ID: "panel-extra", Kind: "LotPanel", Attrs: registry.Attributes{"location": "L99"}}
+	pulse := device.NewBase("pulse", "Pulse", nil, nil, nil)
+	if err := rt.BindDevice(pulse); err != nil {
+		b.Fatal(err)
+	}
+	if err := rt.ImplementContext("Beat", benchPassThrough{}); err != nil {
+		b.Fatal(err)
+	}
+	done := make(chan error, 1)
+	err = rt.ImplementController("Updater", benchCtrlFunc(func(call *runtime.ControllerCall) error {
+		where := registry.Attributes{"location": "L42"}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if rebind {
+				b.StopTimer()
+				var err error
+				if i%2 == 0 {
+					err = reg.Register(extra)
+				} else {
+					err = reg.Unregister(extra.ID)
+				}
+				b.StartTimer()
+				if err != nil {
+					done <- err
+					return nil
+				}
+			}
+			if ps, err := call.DevicesWhere("LotPanel", where); err != nil || len(ps) != 1 {
+				done <- fmt.Errorf("DevicesWhere = %d panels, %v; want 1", len(ps), err)
+				return nil
+			}
+		}
+		b.StopTimer()
+		done <- nil
+		return nil
+	}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		b.Fatal(err)
+	}
+	pulse.Emit("beat", 1)
+	if err := <-done; err != nil {
+		b.Fatal(err)
+	}
+}
+
+type benchPassThrough struct{}
+
+func (benchPassThrough) OnTrigger(call *runtime.ContextCall) (any, bool, error) {
+	return call.Reading.Value, true, nil
+}
+
+type benchCtrlFunc func(*runtime.ControllerCall) error
+
+func (f benchCtrlFunc) OnContext(call *runtime.ControllerCall) error { return f(call) }
 
 // BenchmarkC5_Actuation (paper §V.B): actuating a device through a local
 // driver, over TCP via the proxy layer, and across a simulated LPWAN link.

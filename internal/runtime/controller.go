@@ -1,7 +1,10 @@
 package runtime
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/dsl/check"
@@ -18,6 +21,7 @@ func (rt *Runtime) wireController(ctrl *check.Controller, w *check.ControllerWhe
 		ContextName:    w.Context.Name,
 		when:           w,
 		rt:             rt,
+		views:          &discoveryViews{byKey: make(map[string]*discoveryView)},
 	}}
 	return rt.subscribe(rt.pubSites[w.Context.Name].topic, cs.onEvent)
 }
@@ -61,6 +65,9 @@ func (cs *ctrlCallSite) onEvent(ev eventbus.Event) {
 // the call — or any ActuatorProxy obtained from it, which actuates through
 // the call — past its return. Copy Value (and whatever else is needed) to
 // keep it.
+//
+// Discovery (Devices, DevicesWhere) may be called from goroutines the
+// handler starts, as long as it joins them before returning.
 type ControllerCall struct {
 	// ControllerName is the receiving controller.
 	ControllerName string
@@ -73,8 +80,9 @@ type ControllerCall struct {
 	// it.
 	Time time.Time
 
-	when *check.ControllerWhen
-	rt   *Runtime
+	when  *check.ControllerWhen
+	rt    *Runtime
+	views *discoveryViews // the clause's, shared by every call it makes
 }
 
 // Devices discovers every bound device of the given kind (or taxonomy
@@ -86,17 +94,100 @@ func (c *ControllerCall) Devices(kind string) ([]*ActuatorProxy, error) {
 // DevicesWhere discovers bound devices of the given kind whose attributes
 // match where — the runtime form of the paper's generated
 // `discover.parkingEntrancePanels().whereLocation(lot)` chain.
+//
+// The result is sorted by device ID, and the slice is the caller's to sort
+// or append to: no later call sees it. The proxies in it are shared with
+// later calls of the clause over an unchanged fleet; they are read-only and
+// borrowed under ControllerCall's rule. where is read only during the call.
 func (c *ControllerCall) DevicesWhere(kind string, where registry.Attributes) ([]*ActuatorProxy, error) {
 	if !c.kindDeclared(kind) {
 		return nil, fmt.Errorf("runtime: controller %s: design declares no 'do … on %s' for context %s",
 			c.ControllerName, kind, c.ContextName)
 	}
-	entities := c.rt.reg.Discover(registry.Query{Kind: kind, Where: where})
-	out := make([]*ActuatorProxy, 0, len(entities))
-	for _, e := range entities {
-		out = append(out, &ActuatorProxy{entity: e, call: c})
+	return slices.Clone(c.views.discover(c, kind, where)), nil
+}
+
+// maxViewProxies bounds what one clause's discovery views retain, counting
+// each view as its proxies plus one so empty results are bounded too.
+const maxViewProxies = 4096
+
+// discoveryViews is one controller clause's discovery cache: per kind and
+// where content, the proxies of one Registry.Discover, valid while the
+// kind's registry generation — read before that Discover — holds. Register,
+// update, unregister, lease expiry and a changed-content Reclaim move the
+// generation; renewals and an identical Reclaim do not, and a proxy resolves
+// its driver on every Invoke, so a rebound driver is still found. mu guards
+// the table because a handler may fan discovery out over goroutines.
+type discoveryViews struct {
+	mu       sync.Mutex
+	byKey    map[string]*discoveryView
+	retained int // sum over views of len(proxies)+1
+}
+
+type discoveryView struct {
+	gen     uint64
+	proxies []*ActuatorProxy
+}
+
+// discover returns the view's proxies for kind and where, rebuilding the
+// view if the kind's generation moved. The slice is the view's: callers
+// copy it.
+func (v *discoveryViews) discover(c *ControllerCall, kind string, where registry.Attributes) []*ActuatorProxy {
+	var buf [128]byte
+	key := viewKey(buf[:0], kind, where)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	gen := c.rt.reg.Generation(kind)
+	view := v.byKey[string(key)]
+	if view != nil && view.gen == gen {
+		return view.proxies
 	}
-	return out, nil
+	entities := c.rt.reg.Discover(registry.Query{Kind: kind, Where: where})
+	proxies := make([]*ActuatorProxy, len(entities))
+	for i, e := range entities {
+		proxies[i] = &ActuatorProxy{entity: e, call: c}
+	}
+	cost := len(proxies) + 1
+	if view != nil {
+		v.retained -= len(view.proxies) + 1
+	}
+	switch {
+	case cost > maxViewProxies: // too large to retain on its own
+		delete(v.byKey, string(key))
+		return proxies
+	case v.retained+cost > maxViewProxies:
+		clear(v.byKey)
+		v.retained, view = 0, nil
+	}
+	if view == nil {
+		view = &discoveryView{}
+		v.byKey[string(key)] = view
+	}
+	view.gen, view.proxies = gen, proxies
+	v.retained += cost
+	return proxies
+}
+
+// viewKey appends the content key of a discovery: the kind, then where's
+// pairs sorted by name, each string length-prefixed so no two contents
+// share a key.
+func viewKey(buf []byte, kind string, where registry.Attributes) []byte {
+	field := func(s string) {
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+		buf = append(buf, s...)
+	}
+	field(kind)
+	var names [8]string
+	keys := names[:0]
+	for k := range where {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		field(k)
+		field(where[k])
+	}
+	return buf
 }
 
 // kindDeclared reports whether the design's do-set for this clause names the

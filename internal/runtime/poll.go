@@ -355,10 +355,23 @@ func (p *poller) getOut() *pollOut {
 	return &pollOut{}
 }
 
+// putOut recycles out once dispatch has consumed it, unless its readings
+// capacity is far above what it just carried: a reset round's full-fleet
+// buffer would otherwise stay pooled behind the small delta rounds after it.
 func (p *poller) putOut(out *pollOut) {
+	if n := cap(out.readings); n > outKeepMin && n > outKeepFactor*len(out.readings) {
+		return
+	}
 	out.readings, out.slots, out.removed = out.readings[:0], out.slots[:0], out.removed[:0]
 	p.outs.Put(out)
 }
+
+// A pooled out buffer keeps at most outKeepFactor times the readings it
+// carried, and any capacity up to outKeepMin.
+const (
+	outKeepFactor = 4
+	outKeepMin    = 256
+)
 
 // aggDelta is the payload of one incrementally aggregated round: the
 // readings whose value changed since the previous round with their slots,

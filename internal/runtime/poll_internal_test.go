@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -72,6 +73,20 @@ func BenchmarkGroupedPollRound(b *testing.B) {
 // virtual clock never advances, so only the returned function polls.
 func groupedRounds(tb testing.TB, sensors, pct int) func() {
 	tb.Helper()
+	_, round, flipRound := groupedWorld(tb, sensors, pct)
+	// The first round rebuilds the snapshot and resets the engine; the
+	// next two give every flipping sensor its group member once.
+	round()
+	flipRound()
+	flipRound()
+	return flipRound
+}
+
+// groupedWorld starts groupedRounds' runtime and returns its poller, a
+// function that runs one round to its delivery, and one that flips pct
+// percent of the sensors first.
+func groupedWorld(tb testing.TB, sensors, pct int) (*poller, func(), func()) {
+	tb.Helper()
 	vc := simclock.NewVirtual(hostEpoch)
 	rt := New(dsl.MustLoad(`
 device S { attribute lot as String; source presence as Boolean; }
@@ -115,12 +130,30 @@ context Vacancy as Integer {
 		}
 		round()
 	}
-	// The first round rebuilds the snapshot and resets the engine; the
-	// next two give every flipping sensor its group member once.
+	return p, round, flipRound
+}
+
+// TestOutBufferRetention: the reset round's buffer holds the whole fleet,
+// and once a 10% delta round has carried it, no pooled buffer may keep that
+// capacity. One P makes the pool's contents reachable from the test.
+func TestOutBufferRetention(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items")
+	}
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	const sensors = 2000
+	p, round, flipRound := groupedWorld(t, sensors, 10)
+	idle := func() bool { return p.rt.bus.Idle() }
 	round()
+	waitUntil(t, "reset round recycled", idle)
 	flipRound()
-	flipRound()
-	return flipRound
+	waitUntil(t, "delta round recycled", idle)
+	for v := p.outs.Get(); v != nil; v = p.outs.Get() {
+		if n := cap(v.(*pollOut).readings); n >= sensors {
+			t.Errorf("a pooled out buffer keeps %d readings of capacity after a %d-reading round; fleet is %d",
+				n, sensors/10, sensors)
+		}
+	}
 }
 
 // TestBlockingQueriesSpreadAcrossPool: drivers without a pre-resolved
