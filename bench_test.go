@@ -7,9 +7,6 @@
 package repro_test
 
 import (
-	"bytes"
-	"encoding/gob"
-	"encoding/json"
 	"fmt"
 	"os"
 	stdruntime "runtime"
@@ -771,7 +768,7 @@ context Vacancy as Integer {
 // 50k-sensor fleet at 1%/10%/100% change rates on the delta-aware
 // incremental engine, which pays O(changed) upserts plus O(dirty groups)
 // re-reduction per round. The runs report the dirty-group ratio as a
-// custom metric (benchdiff prints it as the reuse summary).
+// custom metric.
 func BenchmarkSwarm_IncrementalAgg(b *testing.B) {
 	const sensors = 50000
 	const lots = 100
@@ -1125,7 +1122,6 @@ func BenchmarkAblation_BusPolicy(b *testing.B) {
 	for _, policy := range []eventbus.Policy{eventbus.Block, eventbus.DropOldest, eventbus.DropNewest} {
 		b.Run(policy.String(), func(b *testing.B) {
 			bus := eventbus.New()
-			var delivered sync.WaitGroup
 			_, err := bus.Subscribe("t", func(eventbus.Event) {}, eventbus.WithQueue(64), eventbus.WithPolicy(policy))
 			if err != nil {
 				b.Fatal(err)
@@ -1137,54 +1133,7 @@ func BenchmarkAblation_BusPolicy(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			delivered.Wait()
 			bus.Close()
 		})
 	}
-}
-
-// BenchmarkAblation_Codec: gob vs JSON for one periodic batch of readings
-// (the transport's request envelope is gob).
-func BenchmarkAblation_Codec(b *testing.B) {
-	type wireReading struct {
-		DeviceID string
-		Source   string
-		Value    bool
-		Time     time.Time
-	}
-	batch := make([]wireReading, 1000)
-	for i := range batch {
-		batch[i] = wireReading{
-			DeviceID: fmt.Sprintf("ps-%04d", i),
-			Source:   "presence",
-			Value:    i%3 == 0,
-			Time:     benchEpoch,
-		}
-	}
-	b.Run("gob", func(b *testing.B) {
-		var buf bytes.Buffer
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := gob.NewEncoder(&buf).Encode(batch); err != nil {
-				b.Fatal(err)
-			}
-			var out []wireReading
-			if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("json", func(b *testing.B) {
-		var buf bytes.Buffer
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := json.NewEncoder(&buf).Encode(batch); err != nil {
-				b.Fatal(err)
-			}
-			var out []wireReading
-			if err := json.NewDecoder(&buf).Decode(&out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

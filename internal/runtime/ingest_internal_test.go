@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -696,4 +697,136 @@ func settledGoroutines() int {
 		}
 	}
 	return n
+}
+
+// stormAllocsPerEvent bounds what a steady-state burst allocates per event
+// on the typed `when provided` path, at any fleet size. Push sink, ingest
+// shard, pooled ReadingBatch, bus and dispatch allocate nothing per
+// reading; what a burst does allocate is pooled batches and their columns'
+// growth, and how many depends on how the schedule cuts the burst into
+// batches (up to ~120 for 1k readings). One allocation per reading is four
+// times over the bound.
+const stormAllocsPerEvent = 0.25
+
+// churnAllocsPerDevice bounds what rotating one device out of the fleet and
+// back in allocates — unregister, register, tracker detach and attach, push
+// subscription — at any fleet size.
+const churnAllocsPerDevice = 32
+
+// stormWorld binds n push sensors to the ingest app through a churn swarm
+// and returns it with a burst: one reading from every live sensor, waited
+// for until each accepted reading is delivered or counted as a drop.
+func stormWorld(t *testing.T, n int) (*devsim.ChurnSwarm, func()) {
+	t.Helper()
+	vc := simclock.NewVirtual(ingestEpoch)
+	delivered := &countingHandler{}
+	rt, stop := openIngestApp(t, worldCtors[0], vc, delivered)
+	t.Cleanup(stop)
+	swarm := devsim.NewSwarm(devsim.SwarmConfig{
+		Sensors: n, Lots: []string{"L00"}, GroupAttr: "lot", Seed: 7,
+	}, vc)
+	cs, err := devsim.NewChurnSwarm(swarm, devsim.ChurnHooks{
+		Bind:   func(s *devsim.SwarmSensor) error { return rt.BindDevice(s) },
+		Unbind: rt.UnbindDevice,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.BindAll(); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "attach", cs.Settled)
+	burst := func() {
+		cs.StormLive(cs.LiveCount())
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			got := delivered.n.Load() + rt.Stats().Drops()
+			if got == cs.Expected() {
+				return
+			}
+			if got > cs.Expected() || time.Now().After(deadline) {
+				t.Fatalf("accounted %d events, ground truth %d", got, cs.Expected())
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
+	burst() // warm shard buffers, the batch pool and the handler's dispatch
+	return cs, burst
+}
+
+// mallocs counts the heap allocations the whole process makes while f
+// runs, as testing.AllocsPerRun does: the pipeline allocates on its own
+// goroutines, not on the caller's.
+func mallocs(f func()) uint64 {
+	var ms goruntime.MemStats
+	goruntime.ReadMemStats(&ms)
+	from := ms.Mallocs
+	f()
+	goruntime.ReadMemStats(&ms)
+	return ms.Mallocs - from
+}
+
+// TestTypedStormAllocsIndependentOfFleet pins the typed ingest path: a
+// steady-state burst of one reading per device allocates at most
+// stormAllocsPerEvent per event, at 1k and at 8k sensors.
+func TestTypedStormAllocsIndependentOfFleet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for _, n := range []int{1000, 8000} {
+		_, burst := stormWorld(t, n)
+		perBurst := testing.AllocsPerRun(10, burst)
+		perEvent := perBurst / float64(n)
+		t.Logf("%d sensors: %.0f allocs per burst, %.4f per event", n, perBurst, perEvent)
+		if perEvent > stormAllocsPerEvent {
+			t.Errorf("%d sensors: %.4f allocs per event, want <= %v", n, perEvent, stormAllocsPerEvent)
+		}
+	}
+}
+
+// TestChurnDeliveryAllocsIndependentOfFleet pins delivery under churn, at
+// 1k and at 8k sensors: rotating a tenth of the fleet out and back in,
+// with the first burst that reaches the rotated devices, allocates at most
+// churnAllocsPerDevice per rotated device, and the next burst at most
+// stormAllocsPerEvent per event. Each figure is the median of five rounds.
+func TestChurnDeliveryAllocsIndependentOfFleet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const rounds = 5
+	for _, n := range []int{1000, 8000} {
+		cs, burst := stormWorld(t, n)
+		churned := n / 10
+		churn, deliver := make([]uint64, rounds), make([]uint64, rounds)
+		for i := range rounds {
+			churn[i] = mallocs(func() {
+				// Out, settled, then back in: an unbind and rebind of the
+				// same device look settled before the tracker saw either.
+				if err := cs.ChurnOut(churned, false); err != nil {
+					t.Fatal(err)
+				}
+				waitUntil(t, "churned-out devices to detach", cs.Settled)
+				if err := cs.ChurnIn(churned); err != nil {
+					t.Fatal(err)
+				}
+				waitUntil(t, "churned-in devices to attach", cs.Settled)
+				burst()
+			})
+			deliver[i] = mallocs(burst)
+		}
+		perDevice := float64(median(churn)) / float64(churned)
+		perEvent := float64(median(deliver)) / float64(n)
+		t.Logf("%d sensors, %d rotated per round: %.1f allocs per rotated device, %.4f per event", n, churned, perDevice, perEvent)
+		if perDevice > churnAllocsPerDevice {
+			t.Errorf("%d sensors: %.1f allocs per rotated device, want <= %d", n, perDevice, churnAllocsPerDevice)
+		}
+		if perEvent > stormAllocsPerEvent {
+			t.Errorf("%d sensors under churn: %.4f allocs per event, want <= %v", n, perEvent, stormAllocsPerEvent)
+		}
+	}
+}
+
+// median returns the middle value of xs, which it sorts.
+func median(xs []uint64) uint64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }

@@ -11,8 +11,10 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/devsim"
 	"repro/internal/dsl"
 	"repro/internal/eventbus"
+	"repro/internal/simclock"
 )
 
 // White-box tests of the publication path (publish.go): batched publication
@@ -495,3 +497,84 @@ context Probe as Integer {
 type triggerFunc func(*ContextCall) (any, bool, error)
 
 func (f triggerFunc) OnTrigger(call *ContextCall) (any, bool, error) { return f(call) }
+
+// relayTenantDesign is one hot-deployed tenant of the relay invariant: its
+// own sensor kind, an `always publish` context over it and a controller on
+// that context, so every event pays the interpreted publication hop.
+func relayTenantDesign(kind string) string {
+	return fmt.Sprintf(`
+device %[1]s { attribute lot as String; source presence as Boolean; }
+device %[1]sDisplay { action show(value as Boolean); }
+context Relay as Boolean {
+	when provided presence from %[1]s
+	always publish;
+}
+controller Sink {
+	when provided Relay
+	do show on %[1]sDisplay;
+}
+`, kind)
+}
+
+// TestInterpretedRelayAllocsIndependentOfFleet pins the publication hop of
+// AutoImplement apps: each tenant relays its own sensors' readings through
+// an interpreted context to a controller, and a steady-state burst
+// allocates at most stormAllocsPerEvent per relayed event, with 4 tenants
+// and with 32 on one host.
+func TestInterpretedRelayAllocsIndependentOfFleet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const sensorsPer = 250
+	open := make(chan struct{}) // a gatedCtrl behind an open gate only counts
+	close(open)
+	for _, tenants := range []int{4, 32} {
+		vc := simclock.NewVirtual(hostEpoch)
+		h, err := NewHost(SubstrateConfig{Clock: vc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(h.Close)
+		sink := &gatedCtrl{gate: open}
+		swarms := make([]*devsim.Swarm, tenants)
+		for i := range swarms {
+			id := fmt.Sprintf("t%d", i)
+			kind := "Sensor_" + id
+			if _, err := h.DeploySource(id, relayTenantDesign(kind), AppConfig{
+				AutoImplement: true,
+				Controllers:   map[string]ControllerHandler{"Sink": sink},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			swarms[i] = devsim.NewSwarm(devsim.SwarmConfig{
+				Sensors: sensorsPer, Lots: []string{id}, Kind: kind, GroupAttr: "lot", Seed: int64(i + 1),
+			}, vc)
+			for _, s := range swarms[i].Sensors() {
+				if err := h.BindDevice(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, swarm := range swarms {
+			waitUntil(t, "attach", func() bool { return swarm.AttachedCount() == sensorsPer })
+		}
+		var accepted uint64
+		burst := func() {
+			for _, swarm := range swarms {
+				accepted += uint64(swarm.FlipBurst(sensorsPer))
+			}
+			for deadline := time.Now().Add(10 * time.Second); sink.n.Load() != accepted; {
+				if time.Now().After(deadline) {
+					t.Fatalf("controllers saw %d of %d relayed events", sink.n.Load(), accepted)
+				}
+				time.Sleep(20 * time.Microsecond)
+			}
+		}
+		burst() // warm shard buffers and the reading and value batch pools
+		perEvent := testing.AllocsPerRun(10, burst) / float64(tenants*sensorsPer)
+		t.Logf("%d tenants × %d sensors: %.4f allocs per relayed event", tenants, sensorsPer, perEvent)
+		if perEvent > stormAllocsPerEvent {
+			t.Errorf("%d tenants: %.4f allocs per relayed event, want <= %v", tenants, perEvent, stormAllocsPerEvent)
+		}
+	}
+}
