@@ -72,9 +72,10 @@ type Endpoint interface {
 	// ReportError sinks a federation failure into the endpoint's error
 	// accounting.
 	ReportError(component string, err error)
-	// RemoteIngest lands a peer-forwarded reading batch; see
-	// runtime.Runtime.RemoteIngest for the accounting contract.
-	RemoteIngest(kind, source string, readings []device.Reading) int
+	// RemoteIngest lands a peer-forwarded reading batch of one sender
+	// stream; see runtime.Runtime.RemoteIngest for the ordering and
+	// accounting contract.
+	RemoteIngest(kind, source string, stream uint64, readings []device.Reading) int
 	// RemoteAggregate merges peer partial aggregates; see
 	// runtime.Runtime.RemoteAggregate.
 	RemoteAggregate(kind, source, origin string, partials []transport.GroupPartial) int
@@ -1106,7 +1107,7 @@ func (h nodeHandler) SyncKinds(kinds []string, gens []uint64) []transport.SyncDe
 func (h nodeHandler) IngestEventBatch(stream, seq uint64, kind, source string, readings []device.Reading) int {
 	n := h.n
 	if stream == 0 {
-		return n.rt.RemoteIngest(kind, source, readings)
+		return n.rt.RemoteIngest(kind, source, stream, readings)
 	}
 	n.dedupMu.Lock()
 	st, ok := n.dedup[stream]
@@ -1129,7 +1130,7 @@ func (h nodeHandler) IngestEventBatch(stream, seq uint64, kind, source string, r
 		// nowhere, so the count only needs to not double-ingest.
 		return 0
 	}
-	accepted := n.rt.RemoteIngest(kind, source, readings)
+	accepted := n.rt.RemoteIngest(kind, source, stream, readings)
 	st.max = seq
 	*slot = ingestedChunk{seq: seq, accepted: accepted}
 	return accepted

@@ -759,7 +759,7 @@ func TestProvidedGroupedPendingReadingAdopted(t *testing.T) {
 	// A forwarded reading for a device this runtime has never seen: the
 	// ingestion pipeline admits it (RemoteIngest routes by kind+source),
 	// but the aggregate cannot yet resolve its group.
-	n := rt.RemoteIngest("S", "presence", []device.Reading{
+	n := rt.RemoteIngest("S", "presence", 1, []device.Reading{
 		{DeviceID: "mirror-1", Source: "presence", Value: false, Time: vc.Now()},
 	})
 	if n != 1 {

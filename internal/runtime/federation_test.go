@@ -105,7 +105,7 @@ func TestRemoteIngestDelivers(t *testing.T) {
 			Time:     epoch,
 		}
 	}
-	if got := rt.RemoteIngest("PresenceSensor", "presence", batch); got != n {
+	if got := rt.RemoteIngest("PresenceSensor", "presence", 1, batch); got != n {
 		t.Fatalf("admitted %d, want %d", got, n)
 	}
 	waitFor(t, "remote deliveries", func() bool { return ctx.n.Load() == n })
@@ -123,7 +123,7 @@ func TestRemoteIngestDelivers(t *testing.T) {
 // counted, keeping cross-node accounting exact.
 func TestRemoteIngestUnknownInteraction(t *testing.T) {
 	rt, _, _ := newFedWorld(t)
-	n := rt.RemoteIngest("PresenceSensor", "humidity", []device.Reading{{DeviceID: "x"}})
+	n := rt.RemoteIngest("PresenceSensor", "humidity", 1, []device.Reading{{DeviceID: "x"}})
 	if n != 0 {
 		t.Fatalf("admitted %d readings into a nonexistent pipeline", n)
 	}
@@ -157,7 +157,7 @@ func TestMirrorTrackedWithoutSubscription(t *testing.T) {
 	}
 	// Forwarded events for the mirror must still be delivered via the
 	// federation ingest path.
-	if got := rt.RemoteIngest("PresenceSensor", "presence", []device.Reading{
+	if got := rt.RemoteIngest("PresenceSensor", "presence", 1, []device.Reading{
 		{DeviceID: "peer-sensor-1", Source: "presence", Value: true, Time: epoch},
 	}); got != 1 {
 		t.Fatalf("admitted %d, want 1", got)
@@ -217,7 +217,7 @@ func TestInvokeBatchLocalAndRemote(t *testing.T) {
 
 	// Trigger the controller once through the real SCC path.
 	ctrl.armed.Store(true)
-	if got := rt.RemoteIngest("PresenceSensor", "presence", []device.Reading{
+	if got := rt.RemoteIngest("PresenceSensor", "presence", 1, []device.Reading{
 		{DeviceID: "peer-sensor-1", Source: "presence", Value: true, Time: epoch},
 	}); got != 1 {
 		t.Fatalf("admitted %d, want 1", got)

@@ -600,7 +600,7 @@ func (h *Host) ReportError(component string, err error) {
 // tenant's traffic. Returns the minimum admitted across consumers (the
 // conservative wire answer); batches no app consumes count against the
 // host's unrouted gauge. Part of the federation Endpoint surface.
-func (h *Host) RemoteIngest(kind, source string, readings []device.Reading) int {
+func (h *Host) RemoteIngest(kind, source string, stream uint64, readings []device.Reading) int {
 	if len(readings) == 0 {
 		return 0
 	}
@@ -609,7 +609,7 @@ func (h *Host) RemoteIngest(kind, source string, readings []device.Reading) int 
 		if !rt.consumesIngest(kind, source) {
 			continue
 		}
-		n := rt.RemoteIngest(kind, source, readings)
+		n := rt.RemoteIngest(kind, source, stream, readings)
 		if minAdmitted < 0 || n < minAdmitted {
 			minAdmitted = n
 		}

@@ -563,7 +563,7 @@ func TestHostRemoteIngestRouting(t *testing.T) {
 	rtB := deployTenant(t, h, "b", AppConfig{Contexts: map[string]ContextHandler{"Occ_b": hb}})
 
 	readings := []device.Reading{{DeviceID: "remote-1", Source: "presence", Value: true, Time: vc.Now()}}
-	if got := h.RemoteIngest("Sensor_a", "presence", readings); got != 1 {
+	if got := h.RemoteIngest("Sensor_a", "presence", 1, readings); got != 1 {
 		t.Fatalf("RemoteIngest admitted %d, want 1", got)
 	}
 	waitUntil(t, "routed remote delivery", func() bool { return ha.n.Load() == 1 })
@@ -574,7 +574,7 @@ func TestHostRemoteIngestRouting(t *testing.T) {
 		t.Fatalf("tenant a FederationEventsIn = %d, want 1", st.FederationEventsIn)
 	}
 
-	if got := h.RemoteIngest("Sensor_zzz", "presence", readings); got != 0 {
+	if got := h.RemoteIngest("Sensor_zzz", "presence", 1, readings); got != 0 {
 		t.Fatalf("unrouted RemoteIngest admitted %d, want 0", got)
 	}
 	st := h.Stats()

@@ -29,16 +29,20 @@ import (
 // IngestConfig shapes the ingestion pipeline of one `when provided`
 // device-source interaction.
 type IngestConfig struct {
-	// Shards is the number of intake lock stripes per interaction; devices
-	// hash to a shard by ID, so concurrent producers of different devices
-	// rarely share a lock. One flush worker drains all of them. Default 8.
+	// Shards is the number of intake lock stripes per interaction; local
+	// devices hash to a shard by ID and forwarded chunks to the shard of
+	// their sender stream, so concurrent producers rarely share a lock. One
+	// flush worker drains all of them. Default 8.
 	//
 	// The stripes pay off only under concurrent producers. In
 	// BenchmarkIngestConcurrentProducers on 2 Xeon cores (Go 1.24, median
 	// of 10 alternating runs), 8 stripes beat a single intake lock with
-	// one flush worker: 61 vs 108 ns per reading with 8 channel-fallback
-	// forwarders, 61 vs 74 with 4, and 46 vs 58 with 4 hub connections.
-	// A lone hub connection pays 63 vs 50 for the fan-out sort.
+	// one flush worker: 78 vs 126 ns per reading with 8 channel-fallback
+	// forwarders, 79 vs 98 with 4, and 47 vs 77 with 4 hub connections of
+	// one stream each. A lone hub connection costs the same either way (68
+	// vs 69): its chunks land whole on one stripe. The storm.fed benchmark
+	// forwards one stream per interaction, so only this microbenchmark
+	// checks how several streams spread over the stripes.
 	Shards int
 	// MaxBatch bounds the rows of one published ReadingBatch. Default 256.
 	MaxBatch int
@@ -228,26 +232,14 @@ func (s *ingestShard) appendAdmitted(batch []device.Reading) {
 	s.mu.Unlock()
 }
 
-// remoteScratch is the reusable fan-out workspace of ingestRemote: the
-// per-reading shard assignment, per-shard counts, and the backing array of
-// the stable counting sort. Pooled so steady-state remote ingestion
-// allocates nothing per batch.
-type remoteScratch struct {
-	shard  []uint32
-	counts []int
-	buf    []device.Reading
-}
-
-var remoteScratchPool = sync.Pool{New: func() any { return new(remoteScratch) }}
-
-// ingestRemote lands one peer-forwarded batch: admission happens once for
-// the whole batch against the interaction's budget (refusals are the
-// caller's to account), and the admitted prefix is fanned to the intake
-// shards by device ID so per-device ordering is preserved end to end. The
-// fan-out is a stable counting sort over pooled scratch — appendAdmitted
-// copies rows into the shard's columnar batch before returning, so the
-// scratch never escapes.
-func (ing *ingestor) ingestRemote(readings []device.Reading) int {
+// ingestRemote lands one peer-forwarded chunk: admission happens once for
+// the whole chunk against the interaction's budget (refusals are the
+// caller's to account), and the admitted prefix is appended whole to the
+// stream's intake stripe, so a chunk stays one bus batch. Per-device order
+// holds because a registry ID is either local (its pushes go to its own
+// stripe) or a mirror, whose readings arrive only on its owner's one stream
+// per (kind, source), chunk after chunk in sequence order.
+func (ing *ingestor) ingestRemote(stream uint64, readings []device.Reading) int {
 	if ing.draining.Load() {
 		// Refused whole: the caller accounts the batch as federation drops,
 		// exactly as a budget refusal would be.
@@ -257,58 +249,10 @@ func (ing *ingestor) ingestRemote(readings []device.Reading) int {
 	if admitted == 0 {
 		return 0
 	}
-	readings = readings[:admitted]
-	if len(ing.shards) == 1 {
-		ing.shards[0].appendAdmitted(readings)
-		return admitted
-	}
-	sc := remoteScratchPool.Get().(*remoteScratch)
-	if cap(sc.shard) < admitted {
-		sc.shard = make([]uint32, admitted)
-	}
-	shard := sc.shard[:admitted]
-	if cap(sc.counts) < len(ing.shards) {
-		sc.counts = make([]int, len(ing.shards))
-	}
-	counts := sc.counts[:len(ing.shards)]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for i := range readings {
-		si := uint32(maphash.String(ingestSeed, readings[i].DeviceID) & ing.mask)
-		shard[i] = si
-		counts[si]++
-	}
-	if cap(sc.buf) < admitted {
-		sc.buf = make([]device.Reading, admitted)
-	}
-	buf := sc.buf[:admitted]
-	// counts becomes running write offsets; after placement it holds each
-	// shard's end offset. Placement in input order keeps the sort stable, so
-	// per-device arrival order survives (same device, same shard).
-	off := 0
-	for si, c := range counts {
-		counts[si] = off
-		off += c
-	}
-	for i := range readings {
-		si := shard[i]
-		buf[counts[si]] = readings[i]
-		counts[si]++
-	}
-	start := 0
-	for si, end := range counts {
-		if end > start {
-			ing.shards[si].appendAdmitted(buf[start:end])
-		}
-		start = end
-	}
-	// Drop payload references (strings, boxed values) before pooling so a
-	// recycled scratch never pins a storm's readings.
-	for i := range buf {
-		buf[i] = device.Reading{}
-	}
-	remoteScratchPool.Put(sc)
+	// Stream IDs end in a per-process counter: the multiply spreads the
+	// streams of several peers over the stripes.
+	s := ing.shards[(stream*0x9E3779B97F4A7C15>>32)&ing.mask]
+	s.appendAdmitted(readings[:admitted])
 	return admitted
 }
 
@@ -328,10 +272,12 @@ func (rt *Runtime) consumesIngest(kind, source string) bool {
 }
 
 // RemoteIngest lands a batch of device readings forwarded by a federation
-// peer — all of one device kind and source — into every ingestion pipeline
-// consuming that interaction, exactly as if the devices had pushed locally.
-// It returns how many readings were admitted by every pipeline (the
-// conservative wire answer the sender records as forwarded-and-admitted).
+// peer — all of one device kind and source, sent on the peer's stream —
+// into every ingestion pipeline consuming that interaction, exactly as if
+// the devices had pushed locally. A stream's batches must arrive in its
+// order, and a device's readings on one stream only. It returns how many
+// readings were admitted by every pipeline (the conservative wire answer
+// the sender records as forwarded-and-admitted).
 //
 // Accounting is per pipeline, so it stays exact for any number of
 // consumers: each pipeline's admissions add to Stats.FederationEventsIn and
@@ -340,7 +286,7 @@ func (rt *Runtime) consumesIngest(kind, source string) bool {
 // delivered + deadline drops + its share of FederationEventDrops equals the
 // readings accepted at the source — summed over pipelines:
 // FederationEventsIn + FederationEventDrops == accepted × pipelines.
-func (rt *Runtime) RemoteIngest(kind, source string, readings []device.Reading) int {
+func (rt *Runtime) RemoteIngest(kind, source string, stream uint64, readings []device.Reading) int {
 	if len(readings) == 0 {
 		return 0
 	}
@@ -354,7 +300,7 @@ func (rt *Runtime) RemoteIngest(kind, source string, readings []device.Reading) 
 	minAdmitted := len(readings)
 	total := 0
 	for _, ing := range ings {
-		n := ing.ingestRemote(readings)
+		n := ing.ingestRemote(stream, readings)
 		total += n
 		if n < minAdmitted {
 			minAdmitted = n

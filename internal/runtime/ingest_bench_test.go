@@ -15,11 +15,11 @@ import (
 // BenchmarkIngestConcurrentProducers measures one interaction's intake fed
 // by several producers at once, end to end: an op is one reading delivered
 // to the bus subscriber. "remote" producers each land 256-reading
-// RemoteIngest batches spread over 64 devices (one hub connection each);
-// "device" producers hand over 8-reading bursts of one device at a time (a
-// channel-fallback forwarder each). Producers yield while 64k readings are
-// in flight, so the pipeline runs at the pace of its flush worker without
-// budget drops.
+// RemoteIngest batches spread over 64 devices on a stream of their own (one
+// hub connection each); "device" producers hand over 8-reading bursts of one
+// device at a time (a channel-fallback forwarder each). Producers yield
+// while 64k readings are in flight, so the pipeline runs at the pace of its
+// flush worker without budget drops.
 func BenchmarkIngestConcurrentProducers(b *testing.B) {
 	for _, shape := range []string{"remote", "device"} {
 		for _, producers := range []int{1, 2, 4, 8} {
@@ -43,12 +43,8 @@ func benchIngestProducers(b *testing.B, shape string, producers int) {
 	}, eventbus.WithQueue(1024)); err != nil {
 		b.Fatal(err)
 	}
-	ing := rt.newIngestor("src")
+	ing := registerIngestor(rt)
 	defer ing.stop()
-	key := ingestKey("PresenceSensor", "presence")
-	rt.mu.Lock()
-	rt.ingestByKey[key] = append(rt.ingestByKey[key], ing)
-	rt.mu.Unlock()
 
 	const devices, remoteBatch, burst, inFlight = 64, 256, 8, 1 << 16
 	per := b.N/producers + 1
@@ -60,6 +56,7 @@ func benchIngestProducers(b *testing.B, shape string, producers int) {
 		for i := range ids {
 			ids[i] = fmt.Sprintf("p%d-d%02d", g, i)
 		}
+		stream := uint64(g + 1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -83,7 +80,7 @@ func benchIngestProducers(b *testing.B, shape string, producers int) {
 				if shape == "device" {
 					ing.shardFor(ids[d]).pushBatch(batch[:n])
 				} else {
-					rt.RemoteIngest("PresenceSensor", "presence", batch[:n])
+					rt.RemoteIngest("PresenceSensor", "presence", stream, batch[:n])
 				}
 				sent += n
 				d = (d + 1) % devices

@@ -607,48 +607,45 @@ func TestIngestStopRace(t *testing.T) {
 	}
 }
 
-// TestIngestPerDeviceOrder: four producers own disjoint device sets covering
-// all eight shards and alternate local pushes with federation batches
-// (RemoteIngest fans one batch over the shards by a counting sort). The one
-// flush worker drains the shards in ready-queue order, so each device's
-// readings reach the bus in the order its producer handed them over, each
-// exactly once.
+// TestIngestPerDeviceOrder: four producers, each with its own federation
+// stream, own two disjoint device sets covering all eight shards. One set
+// takes local pushes only, the other federation batches on the producer's
+// stream only (RemoteIngest lands a batch whole on its stream's stripe):
+// every device ID takes one path, as a registry ID is either local or a
+// mirror. The one flush worker drains the stripes in ready-queue order, so
+// each device's readings reach the bus in the order its producer handed
+// them over, each exactly once.
 func TestIngestPerDeviceOrder(t *testing.T) {
 	rt := New(loadIngestModel(t), WithIngestConfig(IngestConfig{Shards: 8, Budget: -1}))
 	defer rt.Stop()
 	sub := subscribeSeq(t, rt, "src")
-	ing := rt.newIngestor("src")
+	ing := registerIngestor(rt)
 	defer ing.stop()
-	key := ingestKey("PresenceSensor", "presence")
-	rt.mu.Lock()
-	rt.ingestByKey[key] = append(rt.ingestByKey[key], ing)
-	rt.mu.Unlock()
 
 	const producers, perShard, rounds = 4, 2, 200
 	var wg sync.WaitGroup
 	for g := 0; g < producers; g++ {
-		var ids []string
+		var local, remote []string
 		for k := 0; k < perShard; k++ {
-			ids = append(ids, shardDevices(ing, fmt.Sprintf("g%d-%d", g, k))...)
+			local = append(local, shardDevices(ing, fmt.Sprintf("g%d-local%d", g, k))...)
+			remote = append(remote, shardDevices(ing, fmt.Sprintf("g%d-remote%d", g, k))...)
 		}
+		stream := uint64(g + 1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			batch := make([]device.Reading, len(ids))
-			var seq int64
-			for r := 0; r < rounds; r++ {
-				for i, id := range ids {
-					batch[i] = intReading(id, seq)
+			batch := make([]device.Reading, len(remote))
+			for r := int64(0); r < rounds; r++ {
+				for i, id := range remote {
+					batch[i] = intReading(id, r)
 				}
-				seq++
-				if n := rt.RemoteIngest("PresenceSensor", "presence", batch); n != len(batch) {
+				if n := rt.RemoteIngest("PresenceSensor", "presence", stream, batch); n != len(batch) {
 					t.Errorf("RemoteIngest admitted %d of %d", n, len(batch))
 					return
 				}
-				for _, id := range ids {
-					ing.shardFor(id).Push(intReading(id, seq))
+				for _, id := range local {
+					ing.shardFor(id).Push(intReading(id, r))
 				}
-				seq++
 			}
 		}()
 	}
@@ -661,6 +658,57 @@ func TestIngestPerDeviceOrder(t *testing.T) {
 	if n := sub.violations.Load(); n != 0 {
 		t.Fatalf("%d readings delivered twice or out of a device's order", n)
 	}
+}
+
+// TestRemoteChunkStaysOneBatch: a forwarded chunk of MaxBatch readings over
+// many devices lands on its stream's stripe whole and reaches the bus as one
+// batch, in the order it was sent.
+func TestRemoteChunkStaysOneBatch(t *testing.T) {
+	rt := New(loadIngestModel(t), WithIngestConfig(IngestConfig{Shards: 8, Budget: -1}))
+	defer rt.Stop()
+	// Room for the chunk cut once per stripe, so a wrong split never blocks
+	// the subscriber.
+	batches := make(chan []int64, 8)
+	if _, err := rt.bus.Subscribe("src", func(ev eventbus.Event) {
+		batches <- append([]int64(nil), ev.Payload.(*device.ReadingBatch).Ints()...)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ing := registerIngestor(rt)
+	defer ing.stop()
+
+	chunk := make([]device.Reading, 256)
+	for i := range chunk {
+		chunk[i] = intReading(fmt.Sprintf("d%02d", i%64), int64(i))
+	}
+	if n := rt.RemoteIngest("PresenceSensor", "presence", 7, chunk); n != len(chunk) {
+		t.Fatalf("RemoteIngest admitted %d of %d", n, len(chunk))
+	}
+	var got []int64
+	select {
+	case got = <-batches:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the chunk never reached the bus")
+	}
+	if len(got) != len(chunk) {
+		t.Fatalf("the first bus batch holds %d rows, want the whole %d-reading chunk", len(got), len(chunk))
+	}
+	for i, v := range got {
+		if v != int64(i) {
+			t.Fatalf("row %d carries reading %d: the chunk was reordered", i, v)
+		}
+	}
+}
+
+// registerIngestor starts an ingestor on topic "src" consuming the
+// (PresenceSensor, presence) interaction, so RemoteIngest reaches it.
+func registerIngestor(rt *Runtime) *ingestor {
+	ing := rt.newIngestor("src")
+	key := ingestKey("PresenceSensor", "presence")
+	rt.mu.Lock()
+	rt.ingestByKey[key] = append(rt.ingestByKey[key], ing)
+	rt.mu.Unlock()
+	return ing
 }
 
 // TestIngestorStartsOneGoroutine pins the fixed cost of a `when provided`

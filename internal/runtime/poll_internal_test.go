@@ -238,7 +238,7 @@ context Occupancy as Integer {
 		return ok
 	})
 	// Occupied: the vacancy map emits nothing for it.
-	if n := rt.RemoteIngest("S", "presence", []device.Reading{{DeviceID: "s1", Source: "presence", Value: true, Time: vc.Now()}}); n != 1 {
+	if n := rt.RemoteIngest("S", "presence", 1, []device.Reading{{DeviceID: "s1", Source: "presence", Value: true, Time: vc.Now()}}); n != 1 {
 		t.Fatalf("RemoteIngest admitted %d, want 1", n)
 	}
 	waitUntil(t, "reading dispatched", func() bool { return rt.Stats().ContextTriggers >= 1 })

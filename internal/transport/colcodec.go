@@ -12,8 +12,8 @@ import (
 // This file implements the compact binary column codec ("colv1") that
 // replaces gob for the two federation hot-path payloads: forwarded event
 // batches and partial-aggregate syncs. A batch of N readings that gob ships
-// as N independently-tagged structs travels instead as a version byte plus
-// column-major arrays — dictionary-coded device IDs and sources,
+// as N independently-tagged structs travels instead as a version byte, the
+// batch's one source and column-major arrays — dictionary-coded device IDs,
 // delta-encoded zigzag-varint timestamps, and ONE value column specialized
 // to the batch's common dynamic type. The payload rides in the gob
 // envelope's Bin field of the "event_batch"/"agg_sync" request, so the
@@ -26,9 +26,9 @@ import (
 // state: both ends advance it in wire order (see Client.send), and a
 // reconnect starts both ends' dictionaries empty.
 //
-// The codec is deliberately partial: a batch with any indexed reading, a
-// mixed-type burst, or an exotic value type travels as the request's gob
-// slice instead, for that whole call (counted by CodecFallbacks). Times
+// The codec is deliberately partial: a batch with any indexed reading, rows
+// that disagree on source, a mixed-type burst, or an exotic value type
+// travels as the request's gob slice instead, for that whole call (counted by CodecFallbacks). Times
 // cross the wire as unix nanoseconds, preserving the instant but not the
 // wall-clock location — the same contract as any epoch-based wire format.
 
@@ -44,8 +44,9 @@ const (
 )
 
 // colVersion is the payload's version byte. Version 1 coded strings against
-// a per-payload table; a version-1 payload is refused, not misread.
-const colVersion = 2
+// a per-payload table and version 2 coded an event batch's source once per
+// row; payloads of either are refused, not misread.
+const colVersion = 3
 
 // colEnc is one connection's encoder: an append buffer plus the strings the
 // connection has introduced so far (the zero value is ready to use). A
@@ -122,13 +123,15 @@ func (e *colEnc) appendValue(tag byte, v any) {
 
 // encodeReadings encodes one event batch into the colv1 payload, or reports
 // ok=false when the batch cannot travel in column form (an indexed reading,
-// a nil/mixed-type/exotic value) and must fall back to the gob op; a refusal
-// leaves the dictionary untouched. bin is valid until the next encode.
+// rows of different sources, a nil/mixed-type/exotic value) and must fall
+// back to the gob op; a refusal leaves the dictionary untouched. readings
+// must not be empty. bin is valid until the next encode.
 func (e *colEnc) encodeReadings(readings []device.Reading) (bin []byte, ok bool) {
 	var tag byte
+	source := readings[0].Source
 	for i := range readings {
 		r := &readings[i]
-		if r.Index != nil {
+		if r.Index != nil || r.Source != source {
 			return nil, false
 		}
 		t, ok := valueTag(r.Value)
@@ -143,11 +146,10 @@ func (e *colEnc) encodeReadings(readings []device.Reading) (bin []byte, ok bool)
 	}
 	e.buf = append(e.buf[:0], colVersion)
 	e.buf = binary.AppendUvarint(e.buf, uint64(len(readings)))
+	// An event batch is one (kind, source): the source travels once.
+	e.str(source)
 	for i := range readings {
 		e.str(readings[i].DeviceID)
-	}
-	for i := range readings {
-		e.str(readings[i].Source)
 	}
 	// Times: first row's unix nanos, then deltas — a steady burst's
 	// timestamps collapse to a couple of bytes each.
@@ -356,8 +358,12 @@ func (d *colDec) decodeValue(tag byte) (any, error) {
 // without allocating, for codec-scalar values.
 func (d *colDec) decodeReadings(bin []byte, scratch []device.Reading) ([]device.Reading, error) {
 	d.data, d.pos = bin, 0
-	// Each row needs at least one byte per column: id, src, time, value.
-	n, err := d.header(4)
+	// Each row needs at least one byte per column: id, time, value.
+	n, err := d.header(3)
+	if err != nil {
+		return nil, err
+	}
+	source, err := d.str()
 	if err != nil {
 		return nil, err
 	}
@@ -371,12 +377,8 @@ func (d *colDec) decodeReadings(bin []byte, scratch []device.Reading) ([]device.
 		readings = make([]device.Reading, n)
 	}
 	for i := range readings {
+		readings[i].Source = source
 		if readings[i].DeviceID, err = d.str(); err != nil {
-			return nil, err
-		}
-	}
-	for i := range readings {
-		if readings[i].Source, err = d.str(); err != nil {
 			return nil, err
 		}
 	}

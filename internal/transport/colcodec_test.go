@@ -118,8 +118,8 @@ func TestColCodecRoundTrip(t *testing.T) {
 }
 
 // TestColCodecRefusesNonColumnarBatches pins the fallback boundary: indexed
-// readings, mixed-type bursts, nil and exotic values all route the whole
-// call to the gob op.
+// readings, rows of different sources, mixed-type bursts, nil and exotic
+// values all route the whole call to the gob op.
 func TestColCodecRefusesNonColumnarBatches(t *testing.T) {
 	now := time.Now()
 	r := func(v any) device.Reading {
@@ -127,11 +127,14 @@ func TestColCodecRefusesNonColumnarBatches(t *testing.T) {
 	}
 	indexed := r(1.0)
 	indexed.Index = "slot3"
+	otherSource := r(false)
+	otherSource.Source = "t"
 	cases := map[string][]device.Reading{
-		"indexed": {indexed},
-		"mixed":   {r(true), r(int64(2))},
-		"nil":     {r(nil)},
-		"exotic":  {r([]string{"composite"})},
+		"indexed":      {indexed},
+		"mixed source": {r(true), otherSource},
+		"mixed":        {r(true), r(int64(2))},
+		"nil":          {r(nil)},
+		"exotic":       {r([]string{"composite"})},
 	}
 	for name, readings := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -205,10 +208,10 @@ func sentRequests(t *testing.T, raw []byte) []request {
 
 // TestPayloadPicksWireEncoding pins the one rule that chooses an encoding:
 // a payload with a column form travels as a colv1 frame in Bin with no
-// fallback counted; one without (indexed readings, composite combiner
-// partials) travels as the gob slice, is counted, and lands intact. Every
-// case runs on a fresh connection, so nothing about the connection can
-// influence the choice.
+// fallback counted; one without (indexed readings, rows of different
+// sources, composite combiner partials) travels as the gob slice, is
+// counted, and lands intact. Every case runs on a fresh connection, so
+// nothing about the connection can influence the choice.
 func TestPayloadPicksWireEncoding(t *testing.T) {
 	now := time.Now()
 	scalar := []device.Reading{
@@ -216,6 +219,10 @@ func TestPayloadPicksWireEncoding(t *testing.T) {
 		{DeviceID: "s2", Source: "presence", Value: false, Time: now},
 	}
 	indexed := []device.Reading{{DeviceID: "s3", Source: "presence", Value: true, Index: "slot9", Time: now}}
+	mixedSource := []device.Reading{
+		{DeviceID: "s1", Source: "presence", Value: true, Time: now},
+		{DeviceID: "s1", Source: "motion", Value: false, Time: now},
+	}
 	scalarAgg := []GroupPartial{{Group: "g", Value: 1.0}, {Group: "h", Removed: true}}
 	compositeAgg := []GroupPartial{{Group: "g", Value: []any{3.5, int64(2)}}}
 
@@ -227,6 +234,7 @@ func TestPayloadPicksWireEncoding(t *testing.T) {
 	}{
 		{name: "scalar batch", readings: scalar, bin: true},
 		{name: "indexed batch", readings: indexed},
+		{name: "mixed-source batch", readings: mixedSource},
 		{name: "scalar agg partial", groups: scalarAgg, bin: true},
 		{name: "composite agg partial", groups: compositeAgg},
 	}
@@ -289,7 +297,7 @@ func TestPayloadPicksWireEncoding(t *testing.T) {
 
 // TestMalformedBinPayloadEndsOnlyThatConn is the binary-payload twin of
 // TestMalformedFrameEndsOnlyThatConn: a well-framed request whose colv1
-// payload is garbage, is of the old per-payload version, references a
+// payload is garbage, is of an older version, references a
 // string its connection never introduced, or carries both a colv1 frame and
 // a gob slice, poisons that connection, never the server, and nothing
 // reaches the federation handler — a request is never ingested twice, by a
@@ -306,6 +314,10 @@ func TestMalformedBinPayloadEndsOnlyThatConn(t *testing.T) {
 	hostile := []byte{colVersion, 0xff, 0xff, 0xff, 0xff, 0x0f} // absurd count
 	// A version-1 payload (per-payload string table) of two Boolean rows.
 	version1 := []byte("\x01\x02\x00\x02s1\x00\x02s2\x00\x01p\x03\xd0\x0f\xe8\a\x01\x01\x00")
+	// The same rows as a version-2 payload (connection dictionary, one
+	// source per row): well-formed for its version, so only the version
+	// byte refuses it.
+	version2 := []byte("\x02\x02\x00\x02s1\x00\x02s2\x00\x01p\x03\xd0\x0f\xe8\a\x01\x01\x00")
 	row := device.Reading{DeviceID: "s1", Source: "presence", Value: true, Time: time.Now()}
 	group := GroupPartial{Group: "g", Value: 1.0}
 	// foreign is a connection's second payload: it references the strings
@@ -320,7 +332,7 @@ func TestMalformedBinPayloadEndsOnlyThatConn(t *testing.T) {
 	if got, err := warm.decodeReadings(foreign, nil); err != nil || sameReadings(got, []device.Reading{row}) != nil {
 		t.Fatalf("the payload does not decode on its own connection: %v", err)
 	}
-	for name, bin := range map[string][]byte{"version 1": version1, "foreign token": foreign} {
+	for name, bin := range map[string][]byte{"version 1": version1, "version 2": version2, "foreign token": foreign} {
 		if _, err := new(colDec).decodeReadings(bin, nil); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("%s payload on a fresh connection: err %v, want ErrBadFrame", name, err)
 		}
@@ -331,6 +343,7 @@ func TestMalformedBinPayloadEndsOnlyThatConn(t *testing.T) {
 	}{
 		{"event_batch hostile Bin", request{Op: "event_batch", Bin: hostile}},
 		{"event_batch version 1 Bin", request{Op: "event_batch", Stream: 1, Seq: 1, Bin: version1}},
+		{"event_batch version 2 Bin", request{Op: "event_batch", Stream: 1, Seq: 1, Bin: version2}},
 		{"event_batch token never introduced", request{Op: "event_batch", Stream: 1, Seq: 1, Bin: foreign}},
 		{"event_batch Bin and Readings", request{Op: "event_batch", Stream: 1, Seq: 1,
 			Bin: encodeReadingsOrFatal(t, []device.Reading{row}), Readings: []device.Reading{row}}},
@@ -402,14 +415,15 @@ func splitPayloads(data []byte) [][]byte {
 // each the first payload of its connection.
 func fuzzDecodeSeeds(f *testing.F) {
 	for _, bin := range [][]byte{
-		{},                   // empty payload
-		{0},                  // version 0
-		{1, 1, 0, 1, 'a', 9}, // version 1: per-payload string table
-		{colVersion + 1, 1},  // unknown version
-		{colVersion},         // missing count
+		{},                                    // empty payload
+		{0},                                   // version 0
+		{1, 1, 0, 1, 'a', 9},                  // version 1: per-payload string table
+		{2, 1, 0, 1, 'a', 0, 1, 'p', 2, 1, 1}, // version 2: one source per row
+		{colVersion + 1, 1},                   // unknown version
+		{colVersion},                          // missing count
 		{colVersion, 0xff, 0xff, 0xff, 0xff, 0x0f}, // absurd count
 		{colVersion, 1, 0, 0xff},                   // string length past end
-		{colVersion, 2, 0, 1, 'a', 9},              // string token out of dictionary
+		{colVersion, 1, 0, 1, 'a', 9},              // string token out of dictionary
 		{colVersion, 1, 0, 1, 'a', 0, 1, 'b', 0},   // truncated mid-columns
 	} {
 		f.Add(fuzzPayloads(bin))

@@ -49,6 +49,15 @@ func newFrameWriter(w io.Writer) *frameWriter {
 
 // send encodes v and flushes it as one frame.
 func (fw *frameWriter) send(v any) error {
+	if err := fw.write(v); err != nil {
+		return err
+	}
+	return fw.w.Flush()
+}
+
+// write encodes v as one frame into the write buffer without flushing it,
+// so a writer with more frames queued can share one write between them.
+func (fw *frameWriter) write(v any) error {
 	fw.buf.Reset()
 	if err := fw.enc.Encode(v); err != nil {
 		return fmt.Errorf("transport: encode: %w", err)
@@ -60,10 +69,8 @@ func (fw *frameWriter) send(v any) error {
 	if _, err := fw.w.Write(fw.len[:n]); err != nil {
 		return err
 	}
-	if _, err := fw.w.Write(fw.buf.Bytes()); err != nil {
-		return err
-	}
-	return fw.w.Flush()
+	_, err := fw.w.Write(fw.buf.Bytes())
+	return err
 }
 
 // frameStream adapts a framed byte stream back into the contiguous stream

@@ -186,8 +186,9 @@ func TestConcurrentBatchesShareOneDictionary(t *testing.T) {
 
 // linkBytesPerReading bounds what a reading whose device the connection has
 // already sent costs on the wire, envelope included: a device ID is a
-// dictionary token, so the cost does not grow with the ID's length.
-const linkBytesPerReading = 8
+// dictionary token, so the cost does not grow with the ID's length, and the
+// chunk's source travels once, not per row.
+const linkBytesPerReading = 4
 
 func TestWarmChunkWireBytesPerReading(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0")
@@ -219,6 +220,7 @@ func TestWarmChunkWireBytesPerReading(t *testing.T) {
 		return float64(cli.BytesSent()-before) / float64(len(chunk))
 	}
 	short, long := perReading(6), perReading(40)
+	t.Logf("a warm 256-reading chunk costs %.2f B/reading", short)
 	if short > linkBytesPerReading || long > linkBytesPerReading {
 		t.Fatalf("a warm chunk costs %.2f B/reading with 6-character IDs and %.2f with 40-character IDs, want at most %d", short, long, linkBytesPerReading)
 	}
@@ -283,6 +285,79 @@ func TestInternTableIsBounded(t *testing.T) {
 	}
 	if want := []string{"s", "next"}; !reflect.DeepEqual(d.tab, want) || enc.tokens["s"] != 1 || enc.tokens["next"] != 2 || len(enc.tokens) != 2 {
 		t.Fatalf("decoder dictionary %q, encoder %v; want %q as tokens 1 and 2 on both ends", d.tab, enc.tokens, want)
+	}
+}
+
+// The dictionary's cap as an edge sees it on the wire: strings take slots
+// first-come, string values beside device IDs, and none is ever evicted.
+// Two connections introduce the same source, one device and the same flood
+// of device IDs; on one of them the device's readings also carry distinct
+// string values. Those values fill the slots the probe device would have
+// taken, so on that connection the probe's ID travels as a literal in every
+// chunk for the connection's life, while on the other it becomes a token
+// after its first chunk.
+func TestDictionaryCapSendsLiteralsForLife(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.ServeFederation(nopFed{})
+	const values = 100
+	stamp := time.Unix(0, 1_700_000_000_000_000_000)
+	// probeCosts fills one connection's dictionary to the cap with string
+	// values (source, device, values, flood), to values short of it without
+	// them, then reports what each of three single-reading chunks of a new
+	// device costs on the wire.
+	probeCosts := func(stringValues bool) [3]uint64 {
+		cli, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		seq := uint64(0)
+		publish := func(rs []device.Reading) uint64 {
+			seq++
+			before := cli.BytesSent()
+			if _, err := cli.PublishEventBatch("Sensor", "presence", 1, seq, rs); err != nil {
+				t.Fatal(err)
+			}
+			return cli.BytesSent() - before
+		}
+		first := make([]device.Reading, values)
+		for i := range first {
+			var v any = i%2 == 0
+			if stringValues {
+				v = fmt.Sprintf("state-%d", i)
+			}
+			first[i] = device.Reading{DeviceID: "d", Source: "presence", Value: v, Time: stamp}
+		}
+		publish(first)
+		flood := make([]device.Reading, internMaxEntries-2-values)
+		for i := range flood {
+			flood[i] = device.Reading{DeviceID: fmt.Sprintf("f%d", i), Source: "presence", Value: true, Time: stamp}
+		}
+		for lo := 0; lo < len(flood); lo += 8192 {
+			publish(flood[lo:min(lo+8192, len(flood))])
+		}
+		var costs [3]uint64
+		for i := range costs {
+			costs[i] = publish([]device.Reading{{DeviceID: "probe-device", Source: "presence", Value: true, Time: stamp}})
+		}
+		return costs
+	}
+	full, room := probeCosts(true), probeCosts(false)
+	t.Logf("a probe chunk costs %v B at the cap, %v B below it", full, room)
+	if full[1] != full[0] || full[2] != full[0] {
+		t.Fatalf("past the cap a new device's chunks cost %v B: its ID must travel as the same literal every time", full)
+	}
+	if room[1] >= room[0] || room[2] != room[1] {
+		t.Fatalf("below the cap a new device's chunks cost %v B: its ID must become a token after its first chunk", room)
+	}
+	// A literal is a zero token, a length byte and the ID's bytes; the token
+	// it stands in for this deep into the dictionary is a 3-byte uvarint.
+	if lit := uint64(2 + len("probe-device")); full[1] != room[1]+lit-3 {
+		t.Fatalf("at the cap a warm probe chunk costs %d B, below it %d: want the %d-byte literal in place of a 3-byte token", full[1], room[1], lit)
 	}
 }
 

@@ -482,6 +482,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	out := make(chan response, 64)
 	done := make(chan struct{})
 
+	// The writer flushes only when its queue is empty, so answers queued
+	// behind one another (a forwarder's window of Accepted counts) share
+	// one write; an answer never waits on anything but the answers ahead
+	// of it.
 	var writeWG sync.WaitGroup
 	writeWG.Add(1)
 	go func() {
@@ -490,7 +494,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		for {
 			select {
 			case resp := <-out:
-				if err := fw.send(&resp); err != nil {
+				if fw.write(&resp) != nil {
+					return
+				}
+				if len(out) == 0 && fw.w.Flush() != nil {
 					return
 				}
 			case <-done:
@@ -498,10 +505,13 @@ func (s *Server) serveConn(conn net.Conn) {
 				for {
 					select {
 					case resp := <-out:
-						if err := fw.send(&resp); err != nil {
+						if fw.write(&resp) != nil {
 							return
 						}
 					default:
+						// The connection closes next, so a failed flush
+						// has no one left to fail.
+						_ = fw.w.Flush()
 						return
 					}
 				}
