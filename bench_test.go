@@ -588,14 +588,15 @@ func BenchmarkC5_Actuation(b *testing.B) {
 
 // BenchmarkSwarm_BusDelivery: the large-scale delivery substrate experiment.
 // One round fans 50k simulated sensor readings into per-source topics, as a
-// swarm-scale gather does, one bus event per reading. Configurations: the
-// seed-style single-shard bus and the sharded bus. (The runtime's own fan-in
+// swarm-scale gather does, one bus event per reading, and checks that every
+// reading was delivered. Configurations: the seed-style single-shard bus and
+// the sharded bus. (The runtime's own fan-in
 // batches readings into one ReadingBatch event per burst; that path is
 // measured end to end by BenchmarkSwarm_EventStorm.)
 func BenchmarkSwarm_BusDelivery(b *testing.B) {
-	const devices = 50000
 	const topics = 64                 // distinct device-source topics
-	const perTopic = devices / topics // readings per topic per round
+	const perTopic = 50000 / topics   // readings per topic per round
+	const devices = topics * perTopic // 49984: what one round publishes
 	payloads := make([][]any, topics) // topic -> readings of one round
 	topicNames := make([]string, topics)
 	for t := 0; t < topics; t++ {
@@ -610,49 +611,37 @@ func BenchmarkSwarm_BusDelivery(b *testing.B) {
 			}
 		}
 	}
-	mkBus := func(b *testing.B, shards int) *eventbus.Bus {
-		bus := eventbus.New(eventbus.WithShards(shards))
-		b.Cleanup(bus.Close)
-		for t := 0; t < topics; t++ {
-			_, err := bus.Subscribe(topicNames[t], func(eventbus.Event) {},
-				eventbus.WithQueue(1024), eventbus.WithPolicy(eventbus.DropOldest))
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		return bus
-	}
-	report := func(b *testing.B) {
-		b.ReportMetric(float64(devices)*float64(b.N)/b.Elapsed().Seconds(), "readings/sec")
-	}
-	b.Run("single-shard", func(b *testing.B) {
-		bus := mkBus(b, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+	for _, cfg := range []struct {
+		name   string
+		shards int
+	}{{"single-shard", 1}, {"sharded", eventbus.DefaultShards}} {
+		b.Run(cfg.name, func(b *testing.B) {
+			bus := eventbus.New(eventbus.WithShards(cfg.shards))
+			b.Cleanup(bus.Close)
 			for t := 0; t < topics; t++ {
-				for _, p := range payloads[t] {
-					if err := bus.Publish(topicNames[t], p, benchEpoch); err != nil {
-						b.Fatal(err)
+				if _, err := bus.Subscribe(topicNames[t], func(eventbus.Event) {}, eventbus.WithQueue(1024)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for t := 0; t < topics; t++ {
+					for _, p := range payloads[t] {
+						if err := bus.Publish(topicNames[t], p, benchEpoch); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
 			}
-		}
-		report(b)
-	})
-	b.Run("sharded", func(b *testing.B) {
-		bus := mkBus(b, eventbus.DefaultShards)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for t := 0; t < topics; t++ {
-				for _, p := range payloads[t] {
-					if err := bus.Publish(topicNames[t], p, benchEpoch); err != nil {
-						b.Fatal(err)
-					}
-				}
+			// Close drains every queue, so the ledger below is final.
+			bus.Close()
+			b.ReportMetric(float64(devices)*float64(b.N)/b.Elapsed().Seconds(), "readings/sec")
+			st, want := bus.Stats(), uint64(devices)*uint64(b.N)
+			if st.Published != want || st.Delivered != want {
+				b.Fatalf("bus published %d, delivered %d; want both %d", st.Published, st.Delivered, want)
 			}
-		}
-		report(b)
-	})
+		})
+	}
 }
 
 // BenchmarkSwarm_PeriodicRound: one complete pull-based gathering round over
@@ -1114,26 +1103,4 @@ func BenchmarkSwarm_RegistryScan(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblation_BusPolicy: event-bus overflow policies under a fast
-// publisher.
-func BenchmarkAblation_BusPolicy(b *testing.B) {
-	for _, policy := range []eventbus.Policy{eventbus.Block, eventbus.DropOldest, eventbus.DropNewest} {
-		b.Run(policy.String(), func(b *testing.B) {
-			bus := eventbus.New()
-			_, err := bus.Subscribe("t", func(eventbus.Event) {}, eventbus.WithQueue(64), eventbus.WithPolicy(policy))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := bus.Publish("t", i, benchEpoch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			bus.Close()
-		})
-	}
 }

@@ -306,8 +306,8 @@ func run(apps, devicesPer, rounds, burst, satBurst int, metricsAddr string) erro
 	fmt.Printf("hot deploy: observer received %d events from tenant %s's shared devices\n",
 		observer.n.Load(), tenants[0].id)
 	hs := host.Stats()
-	fmt.Printf("host: %d apps, bus published %d / delivered %d / dropped %d, unrouted federation drops %d\n",
-		len(hs.Apps), hs.Bus.Published, hs.Bus.Delivered, hs.Bus.Dropped, hs.UnroutedFederationDrops)
+	fmt.Printf("host: %d apps, bus published %d / delivered %d, unrouted federation drops %d\n",
+		len(hs.Apps), hs.Bus.Published, hs.Bus.Delivered, hs.UnroutedFederationDrops)
 	if ok != "OK" {
 		return errors.New("per-tenant accounting diverged from ground truth")
 	}

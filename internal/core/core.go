@@ -6,28 +6,24 @@
 // semantically checked (SCC conformance, taxonomy, delivery clauses), then
 // executed by the inversion-of-control runtime: the application only
 // implements its declared contexts and controllers — either against the raw
-// runtime SPI or against a framework generated with GenerateFramework — and
-// binds concrete devices. The same App API drives a three-device home and a
+// runtime SPI or against a framework generated by diaspecc gen — and binds
+// concrete devices. The same App API drives a three-device home and a
 // hundred-thousand-sensor city; only the designs and fleets differ.
 package core
 
 import (
 	"fmt"
 
-	"repro/internal/codegen"
 	"repro/internal/device"
 	"repro/internal/dsl"
 	"repro/internal/dsl/check"
 	"repro/internal/runtime"
-	"repro/internal/transport"
 )
 
 // App is one orchestration application: a checked design plus its runtime.
 type App struct {
 	model *check.Model
 	rt    *runtime.Runtime
-
-	servers []*transport.Server
 }
 
 // NewApp parses, checks and prepares an application from DiaSpec source.
@@ -39,11 +35,6 @@ func NewApp(designSrc string, opts ...runtime.Option) (*App, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &App{model: model, rt: runtime.New(model, opts...)}, nil
-}
-
-// NewAppFromModel wraps an already-checked design model.
-func NewAppFromModel(model *check.Model, opts ...runtime.Option) *App {
-	return &App{model: model, rt: runtime.New(model, opts...)}
 }
 
 // Model returns the checked design model.
@@ -80,15 +71,8 @@ func (a *App) ImplementController(name string, h runtime.ControllerHandler) erro
 // Start wires and runs the application (activity 2: delivering).
 func (a *App) Start() error { return a.rt.Start() }
 
-// Stop shuts the application down, including any servers started with
-// ServeDevices.
-func (a *App) Stop() {
-	a.rt.Stop()
-	for _, s := range a.servers {
-		s.Close()
-	}
-	a.servers = nil
-}
+// Stop shuts the application down.
+func (a *App) Stop() { a.rt.Stop() }
 
 // Stats returns runtime counters.
 func (a *App) Stats() runtime.Stats { return a.rt.Stats() }
@@ -96,25 +80,4 @@ func (a *App) Stats() runtime.Stats { return a.rt.Stats() }
 // LastPublished returns a context's most recent publication.
 func (a *App) LastPublished(contextName string) (any, bool) {
 	return a.rt.LastPublished(contextName)
-}
-
-// GenerateFramework renders the typed programming framework for this
-// application's design (paper §V), as Go source for the given package name.
-func (a *App) GenerateFramework(pkg string) ([]byte, error) {
-	return codegen.Generate(a.model, codegen.Options{Package: pkg})
-}
-
-// ServeDevices exposes the given local drivers over TCP so other processes
-// can bind them remotely; the server's address is returned for registry
-// endpoints. The server is closed by Stop.
-func (a *App) ServeDevices(addr string, drvs ...device.Driver) (string, error) {
-	srv, err := transport.NewServer(addr)
-	if err != nil {
-		return "", err
-	}
-	for _, d := range drvs {
-		srv.Host(d)
-	}
-	a.servers = append(a.servers, srv)
-	return srv.Addr(), nil
 }

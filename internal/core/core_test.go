@@ -1,18 +1,16 @@
 package core_test
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/dsl"
-	"repro/internal/dsl/designs"
 	"repro/internal/registry"
 	"repro/internal/runtime"
 	"repro/internal/simclock"
+	"repro/internal/transport"
 )
 
 const tinyDesign = `
@@ -119,51 +117,24 @@ func TestNewAppRejectsBadDesign(t *testing.T) {
 	}
 }
 
-func TestNewAppFromModel(t *testing.T) {
-	m, err := dsl.Load(tinyDesign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app := core.NewAppFromModel(m)
-	defer app.Stop()
-	if app.Model() != m {
-		t.Fatal("model not retained")
-	}
-}
-
-func TestGenerateFramework(t *testing.T) {
-	app, err := core.NewApp(designs.Parking)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer app.Stop()
-	src, err := app.GenerateFramework("parkinggen")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(src), "package parkinggen") ||
-		!strings.Contains(string(src), "ParkingAvailabilityMapReduce") {
-		t.Fatal("generated framework incomplete")
-	}
-}
-
-func TestServeDevicesRemoteBinding(t *testing.T) {
+// TestRemoteDevicePushBinding drives an App whose thermometer lives in
+// another process: it is hosted on a transport server and reached through a
+// registry entry pointing at that server, and its pushed reading must travel
+// over TCP into the app's event-driven context and actuate the local vent.
+func TestRemoteDevicePushBinding(t *testing.T) {
 	vc := simclock.NewVirtual(time.Date(2017, 6, 5, 0, 0, 0, 0, time.UTC))
 
 	// Process A: hosts the thermometer remotely.
-	hostApp, err := core.NewApp(tinyDesign, runtime.WithClock(vc))
+	srv, err := transport.NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hostApp.Stop()
+	defer srv.Close()
 	thermo := device.NewBase("th-remote", "Thermometer", nil, registry.Attributes{"room": "attic"}, vc.Now)
 	var temp float64 = 30
 	var mu sync.Mutex
 	thermo.OnQuery("temperature", func() (any, error) { mu.Lock(); defer mu.Unlock(); return temp, nil })
-	addr, err := hostApp.ServeDevices("127.0.0.1:0", thermo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv.Host(thermo)
 
 	// Process B: the orchestrating app, sharing a registry entry that
 	// points at A's endpoint.
@@ -172,7 +143,7 @@ func TestServeDevicesRemoteBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer app.Stop()
-	if err := app.Runtime().Registry().Register(thermo.Entity(addr)); err != nil {
+	if err := app.Runtime().Registry().Register(thermo.Entity(srv.Addr())); err != nil {
 		t.Fatal(err)
 	}
 	vent := device.NewBase("vent-1", "Vent", nil, nil, vc.Now)

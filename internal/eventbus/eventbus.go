@@ -5,10 +5,11 @@
 // event-driven delivery; this bus is the runtime realization of those arrows.
 //
 // Topics are strings (a component or "Device.source" name). Each subscriber
-// owns a bounded queue drained by a dedicated goroutine, so one slow consumer
-// cannot stall publishers or its peers. The overflow policy is configurable
-// per subscription: Block (backpressure), DropOldest (keep fresh sensor
-// readings, the usual IoT choice) or DropNewest.
+// owns a bounded queue drained by a dedicated goroutine. The bus is lossless:
+// a publisher that finds a queue full waits for the drain (backpressure), so
+// every event offered to a live subscription is delivered. Where a pipeline
+// sheds load, it does so upstream, in the runtime's admission budgets and
+// drop ledger, never here.
 //
 // To serve large device populations the bus is sharded: topics are hashed
 // into independent lock domains so publishers on unrelated topics never
@@ -28,32 +29,6 @@ import (
 	"time"
 )
 
-// Policy selects the behaviour of a full subscription queue.
-type Policy int
-
-const (
-	// Block makes Publish wait until the subscriber has queue space.
-	Block Policy = iota + 1
-	// DropOldest discards the oldest queued event to admit the new one.
-	DropOldest
-	// DropNewest discards the event being published.
-	DropNewest
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case Block:
-		return "block"
-	case DropOldest:
-		return "drop-oldest"
-	case DropNewest:
-		return "drop-newest"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
 // Event is a value published on a topic.
 type Event struct {
 	// Topic names the logical channel the event was published on.
@@ -72,10 +47,10 @@ type Handler func(Event)
 // Refcounted is implemented by pooled payloads (device.ReadingBatch on
 // device-source topics, the runtime's value batch on context topics). The
 // bus retains one reference per subscriber before enqueueing and releases it
-// when the delivery finishes or the event is dropped, so a recycled buffer
-// can never be observed by a late or slow subscriber. Handlers BORROW the
-// payload for the duration of the call: they must neither retain it past
-// return nor release it themselves.
+// when the delivery finishes or a stopping subscription discards the event,
+// so a recycled buffer can never be observed by a late or slow subscriber.
+// Handlers BORROW the payload for the duration of the call: they must
+// neither retain it past return nor release it themselves.
 type Refcounted interface {
 	Retain()
 	Release()
@@ -83,10 +58,9 @@ type Refcounted interface {
 
 // Weighted is implemented by payloads that stand for more than one logical
 // event (a ReadingBatch of n readings, a value batch of n context
-// publications). The bus counts published, delivered and dropped by weight,
-// so Stats keep meaning "readings" and "published values" whether they
-// travel one per event or batched, and a queue slot, a DropOldest eviction
-// or a DropNewest refusal settles the whole payload's weight at once.
+// publications). The bus counts published and delivered by weight, so Stats
+// keep meaning "readings" and "published values" whether they travel one
+// per event or batched, and one queue slot holds the whole payload's weight.
 type Weighted interface {
 	EventWeight() int
 }
@@ -133,10 +107,9 @@ type Bus struct {
 
 	published atomic.Uint64
 	delivered atomic.Uint64
-	dropped   atomic.Uint64
 
 	// offered counts weight handed to subscriber queues (once per
-	// recipient); every unit ends up delivered, dropped or — on a stopping
+	// recipient); every unit ends up delivered or — on a stopping
 	// subscription — discarded. Idle compares the two sides.
 	offered   atomic.Uint64
 	discarded atomic.Uint64
@@ -159,7 +132,9 @@ type Stats struct {
 	Published uint64
 	// Delivered counts events handed to subscriber handlers.
 	Delivered uint64
-	// Dropped counts events discarded by DropOldest/DropNewest queues.
+	// Dropped is always 0: the bus never drops an event. The field is kept
+	// only because bench/w_tenants_hot.go still reads it, and goes once
+	// that read does.
 	Dropped uint64
 }
 
@@ -205,19 +180,13 @@ func (b *Bus) shard(topic string) *shard {
 type SubOption func(*subConfig)
 
 type subConfig struct {
-	queue  int
-	policy Policy
+	queue int
 }
 
 // WithQueue sets the subscription queue capacity. n must be at least 1; the
 // default is 64.
 func WithQueue(n int) SubOption {
 	return func(c *subConfig) { c.queue = n }
-}
-
-// WithPolicy sets the overflow policy. The default is Block.
-func WithPolicy(p Policy) SubOption {
-	return func(c *subConfig) { c.policy = p }
 }
 
 // Subscribe registers h for events published on topic. The handler runs on a
@@ -228,26 +197,20 @@ func (b *Bus) Subscribe(topic string, h Handler, opts ...SubOption) (*Subscripti
 	if h == nil {
 		return nil, errors.New("eventbus: nil handler")
 	}
-	cfg := subConfig{queue: 64, policy: Block}
+	cfg := subConfig{queue: 64}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.queue < 1 {
 		return nil, fmt.Errorf("eventbus: queue capacity %d < 1", cfg.queue)
 	}
-	switch cfg.policy {
-	case Block, DropOldest, DropNewest:
-	default:
-		return nil, fmt.Errorf("eventbus: unknown policy %v", cfg.policy)
-	}
 
 	s := &Subscription{
-		bus:    b,
-		topic:  topic,
-		h:      h,
-		buf:    make([]Event, cfg.queue),
-		policy: cfg.policy,
-		done:   make(chan struct{}),
+		bus:   b,
+		topic: topic,
+		h:     h,
+		buf:   make([]Event, 0, cfg.queue),
+		done:  make(chan struct{}),
 	}
 	s.notEmpty.L = &s.mu
 	s.notFull.L = &s.mu
@@ -267,13 +230,13 @@ func (b *Bus) Subscribe(topic string, h Handler, opts ...SubOption) (*Subscripti
 	b.wg.Add(1)
 	sh.mu.Unlock()
 
-	go s.run(&b.wg)
+	go s.run(&b.wg, make([]Event, 0, cfg.queue))
 	return s, nil
 }
 
-// Publish delivers payload to every current subscriber of topic. With Block
-// subscriptions it may wait for queue space; with the drop policies it never
-// blocks. now is recorded as the event time.
+// Publish delivers payload to every current subscriber of topic, waiting
+// for queue space where a subscriber's queue is full. now is recorded as the
+// event time.
 func (b *Bus) Publish(topic string, payload any, now time.Time) error {
 	sh := b.shard(topic)
 	sh.mu.RLock()
@@ -290,7 +253,7 @@ func (b *Bus) Publish(topic string, payload any, now time.Time) error {
 	ev := Event{Topic: topic, Payload: payload, Time: now, Seq: b.seq.Add(1)}
 	for _, s := range subs {
 		// One reference per recipient; the delivering goroutine (or the
-		// drop path) releases it. The publisher keeps its own reference.
+		// discard path) releases it. The publisher keeps its own reference.
 		retainPayload(payload)
 		s.enqueue(ev)
 	}
@@ -310,13 +273,12 @@ func (b *Bus) Stats() Stats {
 	return Stats{
 		Published: b.published.Load(),
 		Delivered: b.delivered.Load(),
-		Dropped:   b.dropped.Load(),
 	}
 }
 
 // Idle reports whether every event offered to a subscriber so far has been
-// settled: handed to its handler (and the handler returned), dropped by an
-// overflow policy, or discarded by a stopping subscription. A handler that
+// settled: handed to its handler (and the handler returned) or discarded by
+// a stopping subscription. A handler that
 // publishes does so before its own delivery settles, so a chain of topics is
 // never idle midway. Idle is an instant's truth: it says nothing about
 // events published after it returns.
@@ -324,7 +286,7 @@ func (b *Bus) Idle() bool {
 	// Settled side first: each counter only grows and offered is read last,
 	// so equality proves the bus was idle when the last settled counter was
 	// read.
-	settled := b.delivered.Load() + b.dropped.Load() + b.discarded.Load()
+	settled := b.delivered.Load() + b.discarded.Load()
 	return settled == b.offered.Load()
 }
 
@@ -372,21 +334,18 @@ func (b *Bus) remove(s *Subscription) {
 }
 
 // Subscription is a single subscriber's registration on a topic. Its queue
-// is a mutex-guarded ring buffer rather than a channel so that the drain
-// goroutine removes everything queued in one lock acquisition and DropOldest
-// can evict from the head in place.
+// is a mutex-guarded slice rather than a channel so that the drain goroutine
+// takes everything queued in one lock acquisition, by swapping the slice for
+// an empty one of the same capacity.
 type Subscription struct {
-	bus    *Bus
-	topic  string
-	h      Handler
-	policy Policy
+	bus   *Bus
+	topic string
+	h     Handler
 
 	mu       sync.Mutex
 	notEmpty sync.Cond
 	notFull  sync.Cond
-	buf      []Event // ring buffer of the configured queue capacity
-	head     int
-	count    int
+	buf      []Event // queued events; full when len == cap
 	stopped  bool
 
 	stopOnce sync.Once
@@ -416,139 +375,61 @@ func (s *Subscription) stop() {
 	})
 }
 
-// pushLocked appends ev to the ring; the caller holds s.mu and has ensured
-// there is space.
-func (s *Subscription) pushLocked(ev Event) {
-	s.buf[(s.head+s.count)%len(s.buf)] = ev
-	s.count++
-	if s.count == 1 {
-		s.notEmpty.Signal()
-	}
-}
-
-// enqOutcome names what the overflow policy did with one event. Refcounted
-// payloads make the distinction load-bearing: every outcome releases exactly
-// the references it costs, and only real drops count in Stats.
-type enqOutcome uint8
-
-const (
-	// enqQueued: the event was queued with no loss.
-	enqQueued enqOutcome = iota
-	// enqEvicted: the event was queued after DropOldest evicted the oldest
-	// queued event (returned as the victim).
-	enqEvicted
-	// enqRefused: a full DropNewest queue refused the incoming event.
-	enqRefused
-	// enqDiscarded: a stopping subscription discarded the incoming event —
-	// intended shutdown behaviour, released but not counted as a drop.
-	enqDiscarded
-)
-
-// enqueueLocked applies the overflow policy for one event; the caller holds
-// s.mu. victim is only meaningful for enqEvicted; the caller releases and
-// accounts casualties (outside the lock where possible).
-func (s *Subscription) enqueueLocked(ev Event) (outcome enqOutcome, victim any) {
-	if s.stopped {
-		// The drain goroutine may already have exited: an event queued now
-		// would never be delivered nor its payload released.
-		return enqDiscarded, nil
-	}
-	switch s.policy {
-	case DropNewest:
-		if s.count == len(s.buf) {
-			return enqRefused, nil
-		}
-	case DropOldest:
-		if s.count == len(s.buf) {
-			victim = s.buf[s.head].Payload
-			s.buf[s.head].Payload = nil
-			s.head = (s.head + 1) % len(s.buf)
-			s.count--
-			s.pushLocked(ev)
-			return enqEvicted, victim
-		}
-	default: // Block
-		for s.count == len(s.buf) && !s.stopped {
-			s.notFull.Wait()
-		}
-		if s.stopped {
-			return enqDiscarded, nil
-		}
-	}
-	s.pushLocked(ev)
-	return enqQueued, nil
-}
-
-// settle releases whatever reference an enqueue outcome costs and reports
-// the weight to count as dropped (0 for queued/discarded outcomes).
-func (s *Subscription) settle(outcome enqOutcome, victim, incoming any) uint64 {
-	switch outcome {
-	case enqEvicted:
-		w := payloadWeight(victim)
-		releasePayload(victim)
-		return w
-	case enqRefused:
-		w := payloadWeight(incoming)
-		releasePayload(incoming)
-		return w
-	case enqDiscarded:
-		s.bus.discarded.Add(payloadWeight(incoming))
-		releasePayload(incoming)
-	}
-	return 0
-}
-
+// enqueue queues ev, waiting while the queue is full. A stopping
+// subscription discards ev instead — its drain goroutine may already have
+// exited, so a queued event would never be delivered nor its payload
+// released. The discard is intended shutdown behaviour: the payload is
+// released and its weight settled as discarded, not counted as a drop.
 func (s *Subscription) enqueue(ev Event) {
 	s.mu.Lock()
-	outcome, victim := s.enqueueLocked(ev)
-	s.mu.Unlock()
-	if outcome == enqQueued {
+	for len(s.buf) == cap(s.buf) && !s.stopped {
+		s.notFull.Wait()
+	}
+	if s.stopped {
+		s.mu.Unlock()
+		s.bus.discarded.Add(payloadWeight(ev.Payload))
+		releasePayload(ev.Payload)
 		return
 	}
-	if w := s.settle(outcome, victim, ev.Payload); w > 0 {
-		s.bus.dropped.Add(w)
+	s.buf = append(s.buf, ev)
+	if len(s.buf) == 1 {
+		s.notEmpty.Signal()
 	}
+	s.mu.Unlock()
 }
 
-func (s *Subscription) run(wg *sync.WaitGroup) {
+// run drains the queue until the subscription stops; spare is the empty
+// slice swapped in for each batch it takes.
+func (s *Subscription) run(wg *sync.WaitGroup, spare []Event) {
 	defer wg.Done()
 	defer close(s.done)
-	scratch := make([]Event, len(s.buf))
 	for {
 		s.mu.Lock()
-		for s.count == 0 && !s.stopped {
+		for len(s.buf) == 0 && !s.stopped {
 			s.notEmpty.Wait()
 		}
-		if s.count == 0 {
+		if len(s.buf) == 0 {
 			// Stopped and fully drained.
 			s.mu.Unlock()
 			return
 		}
-		// Take everything queued in up to two ring segments, then run
-		// the handlers outside the lock. The drained ring slots are cleared
-		// so the buffer does not pin released payloads until overwritten.
-		n := s.count
-		first := len(s.buf) - s.head
-		if first > n {
-			first = n
-		}
-		copy(scratch, s.buf[s.head:s.head+first])
-		copy(scratch[first:], s.buf[:n-first])
-		clear(s.buf[s.head : s.head+first])
-		clear(s.buf[:n-first])
-		s.head = (s.head + n) % len(s.buf)
-		s.count = 0
+		// Take everything queued by swapping in the empty spare, then run
+		// the handlers outside the lock while publishers refill the spare.
+		batch := s.buf
+		s.buf = spare
 		s.notFull.Broadcast()
 		s.mu.Unlock()
 
-		for i := 0; i < n; i++ {
-			p := scratch[i].Payload
-			s.h(scratch[i])
+		for i := range batch {
+			p := batch[i].Payload
+			s.h(batch[i])
 			// Weight is read before the release: the last release may
-			// recycle the payload.
+			// recycle the payload. The slot is cleared so the buffer does
+			// not pin a released payload until it is overwritten.
 			s.bus.delivered.Add(payloadWeight(p))
 			releasePayload(p)
-			scratch[i] = Event{}
+			batch[i] = Event{}
 		}
+		spare = batch[:0]
 	}
 }

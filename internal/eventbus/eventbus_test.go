@@ -138,75 +138,6 @@ func TestCancelIsIdempotent(t *testing.T) {
 	sub.Cancel()
 }
 
-func TestDropOldestKeepsMostRecent(t *testing.T) {
-	b := New()
-	release := make(chan struct{})
-	var mu sync.Mutex
-	var got []int
-	sub, err := b.Subscribe("t", func(ev Event) {
-		<-release
-		mu.Lock()
-		got = append(got, ev.Payload.(int))
-		mu.Unlock()
-	}, WithQueue(1), WithPolicy(DropOldest))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = sub
-	// Fill the queue while the handler is idle (first event may be
-	// consumed into the handler immediately, so publish enough).
-	for i := 0; i < 10; i++ {
-		if err := b.Publish("t", i, t0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(release)
-	b.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) == 0 || got[len(got)-1] != 9 {
-		t.Fatalf("last delivered = %v, want trailing event 9", got)
-	}
-	if len(got) >= 10 {
-		t.Fatalf("delivered %d events through a 1-slot drop-oldest queue, want < 10", len(got))
-	}
-	if st := b.Stats(); st.Dropped == 0 {
-		t.Fatal("Stats.Dropped = 0, want > 0")
-	}
-}
-
-func TestDropNewestDiscardsOverflow(t *testing.T) {
-	b := New()
-	release := make(chan struct{})
-	var mu sync.Mutex
-	var got []int
-	if _, err := b.Subscribe("t", func(ev Event) {
-		<-release
-		mu.Lock()
-		got = append(got, ev.Payload.(int))
-		mu.Unlock()
-	}, WithQueue(1), WithPolicy(DropNewest)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := b.Publish("t", i, t0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(release)
-	b.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) >= 10 {
-		t.Fatalf("delivered %d events, want overflow discarded", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("out-of-order delivery %v", got)
-		}
-	}
-}
-
 func TestBlockPolicyAppliesBackpressure(t *testing.T) {
 	b := New()
 	defer b.Close()
@@ -215,7 +146,7 @@ func TestBlockPolicyAppliesBackpressure(t *testing.T) {
 	if _, err := b.Subscribe("t", func(Event) {
 		started <- struct{}{}
 		<-release
-	}, WithQueue(1), WithPolicy(Block)); err != nil {
+	}, WithQueue(1)); err != nil {
 		t.Fatal(err)
 	}
 	// First publish goes to the handler, second fills the queue, third
@@ -245,9 +176,9 @@ func TestBlockPolicyAppliesBackpressure(t *testing.T) {
 }
 
 // TestIdleTracksOutstandingDeliveries checks the settled-versus-offered
-// ledger behind Idle through every way an offered event can end: delivered,
-// dropped by an overflow policy, discarded by a cancelled subscription — and
-// that a handler's own publication keeps the bus busy until it too settles.
+// ledger behind Idle through both ways an offered event can end — delivered,
+// or discarded by a cancelled subscription — and that a handler's own
+// publication keeps the bus busy until it too settles.
 func TestIdleTracksOutstandingDeliveries(t *testing.T) {
 	b := New()
 	defer b.Close()
@@ -287,23 +218,12 @@ func TestIdleTracksOutstandingDeliveries(t *testing.T) {
 		t.Fatalf("downstream saw %d events, want 1", downstream.Load())
 	}
 
-	gate := make(chan struct{})
-	sub, err := b.Subscribe("lossy", func(Event) { <-gate }, WithQueue(1), WithPolicy(DropNewest))
+	sub, err := b.Subscribe("cancelled", func(Event) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ { // one in the handler or queue, the rest refused
-		if err := b.Publish("lossy", i, t0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if b.Idle() {
-		t.Fatal("bus idle with a delivery held in a gated handler")
-	}
-	close(gate)
-	waitIdle("drops and the held delivery settled")
 	sub.Cancel()
-	sub.enqueue(Event{Topic: "lossy", Payload: 9}) // a publisher that raced the cancel
+	sub.enqueue(Event{Topic: "cancelled", Payload: 9}) // a publisher that raced the cancel
 	b.offered.Add(1)
 	if !b.Idle() {
 		t.Fatalf("event offered to a cancelled subscription never settled: %+v", b.Stats())
@@ -330,9 +250,6 @@ func TestSubscribeValidation(t *testing.T) {
 	}
 	if _, err := b.Subscribe("t", func(Event) {}, WithQueue(0)); err == nil {
 		t.Fatal("zero queue accepted")
-	}
-	if _, err := b.Subscribe("t", func(Event) {}, WithPolicy(Policy(99))); err == nil {
-		t.Fatal("unknown policy accepted")
 	}
 }
 
@@ -375,19 +292,6 @@ func TestStatsCountsDelivered(t *testing.T) {
 	st := b.Stats()
 	if st.Published != 3 || st.Delivered != 3 {
 		t.Fatalf("Stats = %+v, want Published=3 Delivered=3", st)
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	for p, want := range map[Policy]string{
-		Block:      "block",
-		DropOldest: "drop-oldest",
-		DropNewest: "drop-newest",
-		Policy(9):  "Policy(9)",
-	} {
-		if got := p.String(); got != want {
-			t.Errorf("Policy.String() = %q, want %q", got, want)
-		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // These regression tests pin the refcounting contract for pooled payloads:
 // the bus retains one reference per subscriber before enqueueing and
-// releases it after delivery or on any drop path, so a producer that
+// releases it after delivery or on the discard path, so a producer that
 // releases and recycles its buffer immediately after Publish can never race
 // a slow subscriber still reading it. The recycle-vs-drain test only fails
 // meaningfully under -race (or via the consistency check) when that
@@ -109,55 +109,91 @@ func TestRaceRegression_PoolRecycleVsSlowSubscriberDrain(t *testing.T) {
 	}
 }
 
-func TestDropPoliciesReleaseRefcountedPayloads(t *testing.T) {
-	bus := New()
-	defer bus.Close()
+// TestStopReleasesParkedPublisherPayload pins the one path on which the bus
+// lets go of an event undelivered: a publisher parked on a full queue when
+// Cancel or Close stops the subscription. The parked batch must be released
+// exactly once and its weight settled as discarded, while everything
+// queued before the stop is still delivered.
+func TestStopReleasesParkedPublisherPayload(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		stop func(*Bus, *Subscription)
+	}{
+		{"cancel", func(_ *Bus, sub *Subscription) { sub.Cancel() }},
+		{"close", func(bus *Bus, _ *Subscription) { bus.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bus := New()
+			defer bus.Close()
 
-	var src batchSource
-	started := make(chan struct{})
-	gate := make(chan struct{})
-	var once sync.Once
-	sub, err := bus.Subscribe("readings", func(ev Event) {
-		once.Do(func() { close(started) })
-		<-gate
-	}, WithQueue(1), WithPolicy(DropOldest))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Cancel()
+			var src batchSource
+			started := make(chan struct{})
+			gate := make(chan struct{})
+			openGate := sync.OnceFunc(func() { close(gate) })
+			defer openGate() // a failed check must not leave the handler parked
+			var once sync.Once
+			sub, err := bus.Subscribe("readings", func(ev Event) {
+				once.Do(func() { close(started) })
+				<-gate
+			}, WithQueue(1))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	publish := func(rows int) *poolBatch {
-		b := src.get()
-		for i := 0; i < rows; i++ {
-			b.vals = append(b.vals, rows)
-		}
-		if err := bus.Publish("readings", b, time.Unix(1, 0)); err != nil {
-			t.Fatal(err)
-		}
-		b.Release()
-		return b
-	}
+			publish := func(rows int) {
+				b := src.get()
+				for i := 0; i < rows; i++ {
+					b.vals = append(b.vals, rows)
+				}
+				if err := bus.Publish("readings", b, time.Unix(1, 0)); err != nil {
+					t.Error(err)
+				}
+				b.Release()
+			}
+			waitFor := func(what string, cond func() bool) {
+				t.Helper()
+				for deadline := time.Now().Add(10 * time.Second); !cond(); {
+					if time.Now().After(deadline) {
+						t.Fatalf("timed out waiting for %s: %+v, released %d", what, bus.Stats(), src.released.Load())
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
 
-	publish(2) // picked up by the drain goroutine, parked in the handler
-	<-started
-	publish(3) // sits in the queue (capacity 1)
-	publish(5) // evicts the 3-row batch
-	if got := bus.Stats().Dropped; got != 3 {
-		t.Fatalf("dropped weight = %d, want 3 (the evicted batch)", got)
-	}
-	close(gate)
+			publish(2) // picked up by the drain goroutine, parked in the handler
+			<-started
+			publish(3) // fills the queue (capacity 1)
+			parked := make(chan struct{})
+			go func() {
+				defer close(parked)
+				publish(5) // waits for queue space that never comes
+			}()
+			waitFor("the third publish to reach the queue", func() bool { return bus.offered.Load() == 10 })
 
-	deadline := time.Now().Add(10 * time.Second)
-	for src.released.Load() != 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("released %d batches, want all 3 (drop path leaked a reference)", src.released.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := bus.Stats().Published; got != 10 {
-		t.Fatalf("published weight = %d, want 10", got)
-	}
-	if got := bus.Stats().Delivered; got != 7 {
-		t.Fatalf("delivered weight = %d, want 7 (2 + 5)", got)
+			stopped := make(chan struct{})
+			go func() {
+				defer close(stopped)
+				tc.stop(bus, sub)
+			}()
+			<-parked
+			// The handler still holds the 2-row batch and the queue the
+			// 3-row one: only the parked 5-row batch may be gone.
+			if got := src.released.Load(); got != 1 {
+				t.Fatalf("released %d batches after the stop woke the publisher, want 1 (the parked one)", got)
+			}
+			if got := bus.discarded.Load(); got != 5 {
+				t.Fatalf("discarded weight = %d, want 5 (the parked batch)", got)
+			}
+			openGate()
+			<-stopped
+
+			waitFor("the queued batches to be released", func() bool { return src.released.Load() == 3 })
+			if st := bus.Stats(); st.Published != 10 || st.Delivered != 5 || st.Dropped != 0 {
+				t.Fatalf("Stats = %+v, want Published=10 Delivered=5 (2 + 3) Dropped=0", st)
+			}
+			if !bus.Idle() {
+				t.Fatalf("bus not idle after the stop settled every offered event: %+v", bus.Stats())
+			}
+		})
 	}
 }

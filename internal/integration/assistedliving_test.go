@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/devsim"
 	"repro/internal/dsl"
@@ -129,7 +128,7 @@ func TestNightPathApplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app := core.NewAppFromModel(model, runtime.WithClock(vc))
+	app := runtime.New(model, runtime.WithClock(vc))
 	defer app.Stop()
 
 	bed := device.NewBase("bed-1", "BedSensor", []string{"BedSensor", "HomeSensor"},
@@ -245,7 +244,7 @@ func TestActivityDigestApplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app := core.NewAppFromModel(model, runtime.WithClock(vc))
+	app := runtime.New(model, runtime.WithClock(vc))
 	defer app.Stop()
 
 	for _, room := range []string{"KITCHEN", "LIVING_ROOM"} {

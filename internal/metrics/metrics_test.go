@@ -97,7 +97,7 @@ func parseExposition(t *testing.T, text string) map[string]uint64 {
 func sampleFleet() transport.FleetStats {
 	return transport.FleetStats{
 		Host: transport.AppStatsRecord{App: "host", Counters: map[string]uint64{
-			"bus_published": 10, "bus_delivered": 9, "bus_dropped": 1, "errors": 0,
+			"bus_published": 10, "bus_delivered": 9, "unrouted_federation_drops": 1, "errors": 0,
 		}},
 		Apps: []transport.AppStatsRecord{
 			{App: "a", Counters: map[string]uint64{"ingest_events": 7, "groups_dirty": 2}},

@@ -145,7 +145,8 @@ func (ing *ingestor) stop() { ing.ready.Close() }
 // ingestShard is one intake lock stripe. Push appends under the shard mutex;
 // the ingestor's flush worker swaps the accumulated work out wholesale and
 // publishes it, so per-event synchronization is amortized over the burst on
-// both sides (mirroring the bus's ring-buffer subscriptions).
+// both sides (mirroring the bus's subscriptions, whose drain swaps out the
+// queued slice the same way).
 //
 // Readings accumulate into pooled columnar device.ReadingBatch payloads
 // sealed at MaxBatch rows, each published as a single refcounted bus event —

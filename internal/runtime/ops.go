@@ -122,7 +122,6 @@ func hostCounters(st HostStats) map[string]uint64 {
 		"errors":                    st.Errors,
 		"bus_published":             st.Bus.Published,
 		"bus_delivered":             st.Bus.Delivered,
-		"bus_dropped":               st.Bus.Dropped,
 	}
 }
 

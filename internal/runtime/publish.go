@@ -21,7 +21,7 @@ import (
 // the flush, the bus retains one per subscriber (eventbus.Refcounted), and
 // subscribers borrow the batch — and every value slot in it — only for the
 // duration of the delivery. As an eventbus.Weighted payload it counts as
-// len(vals) events, so bus Published/Delivered/Dropped keep meaning values.
+// len(vals) events, so bus Published/Delivered keep meaning values.
 //
 // Invariant: cells of vals past len are always nil (reset clears exactly
 // the used prefix), so a pooled batch pins no published value.
