@@ -589,10 +589,9 @@ func BenchmarkC5_Actuation(b *testing.B) {
 // BenchmarkSwarm_BusDelivery: the large-scale delivery substrate experiment.
 // One round fans 50k simulated sensor readings into per-source topics, as a
 // swarm-scale gather does, one bus event per reading, and checks that every
-// reading was delivered. Configurations: the seed-style single-shard bus and
-// the sharded bus. (The runtime's own fan-in
-// batches readings into one ReadingBatch event per burst; that path is
-// measured end to end by BenchmarkSwarm_EventStorm.)
+// reading was delivered. (The runtime's own fan-in batches readings into one
+// ReadingBatch event per burst; that path is measured end to end by
+// BenchmarkSwarm_EventStorm.)
 func BenchmarkSwarm_BusDelivery(b *testing.B) {
 	const topics = 64                 // distinct device-source topics
 	const perTopic = 50000 / topics   // readings per topic per round
@@ -611,36 +610,29 @@ func BenchmarkSwarm_BusDelivery(b *testing.B) {
 			}
 		}
 	}
-	for _, cfg := range []struct {
-		name   string
-		shards int
-	}{{"single-shard", 1}, {"sharded", eventbus.DefaultShards}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			bus := eventbus.New(eventbus.WithShards(cfg.shards))
-			b.Cleanup(bus.Close)
-			for t := 0; t < topics; t++ {
-				if _, err := bus.Subscribe(topicNames[t], func(eventbus.Event) {}, eventbus.WithQueue(1024)); err != nil {
+	bus := eventbus.New()
+	b.Cleanup(bus.Close)
+	for t := 0; t < topics; t++ {
+		if _, err := bus.Subscribe(topicNames[t], func(eventbus.Event) {}, eventbus.WithQueue(1024)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for t := 0; t < topics; t++ {
+			for _, p := range payloads[t] {
+				if err := bus.Publish(topicNames[t], p, benchEpoch); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for t := 0; t < topics; t++ {
-					for _, p := range payloads[t] {
-						if err := bus.Publish(topicNames[t], p, benchEpoch); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}
-			// Close drains every queue, so the ledger below is final.
-			bus.Close()
-			b.ReportMetric(float64(devices)*float64(b.N)/b.Elapsed().Seconds(), "readings/sec")
-			st, want := bus.Stats(), uint64(devices)*uint64(b.N)
-			if st.Published != want || st.Delivered != want {
-				b.Fatalf("bus published %d, delivered %d; want both %d", st.Published, st.Delivered, want)
-			}
-		})
+		}
+	}
+	// Close drains every queue, so the ledger below is final.
+	bus.Close()
+	b.ReportMetric(float64(devices)*float64(b.N)/b.Elapsed().Seconds(), "readings/sec")
+	st, want := bus.Stats(), uint64(devices)*uint64(b.N)
+	if st.Published != want || st.Delivered != want {
+		b.Fatalf("bus published %d, delivered %d; want both %d", st.Published, st.Delivered, want)
 	}
 }
 

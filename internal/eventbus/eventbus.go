@@ -5,19 +5,21 @@
 // event-driven delivery; this bus is the runtime realization of those arrows.
 //
 // Topics are strings (a component or "Device.source" name). Each subscriber
-// owns a bounded queue drained by a dedicated goroutine. The bus is lossless:
+// owns a queue bounded at WithQueue, grown on demand and keeping its
+// high-water mark, drained by a dedicated goroutine. The bus is lossless:
 // a publisher that finds a queue full waits for the drain (backpressure), so
 // every event offered to a live subscription is delivered. Where a pipeline
 // sheds load, it does so upstream, in the runtime's admission budgets and
 // drop ledger, never here.
 //
 // To serve large device populations the bus is sharded: topics are hashed
-// into independent lock domains so publishers on unrelated topics never
+// into 16 independent lock domains so publishers on unrelated topics never
 // contend, and subscriber lists are copy-on-write so the publish fast path
-// takes a shared lock and allocates nothing. Swarm-scale fan-in, where
-// thousands of sensor readings target the same source topic in one delivery
-// round, amortizes the remaining per-event bus overhead by publishing one
-// Weighted payload (a device.ReadingBatch) per burst.
+// takes a shared lock and allocates only when a queue grows past its
+// high-water mark. Swarm-scale fan-in, where thousands of sensor readings
+// target the same source topic in one delivery round, amortizes the
+// remaining per-event bus overhead by publishing one Weighted payload (a
+// device.ReadingBatch) per burst.
 package eventbus
 
 import (
@@ -29,16 +31,13 @@ import (
 	"time"
 )
 
-// Event is a value published on a topic.
+// Event is a value published on a topic. It carries only what handlers
+// read: a subscription knows its topic, and a queue slot costs 40 B.
 type Event struct {
-	// Topic names the logical channel the event was published on.
-	Topic string
 	// Payload carries the published value.
 	Payload any
 	// Time is the publication time as observed by the publisher's clock.
 	Time time.Time
-	// Seq is a bus-wide monotonically increasing publication number.
-	Seq uint64
 }
 
 // Handler consumes events delivered to a subscription.
@@ -88,10 +87,10 @@ func releasePayload(p any) {
 // ErrClosed is returned by operations on a closed bus.
 var ErrClosed = errors.New("eventbus: closed")
 
-// DefaultShards is the shard count used when WithShards is not given. Topics
-// hash uniformly across shards, so contention between unrelated topics drops
-// by roughly this factor.
-const DefaultShards = 16
+// shardCount is the number of lock domains (a power of two). Topics hash
+// uniformly across shards, so contention between unrelated topics drops by
+// roughly this factor.
+const shardCount = 16
 
 // shardSeed makes the topic→shard hash vary between processes but stay
 // consistent within one bus lifetime.
@@ -100,9 +99,7 @@ var shardSeed = maphash.MakeSeed()
 // Bus is a topic-based publish/subscribe dispatcher sharded by topic hash.
 // The zero value is not usable; use New.
 type Bus struct {
-	shards []shard
-	mask   uint64
-	seq    atomic.Uint64
+	shards [shardCount]shard
 	wg     sync.WaitGroup
 
 	published atomic.Uint64
@@ -138,42 +135,17 @@ type Stats struct {
 	Dropped uint64
 }
 
-// BusOption configures a Bus.
-type BusOption func(*busConfig)
-
-type busConfig struct {
-	shards int
-}
-
-// WithShards sets the number of lock domains. n is rounded up to a power of
-// two; values below 1 select one shard (the pre-sharding behaviour, kept for
-// the ablation benchmarks).
-func WithShards(n int) BusOption {
-	return func(c *busConfig) { c.shards = n }
-}
-
 // New returns an empty open bus.
-func New(opts ...BusOption) *Bus {
-	cfg := busConfig{shards: DefaultShards}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	n := 1
-	for n < cfg.shards {
-		n <<= 1
-	}
-	b := &Bus{shards: make([]shard, n), mask: uint64(n - 1)}
+func New() *Bus {
+	b := &Bus{}
 	for i := range b.shards {
 		b.shards[i].subs = make(map[string][]*Subscription)
 	}
 	return b
 }
 
-// ShardCount reports the number of independent lock domains.
-func (b *Bus) ShardCount() int { return len(b.shards) }
-
 func (b *Bus) shard(topic string) *shard {
-	return &b.shards[maphash.String(shardSeed, topic)&b.mask]
+	return &b.shards[maphash.String(shardSeed, topic)%shardCount]
 }
 
 // SubOption configures a subscription.
@@ -183,8 +155,10 @@ type subConfig struct {
 	queue int
 }
 
-// WithQueue sets the subscription queue capacity. n must be at least 1; the
-// default is 64.
+// WithQueue sets the subscription queue bound: a publisher that finds n
+// events queued waits for the drain. n must be at least 1; the default is
+// 64. The queue starts empty and grows toward n only as far as traffic
+// fills it.
 func WithQueue(n int) SubOption {
 	return func(c *subConfig) { c.queue = n }
 }
@@ -202,14 +176,14 @@ func (b *Bus) Subscribe(topic string, h Handler, opts ...SubOption) (*Subscripti
 		o(&cfg)
 	}
 	if cfg.queue < 1 {
-		return nil, fmt.Errorf("eventbus: queue capacity %d < 1", cfg.queue)
+		return nil, fmt.Errorf("eventbus: queue bound %d < 1", cfg.queue)
 	}
 
 	s := &Subscription{
 		bus:   b,
 		topic: topic,
 		h:     h,
-		buf:   make([]Event, 0, cfg.queue),
+		limit: cfg.queue,
 		done:  make(chan struct{}),
 	}
 	s.notEmpty.L = &s.mu
@@ -230,7 +204,7 @@ func (b *Bus) Subscribe(topic string, h Handler, opts ...SubOption) (*Subscripti
 	b.wg.Add(1)
 	sh.mu.Unlock()
 
-	go s.run(&b.wg, make([]Event, 0, cfg.queue))
+	go s.run(&b.wg)
 	return s, nil
 }
 
@@ -250,7 +224,7 @@ func (b *Bus) Publish(topic string, payload any, now time.Time) error {
 	w := payloadWeight(payload)
 	b.published.Add(w)
 	b.offered.Add(w * uint64(len(subs)))
-	ev := Event{Topic: topic, Payload: payload, Time: now, Seq: b.seq.Add(1)}
+	ev := Event{Payload: payload, Time: now}
 	for _, s := range subs {
 		// One reference per recipient; the delivering goroutine (or the
 		// discard path) releases it. The publisher keeps its own reference.
@@ -336,24 +310,23 @@ func (b *Bus) remove(s *Subscription) {
 // Subscription is a single subscriber's registration on a topic. Its queue
 // is a mutex-guarded slice rather than a channel so that the drain goroutine
 // takes everything queued in one lock acquisition, by swapping the slice for
-// an empty one of the same capacity.
+// the spare it spent on the previous batch. Both slices start empty and grow
+// only as far as the queue fills, never past limit.
 type Subscription struct {
 	bus   *Bus
 	topic string
 	h     Handler
+	limit int // queue bound (WithQueue)
 
 	mu       sync.Mutex
 	notEmpty sync.Cond
 	notFull  sync.Cond
-	buf      []Event // queued events; full when len == cap
+	buf      []Event // queued events; full when len == limit
 	stopped  bool
 
 	stopOnce sync.Once
 	done     chan struct{}
 }
-
-// Topic reports the topic this subscription listens on.
-func (s *Subscription) Topic() string { return s.topic }
 
 // Cancel removes the subscription and waits for its drain goroutine to
 // finish; events already queued are still delivered before Cancel returns.
@@ -382,7 +355,7 @@ func (s *Subscription) stop() {
 // released and its weight settled as discarded, not counted as a drop.
 func (s *Subscription) enqueue(ev Event) {
 	s.mu.Lock()
-	for len(s.buf) == cap(s.buf) && !s.stopped {
+	for len(s.buf) >= s.limit && !s.stopped {
 		s.notFull.Wait()
 	}
 	if s.stopped {
@@ -391,6 +364,12 @@ func (s *Subscription) enqueue(ev Event) {
 		releasePayload(ev.Payload)
 		return
 	}
+	if len(s.buf) == cap(s.buf) {
+		// Grow by doubling, clamped so the queue never outgrows its bound.
+		grown := make([]Event, len(s.buf), min(max(2*cap(s.buf), 4), s.limit))
+		copy(grown, s.buf)
+		s.buf = grown
+	}
 	s.buf = append(s.buf, ev)
 	if len(s.buf) == 1 {
 		s.notEmpty.Signal()
@@ -398,11 +377,12 @@ func (s *Subscription) enqueue(ev Event) {
 	s.mu.Unlock()
 }
 
-// run drains the queue until the subscription stops; spare is the empty
-// slice swapped in for each batch it takes.
-func (s *Subscription) run(wg *sync.WaitGroup, spare []Event) {
+// run drains the queue until the subscription stops, swapping in the spent
+// batch as the next spare.
+func (s *Subscription) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer close(s.done)
+	var spare []Event
 	for {
 		s.mu.Lock()
 		for len(s.buf) == 0 && !s.stopped {

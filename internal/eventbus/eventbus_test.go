@@ -22,7 +22,7 @@ func TestPublishDeliversToSubscriber(t *testing.T) {
 	}
 	select {
 	case ev := <-got:
-		if ev.Topic != "presence" || ev.Payload != true || !ev.Time.Equal(t0) || ev.Seq != 1 {
+		if ev.Payload != true || !ev.Time.Equal(t0) {
 			t.Fatalf("unexpected event %+v", ev)
 		}
 	case <-time.After(5 * time.Second):
@@ -142,6 +142,8 @@ func TestBlockPolicyAppliesBackpressure(t *testing.T) {
 	b := New()
 	defer b.Close()
 	release := make(chan struct{})
+	openRelease := sync.OnceFunc(func() { close(release) })
+	defer openRelease() // a failed check must not leave the handler parked
 	started := make(chan struct{}, 16)
 	if _, err := b.Subscribe("t", func(Event) {
 		started <- struct{}{}
@@ -167,11 +169,62 @@ func TestBlockPolicyAppliesBackpressure(t *testing.T) {
 		t.Fatal("third publish returned despite full Block queue")
 	case <-time.After(50 * time.Millisecond):
 	}
-	close(release)
+	openRelease()
 	select {
 	case <-blocked:
 	case <-time.After(5 * time.Second):
 		t.Fatal("publish still blocked after handler drained")
+	}
+}
+
+// TestQueueGrowsOnDemandWithinBound pins what a subscription's queue costs:
+// an idle subscription holds no buffer, and a queue filled to its bound
+// over several drain cycles — so both of the slices the drain swaps take a
+// turn as the queue — never holds one with capacity above WithQueue's n.
+func TestQueueGrowsOnDemandWithinBound(t *testing.T) {
+	const n = 100 // not a power of two: unclamped doubling would pass it
+	b := New()
+	defer b.Close()
+	tokens := make(chan struct{}) // one per delivery the handler may finish
+	openTokens := sync.OnceFunc(func() { close(tokens) })
+	defer openTokens() // a failed check must not leave the handler parked
+	sub, err := b.Subscribe("t", func(Event) { <-tokens }, WithQueue(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := func() (int, int) {
+		sub.mu.Lock()
+		defer sub.mu.Unlock()
+		return len(sub.buf), cap(sub.buf)
+	}
+	if _, c := queued(); c != 0 {
+		t.Fatalf("idle subscription holds a %d-slot queue, want none", c)
+	}
+	for round := 0; round < 4; round++ {
+		// One event parks in the handler, then n fill the queue.
+		if err := b.Publish("t", round, t0); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); ; {
+			if l, _ := queued(); l == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("drain never took the first event")
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		for i := 0; i < n; i++ {
+			if err := b.Publish("t", i, t0); err != nil {
+				t.Fatal(err)
+			}
+			if l, c := queued(); c > n || l != i+1 {
+				t.Fatalf("round %d: %d queued in a %d-slot buffer, want %d in at most %d", round, l, c, i+1, n)
+			}
+		}
+		for i := 0; i <= n; i++ {
+			tokens <- struct{}{}
+		}
 	}
 }
 
@@ -199,6 +252,8 @@ func TestIdleTracksOutstandingDeliveries(t *testing.T) {
 	}
 
 	release := make(chan struct{})
+	openRelease := sync.OnceFunc(func() { close(release) })
+	defer openRelease() // a failed check must not leave the handler parked
 	var downstream atomic.Int64
 	if _, err := b.Subscribe("down", func(Event) { <-release; downstream.Add(1) }); err != nil {
 		t.Fatal(err)
@@ -212,7 +267,7 @@ func TestIdleTracksOutstandingDeliveries(t *testing.T) {
 	if b.Idle() { // either "up" is unsettled or its publication to "down" is
 		t.Fatal("bus idle while a relayed event waits in a gated handler")
 	}
-	close(release)
+	openRelease()
 	waitIdle("the relay chain drained")
 	if downstream.Load() != 1 {
 		t.Fatalf("downstream saw %d events, want 1", downstream.Load())
@@ -223,7 +278,7 @@ func TestIdleTracksOutstandingDeliveries(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub.Cancel()
-	sub.enqueue(Event{Topic: "cancelled", Payload: 9}) // a publisher that raced the cancel
+	sub.enqueue(Event{Payload: 9}) // a publisher that raced the cancel
 	b.offered.Add(1)
 	if !b.Idle() {
 		t.Fatalf("event offered to a cancelled subscription never settled: %+v", b.Stats())

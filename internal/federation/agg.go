@@ -242,6 +242,11 @@ func (b *aggBuffer) run() {
 	n := b.p.n
 	defer n.wg.Done()
 	var keys []string
+	// One timer serves every retry wait and is stopped on exit: an
+	// abandoned time.After stays armed until it fires.
+	retry := time.NewTimer(time.Hour)
+	retry.Stop()
+	defer retry.Stop()
 	for {
 		b.mu.Lock()
 		for len(b.dirty) == 0 && !b.stopped {
@@ -277,9 +282,13 @@ func (b *aggBuffer) run() {
 				case <-b.p.client.UpChan():
 				}
 			} else {
+				retry.Reset(aggRetryBackoff)
 				select {
 				case <-n.stopCh:
-				case <-time.After(aggRetryBackoff):
+					if !retry.Stop() {
+						<-retry.C // fired meanwhile: empty it for the next Reset
+					}
+				case <-retry.C:
 				}
 			}
 			continue

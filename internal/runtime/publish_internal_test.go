@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -533,5 +534,63 @@ func TestInterpretedRelayAllocsIndependentOfFleet(t *testing.T) {
 		if perEvent > stormAllocsPerEvent {
 			t.Errorf("%d tenants: %.4f allocs per relayed event, want <= %v", tenants, perEvent, stormAllocsPerEvent)
 		}
+	}
+}
+
+// heapPerRelayAppBound bounds the heap one more idle interpreted relay app
+// holds on a Host: relayTenantDesign, configured as the tenants.hot
+// benchmark deploys its tenants. An idle bus subscription holds no queue,
+// so the app costs its wiring (~11 KB); one source queue preallocated at
+// its 1024-event bound would cost 40 KB on its own.
+const heapPerRelayAppBound = 32 << 10
+
+// relayAppGoroutines is what one relay app runs while idle.
+const relayAppGoroutines = 4
+
+// TestHeapPerRelayApp pins the fixed cost of an app at the home end of the
+// continuum: the marginal heap after GC and the goroutines of the 2nd to
+// 64th interpreted relay app on one Host.
+func TestHeapPerRelayApp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes heap sizes")
+	}
+	const apps = 64
+	h, err := NewHost(SubstrateConfig{Clock: simclock.NewVirtual(hostEpoch)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Close)
+	open := make(chan struct{})
+	close(open)
+	sink := &gatedCtrl{gate: open}
+	deploy := func(i int) {
+		id := fmt.Sprintf("t%d", i)
+		if _, err := h.DeploySource(id, relayTenantDesign("Sensor_"+id), AppConfig{
+			AutoImplement: true,
+			Controllers:   map[string]ControllerHandler{"Sink": sink},
+			Ingest:        IngestConfig{Shards: 2},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() int64 {
+		var ms goruntime.MemStats
+		goruntime.GC()
+		goruntime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	deploy(0)
+	g0, h0 := settledGoroutines(), heap()
+	for i := 1; i < apps; i++ {
+		deploy(i)
+	}
+	g1, h1 := settledGoroutines(), heap()
+	perApp := float64(h1-h0) / (apps - 1)
+	t.Logf("apps 2-%d: %.0f B of heap and %d goroutines per app", apps, perApp, (g1-g0)/(apps-1))
+	if perApp > heapPerRelayAppBound {
+		t.Errorf("%.0f B of heap per relay app, want <= %d", perApp, heapPerRelayAppBound)
+	}
+	if g1-g0 != relayAppGoroutines*(apps-1) {
+		t.Errorf("%d goroutines for %d apps, want %d per app", g1-g0, apps-1, relayAppGoroutines)
 	}
 }

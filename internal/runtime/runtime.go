@@ -652,7 +652,7 @@ func (rt *Runtime) Stats() Stats {
 }
 
 // BusStats returns a snapshot of the delivery substrate's counters
-// (publications, deliveries, overflow drops).
+// (publications and deliveries; the bus is lossless, so Dropped stays 0).
 func (rt *Runtime) BusStats() eventbus.Stats {
 	return rt.bus.Stats()
 }

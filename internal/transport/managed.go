@@ -298,6 +298,11 @@ func (m *ManagedClient) reconnectLoop() {
 	defer m.wg.Done()
 	rng := rand.New(rand.NewSource(m.cfg.Seed))
 	delay := m.cfg.BackoffBase
+	// One timer serves every backoff wait and is stopped on exit: an
+	// abandoned time.After stays armed until it fires.
+	backoff := time.NewTimer(time.Hour)
+	backoff.Stop()
+	defer backoff.Stop()
 	for {
 		c, err := m.dial()
 		if err == nil {
@@ -330,8 +335,9 @@ func (m *ManagedClient) reconnectLoop() {
 		m.setHealthLocked()
 		m.mu.Unlock()
 		jitter := time.Duration(rng.Int63n(int64(delay)/2 + 1))
+		backoff.Reset(delay + jitter)
 		select {
-		case <-time.After(delay + jitter):
+		case <-backoff.C:
 		case <-m.stopCh:
 			return
 		}
