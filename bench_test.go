@@ -886,28 +886,8 @@ func (c *stormCounter) OnTrigger(*runtime.ContextCall) (any, bool, error) {
 	return nil, false, nil
 }
 
-// chanOnlySensor hides SwarmSensor's PushSubscriber (and SnapshotQuerier)
-// faces, forcing the runtime onto the per-device-subscription baseline: one
-// channel and one forwarding goroutine per device.
-type chanOnlySensor struct{ s *devsim.SwarmSensor }
-
-func (c chanOnlySensor) ID() string                      { return c.s.ID() }
-func (c chanOnlySensor) Kind() string                    { return c.s.Kind() }
-func (c chanOnlySensor) Kinds() []string                 { return c.s.Kinds() }
-func (c chanOnlySensor) Attributes() registry.Attributes { return c.s.Attributes() }
-func (c chanOnlySensor) Query(source string) (any, error) {
-	return c.s.Query(source)
-}
-func (c chanOnlySensor) Subscribe(source string) (device.Subscription, error) {
-	return c.s.Subscribe(source)
-}
-func (c chanOnlySensor) Invoke(action string, args ...any) error {
-	return c.s.Invoke(action, args...)
-}
-
-// stormBenchWorld builds the event-storm application over a swarm, binding
-// either the push-capable sensors or the channel-only wrappers.
-func stormBenchWorld(b *testing.B, sensors int, push bool) (*runtime.Runtime, *devsim.Swarm, *stormCounter) {
+// stormBenchWorld builds the event-storm application over a swarm.
+func stormBenchWorld(b *testing.B, sensors int) (*runtime.Runtime, *devsim.Swarm, *stormCounter) {
 	b.Helper()
 	vc := simclock.NewVirtual(benchEpoch)
 	model, err := dsl.Load(stormDesign)
@@ -919,11 +899,7 @@ func stormBenchWorld(b *testing.B, sensors int, push bool) (*runtime.Runtime, *d
 		Sensors: sensors, Lots: []string{"L00"}, GroupAttr: "lot", Seed: 7,
 	}, vc)
 	for _, s := range swarm.Sensors() {
-		var drv device.Driver = s
-		if !push {
-			drv = chanOnlySensor{s: s}
-		}
-		if err := rt.BindDevice(drv); err != nil {
+		if err := rt.BindDevice(s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -970,49 +946,40 @@ func waitAccounted(b *testing.B, rt *runtime.Runtime, delivered *stormCounter, w
 }
 
 // BenchmarkSwarm_EventStorm: 10k/50k devices pushing readings through the
-// `when provided` path. One iteration emits one reading per device and
-// drains the pipeline. Two variants: per-device-subscription (one channel
-// + one forwarding goroutine per device, the pre-ingestion architecture) and
-// typed (push sinks into pooled columnar ReadingBatch payloads, the default).
-// Acceptance targets: typed ≥3x events/sec over per-device-subscription at
-// 50k and ~0 steady-state allocs/event. The allocs/event
+// `when provided` path: push sinks into pooled columnar ReadingBatch
+// payloads (the "typed" path). One iteration emits one reading per device
+// and drains the pipeline; delivered + counted drops must equal the
+// accepted readings exactly. Acceptance target: ~0 steady-state
+// allocs/event. The allocs/event
 // metric is the process-wide malloc delta across the measured iterations
 // over the measured accepted-event count — it charges the whole pipeline
 // (shards, bus, dispatch, handler), not just the bench goroutine.
 func BenchmarkSwarm_EventStorm(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		push bool
-	}{
-		{"per-device-subscription", false},
-		{"typed", true},
-	} {
-		for _, sensors := range []int{10000, 50000} {
-			b.Run(fmt.Sprintf("%s/sensors=%d", cfg.name, sensors), func(b *testing.B) {
-				rt, swarm, delivered := stormBenchWorld(b, sensors, cfg.push)
-				var accepted uint64
-				// Warm the pipeline (shard buffers, subscription rings,
-				// handler caches, batch pool) so the measured iterations are
-				// steady state.
+	for _, sensors := range []int{10000, 50000} {
+		b.Run(fmt.Sprintf("typed/sensors=%d", sensors), func(b *testing.B) {
+			rt, swarm, delivered := stormBenchWorld(b, sensors)
+			var accepted uint64
+			// Warm the pipeline (shard buffers, subscription rings,
+			// handler caches, batch pool) so the measured iterations are
+			// steady state.
+			accepted += uint64(swarm.FlipBurst(sensors))
+			waitAccounted(b, rt, delivered, accepted)
+			measuredFrom := accepted
+			b.ReportAllocs()
+			var ms stdruntime.MemStats
+			stdruntime.ReadMemStats(&ms)
+			mallocsFrom := ms.Mallocs
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				accepted += uint64(swarm.FlipBurst(sensors))
 				waitAccounted(b, rt, delivered, accepted)
-				measuredFrom := accepted
-				b.ReportAllocs()
-				var ms stdruntime.MemStats
-				stdruntime.ReadMemStats(&ms)
-				mallocsFrom := ms.Mallocs
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					accepted += uint64(swarm.FlipBurst(sensors))
-					waitAccounted(b, rt, delivered, accepted)
-				}
-				b.StopTimer()
-				stdruntime.ReadMemStats(&ms)
-				measured := accepted - measuredFrom
-				b.ReportMetric(float64(measured)/b.Elapsed().Seconds(), "events/sec")
-				b.ReportMetric(float64(ms.Mallocs-mallocsFrom)/float64(measured), "allocs/event")
-			})
-		}
+			}
+			b.StopTimer()
+			stdruntime.ReadMemStats(&ms)
+			measured := accepted - measuredFrom
+			b.ReportMetric(float64(measured)/b.Elapsed().Seconds(), "events/sec")
+			b.ReportMetric(float64(ms.Mallocs-mallocsFrom)/float64(measured), "allocs/event")
+		})
 	}
 }
 
@@ -1026,7 +993,7 @@ func BenchmarkSwarm_Churn(b *testing.B) {
 	const sensors = 50000
 	for _, churnPct := range []int{0, 1, 10} {
 		b.Run(fmt.Sprintf("churn=%d%%", churnPct), func(b *testing.B) {
-			rt, swarm, delivered := stormBenchWorld(b, sensors, true)
+			rt, swarm, delivered := stormBenchWorld(b, sensors)
 			cs, err := devsim.NewChurnSwarm(swarm, devsim.ChurnHooks{
 				Bind:   func(s *devsim.SwarmSensor) error { return rt.BindDevice(s) },
 				Unbind: rt.UnbindDevice,

@@ -1,6 +1,6 @@
 // Command quickstart is the smallest complete orchestration application:
 // one inline DiaSpec design (a thermometer, a comfort context, a vent
-// controller), simulated devices, and the core App API. It shows the whole
+// controller), simulated devices, and the runtime API. It shows the whole
 // pipeline — design text → semantic check → inversion-of-control runtime —
 // in under a hundred lines of application code.
 //
@@ -15,8 +15,8 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/dsl"
 	"repro/internal/registry"
 	"repro/internal/runtime"
 	"repro/internal/simclock"
@@ -94,10 +94,11 @@ func main() {
 
 func run(rounds int) error {
 	vc := simclock.NewVirtual(time.Date(2017, 6, 5, 14, 0, 0, 0, time.UTC))
-	app, err := core.NewApp(design, runtime.WithClock(vc))
+	model, err := dsl.Load(design)
 	if err != nil {
 		return err
 	}
+	app := runtime.New(model, runtime.WithClock(vc))
 	defer app.Stop()
 
 	thermo := device.NewBase("thermo-living", "Thermometer", nil,
@@ -105,8 +106,10 @@ func run(rounds int) error {
 	vent := device.NewBase("vent-living", "Vent", nil, nil, vc.Now)
 	vent.OnAction("open", func(...any) error { return nil })
 	vent.OnAction("close", func(...any) error { return nil })
-	if err := app.BindDevices(thermo, vent); err != nil {
-		return err
+	for _, d := range []device.Driver{thermo, vent} {
+		if err := app.BindDevice(d); err != nil {
+			return err
+		}
 	}
 	if err := app.ImplementContext("Comfort", &comfort{}); err != nil {
 		return err
@@ -122,7 +125,7 @@ func run(rounds int) error {
 	for r := 0; r < rounds; r++ {
 		for _, temp := range []float64{22.0, 24.5, 27.3, 28.1, 25.0, 21.9} {
 			thermo.Emit("temperature", temp)
-			time.Sleep(5 * time.Millisecond) // let the async delivery run
+			time.Sleep(5 * time.Millisecond) // let the async dispatch run
 		}
 	}
 	st := app.Stats()

@@ -21,8 +21,8 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/devsim"
+	"repro/internal/dsl"
 	"repro/internal/registry"
 	"repro/internal/runtime"
 	"repro/internal/simclock"
@@ -109,11 +109,12 @@ func main() {
 
 func run(sensors, lots, rounds int) error {
 	vc := simclock.NewVirtual(time.Date(2017, 6, 5, 9, 0, 0, 0, time.UTC))
-	app, err := core.NewApp(design, runtime.WithClock(vc))
+	model, err := dsl.Load(design)
 	if err != nil {
 		return err
 	}
-	defer app.Stop()
+	rt := runtime.New(model, runtime.WithClock(vc))
+	defer rt.Stop()
 
 	lotNames := make([]string, lots)
 	for i := range lotNames {
@@ -128,7 +129,7 @@ func run(sensors, lots, rounds int) error {
 
 	bindStart := time.Now()
 	for _, s := range swarm.Sensors() {
-		if err := app.BindDevice(s); err != nil {
+		if err := rt.BindDevice(s); err != nil {
 			return err
 		}
 	}
@@ -136,24 +137,23 @@ func run(sensors, lots, rounds int) error {
 	for i, lot := range lotNames {
 		panels[i] = devsim.NewRecorderDevice("panel-"+lot, "ZonePanel", nil,
 			registry.Attributes{"lot": lot}, []string{"update"}, vc.Now)
-		if err := app.BindDevice(panels[i]); err != nil {
+		if err := rt.BindDevice(panels[i]); err != nil {
 			return err
 		}
 	}
 	fmt.Printf("bound %d sensors and %d panels in %v\n",
 		swarm.Size(), lots, time.Since(bindStart).Round(time.Millisecond))
 
-	if err := app.ImplementContext("LotVacancy", vacancy{}); err != nil {
+	if err := rt.ImplementContext("LotVacancy", vacancy{}); err != nil {
 		return err
 	}
-	if err := app.ImplementController("PanelUpdater", panelUpdater{}); err != nil {
+	if err := rt.ImplementController("PanelUpdater", panelUpdater{}); err != nil {
 		return err
 	}
-	if err := app.Start(); err != nil {
+	if err := rt.Start(); err != nil {
 		return err
 	}
 
-	rt := app.Runtime()
 	for r := 1; r <= rounds; r++ {
 		before := rt.Stats().ContextPublishes
 		wall := time.Now()

@@ -7,14 +7,15 @@
 // The three modes map onto this interface as follows:
 //
 //   - query driven: Query (and QueryIndexed for indexed sources);
-//   - event driven: Subscribe, which streams Readings pushed by the device;
+//   - event driven: SubscribePush, which attaches a Sink the device pushes
+//     its Readings into;
 //   - periodic: the runtime's scheduler polls Query on the declared period,
 //     which is the pull realization of periodic delivery from the WSN
 //     taxonomy the paper cites [16].
 //
 // Base provides the bookkeeping shared by every driver (identity,
-// attributes, subscriber hub) so a concrete device only implements its
-// source values and action effects.
+// attributes, the attached sinks of each source) so a concrete device only
+// implements its source values and action effects.
 package device
 
 import (
@@ -41,7 +42,10 @@ type Reading struct {
 	Time time.Time
 }
 
-// Subscription is an event-driven stream of readings.
+// Subscription is a channel stream of readings. No driver offers one:
+// event-driven delivery is SubscribePush. The type is kept only because
+// stampSensor.Subscribe in bench/w_tenants_hot.go still names it, and goes
+// once that method does.
 type Subscription interface {
 	// C returns the reading channel. It is closed on Cancel.
 	C() <-chan Reading
@@ -61,9 +65,12 @@ type Driver interface {
 	Attributes() registry.Attributes
 	// Query reads the current value of a source (query-driven delivery).
 	Query(source string) (any, error)
-	// Subscribe streams readings pushed by the device (event-driven
-	// delivery).
-	Subscribe(source string) (Subscription, error)
+	// SubscribePush attaches sink to a source (event-driven delivery):
+	// the device pushes each reading it produces into it. The returned
+	// cancel detaches the sink; it is idempotent, and once it returns no
+	// new push begins. An emission already in flight on another
+	// goroutine may still complete, so a sink must stay safe to call.
+	SubscribePush(source string, sink Sink) (cancel func(), err error)
 	// Invoke performs an action facet operation (actuation).
 	Invoke(action string, args ...any) error
 }
@@ -84,23 +91,12 @@ type SnapshotQuerier interface {
 // Sink accepts readings pushed by a device. Implementations are safe for
 // concurrent use and never block for long: admission control (bounded
 // in-flight budgets, drop policies) happens behind Push, so a device can
-// call it from its emission path directly.
+// call it from its emission path directly. The runtime's ingestion shards
+// and the federation exporter never block. A remote subscriber's sink may
+// wait on its connection's 64-slot answer queue, but never past the
+// connection's end.
 type Sink interface {
 	Push(r Reading)
-}
-
-// PushSubscriber is optionally implemented by drivers that can deliver
-// event-driven readings straight into a runtime-owned Sink instead of a
-// per-device channel. The runtime's ingestion pipeline prefers this path:
-// it needs no per-device goroutine or queue, so fleets of tens of thousands
-// of emitting devices cost per-event work proportional to traffic, not to
-// population size. The returned cancel function detaches the sink; it is
-// idempotent, and once it returns no new push begins — an emission already
-// in flight on another goroutine may still complete, so sinks must stay
-// safe to call (the runtime's ingestion shards are; they simply deliver
-// the straggler).
-type PushSubscriber interface {
-	SubscribePush(source string, sink Sink) (cancel func(), err error)
 }
 
 // Errors returned by drivers.
@@ -128,9 +124,16 @@ type Base struct {
 	mu      sync.Mutex
 	queries map[string]QueryFunc
 	actions map[string]ActionFunc
-	subs    map[string]map[*baseSub]struct{}
-	closed  bool
+	// sinks is each source's attached sinks. A list is copy-on-write:
+	// attach and cancel replace it under mu, so Emit pushes into the list
+	// it loaded without holding a lock.
+	sinks  map[string][]*sinkEntry
+	closed bool
 }
+
+// sinkEntry is one attachment; its pointer identity tells two attachments
+// of the same sink apart.
+type sinkEntry struct{ sink Sink }
 
 // NewBase returns a Base for a device of the given identity. kinds may be
 // nil, in which case it defaults to [kind]. now supplies reading timestamps
@@ -150,7 +153,7 @@ func NewBase(id, kind string, kinds []string, attrs registry.Attributes, now fun
 		now:     now,
 		queries: make(map[string]QueryFunc),
 		actions: make(map[string]ActionFunc),
-		subs:    make(map[string]map[*baseSub]struct{}),
+		sinks:   make(map[string][]*sinkEntry),
 	}
 }
 
@@ -214,30 +217,40 @@ func (b *Base) Invoke(action string, args ...any) error {
 	return f(args...)
 }
 
-// Subscribe implements Driver. Every subscriber gets a buffered channel;
-// when a subscriber falls behind, the oldest reading is dropped (sensor
-// freshness beats completeness).
-func (b *Base) Subscribe(source string) (Subscription, error) {
-	s := &baseSub{
-		base:   b,
-		source: source,
-		ch:     make(chan Reading, 16),
-	}
+// SubscribePush implements Driver. Emit pushes into sink synchronously, on
+// the emitting goroutine.
+func (b *Base) SubscribePush(source string, sink Sink) (func(), error) {
+	e := &sinkEntry{sink: sink}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return nil, errors.New("device: driver closed")
 	}
-	set := b.subs[source]
-	if set == nil {
-		set = make(map[*baseSub]struct{})
-		b.subs[source] = set
-	}
-	set[s] = struct{}{}
-	return s, nil
+	cur := b.sinks[source]
+	b.sinks[source] = append(cur[:len(cur):len(cur)], e) // a fresh array: Emit may hold cur
+	return func() { b.detach(source, e) }, nil
 }
 
-// Emit pushes an event-driven reading to the subscribers of source.
+// detach removes one attachment; a second call, or a call after Close,
+// finds nothing to remove.
+func (b *Base) detach(source string, e *sinkEntry) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	cur := b.sinks[source]
+	kept := make([]*sinkEntry, 0, len(cur))
+	for _, x := range cur {
+		if x != e {
+			kept = append(kept, x)
+		}
+	}
+	if len(kept) == 0 {
+		delete(b.sinks, source)
+	} else {
+		b.sinks[source] = kept
+	}
+}
+
+// Emit pushes an event-driven reading into the sinks attached to source.
 func (b *Base) Emit(source string, value any) {
 	b.EmitIndexed(source, value, nil)
 }
@@ -245,6 +258,12 @@ func (b *Base) Emit(source string, value any) {
 // EmitIndexed pushes a reading with an index value (for `indexed by`
 // sources).
 func (b *Base) EmitIndexed(source string, value, index any) {
+	b.mu.Lock()
+	sinks := b.sinks[source]
+	b.mu.Unlock()
+	if len(sinks) == 0 {
+		return
+	}
 	r := Reading{
 		DeviceID: b.id,
 		Source:   source,
@@ -252,59 +271,15 @@ func (b *Base) EmitIndexed(source string, value, index any) {
 		Index:    index,
 		Time:     b.now(),
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for s := range b.subs[source] {
-		for {
-			select {
-			case s.ch <- r:
-			default:
-				select {
-				case <-s.ch: // drop oldest
-				default:
-				}
-				continue
-			}
-			break
-		}
+	for _, e := range sinks {
+		e.sink.Push(r)
 	}
 }
 
-// Close cancels all subscriptions.
+// Close detaches every sink and refuses new ones.
 func (b *Base) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return
-	}
 	b.closed = true
-	for _, set := range b.subs {
-		for s := range set {
-			close(s.ch)
-		}
-	}
-	b.subs = make(map[string]map[*baseSub]struct{})
+	clear(b.sinks)
 }
-
-func (b *Base) dropSub(s *baseSub) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if set, ok := b.subs[s.source]; ok {
-		if _, live := set[s]; live {
-			delete(set, s)
-			close(s.ch)
-		}
-	}
-}
-
-type baseSub struct {
-	base   *Base
-	source string
-	ch     chan Reading
-}
-
-// C implements Subscription.
-func (s *baseSub) C() <-chan Reading { return s.ch }
-
-// Cancel implements Subscription.
-func (s *baseSub) Cancel() { s.base.dropSub(s) }

@@ -44,15 +44,21 @@ func TestSwarmPushSubscribe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	second := &recordingSink{}
+	cancelSecond, err := sensor.SubscribePush("presence", second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !s.Attached(1) || s.AttachedCount() != 1 {
-		t.Fatalf("attach bookkeeping: attached(1)=%v count=%d", s.Attached(1), s.AttachedCount())
+		t.Fatalf("attach bookkeeping: attached(1)=%v count=%d, want one sensor counted once", s.Attached(1), s.AttachedCount())
 	}
 	if !s.Flip(1) {
 		t.Fatal("flip with attached sink not accepted")
 	}
-	if got := sink.count(); got != 1 {
-		t.Fatalf("sink got %d readings, want 1", got)
+	if got, got2 := sink.count(), second.count(); got != 1 || got2 != 1 {
+		t.Fatalf("sinks got %d and %d readings, want 1 each", got, got2)
 	}
+	cancelSecond()
 	if s.Flip(0) {
 		t.Fatal("flip of unattached sensor accepted")
 	}
@@ -66,38 +72,6 @@ func TestSwarmPushSubscribe(t *testing.T) {
 	}
 	if got := sink.count(); got != 1 {
 		t.Fatalf("sink grew after cancel: %d", got)
-	}
-}
-
-func TestSwarmPushAndChannelCoexist(t *testing.T) {
-	s := newChurnTestSwarm(2)
-	sink := &recordingSink{}
-	cancel, err := s.Sensors()[0].SubscribePush("presence", sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-	sub, err := s.Sensors()[0].Subscribe("presence")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Cancel()
-	if s.AttachedCount() != 1 {
-		t.Fatalf("one sensor with two consumers should count once, got %d", s.AttachedCount())
-	}
-	if !s.Flip(0) {
-		t.Fatal("flip not accepted")
-	}
-	if got := sink.count(); got != 1 {
-		t.Fatalf("push sink got %d readings, want 1", got)
-	}
-	select {
-	case r := <-sub.C():
-		if r.DeviceID != s.Sensors()[0].ID() {
-			t.Fatalf("channel reading from %s", r.DeviceID)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("channel subscription saw nothing")
 	}
 }
 

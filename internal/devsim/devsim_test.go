@@ -4,25 +4,40 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/device"
 	"repro/internal/simclock"
 )
 
 var epoch = time.Date(2017, 6, 5, 2, 0, 0, 0, time.UTC) // 02:00, overnight
 
-func TestClockDeviceEmitsTicks(t *testing.T) {
-	vc := simclock.NewVirtual(epoch)
-	c := NewClockDevice("clock-1", vc)
-	sub, err := c.Subscribe("tickSecond")
+// chanSink hands every pushed reading to a buffered channel; a test sizes
+// the buffer for every reading it provokes.
+type chanSink chan device.Reading
+
+func (c chanSink) Push(r device.Reading) { c <- r }
+
+// subscribe attaches a chanSink of the given capacity to source.
+func subscribe(t *testing.T, d device.Driver, source string, capacity int) (chanSink, func()) {
+	t.Helper()
+	sink := make(chanSink, capacity)
+	cancel, err := d.SubscribePush(source, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sub.Cancel()
+	return sink, cancel
+}
+
+func TestClockDeviceEmitsTicks(t *testing.T) {
+	vc := simclock.NewVirtual(epoch)
+	c := NewClockDevice("clock-1", vc)
+	sub, cancel := subscribe(t, c, "tickSecond", 8)
+	defer cancel()
 	c.Run()
 	defer c.Stop()
 	for i := 1; i <= 3; i++ {
 		vc.Advance(time.Second)
 		select {
-		case r := <-sub.C():
+		case r := <-sub:
 			if r.Value != i {
 				t.Fatalf("tick %d value = %v", i, r.Value)
 			}
@@ -39,10 +54,10 @@ func TestClockDeviceEmitsTicks(t *testing.T) {
 func TestClockDeviceMinuteAndHour(t *testing.T) {
 	vc := simclock.NewVirtual(epoch)
 	c := NewClockDevice("clock-1", vc)
-	subM, _ := c.Subscribe("tickMinute")
-	subH, _ := c.Subscribe("tickHour")
-	defer subM.Cancel()
-	defer subH.Cancel()
+	subM, cancelM := subscribe(t, c, "tickMinute", 64)
+	subH, cancelH := subscribe(t, c, "tickHour", 4)
+	defer cancelM()
+	defer cancelH()
 	c.Run()
 	defer c.Stop()
 	// Advance one hour in minute steps so no ticker ticks are dropped.
@@ -51,7 +66,7 @@ func TestClockDeviceMinuteAndHour(t *testing.T) {
 	}
 	deadline := time.After(5 * time.Second)
 	select {
-	case r := <-subM.C():
+	case r := <-subM:
 		if r.Value.(int) < 1 {
 			t.Fatalf("minute tick = %v", r.Value)
 		}
@@ -59,7 +74,7 @@ func TestClockDeviceMinuteAndHour(t *testing.T) {
 		t.Fatal("no minute tick")
 	}
 	select {
-	case r := <-subH.C():
+	case r := <-subH:
 		if r.Value.(int) != 1 {
 			t.Fatalf("hour tick = %v", r.Value)
 		}
@@ -99,14 +114,14 @@ func TestCookerDeviceLifecycle(t *testing.T) {
 func TestPrompterAnswersViaPolicy(t *testing.T) {
 	vc := simclock.NewVirtual(epoch)
 	p := NewPrompterDevice("tv-1", vc.Now)
-	sub, _ := p.Subscribe("answer")
-	defer sub.Cancel()
+	sub, cancel := subscribe(t, p, "answer", 1)
+	defer cancel()
 	p.AnswerWith(func(q string) (string, bool) { return "yes", true })
 	if err := p.Invoke("askQuestion", "turn off?"); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case r := <-sub.C():
+	case r := <-sub:
 		if r.Value != "yes" || r.Index != "q1" {
 			t.Fatalf("answer = %+v", r)
 		}
@@ -120,14 +135,14 @@ func TestPrompterAnswersViaPolicy(t *testing.T) {
 
 func TestPrompterPolicyCanDecline(t *testing.T) {
 	p := NewPrompterDevice("tv-1", nil)
-	sub, _ := p.Subscribe("answer")
-	defer sub.Cancel()
+	sub, cancel := subscribe(t, p, "answer", 1)
+	defer cancel()
 	p.AnswerWith(func(q string) (string, bool) { return "", false })
 	if err := p.Invoke("askQuestion", "q"); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case r := <-sub.C():
+	case r := <-sub:
 		t.Fatalf("unexpected answer %+v", r)
 	default:
 	}
@@ -326,22 +341,16 @@ func TestParkingFleetEmitsEventDrivenChanges(t *testing.T) {
 	cfg := DefaultParkingModel([]string{"A22"}, 30, 5)
 	cfg.TurnoverRate = 50 // force plenty of flips per hour
 	f := NewParkingFleet(cfg, vc)
-	type sub interface{ Cancel() }
 	events := 0
-	var cancels []sub
+	var cancels []func()
 	// Subscribe to every sensor's presence source.
-	received := make(chan bool, 4096)
+	received := make(chanSink, 4096)
 	for _, s := range f.Sensors() {
-		su, err := s.Subscribe("presence")
+		cancel, err := s.SubscribePush("presence", received)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cancels = append(cancels, su)
-		go func() {
-			for r := range su.C() {
-				received <- r.Value.(bool)
-			}
-		}()
+		cancels = append(cancels, cancel)
 	}
 	vc.Advance(6 * time.Hour) // into late morning: big occupancy swing
 	f.Step()
@@ -354,7 +363,7 @@ func TestParkingFleetEmitsEventDrivenChanges(t *testing.T) {
 			t.Fatal("no event-driven readings emitted on state change")
 		}
 	}
-	for _, c := range cancels {
-		c.Cancel()
+	for _, cancel := range cancels {
+		cancel()
 	}
 }

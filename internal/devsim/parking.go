@@ -141,7 +141,7 @@ func (f *ParkingFleet) Step() {
 		f.occupied[i] = next
 	}
 	f.mu.Unlock()
-	// Emit outside the lock: Emit fans out to subscriber queues.
+	// Emit outside the lock: Emit pushes into the attached sinks.
 	for _, c := range changes {
 		f.sensors[c.idx].Emit("presence", c.now)
 	}

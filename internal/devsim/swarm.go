@@ -83,14 +83,11 @@ type Swarm struct {
 	flipCursor  int
 	deltaCursor int // lot-major cursor of DeltaRound
 
-	// subMu guards the channel-subscription table, the push-sink COW
-	// updates and the attachment counters. The emission hot path reads
-	// push sinks through an atomic pointer and skips subMu entirely while
-	// no channel subscriptions exist, so a push-mode event storm takes no
-	// swarm-wide lock per event.
+	// subMu guards the push-sink COW updates and the attachment counters.
+	// The emission hot path reads push sinks through an atomic pointer and
+	// never takes subMu, so an event storm takes no swarm-wide lock per
+	// event.
 	subMu        sync.Mutex
-	subs         map[int]map[*swarmSub]struct{}
-	chanSubCount atomic.Int64
 	pushSinks    []atomic.Pointer[[]*swarmPushEntry]
 	attachCounts []atomic.Int32
 	attached     atomic.Int64 // sensors with >=1 consumer attached
@@ -111,7 +108,6 @@ func NewSwarm(cfg SwarmConfig, clock simclock.Clock) *Swarm {
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		occupied:     make([]atomic.Bool, cfg.Sensors),
 		lastStep:     clock.Now(),
-		subs:         make(map[int]map[*swarmSub]struct{}),
 		pushSinks:    make([]atomic.Pointer[[]*swarmPushEntry], cfg.Sensors),
 		attachCounts: make([]atomic.Int32, cfg.Sensors),
 		sensors:      make([]*SwarmSensor, cfg.Sensors),
@@ -207,57 +203,23 @@ func (s *Swarm) SetOccupied(sensorIdx int, occupied bool) {
 	s.occupied[sensorIdx].Store(occupied)
 }
 
-// emit delivers one state-change reading to the sensor's attached consumers
-// and reports whether at least one accepted it. Push sinks are read through
-// an atomic pointer (no lock); the channel-subscription table is consulted
-// only while channel subscribers exist anywhere in the swarm.
+// emit delivers one state-change reading to the sensor's attached sinks and
+// reports whether at least one accepted it. Sinks are read through an atomic
+// pointer (no lock).
 func (s *Swarm) emit(idx int, value bool, at time.Time) bool {
-	accepted := false
-	var r device.Reading
-	if entries := s.pushSinks[idx].Load(); entries != nil && len(*entries) > 0 {
-		r = device.Reading{
-			DeviceID: s.sensors[idx].id,
-			Source:   s.cfg.Source,
-			Value:    value,
-			Time:     at,
-		}
-		for _, e := range *entries {
-			e.sink.Push(r)
-		}
-		accepted = true
+	entries := s.pushSinks[idx].Load()
+	if entries == nil || len(*entries) == 0 {
+		return false
 	}
-	if s.chanSubCount.Load() == 0 {
-		return accepted
+	r := device.Reading{
+		DeviceID: s.sensors[idx].id,
+		Source:   s.cfg.Source,
+		Value:    value,
+		Time:     at,
 	}
-	s.subMu.Lock()
-	set := s.subs[idx]
-	if len(set) == 0 {
-		s.subMu.Unlock()
-		return accepted
+	for _, e := range *entries {
+		e.sink.Push(r)
 	}
-	if r.DeviceID == "" {
-		r = device.Reading{
-			DeviceID: s.sensors[idx].id,
-			Source:   s.cfg.Source,
-			Value:    value,
-			Time:     at,
-		}
-	}
-	for sub := range set {
-		for {
-			select {
-			case sub.ch <- r:
-			default:
-				select {
-				case <-sub.ch: // drop oldest
-				default:
-				}
-				continue
-			}
-			break
-		}
-	}
-	s.subMu.Unlock()
 	return true
 }
 
@@ -347,7 +309,7 @@ func (s *Swarm) FlipBurst(n int) int {
 }
 
 // Attached reports whether the sensor currently has at least one attached
-// consumer (push sink or channel subscription).
+// sink.
 func (s *Swarm) Attached(idx int) bool { return s.attachCounts[idx].Load() > 0 }
 
 // AttachedCount reports how many sensors currently have at least one
@@ -361,22 +323,6 @@ func (s *Swarm) noteAttachLocked(idx int, delta int32) {
 		s.attached.Add(-1)
 	} else if n == delta && delta > 0 {
 		s.attached.Add(1)
-	}
-}
-
-func (s *Swarm) dropSub(sub *swarmSub) {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	if set, ok := s.subs[sub.idx]; ok {
-		if _, live := set[sub]; live {
-			delete(set, sub)
-			close(sub.ch)
-			s.chanSubCount.Add(-1)
-			s.noteAttachLocked(sub.idx, -1)
-			if len(set) == 0 {
-				delete(s.subs, sub.idx)
-			}
-		}
 	}
 }
 
@@ -428,32 +374,12 @@ func (d *SwarmSensor) Querier(source string) (device.QueryFunc, error) {
 	return func() (any, error) { return slot.Load(), nil }, nil
 }
 
-// Subscribe implements device.Driver (event-driven delivery): the stream
-// carries this sensor's state changes as Step advances the model.
-func (d *SwarmSensor) Subscribe(source string) (device.Subscription, error) {
-	if source != d.swarm.cfg.Source {
-		return nil, fmt.Errorf("%w: %s.%s", device.ErrUnknownSource, d.id, source)
-	}
-	sub := &swarmSub{swarm: d.swarm, idx: d.idx, ch: make(chan device.Reading, 16)}
-	d.swarm.subMu.Lock()
-	set := d.swarm.subs[d.idx]
-	if set == nil {
-		set = make(map[*swarmSub]struct{})
-		d.swarm.subs[d.idx] = set
-	}
-	set[sub] = struct{}{}
-	d.swarm.chanSubCount.Add(1)
-	d.swarm.noteAttachLocked(d.idx, 1)
-	d.swarm.subMu.Unlock()
-	return sub, nil
-}
-
-// SubscribePush implements device.PushSubscriber: state changes are pushed
-// straight into the runtime's ingestion sink, with no per-sensor channel or
-// goroutine. The returned cancel is idempotent; an emission concurrently in
-// flight on another goroutine may still complete after cancel returns (the
-// emitter observed the sink attached and its reading counts as accepted),
-// but no new push begins.
+// SubscribePush implements device.Driver (event-driven delivery): state
+// changes are pushed straight into the sink as Step or a flip advances the
+// model, with no per-sensor channel or goroutine. The returned cancel is
+// idempotent; an emission concurrently in flight on another goroutine may
+// still complete after cancel returns (the emitter observed the sink
+// attached and its reading counts as accepted), but no new push begins.
 func (d *SwarmSensor) SubscribePush(source string, sink device.Sink) (func(), error) {
 	if source != d.swarm.cfg.Source {
 		return nil, fmt.Errorf("%w: %s.%s", device.ErrUnknownSource, d.id, source)
@@ -500,15 +426,3 @@ func (d *SwarmSensor) SubscribePush(source string, sink device.Sink) (func(), er
 func (d *SwarmSensor) Invoke(action string, args ...any) error {
 	return fmt.Errorf("%w: %s.%s", device.ErrUnknownAction, d.id, action)
 }
-
-type swarmSub struct {
-	swarm *Swarm
-	idx   int
-	ch    chan device.Reading
-}
-
-// C implements device.Subscription.
-func (s *swarmSub) C() <-chan device.Reading { return s.ch }
-
-// Cancel implements device.Subscription.
-func (s *swarmSub) Cancel() { s.swarm.dropSub(s) }

@@ -84,18 +84,15 @@ func TestSwarmSensorDriverContract(t *testing.T) {
 	if err := d.Invoke("anything"); err == nil {
 		t.Fatal("sensor accepted an action")
 	}
-	if _, err := d.Subscribe("nope"); err == nil {
+	if _, err := d.SubscribePush("nope", make(chanSink)); err == nil {
 		t.Fatal("unknown source subscription accepted")
 	}
 }
 
 func TestSwarmEventDrivenDelivery(t *testing.T) {
 	s, vc := testSwarm(200)
-	sub, err := s.Sensors()[7].Subscribe("presence")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Cancel()
+	sub, cancel := subscribe(t, s.Sensors()[7], "presence", 2)
+	defer cancel()
 
 	// Force a state change on sensor 7 by flipping it against the model
 	// and advancing far enough that every space reconsiders its state.
@@ -107,7 +104,7 @@ func TestSwarmEventDrivenDelivery(t *testing.T) {
 	s.Step()
 
 	select {
-	case r := <-sub.C():
+	case r := <-sub:
 		if r.DeviceID != s.Sensors()[7].ID() || r.Source != "presence" {
 			t.Fatalf("unexpected reading %+v", r)
 		}
@@ -120,12 +117,12 @@ func TestSwarmEventDrivenDelivery(t *testing.T) {
 
 func TestSwarmSubscriptionCancelIdempotent(t *testing.T) {
 	s, _ := testSwarm(5)
-	sub, err := s.Sensors()[0].Subscribe("presence")
-	if err != nil {
-		t.Fatal(err)
+	_, cancel := subscribe(t, s.Sensors()[0], "presence", 1)
+	cancel()
+	cancel()
+	if s.Flip(0) {
+		t.Fatal("flip after cancel accepted")
 	}
-	sub.Cancel()
-	sub.Cancel()
 }
 
 func TestSwarmDeltaRound(t *testing.T) {

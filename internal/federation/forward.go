@@ -211,19 +211,7 @@ func (e *exporter) add(ent registry.Entity) {
 	// retracts the registration (and, for aggregates, the contribution).
 	e.sink.deviceAdded(id, ent.Attrs[e.groupAttr])
 	detachSink := func() { e.sink.deviceRemoved(id) }
-	if ps, ok := drv.(device.PushSubscriber); ok {
-		cancel, err := ps.SubscribePush(e.source, e.sink)
-		if err != nil {
-			detachSink()
-			unhost()
-			release()
-			e.n.rt.ReportError("federation:"+e.n.name, fmt.Errorf("export %s source %s: %w", ent.ID, e.source, err))
-			return
-		}
-		ed.attach(func() { cancel(); detachSink(); unhost() })
-		return
-	}
-	sub, err := drv.Subscribe(e.source)
+	cancel, err := drv.SubscribePush(e.source, e.sink)
 	if err != nil {
 		detachSink()
 		unhost()
@@ -231,16 +219,7 @@ func (e *exporter) add(ent registry.Entity) {
 		e.n.rt.ReportError("federation:"+e.n.name, fmt.Errorf("export %s source %s: %w", ent.ID, e.source, err))
 		return
 	}
-	if !ed.attach(func() { sub.Cancel(); detachSink(); unhost() }) {
-		return
-	}
-	e.n.wg.Add(1)
-	go func() {
-		defer e.n.wg.Done()
-		for r := range sub.C() {
-			e.sink.Push(r)
-		}
-	}()
+	ed.attach(func() { cancel(); detachSink(); unhost() })
 }
 
 func (e *exporter) remove(id registry.ID) {
@@ -315,16 +294,14 @@ type exportedDevice struct {
 	stopped bool
 }
 
-func (d *exportedDevice) attach(cancel func()) bool {
+func (d *exportedDevice) attach(cancel func()) {
 	d.mu.Lock()
 	d.cancel = cancel
 	stopped := d.stopped
 	d.mu.Unlock()
 	if stopped {
 		cancel()
-		return false
 	}
-	return true
 }
 
 func (d *exportedDevice) stop() {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/dsl"
 	"repro/internal/dsl/designs"
@@ -97,7 +96,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-func advanceOnePeriod(t *testing.T, app *core.App, vc *simclock.Virtual) {
+func advanceOnePeriod(t *testing.T, app *runtime.Runtime, vc *simclock.Virtual) {
 	t.Helper()
 	before := app.Stats().PeriodicPolls
 	vc.Advance(10 * time.Minute)
@@ -106,13 +105,10 @@ func advanceOnePeriod(t *testing.T, app *core.App, vc *simclock.Virtual) {
 
 // newLotApp builds the cut-down app with n sensors (half occupied) and one
 // panel, optionally wrapping each sensor driver.
-func newLotApp(t *testing.T, n int, wrap func(device.Driver, int) device.Driver) (*core.App, *simclock.Virtual, *device.Base) {
+func newLotApp(t *testing.T, n int, wrap func(device.Driver, int) device.Driver) (*runtime.Runtime, *simclock.Virtual, *device.Base) {
 	t.Helper()
 	vc := simclock.NewVirtual(epoch)
-	app, err := core.NewApp(lotDesign, runtime.WithClock(vc))
-	if err != nil {
-		t.Fatal(err)
-	}
+	app := runtime.New(dsl.MustLoad(lotDesign), runtime.WithClock(vc))
 	t.Cleanup(app.Stop)
 	for i := 0; i < n; i++ {
 		var drv device.Driver = sensorDriver(fmt.Sprintf("s%03d", i), "A22", i%2 == 0, vc.Now)
@@ -205,7 +201,7 @@ func TestFleetChurnAcrossPeriods(t *testing.T) {
 
 	// 4 sensors go away (2 free, 2 occupied), 2 new free ones arrive.
 	for i := 0; i < 4; i++ {
-		if err := app.Runtime().UnbindDevice(fmt.Sprintf("s%03d", i)); err != nil {
+		if err := app.UnbindDevice(fmt.Sprintf("s%03d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,7 +220,7 @@ func TestFleetChurnAcrossPeriods(t *testing.T) {
 		return ok && v.(map[string]int)["A22"] == 5
 	})
 	// Ground truth cross-check via the registry.
-	if n := len(app.Runtime().Registry().Discover(registry.Query{Kind: "PresenceSensor"})); n != 8 {
+	if n := len(app.Registry().Discover(registry.Query{Kind: "PresenceSensor"})); n != 8 {
 		t.Fatalf("fleet size after churn = %d, want 8", n)
 	}
 }
@@ -234,12 +230,9 @@ func TestFleetChurnAcrossPeriods(t *testing.T) {
 // periodic readings over the network.
 func TestDistributedSensorSites(t *testing.T) {
 	vc := simclock.NewVirtual(epoch)
-	app, err := core.NewApp(lotDesign, runtime.WithClock(vc))
-	if err != nil {
-		t.Fatal(err)
-	}
+	app := runtime.New(dsl.MustLoad(lotDesign), runtime.WithClock(vc))
 	t.Cleanup(app.Stop)
-	reg := app.Runtime().Registry()
+	reg := app.Registry()
 
 	for site := 0; site < 2; site++ {
 		srv, err := transport.NewServer("127.0.0.1:0")
@@ -293,10 +286,7 @@ func TestDistributedSensorSites(t *testing.T) {
 // and the violations are recorded while the application keeps running.
 func TestDeadlineViolationsRecorded(t *testing.T) {
 	vc := simclock.NewVirtual(epoch)
-	app, err := core.NewApp(lotDesign, runtime.WithClock(vc))
-	if err != nil {
-		t.Fatal(err)
-	}
+	app := runtime.New(dsl.MustLoad(lotDesign), runtime.WithClock(vc))
 	t.Cleanup(app.Stop)
 	if err := app.BindDevice(sensorDriver("s0", "A22", false, vc.Now)); err != nil {
 		t.Fatal(err)
@@ -341,15 +331,161 @@ func TestThreeApplicationsCoexist(t *testing.T) {
 		}
 	}
 	vc := simclock.NewVirtual(epoch)
-	apps := make([]*core.App, 0, 3)
+	apps := make([]*runtime.Runtime, 0, 3)
 	for _, design := range []string{designs.Cooker, designs.Parking, designs.Avionics} {
-		app, err := core.NewApp(design, runtime.WithClock(vc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		apps = append(apps, app)
+		apps = append(apps, runtime.New(dsl.MustLoad(design), runtime.WithClock(vc)))
 	}
 	for _, app := range apps {
 		app.Stop()
+	}
+}
+
+// tinyDesign is the smallest Sense-Compute-Control loop: one event-driven
+// context and one controller.
+const tinyDesign = `
+device Thermometer {
+	attribute room as String;
+	source temperature as Float;
+}
+device Vent { action open; action close; }
+context Comfort as Boolean {
+	when provided temperature from Thermometer
+	maybe publish;
+}
+controller VentControl {
+	when provided Comfort
+	do open on Vent
+	do close on Vent;
+}
+`
+
+type comfort struct{}
+
+func (comfort) OnTrigger(call *runtime.ContextCall) (any, bool, error) {
+	temp := call.Reading.Value.(float64)
+	if temp > 26 {
+		return true, true, nil // too hot: open the vent
+	}
+	if temp < 20 {
+		return false, true, nil
+	}
+	return false, false, nil
+}
+
+type ventControl struct{}
+
+func (ventControl) OnContext(call *runtime.ControllerCall) error {
+	vents, err := call.Devices("Vent")
+	if err != nil {
+		return err
+	}
+	for _, v := range vents {
+		if call.Value.(bool) {
+			if err := v.Invoke("open"); err != nil {
+				return err
+			}
+		} else {
+			if err := v.Invoke("close"); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func TestAppEndToEnd(t *testing.T) {
+	vc := simclock.NewVirtual(time.Date(2017, 6, 5, 0, 0, 0, 0, time.UTC))
+	app := runtime.New(dsl.MustLoad(tinyDesign), runtime.WithClock(vc))
+	defer app.Stop()
+
+	thermo := device.NewBase("th-1", "Thermometer", nil, registry.Attributes{"room": "living"}, vc.Now)
+	vent := device.NewBase("vent-1", "Vent", nil, nil, vc.Now)
+	var mu sync.Mutex
+	ventOpen := false
+	vent.OnAction("open", func(...any) error { mu.Lock(); ventOpen = true; mu.Unlock(); return nil })
+	vent.OnAction("close", func(...any) error { mu.Lock(); ventOpen = false; mu.Unlock(); return nil })
+	for _, d := range []device.Driver{thermo, vent} {
+		if err := app.BindDevice(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := app.ImplementContext("Comfort", comfort{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.ImplementController("VentControl", ventControl{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Start(); err != nil {
+		t.Fatal(err)
+	}
+
+	thermo.Emit("temperature", 28.5)
+	waitFor(t, "vent actuation", func() bool { mu.Lock(); defer mu.Unlock(); return ventOpen })
+
+	thermo.Emit("temperature", 18.0)
+	waitFor(t, "vent actuation", func() bool { mu.Lock(); defer mu.Unlock(); return !ventOpen })
+
+	if v, ok := app.LastPublished("Comfort"); !ok || v.(bool) {
+		t.Fatalf("LastPublished = %v, %v", v, ok)
+	}
+	if st := app.Stats(); st.Actuations < 2 || st.ContextTriggers < 2 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestRemoteDevicePushBinding drives an app whose thermometer lives in
+// another process: it is hosted on a transport server and reached through a
+// registry entry pointing at that server, and its pushed reading must travel
+// over TCP into the app's event-driven context and actuate the local vent.
+func TestRemoteDevicePushBinding(t *testing.T) {
+	vc := simclock.NewVirtual(time.Date(2017, 6, 5, 0, 0, 0, 0, time.UTC))
+
+	// Process A: hosts the thermometer remotely.
+	srv, err := transport.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	thermo := device.NewBase("th-remote", "Thermometer", nil, registry.Attributes{"room": "attic"}, vc.Now)
+	var temp float64 = 30
+	var mu sync.Mutex
+	thermo.OnQuery("temperature", func() (any, error) { mu.Lock(); defer mu.Unlock(); return temp, nil })
+	srv.Host(thermo)
+
+	// Process B: the orchestrating app, sharing a registry entry that
+	// points at A's endpoint.
+	app := runtime.New(dsl.MustLoad(tinyDesign), runtime.WithClock(vc))
+	defer app.Stop()
+	if err := app.Registry().Register(thermo.Entity(srv.Addr())); err != nil {
+		t.Fatal(err)
+	}
+	vent := device.NewBase("vent-1", "Vent", nil, nil, vc.Now)
+	opened := make(chan struct{}, 1)
+	vent.OnAction("open", func(...any) error {
+		select {
+		case opened <- struct{}{}:
+		default:
+		}
+		return nil
+	})
+	vent.OnAction("close", func(...any) error { return nil })
+	if err := app.BindDevice(vent); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.ImplementContext("Comfort", comfort{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.ImplementController("VentControl", ventControl{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// The remote thermometer pushes an event over TCP.
+	thermo.Emit("temperature", 30.0)
+	select {
+	case <-opened:
+	case <-time.After(10 * time.Second):
+		t.Fatal("remote reading never actuated the vent")
 	}
 }

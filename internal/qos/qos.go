@@ -124,9 +124,9 @@ func (d *Deadline) Query(source string) (any, error) {
 	return d.inner.Query(source)
 }
 
-// Subscribe implements device.Driver.
-func (d *Deadline) Subscribe(source string) (device.Subscription, error) {
-	return d.inner.Subscribe(source)
+// SubscribePush implements device.Driver.
+func (d *Deadline) SubscribePush(source string, sink device.Sink) (func(), error) {
+	return d.inner.SubscribePush(source, sink)
 }
 
 // Invoke implements device.Driver.

@@ -62,13 +62,19 @@ func TestDeadlinePreservesIdentityAndSubscribe(t *testing.T) {
 	if d.ID() != "d1" || d.Kind() != "D" || len(d.Kinds()) != 2 || d.Attributes()["a"] != "1" {
 		t.Fatal("identity not passed through")
 	}
-	sub, err := d.Subscribe("s")
+	sink := make(chanSink, 1)
+	cancel, err := d.SubscribePush("s", sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sub.Cancel()
+	defer cancel()
 	inner.Emit("s", 1)
-	if r := <-sub.C(); r.Value != 1 {
+	if r := <-sink; r.Value != 1 {
 		t.Fatalf("reading = %+v", r)
 	}
 }
+
+// chanSink hands every pushed reading to a buffered channel.
+type chanSink chan device.Reading
+
+func (c chanSink) Push(r device.Reading) { c <- r }

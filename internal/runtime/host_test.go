@@ -50,52 +50,6 @@ context Occ_%[1]s as Boolean {
 `, id)
 }
 
-// pushSensor is a device.Base with a lossless push path: exactness tests
-// need device.PushSubscriber delivery, because Base's channel
-// subscriptions drop-oldest by design when an emitter outruns the
-// consumer.
-type pushSensor struct {
-	*device.Base
-	now   func() time.Time
-	mu    sync.Mutex
-	sinks map[string][]device.Sink
-}
-
-func newPushSensor(id, kind string, attrs registry.Attributes, now func() time.Time) *pushSensor {
-	return &pushSensor{
-		Base:  device.NewBase(id, kind, nil, attrs, now),
-		now:   now,
-		sinks: make(map[string][]device.Sink),
-	}
-}
-
-func (p *pushSensor) SubscribePush(source string, sink device.Sink) (func(), error) {
-	p.mu.Lock()
-	p.sinks[source] = append(p.sinks[source], sink)
-	p.mu.Unlock()
-	return func() {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		list := p.sinks[source]
-		for i, s := range list {
-			if s == sink {
-				p.sinks[source] = append(list[:i:i], list[i+1:]...)
-				return
-			}
-		}
-	}, nil
-}
-
-func (p *pushSensor) Emit(source string, value any) {
-	r := device.Reading{DeviceID: p.ID(), Source: source, Value: value, Time: p.now()}
-	p.mu.Lock()
-	sinks := append([]device.Sink(nil), p.sinks[source]...)
-	p.mu.Unlock()
-	for _, s := range sinks {
-		s.Push(r)
-	}
-}
-
 // recHandler records which devices delivered to it; gate, when non-nil,
 // blocks every delivery until closed (the saturated-tenant fixture).
 type recHandler struct {
@@ -158,9 +112,9 @@ func deployTenant(t *testing.T, h *Host, id string, cfg AppConfig) *Runtime {
 	return rt
 }
 
-func bindTenantSensor(t *testing.T, h *Host, app, devID string, vc *simclock.Virtual) *pushSensor {
+func bindTenantSensor(t *testing.T, h *Host, app, devID string, vc *simclock.Virtual) *device.Base {
 	t.Helper()
-	d := newPushSensor(devID, "Sensor_"+app, registry.Attributes{"lot": "L"}, vc.Now)
+	d := device.NewBase(devID, "Sensor_"+app, nil, registry.Attributes{"lot": "L"}, vc.Now)
 	if err := h.BindDevice(d); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +192,7 @@ func TestNewIsOneAppHost(t *testing.T) {
 	t.Run("stop-before-start-seals-store", func(t *testing.T) {
 		dir := t.TempDir()
 		rt := New(model, WithClock(vc), WithPersistence(dir, persist.Options{FlushInterval: time.Hour}))
-		d := newPushSensor("s-000", "Sensor_solo", registry.Attributes{"zone": "Z"}, vc.Now)
+		d := device.NewBase("s-000", "Sensor_solo", nil, registry.Attributes{"zone": "Z"}, vc.Now)
 		if err := rt.BindDevice(d); err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +291,7 @@ context Count as Integer {
 		}
 		// The checkpoint holds one contribution per snapshotted sensor; one
 		// new reading re-derives the aggregate from it: counts continue.
-		d := newPushSensor("s-new", "Sensor", registry.Attributes{"zone": "A"}, vc.Now)
+		d := device.NewBase("s-new", "Sensor", nil, registry.Attributes{"zone": "A"}, vc.Now)
 		if err := rt.BindDevice(d); err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +391,7 @@ func TestHostHotDeployIsolation(t *testing.T) {
 	deployTenant(t, h, "b", AppConfig{Contexts: map[string]ContextHandler{"Occ_b": hb}})
 
 	const perApp = 4
-	var devsA, devsB []*pushSensor
+	var devsA, devsB []*device.Base
 	for i := 0; i < perApp; i++ {
 		devsA = append(devsA, bindTenantSensor(t, h, "a", fmt.Sprintf("a-%03d", i), vc))
 		devsB = append(devsB, bindTenantSensor(t, h, "b", fmt.Sprintf("b-%03d", i), vc))
@@ -509,6 +463,8 @@ func TestHostBudgetIsolation(t *testing.T) {
 	defer h.Close()
 
 	gate := make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate() // a failed check must not leave the handler parked
 	noisy := &recHandler{gate: gate}
 	calm := &recHandler{}
 	deployTenant(t, h, "noisy", AppConfig{
@@ -536,7 +492,7 @@ func TestHostBudgetIsolation(t *testing.T) {
 		t.Fatalf("calm tenant starved by noisy neighbor: %+v", st)
 	}
 
-	close(gate)
+	openGate()
 	rtNoisy, _ := h.App("noisy")
 	waitUntil(t, "noisy accounting", func() bool {
 		st := rtNoisy.Stats()
@@ -825,9 +781,9 @@ func TestHostRecoveredAggCheckpointSurvivesUntilRedeploy(t *testing.T) {
 
 // bindTenantSensor2 is bindTenantSensor with the zone attribute of the
 // grouped design.
-func bindTenantSensor2(t *testing.T, h *Host, app, devID string, vc *simclock.Virtual) *pushSensor {
+func bindTenantSensor2(t *testing.T, h *Host, app, devID string, vc *simclock.Virtual) *device.Base {
 	t.Helper()
-	d := newPushSensor(devID, "Sensor_"+app, registry.Attributes{"zone": "Z"}, vc.Now)
+	d := device.NewBase(devID, "Sensor_"+app, nil, registry.Attributes{"zone": "Z"}, vc.Now)
 	if err := h.BindDevice(d); err != nil {
 		t.Fatal(err)
 	}

@@ -17,14 +17,13 @@ import (
 // `when provided <source> from <Device>` interactions. Instead of one
 // forwarding goroutine and queue per device (which makes a 50k-device swarm
 // cost 50k goroutines and a scheduler wakeup per event), each interaction
-// owns a small set of ingestion shards: devices push readings into their
-// shard — directly via device.PushSubscriber when the driver supports it,
-// through a per-device channel otherwise — and the interaction's one flush
-// worker coalesces whatever has accumulated into pooled columnar
-// device.ReadingBatch payloads, each published as one bus event. Admission is
-// bounded by a qos.Budget per interaction, so a storm that outruns the
-// context handler drops at the intake (counted in Stats) instead of growing
-// queues without bound.
+// owns a small set of ingestion shards: devices push readings straight into
+// their shard (each shard is the device.Sink its devices are attached to),
+// and the interaction's one flush worker coalesces whatever has accumulated
+// into pooled columnar device.ReadingBatch payloads, each published as one
+// bus event. Admission is bounded by a qos.Budget per interaction, so a
+// storm that outruns the context handler drops at the intake (counted in
+// Stats) instead of growing queues without bound.
 
 // IngestConfig shapes the ingestion pipeline of one `when provided`
 // device-source interaction.
@@ -36,13 +35,18 @@ type IngestConfig struct {
 	//
 	// The stripes pay off only under concurrent producers. In
 	// BenchmarkIngestConcurrentProducers on 2 Xeon cores (Go 1.24, median
-	// of 10 alternating runs), 8 stripes beat a single intake lock with
-	// one flush worker: 78 vs 126 ns per reading with 8 channel-fallback
-	// forwarders, 79 vs 98 with 4, and 47 vs 77 with 4 hub connections of
-	// one stream each. A lone hub connection costs the same either way (68
-	// vs 69): its chunks land whole on one stripe. The storm.fed benchmark
-	// forwards one stream per interaction, so only this microbenchmark
-	// checks how several streams spread over the stripes.
+	// of 10 alternating runs), against a single intake lock with one flush
+	// worker, 8 stripes cost 298 vs 470 ns per reading with 8 producers
+	// pushing one reading at a time over 64 devices each, and 310 vs 359
+	// with 4. With 2 such producers they cost more, 306 vs 193: each push
+	// onto an empty stripe queues that stripe for the flush worker, while
+	// one stripe stays queued. One producer costs about the same either
+	// way (136 vs 129). Hub connections of one stream each cost 48 vs 86
+	// with 8, 49 vs 84 with 4 and 50 vs 81 with 2; a lone connection costs
+	// the same either way (88 vs 80, inside both runs' spread): its chunks
+	// land whole on one stripe. The storm.fed benchmark forwards one
+	// stream per interaction, so only this microbenchmark checks how
+	// several streams spread over the stripes.
 	Shards int
 	// MaxBatch bounds the rows of one published ReadingBatch. Default 256.
 	MaxBatch int
@@ -196,27 +200,10 @@ func (s *ingestShard) Push(r device.Reading) {
 	s.mu.Unlock()
 }
 
-// pushBatch admits a whole burst under one budget check and one lock
-// acquisition — the channel-fallback forwarding path drains its device queue
-// and hands the burst over in one call. Readings beyond the budget are
-// dropped from the tail and counted.
-func (s *ingestShard) pushBatch(batch []device.Reading) {
-	ing := s.ing
-	if ing.draining.Load() {
-		ing.rt.stats[statIngestDrainDrops].Add(uint64(len(batch)))
-		return
-	}
-	admitted := ing.budget.AcquireUpTo(len(batch))
-	if dropped := len(batch) - admitted; dropped > 0 {
-		ing.rt.stats[statIngestBudgetDrops].Add(uint64(dropped))
-	}
-	s.appendAdmitted(batch[:admitted])
-}
-
 // appendAdmitted installs readings whose budget units are already acquired
-// into the shard intake, releasing the units if the ingestor has stopped. It
-// is the budget-free lower half of pushBatch, shared with the federation
-// remote-ingest path (which applies its own admission accounting).
+// into the shard intake, releasing the units if the ingestor has stopped:
+// the lower half of the federation remote-ingest path, which applies its own
+// admission accounting.
 func (s *ingestShard) appendAdmitted(batch []device.Reading) {
 	if len(batch) == 0 {
 		return
@@ -398,8 +385,8 @@ func (rt *Runtime) trackDeviceSource(kind, source string, ing *ingestor) error {
 }
 
 // sourceTracker keeps one interaction's device attachments in step with the
-// registry: every device of the kind gets exactly one attachment (a push
-// sink or a channel subscription) while registered, released as soon as it
+// registry: every device of the kind gets exactly one attachment (its
+// shard, as a push sink) while registered, released as soon as it
 // unregisters or its lease expires — not at runtime shutdown. The watcher
 // hands a bind or churn storm over as one queued batch of deltas; only when
 // the tracker fell past the queue's bound and lost notifications does it
@@ -492,60 +479,16 @@ func (t *sourceTracker) add(e registry.Entity) {
 		t.rt.reportError("bind:"+string(e.ID), err)
 		return
 	}
-	shard := t.ing.shardFor(string(e.ID))
-	if ps, ok := drv.(device.PushSubscriber); ok {
-		cancel, err := ps.SubscribePush(t.source, shard)
-		if err != nil {
-			release()
-			t.rt.reportError("subscribe:"+string(e.ID), fmt.Errorf("source %s: %w", t.source, err))
-			return
-		}
-		td.attach(cancel)
-		return
-	}
-	sub, err := drv.Subscribe(t.source)
+	cancel, err := drv.SubscribePush(t.source, t.ing.shardFor(string(e.ID)))
 	if err != nil {
 		release()
 		t.rt.reportError("subscribe:"+string(e.ID), fmt.Errorf("source %s: %w", t.source, err))
 		return
 	}
-	if !td.attach(sub.Cancel) {
-		// Removed (or tracker stopped) while we were subscribing; the
-		// reservation was already discarded and attach cancelled sub.
-		return
-	}
-	t.rt.wg.Add(1)
-	go t.forward(sub, shard)
+	// Removed (or tracker stopped) while we were subscribing: the
+	// reservation was already discarded and attach cancels the sink.
+	td.attach(cancel)
 }
-
-// forward drains one channel-subscribed device into its ingestion shard —
-// the fallback for drivers without PushSubscriber.
-// Each wakeup hands whatever the device already queued to the shard in one
-// call, so even the per-device-channel path batches its bus handoff.
-func (t *sourceTracker) forward(sub device.Subscription, shard *ingestShard) {
-	defer t.rt.wg.Done()
-	batch := make([]device.Reading, 0, sourceForwardBatch)
-	for r := range sub.C() {
-		batch = append(batch[:0], r)
-	drain:
-		for len(batch) < cap(batch) {
-			select {
-			case more, ok := <-sub.C():
-				if !ok {
-					break drain
-				}
-				batch = append(batch, more)
-			default:
-				break drain
-			}
-		}
-		shard.pushBatch(batch)
-	}
-}
-
-// sourceForwardBatch bounds the per-wakeup fan-in batch of one device
-// subscription's forwarding loop.
-const sourceForwardBatch = 64
 
 func (t *sourceTracker) remove(id registry.ID) {
 	t.mu.Lock()
@@ -617,18 +560,15 @@ type trackedDevice struct {
 	stopped bool
 }
 
-// attach installs the cancel function and reports whether the attachment is
-// live. If stop already ran, cancel is invoked and attach returns false.
-func (d *trackedDevice) attach(cancel func()) bool {
+// attach installs the cancel function, or invokes it if stop already ran.
+func (d *trackedDevice) attach(cancel func()) {
 	d.mu.Lock()
 	d.cancel = cancel
 	stopped := d.stopped
 	d.mu.Unlock()
 	if stopped {
 		cancel()
-		return false
 	}
-	return true
 }
 
 // attached reports whether the attachment is live (attach ran, stop did not).

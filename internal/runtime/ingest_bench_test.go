@@ -16,10 +16,10 @@ import (
 // by several producers at once, end to end: an op is one reading delivered
 // to the bus subscriber. "remote" producers each land 256-reading
 // RemoteIngest batches spread over 64 devices on a stream of their own (one
-// hub connection each); "device" producers hand over 8-reading bursts of one
-// device at a time (a channel-fallback forwarder each). Producers yield
-// while 64k readings are in flight, so the pipeline runs at the pace of its
-// flush worker without budget drops.
+// hub connection each); "device" producers push one reading at a time into
+// the sink of each of their 64 devices in turn, the way emitting devices do.
+// Producers yield while 64k readings are in flight, so the pipeline runs at
+// the pace of its flush worker without budget drops.
 func BenchmarkIngestConcurrentProducers(b *testing.B) {
 	for _, shape := range []string{"remote", "device"} {
 		for _, producers := range []int{1, 2, 4, 8} {
@@ -46,7 +46,7 @@ func benchIngestProducers(b *testing.B, shape string, producers int) {
 	ing := registerIngestor(rt)
 	defer ing.stop()
 
-	const devices, remoteBatch, burst, inFlight = 64, 256, 8, 1 << 16
+	const devices, remoteBatch, inFlight = 64, 256, 1 << 16
 	per := b.N/producers + 1
 	total := int64(per * producers)
 	b.ResetTimer()
@@ -60,28 +60,26 @@ func benchIngestProducers(b *testing.B, shape string, producers int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			size := burst
-			if shape == "remote" {
-				size = remoteBatch
+			if shape == "device" {
+				for sent := 0; sent < per; sent++ {
+					for ing.budget.InFlight() > inFlight {
+						goruntime.Gosched()
+					}
+					id := ids[sent%devices]
+					ing.shardFor(id).Push(intReading(id, int64(sent)))
+				}
+				return
 			}
-			batch := make([]device.Reading, size)
+			batch := make([]device.Reading, remoteBatch)
 			for sent, d := 0, 0; sent < per; {
 				for ing.budget.InFlight() > inFlight {
 					goruntime.Gosched()
 				}
-				n := min(size, per-sent)
+				n := min(remoteBatch, per-sent)
 				for i := range batch[:n] {
-					if shape == "device" {
-						batch[i] = intReading(ids[d], int64(sent+i))
-					} else {
-						batch[i] = intReading(ids[(d+i)%devices], int64(sent+i))
-					}
+					batch[i] = intReading(ids[(d+i)%devices], int64(sent+i))
 				}
-				if shape == "device" {
-					ing.shardFor(ids[d]).pushBatch(batch[:n])
-				} else {
-					rt.RemoteIngest("PresenceSensor", "presence", stream, batch[:n])
-				}
+				rt.RemoteIngest("PresenceSensor", "presence", stream, batch[:n])
 				sent += n
 				d = (d + 1) % devices
 			}

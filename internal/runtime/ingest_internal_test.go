@@ -63,8 +63,8 @@ func mkReading(id string, at time.Time) device.Reading {
 }
 
 // TestIngestShardCoalescing checks that a burst handed to one shard in one
-// call is flushed in exactly ceil(n/MaxBatch) sealed ReadingBatch publishes
-// and that every reading is delivered.
+// call (a forwarded chunk) is flushed in exactly ceil(n/MaxBatch) sealed
+// ReadingBatch publishes and that every reading is delivered.
 func TestIngestShardCoalescing(t *testing.T) {
 	rt := New(loadIngestModel(t))
 	var delivered atomic.Int64
@@ -85,10 +85,11 @@ func TestIngestShardCoalescing(t *testing.T) {
 	for i := range batch {
 		batch[i] = mkReading(fmt.Sprintf("d%04d", i), ingestEpoch)
 	}
-	// One pushBatch holds the shard lock for the whole append, so the
+	// One chunk is appended under one hold of its stripe's lock, so the
 	// worker swaps the full burst out at once: the flush count is exact.
-	sh := ing.shardFor("d0000")
-	sh.pushBatch(batch)
+	if got := ing.ingestRemote(1, batch); got != n {
+		t.Fatalf("ingestRemote admitted %d of %d", got, n)
+	}
 
 	waitUntil(t, "burst delivery", func() bool { return delivered.Load() == n })
 	st := rt.stats.snapshot()
@@ -116,6 +117,8 @@ func TestIngestBudgetBackpressure(t *testing.T) {
 	}))
 	defer rt.Stop()
 	gate := make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate() // a failed check must not leave the handler parked
 	var entered, delivered atomic.Int64
 	if _, err := rt.bus.Subscribe("src", func(ev eventbus.Event) {
 		entered.Add(1)
@@ -138,11 +141,9 @@ func TestIngestBudgetBackpressure(t *testing.T) {
 
 	// 7 units are free: a burst of 9 is admitted up to the budget and its
 	// tail dropped; every admitted row stays in flight behind the gate.
-	burst := make([]device.Reading, 9)
-	for i := range burst {
-		burst[i] = mkReading(fmt.Sprintf("d%d", i), ingestEpoch)
+	for i := 0; i < 9; i++ {
+		sh.Push(mkReading(fmt.Sprintf("d%d", i), ingestEpoch))
 	}
-	sh.pushBatch(burst)
 	if got := ing.budget.InFlight(); got != 8 {
 		t.Fatalf("in flight while gated = %d, want the whole budget (8)", got)
 	}
@@ -160,7 +161,7 @@ func TestIngestBudgetBackpressure(t *testing.T) {
 		t.Fatalf("admitted = %d, want %d", got, admitted)
 	}
 
-	close(gate)
+	openGate()
 	waitUntil(t, "gated delivery", func() bool { return delivered.Load() == admitted })
 	waitUntil(t, "budget release", func() bool { return ing.budget.InFlight() == 0 })
 	if st := rt.Stats(); st.IngestEvents != admitted {
@@ -313,9 +314,9 @@ func TestLeaseJanitorReapsExpiryBurst(t *testing.T) {
 // slowSubDriver makes the tracker loop fall behind the registry.
 type slowSubDriver struct{ *device.Base }
 
-func (d slowSubDriver) Subscribe(source string) (device.Subscription, error) {
+func (d slowSubDriver) SubscribePush(source string, sink device.Sink) (func(), error) {
 	time.Sleep(time.Millisecond)
-	return d.Base.Subscribe(source)
+	return d.Base.SubscribePush(source, sink)
 }
 
 // TestSourceTrackerReleasesOnChurn is the churn regression test for the
@@ -551,13 +552,13 @@ func subscribeSeq(t *testing.T, rt *Runtime, topic string) *seqSubscriber {
 }
 
 // TestIngestStopRace: producers push into every shard, one reading at a time
-// and in bursts, while stop runs and after the flush worker has exited. A
-// push that turns a shard non-empty enqueues it before releasing the shard
-// lock, so it either lands before the worker's last look at the ready queue
-// or is refused: no reading and no budget unit is left in a shard the worker
-// will never take again, and nothing is delivered twice. The race sits in a
-// window of a few instructions, so each run stops many ingestors (CI also
-// repeats it under -race).
+// and in forwarded chunks, while stop runs and after the flush worker has
+// exited. A push or chunk that turns a shard non-empty enqueues it before
+// releasing the shard lock, so it either lands before the worker's last
+// look at the ready queue or is refused: no reading and no budget unit is
+// left in a shard the worker will never take again, and nothing is
+// delivered twice. The race sits in a window of a few instructions, so each
+// run stops many ingestors (CI also repeats it under -race).
 func TestIngestStopRace(t *testing.T) {
 	rt := New(loadIngestModel(t), WithIngestConfig(IngestConfig{Shards: 8}))
 	defer rt.Stop()
@@ -569,23 +570,25 @@ func TestIngestStopRace(t *testing.T) {
 		var pushes atomic.Int64
 		var wg sync.WaitGroup
 		for g := 0; g < producers; g++ {
+			// A device takes one path: local pushes or its stream's chunks.
 			ids := shardDevices(ing, fmt.Sprintf("r%d-g%d", round, g))
+			remote := shardDevices(ing, fmt.Sprintf("r%d-g%d-remote", round, g))
+			stream := uint64(g + 1)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				burst := make([]device.Reading, 3)
+				chunk := make([]device.Reading, len(remote))
 				var seq int64
 				for !quit.Load() {
 					for _, id := range ids {
-						sh := ing.shardFor(id)
-						sh.Push(intReading(id, seq))
+						ing.shardFor(id).Push(intReading(id, seq))
 						seq++
-						for i := range burst {
-							burst[i] = intReading(id, seq)
-							seq++
-						}
-						sh.pushBatch(burst)
 					}
+					for i, id := range remote {
+						chunk[i] = intReading(id, seq)
+						seq++
+					}
+					ing.ingestRemote(stream, chunk)
 					pushes.Add(1)
 				}
 			}()
@@ -729,6 +732,64 @@ func TestIngestorStartsOneGoroutine(t *testing.T) {
 				t.Fatalf("%d goroutines left after stop, want 0", got)
 			}
 		})
+	}
+}
+
+// startIngestApp starts the ingest design with a counting handler behind
+// its `when provided` context.
+func startIngestApp(t *testing.T, opts ...Option) (*Runtime, *countingHandler) {
+	t.Helper()
+	rt := New(loadIngestModel(t), opts...)
+	h := &countingHandler{}
+	if err := rt.ImplementContext("OccupancyChange", h); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Stop)
+	return rt, h
+}
+
+// TestBaseBurstAccountedExactly: a device.Base bound to a `when provided`
+// context emits a burst far past the interaction's in-flight budget. Every
+// reading is delivered or counted as a drop: delivered + Stats.Drops()
+// equals the burst exactly.
+func TestBaseBurstAccountedExactly(t *testing.T) {
+	rt, h := startIngestApp(t, WithIngestConfig(IngestConfig{Budget: 64}))
+	b := device.NewBase("burst", "PresenceSensor", nil, nil, nil)
+	if err := rt.BindDevice(b); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the device to attach", func() bool { return rt.trackers[0].trackedCount() == 1 })
+	const burst = 1000
+	for i := 0; i < burst; i++ {
+		b.Emit("presence", i%2 == 0)
+	}
+	accounted := func() uint64 { return h.n.Load() + rt.Stats().Drops() }
+	waitUntil(t, "every reading to be accounted", func() bool { return accounted() >= burst })
+	rt.Stop()
+	t.Logf("delivered %d, dropped %d", h.n.Load(), rt.Stats().Drops())
+	if got := accounted(); got != burst {
+		t.Fatalf("delivered %d + dropped %d = %d, want the burst's %d", h.n.Load(), rt.Stats().Drops(), got, burst)
+	}
+}
+
+// TestEventDeviceBindStartsNoGoroutine: binding event-driven devices to a
+// running app attaches each to its ingest shard as a push sink; no
+// goroutine runs per device.
+func TestEventDeviceBindStartsNoGoroutine(t *testing.T) {
+	rt, _ := startIngestApp(t)
+	base := settledGoroutines()
+	const n = 32
+	for i := 0; i < n; i++ {
+		if err := rt.BindDevice(device.NewBase(fmt.Sprintf("ev-%02d", i), "PresenceSensor", nil, nil, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitUntil(t, "every device to attach", func() bool { return rt.trackers[0].trackedCount() == n })
+	if got := settledGoroutines() - base; got != 0 {
+		t.Fatalf("binding %d event devices started %d goroutines, want 0", n, got)
 	}
 }
 

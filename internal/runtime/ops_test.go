@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/device"
 	"repro/internal/persist"
 	"repro/internal/registry"
 	"repro/internal/simclock"
@@ -166,11 +167,11 @@ func testDrainUnderLoad(t *testing.T, ctor worldCtor) {
 	rts, stop := ctor.open(t, SubstrateConfig{Clock: vc}, specs...)
 	defer stop()
 	apps := map[string]*Runtime{}
-	sensors := map[string][]*pushSensor{}
+	sensors := map[string][]*device.Base{}
 	for i, id := range ids {
 		apps[id] = rts[i]
 		for j := 0; j < 3; j++ {
-			d := newPushSensor(fmt.Sprintf("%s-%03d", id, j), "Sensor_"+id, registry.Attributes{"lot": "L"}, vc.Now)
+			d := device.NewBase(fmt.Sprintf("%s-%03d", id, j), "Sensor_"+id, nil, registry.Attributes{"lot": "L"}, vc.Now)
 			if err := rts[i].BindDevice(d); err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +188,7 @@ func testDrainUnderLoad(t *testing.T, ctor worldCtor) {
 	for _, devs := range sensors {
 		for _, d := range devs {
 			wg.Add(1)
-			go func(d *pushSensor) {
+			go func(d *device.Base) {
 				defer wg.Done()
 				for i := 0; ; i++ {
 					select {
@@ -322,8 +323,8 @@ func TestDrainSnapshotCoversQueuedDeliveries(t *testing.T) {
 				}})
 				return rts[0], stop
 			}
-			bind := func(rt *Runtime, id string) *pushSensor {
-				d := newPushSensor(id, "Sensor_solo", registry.Attributes{"zone": "Z"}, vc.Now)
+			bind := func(rt *Runtime, id string) *device.Base {
+				d := device.NewBase(id, "Sensor_solo", nil, registry.Attributes{"zone": "Z"}, vc.Now)
 				if err := rt.BindDevice(d); err != nil {
 					t.Fatal(err)
 				}
@@ -331,9 +332,11 @@ func TestDrainSnapshotCoversQueuedDeliveries(t *testing.T) {
 			}
 
 			slow := &slowCount{gate: make(chan struct{})}
+			openGate := sync.OnceFunc(func() { close(slow.gate) })
+			defer openGate() // a failed check must not leave the handler parked
 			rt, stop := open(slow)
 			const n = 200
-			devs := make([]*pushSensor, n)
+			devs := make([]*device.Base, n)
 			for i := range devs {
 				devs[i] = bind(rt, fmt.Sprintf("s-%03d", i))
 			}
@@ -344,7 +347,7 @@ func TestDrainSnapshotCoversQueuedDeliveries(t *testing.T) {
 			waitUntil(t, "every reading handed to the bus", func() bool {
 				return rt.Stats().IngestEvents == n && rt.ingestQuiesced()
 			})
-			close(slow.gate)
+			openGate()
 			rep, err := rt.Drain()
 			if err != nil || !rep.Clean || !rep.Snapshotted {
 				t.Fatalf("drain: %+v, %v", rep, err)
@@ -378,6 +381,8 @@ func TestHostSetAppBudget(t *testing.T) {
 	defer h.Close()
 
 	gate := make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate() // a failed check must not leave the handler parked
 	hd := &recHandler{gate: gate}
 	deployTenant(t, h, "a", AppConfig{
 		Contexts: map[string]ContextHandler{"Occ_a": hd},
@@ -404,7 +409,7 @@ func TestHostSetAppBudget(t *testing.T) {
 	for i := 0; i < n; i++ {
 		d.Emit("presence", true)
 	}
-	close(gate)
+	openGate()
 	waitUntil(t, "post-retune delivery", func() bool {
 		st := rt.Stats()
 		return hd.n.Load() == st.IngestEvents && st.IngestEvents+st.IngestBudgetDrops == 2*n

@@ -335,6 +335,8 @@ func TestHostUndeployDrainsQueuedValueBatches(t *testing.T) {
 	}
 	defer h.Close()
 	gate := make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate() // a failed check must not leave the handler parked
 	ctrl := &gatedCtrl{gate: gate}
 	rt, err := h.DeploySource("relay", relayDesign("always publish", "always publish"), AppConfig{
 		AutoImplement: true,
@@ -366,7 +368,7 @@ func TestHostUndeployDrainsQueuedValueBatches(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- h.Undeploy("relay") }()
 	waitUntil(t, "the undeploy to begin", func() bool { _, live := h.App("relay"); return !live })
-	close(gate)
+	openGate()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}

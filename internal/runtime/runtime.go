@@ -21,6 +21,15 @@
 // SCC conformance is enforced both statically (internal/dsl/check) and
 // dynamically: controllers have no API to publish or to pull contexts that
 // the design does not route to them.
+//
+// An application is DiaSpec design source checked by dsl.Load (SCC
+// conformance, taxonomy, delivery clauses) and executed by New: it only
+// implements its declared contexts and controllers — against this SPI or
+// against a framework generated by diaspecc gen — and binds concrete
+// devices. The same API covers the continuum from small-scale to
+// large-scale orchestration (the paper's Figure 1): it drives a
+// three-device home and a hundred-thousand-sensor city; only the designs
+// and fleets differ.
 package runtime
 
 import (

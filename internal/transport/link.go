@@ -116,14 +116,14 @@ func (l *Link) Query(source string) (any, error) {
 	return l.inner.Query(source)
 }
 
-// Subscribe implements device.Driver. The subscription itself traverses the
+// SubscribePush implements device.Driver. The attach itself traverses the
 // link once; individual pushed readings are not delayed (they ride the
 // long-lived downlink).
-func (l *Link) Subscribe(source string) (device.Subscription, error) {
+func (l *Link) SubscribePush(source string, sink device.Sink) (func(), error) {
 	if err := l.traverse("subscribe"); err != nil {
 		return nil, err
 	}
-	return l.inner.Subscribe(source)
+	return l.inner.SubscribePush(source, sink)
 }
 
 // Invoke implements device.Driver.

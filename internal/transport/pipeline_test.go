@@ -383,6 +383,8 @@ func TestStartEventBatchKeepsAWindowInFlight(t *testing.T) {
 	const window = 6
 	srv, cli := newServerAndClient(t)
 	fed := gatedFed{gate: make(chan struct{}), seqs: make(chan uint64, window)}
+	openGate := sync.OnceFunc(func() { close(fed.gate) })
+	defer openGate() // a failed check must not leave the handler parked
 	srv.ServeFederation(fed)
 
 	columnar := boolChunk(8)
@@ -404,7 +406,7 @@ func TestStartEventBatchKeepsAWindowInFlight(t *testing.T) {
 		want[i] = len(batch)
 	}
 	// All six were started while the handler still holds the first.
-	close(fed.gate)
+	openGate()
 	for i := range calls {
 		got, err := calls[i].Wait()
 		if err != nil || got != want[i] {
@@ -436,6 +438,8 @@ func TestManagedWaitFeedsHealthLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	fed := gatedFed{gate: make(chan struct{}), seqs: make(chan uint64, 4)}
+	openGate := sync.OnceFunc(func() { close(fed.gate) })
+	defer openGate() // a failed check must not leave the handler parked
 	srv.ServeFederation(fed)
 	m, err := DialManaged(ManagedConfig{Addr: srv.Addr(), HeartbeatInterval: time.Hour, CallTimeout: 5 * time.Second})
 	if err != nil {
@@ -460,7 +464,7 @@ func TestManagedWaitFeedsHealthLadder(t *testing.T) {
 			t.Fatalf("batch %d: err %v, want a connection-level failure", i+1, err)
 		}
 	}
-	close(fed.gate)
+	openGate()
 	<-closed
 	if m.Health() == HealthUp || m.Connected() {
 		t.Fatalf("link still %v/connected=%v after a failed Wait", m.Health(), m.Connected())

@@ -6,7 +6,7 @@
 // in for the paper's Sigfox/LoRa-class networks.
 //
 // One TCP connection multiplexes request/response calls (query, invoke) and
-// server-push subscription streams (event-driven delivery). Values crossing
+// server pushes into subscribed sinks (event-driven delivery). Values crossing
 // the wire are gob-encoded; applications register their payload types with
 // RegisterType.
 package transport
@@ -75,7 +75,6 @@ type response struct {
 	Err     string
 	Push    bool
 	Reading device.Reading
-	Closed  bool // subscription ended
 
 	Deltas   []SyncDelta // "registry_sync" answer
 	Accepted int         // "event_batch": readings admitted by the receiver
@@ -519,24 +518,15 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}()
 
-	type liveSub struct {
-		sub  device.Subscription
-		stop chan struct{}
-	}
-	subs := make(map[uint64]*liveSub)
-	var subsMu sync.Mutex
-	var subWG sync.WaitGroup
+	// subs holds the cancel of each live subscription, by client SubID.
+	// Only this goroutine touches it.
+	subs := make(map[uint64]func())
 
 	defer func() {
-		close(done)
-		subsMu.Lock()
-		for _, ls := range subs {
-			ls.sub.Cancel()
-			close(ls.stop)
+		close(done) // first: a push waiting on a full queue returns
+		for _, cancel := range subs {
+			cancel()
 		}
-		subs = nil
-		subsMu.Unlock()
-		subWG.Wait()
 		writeWG.Wait()
 	}()
 
@@ -637,48 +627,38 @@ func (s *Server) serveConn(conn net.Conn) {
 				send(response{ID: req.ID, Err: "unknown device " + req.Device})
 				continue
 			}
-			sub, err := drv.Subscribe(req.Facet)
+			cancel, err := drv.SubscribePush(req.Facet, subSink{id: req.SubID, send: send})
 			if err != nil {
 				send(response{ID: req.ID, Err: errString(err)})
 				continue
 			}
-			ls := &liveSub{sub: sub, stop: make(chan struct{})}
-			subsMu.Lock()
-			subs[req.SubID] = ls
-			subsMu.Unlock()
-			send(response{ID: req.ID})
-			subWG.Add(1)
-			go func(subID uint64, ls *liveSub) {
-				defer subWG.Done()
-				for {
-					select {
-					case r, ok := <-ls.sub.C():
-						if !ok {
-							send(response{SubID: subID, Push: true, Closed: true})
-							return
-						}
-						if !send(response{SubID: subID, Push: true, Reading: r}) {
-							return
-						}
-					case <-ls.stop:
-						return
-					}
-				}
-			}(req.SubID, ls)
-		case "cancel":
-			subsMu.Lock()
-			if ls, ok := subs[req.SubID]; ok {
-				delete(subs, req.SubID)
-				ls.sub.Cancel()
-				close(ls.stop)
+			if prev := subs[req.SubID]; prev != nil {
+				prev() // a reused SubID replaces its attachment, never leaks it
 			}
-			subsMu.Unlock()
+			subs[req.SubID] = cancel
+			send(response{ID: req.ID})
+		case "cancel":
+			if cancel, ok := subs[req.SubID]; ok {
+				delete(subs, req.SubID)
+				cancel()
+			}
 			send(response{ID: req.ID})
 		default:
 			send(response{ID: req.ID, Err: "unknown op " + req.Op})
 		}
 	}
 }
+
+// subSink hands one subscription's readings to its connection's answer
+// queue, on the emitting device's goroutine. Push waits while the queue is
+// full, but never past the connection's end.
+type subSink struct {
+	id   uint64
+	send func(response) bool
+}
+
+// Push implements device.Sink.
+func (s subSink) Push(r device.Reading) { s.send(response{SubID: s.id, Push: true, Reading: r}) }
 
 // fedScratch is one connection's decode state for the federation ops: the
 // serve loop is one goroutine and handlers never retain the slices, so each
@@ -782,8 +762,8 @@ type callResult struct {
 	err  error
 }
 
-// Client is a connection to one Server, multiplexing calls and subscription
-// streams.
+// Client is a connection to one Server, multiplexing calls and subscribed
+// sinks.
 type Client struct {
 	conn net.Conn
 	fw   *frameWriter
@@ -791,7 +771,7 @@ type Client struct {
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan callResult
-	subs    map[uint64]*clientSub
+	subs    map[uint64]device.Sink
 	closed  bool
 	enc     colEnc // the connection's colv1 dictionary; send uses it under mu
 
@@ -865,7 +845,7 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	ensureBasicTypes()
 	c := &Client{
 		pending:        make(map[uint64]chan callResult),
-		subs:           make(map[uint64]*clientSub),
+		subs:           make(map[uint64]device.Sink),
 		timeout:        5 * time.Second,
 		dialer:         tcpDialer,
 		codecFallbacks: new(atomic.Uint64),
@@ -884,8 +864,8 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	return c, nil
 }
 
-// Close tears down the connection; outstanding calls fail and subscription
-// channels close.
+// Close tears down the connection; outstanding calls fail and subscribed
+// sinks receive nothing more.
 func (c *Client) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -910,30 +890,10 @@ func (c *Client) readLoop() {
 		}
 		if resp.Push {
 			c.mu.Lock()
-			sub := c.subs[resp.SubID]
-			if resp.Closed {
-				delete(c.subs, resp.SubID)
-			}
+			sink := c.subs[resp.SubID]
 			c.mu.Unlock()
-			if sub == nil {
-				continue
-			}
-			if resp.Closed {
-				sub.closeOnce()
-				continue
-			}
-			// Drop-oldest on a slow consumer, matching device.Base.
-			for {
-				select {
-				case sub.ch <- resp.Reading:
-				default:
-					select {
-					case <-sub.ch:
-					default:
-					}
-					continue
-				}
-				break
+			if sink != nil {
+				sink.Push(resp.Reading)
 			}
 			continue
 		}
@@ -947,8 +907,8 @@ func (c *Client) readLoop() {
 	}
 }
 
-// failAll ends every outstanding call and subscription with a typed
-// connection-loss error. It runs once, when the read loop dies.
+// failAll ends every outstanding call with a typed connection-loss error
+// and detaches every subscribed sink. It runs once, when the read loop dies.
 func (c *Client) failAll(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -957,10 +917,7 @@ func (c *Client) failAll(err error) {
 		delete(c.pending, id)
 		ch <- callResult{err: fmt.Errorf("%w: %v", ErrConnLost, err)}
 	}
-	for id, sub := range c.subs {
-		delete(c.subs, id)
-		sub.closeOnce()
-	}
+	clear(c.subs)
 }
 
 // waiter is the receiving half of one call: the channel its answer arrives
@@ -1318,13 +1275,17 @@ func (c *Client) PublishAggSync(kind, source, origin string, groups []GroupParti
 	return resp.Accepted, nil
 }
 
-// Subscribe opens a remote event-driven stream.
-func (c *Client) Subscribe(deviceID, source string) (device.Subscription, error) {
+// Subscribe attaches sink to a remote device's source: the read loop pushes
+// each reading the server forwards into it, so a sink that blocks stalls
+// the connection's answers. The returned cancel detaches the sink; it is
+// idempotent, and once it returns no new push begins (one the read loop
+// already took may still complete). It waits for the server's answer, so
+// it must not be called from the sink's Push.
+func (c *Client) Subscribe(deviceID, source string, sink device.Sink) (func(), error) {
 	c.mu.Lock()
 	c.nextID++
 	subID := c.nextID
-	sub := &clientSub{client: c, id: subID, ch: make(chan device.Reading, 16)}
-	c.subs[subID] = sub
+	c.subs[subID] = sink
 	c.mu.Unlock()
 
 	if _, err := c.call(request{Op: "subscribe", Device: deviceID, Facet: source, SubID: subID}); err != nil {
@@ -1333,33 +1294,15 @@ func (c *Client) Subscribe(deviceID, source string) (device.Subscription, error)
 		c.mu.Unlock()
 		return nil, err
 	}
-	return sub, nil
-}
-
-type clientSub struct {
-	client *Client
-	id     uint64
-	ch     chan device.Reading
-	once   sync.Once
-}
-
-// C implements device.Subscription.
-func (s *clientSub) C() <-chan device.Reading { return s.ch }
-
-// Cancel implements device.Subscription.
-func (s *clientSub) Cancel() {
-	s.client.mu.Lock()
-	_, live := s.client.subs[s.id]
-	delete(s.client.subs, s.id)
-	s.client.mu.Unlock()
-	if live {
-		_, _ = s.client.call(request{Op: "cancel", SubID: s.id})
-		s.closeOnce()
-	}
-}
-
-func (s *clientSub) closeOnce() {
-	s.once.Do(func() { close(s.ch) })
+	return func() {
+		c.mu.Lock()
+		_, live := c.subs[subID]
+		delete(c.subs, subID)
+		c.mu.Unlock()
+		if live {
+			_, _ = c.call(request{Op: "cancel", SubID: subID})
+		}
+	}, nil
 }
 
 // RemoteDriver adapts a Client + registry entity into a device.Driver, so
@@ -1393,9 +1336,9 @@ func (r *RemoteDriver) Query(source string) (any, error) {
 	return r.client.Query(string(r.entity.ID), source)
 }
 
-// Subscribe implements device.Driver.
-func (r *RemoteDriver) Subscribe(source string) (device.Subscription, error) {
-	return r.client.Subscribe(string(r.entity.ID), source)
+// SubscribePush implements device.Driver.
+func (r *RemoteDriver) SubscribePush(source string, sink device.Sink) (func(), error) {
+	return r.client.Subscribe(string(r.entity.ID), source, sink)
 }
 
 // Invoke implements device.Driver.

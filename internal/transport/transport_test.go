@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,20 +95,26 @@ func TestRemoteErrorsPropagate(t *testing.T) {
 	}
 }
 
+// chanSink hands every pushed reading to a buffered channel.
+type chanSink chan device.Reading
+
+func (c chanSink) Push(r device.Reading) { c <- r }
+
 func TestRemoteSubscribe(t *testing.T) {
 	srv, cli := newServerAndClient(t)
 	b := hostedSensor(srv, "s1")
-	sub, err := cli.Subscribe("s1", "presence")
+	sink := make(chanSink, 3)
+	cancel, err := cli.Subscribe("s1", "presence", sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sub.Cancel()
+	defer cancel()
 	for i := 0; i < 3; i++ {
 		b.Emit("presence", i)
 	}
 	for i := 0; i < 3; i++ {
 		select {
-		case r := <-sub.C():
+		case r := <-sink:
 			if r.Value != i || r.DeviceID != "s1" {
 				t.Fatalf("reading %d = %+v", i, r)
 			}
@@ -117,58 +124,133 @@ func TestRemoteSubscribe(t *testing.T) {
 	}
 }
 
-func TestSubscribeCancelStopsPushes(t *testing.T) {
+// countSink counts pushed readings.
+type countSink struct{ n atomic.Int64 }
+
+func (c *countSink) Push(device.Reading) { c.n.Add(1) }
+
+// TestRemoteSubscribeBurstLossless: a hosted Base that emits a burst far
+// larger than any queue on the way pushes every reading into the remote
+// sink; the emitter waits on the connection's answer queue instead of
+// dropping.
+func TestRemoteSubscribeBurstLossless(t *testing.T) {
 	srv, cli := newServerAndClient(t)
 	b := hostedSensor(srv, "s1")
-	sub, err := cli.Subscribe("s1", "presence")
+	sink := &countSink{}
+	cancel, err := cli.Subscribe("s1", "presence", sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub.Cancel()
-	b.Emit("presence", 1)
+	defer cancel()
+	const burst = 1000
+	for i := 0; i < burst; i++ {
+		b.Emit("presence", i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for sink.n.Load() < burst && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := sink.n.Load(); got != burst {
+		t.Fatalf("remote sink saw %d of %d readings", got, burst)
+	}
+}
+
+// marker attaches a second sink on the connection and waits for one reading
+// emitted through it. Pushes share the connection's answer queue in order,
+// so any reading emitted before the marker has reached its sink by then.
+func marker(t *testing.T, cli *Client, b *device.Base, id string) {
+	t.Helper()
+	sink := make(chanSink, 1)
+	cancel, err := cli.Subscribe(id, "presence", sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	b.Emit("presence", "marker")
 	select {
-	case _, ok := <-sub.C():
-		if ok {
-			t.Fatal("reading delivered after Cancel")
+	case <-sink:
+	case <-time.After(5 * time.Second):
+		t.Fatal("marker reading not pushed")
+	}
+}
+
+func TestSubscribeCancelStopsPushes(t *testing.T) {
+	srv, cli := newServerAndClient(t)
+	b := hostedSensor(srv, "s1")
+	sink := make(chanSink, 1)
+	cancel, err := cli.Subscribe("s1", "presence", sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	cancel() // idempotent
+	b.Emit("presence", 1)
+	marker(t, cli, b, "s1")
+	if len(sink) != 0 {
+		t.Fatal("reading delivered after cancel")
+	}
+}
+
+// TestSubscribeReusedSubIDReplaces: a client that subscribes twice under
+// one subscription ID gets one attachment, not two: the server cancels the
+// first, so a reading is pushed once and nothing outlives the connection.
+func TestSubscribeReusedSubIDReplaces(t *testing.T) {
+	srv, cli := newServerAndClient(t)
+	b := hostedSensor(srv, "s1")
+	other := hostedSensor(srv, "s2")
+	sink := make(chanSink, 2)
+	const subID = 1 << 40 // far from the IDs the client hands out itself
+	cli.mu.Lock()
+	cli.subs[subID] = sink
+	cli.mu.Unlock()
+	for i := 0; i < 2; i++ {
+		if _, err := cli.call(request{Op: "subscribe", Device: "s1", Facet: "presence", SubID: subID}); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(100 * time.Millisecond):
-		t.Fatal("channel not closed after Cancel")
+	}
+	b.Emit("presence", 1)
+	marker(t, cli, other, "s2")
+	if len(sink) != 1 {
+		t.Fatalf("%d pushes of one reading under a reused subscription ID, want 1", len(sink))
 	}
 }
 
 func TestDeviceCloseClosesRemoteStream(t *testing.T) {
 	srv, cli := newServerAndClient(t)
 	b := hostedSensor(srv, "s1")
-	sub, err := cli.Subscribe("s1", "presence")
-	if err != nil {
+	other := hostedSensor(srv, "s2")
+	sink := make(chanSink, 1)
+	if _, err := cli.Subscribe("s1", "presence", sink); err != nil {
 		t.Fatal(err)
 	}
 	b.Close()
-	select {
-	case _, ok := <-sub.C():
-		if ok {
-			t.Fatal("got a reading, want close")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("stream not closed after device Close")
+	b.Emit("presence", 1)
+	marker(t, cli, other, "s2")
+	if len(sink) != 0 {
+		t.Fatal("reading delivered after device Close")
+	}
+	if _, err := cli.Subscribe("s1", "presence", sink); err == nil {
+		t.Fatal("subscribe to a closed device succeeded")
 	}
 }
 
 func TestClientCloseFailsCallsAndSubs(t *testing.T) {
 	srv, cli := newServerAndClient(t)
 	b := hostedSensor(srv, "s1")
-	sub, err := cli.Subscribe("s1", "presence")
+	sink := make(chanSink, 1)
+	cancel, err := cli.Subscribe("s1", "presence", sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cli.Close()
-	if _, ok := <-sub.C(); ok {
-		t.Fatal("subscription open after client Close")
+	cancel() // nothing left to cancel: returns without a call
+	b.Emit("presence", 1)
+	if len(sink) != 0 {
+		t.Fatal("reading delivered after client Close")
 	}
 	if _, err := cli.Query("s1", "presence"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Query after Close err = %v, want ErrClosed", err)
 	}
-	_ = b
 }
 
 func TestCallTimeout(t *testing.T) {
@@ -224,14 +306,15 @@ func TestRemoteDriverProxy(t *testing.T) {
 	if err := drv.Invoke("toggle"); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := drv.Subscribe("presence")
+	sink := make(chanSink, 1)
+	cancel, err := drv.SubscribePush("presence", sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sub.Cancel()
+	defer cancel()
 	b.Emit("presence", false)
 	select {
-	case r := <-sub.C():
+	case r := <-sink:
 		if r.Value != false {
 			t.Fatalf("reading = %+v", r)
 		}
@@ -325,7 +408,7 @@ func TestLinkLatencyAndLoss(t *testing.T) {
 	if err := lossy.Invoke("anything"); err == nil {
 		t.Fatal("lossy invoke succeeded")
 	}
-	if _, err := lossy.Subscribe("x"); err == nil {
+	if _, err := lossy.SubscribePush("x", make(chanSink)); err == nil {
 		t.Fatal("lossy subscribe succeeded")
 	}
 }
