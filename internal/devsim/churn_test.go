@@ -182,8 +182,8 @@ func TestChurnSwarmGroundTruth(t *testing.T) {
 
 // TestChurnSwarmRunChurn storms from the test goroutine while RunChurn
 // rotates the fleet from its own, and checks the accepted-reading ground
-// truth still matches the sink exactly — the concurrent usage the
-// eventstorm scenario's churn loop is built on.
+// truth still matches the sink exactly — the concurrent usage RunChurn
+// exists for: a storm racing background churn.
 func TestChurnSwarmRunChurn(t *testing.T) {
 	const n = 20
 	s := newChurnTestSwarm(n)

@@ -241,8 +241,8 @@ func (s *Swarm) flipAt(idx int, at time.Time) bool {
 // aggregation experiments: it flips exactly ⌈fraction·population⌉ sensors
 // and returns how many changed, so a periodic poller over the swarm
 // observes exactly that fraction of readings changed per round — the knob
-// the aggstorm example and BenchmarkSwarm_IncrementalAgg turn from 1% to
-// 100%. Unlike FlipBurst's round-robin (which spreads a burst over every
+// BenchmarkSwarm_IncrementalAgg turns from 1% to 100% (the gather.agg
+// benchmark workload runs it at 10%). Unlike FlipBurst's round-robin (which spreads a burst over every
 // lot), DeltaRound walks the fleet lot-major from a persistent cursor:
 // successive rounds churn through whole lots one after another, the
 // spatially clustered change pattern (a district fills up while others

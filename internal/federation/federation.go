@@ -940,7 +940,7 @@ func (n *Node) Close() {
 		w.Cancel()
 	}
 	for _, ex := range exporters {
-		ex.stopAll()
+		ex.table.Stop()
 	}
 	for _, p := range peers {
 		p.stopBuffers()

@@ -3,7 +3,6 @@ package federation
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,38 +12,37 @@ import (
 	"repro/internal/transport"
 )
 
-// This file implements the outbound half of a federation node: tracking the
-// local devices of exported kinds (hosting their drivers on the transport
-// server, attaching forwarding sinks to their event sources) and the
-// per-peer coalescing buffers that turn individual readings into
-// event_batch RPCs. The shape mirrors the runtime's ingestion pipeline: a
-// device push costs one buffer append; a single flusher per (peer, kind,
-// source) coalesces whatever accumulated into bounded batches; admission is
-// bounded by the peer's in-flight qos.Budget so a slow or dead peer drops
-// at the sender intake instead of growing queues without bound.
+// This file implements the outbound half of a federation node: the
+// exporters, which bind the local devices of exported kinds through a
+// registry.Attachments table (the one the runtime's source trackers use),
+// hosting each driver on the transport server and attaching the export's
+// sink to its event source, and the per-peer coalescing buffers that turn
+// individual readings into event_batch RPCs. The buffers mirror the
+// runtime's ingestion pipeline: a device push costs one buffer append; a
+// single flusher per (peer, kind, source) coalesces whatever accumulated
+// into bounded batches; admission is bounded by the peer's in-flight
+// qos.Budget so a slow or dead peer drops at the sender intake instead of
+// growing queues without bound.
 
-// exporter keeps one Export's device attachments in step with the registry,
-// exactly like the runtime's sourceTracker: every local entity of the kind
-// is hosted (and, when the export names a source, sink-attached) while
-// registered, released on unregister or lease expiry, applying the
-// watcher's queued deltas batch by batch and falling back to a reconciling
-// scan only when the watcher reports lost notifications.
+// exporter keeps one Export's device attachments in step with the
+// registry through a registry attachment table (registry.Attachments, the
+// same table the runtime binds its event sources with): every local entity
+// of the kind is hosted (and, when the export names a source,
+// sink-attached) while registered, released on unregister or lease expiry.
 type exporter struct {
 	n      *Node
 	kind   string
 	source string
 	sink   exportSink // nil when the export has no source
 	// groupAttr is the Aggregate's grouping attribute; empty for raw
-	// forwarding. The exporter resolves it per tracked device so the
+	// forwarding. The exporter resolves it per attached device so the
 	// aggregating sink never touches the registry on the emission path.
 	groupAttr string
 	w         *registry.Watcher
-
-	mu   sync.Mutex
-	subs map[registry.ID]*exportedDevice
+	table     *registry.Attachments
 
 	// applied counts the watcher changes the loop has applied, the
-	// reconcile after a loss included; caughtUp waits on it.
+	// reconcile after a loss included; waitApplied waits on it.
 	applied atomic.Uint64
 }
 
@@ -58,39 +56,63 @@ func (n *Node) startExporter(ex Export) error {
 	if err != nil {
 		return err
 	}
-	e := &exporter{
-		n:      n,
-		kind:   ex.Kind,
-		source: ex.Source,
-		w:      w,
-		subs:   make(map[registry.ID]*exportedDevice),
-	}
+	e := &exporter{n: n, kind: ex.Kind, source: ex.Source, w: w}
+	var refresh func(registry.Entity)
 	if ex.Source != "" {
 		e.sink = n.sinks[exportKey(ex.Kind, ex.Source)]
+		refresh = e.refresh
 	}
 	if ex.Aggregate != nil {
 		e.groupAttr = ex.Aggregate.GroupAttr
 	}
+	e.table = registry.NewAttachments(n.reg, registry.Query{Kind: ex.Kind}, e.attach, refresh)
 	n.mu.Lock()
 	n.watchers = append(n.watchers, w)
 	n.exporters = append(n.exporters, e)
 	n.mu.Unlock()
 
-	// Collect the current population first, attach after: add hosts
-	// drivers and opens subscriptions, which must not run inside the scan
-	// callback (Scan holds the shard lock and forbids re-entering the
-	// registry).
-	var present []registry.Entity
-	n.reg.Scan(registry.Query{Kind: ex.Kind}, func(ent registry.Entity) bool {
-		present = append(present, e.scanCopy(ent))
-		return true
-	})
-	for _, ent := range present {
-		e.add(ent)
-	}
+	e.table.Reconcile()
 	n.wg.Add(1)
 	go e.loop()
 	return nil
+}
+
+// attach hosts (and sink-attaches) one local entity of the exported kind.
+// Mirrors are declined: their owner exports them.
+func (e *exporter) attach(ent registry.Entity) (detach func(), ok bool) {
+	if ent.Origin != "" {
+		return nil, false
+	}
+	drv, ok := e.n.rt.LocalDriver(string(ent.ID))
+	if !ok {
+		// Registered but not locally driven (e.g. an entity added with an
+		// explicit remote endpoint): nothing to host or forward.
+		return nil, false
+	}
+	id := string(ent.ID)
+	e.n.hostDevice(id, drv)
+	if e.sink == nil {
+		return func() { e.n.unhostDevice(id) }, true
+	}
+	// Register the device with the sink before the subscription opens so
+	// an aggregating sink can route its very first reading; detach
+	// retracts the registration (and, for aggregates, the contribution).
+	e.sink.deviceAdded(id, ent.Attrs[e.groupAttr])
+	cancel, err := drv.SubscribePush(e.source, e.sink)
+	if err != nil {
+		e.sink.deviceRemoved(id)
+		e.n.unhostDevice(id)
+		e.n.rt.ReportError("federation:"+e.n.name, fmt.Errorf("export %s source %s: %w", ent.ID, e.source, err))
+		return nil, false
+	}
+	return func() { cancel(); e.sink.deviceRemoved(id); e.n.unhostDevice(id) }, true
+}
+
+// refresh re-announces an attached device to the sink after a registry
+// Update, or a reconcile that may have missed one, so an aggregating export
+// re-homes the device when its grouping attribute changed.
+func (e *exporter) refresh(ent registry.Entity) {
+	e.sink.deviceAdded(string(ent.ID), ent.Attrs[e.groupAttr])
 }
 
 func (e *exporter) loop() {
@@ -104,21 +126,21 @@ func (e *exporter) loop() {
 		if d := e.n.exporterLag.Load(); d > 0 {
 			time.Sleep(time.Duration(d))
 		}
-		for _, c := range batch {
-			switch c.Type {
-			case registry.Added, registry.Updated:
-				e.add(c.Entity)
-			case registry.Removed, registry.Expired:
-				e.remove(c.Entity.ID)
-			}
-		}
+		e.table.Apply(batch)
 		if lost {
 			e.reconcile()
 		}
 		e.applied.Add(uint64(len(batch)))
 	}
-	e.stopAll()
+	e.table.Stop()
 	e.applied.Store(math.MaxUint64) // a stopped exporter keeps no sync waiting
+}
+
+// reconcile repairs the attachment table after the watcher lost
+// notifications, counting the repair.
+func (e *exporter) reconcile() {
+	e.n.stats[statExporterReconciles].Add(1)
+	e.table.Reconcile()
 }
 
 // exporterMark is an exporter and the count of watcher changes its loop
@@ -150,171 +172,6 @@ func waitApplied(marks []exporterMark, deadline time.Time) {
 		for m.e.applied.Load() < m.target && time.Now().Before(deadline) {
 			time.Sleep(100 * time.Microsecond)
 		}
-	}
-}
-
-// scanCopy captures the identity fields add needs from one scanned entity
-// (Scan forbids retaining the entity), including the grouping attribute of
-// an aggregating export.
-func (e *exporter) scanCopy(ent registry.Entity) registry.Entity {
-	c := registry.Entity{ID: ent.ID, Kind: ent.Kind, Origin: ent.Origin}
-	if e.groupAttr != "" {
-		c.Attrs = registry.Attributes{e.groupAttr: ent.Attrs[e.groupAttr]}
-	}
-	return c
-}
-
-// add hosts (and sink-attaches) one local entity of the exported kind.
-// Mirrors are ignored: their owner exports them.
-func (e *exporter) add(ent registry.Entity) {
-	if ent.Origin != "" {
-		return
-	}
-	ed := &exportedDevice{}
-	e.mu.Lock()
-	if _, dup := e.subs[ent.ID]; dup {
-		e.mu.Unlock()
-		// Already attached: a registry Update still refreshes the sink's
-		// group mapping so an aggregating export re-homes the device when
-		// its grouping attribute changes.
-		if e.sink != nil {
-			e.sink.deviceAdded(string(ent.ID), ent.Attrs[e.groupAttr])
-		}
-		return
-	}
-	e.subs[ent.ID] = ed
-	e.mu.Unlock()
-
-	release := func() {
-		e.mu.Lock()
-		if e.subs[ent.ID] == ed {
-			delete(e.subs, ent.ID)
-		}
-		e.mu.Unlock()
-	}
-	drv, ok := e.n.rt.LocalDriver(string(ent.ID))
-	if !ok {
-		// Registered but not locally driven (e.g. an entity added with an
-		// explicit remote endpoint): nothing to host or forward.
-		release()
-		return
-	}
-	id := string(ent.ID)
-	e.n.hostDevice(id, drv)
-	unhost := func() { e.n.unhostDevice(id) }
-	if e.sink == nil {
-		ed.attach(unhost)
-		return
-	}
-	// Register the device with the sink before the subscription opens so
-	// an aggregating sink can route its very first reading; detach
-	// retracts the registration (and, for aggregates, the contribution).
-	e.sink.deviceAdded(id, ent.Attrs[e.groupAttr])
-	detachSink := func() { e.sink.deviceRemoved(id) }
-	cancel, err := drv.SubscribePush(e.source, e.sink)
-	if err != nil {
-		detachSink()
-		unhost()
-		release()
-		e.n.rt.ReportError("federation:"+e.n.name, fmt.Errorf("export %s source %s: %w", ent.ID, e.source, err))
-		return
-	}
-	ed.attach(func() { cancel(); detachSink(); unhost() })
-}
-
-func (e *exporter) remove(id registry.ID) {
-	e.mu.Lock()
-	ed, ok := e.subs[id]
-	delete(e.subs, id)
-	e.mu.Unlock()
-	if ok {
-		ed.stop()
-	}
-}
-
-func (e *exporter) stopAll() {
-	e.mu.Lock()
-	subs := e.subs
-	e.subs = make(map[registry.ID]*exportedDevice)
-	e.mu.Unlock()
-	for _, ed := range subs {
-		ed.stop()
-	}
-}
-
-// reconcile repairs the attachment table against a registry scan after
-// watcher notifications were lost, mirroring sourceTracker.reconcile.
-func (e *exporter) reconcile() {
-	e.n.stats[statExporterReconciles].Add(1)
-	live := make(map[registry.ID]registry.Entity)
-	e.n.reg.Scan(registry.Query{Kind: e.kind}, func(ent registry.Entity) bool {
-		if ent.Origin == "" {
-			live[ent.ID] = e.scanCopy(ent)
-		}
-		return true
-	})
-	e.mu.Lock()
-	var gone []*exportedDevice
-	var missing, kept []registry.Entity
-	for id, ed := range e.subs {
-		if _, ok := live[id]; !ok {
-			delete(e.subs, id)
-			gone = append(gone, ed)
-		}
-	}
-	for id, ent := range live {
-		if _, ok := e.subs[id]; !ok {
-			missing = append(missing, ent)
-		} else {
-			kept = append(kept, ent)
-		}
-	}
-	e.mu.Unlock()
-	for _, ed := range gone {
-		ed.stop()
-	}
-	for _, ent := range missing {
-		e.add(ent)
-	}
-	// Refresh the sink's group mapping of the devices that stayed: a
-	// dropped Update notification may have re-homed one.
-	if e.sink != nil {
-		for _, ent := range kept {
-			e.sink.deviceAdded(string(ent.ID), ent.Attrs[e.groupAttr])
-		}
-	}
-}
-
-// exportedDevice tracks one exported device from reservation to release,
-// with the same stop-before-attach reconciliation as the runtime's
-// trackedDevice.
-type exportedDevice struct {
-	mu      sync.Mutex
-	cancel  func()
-	stopped bool
-}
-
-func (d *exportedDevice) attach(cancel func()) {
-	d.mu.Lock()
-	d.cancel = cancel
-	stopped := d.stopped
-	d.mu.Unlock()
-	if stopped {
-		cancel()
-	}
-}
-
-func (d *exportedDevice) stop() {
-	d.mu.Lock()
-	if d.stopped {
-		d.mu.Unlock()
-		return
-	}
-	d.stopped = true
-	cancel := d.cancel
-	d.mu.Unlock()
-	if cancel != nil {
-		cancel()
 	}
 }
 

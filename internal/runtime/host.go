@@ -558,8 +558,9 @@ func (h *Host) ensureLeaseJanitor() error {
 				}
 			}
 			// The janitor watches every registry change; if it fell past
-			// the watcher's queue bound, repair like the source trackers
-			// do, by re-checking every driver entry against the registry.
+			// the watcher's queue bound, it repairs against the registry
+			// as an attachment table's Reconcile does, re-checking every
+			// driver entry.
 			if lost {
 				for _, id := range h.fleet.ids() {
 					h.fleet.reapExpired(id, h.reg)

@@ -93,11 +93,11 @@ func waitAttached(t *testing.T, rt *Runtime, n int) {
 	t.Helper()
 	waitUntil(t, fmt.Sprintf("%d tracker attachments", n), func() bool {
 		rt.mu.Lock()
-		trackers := append([]*sourceTracker(nil), rt.trackers...)
+		trackers := append([]*registry.Attachments(nil), rt.trackers...)
 		rt.mu.Unlock()
 		total := 0
 		for _, tr := range trackers {
-			total += tr.trackedCount()
+			total += tr.Len()
 		}
 		return total == n
 	})

@@ -23,7 +23,11 @@ import (
 // into pooled columnar device.ReadingBatch payloads, each published as one
 // bus event. Admission is bounded by a qos.Budget per interaction, so a
 // storm that outruns the context handler drops at the intake (counted in
-// Stats) instead of growing queues without bound.
+// Stats) instead of growing queues without bound. Devices are bound to
+// their shard by a registry.Attachments table per interaction (the one
+// attachment table the federation exporters use too), fed by a registry
+// watcher so a device attaches on bind and detaches on unbind or lease
+// expiry.
 
 // IngestConfig shapes the ingestion pipeline of one `when provided`
 // device-source interaction.
@@ -357,237 +361,73 @@ func (ing *ingestor) flush(b *device.ReadingBatch) {
 }
 
 // trackDeviceSource attaches the named source of every present and future
-// device of the given kind to the interaction's ingestion pipeline,
-// reconciling with the registry when watcher notifications are lost.
+// device of the given kind to the interaction's ingestion pipeline: a
+// registry attachment table (registry.Attachments) holds one push-sink
+// subscription per device while it is registered and releases it as soon as
+// the device unregisters or its lease expires, not at runtime shutdown. The
+// watcher hands a bind or churn storm over as one queued batch of deltas;
+// only after lost notifications does the table reconcile against a registry
+// scan.
 func (rt *Runtime) trackDeviceSource(kind, source string, ing *ingestor) error {
 	w, err := rt.reg.Watch(registry.Query{Kind: kind})
 	if err != nil {
 		return err
 	}
-	t := &sourceTracker{
-		rt:     rt,
-		kind:   kind,
-		source: source,
-		ing:    ing,
-		subs:   make(map[registry.ID]*trackedDevice),
-	}
+	t := rt.newSourceTracker(kind, source, ing)
 	rt.mu.Lock()
 	rt.watchers = append(rt.watchers, w)
 	rt.trackers = append(rt.trackers, t)
 	rt.mu.Unlock()
 
-	for _, e := range rt.reg.Discover(registry.Query{Kind: kind}) {
-		t.add(e)
-	}
+	t.Reconcile()
 	rt.wg.Add(1)
-	go t.loop(w)
+	go func() {
+		defer rt.wg.Done()
+		var batch []registry.Change
+		for {
+			var lost, ok bool
+			if batch, lost, ok = w.Next(batch); !ok {
+				break
+			}
+			t.Apply(batch)
+			if lost {
+				rt.reconcileTracker(t)
+			}
+		}
+		t.Stop()
+	}()
 	return nil
 }
 
-// sourceTracker keeps one interaction's device attachments in step with the
-// registry: every device of the kind gets exactly one attachment (its
-// shard, as a push sink) while registered, released as soon as it
-// unregisters or its lease expires — not at runtime shutdown. The watcher
-// hands a bind or churn storm over as one queued batch of deltas; only when
-// the tracker fell past the queue's bound and lost notifications does it
-// reconcile its attachment table against a registry scan, so even then it
-// neither leaks tracker state nor keeps delivering for departed devices.
-type sourceTracker struct {
-	rt     *Runtime
-	kind   string
-	source string
-	ing    *ingestor
-
-	mu   sync.Mutex
-	subs map[registry.ID]*trackedDevice
-}
-
-func (t *sourceTracker) loop(w *registry.Watcher) {
-	defer t.rt.wg.Done()
-	var batch []registry.Change
-	for {
-		var lost, ok bool
-		if batch, lost, ok = w.Next(batch); !ok {
-			break
+// newSourceTracker returns the attachment table of one interaction's device
+// source: each device of kind is subscribed into its ingestion shard.
+// Federation mirrors get a reservation with nothing behind it: the owning
+// node forwards their events in coalesced batches that land in the shards
+// through RemoteIngest, and the reservation keeps mirror bookkeeping
+// symmetric with local devices (removals and reconciles release it) without
+// a per-device cross-node subscription.
+func (rt *Runtime) newSourceTracker(kind, source string, ing *ingestor) *registry.Attachments {
+	return registry.NewAttachments(rt.reg, registry.Query{Kind: kind}, func(e registry.Entity) (func(), bool) {
+		if e.Origin != "" {
+			return func() {}, true
 		}
-		for _, c := range batch {
-			switch c.Type {
-			case registry.Added, registry.Updated:
-				t.add(c.Entity)
-			case registry.Removed, registry.Expired:
-				t.remove(c.Entity.ID)
-			}
+		drv, err := rt.driverFor(e)
+		if err != nil {
+			rt.reportError("bind:"+string(e.ID), err)
+			return nil, false
 		}
-		if lost {
-			t.reconcile()
+		cancel, err := drv.SubscribePush(source, ing.shardFor(string(e.ID)))
+		if err != nil {
+			rt.reportError("subscribe:"+string(e.ID), fmt.Errorf("source %s: %w", source, err))
+			return nil, false
 		}
-	}
-	t.stopAll()
+		return cancel, true
+	}, nil)
 }
 
-// trackedCount reports the number of devices currently attached (tests and
-// diagnostics). Reservations whose subscription is still being set up do
-// not count: a device counted here already delivers what it emits.
-func (t *sourceTracker) trackedCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, td := range t.subs {
-		if td.attached() {
-			n++
-		}
-	}
-	return n
-}
-
-func (t *sourceTracker) add(e registry.Entity) {
-	// Check-and-reserve atomically: the placeholder claims the entity's
-	// slot under one lock acquisition, so a concurrent add for the same
-	// entity cannot also pass the dup check and leak a second attachment.
-	// The (possibly slow) driver resolution and subscription happen
-	// outside the lock; attach reconciles with a concurrent remove.
-	td := &trackedDevice{}
-	t.mu.Lock()
-	if _, dup := t.subs[e.ID]; dup {
-		t.mu.Unlock()
-		return
-	}
-	t.subs[e.ID] = td
-	t.mu.Unlock()
-
-	// Federation mirrors are delivered by the federation tier: the owning
-	// node forwards their events in coalesced batches that land in this
-	// interaction's shards through RemoteIngest. Keeping the reservation
-	// (with no subscription behind it) makes mirror bookkeeping symmetric
-	// with local devices — removals and reconciles release it — without a
-	// per-device cross-node subscription stream.
-	if e.Origin != "" {
-		td.attach(func() {})
-		return
-	}
-
-	release := func() {
-		t.mu.Lock()
-		if t.subs[e.ID] == td {
-			delete(t.subs, e.ID)
-		}
-		t.mu.Unlock()
-	}
-	drv, err := t.rt.driverFor(e)
-	if err != nil {
-		release()
-		t.rt.reportError("bind:"+string(e.ID), err)
-		return
-	}
-	cancel, err := drv.SubscribePush(t.source, t.ing.shardFor(string(e.ID)))
-	if err != nil {
-		release()
-		t.rt.reportError("subscribe:"+string(e.ID), fmt.Errorf("source %s: %w", t.source, err))
-		return
-	}
-	// Removed (or tracker stopped) while we were subscribing: the
-	// reservation was already discarded and attach cancels the sink.
-	td.attach(cancel)
-}
-
-func (t *sourceTracker) remove(id registry.ID) {
-	t.mu.Lock()
-	td, ok := t.subs[id]
-	delete(t.subs, id)
-	t.mu.Unlock()
-	if ok {
-		td.stop()
-	}
-}
-
-func (t *sourceTracker) stopAll() {
-	t.mu.Lock()
-	subs := t.subs
-	t.subs = make(map[registry.ID]*trackedDevice)
-	t.mu.Unlock()
-	for _, td := range subs {
-		td.stop()
-	}
-}
-
-// reconcile repairs the attachment table against a registry scan after
-// watcher notifications were lost: devices present in the registry but not
-// attached are added, attachments whose device is gone are released. The
-// scan observes every change committed before it takes each shard lock, and
-// any change racing the scan is still queued on the watcher, so the table
-// converges once the queue drains.
-func (t *sourceTracker) reconcile() {
-	t.rt.stats[statTrackerReconciles].Add(1)
-	live := make(map[registry.ID]registry.Entity)
-	t.rt.reg.Scan(registry.Query{Kind: t.kind}, func(e registry.Entity) bool {
-		// Copy the scalar identity fields only; Scan forbids retaining
-		// the entity, and add resolves local drivers by ID. Origin must
-		// ride along or a reconciled mirror would be re-added as a
-		// subscribable device.
-		live[e.ID] = registry.Entity{ID: e.ID, Kind: e.Kind, Endpoint: e.Endpoint, Origin: e.Origin}
-		return true
-	})
-	t.mu.Lock()
-	var gone []*trackedDevice
-	var missing []registry.Entity
-	for id, td := range t.subs {
-		if _, ok := live[id]; !ok {
-			delete(t.subs, id)
-			gone = append(gone, td)
-		}
-	}
-	for id, e := range live {
-		if _, ok := t.subs[id]; !ok {
-			missing = append(missing, e)
-		}
-	}
-	t.mu.Unlock()
-	for _, td := range gone {
-		td.stop()
-	}
-	for _, e := range missing {
-		t.add(e)
-	}
-}
-
-// trackedDevice tracks one device attachment from reservation to release.
-// It is created as an empty reservation (see sourceTracker.add) and attached
-// once the subscription succeeds; stop before attach marks it stopped so
-// attach cancels the late-arriving subscription instead of leaking it.
-type trackedDevice struct {
-	mu      sync.Mutex
-	cancel  func()
-	stopped bool
-}
-
-// attach installs the cancel function, or invokes it if stop already ran.
-func (d *trackedDevice) attach(cancel func()) {
-	d.mu.Lock()
-	d.cancel = cancel
-	stopped := d.stopped
-	d.mu.Unlock()
-	if stopped {
-		cancel()
-	}
-}
-
-// attached reports whether the attachment is live (attach ran, stop did not).
-func (d *trackedDevice) attached() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.cancel != nil && !d.stopped
-}
-
-func (d *trackedDevice) stop() {
-	d.mu.Lock()
-	if d.stopped {
-		d.mu.Unlock()
-		return
-	}
-	d.stopped = true
-	cancel := d.cancel
-	d.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
+// reconcileTracker repairs a source tracker after its watcher lost
+// notifications, counting the repair.
+func (rt *Runtime) reconcileTracker(t *registry.Attachments) {
+	rt.stats[statTrackerReconciles].Add(1)
+	t.Reconcile()
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/dsl"
 	"repro/internal/eventbus"
+	"repro/internal/registry"
 )
 
 // BenchmarkIngestConcurrentProducers measures one interaction's intake fed
@@ -90,4 +91,31 @@ func benchIngestProducers(b *testing.B, shape string, producers int) {
 		goruntime.Gosched()
 	}
 	b.StopTimer()
+}
+
+// BenchmarkTrackerAttachRemove measures what binding one device costs an
+// interaction's source tracker: an op is one attach (driver lookup and push
+// subscription into its ingestion shard) plus one remove. Run with
+// -benchmem; the allocations are per device and independent of the fleet.
+func BenchmarkTrackerAttachRemove(b *testing.B) {
+	m, err := dsl.Load(ingestTestDesign)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt := New(m)
+	defer rt.Stop()
+	ing := rt.newIngestor("src")
+	defer ing.stop()
+	tr := rt.newSourceTracker("PresenceSensor", "presence", ing)
+	defer tr.Stop()
+	if err := rt.BindDevice(device.NewBase("ps-0", "PresenceSensor", nil, nil, nil)); err != nil {
+		b.Fatal(err)
+	}
+	e := registry.Entity{ID: "ps-0", Kind: "PresenceSensor"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Add(e)
+		tr.Remove(e.ID)
+	}
 }

@@ -204,11 +204,8 @@ func TestTrackerReconcileRepairsDivergence(t *testing.T) {
 	rt := New(loadIngestModel(t))
 	ing := rt.newIngestor("src")
 	defer ing.stop()
-	tr := &sourceTracker{
-		rt: rt, kind: "PresenceSensor", source: "presence", ing: ing,
-		subs: make(map[registry.ID]*trackedDevice),
-	}
-	defer tr.stopAll()
+	tr := rt.newSourceTracker("PresenceSensor", "presence", ing)
+	defer tr.Stop()
 
 	ids := make([]string, 5)
 	for i := range ids {
@@ -218,8 +215,8 @@ func TestTrackerReconcileRepairsDivergence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr.reconcile()
-	if got := tr.trackedCount(); got != 5 {
+	rt.reconcileTracker(tr)
+	if got := tr.Len(); got != 5 {
 		t.Fatalf("tracked after add-reconcile = %d, want 5", got)
 	}
 	for _, id := range ids[:2] {
@@ -227,8 +224,8 @@ func TestTrackerReconcileRepairsDivergence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr.reconcile()
-	if got := tr.trackedCount(); got != 3 {
+	rt.reconcileTracker(tr)
+	if got := tr.Len(); got != 3 {
 		t.Fatalf("tracked after remove-reconcile = %d, want 3", got)
 	}
 	if got := rt.Stats().TrackerReconciles; got != 2 {
@@ -267,13 +264,13 @@ func TestBindBurstBehindStalledTrackerDoesNotReconcile(t *testing.T) {
 		}
 	}
 	tr := rt.trackers[0]
-	waitUntil(t, "burst adds to converge", func() bool { return tr.trackedCount() == n })
+	waitUntil(t, "burst adds to converge", func() bool { return tr.Len() == n })
 	for i := 0; i < n; i += 2 {
 		if err := rt.UnbindDevice(fmt.Sprintf("slow-%03d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, "burst removes to converge", func() bool { return tr.trackedCount() == n/2 })
+	waitUntil(t, "burst removes to converge", func() bool { return tr.Len() == n/2 })
 	if got := rt.Stats().TrackerReconciles; got != 0 {
 		t.Fatalf("TrackerReconciles = %d after a bind burst, want 0", got)
 	}
@@ -355,7 +352,7 @@ func testSourceTrackerReleasesOnChurn(t *testing.T, ctor worldCtor) {
 		}
 	}
 	tr := rt.trackers[0]
-	waitUntil(t, "initial attach", func() bool { return tr.trackedCount() == n })
+	waitUntil(t, "initial attach", func() bool { return tr.Len() == n })
 	waitUntil(t, "swarm attach", func() bool { return swarm.AttachedCount() == n })
 
 	// Explicit unregistration releases the slot and detaches the sink.
@@ -364,7 +361,7 @@ func testSourceTrackerReleasesOnChurn(t *testing.T, ctor worldCtor) {
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, "tracker release on unregister", func() bool { return tr.trackedCount() == n/2 })
+	waitUntil(t, "tracker release on unregister", func() bool { return tr.Len() == n/2 })
 	waitUntil(t, "sink detach on unregister", func() bool { return swarm.AttachedCount() == n/2 })
 
 	// A churned-out sensor's events are not accepted anywhere.
@@ -381,10 +378,10 @@ func testSourceTrackerReleasesOnChurn(t *testing.T, ctor worldCtor) {
 	if err := rt.BindDevice(leased, WithLease(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "leased attach", func() bool { return tr.trackedCount() == n/2+1 })
+	waitUntil(t, "leased attach", func() bool { return tr.Len() == n/2+1 })
 	vc.Advance(2 * time.Minute)
 	rt.reg.Sweep()
-	waitUntil(t, "tracker release on expiry", func() bool { return tr.trackedCount() == n/2 })
+	waitUntil(t, "tracker release on expiry", func() bool { return tr.Len() == n/2 })
 	waitUntil(t, "driver slot release on expiry", func() bool {
 		_, ok := rt.fleet.get("leased-1")
 		return !ok
@@ -393,7 +390,7 @@ func testSourceTrackerReleasesOnChurn(t *testing.T, ctor worldCtor) {
 	if err := rt.BindDevice(leased, WithLease(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "rebind after expiry", func() bool { return tr.trackedCount() == n/2+1 })
+	waitUntil(t, "rebind after expiry", func() bool { return tr.Len() == n/2+1 })
 }
 
 // TestChurnSwarmLeaseExpiry drives lease-mode churn through the real
@@ -431,7 +428,7 @@ func testChurnSwarmLeaseExpiry(t *testing.T, ctor worldCtor) {
 		t.Fatal(err)
 	}
 	tr := rt.trackers[0]
-	waitUntil(t, "leased fleet attach", func() bool { return tr.trackedCount() == n })
+	waitUntil(t, "leased fleet attach", func() bool { return tr.Len() == n })
 
 	if err := cs.ChurnOut(churned, true); err != nil {
 		t.Fatal(err)
@@ -446,7 +443,7 @@ func testChurnSwarmLeaseExpiry(t *testing.T, ctor worldCtor) {
 	vc.Advance(3 * ttl / 4)
 	rt.reg.Sweep()
 	waitUntil(t, "tracker release on lease lapse", func() bool {
-		return tr.trackedCount() == n-churned
+		return tr.Len() == n-churned
 	})
 	waitUntil(t, "fleet settle after expiry", cs.Settled)
 	waitUntil(t, "driver reap on lease lapse", func() bool {
@@ -761,7 +758,7 @@ func TestBaseBurstAccountedExactly(t *testing.T) {
 	if err := rt.BindDevice(b); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "the device to attach", func() bool { return rt.trackers[0].trackedCount() == 1 })
+	waitUntil(t, "the device to attach", func() bool { return rt.trackers[0].Len() == 1 })
 	const burst = 1000
 	for i := 0; i < burst; i++ {
 		b.Emit("presence", i%2 == 0)
@@ -787,7 +784,7 @@ func TestEventDeviceBindStartsNoGoroutine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, "every device to attach", func() bool { return rt.trackers[0].trackedCount() == n })
+	waitUntil(t, "every device to attach", func() bool { return rt.trackers[0].Len() == n })
 	if got := settledGoroutines() - base; got != 0 {
 		t.Fatalf("binding %d event devices started %d goroutines, want 0", n, got)
 	}

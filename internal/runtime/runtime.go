@@ -292,7 +292,7 @@ type Runtime struct {
 	controllers map[string]ControllerHandler
 	clients     map[string]*transport.Client
 	pollers     []*poller
-	trackers    []*sourceTracker
+	trackers    []*registry.Attachments
 	ingestors   []*ingestor
 	ingestByKey map[string][]*ingestor   // kind+source -> consuming pipelines
 	aggByKey    map[string][]*provAgg    // kind+source -> provided-grouped aggregates
@@ -612,8 +612,8 @@ func (rt *Runtime) stopApp() {
 	rt.mu.Unlock()
 
 	// Watcher cancellation closes each tracker's loop, which releases its
-	// device attachments (stopAll); trackers that somehow never entered
-	// their loop are stopped directly — stopAll is idempotent.
+	// device attachments (Stop); trackers that somehow never entered
+	// their loop are stopped directly — Stop is idempotent.
 	for _, w := range watchers {
 		w.Cancel()
 	}
@@ -621,7 +621,7 @@ func (rt *Runtime) stopApp() {
 		p.stop()
 	}
 	for _, t := range trackers {
-		t.stopAll()
+		t.Stop()
 	}
 	for _, ing := range ingestors {
 		ing.stop()
