@@ -88,7 +88,7 @@ func parkingBenchWorld(b *testing.B, sensors int) (*runtime.Runtime, *simclock.V
 	if perLot == 0 {
 		perLot = 1
 	}
-	fleet := devsim.NewParkingFleet(devsim.DefaultParkingModel(lots, perLot, 7), vc)
+	fleet := devsim.NewSwarm(devsim.SwarmConfig{Sensors: len(lots) * perLot, Lots: lots, Seed: 7}, vc)
 	for _, s := range fleet.Sensors() {
 		if err := rt.BindDevice(s); err != nil {
 			b.Fatal(err)

@@ -210,7 +210,7 @@ func run(spacesPerLot, hours int) error {
 	// The city: sensor fleet, entrance panels per lot, one city panel per
 	// entrance, the manager's messenger.
 	lots := []string{"A22", "B16", "D6", "E31", "F12"}
-	fleet := devsim.NewParkingFleet(devsim.DefaultParkingModel(lots, spacesPerLot, 2017), vc)
+	fleet := devsim.NewSwarm(devsim.SwarmConfig{Sensors: len(lots) * spacesPerLot, Lots: lots, Seed: 2017}, vc)
 	for _, s := range fleet.Sensors() {
 		if err := rt.BindDevice(s); err != nil {
 			return err

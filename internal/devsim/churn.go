@@ -3,9 +3,6 @@ package devsim
 import (
 	"errors"
 	"sync"
-	"time"
-
-	"repro/internal/device"
 )
 
 // ChurnHooks connects a ChurnSwarm to the hosting runtime without coupling
@@ -288,32 +285,3 @@ func (c *ChurnSwarm) Churned() (in, out uint64) {
 	defer c.mu.Unlock()
 	return c.churnedIn, c.churnedOut
 }
-
-// RunChurn churns fraction*LiveCount sensors per second (via explicit
-// unregistration) every interval of wall time until stop closes — the
-// background churn goroutine of a real-time storm scenario. Errors stop the
-// loop and are returned.
-func (c *ChurnSwarm) RunChurn(stop <-chan struct{}, interval time.Duration, fraction float64) error {
-	if interval <= 0 {
-		return errors.New("devsim: non-positive churn interval")
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return nil
-		case <-ticker.C:
-			n := int(fraction * interval.Seconds() * float64(c.LiveCount()))
-			if n < 1 {
-				n = 1
-			}
-			if err := c.Churn(n, false); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// Sensor returns the idx-th sensor, for tests that need driver handles.
-func (c *ChurnSwarm) Sensor(idx int) device.Driver { return c.swarm.sensors[idx] }

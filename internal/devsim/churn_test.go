@@ -180,48 +180,6 @@ func TestChurnSwarmGroundTruth(t *testing.T) {
 	}
 }
 
-// TestChurnSwarmRunChurn storms from the test goroutine while RunChurn
-// rotates the fleet from its own, and checks the accepted-reading ground
-// truth still matches the sink exactly — the concurrent usage RunChurn
-// exists for: a storm racing background churn.
-func TestChurnSwarmRunChurn(t *testing.T) {
-	const n = 20
-	s := newChurnTestSwarm(n)
-	h := &churnHarness{sink: &recordingSink{}, cancels: map[string]func(){}}
-	cs, err := NewChurnSwarm(s, h.hooks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.BindAll(); err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	go func() { done <- cs.RunChurn(stop, 2*time.Millisecond, 0.25) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		cs.StormLive(n)
-		if in, out := cs.Churned(); out >= 3 || time.Now().After(deadline) {
-			_ = in
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(stop)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if _, out := cs.Churned(); out == 0 {
-		t.Fatal("RunChurn churned nothing")
-	}
-	if got, want := uint64(h.sink.count()), cs.Expected(); got != want {
-		t.Fatalf("sink got %d readings, ground truth %d", got, want)
-	}
-	if got := cs.Forbidden(); got != 0 {
-		t.Fatalf("forbidden = %d, want 0", got)
-	}
-}
-
 // TestChurnSwarmLeaseMode checks that viaLease churn leaves unregistration
 // to the lease: the Unbind hook is never called for leased departures, and
 // Settled turns true only after the (simulated) expiry detaches the sink.

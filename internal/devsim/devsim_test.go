@@ -180,96 +180,6 @@ func TestRecorderDevice(t *testing.T) {
 	}
 }
 
-func TestParkingFleetDeterminism(t *testing.T) {
-	build := func() map[string]int {
-		vc := simclock.NewVirtual(epoch)
-		f := NewParkingFleet(DefaultParkingModel([]string{"A22", "B16"}, 50, 42), vc)
-		for i := 0; i < 12; i++ {
-			vc.Advance(time.Hour)
-			f.Step()
-		}
-		return f.VacantPerLot()
-	}
-	a, b := build(), build()
-	for lot, v := range a {
-		if b[lot] != v {
-			t.Fatalf("fleet not deterministic: %v vs %v", a, b)
-		}
-	}
-}
-
-func TestParkingFleetDiurnalSwing(t *testing.T) {
-	vc := simclock.NewVirtual(epoch) // 02:00
-	f := NewParkingFleet(DefaultParkingModel([]string{"A22"}, 400, 1), vc)
-	// Let the model settle overnight.
-	for i := 0; i < 4; i++ {
-		vc.Advance(time.Hour)
-		f.Step()
-	}
-	night := f.Occupancy()["A22"]
-	// Advance to 13:00 (peak).
-	for i := 0; i < 7; i++ {
-		vc.Advance(time.Hour)
-		f.Step()
-	}
-	noon := f.Occupancy()["A22"]
-	if noon <= night+0.2 {
-		t.Fatalf("no diurnal swing: night=%.2f noon=%.2f", night, noon)
-	}
-	if noon < 0.5 {
-		t.Fatalf("midday occupancy %.2f, want >= 0.5", noon)
-	}
-}
-
-func TestParkingFleetSensorsQueryAndGroundTruth(t *testing.T) {
-	vc := simclock.NewVirtual(epoch)
-	f := NewParkingFleet(DefaultParkingModel([]string{"A22", "B16"}, 10, 3), vc)
-	if f.Size() != 20 {
-		t.Fatalf("size = %d", f.Size())
-	}
-	// Sum sensor queries and compare with ground truth.
-	truth := f.VacantPerLot()
-	free := map[string]int{}
-	for _, s := range f.Sensors() {
-		v, err := s.Query("presence")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !v.(bool) {
-			free[s.Attributes()["parkingLot"]]++
-		}
-	}
-	for lot, n := range truth {
-		if free[lot] != n {
-			t.Fatalf("lot %s: sensors say %d free, ground truth %d", lot, free[lot], n)
-		}
-	}
-}
-
-func TestParkingFleetSetOccupied(t *testing.T) {
-	vc := simclock.NewVirtual(epoch)
-	f := NewParkingFleet(DefaultParkingModel([]string{"A22"}, 4, 3), vc)
-	for i := 0; i < 4; i++ {
-		f.SetOccupied(i, true)
-	}
-	if got := f.VacantPerLot()["A22"]; got != 0 {
-		t.Fatalf("vacant = %d after occupying all", got)
-	}
-	if got := f.Occupancy()["A22"]; got != 1.0 {
-		t.Fatalf("occupancy = %v", got)
-	}
-}
-
-func TestParkingFleetStepNoTimeNoChange(t *testing.T) {
-	vc := simclock.NewVirtual(epoch)
-	f := NewParkingFleet(DefaultParkingModel([]string{"A22"}, 20, 9), vc)
-	before := f.VacantPerLot()["A22"]
-	f.Step() // no time elapsed
-	if after := f.VacantPerLot()["A22"]; after != before {
-		t.Fatalf("state changed without time: %d -> %d", before, after)
-	}
-}
-
 func TestFlightModelAltitudeRespondsToElevator(t *testing.T) {
 	m := NewFlightModel(30000, 250, 5)
 	m.deflect("ELEVATOR", 5)
@@ -333,37 +243,5 @@ func TestSurfaceDeflectionClamped(t *testing.T) {
 	m.mu.Unlock()
 	if e != 15 {
 		t.Fatalf("elevator = %v, want clamped 15", e)
-	}
-}
-
-func TestParkingFleetEmitsEventDrivenChanges(t *testing.T) {
-	vc := simclock.NewVirtual(epoch)
-	cfg := DefaultParkingModel([]string{"A22"}, 30, 5)
-	cfg.TurnoverRate = 50 // force plenty of flips per hour
-	f := NewParkingFleet(cfg, vc)
-	events := 0
-	var cancels []func()
-	// Subscribe to every sensor's presence source.
-	received := make(chanSink, 4096)
-	for _, s := range f.Sensors() {
-		cancel, err := s.SubscribePush("presence", received)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cancels = append(cancels, cancel)
-	}
-	vc.Advance(6 * time.Hour) // into late morning: big occupancy swing
-	f.Step()
-	deadline := time.After(5 * time.Second)
-	for events == 0 {
-		select {
-		case <-received:
-			events++
-		case <-deadline:
-			t.Fatal("no event-driven readings emitted on state change")
-		}
-	}
-	for _, cancel := range cancels {
-		cancel()
 	}
 }

@@ -135,9 +135,10 @@ func (s *Swarm) Size() int { return len(s.sensors) }
 func (s *Swarm) Lots() []string { return append([]string(nil), s.cfg.Lots...) }
 
 // targetOccupancy returns the diurnal occupancy target for a wall-clock
-// hour, peaking at 13:00 (same model as ParkingFleet).
+// hour, peaking at 13:00.
 func (s *Swarm) targetOccupancy(at time.Time) float64 {
 	h := float64(at.Hour()) + float64(at.Minute())/60
+	// Cosine bump centred on 13:00 with a 12-hour half-width.
 	phase := (h - 13) / 12 * math.Pi
 	day := math.Max(0, math.Cos(phase))
 	return s.cfg.BaseOccupancy + (s.cfg.PeakOccupancy-s.cfg.BaseOccupancy)*day

@@ -20,15 +20,23 @@ func testSwarm(n int) (*Swarm, *simclock.Virtual) {
 }
 
 func TestSwarmDeterministicAndConsistent(t *testing.T) {
-	a, _ := testSwarm(1000)
-	b, _ := testSwarm(1000)
+	a, va := testSwarm(1000)
+	b, vb := testSwarm(1000)
 	if a.Size() != 1000 || b.Size() != 1000 {
 		t.Fatalf("sizes = %d, %d", a.Size(), b.Size())
 	}
-	// Same seed → identical initial state.
-	for lot, free := range a.VacantPerLot() {
-		if got := b.VacantPerLot()[lot]; got != free {
-			t.Fatalf("lot %s: %d vs %d free", lot, free, got)
+	// Same seed → identical state, initially and after a day of steps.
+	for step := 0; step <= 12; step++ {
+		if step > 0 {
+			va.Advance(time.Hour)
+			vb.Advance(time.Hour)
+			a.Step()
+			b.Step()
+		}
+		for lot, free := range a.VacantPerLot() {
+			if got := b.VacantPerLot()[lot]; got != free {
+				t.Fatalf("step %d, lot %s: %d vs %d free", step, lot, free, got)
+			}
 		}
 	}
 	// Ground truth matches per-sensor queries.
@@ -66,6 +74,29 @@ func TestSwarmStepMovesTowardDiurnalTarget(t *testing.T) {
 	}
 	if after >= before {
 		t.Fatalf("vacancy %d → %d across the morning climb, want a decrease", before, after)
+	}
+}
+
+func TestSwarmStepNoTimeNoChange(t *testing.T) {
+	s, _ := testSwarm(200)
+	before := s.VacantPerLot()
+	s.Step() // no time elapsed
+	for lot, n := range s.VacantPerLot() {
+		if n != before[lot] {
+			t.Fatalf("lot %s changed without time: %d -> %d free", lot, before[lot], n)
+		}
+	}
+}
+
+func TestSwarmSetOccupied(t *testing.T) {
+	s, _ := testSwarm(8)
+	for i := 0; i < s.Size(); i++ {
+		s.SetOccupied(i, true)
+	}
+	for lot, n := range s.VacantPerLot() {
+		if n != 0 {
+			t.Fatalf("lot %s: %d free after occupying every space", lot, n)
+		}
 	}
 }
 

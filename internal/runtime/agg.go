@@ -133,11 +133,13 @@ func (c *aggCore) reset() {
 // a continuous per-group aggregate over the fleet's last-known readings,
 // updated incrementally by every event the ingestion pipeline delivers and
 // by federation peers' partial aggregates. The group of a device is its
-// `grouped by` attribute value; the device→group cache is maintained from
-// the registry watcher's incremental deltas (one full scan only at wiring
-// time and after watcher overflow), so the event hot path never scans the
-// registry. Departures and attribute changes evict stale contributions and
-// dispatch the retraction even when no further event arrives.
+// `grouped by` attribute value. The device→group cache is a registry
+// attachment table fed by the interaction's one source watcher, each batch
+// before the source tracker (trackDeviceSource): the event hot path never
+// scans the registry, and a local device's group is recorded before its
+// subscription opens. Departures and attribute changes evict stale
+// contributions and dispatch the retraction even when no further event
+// arrives.
 type provAgg struct {
 	ctxSite   // guarded by mu, like the engine
 	kind      string
@@ -150,18 +152,23 @@ type provAgg struct {
 	mu      sync.Mutex
 	core    *aggCore
 	groupOf map[string]string // device id -> group; real devices only
+	// retract marks an eviction or re-homing that no dispatch has carried
+	// yet; follow dispatches it once per watcher batch.
+	retract bool
 	// pending holds the latest reading of devices that emitted before
 	// their registration was observed here (a federation event_batch can
 	// outrun the registry delta sync that mirrors its devices); the
-	// watcher's Added delta adopts them into the aggregate. Bounded so a
-	// storm of unregistered senders cannot grow it without limit.
+	// registration's attach adopts them into the aggregate. Bounded so a
+	// storm of unregistered senders cannot grow it without limit. A parked
+	// reading that is never adopted — superseded, refused at the bound, or
+	// still parked at stop — counts in Stats.AggPendingDrops.
 	pending map[string]device.Reading
 }
 
 // provAggPendingCap bounds provAgg.pending.
 const provAggPendingCap = 4096
 
-// newProvAgg wires the aggregate for one provided-grouped interaction and
+// newProvAgg builds the aggregate for one provided-grouped interaction and
 // indexes it by (kind, source) for RemoteAggregate routing.
 func (rt *Runtime) newProvAgg(ctx *check.Context, idx int, in *check.Interaction) (*provAgg, error) {
 	core, err := newAggCore(rt, ctx.Name, in)
@@ -183,69 +190,56 @@ func (rt *Runtime) newProvAgg(ctx *check.Context, idx int, in *check.Interaction
 	key := ingestKey(pa.kind, pa.source)
 	rt.aggByKey[key] = append(rt.aggByKey[key], pa)
 	rt.mu.Unlock()
-
-	// The watcher keeps the device→group cache current (and retracts
-	// departed devices' contributions even when no further event
-	// arrives); the scan below seeds it with the population registered
-	// before wiring. Watch-then-scan means a bind racing this window is
-	// seen at least once (duplicate deltas are idempotent).
-	w, err := rt.reg.Watch(registry.Query{Kind: pa.kind})
-	if err != nil {
-		return nil, err
-	}
-	rt.mu.Lock()
-	rt.watchers = append(rt.watchers, w)
-	rt.mu.Unlock()
-	// A recovered checkpoint is loaded before the seed scan, so the resync
-	// retracts restored contributions of devices that did not survive
-	// recovery instead of leaving them in the aggregate forever.
-	rt.restoreAggState(pa)
-	pa.resync()
-	rt.wg.Add(1)
-	go pa.watch(w)
+	rt.restoreAggState(pa) // before seed, which retracts what no device tracks
 	return pa, nil
 }
 
-// watch applies the registry's incremental deltas to the device→group
-// cache, one queued batch at a time (a churn storm is applied with one
-// dispatch, not one per notification). Only a watcher that fell past its
-// queue bound falls back to a full reconciling scan — the event hot path
-// never scans the registry.
-func (pa *provAgg) watch(w *registry.Watcher) {
-	defer pa.rt.wg.Done()
-	var batch []registry.Change
-	for {
-		var lost, ok bool
-		if batch, lost, ok = w.Next(batch); !ok {
-			return
-		}
-		pa.applyChanges(batch)
-		if lost {
-			pa.resync()
-		}
-	}
-}
-
-// applyChanges folds one batch of registry deltas into the cache and the
-// aggregate, dispatching once if any contribution changed.
-func (pa *provAgg) applyChanges(batch []registry.Change) {
+// seed returns the attachment table behind the device→group cache, filled
+// with the population registered now. Every device of the kind, local or
+// mirror, attaches; the callbacks run under pa.mu, held by seed and follow.
+// Engine members no device tracks after this first reconcile, restored
+// from a checkpoint whose devices are gone, are retracted; federation
+// partials (NUL-prefixed synthetic ids) are remote state and stay.
+func (pa *provAgg) seed() *registry.Attachments {
+	track := func(e registry.Entity) { pa.trackLocked(string(e.ID), e.Attrs[pa.groupAttr]) }
+	groups := registry.NewAttachments(pa.rt.reg, registry.Query{Kind: pa.kind}, func(e registry.Entity) (func(), bool) {
+		track(e)
+		id := string(e.ID)
+		return func() { pa.evictLocked(id) }, true
+	}, track)
 	pa.mu.Lock()
 	defer pa.mu.Unlock()
-	changed := false
-	for _, c := range batch {
-		id := string(c.Entity.ID)
-		switch c.Type {
-		case registry.Added, registry.Updated:
-			if pa.trackLocked(id, c.Entity.Attrs[pa.groupAttr]) {
-				changed = true
-			}
-		case registry.Removed, registry.Expired:
-			if pa.evictLocked(id) {
-				changed = true
-			}
+	groups.Reconcile()
+	var stale []string
+	pa.core.eng.Inputs(func(id string, _ []string) {
+		if _, ok := pa.groupOf[id]; !ok && !strings.HasPrefix(id, aggPartialPrefix) {
+			stale = append(stale, id)
 		}
+	})
+	for _, id := range stale {
+		pa.evictLocked(id)
 	}
-	if changed {
+	pa.retractLocked()
+	return groups
+}
+
+// follow applies one watcher batch to the group table, reconciles it
+// against the registry when the watcher lost notifications, and dispatches
+// the batch's retractions once.
+func (pa *provAgg) follow(groups *registry.Attachments, batch []registry.Change, lost bool) {
+	pa.mu.Lock()
+	defer pa.mu.Unlock()
+	groups.Apply(batch)
+	if lost {
+		groups.Reconcile()
+	}
+	pa.retractLocked()
+}
+
+// retractLocked dispatches, without a reading, the evictions and re-homings
+// no dispatch has carried yet.
+func (pa *provAgg) retractLocked() {
+	if pa.retract {
 		pa.dispatchLocked(nil, "", pa.rt.clock.Now())
 	}
 }
@@ -255,44 +249,37 @@ func (pa *provAgg) applyChanges(batch []registry.Change) {
 // arrived before the registration was observed. An adopted reading is
 // delivered now, late, as what it is — a dispatch carrying the reading —
 // so delivered + dropped accounting stays exact when events outrun the
-// registry deltas. It reports whether the aggregate changed beyond that
-// (the caller dispatches such bookkeeping changes once, without a reading).
-func (pa *provAgg) trackLocked(id, group string) (changed bool) {
+// registry deltas.
+func (pa *provAgg) trackLocked(id, group string) {
 	if old, tracked := pa.groupOf[id]; tracked && old != group && pa.core.eng.Has(id) {
 		// Re-homed: the old contribution is stale; the device re-enters
 		// under the new group with its next reading.
 		pa.core.eng.Remove(id)
-		changed = true
+		pa.retract = true
 	}
 	pa.groupOf[id] = group
 	if r, ok := pa.pending[id]; ok {
 		delete(pa.pending, id)
 		pa.core.eng.Upsert(id, group, r.Value)
 		pa.dispatchLocked(&r, group, r.Time)
-		changed = false // that dispatch carried every change so far
 	}
-	return changed
 }
 
-// evictLocked drops one departed device, reporting whether it contributed.
-// The engine record goes either way: a device whose last reading mapped to
-// nothing still has one.
-func (pa *provAgg) evictLocked(id string) (changed bool) {
-	if _, tracked := pa.groupOf[id]; !tracked {
-		return false
-	}
+// evictLocked drops one departed device. The engine record goes either way:
+// a device whose last reading mapped to nothing still has one.
+func (pa *provAgg) evictLocked(id string) {
 	delete(pa.groupOf, id)
-	delete(pa.pending, id)
-	changed = pa.core.eng.Has(id)
+	if pa.core.eng.Has(id) {
+		pa.retract = true
+	}
 	pa.core.eng.Remove(id)
-	return changed
 }
 
 // onBatch folds one delivered columnar batch into the aggregate under a
 // single lock acquisition, dispatching the context with the updated per-group
 // state once per row (trigger counts, pending adoption and retraction are
 // per reading; only the locking is amortized). pa.mu serializes it with
-// concurrent RemoteAggregate merges and watcher deltas; the bus already
+// concurrent RemoteAggregate merges and watcher batches; the bus already
 // serializes local events per subscription. The row scratch is reused —
 // handlers borrow the Reading for the duration of OnTrigger.
 func (pa *provAgg) onBatch(b *device.ReadingBatch) {
@@ -312,10 +299,17 @@ func (pa *provAgg) onReadingLocked(r device.Reading) {
 		// — a stale reading must not resurrect it — or its event outran
 		// the registration (a federation event_batch can land before the
 		// registry delta sync mirrors its device). Park the latest
-		// reading; the watcher's Added delta adopts it.
-		if _, queued := pa.pending[r.DeviceID]; queued || len(pa.pending) < provAggPendingCap {
-			pa.pending[r.DeviceID] = r
+		// reading; the registration's attach adopts it.
+		_, queued := pa.pending[r.DeviceID]
+		if queued || len(pa.pending) >= provAggPendingCap {
+			// The reading it supersedes, or this one refused at the
+			// bound, is shed.
+			pa.rt.stats[statAggPendingDrops].Add(1)
+			if !queued {
+				return
+			}
 		}
+		pa.pending[r.DeviceID] = r
 		return
 	}
 	pa.core.eng.Upsert(r.DeviceID, group, r.Value)
@@ -338,58 +332,23 @@ func (pa *provAgg) applyPartials(origin string, partials []transport.GroupPartia
 	pa.dispatchLocked(nil, "", at)
 }
 
+// dispatchLocked flushes the engine into one delivery. That delivery carries
+// every change made before it, retractions included, so none is pending.
 func (pa *provAgg) dispatchLocked(r *device.Reading, group string, at time.Time) {
+	pa.retract = false
 	call := pa.newCall(at)
 	call.Reading, call.Group = r, group
 	call.GroupedReduced, call.Grouped = pa.core.flush()
 	pa.deliver(&call)
 }
 
-// resync rebuilds the device→group cache from a full registry scan — the
-// wiring-time seed, and the repair path after a watcher-channel overflow
-// dropped deltas.
-func (pa *provAgg) resync() {
-	live := make(map[string]string)
-	pa.rt.reg.Scan(registry.Query{Kind: pa.kind}, func(e registry.Entity) bool {
-		live[string(e.ID)] = e.Attrs[pa.groupAttr]
-		return true
-	})
+// shedPending counts the readings still parked once the app has stopped:
+// no registration adopts them now.
+func (pa *provAgg) shedPending() {
 	pa.mu.Lock()
 	defer pa.mu.Unlock()
-	changed := false
-	for id := range pa.groupOf {
-		if _, ok := live[id]; !ok {
-			if pa.evictLocked(id) {
-				changed = true
-			}
-		}
-	}
-	for id, group := range live {
-		if pa.trackLocked(id, group) {
-			changed = true
-		}
-	}
-	// Retract engine members the cache never tracked — contributions
-	// restored from a checkpoint whose devices are gone. Federation
-	// partials (NUL-prefixed synthetic ids) are remote state and stay.
-	var stale []string
-	pa.core.eng.Inputs(func(id string, _ []string) {
-		if strings.HasPrefix(id, aggPartialPrefix) {
-			return
-		}
-		if _, ok := live[id]; !ok {
-			stale = append(stale, id)
-		}
-	})
-	for _, id := range stale {
-		if pa.core.eng.Has(id) {
-			pa.core.eng.Remove(id)
-			changed = true
-		}
-	}
-	if changed {
-		pa.dispatchLocked(nil, "", pa.rt.clock.Now())
-	}
+	pa.rt.stats[statAggPendingDrops].Add(uint64(len(pa.pending)))
+	clear(pa.pending)
 }
 
 // RemoteAggregate lands one federation peer's node-local per-group partial

@@ -220,6 +220,46 @@ func TestIncrementalPeriodicAggregate(t *testing.T) {
 	}
 }
 
+// TestPeriodicRedialsRestartedEndpoint: a periodic round over a remote
+// sensor whose endpoint went down and came back on the same address
+// reaches it again. The round that meets the dead connection marks the
+// poll snapshot incomplete, and the rebuild replaces the closed client
+// with a new dial instead of reusing it.
+func TestPeriodicRedialsRestartedEndpoint(t *testing.T) {
+	w := newAggWorld(t)
+	srv, err := transport.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+	remote := device.NewBase("remote-1", "S", nil, registry.Attributes{"zone": "zr"}, w.vc.Now)
+	remote.OnQuery("occupied", func() (any, error) { return false, nil })
+	srv.Host(remote)
+	if err := w.rt.Registry().Register(remote.Entity(addr)); err != nil {
+		t.Fatal(err)
+	}
+	w.bind(t, "local-1", "zl", false)
+	if err := w.rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer w.rt.Stop()
+	w.round(t)
+	w.expect(t, map[string]int{"zl": 1, "zr": 1})
+
+	srv.Close()
+	w.round(t) // the endpoint is down: its sensor drops out this round
+	w.expect(t, map[string]int{"zl": 1})
+
+	srv, err = transport.NewServer(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Host(remote)
+	w.round(t)
+	w.expect(t, map[string]int{"zl": 1, "zr": 1})
+}
+
 // TestIncrementalMatchesBatchAggregation drives the incremental path
 // through value changes and asserts every published aggregate equals a
 // batch mapreduce.RunSequential of the handler's phases over the round's
@@ -790,5 +830,72 @@ func TestProvidedGroupedPendingReadingAdopted(t *testing.T) {
 	defer h.mu.Unlock()
 	if h.readings != 1 {
 		t.Fatalf("%d deliveries carried a reading, want the adopted one", h.readings)
+	}
+}
+
+// TestProvidedGroupedPendingDropsCounted: readings parked because their
+// device's registration had not been observed are delivered or counted,
+// never lost. Three readings of one mirror arrive before it is registered:
+// the last is adopted, the two it superseded are drops. A second mirror is
+// never registered, and its reading is still parked when the app stops.
+// Past the parking bound a reading is refused. Each reading admitted from
+// the peer is delivered or in Stats.Drops().
+func TestProvidedGroupedPendingDropsCounted(t *testing.T) {
+	vc := simclock.NewVirtual(epoch)
+	rt := runtime.New(dsl.MustLoad(providedAggDesign), runtime.WithClock(vc))
+	defer rt.Stop()
+	h := &vacancyAggHandler{}
+	if err := rt.ImplementContext("Occupancy", h); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	at := vc.Now()
+	early := []device.Reading{
+		{DeviceID: "mirror-1", Source: "presence", Value: true, Time: at},
+		{DeviceID: "mirror-1", Source: "presence", Value: true, Time: at.Add(time.Second)},
+		{DeviceID: "mirror-1", Source: "presence", Value: false, Time: at.Add(2 * time.Second)},
+	}
+	if n := rt.RemoteIngest("S", "presence", 1, early); n != len(early) {
+		t.Fatalf("RemoteIngest admitted %d, want %d", n, len(early))
+	}
+	waitFor(t, "the superseded readings to be counted", func() bool { return rt.Stats().Drops() == 2 })
+	if err := rt.Registry().Register(registry.Entity{
+		ID: "mirror-1", Kind: "S", Kinds: []string{"S"},
+		Attrs: registry.Attributes{"zone": "za"}, Origin: "edge-1",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the latest reading adopted", func() bool {
+		got, _ := h.snapshot()
+		return got["za"] == 1
+	})
+
+	// 4,097 distinct unregistered senders: the first 4,096 park (the
+	// bound), the last is refused.
+	ghosts := make([]device.Reading, 4097)
+	for i := range ghosts {
+		ghosts[i] = device.Reading{DeviceID: fmt.Sprintf("ghost-%04d", i), Source: "presence", Value: true, Time: at}
+	}
+	if n := rt.RemoteIngest("S", "presence", 1, ghosts); n != len(ghosts) {
+		t.Fatalf("RemoteIngest admitted %d, want %d", n, len(ghosts))
+	}
+	waitFor(t, "the reading past the bound to be counted", func() bool { return rt.Stats().Drops() == 3 })
+	rt.Stop()
+
+	st := rt.Stats()
+	h.mu.Lock()
+	delivered := uint64(h.readings)
+	h.mu.Unlock()
+	if delivered != 1 {
+		t.Fatalf("%d deliveries carried a reading, want the adopted one", delivered)
+	}
+	if got, want := delivered+st.Drops(), st.FederationEventsIn; got != want || want != uint64(len(early)+len(ghosts)) {
+		t.Fatalf("delivered %d + dropped %d = %d, want every one of the %d readings admitted",
+			delivered, st.Drops(), got, want)
+	}
+	if st.AggPendingDrops != st.Drops() {
+		t.Fatalf("AggPendingDrops = %d, Drops() = %d: no other row should move", st.AggPendingDrops, st.Drops())
 	}
 }

@@ -126,9 +126,10 @@ func (rt *Runtime) wireProvided(ctx *check.Context, idx int, in *check.Interacti
 	cs.call = cs.newCall(time.Time{})
 	cs.call.Reading = &cs.scratch
 	onEvent := cs.onEvent
+	var pa *provAgg
 	if in.GroupBy != nil {
-		pa, err := rt.newProvAgg(ctx, idx, in)
-		if err != nil {
+		var err error
+		if pa, err = rt.newProvAgg(ctx, idx, in); err != nil {
 			return err
 		}
 		onEvent = func(ev eventbus.Event) {
@@ -150,7 +151,7 @@ func (rt *Runtime) wireProvided(ctx *check.Context, idx int, in *check.Interacti
 	key := ingestKey(in.TriggerDevice.Name, in.TriggerSource.Name)
 	rt.ingestByKey[key] = append(rt.ingestByKey[key], ing)
 	rt.mu.Unlock()
-	return rt.trackDeviceSource(in.TriggerDevice.Name, in.TriggerSource.Name, ing)
+	return rt.trackDeviceSource(in.TriggerDevice.Name, in.TriggerSource.Name, ing, pa)
 }
 
 // sourceTopicQueue is the bus queue depth of one device-source topic.

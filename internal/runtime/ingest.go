@@ -366,9 +366,12 @@ func (ing *ingestor) flush(b *device.ReadingBatch) {
 // subscription per device while it is registered and releases it as soon as
 // the device unregisters or its lease expires, not at runtime shutdown. The
 // watcher hands a bind or churn storm over as one queued batch of deltas;
-// only after lost notifications does the table reconcile against a registry
-// scan.
-func (rt *Runtime) trackDeviceSource(kind, source string, ing *ingestor) error {
+// only after lost notifications do the tables reconcile against a registry
+// scan. A grouped interaction's aggregate (pa, else nil) follows the same
+// watcher through its group table, fed each batch first, so a device's
+// group is recorded before its subscription opens. That table is never
+// stopped: a stopping app keeps its engine state for the final snapshot.
+func (rt *Runtime) trackDeviceSource(kind, source string, ing *ingestor, pa *provAgg) error {
 	w, err := rt.reg.Watch(registry.Query{Kind: kind})
 	if err != nil {
 		return err
@@ -379,6 +382,10 @@ func (rt *Runtime) trackDeviceSource(kind, source string, ing *ingestor) error {
 	rt.trackers = append(rt.trackers, t)
 	rt.mu.Unlock()
 
+	var groups *registry.Attachments
+	if pa != nil {
+		groups = pa.seed()
+	}
 	t.Reconcile()
 	rt.wg.Add(1)
 	go func() {
@@ -388,6 +395,9 @@ func (rt *Runtime) trackDeviceSource(kind, source string, ing *ingestor) error {
 			var lost, ok bool
 			if batch, lost, ok = w.Next(batch); !ok {
 				break
+			}
+			if pa != nil {
+				pa.follow(groups, batch, lost)
 			}
 			t.Apply(batch)
 			if lost {

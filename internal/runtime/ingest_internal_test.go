@@ -276,6 +276,206 @@ func TestBindBurstBehindStalledTrackerDoesNotReconcile(t *testing.T) {
 	}
 }
 
+const groupedIngestDesign = `
+device PresenceSensor {
+	attribute lot as String;
+	source presence as Boolean;
+}
+
+context LotPresence as Boolean {
+	when provided presence from PresenceSensor
+	grouped by lot
+	no publish;
+}
+`
+
+// groupRecorder records, per device, the group its last delivered reading
+// carried, and the groups of the last delivery's aggregate.
+type groupRecorder struct {
+	mu     sync.Mutex
+	groups map[string]string
+	live   []string
+}
+
+func (g *groupRecorder) OnTrigger(call *ContextCall) (any, bool, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if call.Reading != nil {
+		g.groups[call.Reading.DeviceID] = call.Group
+	}
+	g.live = GroupKeys(call.Grouped)
+	return nil, false, nil
+}
+
+func (g *groupRecorder) groupOf(id string) string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.groups[id]
+}
+
+// startGroupedApp starts the grouped design with a recorder behind its
+// context and returns the interaction's aggregate.
+func startGroupedApp(t *testing.T) (*Runtime, *groupRecorder, *provAgg) {
+	t.Helper()
+	m, err := dsl.Load(groupedIngestDesign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := New(m)
+	rec := &groupRecorder{groups: make(map[string]string)}
+	if err := rt.ImplementContext("LotPresence", rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Stop)
+	return rt, rec, rt.provAggs()[0]
+}
+
+// pushOnSubscribe pushes one reading from inside SubscribePush, as a
+// driver that replays its current state on attach does, and first calls
+// onSubscribe.
+type pushOnSubscribe struct {
+	*device.Base
+	onSubscribe func(id string)
+}
+
+func (d pushOnSubscribe) SubscribePush(source string, sink device.Sink) (func(), error) {
+	cancel, err := d.Base.SubscribePush(source, sink)
+	if err == nil {
+		d.onSubscribe(d.ID())
+		sink.Push(device.Reading{DeviceID: d.ID(), Source: source, Value: true, Time: time.Now()})
+	}
+	return cancel, err
+}
+
+// TestGroupRecordedBeforeSubscribe: the grouped aggregate follows its
+// source tracker's watcher one step ahead, so a device's group is known
+// before its subscription opens. A reading pushed from inside
+// SubscribePush is delivered with its group, and nothing is parked.
+func TestGroupRecordedBeforeSubscribe(t *testing.T) {
+	rt, rec, pa := startGroupedApp(t)
+	var ungrouped atomic.Int32
+	onSubscribe := func(id string) {
+		pa.mu.Lock()
+		_, ok := pa.groupOf[id]
+		pa.mu.Unlock()
+		if !ok {
+			ungrouped.Add(1)
+		}
+	}
+	const n = 64
+	for i := 0; i < n; i++ {
+		d := device.NewBase(fmt.Sprintf("ps-%02d", i), "PresenceSensor", nil,
+			registry.Attributes{"lot": fmt.Sprintf("L%d", i%4)}, nil)
+		if err := rt.BindDevice(pushOnSubscribe{Base: d, onSubscribe: onSubscribe}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitUntil(t, "every reading delivered", func() bool {
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		return len(rec.groups) == n
+	})
+	if got := ungrouped.Load(); got != 0 {
+		t.Fatalf("%d of %d devices subscribed before the aggregate knew their group", got, n)
+	}
+	for i := 0; i < n; i++ {
+		if got, want := rec.groupOf(fmt.Sprintf("ps-%02d", i)), fmt.Sprintf("L%d", i%4); got != want {
+			t.Fatalf("ps-%02d delivered with group %q, want %q", i, got, want)
+		}
+	}
+	rt.Stop()
+	if got := rt.Stats().AggPendingDrops; got != 0 {
+		t.Fatalf("AggPendingDrops = %d, want 0: a reading was parked", got)
+	}
+}
+
+// gatedSubDriver parks SubscribePush until gate closes.
+type gatedSubDriver struct {
+	*device.Base
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (d gatedSubDriver) SubscribePush(source string, sink device.Sink) (func(), error) {
+	close(d.entered)
+	<-d.gate
+	return d.Base.SubscribePush(source, sink)
+}
+
+// TestWatcherOverflowReconcilesGroupsAndTracker: a tracker loop parked in a
+// device's SubscribePush while more changes than its watcher queues pass
+// loses notifications — here a departure and an arrival. One reconcile,
+// counted once, repairs both tables: the departed device's contribution is
+// retracted, and the arrival gets its group and its subscription.
+func TestWatcherOverflowReconcilesGroupsAndTracker(t *testing.T) {
+	rt, rec, pa := startGroupedApp(t)
+	old := device.NewBase("old", "PresenceSensor", nil, registry.Attributes{"lot": "L0"}, nil)
+	if err := rt.BindDevice(old); err != nil {
+		t.Fatal(err)
+	}
+	tr := rt.trackers[0]
+	waitUntil(t, "old to attach", func() bool { return tr.Len() == 1 })
+	old.Emit("presence", true)
+	waitUntil(t, "old's reading", func() bool { return rec.groupOf("old") == "L0" })
+
+	gated := gatedSubDriver{
+		Base:    device.NewBase("gated", "PresenceSensor", nil, registry.Attributes{"lot": "L9"}, nil),
+		entered: make(chan struct{}),
+		gate:    make(chan struct{}),
+	}
+	if err := rt.BindDevice(gated); err != nil {
+		t.Fatal(err)
+	}
+	<-gated.entered
+	// More updates than a watcher queues (1<<16), then the two changes the
+	// overflow loses.
+	flood := registry.Entity{ID: "flood", Kind: "PresenceSensor", Kinds: []string{"PresenceSensor"},
+		Attrs: registry.Attributes{"lot": "F0"}, Origin: "peer"}
+	if err := rt.reg.Register(flood); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1<<16+64; i++ {
+		if err := rt.reg.Update("flood", registry.Attributes{"lot": fmt.Sprintf("F%d", i%2)}, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.UnbindDevice("old"); err != nil {
+		t.Fatal(err)
+	}
+	arrival := device.NewBase("new", "PresenceSensor", nil, registry.Attributes{"lot": "L1"}, nil)
+	if err := rt.BindDevice(arrival); err != nil {
+		t.Fatal(err)
+	}
+	close(gated.gate)
+
+	waitUntil(t, "old's contribution retracted", func() bool {
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		return !slices.Contains(rec.live, "L0")
+	})
+	pa.mu.Lock()
+	_, oldTracked := pa.groupOf["old"]
+	newGroup := pa.groupOf["new"]
+	pa.mu.Unlock()
+	if oldTracked || newGroup != "L1" {
+		t.Fatalf("group table after the reconcile: old tracked %v, new in group %q; want false, L1", oldTracked, newGroup)
+	}
+	// new's subscription opens in the tracker's half of the reconcile.
+	waitUntil(t, "new's reading", func() bool {
+		arrival.Emit("presence", true)
+		return rec.groupOf("new") == "L1"
+	})
+	if got := tr.Len(); got != 3 {
+		t.Fatalf("tracker holds %d devices, want gated, flood and new", got)
+	}
+	if got := rt.Stats().TrackerReconciles; got != 1 {
+		t.Fatalf("TrackerReconciles = %d, want 1", got)
+	}
+}
+
 // TestLeaseJanitorReapsExpiryBurst: a few thousand leased bindings expiring
 // in one clock step reach the host's lease janitor as one burst of Expired
 // changes, and every one of them leaves the driver table.
@@ -787,6 +987,39 @@ func TestEventDeviceBindStartsNoGoroutine(t *testing.T) {
 	waitUntil(t, "every device to attach", func() bool { return rt.trackers[0].Len() == n })
 	if got := settledGoroutines() - base; got != 0 {
 		t.Fatalf("binding %d event devices started %d goroutines, want 0", n, got)
+	}
+}
+
+// groupedAppGoroutines is what one idle grouped `when provided` app runs:
+// its ingest flush worker, its source topic's bus drain, and the one
+// watcher loop its source tracker and group table share.
+const groupedAppGoroutines = 3
+
+// TestGoroutinesPerGroupedApp pins groupedAppGoroutines over the 2nd to 32nd
+// idle grouped app on one Host.
+func TestGoroutinesPerGroupedApp(t *testing.T) {
+	const apps = 32
+	h, err := NewHost(SubstrateConfig{Clock: simclock.NewVirtual(hostEpoch)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Close)
+	deploy := func(i int) {
+		rec := &groupRecorder{groups: make(map[string]string)}
+		if _, err := h.DeploySource(fmt.Sprintf("g%d", i), groupedIngestDesign, AppConfig{
+			Contexts: map[string]ContextHandler{"LotPresence": rec},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deploy(0)
+	g0 := settledGoroutines()
+	for i := 1; i < apps; i++ {
+		deploy(i)
+	}
+	g1 := settledGoroutines()
+	if g1-g0 != groupedAppGoroutines*(apps-1) {
+		t.Fatalf("%d goroutines for %d grouped apps, want %d per app", g1-g0, apps-1, groupedAppGoroutines)
 	}
 }
 

@@ -34,7 +34,7 @@ var statRows = map[int]string{
 	statFederationEventBatchesIn: "FederationEventBatchesIn", statFederationEventDrops: "FederationEventDrops",
 	statFederationCommandChunks: "FederationCommandChunks", statFederationAggPartialsIn: "FederationAggPartialsIn",
 	statGroupsDirty: "GroupsDirty", statGroupsTotal: "GroupsTotal", statAggReuse: "AggReuse",
-	statActuations: "Actuations", statErrors: "Errors",
+	statAggPendingDrops: "AggPendingDrops", statActuations: "Actuations", statErrors: "Errors",
 }
 
 // TestStatTable pins the counter table: every row loads into the Stats

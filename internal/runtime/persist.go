@@ -34,14 +34,8 @@ func (rt *Runtime) aggSnapKey(pa *provAgg) string {
 // snapshots never hold the store mutex here, so the engines' normal lock
 // order (pa.mu → registry shard → store.mu) cannot deadlock against it.
 func (rt *Runtime) captureAggCheckpoints(add func(key string, blob []byte)) {
-	rt.mu.Lock()
-	pas := make([]*provAgg, 0, len(rt.aggByKey))
-	for _, list := range rt.aggByKey {
-		pas = append(pas, list...)
-	}
-	rt.mu.Unlock()
 	var buf bytes.Buffer
-	for _, pa := range pas {
+	for _, pa := range rt.provAggs() {
 		buf.Reset()
 		pa.mu.Lock()
 		err := pa.core.eng.Checkpoint(&buf)
@@ -54,10 +48,22 @@ func (rt *Runtime) captureAggCheckpoints(add func(key string, blob []byte)) {
 	}
 }
 
+// provAggs lists the app's provided-grouped aggregates, so callers take
+// each one's mutex without holding rt.mu.
+func (rt *Runtime) provAggs() []*provAgg {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	pas := make([]*provAgg, 0, len(rt.aggByKey))
+	for _, list := range rt.aggByKey {
+		pas = append(pas, list...)
+	}
+	return pas
+}
+
 // restoreAggState loads one interaction's recovered checkpoint into its
 // freshly built engine. Runs at wiring time, before the interaction's
-// registry resync — so contributions of devices that did not survive
-// recovery are retracted by the resync that follows.
+// first group-table reconcile — so contributions of devices that did not
+// survive recovery are retracted by the seed that follows.
 func (rt *Runtime) restoreAggState(pa *provAgg) {
 	rt.host.mu.Lock()
 	blob := rt.host.aggRestore[rt.aggSnapKey(pa)]

@@ -214,9 +214,9 @@ type pollSnapshot struct {
 	groups []string
 	attrs  []registry.Attributes
 	// incomplete marks a snapshot missing targets whose endpoint could
-	// not be dialed; the next tick rebuilds (and so redials) even with an
-	// unchanged generation, matching the old per-round retry behavior.
-	incomplete bool
+	// not be dialed or lost its connection; the next tick rebuilds (and
+	// so redials) even with an unchanged generation.
+	incomplete atomic.Bool
 }
 
 // poll queries every bound device of the trigger kind through the worker
@@ -546,7 +546,7 @@ func (p *poller) windowID(i int) string {
 // past it and forces a rebuild on the next refresh.
 func (v *fleetView) refresh(rt *Runtime) bool {
 	gen := rt.reg.Generation(v.kind)
-	if v.snap != nil && v.snap.gen == gen && !v.snap.incomplete {
+	if v.snap != nil && v.snap.gen == gen && !v.snap.incomplete.Load() {
 		return false
 	}
 	items := v.scanBuf[:0]
@@ -596,7 +596,7 @@ func (v *fleetView) refresh(rt *Runtime) bool {
 		cli, err := rt.clientFor(it.id, it.endpoint)
 		if err != nil {
 			v.fail(it.id, err)
-			snap.incomplete = true
+			snap.incomplete.Store(true)
 			continue
 		}
 		bi, ok := remoteIdx[it.endpoint]
@@ -671,7 +671,7 @@ func (r *pollRound) work() {
 		if i >= len(snap.remotes) {
 			break
 		}
-		v.queryBatch(&snap.remotes[i])
+		v.queryBatch(snap, &snap.remotes[i])
 	}
 	for {
 		hi := int(r.localCur.Add(int64(snap.claim)))
@@ -704,9 +704,9 @@ func (r *pollRound) work() {
 // endpoint-wide batch.
 const remoteBatchChunk = 256
 
-// queryBatch answers every device of one remote endpoint in
+// queryBatch answers every device of one remote endpoint of snap in
 // remoteBatchChunk-sized round trips.
-func (v *fleetView) queryBatch(b *endpointBatch) {
+func (v *fleetView) queryBatch(snap *pollSnapshot, b *endpointBatch) {
 	for lo := 0; lo < len(b.ids); lo += remoteBatchChunk {
 		hi := lo + remoteBatchChunk
 		if hi > len(b.ids) {
@@ -717,6 +717,9 @@ func (v *fleetView) queryBatch(b *endpointBatch) {
 			// One failed chunk loses only its own devices this round;
 			// the remaining chunks are still attempted, preserving the
 			// old per-device failure isolation (at chunk granularity).
+			if errors.Is(err, transport.ErrConnLost) || errors.Is(err, transport.ErrClosed) {
+				snap.incomplete.Store(true)
+			}
 			v.fail(b.endpoint, err)
 			continue
 		}

@@ -183,6 +183,10 @@ type Stats struct {
 	// previous round's aggregate without re-reducing — the incremental
 	// engine's savings, GroupsTotal - GroupsDirty accumulated.
 	AggReuse uint64 `counter:"agg_reuse"`
+	// AggPendingDrops counts grouped `when provided` readings parked ahead
+	// of their device's registration and never adopted: superseded, refused
+	// past the parking bound, or still parked when the app stopped.
+	AggPendingDrops uint64 `counter:"agg_pending_drops,drop"`
 	// Actuations counts successful device action invocations.
 	Actuations uint64 `counter:"actuations"`
 	// Errors counts component errors.
@@ -227,6 +231,7 @@ const (
 	statGroupsDirty
 	statGroupsTotal
 	statAggReuse
+	statAggPendingDrops
 	statActuations
 	statErrors
 	numStats // PoolMisses, the last field, is process-wide and read at snapshot
@@ -296,7 +301,7 @@ type Runtime struct {
 	ingestors   []*ingestor
 	ingestByKey map[string][]*ingestor   // kind+source -> consuming pipelines
 	aggByKey    map[string][]*provAgg    // kind+source -> provided-grouped aggregates
-	watchers    []*registry.Watcher      // source trackers' and aggregates' registry watches
+	watchers    []*registry.Watcher      // source trackers' registry watches
 	pubSites    map[string]*pubSite      // per declared context; compiled once in Start
 	pullSites   map[*check.Get]*pullSite // per declared device-source get; compiled once in Start
 	wg          sync.WaitGroup
@@ -635,6 +640,9 @@ func (rt *Runtime) stopApp() {
 	for _, s := range subs {
 		s.Cancel()
 	}
+	for _, pa := range rt.provAggs() {
+		pa.shedPending()
+	}
 	for _, c := range clients {
 		c.Close()
 	}
@@ -697,7 +705,8 @@ func (rt *Runtime) driverFor(e registry.Entity) (device.Driver, error) {
 }
 
 // clientFor returns the cached transport client for endpoint, dialing it on
-// first use. id is only for error messages.
+// first use and again once its connection is gone. id is only for error
+// messages.
 func (rt *Runtime) clientFor(id, endpoint string) (*transport.Client, error) {
 	if endpoint == "" {
 		return nil, fmt.Errorf("runtime: entity %s is neither locally bound nor remotely reachable", id)
@@ -706,14 +715,17 @@ func (rt *Runtime) clientFor(id, endpoint string) (*transport.Client, error) {
 	cli, ok := rt.clients[endpoint]
 	rt.mu.Unlock()
 	if ok {
-		return cli, nil
+		if !cli.Closed() {
+			return cli, nil
+		}
+		cli.Close() // releases the dropped connection's socket
 	}
 	cli, err := transport.Dial(endpoint)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: dial %s for %s: %w", endpoint, id, err)
 	}
 	rt.mu.Lock()
-	if existing, raced := rt.clients[endpoint]; raced {
+	if existing, raced := rt.clients[endpoint]; raced && !existing.Closed() {
 		rt.mu.Unlock()
 		cli.Close()
 		return existing, nil

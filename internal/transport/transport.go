@@ -865,18 +865,22 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 }
 
 // Close tears down the connection; outstanding calls fail and subscribed
-// sinks receive nothing more.
+// sinks receive nothing more. It also releases the socket of a client whose
+// connection already dropped.
 func (c *Client) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.wg.Wait()
-		return
-	}
 	c.closed = true
 	c.mu.Unlock()
 	_ = c.conn.Close()
 	c.wg.Wait()
+}
+
+// Closed reports whether the client is closed, by Close or because its
+// connection dropped. A closed client fails every call; dial a new one.
+func (c *Client) Closed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
 }
 
 func (c *Client) readLoop() {
