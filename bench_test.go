@@ -590,8 +590,8 @@ func BenchmarkC5_Actuation(b *testing.B) {
 // One round fans 50k simulated sensor readings into per-source topics, as a
 // swarm-scale gather does, one bus event per reading, and checks that every
 // reading was delivered. (The runtime's own fan-in batches readings into one
-// ReadingBatch event per burst; that path is measured end to end by
-// BenchmarkSwarm_EventStorm.)
+// ReadingBatch per burst and hands it to the context without the bus; that
+// path is measured end to end by BenchmarkSwarm_EventStorm.)
 func BenchmarkSwarm_BusDelivery(b *testing.B) {
 	const topics = 64                 // distinct device-source topics
 	const perTopic = 50000 / topics   // readings per topic per round

@@ -1,10 +1,11 @@
 // Package eventbus implements the publish/subscribe substrate used by the
-// orchestration runtime to route values between components. In the paper's
-// Sense-Compute-Control architecture every straight arrow in a design graph
-// (device source → context, context → context, context → controller) is an
-// event-driven delivery; this bus is the runtime realization of those arrows.
+// orchestration runtime to route values between components: the context
+// publications (context → context, context → controller) and periodic
+// rounds of the paper's Sense-Compute-Control graph. Device readings skip
+// it: a device source → context arrow has one producer and one consumer,
+// fixed at wiring, so the ingestion pipeline calls its interaction directly.
 //
-// Topics are strings (a component or "Device.source" name). Each subscriber
+// Topics are strings (a context name, a periodic interaction). Each subscriber
 // owns a queue bounded at WithQueue, grown on demand and keeping its
 // high-water mark, drained by a dedicated goroutine. The bus is lossless:
 // a publisher that finds a queue full waits for the drain (backpressure), so
@@ -16,10 +17,10 @@
 // into 16 independent lock domains so publishers on unrelated topics never
 // contend, and subscriber lists are copy-on-write so the publish fast path
 // takes a shared lock and allocates only when a queue grows past its
-// high-water mark. Swarm-scale fan-in, where thousands of sensor readings
-// target the same source topic in one delivery round, amortizes the
-// remaining per-event bus overhead by publishing one Weighted payload (a
-// device.ReadingBatch) per burst.
+// high-water mark. A burst amortizes the remaining per-event bus overhead
+// by travelling as one Weighted payload: a context's value batch, or a
+// device.ReadingBatch where a caller publishes readings on a bus of its
+// own.
 package eventbus
 
 import (
@@ -43,11 +44,11 @@ type Event struct {
 // Handler consumes events delivered to a subscription.
 type Handler func(Event)
 
-// Refcounted is implemented by pooled payloads (device.ReadingBatch on
-// device-source topics, the runtime's value batch on context topics). The
-// bus retains one reference per subscriber before enqueueing and releases it
-// when the delivery finishes or a stopping subscription discards the event,
-// so a recycled buffer can never be observed by a late or slow subscriber.
+// Refcounted is implemented by pooled payloads (the runtime's value batch
+// on context topics, device.ReadingBatch). The bus retains one reference
+// per subscriber before enqueueing and releases it when the delivery
+// finishes or a stopping subscription discards the event, so a recycled
+// buffer can never be observed by a late or slow subscriber.
 // Handlers BORROW the payload for the duration of the call: they must
 // neither retain it past return nor release it themselves.
 type Refcounted interface {

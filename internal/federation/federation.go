@@ -86,14 +86,11 @@ type Config struct {
 	// Name identifies the node; mirrors of its entities carry it as
 	// Entity.Origin. Required.
 	Name string
-	// Runtime is the node's orchestration runtime. One of Runtime or
-	// Endpoint is required. The node does not own it: stop the runtime
+	// Runtime is the node's orchestration tier: a *runtime.Runtime (one
+	// app), a *runtime.Host (N apps over one substrate), or anything else
+	// implementing Endpoint. Required. The node does not own it: stop it
 	// separately.
-	Runtime *runtime.Runtime
-	// Endpoint generalizes Runtime: any orchestration tier implementing
-	// the Endpoint surface (notably *runtime.Host) can back the node.
-	// When both are set, Endpoint wins.
-	Endpoint Endpoint
+	Runtime Endpoint
 	// ListenAddr is the transport listen address. Default "127.0.0.1:0".
 	ListenAddr string
 	// Exports lists the device kinds (and event sources) this node offers.
@@ -343,12 +340,8 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("federation: node needs a name")
 	}
-	endpoint := cfg.Endpoint
-	if endpoint == nil {
-		if cfg.Runtime == nil {
-			return nil, errors.New("federation: node needs a runtime or endpoint")
-		}
-		endpoint = cfg.Runtime
+	if cfg.Runtime == nil {
+		return nil, errors.New("federation: node needs a runtime")
 	}
 	type exportID struct{ kind, source string }
 	seen := make(map[exportID]struct{}, len(cfg.Exports))
@@ -386,7 +379,7 @@ func New(cfg Config) (*Node, error) {
 	// A durable node that recovered a boot epoch reuses it, so peers treat
 	// the reborn process as the same incarnation (catch-up stays a delta
 	// sync); a fresh one records its epoch before any peer can observe it.
-	store := endpoint.Persistence()
+	store := cfg.Runtime.Persistence()
 	var boot uint64 // 0 keeps the fresh epoch NewServer draws
 	if store != nil {
 		boot = store.Boot()
@@ -403,8 +396,8 @@ func New(cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		name:       cfg.Name,
-		rt:         endpoint,
-		reg:        endpoint.Registry(),
+		rt:         cfg.Runtime,
+		reg:        cfg.Runtime.Registry(),
 		srv:        srv,
 		exports:    cfg.Exports,
 		store:      store,
@@ -437,7 +430,7 @@ func New(cfg Config) (*Node, error) {
 	// counters and per-peer health feed wired automatically, so
 	// fleet_stats and /metrics carry diaspec_federation_* and
 	// diaspec_peer_* series without example code doing anything.
-	if ops, ok := endpoint.(interface {
+	if ops, ok := cfg.Runtime.(interface {
 		AddGauges(name string, fn func() map[string]uint64)
 		AddPeerSource(func() []transport.PeerStatusRecord)
 	}); ok {

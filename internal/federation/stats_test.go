@@ -75,7 +75,7 @@ func TestHostFleetStatsCarriesFederationRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	n, err := New(Config{Name: "hub", Endpoint: h})
+	n, err := New(Config{Name: "hub", Runtime: h})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,7 +242,7 @@ func Write(w io.Writer, fs transport.FleetStats) error {
 		capacity := &family{name: "diaspec_budget_capacity", typ: "gauge",
 			help: "Configured ingestion admission bound per app (0 = unbounded)."}
 		inFlight := &family{name: "diaspec_budget_in_flight", typ: "gauge",
-			help: "Readings admitted and not yet handed to the delivery substrate, per app."}
+			help: "Readings admitted and not yet delivered to their handler, per app."}
 		admitted := &family{name: "diaspec_budget_admitted", typ: "counter",
 			help: "Cumulative readings admitted by the app's ingestion budgets."}
 		rejected := &family{name: "diaspec_budget_rejected", typ: "counter",

@@ -32,10 +32,6 @@ type Options struct {
 	// buffered WAL records — the bound on how much journaled (but not yet
 	// barriered) state a crash can lose. Default 25ms.
 	FlushInterval time.Duration
-	// SnapshotInterval takes automatic snapshots at this cadence; zero
-	// disables them (Close still writes a final one, and Snapshot can be
-	// called manually).
-	SnapshotInterval time.Duration
 	// SyncEvery fsyncs after every WAL append. Orders of magnitude slower;
 	// meant for tests that need record-level durability boundaries.
 	SyncEvery bool
@@ -43,7 +39,8 @@ type Options struct {
 	// are kept; older ones are pruned after each successful snapshot.
 	// Default 2, so a torn newest snapshot always has a fallback.
 	Retain int
-	// OnError receives background flush/snapshot failures. Default: drop.
+	// OnError receives journal-append and background flush failures.
+	// Default: drop.
 	OnError func(error)
 }
 
@@ -318,18 +315,11 @@ func (s *Store) report(err error) {
 	}
 }
 
-// background flushes the WAL on FlushInterval and snapshots on
-// SnapshotInterval until the store stops.
+// background flushes the WAL on FlushInterval until the store stops.
 func (s *Store) background() {
 	defer close(s.done)
 	flush := time.NewTicker(s.opts.FlushInterval)
 	defer flush.Stop()
-	var snapC <-chan time.Time
-	if s.opts.SnapshotInterval > 0 {
-		snap := time.NewTicker(s.opts.SnapshotInterval)
-		defer snap.Stop()
-		snapC = snap.C
-	}
 	for {
 		select {
 		case <-s.stop:
@@ -337,10 +327,6 @@ func (s *Store) background() {
 		case <-flush.C:
 			if err := s.Barrier(); err != nil && !errors.Is(err, ErrCrashed) && !errors.Is(err, ErrClosed) {
 				s.report(fmt.Errorf("persist: background flush: %w", err))
-			}
-		case <-snapC:
-			if err := s.Snapshot(); err != nil && !errors.Is(err, ErrCrashed) && !errors.Is(err, ErrClosed) {
-				s.report(fmt.Errorf("persist: background snapshot: %w", err))
 			}
 		}
 	}

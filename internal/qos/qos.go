@@ -139,8 +139,8 @@ func (d *Deadline) Invoke(action string, args ...any) error {
 // Budget is a bounded in-flight admission counter: the backpressure
 // primitive of the runtime's event-ingestion pipeline. Producers acquire one
 // unit per reading admitted into the pipeline and the pipeline releases the
-// units once the batch has been handed to the delivery substrate, so the
-// number of readings buffered between a device and its context handler never
+// units once the context handler has returned from the reading's batch, so
+// the number of readings between a device and its context handler never
 // exceeds the capacity — beyond it, admission fails and the caller applies
 // its drop policy instead of growing queues without bound.
 //

@@ -279,8 +279,8 @@ func (pa *provAgg) evictLocked(id string) {
 // single lock acquisition, dispatching the context with the updated per-group
 // state once per row (trigger counts, pending adoption and retraction are
 // per reading; only the locking is amortized). pa.mu serializes it with
-// concurrent RemoteAggregate merges and watcher batches; the bus already
-// serializes local events per subscription. The row scratch is reused —
+// concurrent RemoteAggregate merges and watcher batches; the one ingest
+// flush worker already serializes local events. The row scratch is reused —
 // handlers borrow the Reading for the duration of OnTrigger.
 func (pa *provAgg) onBatch(b *device.ReadingBatch) {
 	pa.mu.Lock()

@@ -23,10 +23,6 @@ type periodicBatch struct {
 	at  time.Time
 }
 
-func (rt *Runtime) sourceTopic(ctxName string, idx int) string {
-	return fmt.Sprintf("%ssource/%s/%d", rt.topicPrefix, ctxName, idx)
-}
-
 func (rt *Runtime) periodicTopic(ctxName string, idx int) string {
 	return fmt.Sprintf("%speriodic/%s/%d", rt.topicPrefix, ctxName, idx)
 }
@@ -34,8 +30,8 @@ func (rt *Runtime) periodicTopic(ctxName string, idx int) string {
 // ctxSite is the compiled dispatch state of one context interaction —
 // everything name-keyed resolved once at wire time (the interaction, its
 // publish mode, the context's publication site) plus the publications of
-// the delivery being dispatched. Each owner serializes access: a bus
-// subscription's drain goroutine for the provided and periodic call sites,
+// the delivery being dispatched. Each owner serializes access: the ingest
+// flush worker or a bus subscription's drain goroutine for the call sites,
 // provAgg.mu for grouped device sources.
 type ctxSite struct {
 	rt  *Runtime
@@ -106,9 +102,9 @@ func (cs *ctxSite) deliver(call *ContextCall) {
 
 // wireProvided wires one `when provided` interaction: a bus subscription for
 // context-to-context arrows, or — for device sources — the sharded ingestion
-// pipeline (see ingest.go) funneled through the bus topic. Grouped device
-// sources route each event through the interaction's incremental aggregate
-// (agg.go) so the handler sees a continuously maintained per-group state.
+// pipeline (see ingest.go) calling the site directly. Grouped device sources
+// route each event through the interaction's incremental aggregate (agg.go)
+// so the handler sees a continuously maintained per-group state.
 func (rt *Runtime) wireProvided(ctx *check.Context, idx int, in *check.Interaction) error {
 	if in.TriggerKind == check.FromContext {
 		cs := &ctxValueSite{ctxSite: rt.newCtxSite(ctx, idx, in)}
@@ -117,34 +113,25 @@ func (rt *Runtime) wireProvided(ctx *check.Context, idx int, in *check.Interacti
 	}
 
 	// One pre-classified call site per (kind, source) interaction: the
-	// payload type is switched once per delivery, the handler is looked up
-	// once per batch, and the ContextCall/Reading scratch is reused across
-	// the whole batch — the bus serializes one subscription's handler, so
-	// the scratch is single-writer (SNIPPETS.md snippet 1's
-	// cache-everything-per-site idiom).
-	cs := &provCallSite{ctxSite: rt.newCtxSite(ctx, idx, in)}
-	cs.call = cs.newCall(time.Time{})
-	cs.call.Reading = &cs.scratch
-	onEvent := cs.onEvent
+	// handler is looked up once per batch, and the ContextCall/Reading
+	// scratch is reused across the whole batch — the interaction's one
+	// flush worker runs the call site, so the scratch is single-writer
+	// (SNIPPETS.md snippet 1's cache-everything-per-site idiom).
+	var dispatch func(*device.ReadingBatch)
 	var pa *provAgg
-	if in.GroupBy != nil {
+	if in.GroupBy == nil {
+		cs := &provCallSite{ctxSite: rt.newCtxSite(ctx, idx, in)}
+		cs.call = cs.newCall(time.Time{})
+		cs.call.Reading = &cs.scratch
+		dispatch = cs.onBatch
+	} else {
 		var err error
 		if pa, err = rt.newProvAgg(ctx, idx, in); err != nil {
 			return err
 		}
-		onEvent = func(ev eventbus.Event) {
-			pa.onBatch(ev.Payload.(*device.ReadingBatch)) // ingestor.flush is the topic's only publisher
-		}
+		dispatch = pa.onBatch
 	}
-
-	topic := rt.sourceTopic(ctx.Name, idx)
-	// The ingestion workers publish whole bursts; a deeper queue lets them
-	// run ahead of the handler within the interaction's qos budget instead
-	// of blocking after the default 64 events.
-	if err := rt.subscribe(topic, onEvent, eventbus.WithQueue(sourceTopicQueue)); err != nil {
-		return err
-	}
-	ing := rt.newIngestor(topic)
+	ing := rt.newIngestor(dispatch)
 	// Index the pipeline by (kind, source) so federation peers can land
 	// forwarded batches for this interaction through RemoteIngest.
 	rt.mu.Lock()
@@ -154,13 +141,10 @@ func (rt *Runtime) wireProvided(ctx *check.Context, idx int, in *check.Interacti
 	return rt.trackDeviceSource(in.TriggerDevice.Name, in.TriggerSource.Name, ing, pa)
 }
 
-// sourceTopicQueue is the bus queue depth of one device-source topic.
-const sourceTopicQueue = 1024
-
 // provCallSite is the dispatch call site of one ungrouped `when provided`
-// device interaction. All of its state is touched only from the owning bus
-// subscription's drain goroutine, so the call scratch is reused across
-// events with zero allocation: a typed ReadingBatch row is materialized
+// device interaction. All of its state is touched only from the
+// interaction's ingest flush worker, so the call scratch is reused across
+// batches with zero allocation: a typed ReadingBatch row is materialized
 // into scratch (boxing bool values is free), handed to the handler through
 // the reused ContextCall — filled once at wire time, only Time moves per
 // row — and its publication appended to the delivery's outgoing value
@@ -174,11 +158,10 @@ type provCallSite struct {
 	call    ContextCall
 }
 
-// onEvent runs the handler once per row with the handler cached for the
+// onBatch runs the handler once per row with the handler cached for the
 // whole batch — the fast path of the storm benchmarks — and publishes the
 // rows' results as one value batch.
-func (cs *provCallSite) onEvent(ev eventbus.Event) {
-	b := ev.Payload.(*device.ReadingBatch) // ingestor.flush is the topic's only publisher
+func (cs *provCallSite) onBatch(b *device.ReadingBatch) {
 	n := b.Len()
 	cs.rt.stats[statContextTriggers].Add(uint64(n))
 	h := cs.handler()
@@ -197,8 +180,8 @@ func (cs *provCallSite) onEvent(ev eventbus.Event) {
 // provided` interaction: it walks an upstream context's value batch row by
 // row through one reused ContextCall (only Value and Time move) and
 // accumulates its own publications into one outgoing batch, so a chain
-// context→context→controller stays batched end to end. Drain-goroutine-only,
-// like provCallSite.
+// context→context→controller stays batched end to end. Its bus
+// subscription's drain goroutine is its only caller.
 type ctxValueSite struct {
 	ctxSite
 

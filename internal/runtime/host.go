@@ -52,7 +52,9 @@ type SubstrateConfig struct {
 	// PersistDir attaches a write-ahead log + snapshot store rooted there;
 	// NewHost recovers the previous incarnation's fleet, generations and
 	// per-app aggregate checkpoints from it.
-	PersistDir  string
+	PersistDir string
+	// PersistOpts tunes the store; its failures also reach OnError and
+	// HostStats.Errors as component "persist".
 	PersistOpts persist.Options
 	// OnError receives substrate-level failures and every hosted app's
 	// component errors that the app does not sink itself
@@ -193,6 +195,13 @@ func (h *Host) openPersistence(dir string, opts persist.Options) error {
 	transport.RegisterType([]any(nil))
 	transport.RegisterType(map[string]any(nil))
 
+	callerHook := opts.OnError
+	opts.OnError = func(err error) {
+		h.ReportError("persist", err)
+		if callerHook != nil {
+			callerHook(err)
+		}
+	}
 	store, err := persist.Open(dir, opts)
 	if err != nil {
 		return fmt.Errorf("host: open persistence in %s: %w", dir, err)

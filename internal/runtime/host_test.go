@@ -14,6 +14,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/dsl"
 	"repro/internal/dsl/check"
+	"repro/internal/eventbus"
 	"repro/internal/persist"
 	"repro/internal/registry"
 	"repro/internal/simclock"
@@ -110,6 +111,21 @@ func deployTenant(t *testing.T, h *Host, id string, cfg AppConfig) *Runtime {
 		t.Fatalf("deploy %s: %v", id, err)
 	}
 	return rt
+}
+
+// hostBusEvent publishes one event through the host's bus to a subscriber
+// and returns once it is delivered. Device readings reach their interaction
+// without the bus, so tenantDesign apps alone leave its counters at zero.
+func hostBusEvent(t *testing.T, h *Host) {
+	t.Helper()
+	sub, err := h.bus.Subscribe("test/bus", func(eventbus.Event) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.bus.Publish("test/bus", 1, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	sub.Cancel() // drains the queued event first
 }
 
 func bindTenantSensor(t *testing.T, h *Host, app, devID string, vc *simclock.Virtual) *device.Base {
@@ -231,14 +247,16 @@ func TestNewIsOneAppHost(t *testing.T) {
 		if len(fs.Budgets) != 1 || fs.Budgets[0].App != "default" {
 			t.Fatalf("fleet_stats budgets = %+v, want exactly the default scope", fs.Budgets)
 		}
-		if got := rt.sourceTopic("Count_solo", 0); got != "source/Count_solo/0" {
-			t.Fatalf("source topic = %q, want no app/ prefix", got)
+		if got := rt.periodicTopic("Count_solo", 0); got != "periodic/Count_solo/0" {
+			t.Fatalf("periodic topic = %q, want no app/ prefix", got)
 		}
 		if got := rt.pubSites["Count_solo"].topic; got != "context/Count_solo" {
 			t.Fatalf("context topic = %q, want no app/ prefix", got)
 		}
-		if n := rt.bus.Subscribers("source/Count_solo/0"); n != 1 {
-			t.Fatalf("%d subscribers on the bare source topic, want 1", n)
+		// The device interaction reaches its context without the bus: one
+		// ingestion pipeline serves it.
+		if n := len(rt.ingestByKey[ingestKey("Sensor_solo", "presence")]); n != 1 {
+			t.Fatalf("%d ingestion pipelines on the device interaction, want 1", n)
 		}
 	})
 
@@ -565,7 +583,11 @@ func TestHostStatsAndAdmin(t *testing.T) {
 	if st.Gauges["federation"]["sync_rounds"] != 7 {
 		t.Fatalf("gauge source not sampled: %+v", st.Gauges)
 	}
-	if st.Bus.Delivered == 0 {
+	if st.Bus != (eventbus.Stats{}) {
+		t.Fatalf("a device reading counted on the bus: %+v", st.Bus)
+	}
+	hostBusEvent(t, h)
+	if st := h.Stats(); st.Bus.Delivered == 0 {
 		t.Fatalf("bus stats missing: %+v", st.Bus)
 	}
 
@@ -594,6 +616,52 @@ func TestHostStatsAndAdmin(t *testing.T) {
 	}
 	if err := adm.RemoveApp("wire"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHostReportsPersistErrors: a WAL append that fails on a Host reaches
+// HostStats.Errors and SubstrateConfig.OnError as component "persist", and
+// the caller's own persist.Options.OnError still runs. The store directory
+// is replaced by a plain file, so the next segment rotation cannot create
+// its file (ENOTDIR, also as root).
+func TestHostReportsPersistErrors(t *testing.T) {
+	vc := simclock.NewVirtual(hostEpoch)
+	dir := filepath.Join(t.TempDir(), "store")
+	var hostErrs, ownErrs atomic.Uint64
+	h, err := NewHost(SubstrateConfig{
+		Clock:      vc,
+		PersistDir: dir,
+		PersistOpts: persist.Options{
+			SegmentBytes:  256,
+			FlushInterval: time.Hour,
+			OnError:       func(error) { ownErrs.Add(1) },
+		},
+		OnError: func(ce ComponentError) {
+			if ce.Component == "persist" {
+				hostErrs.Add(1)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	deployTenant(t, h, "a", AppConfig{Contexts: map[string]ContextHandler{"Occ_a": &recHandler{}}})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100 && h.Stats().Errors == 0; i++ {
+		bindTenantSensor(t, h, "a", fmt.Sprintf("a-%03d", i), vc)
+	}
+	if h.Stats().Errors == 0 {
+		t.Fatal("100 bindings past a failed WAL rotation reported no error")
+	}
+	if hostErrs.Load() == 0 || ownErrs.Load() == 0 {
+		t.Fatalf("persist errors: %d reached SubstrateConfig.OnError, %d the store's own hook; want both > 0",
+			hostErrs.Load(), ownErrs.Load())
 	}
 }
 

@@ -20,14 +20,15 @@ import (
 // owns a small set of ingestion shards: devices push readings straight into
 // their shard (each shard is the device.Sink its devices are attached to),
 // and the interaction's one flush worker coalesces whatever has accumulated
-// into pooled columnar device.ReadingBatch payloads, each published as one
-// bus event. Admission is bounded by a qos.Budget per interaction, so a
-// storm that outruns the context handler drops at the intake (counted in
-// Stats) instead of growing queues without bound. Devices are bound to
-// their shard by a registry.Attachments table per interaction (the one
-// attachment table the federation exporters use too), fed by a registry
-// watcher so a device attaches on bind and detaches on unbind or lease
-// expiry.
+// into pooled columnar device.ReadingBatch payloads, each dispatched to the
+// interaction it was wired to — no bus topic sits on that arrow. Admission
+// is bounded by a qos.Budget per interaction, held until the handler is
+// done, so a storm that outruns the context handler drops at the intake
+// (counted in Stats) instead of growing queues without bound.
+// Devices are bound to their shard by a registry.Attachments table per
+// interaction (the one attachment table the federation exporters use too),
+// fed by a registry watcher so a device attaches on bind and detaches on
+// unbind or lease expiry.
 
 // IngestConfig shapes the ingestion pipeline of one `when provided`
 // device-source interaction.
@@ -52,12 +53,12 @@ type IngestConfig struct {
 	// stream per interaction, so only this microbenchmark checks how
 	// several streams spread over the stripes.
 	Shards int
-	// MaxBatch bounds the rows of one published ReadingBatch. Default 256.
+	// MaxBatch bounds the rows of one dispatched ReadingBatch. Default 256.
 	MaxBatch int
-	// Budget bounds readings in flight (admitted at a shard but not yet
-	// handed to the delivery substrate) per interaction; beyond it new
-	// readings are dropped and counted in Stats.IngestBudgetDrops.
-	// Default 65536. Negative means unbounded.
+	// Budget bounds readings in flight (admitted at a shard, their batch's
+	// handler not yet returned) per interaction; beyond it new readings are
+	// dropped and counted in Stats.IngestBudgetDrops. Default 65536.
+	// Negative means unbounded.
 	Budget int
 	// MaxAge, when positive, is the deadline policy: readings older than
 	// MaxAge at flush time (by the runtime clock) are dropped and counted
@@ -85,7 +86,9 @@ var ingestSeed = maphash.MakeSeed()
 // ingestor is the ingestion pipeline of one device-source interaction: the
 // intake shards, the ready queue of shards holding readings, the one flush
 // worker draining it (run), and the interaction's admission budget. Readings
-// leave as ReadingBatch events published on topic.
+// leave as ReadingBatch payloads lent to dispatch on the flush worker, the
+// only goroutine running the interaction's call site, and are recycled when
+// dispatch returns.
 //
 // A shard is on the ready queue exactly while it holds readings the worker
 // has not yet swapped out. Producers push a shard on its empty → non-empty
@@ -97,7 +100,7 @@ var ingestSeed = maphash.MakeSeed()
 // len(shards)), and a push to a non-empty shard needs no queue operation.
 type ingestor struct {
 	rt       *Runtime
-	topic    string
+	dispatch func(*device.ReadingBatch)
 	budget   *qos.Budget
 	maxBatch int
 	maxAge   time.Duration
@@ -111,7 +114,7 @@ type ingestor struct {
 	draining atomic.Bool
 }
 
-func (rt *Runtime) newIngestor(topic string) *ingestor {
+func (rt *Runtime) newIngestor(dispatch func(*device.ReadingBatch)) *ingestor {
 	cfg := rt.ingestCfg.withDefaults()
 	n := 1
 	for n < cfg.Shards {
@@ -119,7 +122,7 @@ func (rt *Runtime) newIngestor(topic string) *ingestor {
 	}
 	ing := &ingestor{
 		rt:       rt,
-		topic:    topic,
+		dispatch: dispatch,
 		budget:   qos.NewBudget(cfg.Budget),
 		maxBatch: cfg.MaxBatch,
 		maxAge:   cfg.MaxAge,
@@ -145,20 +148,19 @@ func (ing *ingestor) shardFor(id string) *ingestShard {
 }
 
 // stop closes the ready queue for shutdown. Readings already admitted are
-// still flushed before the worker exits (the bus closes only after rt.wg
-// drains); a push that would turn a shard non-empty from now on is refused
-// and its budget units returned.
+// still dispatched before the worker exits (stopApp waits for it on rt.wg);
+// a push that would turn a shard non-empty from now on is refused and its
+// budget units returned.
 func (ing *ingestor) stop() { ing.ready.Close() }
 
 // ingestShard is one intake lock stripe. Push appends under the shard mutex;
 // the ingestor's flush worker swaps the accumulated work out wholesale and
-// publishes it, so per-event synchronization is amortized over the burst on
-// both sides (mirroring the bus's subscriptions, whose drain swaps out the
-// queued slice the same way).
+// dispatches it, so per-event synchronization is amortized over the burst on
+// both sides.
 //
 // Readings accumulate into pooled columnar device.ReadingBatch payloads
-// sealed at MaxBatch rows, each published as a single refcounted bus event —
-// no per-reading boxing anywhere.
+// sealed at MaxBatch rows, each dispatched whole — no per-reading boxing
+// anywhere.
 type ingestShard struct {
 	ing  *ingestor
 	mu   sync.Mutex
@@ -227,7 +229,7 @@ func (s *ingestShard) appendAdmitted(batch []device.Reading) {
 // ingestRemote lands one peer-forwarded chunk: admission happens once for
 // the whole chunk against the interaction's budget (refusals are the
 // caller's to account), and the admitted prefix is appended whole to the
-// stream's intake stripe, so a chunk stays one bus batch. Per-device order
+// stream's intake stripe, so a chunk stays one batch. Per-device order
 // holds because a registry ID is either local (its pushes go to its own
 // stripe) or a mirror, whose readings arrive only on its owner's one stream
 // per (kind, source), chunk after chunk in sequence order.
@@ -308,9 +310,9 @@ func (rt *Runtime) RemoteIngest(kind, source string, stream uint64, readings []d
 
 // run is the interaction's flush worker. It takes the whole ready queue and
 // drains the listed shards in FIFO order; with a fixed device → shard hash
-// that keeps per-device order on the bus. It exits once the queue is closed
-// and drained, which by the ready-queue invariant means every shard is empty
-// too.
+// that keeps per-device order into the handler. It exits once the queue is
+// closed and drained, which by the ready-queue invariant means every shard
+// is empty too.
 func (ing *ingestor) run() {
 	defer ing.rt.wg.Done()
 	var taken []*ingestShard
@@ -337,10 +339,8 @@ func (ing *ingestor) run() {
 	}
 }
 
-// flush applies the deadline policy to one sealed batch and publishes
-// it as a single refcounted bus event, then returns the admitted units to
-// the budget and drops the producer's batch reference — the bus holds one
-// reference per subscriber until each delivery completes.
+// flush applies the deadline policy to one sealed batch, dispatches it,
+// then recycles it and returns its admitted units to the budget.
 func (ing *ingestor) flush(b *device.ReadingBatch) {
 	admitted := b.Len()
 	if ing.maxAge > 0 {
@@ -350,11 +350,9 @@ func (ing *ingestor) flush(b *device.ReadingBatch) {
 		}
 	}
 	if n := b.Len(); n > 0 {
-		at := b.TimeAt(n - 1)
-		if err := ing.rt.bus.Publish(ing.topic, b, at); err == nil {
-			ing.rt.stats[statIngestBatches].Add(1)
-			ing.rt.stats[statIngestEvents].Add(uint64(n))
-		}
+		ing.rt.stats[statIngestBatches].Add(1)
+		ing.rt.stats[statIngestEvents].Add(uint64(n))
+		ing.dispatch(b)
 	}
 	b.Release()
 	ing.budget.Release(admitted)

@@ -9,13 +9,12 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/dsl"
-	"repro/internal/eventbus"
 	"repro/internal/registry"
 )
 
 // BenchmarkIngestConcurrentProducers measures one interaction's intake fed
 // by several producers at once, end to end: an op is one reading delivered
-// to the bus subscriber. "remote" producers each land 256-reading
+// to the interaction's dispatch. "remote" producers each land 256-reading
 // RemoteIngest batches spread over 64 devices on a stream of their own (one
 // hub connection each); "device" producers push one reading at a time into
 // the sink of each of their 64 devices in turn, the way emitting devices do.
@@ -39,12 +38,7 @@ func benchIngestProducers(b *testing.B, shape string, producers int) {
 	rt := New(m, WithIngestConfig(IngestConfig{Budget: -1}))
 	defer rt.Stop()
 	var delivered atomic.Int64
-	if _, err := rt.bus.Subscribe("src", func(ev eventbus.Event) {
-		delivered.Add(int64(ev.Payload.(*device.ReadingBatch).Len()))
-	}, eventbus.WithQueue(1024)); err != nil {
-		b.Fatal(err)
-	}
-	ing := registerIngestor(rt)
+	ing := registerIngestor(rt, func(b *device.ReadingBatch) { delivered.Add(int64(b.Len())) })
 	defer ing.stop()
 
 	const devices, remoteBatch, inFlight = 64, 256, 1 << 16
@@ -104,7 +98,7 @@ func BenchmarkTrackerAttachRemove(b *testing.B) {
 	}
 	rt := New(m)
 	defer rt.Stop()
-	ing := rt.newIngestor("src")
+	ing := rt.newIngestor(discardBatch)
 	defer ing.stop()
 	tr := rt.newSourceTracker("PresenceSensor", "presence", ing)
 	defer tr.Stop()

@@ -14,7 +14,6 @@ import (
 	"repro/internal/devsim"
 	"repro/internal/dsl"
 	"repro/internal/dsl/check"
-	"repro/internal/eventbus"
 	"repro/internal/registry"
 	"repro/internal/simclock"
 )
@@ -64,20 +63,11 @@ func mkReading(id string, at time.Time) device.Reading {
 
 // TestIngestShardCoalescing checks that a burst handed to one shard in one
 // call (a forwarded chunk) is flushed in exactly ceil(n/MaxBatch) sealed
-// ReadingBatch publishes and that every reading is delivered.
+// ReadingBatch dispatches and that every reading is delivered.
 func TestIngestShardCoalescing(t *testing.T) {
 	rt := New(loadIngestModel(t))
 	var delivered atomic.Int64
-	if _, err := rt.bus.Subscribe("src", func(ev eventbus.Event) {
-		if b, ok := ev.Payload.(*device.ReadingBatch); ok {
-			delivered.Add(int64(b.Len()))
-		} else {
-			delivered.Add(1)
-		}
-	}, eventbus.WithQueue(2048)); err != nil {
-		t.Fatal(err)
-	}
-	ing := rt.newIngestor("src")
+	ing := rt.newIngestor(func(b *device.ReadingBatch) { delivered.Add(int64(b.Len())) })
 	defer ing.stop()
 
 	const n = 1000
@@ -106,10 +96,8 @@ func TestIngestShardCoalescing(t *testing.T) {
 // TestIngestBudgetBackpressure gates the consumer and checks that the
 // in-flight budget caps admissions, surplus readings are counted as budget
 // drops, and everything admitted is delivered once the consumer resumes.
-// The pipeline releases budget per batch as each publish lands, so the test
-// first wedges the flush worker deterministically: one batch inside the
-// gated handler, one filling the subscription's single queue slot, and a
-// third blocked in Publish — from then on every admitted row stays in
+// A batch holds its budget units until its dispatch returns, so once the
+// first batch is parked in the gated handler every admitted row stays in
 // flight until the gate opens.
 func TestIngestBudgetBackpressure(t *testing.T) {
 	rt := New(loadIngestModel(t), WithIngestConfig(IngestConfig{
@@ -120,26 +108,22 @@ func TestIngestBudgetBackpressure(t *testing.T) {
 	openGate := sync.OnceFunc(func() { close(gate) })
 	defer openGate() // a failed check must not leave the handler parked
 	var entered, delivered atomic.Int64
-	if _, err := rt.bus.Subscribe("src", func(ev eventbus.Event) {
+	ing := rt.newIngestor(func(b *device.ReadingBatch) {
 		entered.Add(1)
 		<-gate
-		delivered.Add(int64(ev.Payload.(*device.ReadingBatch).Len()))
-	}, eventbus.WithQueue(1)); err != nil {
-		t.Fatal(err)
-	}
-	ing := rt.newIngestor("src")
+		delivered.Add(int64(b.Len()))
+	})
 	defer ing.stop()
 	sh := ing.shards[0]
 
 	sh.Push(mkReading("in-handler", ingestEpoch))
 	waitUntil(t, "first batch to reach the gated handler", func() bool { return entered.Load() == 1 })
 	sh.Push(mkReading("queued", ingestEpoch))
-	waitUntil(t, "second batch to fill the queue slot", func() bool {
-		return ing.budget.InFlight() == 0 && rt.BusStats().Published == 2
+	waitUntil(t, "second reading to wait behind the handler", func() bool {
+		return ing.budget.InFlight() == 2 && rt.Stats().IngestBatches == 1
 	})
-	sh.Push(mkReading("blocked", ingestEpoch)) // its Publish cannot return while gated
 
-	// 7 units are free: a burst of 9 is admitted up to the budget and its
+	// 6 units are free: a burst of 9 is admitted up to the budget and its
 	// tail dropped; every admitted row stays in flight behind the gate.
 	for i := 0; i < 9; i++ {
 		sh.Push(mkReading(fmt.Sprintf("d%d", i), ingestEpoch))
@@ -150,13 +134,13 @@ func TestIngestBudgetBackpressure(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		sh.Push(mkReading("late", ingestEpoch)) // beyond the budget: dropped
 	}
-	if got := rt.Stats().IngestBudgetDrops; got != 2+3 {
-		t.Fatalf("IngestBudgetDrops = %d, want 5", got)
+	if got := rt.Stats().IngestBudgetDrops; got != 3+3 {
+		t.Fatalf("IngestBudgetDrops = %d, want 6", got)
 	}
 	if got := ing.budget.InFlight(); got != 8 {
 		t.Fatalf("in flight after refused pushes = %d, want 8", got)
 	}
-	const admitted = 1 + 1 + 1 + 7
+	const admitted = 1 + 1 + 6
 	if got := ing.budget.Admitted(); got != admitted {
 		t.Fatalf("admitted = %d, want %d", got, admitted)
 	}
@@ -177,10 +161,7 @@ func TestIngestDeadlineDrops(t *testing.T) {
 		Shards: 1, MaxAge: time.Minute,
 	}))
 	var delivered atomic.Int64
-	if _, err := rt.bus.Subscribe("src", func(eventbus.Event) { delivered.Add(1) }); err != nil {
-		t.Fatal(err)
-	}
-	ing := rt.newIngestor("src")
+	ing := rt.newIngestor(func(*device.ReadingBatch) { delivered.Add(1) })
 	defer ing.stop()
 	sh := ing.shards[0]
 
@@ -202,7 +183,7 @@ func TestIngestDeadlineDrops(t *testing.T) {
 // ones are released.
 func TestTrackerReconcileRepairsDivergence(t *testing.T) {
 	rt := New(loadIngestModel(t))
-	ing := rt.newIngestor("src")
+	ing := rt.newIngestor(discardBatch)
 	defer ing.stop()
 	tr := rt.newSourceTracker("PresenceSensor", "presence", ing)
 	defer tr.Stop()
@@ -720,32 +701,32 @@ func shardDevices(ing *ingestor, prefix string) []string {
 	return ids
 }
 
-// seqSubscriber checks, on the subscription's own goroutine, that every
-// device's int64 readings arrive strictly increasing: a reading delivered
-// twice, or two readings of one device swapped, is a violation.
+// discardBatch is the dispatch of an ingestor whose deliveries a test does
+// not read.
+func discardBatch(*device.ReadingBatch) {}
+
+// seqSubscriber checks, on the flush worker that dispatches to it, that
+// every device's int64 readings arrive strictly increasing: a reading
+// delivered twice, or two readings of one device swapped, is a violation.
 type seqSubscriber struct {
 	delivered  atomic.Int64
 	violations atomic.Int64
 	last       map[string]int64
 }
 
-func subscribeSeq(t *testing.T, rt *Runtime, topic string) *seqSubscriber {
-	t.Helper()
-	s := &seqSubscriber{last: make(map[string]int64)}
-	if _, err := rt.bus.Subscribe(topic, func(ev eventbus.Event) {
-		b := ev.Payload.(*device.ReadingBatch)
-		for i, v := range b.Ints() {
-			id := b.IDAt(i)
-			if prev, ok := s.last[id]; ok && v <= prev {
-				s.violations.Add(1)
-			}
-			s.last[id] = v
+func newSeqSubscriber() *seqSubscriber {
+	return &seqSubscriber{last: make(map[string]int64)}
+}
+
+func (s *seqSubscriber) onBatch(b *device.ReadingBatch) {
+	for i, v := range b.Ints() {
+		id := b.IDAt(i)
+		if prev, ok := s.last[id]; ok && v <= prev {
+			s.violations.Add(1)
 		}
-		s.delivered.Add(int64(b.Len()))
-	}, eventbus.WithQueue(1024)); err != nil {
-		t.Fatal(err)
+		s.last[id] = v
 	}
-	return s
+	s.delivered.Add(int64(b.Len()))
 }
 
 // TestIngestStopRace: producers push into every shard, one reading at a time
@@ -759,10 +740,10 @@ func subscribeSeq(t *testing.T, rt *Runtime, topic string) *seqSubscriber {
 func TestIngestStopRace(t *testing.T) {
 	rt := New(loadIngestModel(t), WithIngestConfig(IngestConfig{Shards: 8}))
 	defer rt.Stop()
-	sub := subscribeSeq(t, rt, "src")
+	sub := newSeqSubscriber()
 	const producers, rounds = 4, 30
 	for round := 0; round < rounds; round++ {
-		ing := rt.newIngestor("src")
+		ing := rt.newIngestor(sub.onBatch)
 		var quit atomic.Bool
 		var pushes atomic.Int64
 		var wg sync.WaitGroup
@@ -813,13 +794,13 @@ func TestIngestStopRace(t *testing.T) {
 // stream only (RemoteIngest lands a batch whole on its stream's stripe):
 // every device ID takes one path, as a registry ID is either local or a
 // mirror. The one flush worker drains the stripes in ready-queue order, so
-// each device's readings reach the bus in the order its producer handed
-// them over, each exactly once.
+// each device's readings reach the handler in the order its producer
+// handed them over, each exactly once.
 func TestIngestPerDeviceOrder(t *testing.T) {
 	rt := New(loadIngestModel(t), WithIngestConfig(IngestConfig{Shards: 8, Budget: -1}))
 	defer rt.Stop()
-	sub := subscribeSeq(t, rt, "src")
-	ing := registerIngestor(rt)
+	sub := newSeqSubscriber()
+	ing := registerIngestor(rt, sub.onBatch)
 	defer ing.stop()
 
 	const producers, perShard, rounds = 4, 2, 200
@@ -861,20 +842,17 @@ func TestIngestPerDeviceOrder(t *testing.T) {
 }
 
 // TestRemoteChunkStaysOneBatch: a forwarded chunk of MaxBatch readings over
-// many devices lands on its stream's stripe whole and reaches the bus as one
-// batch, in the order it was sent.
+// many devices lands on its stream's stripe whole and reaches the handler as
+// one batch, in the order it was sent.
 func TestRemoteChunkStaysOneBatch(t *testing.T) {
 	rt := New(loadIngestModel(t), WithIngestConfig(IngestConfig{Shards: 8, Budget: -1}))
 	defer rt.Stop()
 	// Room for the chunk cut once per stripe, so a wrong split never blocks
-	// the subscriber.
+	// the flush worker.
 	batches := make(chan []int64, 8)
-	if _, err := rt.bus.Subscribe("src", func(ev eventbus.Event) {
-		batches <- append([]int64(nil), ev.Payload.(*device.ReadingBatch).Ints()...)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ing := registerIngestor(rt)
+	ing := registerIngestor(rt, func(b *device.ReadingBatch) {
+		batches <- append([]int64(nil), b.Ints()...)
+	})
 	defer ing.stop()
 
 	chunk := make([]device.Reading, 256)
@@ -888,10 +866,10 @@ func TestRemoteChunkStaysOneBatch(t *testing.T) {
 	select {
 	case got = <-batches:
 	case <-time.After(5 * time.Second):
-		t.Fatal("the chunk never reached the bus")
+		t.Fatal("the chunk never reached the handler")
 	}
 	if len(got) != len(chunk) {
-		t.Fatalf("the first bus batch holds %d rows, want the whole %d-reading chunk", len(got), len(chunk))
+		t.Fatalf("the first dispatched batch holds %d rows, want the whole %d-reading chunk", len(got), len(chunk))
 	}
 	for i, v := range got {
 		if v != int64(i) {
@@ -900,10 +878,10 @@ func TestRemoteChunkStaysOneBatch(t *testing.T) {
 	}
 }
 
-// registerIngestor starts an ingestor on topic "src" consuming the
+// registerIngestor starts an ingestor dispatching to dispatch as the
 // (PresenceSensor, presence) interaction, so RemoteIngest reaches it.
-func registerIngestor(rt *Runtime) *ingestor {
-	ing := rt.newIngestor("src")
+func registerIngestor(rt *Runtime, dispatch func(*device.ReadingBatch)) *ingestor {
+	ing := rt.newIngestor(dispatch)
 	key := ingestKey("PresenceSensor", "presence")
 	rt.mu.Lock()
 	rt.ingestByKey[key] = append(rt.ingestByKey[key], ing)
@@ -919,7 +897,7 @@ func TestIngestorStartsOneGoroutine(t *testing.T) {
 			rt := New(loadIngestModel(t), WithIngestConfig(IngestConfig{Shards: shards}))
 			defer rt.Stop()
 			base := settledGoroutines()
-			ing := rt.newIngestor("src")
+			ing := rt.newIngestor(discardBatch)
 			if got := settledGoroutines() - base; got != 1 {
 				t.Fatalf("newIngestor started %d goroutines, want 1", got)
 			}
@@ -972,6 +950,60 @@ func TestBaseBurstAccountedExactly(t *testing.T) {
 	}
 }
 
+// gatedTrigger parks every trigger until gate closes, counting the
+// triggers that entered and the ones that returned.
+type gatedTrigger struct {
+	gate               chan struct{}
+	entered, delivered atomic.Uint64
+}
+
+func (g *gatedTrigger) OnTrigger(*ContextCall) (any, bool, error) {
+	g.entered.Add(1)
+	<-g.gate
+	g.delivered.Add(1)
+	return nil, false, nil
+}
+
+// TestIngestBudgetBoundsUndeliveredReadings: an interaction's budget bounds
+// the readings admitted but not yet delivered. While the handler is parked
+// inside its first batch, a burst of 10,000 readings admits at most Budget
+// of them, however deep any queue behind the flush worker could be; once
+// the handler resumes, every reading is delivered or counted as a drop.
+func TestIngestBudgetBoundsUndeliveredReadings(t *testing.T) {
+	const budget, pushed = 64, 10000
+	rt := New(loadIngestModel(t), WithIngestConfig(IngestConfig{Shards: 1, Budget: budget, MaxBatch: 16}))
+	defer rt.Stop()
+	h := &gatedTrigger{gate: make(chan struct{})}
+	openGate := sync.OnceFunc(func() { close(h.gate) })
+	defer openGate() // a failed check must not leave the handler parked
+	if err := rt.ImplementContext("OccupancyChange", h); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	b := device.NewBase("burst", "PresenceSensor", nil, nil, nil)
+	if err := rt.BindDevice(b); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the device to attach", func() bool { return rt.trackers[0].Len() == 1 })
+	b.Emit("presence", true)
+	waitUntil(t, "the handler to park", func() bool { return h.entered.Load() == 1 })
+	for i := 1; i < pushed; i++ {
+		b.Emit("presence", i%2 == 0)
+	}
+	if admitted := pushed - rt.Stats().IngestBudgetDrops; admitted > budget {
+		t.Fatalf("%d readings admitted while the handler was parked, want <= the budget's %d", admitted, budget)
+	}
+	openGate()
+	accounted := func() uint64 { return h.delivered.Load() + rt.Stats().Drops() }
+	waitUntil(t, "every reading to be accounted", func() bool { return accounted() >= pushed })
+	rt.Stop()
+	if got := accounted(); got != pushed {
+		t.Fatalf("delivered %d + dropped %d = %d, want the %d pushed", h.delivered.Load(), rt.Stats().Drops(), got, pushed)
+	}
+}
+
 // TestEventDeviceBindStartsNoGoroutine: binding event-driven devices to a
 // running app attaches each to its ingest shard as a push sink; no
 // goroutine runs per device.
@@ -991,9 +1023,9 @@ func TestEventDeviceBindStartsNoGoroutine(t *testing.T) {
 }
 
 // groupedAppGoroutines is what one idle grouped `when provided` app runs:
-// its ingest flush worker, its source topic's bus drain, and the one
-// watcher loop its source tracker and group table share.
-const groupedAppGoroutines = 3
+// its ingest flush worker, which also runs the interaction's dispatch, and
+// the one watcher loop its source tracker and group table share.
+const groupedAppGoroutines = 2
 
 // TestGoroutinesPerGroupedApp pins groupedAppGoroutines over the 2nd to 32nd
 // idle grouped app on one Host.
@@ -1040,7 +1072,7 @@ func settledGoroutines() int {
 
 // stormAllocsPerEvent bounds what a steady-state burst allocates per event
 // on the typed `when provided` path, at any fleet size. Push sink, ingest
-// shard, pooled ReadingBatch, bus and dispatch allocate nothing per
+// shard, pooled ReadingBatch and dispatch allocate nothing per
 // reading; what a burst does allocate is pooled batches and their columns'
 // growth, and how many depends on how the schedule cuts the burst into
 // batches (up to ~120 for 1k readings). One allocation per reading is four

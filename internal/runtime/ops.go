@@ -27,9 +27,9 @@ const drainPollInterval = 2 * time.Millisecond
 const defaultDrainTimeout = 30 * time.Second
 
 // beginDrain closes admission on every ingestion pipeline of this app and
-// reports how many readings were buffered (admitted but not yet handed to
-// the delivery substrate) at that moment. Buffered readings keep flushing;
-// new arrivals count into Stats.IngestDrainDrops.
+// reports how many readings were in flight (admitted but not yet delivered)
+// at that moment. Buffered readings keep flushing; new arrivals count into
+// Stats.IngestDrainDrops.
 func (rt *Runtime) beginDrain() int {
 	rt.mu.Lock()
 	ings := append([]*ingestor(nil), rt.ingestors...)
@@ -43,9 +43,9 @@ func (rt *Runtime) beginDrain() int {
 }
 
 // ingestQuiesced reports whether every ingestion pipeline of this app has
-// flushed: no admitted reading remains between a device and the delivery
-// substrate. Only meaningful after beginDrain (admission still open means
-// the count can rise again).
+// flushed: no admitted reading remains between a device and its handler.
+// Only meaningful after beginDrain (admission still open means the count
+// can rise again).
 func (rt *Runtime) ingestQuiesced() bool {
 	rt.mu.Lock()
 	ings := append([]*ingestor(nil), rt.ingestors...)
@@ -204,7 +204,7 @@ func (h *Host) AddPeerSource(fn func() []transport.PeerStatusRecord) {
 // Drain quiesces the host for a restart: admission closes on every app's
 // ingestion pipelines (subsequent arrivals count as ingest_drain_drops, so
 // delivered+dropped==ground-truth accounting survives the drain), buffered
-// readings flush through to the delivery substrate, and — when persistence
+// readings flush through to their handlers, and — when persistence
 // is attached — a final snapshot captures the drained state. The report
 // says whether the flush completed (Clean) and the process is safe to kill.
 //
@@ -243,10 +243,10 @@ func (h *Host) Drain() (transport.DrainReport, error) {
 		}
 		time.Sleep(drainPollInterval)
 	}
-	// The budgets released, so every admitted reading has been handed to
-	// the bus; let the queued deliveries (and what their handlers publish)
-	// finish before snapshotting, so the snapshot's aggregate checkpoints
-	// cover them.
+	// The budgets released, so every admitted reading has been delivered
+	// to its interaction; let the context publications queued on the bus
+	// (and what their handlers publish) finish before snapshotting, so the
+	// snapshot's aggregate checkpoints cover them.
 	for rep.Clean && !h.bus.Idle() && time.Now().Before(deadline) {
 		time.Sleep(drainPollInterval)
 	}

@@ -104,6 +104,7 @@ func TestHostFleetStats(t *testing.T) {
 		da.Emit("presence", true)
 	}
 	waitUntil(t, "delivery", func() bool { return ha.n.Load() == n })
+	hostBusEvent(t, h)
 
 	fs := h.FleetStats()
 	if fs.Host.App != "host" || fs.Host.Counters["bus_published"] == 0 {
@@ -289,7 +290,7 @@ func testDrainUnderLoad(t *testing.T, ctor worldCtor) {
 
 // slowCount is aggCountHandler behind a gate, then slowed: every delivery
 // takes a moment, so a burst released right before a drain is still working
-// through the bus queue while the drain decides when to snapshot.
+// through its admitted readings while the drain decides when to snapshot.
 type slowCount struct {
 	aggCountHandler
 	gate chan struct{}
@@ -304,12 +305,13 @@ func (h *slowCount) OnTrigger(call *ContextCall) (any, bool, error) {
 }
 
 // TestDrainSnapshotCoversQueuedDeliveries is the regression test for the
-// single-tenant drain: its budgets release as soon as readings reach the
-// bus, and it used to snapshot right then — before the queued deliveries had
-// folded into the grouped aggregate — so a restart from the drained image
-// lost every reading a slow handler had not yet seen. Drain must wait for
-// the bus to go idle first: drain → crash → reopen restores an aggregate
-// equal to every accepted reading, whichever constructor built the world.
+// single-tenant drain: it used to snapshot as soon as the budgets released
+// — before the queued deliveries had folded into the grouped aggregate — so
+// a restart from the drained image lost every reading a slow handler had
+// not yet seen. A reading holds its budget unit until its handler
+// returns, and the drain waits for the budgets and then the bus: drain →
+// crash → reopen restores an aggregate equal to every accepted reading,
+// whichever constructor built the world.
 func TestDrainSnapshotCoversQueuedDeliveries(t *testing.T) {
 	for _, ctor := range worldCtors {
 		t.Run(ctor.name, func(t *testing.T) {
@@ -344,8 +346,8 @@ func TestDrainSnapshotCoversQueuedDeliveries(t *testing.T) {
 			for _, d := range devs {
 				d.Emit("presence", true)
 			}
-			waitUntil(t, "every reading handed to the bus", func() bool {
-				return rt.Stats().IngestEvents == n && rt.ingestQuiesced()
+			waitUntil(t, "every reading admitted behind the gated handler", func() bool {
+				return rt.budgetRecord("").InFlight == n
 			})
 			openGate()
 			rep, err := rt.Drain()

@@ -98,7 +98,8 @@ func (c *seqCtrl) snapshot() []int64 {
 }
 
 // relayReference is the per-value publisher the batched path must match:
-// every reading walks the whole chain on its own, one bus event per hop.
+// every reading walks the whole chain on its own, one bus event per context
+// hop (the reading itself reaches A without the bus).
 type relayReference struct {
 	seen                                   []int64
 	ctxTriggers, ctxPublishes, ctrlTrigger uint64
@@ -111,8 +112,6 @@ func publishes(mode string, want bool) bool {
 }
 
 func (r *relayReference) reading(v int64, modeA, modeB string) {
-	r.busPublished++ // the reading on the source topic
-	r.busDelivered++
 	r.ctxTriggers++
 	a, want, err := relayA(v)
 	if err != nil {
@@ -180,7 +179,6 @@ func runRelayProperty(t *testing.T, modeA, modeB string, seed int64) {
 
 	rng := rand.New(rand.NewSource(seed))
 	ref := &relayReference{}
-	topic := rt.sourceTopic("A", 0)
 	at := time.Unix(1000, 0)
 	next := int64(1)
 	reading := func() device.Reading {
@@ -206,11 +204,8 @@ func runRelayProperty(t *testing.T, modeA, modeB string, seed int64) {
 			b.Append(device.Reading{DeviceID: "m1", Source: "level", Value: "mixed", Time: at.Add(-time.Hour)})
 			b.CompactBefore(at)
 		}
-		err := rt.bus.Publish(topic, b, at)
+		deliverReadings(t, rt, "Meter", "level", b)
 		b.Release()
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	waitUntil(t, "the chain to settle", func() bool {
@@ -232,6 +227,21 @@ func runRelayProperty(t *testing.T, modeA, modeB string, seed int64) {
 			t.Fatalf("LastPublished(%s) = %v, %v; reference %v", name, got, ok, want)
 		}
 	}
+}
+
+// deliverReadings hands one reading batch to the `when provided`
+// interaction on (kind, source) as its ingest flush worker does. The tests
+// using it bind no device, so the worker never dispatches and the caller is
+// the call site's only goroutine.
+func deliverReadings(t *testing.T, rt *Runtime, kind, source string, b *device.ReadingBatch) {
+	t.Helper()
+	rt.mu.Lock()
+	ings := rt.ingestByKey[ingestKey(kind, source)]
+	rt.mu.Unlock()
+	if len(ings) != 1 {
+		t.Fatalf("%d ingestion pipelines on %s.%s, want 1", len(ings), kind, source)
+	}
+	ings[0].dispatch(b)
 }
 
 func head(s []int64) []int64 {
@@ -346,18 +356,14 @@ func TestHostUndeployDrainsQueuedValueBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	const deliveries, rows = 20, 10
-	topic := rt.sourceTopic("A", 0)
 	at := time.Unix(1000, 0)
 	for d := 0; d < deliveries; d++ {
 		b := device.NewReadingBatch()
 		for i := 0; i < rows; i++ {
 			b.Append(device.Reading{DeviceID: "m1", Source: "level", Value: int64(d*rows + i), Time: at})
 		}
-		err := rt.bus.Publish(topic, b, at)
+		deliverReadings(t, rt, "Meter", "level", b)
 		b.Release()
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 	// A and B have relayed everything; the controller is parked inside its
 	// first value with the other batches queued behind it.
@@ -376,10 +382,11 @@ func TestHostUndeployDrainsQueuedValueBatches(t *testing.T) {
 	if got := ctrl.n.Load(); got != deliveries*rows || st.ControllerTriggers != deliveries*rows {
 		t.Fatalf("controller handled %d values (%d triggers), want %d", got, st.ControllerTriggers, deliveries*rows)
 	}
-	// Three topics carry every value once; A's has two subscribers (B, N).
-	if bs.Published != 3*deliveries*rows || bs.Delivered != 4*deliveries*rows {
+	// A's and B's topics carry every value once; A's has two subscribers
+	// (B, N). The readings reach A without the bus.
+	if bs.Published != 2*deliveries*rows || bs.Delivered != 3*deliveries*rows {
 		t.Fatalf("bus published %d (want %d), delivered %d (want %d)",
-			bs.Published, 3*deliveries*rows, bs.Delivered, 4*deliveries*rows)
+			bs.Published, 2*deliveries*rows, bs.Delivered, 3*deliveries*rows)
 	}
 }
 
@@ -436,18 +443,15 @@ context Probe as Integer {
 		t.Fatal(err)
 	}
 	at := time.Unix(1000, 0)
-	publish := func(ctx, source string, v int64) {
+	publish := func(source string, v int64) {
 		b := device.NewReadingBatch()
 		b.Append(device.Reading{DeviceID: "m1", Source: source, Value: v, Time: at})
-		err := rt.bus.Publish(rt.sourceTopic(ctx, 0), b, at)
+		deliverReadings(t, rt, "Meter", source, b)
 		b.Release()
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
-	publish("Level", "level", 42)
+	publish("level", 42)
 	waitUntil(t, "Level to see the reading", func() bool { return rt.Stats().ContextTriggers == 1 })
-	publish("Probe", "tick", 1)
+	publish("tick", 1)
 	waitUntil(t, "Probe to publish", func() bool { return rt.Stats().ContextPublishes == 1 })
 	if got, _ := rt.LastPublished("Probe"); got != int64(42) {
 		t.Fatalf("Probe pulled %v from the interpreted Level context, want 42", got)
@@ -542,12 +546,14 @@ func TestInterpretedRelayAllocsIndependentOfFleet(t *testing.T) {
 // heapPerRelayAppBound bounds the heap one more idle interpreted relay app
 // holds on a Host: relayTenantDesign, configured as the tenants.hot
 // benchmark deploys its tenants. An idle bus subscription holds no queue,
-// so the app costs its wiring (~11 KB); one source queue preallocated at
-// its 1024-event bound would cost 40 KB on its own.
+// so the app costs its wiring (~9 KB); one bus queue preallocated at
+// a 1024-event bound would cost 40 KB on its own.
 const heapPerRelayAppBound = 32 << 10
 
-// relayAppGoroutines is what one relay app runs while idle.
-const relayAppGoroutines = 4
+// relayAppGoroutines is what one relay app runs while idle: its ingest
+// flush worker, which also runs the Relay context, its source tracker's
+// watcher loop, and the bus drain of the Sink controller's subscription.
+const relayAppGoroutines = 3
 
 // TestHeapPerRelayApp pins the fixed cost of an app at the home end of the
 // continuum: the marginal heap after GC and the goroutines of the 2nd to

@@ -8,9 +8,10 @@
 //
 //   - binding: devices register into an attribute registry and are
 //     (re)bound to subscriptions at runtime as they appear and disappear;
-//   - delivering: event-driven triggers ride the event bus, periodic
-//     triggers are driven by a clock-based poller that queries device
-//     fleets, and query-driven pulls are served through ContextCall;
+//   - delivering: device readings reach their interaction through its
+//     ingestion pipeline, context publications ride the event bus,
+//     periodic triggers are driven by a clock-based poller, and
+//     query-driven pulls are served through ContextCall;
 //   - processing: `grouped by` deliveries are partitioned per attribute
 //     value by the incremental MapReduce engine, which also runs the
 //     design's `with map … reduce …` lowering when declared;
@@ -129,10 +130,10 @@ type Stats struct {
 	// registry because the fleet changed since the previous round. A
 	// steady-state fleet holds this constant while PeriodicPolls grows.
 	PollSnapshotRebuilds uint64 `counter:"poll_snapshot_rebuilds"`
-	// IngestEvents counts readings the event-ingestion pipeline published
-	// into device-source topics.
+	// IngestEvents counts readings the event-ingestion pipeline dispatched
+	// to their `when provided` interaction.
 	IngestEvents uint64 `counter:"ingest_events"`
-	// IngestBatches counts ReadingBatch flushes of the ingestion pipeline;
+	// IngestBatches counts ReadingBatch dispatches of the ingestion pipeline;
 	// IngestEvents/IngestBatches is the achieved coalescing factor.
 	IngestBatches uint64 `counter:"ingest_batches"`
 	// IngestBudgetDrops counts readings refused because the interaction's
@@ -526,9 +527,9 @@ func needsMapReduce(ctx *check.Context) bool {
 }
 
 // Start validates that every declared component has an implementation and
-// wires the design: bus subscriptions for event-driven arrows, device
-// subscriptions (current and future, via registry watches) for device
-// sources, and pollers for periodic interactions.
+// wires the design: bus subscriptions for context publications, ingestion
+// pipelines fed by device subscriptions (current and future, via registry
+// watches) for device sources, and pollers for periodic interactions.
 func (rt *Runtime) Start() error {
 	if rt.initErr != nil {
 		return rt.initErr
@@ -633,8 +634,8 @@ func (rt *Runtime) stopApp() {
 	}
 	rt.wg.Wait()
 	// Cancel this app's subscriptions only. Cancellation drains each
-	// subscription's queue first, so events the app's pipelines handed to
-	// the bus before wg drained (ingest shards flush on stop) are still
+	// subscription's queue first, so what the app's handlers published
+	// before wg drained (context publications, poll rounds) is still
 	// delivered and counted — hot undeploy keeps delivered+dropped
 	// accounting exact.
 	for _, s := range subs {
@@ -668,8 +669,9 @@ func (rt *Runtime) Stats() Stats {
 	return rt.stats.snapshot()
 }
 
-// BusStats returns a snapshot of the delivery substrate's counters
-// (publications and deliveries; the bus is lossless, so Dropped stays 0).
+// BusStats returns a snapshot of the bus counters: context publications and
+// periodic rounds, not device readings (the bus is lossless, so Dropped
+// stays 0).
 func (rt *Runtime) BusStats() eventbus.Stats {
 	return rt.bus.Stats()
 }

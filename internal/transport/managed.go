@@ -394,39 +394,6 @@ func (m *ManagedClient) Ping() error {
 	return err
 }
 
-// Query performs a remote query-driven read.
-func (m *ManagedClient) Query(deviceID, source string) (any, error) {
-	return do(m, func(c *Client) (any, error) { return c.Query(deviceID, source) })
-}
-
-// QueryBatch reads the same source from many devices in one round trip.
-func (m *ManagedClient) QueryBatch(deviceIDs []string, source string) ([]any, []string, error) {
-	type pair struct {
-		vals []any
-		errs []string
-	}
-	p, err := do(m, func(c *Client) (pair, error) {
-		vals, errs, err := c.QueryBatch(deviceIDs, source)
-		return pair{vals, errs}, err
-	})
-	return p.vals, p.errs, err
-}
-
-// Invoke performs a remote actuation.
-func (m *ManagedClient) Invoke(deviceID, action string, args ...any) error {
-	_, err := do(m, func(c *Client) (struct{}, error) {
-		return struct{}{}, c.Invoke(deviceID, action, args...)
-	})
-	return err
-}
-
-// CommandBatch performs the same action on many devices in one round trip.
-func (m *ManagedClient) CommandBatch(deviceIDs []string, action string, args ...any) ([]string, error) {
-	return do(m, func(c *Client) ([]string, error) {
-		return c.CommandBatch(deviceIDs, action, args...)
-	})
-}
-
 // SyncRegistry performs one registry delta-sync round trip.
 func (m *ManagedClient) SyncRegistry(kinds []string, gens []uint64) ([]SyncDelta, uint64, error) {
 	type pair struct {
@@ -438,16 +405,6 @@ func (m *ManagedClient) SyncRegistry(kinds []string, gens []uint64) ([]SyncDelta
 		return pair{deltas, boot}, err
 	})
 	return p.deltas, p.boot, err
-}
-
-// PublishEventBatch forwards one coalesced batch of device readings:
-// StartEventBatch followed by Wait.
-func (m *ManagedClient) PublishEventBatch(kind, source string, stream, seq uint64, readings []device.Reading) (int, error) {
-	b, err := m.StartEventBatch(kind, source, stream, seq, readings)
-	if err != nil {
-		return 0, err
-	}
-	return b.Wait()
 }
 
 // StartEventBatch sends one batch on the live connection without waiting for

@@ -33,7 +33,6 @@ func TestManagedClientReconnectLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	hostedSensor(srv, "d1")
 
 	var upCalls atomic.Int64
 	m, err := DialManaged(ManagedConfig{
@@ -54,8 +53,8 @@ func TestManagedClientReconnectLifecycle(t *testing.T) {
 	if got := m.Health(); got != HealthUp {
 		t.Fatalf("fresh link health = %v, want up", got)
 	}
-	if _, err := m.Query("d1", "presence"); err != nil {
-		t.Fatalf("query over healthy link: %v", err)
+	if err := m.Ping(); err != nil {
+		t.Fatalf("ping over healthy link: %v", err)
 	}
 
 	// Kill the server. The heartbeat (or next call) must notice and walk
@@ -70,7 +69,7 @@ func TestManagedClientReconnectLifecycle(t *testing.T) {
 
 	// While dark, calls fail fast with ErrPeerDown — no dial-timeout burn.
 	start := time.Now()
-	_, err = m.Query("d1", "presence")
+	err = m.Ping()
 	if !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("call while dark: %v, want ErrPeerDown", err)
 	}
@@ -87,7 +86,6 @@ func TestManagedClientReconnectLifecycle(t *testing.T) {
 		t.Fatalf("restart listener on %s: %v", addr, err)
 	}
 	defer srv2.Close()
-	hostedSensor(srv2, "d1")
 
 	waitCond(t, 10*time.Second, "reconnect", func() bool {
 		return m.Health() == HealthUp && m.Connected()
@@ -98,8 +96,8 @@ func TestManagedClientReconnectLifecycle(t *testing.T) {
 	if upCalls.Load() == 0 {
 		t.Fatal("OnUp hook never fired")
 	}
-	if _, err := m.Query("d1", "presence"); err != nil {
-		t.Fatalf("query after heal: %v", err)
+	if err := m.Ping(); err != nil {
+		t.Fatalf("ping after heal: %v", err)
 	}
 }
 
@@ -237,7 +235,11 @@ func TestManagedReconnectRestartsDictionary(t *testing.T) {
 
 	chunk := boolChunk(64)
 	publish := func(seq uint64) {
-		if accepted, err := m.PublishEventBatch("PresenceSensor", "presence", 1, seq, chunk); err != nil || accepted != len(chunk) {
+		call, err := m.StartEventBatch("PresenceSensor", "presence", 1, seq, chunk)
+		if err != nil {
+			t.Fatalf("batch %d: %v", seq, err)
+		}
+		if accepted, err := call.Wait(); err != nil || accepted != len(chunk) {
 			t.Fatalf("batch %d: accepted %d err %v", seq, accepted, err)
 		}
 	}
