@@ -89,8 +89,8 @@ func (r *Registry) journalLocked(sh *regShard, typ ChangeType, rec *record, now 
 	for i, k := range e.Kinds {
 		m.KindGens[i] = KindGen{Kind: k, Gen: sh.kindGen(k).Load() + 1}
 	}
-	if !rec.expires.IsZero() && !now.IsZero() {
-		if rem := rec.expires.Sub(now); rem > 0 {
+	if rec.expires != 0 && !now.IsZero() {
+		if rem := time.Duration(rec.expires - now.UnixNano()); rem > 0 {
 			m.LeaseRemaining = rem
 		}
 	}
@@ -149,15 +149,13 @@ func (r *Registry) RestoreEntity(e Entity, leaseRemaining time.Duration) error {
 	}
 	if old, ok := sh.entities[e.ID]; ok {
 		sh.unindexLocked(old)
-		if !old.expires.IsZero() {
+		if old.expires != 0 {
 			sh.leased--
 		}
 	}
 	rec := &record{}
 	if leaseRemaining > 0 {
-		rec.expires = now.Add(leaseRemaining)
-		sh.leased++
-		sh.noteLeaseLocked(rec.expires)
+		sh.leaseLocked(rec, now, leaseRemaining)
 	}
 	sh.entities[e.ID] = rec
 	sh.indexLocked(rec, &e)
@@ -193,11 +191,7 @@ func (r *Registry) Reclaim(e Entity, opts ...RegisterOption) error {
 		sh.unindexLocked(rec)
 		sh.indexLocked(rec, &e)
 		if cfg.ttl > 0 {
-			if rec.expires.IsZero() {
-				sh.leased++
-			}
-			rec.expires = now.Add(cfg.ttl)
-			sh.noteLeaseLocked(rec.expires)
+			sh.leaseLocked(rec, now, cfg.ttl)
 		}
 		r.journalLocked(sh, Updated, rec, now)
 		sh.bumpLocked(rec)
@@ -209,20 +203,14 @@ func (r *Registry) Reclaim(e Entity, opts ...RegisterOption) error {
 		// attachments (exporters, trackers) re-resolve the reborn driver,
 		// and leave the generation counters untouched.
 		if cfg.ttl > 0 {
-			if rec.expires.IsZero() {
-				sh.leased++
-			}
-			rec.expires = now.Add(cfg.ttl)
-			sh.noteLeaseLocked(rec.expires)
+			sh.leaseLocked(rec, now, cfg.ttl)
 		}
 		r.notify(Change{Type: Updated, Entity: rec.entity()})
 		return nil
 	}
 	rec = &record{}
 	if cfg.ttl > 0 {
-		rec.expires = now.Add(cfg.ttl)
-		sh.leased++
-		sh.noteLeaseLocked(rec.expires)
+		sh.leaseLocked(rec, now, cfg.ttl)
 	}
 	sh.entities[e.ID] = rec
 	sh.indexLocked(rec, &e)
@@ -257,8 +245,8 @@ func (r *Registry) CaptureState(
 		shard(i, sh.genAll.Load(), kinds)
 		for _, rec := range sh.entities {
 			var rem time.Duration
-			if !rec.expires.IsZero() {
-				rem = rec.expires.Sub(now)
+			if rec.expires != 0 {
+				rem = time.Duration(rec.expires - now.UnixNano())
 			}
 			ent(rec.entity(), rem)
 		}

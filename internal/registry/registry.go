@@ -109,16 +109,6 @@ type Entity struct {
 	Bound BindingTime
 }
 
-// isKind reports whether the entity is of kind k or inherits from it.
-func (e *Entity) isKind(k string) bool {
-	for _, have := range e.Kinds {
-		if have == k {
-			return true
-		}
-	}
-	return false
-}
-
 // Query selects entities by kind and attribute equality.
 type Query struct {
 	// Kind restricts matches to entities of this kind or its subtypes.
@@ -175,12 +165,14 @@ var (
 
 // record is one registration: everything but its ID, endpoint and lease
 // lives in its shape, shared with every record of the shard that has equal
-// content (see shape.go).
+// content (see shape.go). slot is the record's index in its shape's members.
+// A record fits the 64 B size class.
 type record struct {
 	id       ID
 	endpoint string
 	shape    *shape
-	expires  time.Time // zero when the registration has no lease
+	expires  int64 // lease deadline in Unix nanoseconds; 0 when there is no lease
+	slot     int
 }
 
 // entity assembles the record's Entity. Kinds and Attrs are the shape's:
@@ -213,9 +205,11 @@ type Registry struct {
 	mask   uint64
 	closed atomic.Bool
 
+	// watchers holds the watchers by their query's kind, "" for those of
+	// every kind, so a change visits only the watchers of its taxonomy.
 	watchMu    sync.Mutex
-	watchers   map[*Watcher]struct{}
-	watchCount atomic.Int64 // len(watchers), readable without watchMu
+	watchers   map[string]map[*Watcher]struct{}
+	watchCount atomic.Int64 // number of watchers, readable without watchMu
 
 	// journal streams committed mutations to a write-ahead log and base is
 	// the generation floor restored after a crash; see persist.go.
@@ -224,14 +218,16 @@ type Registry struct {
 }
 
 // regShard is one independent lock domain holding a subset of the entities
-// plus the kind and attribute indexes for exactly that subset.
+// plus the kind and attribute indexes for exactly that subset. The indexes
+// post shapes, not entities: a shape with members is posted under each of
+// its kinds and attributes.
 type regShard struct {
 	idx      int // position in Registry.shards, stamped at construction
 	mu       sync.Mutex
 	entities map[ID]*record
-	byKind   map[string]map[ID]struct{}
-	byAttr   map[string]map[ID]struct{} // "key\x00value" -> ids
-	leased   int                        // registrations carrying a lease
+	byKind   map[string]shapeSet
+	byAttr   map[string]shapeSet // "key\x00value" -> shapes
+	leased   int                 // registrations carrying a lease
 
 	// shapes interns the distinct contents of the shard's records by
 	// canonical key (see shape.go). keyBuf and names are the scratch space
@@ -279,15 +275,19 @@ func (sh *regShard) kindGen(kind string) *atomic.Uint64 {
 	return v.(*atomic.Uint64)
 }
 
-// noteLeaseLocked lowers the shard's next-expiry watermark to deadline.
-func (sh *regShard) noteLeaseLocked(deadline time.Time) {
-	ns := deadline.UnixNano()
+// leaseLocked sets rec's lease to expire ttl after now, counting the lease
+// if rec had none, and lowers the shard's next-expiry watermark to it.
+func (sh *regShard) leaseLocked(rec *record, now time.Time, ttl time.Duration) {
+	if rec.expires == 0 {
+		sh.leased++
+	}
+	rec.expires = now.Add(ttl).UnixNano()
 	for {
 		cur := sh.nextExpiry.Load()
-		if cur != 0 && cur <= ns {
+		if cur != 0 && cur <= rec.expires {
 			return
 		}
-		if sh.nextExpiry.CompareAndSwap(cur, ns) {
+		if sh.nextExpiry.CompareAndSwap(cur, rec.expires) {
 			return
 		}
 	}
@@ -321,7 +321,7 @@ func New(opts ...Option) *Registry {
 		clock:    simclock.Real{},
 		shards:   make([]regShard, DefaultShards),
 		mask:     DefaultShards - 1,
-		watchers: make(map[*Watcher]struct{}),
+		watchers: make(map[string]map[*Watcher]struct{}),
 	}
 	for _, o := range opts {
 		o(r)
@@ -330,8 +330,8 @@ func New(opts ...Option) *Registry {
 		sh := &r.shards[i]
 		sh.idx = i
 		sh.entities = make(map[ID]*record)
-		sh.byKind = make(map[string]map[ID]struct{})
-		sh.byAttr = make(map[string]map[ID]struct{})
+		sh.byKind = make(map[string]shapeSet)
+		sh.byAttr = make(map[string]shapeSet)
 		sh.shapes = make(map[string]*shape)
 	}
 	return r
@@ -384,9 +384,7 @@ func (r *Registry) Register(e Entity, opts ...RegisterOption) error {
 	}
 	rec := &record{}
 	if cfg.ttl > 0 {
-		rec.expires = now.Add(cfg.ttl)
-		sh.leased++
-		sh.noteLeaseLocked(rec.expires)
+		sh.leaseLocked(rec, now, cfg.ttl)
 	}
 	sh.entities[e.ID] = rec
 	sh.indexLocked(rec, &e)
@@ -441,11 +439,7 @@ func (r *Registry) Renew(id ID, ttl time.Duration) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if rec.expires.IsZero() {
-		sh.leased++
-	}
-	rec.expires = now.Add(ttl)
-	sh.noteLeaseLocked(rec.expires)
+	sh.leaseLocked(rec, now, ttl)
 	return nil
 }
 
@@ -489,13 +483,10 @@ func (r *Registry) Discover(q Query) []Entity {
 		sh := &r.shards[i]
 		sh.mu.Lock()
 		r.sweepShardLocked(sh, now)
-		for id := range candidateIDsLocked(sh, q) {
-			rec := sh.entities[id]
-			if rec == nil || !matchesQuery(rec.shape, q) {
-				continue
-			}
+		sh.scanLocked(q, func(rec *record) bool {
 			out = append(out, cloneEntity(rec.entity()))
-		}
+			return true
+		})
 		sh.mu.Unlock()
 	}
 
@@ -525,18 +516,14 @@ func (r *Registry) Scan(q Query, fn func(Entity) bool) {
 		sh := &r.shards[i]
 		sh.mu.Lock()
 		r.sweepShardLocked(sh, now)
-		for id := range candidateIDsLocked(sh, q) {
-			rec := sh.entities[id]
-			if rec == nil || !matchesQuery(rec.shape, q) {
-				continue
-			}
+		more := sh.scanLocked(q, func(rec *record) bool {
 			visited++
-			if !fn(rec.entity()) || (q.Limit > 0 && visited >= q.Limit) {
-				sh.mu.Unlock()
-				return
-			}
-		}
+			return fn(rec.entity()) && (q.Limit <= 0 || visited < q.Limit)
+		})
 		sh.mu.Unlock()
+		if !more {
+			return
+		}
 	}
 }
 
@@ -638,7 +625,12 @@ func (r *Registry) Watch(q Query) (*Watcher, error) {
 	if r.closed.Load() {
 		return nil, ErrClosed
 	}
-	r.watchers[w] = struct{}{}
+	set := r.watchers[q.Kind]
+	if set == nil {
+		set = make(map[*Watcher]struct{})
+		r.watchers[q.Kind] = set
+	}
+	set[w] = struct{}{}
 	r.watchCount.Add(1)
 	return w, nil
 }
@@ -660,41 +652,67 @@ func (r *Registry) Close() {
 	}
 	r.watchMu.Lock()
 	defer r.watchMu.Unlock()
-	for w := range r.watchers {
-		w.queue.Close()
+	for _, set := range r.watchers {
+		for w := range set {
+			w.queue.Close()
+		}
 	}
-	r.watchers = make(map[*Watcher]struct{})
+	clear(r.watchers)
 	r.watchCount.Store(0)
 }
 
-func candidateIDsLocked(sh *regShard, q Query) map[ID]struct{} {
-	// Pick the most selective index available: the smallest attribute
-	// posting list, else the kind index, else the shard's full table.
-	var best map[ID]struct{}
-	for k, v := range q.Where {
-		set := sh.byAttr[attrKey(k, v)]
-		if best == nil || len(set) < len(best) {
-			best = set
+// scanLocked calls fn for each record matching q and reports false as soon
+// as fn does. It tests each candidate shape once and walks the members of
+// those that match. Callers hold sh.mu.
+func (sh *regShard) scanLocked(q Query, fn func(*record) bool) bool {
+	visit := func(s *shape) bool {
+		if !matchesQuery(s, q) {
+			return true
 		}
-		if len(set) == 0 {
+		for _, rec := range s.members {
+			if !fn(rec) {
+				return false
+			}
+		}
+		return true
+	}
+	if q.Kind == "" && len(q.Where) == 0 {
+		for _, s := range sh.shapes {
+			if !visit(s) {
+				return false
+			}
+		}
+		return true
+	}
+	for s := range sh.candidatesLocked(q) {
+		if !visit(s) {
+			return false
+		}
+	}
+	return true
+}
+
+// candidatesLocked returns the smallest posting that holds every shape
+// matching q, which names a kind or an attribute: the shapes of q's kind or
+// of one of its attribute values. A shard with no posting for one of them
+// holds no match, and the (nil) set is the answer.
+func (sh *regShard) candidatesLocked(q Query) shapeSet {
+	var best shapeSet
+	if q.Kind != "" {
+		if best = sh.byKind[q.Kind]; best == nil {
 			return nil
 		}
 	}
-	if best != nil {
-		return best
+	for k, v := range q.Where {
+		set := sh.byAttr[attrKey(k, v)]
+		if set == nil {
+			return nil
+		}
+		if best == nil || len(set) < len(best) {
+			best = set
+		}
 	}
-	if q.Kind != "" {
-		// byKind indexes every entity under each of its Kinds, so a shard
-		// with no entry for the kind holds no match: the (nil) set is the
-		// answer. Falling through to the full table here made a query for
-		// a rare kind copy every shard's entity table.
-		return sh.byKind[q.Kind]
-	}
-	all := make(map[ID]struct{}, len(sh.entities))
-	for id := range sh.entities {
-		all[id] = struct{}{}
-	}
-	return all
+	return best
 }
 
 func matchesQuery(s *shape, q Query) bool {
@@ -704,53 +722,54 @@ func matchesQuery(s *shape, q Query) bool {
 	return matchesWhere(s.attrs, q.Where)
 }
 
-// indexLocked installs e as rec's content: it points the record at the
-// shard's shape for e — whose Kinds and Attrs may belong to the caller — and
-// posts its ID under each kind and attribute. Every install (Register,
-// Update, Reclaim, RestoreEntity) passes here.
+// indexLocked installs e as rec's content: it makes the record a member of
+// the shard's shape for e — whose Kinds and Attrs may belong to the caller —
+// and posts the shape when the record is its first member. Every install
+// (Register, Update, Reclaim, RestoreEntity) passes here.
 func (sh *regShard) indexLocked(rec *record, e *Entity) {
 	s := sh.internLocked(e)
 	rec.id, rec.endpoint, rec.shape = e.ID, e.Endpoint, s
-	id := rec.id
-	for _, k := range s.kinds {
-		addPosting(sh.byKind, k, id)
-	}
-	for p := int(s.attrsAt); p < len(s.key); {
-		var key string
-		_, _, key, p = s.attr(p)
-		addPosting(sh.byAttr, key, id)
+	if s.add(rec) {
+		sh.postLocked(s, addPosting)
 	}
 }
 
-// unindexLocked withdraws rec's postings and releases its shape. The record
-// keeps its shape pointer: a shape is never mutated, so the removal's
-// journal entry and notification still read it.
+// unindexLocked takes rec out of its shape's members; a shape left with none
+// is withdrawn from its postings and the shard's table. The record keeps its
+// shape pointer: a shape's content is never mutated, so the removal's journal
+// entry and notification still read it.
 func (sh *regShard) unindexLocked(rec *record) {
-	s := rec.shape
-	id := rec.id
+	if s := rec.shape; s.remove(rec) {
+		sh.postLocked(s, dropPosting)
+		delete(sh.shapes, s.key)
+	}
+}
+
+// postLocked applies op to each posting of s: under each of its kinds in
+// byKind and each of its attributes in byAttr.
+func (sh *regShard) postLocked(s *shape, op func(map[string]shapeSet, string, *shape)) {
 	for _, k := range s.kinds {
-		dropPosting(sh.byKind, k, id)
+		op(sh.byKind, k, s)
 	}
 	for p := int(s.attrsAt); p < len(s.key); {
 		var key string
 		_, _, key, p = s.attr(p)
-		dropPosting(sh.byAttr, key, id)
+		op(sh.byAttr, key, s)
 	}
-	sh.releaseLocked(s)
 }
 
-func addPosting(index map[string]map[ID]struct{}, key string, id ID) {
+func addPosting(index map[string]shapeSet, key string, s *shape) {
 	set := index[key]
 	if set == nil {
-		set = make(map[ID]struct{})
+		set = make(shapeSet)
 		index[key] = set
 	}
-	set[id] = struct{}{}
+	set[s] = struct{}{}
 }
 
-func dropPosting(index map[string]map[ID]struct{}, key string, id ID) {
+func dropPosting(index map[string]shapeSet, key string, s *shape) {
 	if set := index[key]; set != nil {
-		delete(set, id)
+		delete(set, s)
 		if len(set) == 0 {
 			delete(index, key)
 		}
@@ -760,7 +779,7 @@ func dropPosting(index map[string]map[ID]struct{}, key string, id ID) {
 func (r *Registry) removeLocked(sh *regShard, rec *record, why ChangeType) {
 	delete(sh.entities, rec.id)
 	sh.unindexLocked(rec)
-	if !rec.expires.IsZero() {
+	if rec.expires != 0 {
 		sh.leased--
 	}
 	r.journalLocked(sh, why, rec, time.Time{})
@@ -776,54 +795,59 @@ func (r *Registry) sweepShardLocked(sh *regShard, now time.Time) int {
 		sh.nextExpiry.Store(0)
 		return 0
 	}
-	if next := sh.nextExpiry.Load(); next != 0 && now.UnixNano() < next {
+	ns := now.UnixNano()
+	if next := sh.nextExpiry.Load(); next != 0 && ns < next {
 		return 0
 	}
 	n := 0
-	var earliest time.Time
+	var earliest int64
 	for _, rec := range sh.entities {
-		if rec.expires.IsZero() {
+		if rec.expires == 0 {
 			continue
 		}
-		if !rec.expires.After(now) {
+		if rec.expires <= ns {
 			r.removeLocked(sh, rec, Expired)
 			n++
 			continue
 		}
-		if earliest.IsZero() || rec.expires.Before(earliest) {
+		if earliest == 0 || rec.expires < earliest {
 			earliest = rec.expires
 		}
 	}
-	if earliest.IsZero() {
-		sh.nextExpiry.Store(0)
-	} else {
-		sh.nextExpiry.Store(earliest.UnixNano())
-	}
+	sh.nextExpiry.Store(earliest)
 	return n
 }
 
-// notify queues a change on every matching watcher. Callers hold the mutated
-// entity's shard lock; watchMu nests inside shard locks and each watcher's
-// queue lock inside watchMu, so a change pushed here is ordered before any
-// Cancel or Close of the watcher. With no watchers registered (the common
-// swarm-bind case) it returns without touching the global lock, keeping
-// shard writes independent.
+// notify queues a change on every matching watcher: those of every kind and
+// those of each kind in the entity's taxonomy, never the others. Callers
+// hold the mutated entity's shard lock; watchMu nests inside shard locks and
+// each watcher's queue lock inside watchMu, so a change pushed here is
+// ordered before any Cancel or Close of the watcher. With no watchers
+// registered (the common swarm-bind case) it returns without touching the
+// global lock, keeping shard writes independent.
 func (r *Registry) notify(c Change) {
 	if r.watchCount.Load() == 0 {
 		return
 	}
 	r.watchMu.Lock()
 	defer r.watchMu.Unlock()
-	for w := range r.watchers {
-		if w.q.Kind != "" && !c.Entity.isKind(w.q.Kind) {
-			continue
+	r.notifyKindLocked("", c)
+	for i, k := range c.Entity.Kinds {
+		if !slices.Contains(c.Entity.Kinds[:i], k) {
+			r.notifyKindLocked(k, c)
 		}
-		if !matchesWhere(c.Entity.Attrs, w.q.Where) {
-			continue
+	}
+}
+
+// notifyKindLocked queues c, as a private copy, on each watcher of kind
+// whose attribute filter it matches. Callers hold watchMu.
+func (r *Registry) notifyKindLocked(kind string, c Change) {
+	for w := range r.watchers[kind] {
+		if matchesWhere(c.Entity.Attrs, w.q.Where) {
+			ev := c
+			ev.Entity = cloneEntity(c.Entity)
+			w.queue.Push(ev)
 		}
-		ev := c
-		ev.Entity = cloneEntity(c.Entity)
-		w.queue.Push(ev)
 	}
 }
 
@@ -871,8 +895,12 @@ func (w *Watcher) Queued() uint64 { return w.queue.Queued() }
 func (w *Watcher) Cancel() {
 	w.reg.watchMu.Lock()
 	defer w.reg.watchMu.Unlock()
-	if _, ok := w.reg.watchers[w]; ok {
-		delete(w.reg.watchers, w)
+	set := w.reg.watchers[w.q.Kind]
+	if _, ok := set[w]; ok {
+		delete(set, w)
+		if len(set) == 0 {
+			delete(w.reg.watchers, w.q.Kind)
+		}
 		w.reg.watchCount.Add(-1)
 		w.queue.Close()
 	}

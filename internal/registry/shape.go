@@ -9,16 +9,19 @@ import (
 // lease: Kind, Kinds, Attrs, Origin and Bound. Fleets have few distinct
 // shapes — a 50k-sensor swarm over 100 lots has 100 — so each shard keeps
 // one per distinct content and every record points at its shape instead of
-// owning copies: a bind that finds its shape stores nothing but its record
-// and postings.
+// owning copies. The shard's kind and attribute indexes post shapes, not
+// entities, so a bind that finds its shape stores nothing but its record and
+// one slot in the shape's members.
 //
-// A shape is immutable once built. Its kinds slice and attrs map are shared
-// read-only by every record that carries it and by Scan and ScanIfChanged
-// callbacks and CaptureState, all of which may retain them; Get, Discover
-// and watch changes hand out deep copies. refs counts the records pointing
-// at the shape: indexLocked takes a reference and unindexLocked drops it,
-// deleting the shape from the shard's table at zero. The record keeps its
-// pointer, so a release never rebuilds the key.
+// A shape's content is immutable once built. Its kinds slice and attrs map
+// are shared read-only by every record that carries it and by Scan and
+// ScanIfChanged callbacks and CaptureState, all of which may retain them;
+// Get, Discover and watch changes hand out deep copies. members lists the
+// records pointing at the shape, each record holding its slot in it:
+// indexLocked adds a record and posts the shape when it is the first, and
+// unindexLocked removes it, withdrawing the shape from its postings and the
+// shard's table when it was the last. The record keeps its pointer, so a
+// removal never rebuilds the key.
 type shape struct {
 	// key is the canonical encoding of the shape and its table key. The
 	// kind, origin, kinds, attribute names and values, and every byAttr
@@ -31,10 +34,14 @@ type shape struct {
 	kinds   []string
 	attrs   Attributes
 	origin  string
+	members []*record
 	attrsAt int32 // offset in key of the first encoded attribute
-	refs    int32
 	bound   BindingTime
 }
+
+// shapeSet is one posting: the shapes of a shard that carry a kind or an
+// attribute value.
+type shapeSet map[*shape]struct{}
 
 // appendShapeKey appends the canonical encoding of e's shape to buf. Every
 // string is length-prefixed: a byte telling a nil attribute map from an empty
@@ -111,9 +118,8 @@ func (s *shape) attr(p int) (name, value, posting string, next int) {
 	return posting[:nl], posting[nl+1:], posting, p + nl + 1 + vl
 }
 
-// internLocked returns the shard's shape for e's content with a reference
-// taken, building it on a miss — the only time the content is copied.
-// Callers hold sh.mu.
+// internLocked returns the shard's shape for e's content, building it on a
+// miss — the only time the content is copied. Callers hold sh.mu.
 func (sh *regShard) internLocked(e *Entity) *shape {
 	sh.keyBuf, sh.names = appendShapeKey(sh.keyBuf[:0], sh.names, e)
 	s := sh.shapes[string(sh.keyBuf)]
@@ -121,7 +127,6 @@ func (sh *regShard) internLocked(e *Entity) *shape {
 		s = sh.newShapeLocked(string(sh.keyBuf))
 		sh.shapes[s.key] = s
 	}
-	s.refs++
 	return s
 }
 
@@ -162,10 +167,25 @@ func (sh *regShard) newShapeLocked(key string) *shape {
 	return s
 }
 
-// releaseLocked drops one reference to s, forgetting it at zero. Callers
-// hold sh.mu.
-func (sh *regShard) releaseLocked(s *shape) {
-	if s.refs--; s.refs == 0 {
-		delete(sh.shapes, s.key)
+// add appends rec to s's members and reports whether it is the first.
+func (s *shape) add(rec *record) (first bool) {
+	rec.slot = len(s.members)
+	s.members = append(s.members, rec)
+	return rec.slot == 0
+}
+
+// remove swap-removes rec from s's members and reports whether it was the
+// last. Members that fall below a quarter of their capacity move to a slice
+// of twice their count, so a lot that empties does not pin its peak.
+func (s *shape) remove(rec *record) (last bool) {
+	n := len(s.members) - 1
+	moved := s.members[n]
+	moved.slot = rec.slot
+	s.members[rec.slot] = moved
+	s.members[n] = nil
+	s.members = s.members[:n]
+	if n < cap(s.members)/4 {
+		s.members = append(make([]*record, 0, 2*n), s.members...)
 	}
+	return n == 0
 }

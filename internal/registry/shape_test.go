@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"testing"
 	"time"
@@ -9,28 +10,44 @@ import (
 	"repro/internal/simclock"
 )
 
-// checkShapes verifies every shard's shape table against its records: each
-// record points at the table's shape for its key, each shape is counted once
-// per record pointing at it, and no shape outlives its last record.
+// checkShapes verifies every shard's shape table against its records and
+// postings: each record points at the table's shape for its key and sits in
+// its members at its slot, each shape lists exactly the records pointing at
+// it, no shape outlives its last record, and the kind and attribute postings
+// hold exactly the table's shapes, each under its own kinds and attributes.
 func checkShapes(t *testing.T, r *Registry, step string) {
 	t.Helper()
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
-		refs := make(map[*shape]int32)
+		refs := make(map[*shape]int)
 		for id, rec := range sh.entities {
 			if got := sh.shapes[rec.shape.key]; got != rec.shape {
 				t.Errorf("%s: shard %d: %s points at a shape the table does not hold", step, i, id)
+			}
+			if m := rec.shape.members; rec.slot >= len(m) || m[rec.slot] != rec {
+				t.Errorf("%s: shard %d: %s is not at its slot %d of its shape's members", step, i, id, rec.slot)
 			}
 			refs[rec.shape]++
 		}
 		if len(refs) != len(sh.shapes) {
 			t.Errorf("%s: shard %d holds %d shapes, its records use %d", step, i, len(sh.shapes), len(refs))
 		}
+		wantKind, wantAttr := make(map[string]shapeSet), make(map[string]shapeSet)
 		for key, s := range sh.shapes {
-			if s.refs != refs[s] {
-				t.Errorf("%s: shard %d: shape %q has refs %d, %d records use it", step, i, key, s.refs, refs[s])
+			if len(s.members) != refs[s] {
+				t.Errorf("%s: shard %d: shape %q has %d members, %d records use it", step, i, key, len(s.members), refs[s])
 			}
+			for _, k := range s.kinds {
+				addPosting(wantKind, k, s)
+			}
+			for name, value := range s.attrs {
+				addPosting(wantAttr, attrKey(name, value), s)
+			}
+		}
+		if !maps.EqualFunc(sh.byKind, wantKind, maps.Equal) || !maps.EqualFunc(sh.byAttr, wantAttr, maps.Equal) {
+			t.Errorf("%s: shard %d posts %v by kind and %v by attribute, its shapes %v and %v",
+				step, i, sh.byKind, sh.byAttr, wantKind, wantAttr)
 		}
 		sh.mu.Unlock()
 	}
@@ -113,6 +130,29 @@ func TestEntitiesOfEqualContentShareOneShape(t *testing.T) {
 		t.Fatal("empty attributes came back nil")
 	}
 	checkShapes(t, r, "shared")
+}
+
+// TestShapeMembersGiveBackCapacity: a lot that drains leaves its shape's
+// member slice near its count, not at the peak it once held.
+func TestShapeMembersGiveBackCapacity(t *testing.T) {
+	r := New(WithShards(1))
+	defer r.Close()
+	for i := 0; i < 1000; i++ {
+		if err := r.Register(persistEntity(i, "A22")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i < 1000; i++ {
+		if err := r.Unregister(persistEntity(i, "A22").ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkShapes(t, r, "drained")
+	for _, s := range r.shards[0].shapes {
+		if len(s.members) != 1 || cap(s.members) > 4 {
+			t.Errorf("drained shape holds %d members in a slice of capacity %d", len(s.members), cap(s.members))
+		}
+	}
 }
 
 // TestRegistryKeepsNoCallerKinds: a caller reusing the Kinds slice it
@@ -203,10 +243,11 @@ func TestStoredContentIsIsolated(t *testing.T) {
 // Heap bounds per registered entity (20k registrations, host-bind shaped
 // input: a fresh two-kind slice and a fresh one-attribute map per call). A
 // private map per entity cost 676 B over 10 shared sets and 943 B with every
-// set distinct; shapes store 10 shared sets once, and a distinct set may cost
+// set distinct; shapes store 10 shared sets once (249 B while the postings
+// held entity IDs, 123 B since they hold shapes), and a distinct set may cost
 // at most a tenth more than the private copy did.
 const (
-	sharedHeapBound   = 350
+	sharedHeapBound   = 145
 	distinctHeapBound = 943 * 1.10
 )
 

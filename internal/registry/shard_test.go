@@ -157,11 +157,24 @@ func TestShardCountDefault(t *testing.T) {
 	}
 }
 
+// candidateShapes counts the shapes a query tests across every shard: the
+// cost of a Discover or Scan before it walks any member.
+func candidateShapes(r *Registry, q Query) int {
+	n := 0
+	for i := range r.shards {
+		sh := &r.shards[i]
+		sh.mu.Lock()
+		n += len(sh.candidatesLocked(q))
+		sh.mu.Unlock()
+	}
+	return n
+}
+
 // TestRareKindCandidatesStayInTheKindIndex pins the cost of a query for a
 // kind most shards hold none of (one panel in a fleet of sensors, a freshly
 // hot-deployed tenant's kind): a shard without the kind contributes no
-// candidates. It used to fall through to a copy of its whole entity table,
-// making every such Discover/Scan O(fleet).
+// candidate shape. It used to fall through to a copy of its whole entity
+// table, making every such Discover/Scan O(fleet).
 func TestRareKindCandidatesStayInTheKindIndex(t *testing.T) {
 	r := New()
 	defer r.Close()
@@ -179,18 +192,68 @@ func TestRareKindCandidatesStayInTheKindIndex(t *testing.T) {
 		if kind == "NoSuchKind" {
 			want = 0
 		}
-		candidates := 0
-		for i := range r.shards {
-			sh := &r.shards[i]
-			sh.mu.Lock()
-			candidates += len(candidateIDsLocked(sh, Query{Kind: kind}))
-			sh.mu.Unlock()
-		}
-		if candidates != want {
-			t.Errorf("kind %s: %d candidates across shards, want %d", kind, candidates, want)
+		if n := candidateShapes(r, Query{Kind: kind}); n != want {
+			t.Errorf("kind %s: %d candidate shapes across shards, want %d", kind, n, want)
 		}
 		if got := r.Discover(Query{Kind: kind}); len(got) != want || (want == 1 && got[0].ID != panel.ID) {
 			t.Errorf("kind %s: Discover = %v, want %d match(es)", kind, got, want)
+		}
+	}
+}
+
+// TestAttributeSharedAcrossKindsDoesNotWidenCandidates: an attribute value
+// that a rare kind shares with a populous one (a panel and the 500 sensors of
+// its lot) must not make a lookup of the rare kind walk the populous one.
+// Postings keyed by attribute alone used to hand Discover(panel, lot=X) all
+// 501 entities of the lot to test one by one.
+func TestAttributeSharedAcrossKindsDoesNotWidenCandidates(t *testing.T) {
+	r := New()
+	defer r.Close()
+	lot := Attributes{"lot": "X"}
+	for i := 0; i < 500; i++ {
+		if err := r.Register(Entity{ID: ID(fmt.Sprintf("s%05d", i)), Kind: "PresenceSensor", Attrs: lot}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Register(Entity{ID: "panel-1", Kind: "EntrancePanel", Attrs: lot}); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Kind: "EntrancePanel", Where: lot}
+	if n := candidateShapes(r, q); n > 2 {
+		t.Errorf("Discover(EntrancePanel, lot=X) tests %d candidate shapes, want <= 2", n)
+	}
+	if got := r.Discover(q); len(got) != 1 || got[0].ID != "panel-1" {
+		t.Errorf("Discover(EntrancePanel, lot=X) = %v, want panel-1 alone", got)
+	}
+	if got := r.Discover(Query{Kind: "PresenceSensor", Where: lot}); len(got) != 500 {
+		t.Errorf("Discover(PresenceSensor, lot=X) = %d entities, want 500", len(got))
+	}
+}
+
+// BenchmarkRegistry_ScanKind is a periodic gather's snapshot: Scan of every
+// entity of one kind in a 50k fleet, 100 lots. Its cost must follow the
+// matches, with nothing allocated per entity.
+func BenchmarkRegistry_ScanKind(b *testing.B) {
+	r := New()
+	defer r.Close()
+	for i := 0; i < 50000; i++ {
+		e := Entity{
+			ID:    ID(fmt.Sprintf("s%05d", i)),
+			Kind:  "PresenceSensor",
+			Kinds: []string{"PresenceSensor", "Sensor"},
+			Attrs: Attributes{"lot": fmt.Sprintf("lot%03d", i%100)},
+		}
+		if err := r.Register(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		r.Scan(Query{Kind: "Sensor"}, func(Entity) bool { n++; return true })
+		if n != 50000 {
+			b.Fatalf("Scan visited %d entities, want 50000", n)
 		}
 	}
 }

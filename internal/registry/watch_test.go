@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -312,5 +313,52 @@ func TestWatchConcurrentMutateConsumeCancel(t *testing.T) {
 		if n <= cut && seen[k] != 1 {
 			t.Fatalf("%v committed before the cancel (op %d <= %d) but not seen", k, n, cut)
 		}
+	}
+}
+
+// TestWatchersSeeTheirKindsOnly: watchers are indexed by their query's kind.
+// A change reaches the watchers of every kind and of each kind in its
+// taxonomy once (even when the taxonomy names a kind twice), and no other.
+func TestWatchersSeeTheirKindsOnly(t *testing.T) {
+	r := New()
+	defer r.Close()
+	counts := make(map[string]int)
+	watchers := make(map[string]*Watcher)
+	for _, kind := range []string{"", "Panel", "Display", "Sensor"} {
+		w, err := r.Watch(Query{Kind: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Cancel()
+		watchers[kind] = w
+	}
+	if err := r.Register(Entity{ID: "p1", Kind: "Panel", Kinds: []string{"Panel", "Display", "Panel"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Register(Entity{ID: "s1", Kind: "Sensor"}); err != nil {
+		t.Fatal(err)
+	}
+	watchers["Sensor"].Cancel()
+	if err := r.Unregister("s1"); err != nil {
+		t.Fatal(err)
+	}
+	for kind, w := range watchers {
+		w.Cancel()
+		for {
+			batch, _, ok := w.Next(nil)
+			if !ok {
+				break
+			}
+			counts[kind] += len(batch)
+		}
+	}
+	want := map[string]int{"": 3, "Panel": 1, "Display": 1, "Sensor": 1}
+	if !maps.Equal(counts, want) {
+		t.Fatalf("changes per watcher kind = %v, want %v", counts, want)
+	}
+	r.watchMu.Lock()
+	defer r.watchMu.Unlock()
+	if len(r.watchers) != 0 || r.watchCount.Load() != 0 {
+		t.Fatalf("%d watcher kinds and count %d left after every cancel", len(r.watchers), r.watchCount.Load())
 	}
 }

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -116,6 +117,9 @@ type Host struct {
 	watchers   []*registry.Watcher
 	gauges     map[string]func() map[string]uint64
 	peerSource func() []transport.PeerStatusRecord
+	// declApps lists, per device kind, the live apps whose design declares
+	// it, earliest deployed first: the first one's declaration is the kind's.
+	declApps map[string][]*Runtime
 	// aggRestore holds the recovered aggregate checkpoints, keyed by
 	// aggSnapKey. Every snapshot carries them forward, so an app that is
 	// not redeployed yet keeps its checkpoint; Undeploy drops the app's.
@@ -144,6 +148,7 @@ func NewHost(cfg SubstrateConfig) (*Host, error) {
 		bus:       eventbus.New(),
 		apps:      make(map[string]*Runtime),
 		undeploys: make(map[string]bool),
+		declApps:  make(map[string][]*Runtime),
 		gauges:    make(map[string]func() map[string]uint64),
 	}
 	if h.clock == nil {
@@ -323,9 +328,32 @@ func (h *Host) Deploy(appID string, model *check.Model, cfg AppConfig) (*Runtime
 		rt.stopApp()
 		return nil, fmt.Errorf("host: deploy %s: host closing: %w", appID, ErrDraining)
 	}
-	h.apps[appID] = rt
+	h.goLiveLocked(appID, rt)
 	h.mu.Unlock()
 	return rt, nil
+}
+
+// goLiveLocked installs rt as appID's live app, its device declarations
+// behind those of every app deployed before it. Callers hold h.mu.
+func (h *Host) goLiveLocked(appID string, rt *Runtime) {
+	h.apps[appID] = rt
+	for kind := range rt.model.Devices {
+		h.declApps[kind] = append(h.declApps[kind], rt)
+	}
+}
+
+// retireLocked removes appID's live app rt and its device declarations.
+// Callers hold h.mu.
+func (h *Host) retireLocked(appID string, rt *Runtime) {
+	delete(h.apps, appID)
+	for kind := range rt.model.Devices {
+		apps := slices.DeleteFunc(h.declApps[kind], func(app *Runtime) bool { return app == rt })
+		if len(apps) == 0 {
+			delete(h.declApps, kind)
+		} else {
+			h.declApps[kind] = apps
+		}
+	}
 }
 
 // attach builds appID's Runtime over this host's substrate — the first half
@@ -388,7 +416,7 @@ func (h *Host) Undeploy(appID string) error {
 		h.mu.Unlock()
 		return fmt.Errorf("host: undeploy %s: %w", appID, ErrUnknownApp)
 	}
-	delete(h.apps, appID)
+	h.retireLocked(appID, rt)
 	h.undeploys[appID] = true
 	prefix := appID + "\x00"
 	for key := range h.aggRestore {
@@ -453,10 +481,10 @@ func (h *Host) Clock() simclock.Clock { return h.clock }
 
 // BindDevice binds a local driver into the shared fleet and registers it
 // for discovery, validating it against the attached app designs: some app
-// must declare the device kind (its declaration supplies the kind taxonomy
-// and the attribute set). One binding serves every tenant — that is the "N
-// apps, one fleet" model. Binding may happen before or after the apps start
-// (the paper's runtime binding).
+// must declare the device kind, and the earliest-deployed live one that does
+// supplies the kind taxonomy and the attribute set. One binding serves every
+// tenant — that is the "N apps, one fleet" model. Binding may happen before
+// or after the apps start (the paper's runtime binding).
 func (h *Host) BindDevice(drv device.Driver, opts ...BindOption) error {
 	decl := h.kindDecl(drv.Kind())
 	if decl == nil {
@@ -514,17 +542,13 @@ func (h *Host) BindDevice(drv device.Driver, opts ...BindOption) error {
 	return nil
 }
 
-// kindDecl resolves a device kind declaration across the attached apps.
+// kindDecl returns the declaration of kind in the earliest-deployed live app
+// that declares it, or nil if none does.
 func (h *Host) kindDecl(kind string) *check.Device {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for _, rt := range h.apps {
-		if rt == nil {
-			continue
-		}
-		if decl, ok := rt.model.Devices[kind]; ok {
-			return decl
-		}
+	if apps := h.declApps[kind]; len(apps) > 0 {
+		return apps[0].model.Devices[kind]
 	}
 	return nil
 }
@@ -743,6 +767,7 @@ func (h *Host) Close() {
 	h.reg.Close()
 	h.mu.Lock()
 	h.apps = make(map[string]*Runtime)
+	clear(h.declApps)
 	h.mu.Unlock()
 }
 

@@ -909,3 +909,56 @@ func TestWithPollWorkersZeroDefaults(t *testing.T) {
 	}
 	rt.Stop()
 }
+
+// TestHostKindDeclarationFollowsDeployOrder: two apps that declare one
+// device kind with different attribute sets and taxonomies. Every bind must
+// be checked against the earliest-deployed live app's declaration, not
+// whichever app a map iteration yields first.
+func TestHostKindDeclarationFollowsDeployOrder(t *testing.T) {
+	vc := simclock.NewVirtual(hostEpoch)
+	h, err := NewHost(SubstrateConfig{Clock: vc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	design := func(decl string) string {
+		return decl + `
+context Occ as Boolean {
+	when provided presence from Shared
+	no publish;
+}
+`
+	}
+	for _, app := range []struct{ id, decl string }{
+		{"a", `device Shared { attribute lot as String; source presence as Boolean; }`},
+		{"b", `device Root { attribute floor as String; }
+device Shared extends Root { source presence as Boolean; }`},
+	} {
+		if _, err := h.DeploySource(app.id, design(app.decl), AppConfig{AutoImplement: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bind := func(id string, attrs registry.Attributes) error {
+		return h.BindDevice(device.NewBase(id, "Shared", nil, attrs, vc.Now))
+	}
+	for i := 0; i < 50; i++ {
+		if err := bind(fmt.Sprintf("lot-%02d", i), registry.Attributes{"lot": "L"}); err != nil {
+			t.Fatalf("bind %d against app a's declaration: %v", i, err)
+		}
+		if err := bind(fmt.Sprintf("floor-%02d", i), registry.Attributes{"floor": "F"}); err == nil {
+			t.Fatalf("bind %d with app b's attribute was checked against app b's declaration", i)
+		}
+	}
+	if e, _ := h.Registry().Get("lot-49"); len(e.Kinds) != 1 || e.Kinds[0] != "Shared" {
+		t.Fatalf("bound with taxonomy %v, want app a's [Shared]", e.Kinds)
+	}
+	if err := h.Undeploy("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := bind("floor-after", registry.Attributes{"floor": "F"}); err != nil {
+		t.Fatalf("bind after app a left: %v", err)
+	}
+	if e, _ := h.Registry().Get("floor-after"); len(e.Kinds) != 2 || e.Kinds[1] != "Root" {
+		t.Fatalf("bound with taxonomy %v after app a left, want app b's [Shared Root]", e.Kinds)
+	}
+}

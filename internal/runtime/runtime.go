@@ -422,7 +422,7 @@ func New(model *check.Model, opts ...Option) *Runtime {
 	}
 	rt := h.attach("", model, cfg.app)
 	rt.initErr = err
-	h.apps[""] = rt
+	h.goLiveLocked("", rt) // nothing shared yet: no lock needed
 	return rt
 }
 
