@@ -242,7 +242,7 @@ func (b *ReadingBatch) demote() {
 // ValueAt boxes row i's value. Boxing bool (and other preboxed small
 // values) is allocation-free; float64 and string values cost one boxing
 // allocation, which is why batch consumers that can act on the typed
-// columns directly should (see Bools/Ints/Floats/Strs).
+// columns directly should (see Ints/Floats).
 func (b *ReadingBatch) ValueAt(i int) any {
 	switch b.kind {
 	case ColBool:
@@ -269,9 +269,6 @@ func (b *ReadingBatch) IndexAt(i int) any {
 // IDAt reports row i's device ID.
 func (b *ReadingBatch) IDAt(i int) string { return b.ids[i] }
 
-// TimeAt reports row i's production time.
-func (b *ReadingBatch) TimeAt(i int) time.Time { return b.times[i] }
-
 // FillRow materializes row i into r, reusing the caller's Reading. The
 // filled Reading borrows from the batch: it is valid only while the caller
 // holds a batch reference.
@@ -290,19 +287,12 @@ func (b *ReadingBatch) Row(i int) Reading {
 	return r
 }
 
-// Bools returns the bool value column; valid only when Kind() == ColBool.
-func (b *ReadingBatch) Bools() []bool { return b.bools }
-
 // Ints returns the int64 value column; valid only when Kind() == ColInt64.
 func (b *ReadingBatch) Ints() []int64 { return b.ints }
 
 // Floats returns the float64 value column; valid only when
 // Kind() == ColFloat64.
 func (b *ReadingBatch) Floats() []float64 { return b.floats }
-
-// Strs returns the string value column; valid only when
-// Kind() == ColString.
-func (b *ReadingBatch) Strs() []string { return b.strs }
 
 // CompactBefore drops rows whose Time is before cutoff, in place and
 // order-preserving, and reports how many were dropped — the deadline

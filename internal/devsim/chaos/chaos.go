@@ -138,19 +138,6 @@ func (n *Net) Partitioned(name string) bool {
 	return n.link(name).partitioned
 }
 
-// PartitionAll cuts every link registered so far.
-func (n *Net) PartitionAll() {
-	n.mu.Lock()
-	names := make([]string, 0, len(n.links))
-	for name := range n.links {
-		names = append(names, name)
-	}
-	n.mu.Unlock()
-	for _, name := range names {
-		n.Partition(name)
-	}
-}
-
 // Dialer returns a transport dialer routed through the named link: dials
 // are refused while partitioned, and established connections inject the
 // link's profile on every write.

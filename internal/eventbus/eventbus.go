@@ -1,11 +1,13 @@
 // Package eventbus implements the publish/subscribe substrate used by the
 // orchestration runtime to route values between components: the context
-// publications (context → context, context → controller) and periodic
-// rounds of the paper's Sense-Compute-Control graph. Device readings skip
-// it: a device source → context arrow has one producer and one consumer,
-// fixed at wiring, so the ingestion pipeline calls its interaction directly.
+// publications (context → context, context → controller) of the paper's
+// Sense-Compute-Control graph, and nothing else. Device readings and
+// periodic rounds skip it: a device source → context arrow and a poller →
+// context arrow each have one producer and one consumer, fixed at wiring,
+// so the ingestion pipeline calls its interaction directly and a poller
+// hands its rounds to its own dispatch worker.
 //
-// Topics are strings (a context name, a periodic interaction). Each subscriber
+// Topics are strings (a context name). Each subscriber
 // owns a queue bounded at WithQueue, grown on demand and keeping its
 // high-water mark, drained by a dedicated goroutine. The bus is lossless:
 // a publisher that finds a queue full waits for the drain (backpressure), so

@@ -373,13 +373,12 @@ func (r *Registry) Register(e Entity, opts ...RegisterOption) error {
 	now := r.clock.Now()
 	sh := r.shard(e.ID)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if r.closed.Load() {
-		sh.mu.Unlock()
 		return ErrClosed
 	}
 	r.sweepShardLocked(sh, now)
 	if _, ok := sh.entities[e.ID]; ok {
-		sh.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrDuplicate, e.ID)
 	}
 	rec := &record{}
@@ -391,7 +390,6 @@ func (r *Registry) Register(e Entity, opts ...RegisterOption) error {
 	r.journalLocked(sh, Added, rec, now)
 	sh.bumpLocked(rec)
 	r.notify(Change{Type: Added, Entity: rec.entity()})
-	sh.mu.Unlock()
 	return nil
 }
 
@@ -480,14 +478,10 @@ func (r *Registry) Discover(q Query) []Entity {
 	now := r.clock.Now()
 	var out []Entity
 	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		r.sweepShardLocked(sh, now)
-		sh.scanLocked(q, func(rec *record) bool {
+		r.scanShard(&r.shards[i], q, now, func(rec *record) bool {
 			out = append(out, cloneEntity(rec.entity()))
 			return true
 		})
-		sh.mu.Unlock()
 	}
 
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -513,18 +507,25 @@ func (r *Registry) Scan(q Query, fn func(Entity) bool) {
 	now := r.clock.Now()
 	visited := 0
 	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		r.sweepShardLocked(sh, now)
-		more := sh.scanLocked(q, func(rec *record) bool {
+		more := r.scanShard(&r.shards[i], q, now, func(rec *record) bool {
 			visited++
 			return fn(rec.entity()) && (q.Limit <= 0 || visited < q.Limit)
 		})
-		sh.mu.Unlock()
 		if !more {
 			return
 		}
 	}
+}
+
+// scanShard sweeps one shard and visits its entities matching q under the
+// shard lock. The lock is released even if visit panics: Scan runs the
+// caller's function there, and a shard left locked would wedge every later
+// mutation of it and Close.
+func (r *Registry) scanShard(sh *regShard, q Query, now time.Time, visit func(*record) bool) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	r.sweepShardLocked(sh, now)
+	return sh.scanLocked(q, visit)
 }
 
 // Count reports the number of live registrations.
@@ -564,9 +565,7 @@ func (r *Registry) Generation(kind string) uint64 {
 				now = r.clock.Now()
 			}
 			if now.UnixNano() >= next {
-				sh.mu.Lock()
-				r.sweepShardLocked(sh, now)
-				sh.mu.Unlock()
+				r.sweepShard(sh, now)
 			}
 		}
 		if kind == "" {
@@ -600,12 +599,17 @@ func (r *Registry) Sweep() int {
 	now := r.clock.Now()
 	n := 0
 	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		n += r.sweepShardLocked(sh, now)
-		sh.mu.Unlock()
+		n += r.sweepShard(&r.shards[i], now)
 	}
 	return n
+}
+
+// sweepShard evicts one shard's expired registrations under its lock and
+// reports how many.
+func (r *Registry) sweepShard(sh *regShard, now time.Time) int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return r.sweepShardLocked(sh, now)
 }
 
 // Watch registers a watcher that queues every change matching q, in commit

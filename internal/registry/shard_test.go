@@ -1,9 +1,11 @@
 package registry
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func fill(t *testing.T, r *Registry, n int) {
@@ -22,6 +24,34 @@ func fill(t *testing.T, r *Registry, n int) {
 		if err := r.Register(e); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestScanPanicReleasesShard: Scan runs the caller's function under a shard
+// lock. A callback that panics, even one the caller recovers, must not leave
+// that lock held, or every later Register on the shard and Close deadlock.
+func TestScanPanicReleasesShard(t *testing.T) {
+	r := New()
+	if err := r.Register(Entity{ID: "a", Kind: "S"}); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() { _ = recover() }()
+		r.Scan(Query{Kind: "S"}, func(Entity) bool { panic("callback") })
+	}()
+	done := make(chan error, 1)
+	go func() {
+		err := r.Register(Entity{ID: "a", Kind: "S"}) // a's shard: the one Scan held
+		r.Close()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrDuplicate) {
+			t.Fatalf("Register after the recovered panic = %v, want ErrDuplicate", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("registry wedged: Register and Close still blocked 2 s after a Scan callback panicked")
 	}
 }
 

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/device"
@@ -17,22 +16,12 @@ type GroupedReading struct {
 	Reading device.Reading
 }
 
-// periodicBatch is the payload delivered for one periodic interaction round.
-type periodicBatch struct {
-	out *pollOut
-	at  time.Time
-}
-
-func (rt *Runtime) periodicTopic(ctxName string, idx int) string {
-	return fmt.Sprintf("%speriodic/%s/%d", rt.topicPrefix, ctxName, idx)
-}
-
 // ctxSite is the compiled dispatch state of one context interaction —
 // everything name-keyed resolved once at wire time (the interaction, its
 // publish mode, the context's publication site) plus the publications of
 // the delivery being dispatched. Each owner serializes access: the ingest
-// flush worker or a bus subscription's drain goroutine for the call sites,
-// provAgg.mu for grouped device sources.
+// flush worker, a poller's dispatch worker or a bus subscription's drain
+// goroutine for the call sites, provAgg.mu for grouped device sources.
 type ctxSite struct {
 	rt  *Runtime
 	ctx *check.Context

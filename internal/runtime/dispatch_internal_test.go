@@ -99,7 +99,7 @@ context Vacancy as Integer {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.dispatchDelta(aggDelta{out: &pollOut{readings: win}, reset: true, window: true})
+				p.dispatchDelta(&pollOut{readings: win, reset: true, window: true})
 			}
 		})
 	}

@@ -247,9 +247,6 @@ func TestNewIsOneAppHost(t *testing.T) {
 		if len(fs.Budgets) != 1 || fs.Budgets[0].App != "default" {
 			t.Fatalf("fleet_stats budgets = %+v, want exactly the default scope", fs.Budgets)
 		}
-		if got := rt.periodicTopic("Count_solo", 0); got != "periodic/Count_solo/0" {
-			t.Fatalf("periodic topic = %q, want no app/ prefix", got)
-		}
 		if got := rt.pubSites["Count_solo"].topic; got != "context/Count_solo" {
 			t.Fatalf("context topic = %q, want no app/ prefix", got)
 		}

@@ -246,7 +246,10 @@ func (h *Host) Drain() (transport.DrainReport, error) {
 	// The budgets released, so every admitted reading has been delivered
 	// to its interaction; let the context publications queued on the bus
 	// (and what their handlers publish) finish before snapshotting, so the
-	// snapshot's aggregate checkpoints cover them.
+	// snapshot's aggregate checkpoints cover them. Periodic rounds queued
+	// on a poller's dispatch worker need no wait: the snapshot holds no
+	// periodic engine (it checkpoints provAggs only), and pollers keep
+	// polling through a drain anyway.
 	for rep.Clean && !h.bus.Idle() && time.Now().Before(deadline) {
 		time.Sleep(drainPollInterval)
 	}

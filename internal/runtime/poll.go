@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/dsl/check"
-	"repro/internal/eventbus"
 	"repro/internal/mapreduce"
 	"repro/internal/registry"
 	"repro/internal/simclock"
@@ -24,10 +23,9 @@ import (
 // persistent worker pool that stores only each slot's value, and a
 // GroupedReading is built only for what a round publishes.
 type poller struct {
-	ctxSite  // dispatch side (bus-handler goroutine) owns out
+	ctxSite  // dispatch side (the dispatch worker) owns out
 	stopCh   chan struct{}
 	stopOnce sync.Once
-	topic    string
 
 	// fleetView is the trigger kind's fleet; only the poller goroutine
 	// refreshes it, and the pool workers fill its vals/ok during a round.
@@ -51,7 +49,7 @@ type poller struct {
 	prevOk    []bool
 	snapEpoch uint64
 	prevEpoch uint64   // epoch prevVals/prevOk describe; differs => reset
-	core      *aggCore // owned by the dispatch (bus-handler) side
+	core      *aggCore // owned by the dispatch worker
 	// handles holds the engine record of each slot's device, so a round's
 	// upserts walk slots and hash no id. Dispatch side only: cleared on a
 	// reset delta, nil'd on a removal.
@@ -66,16 +64,28 @@ type poller struct {
 	started int
 	rounds  chan *pollRound
 
-	// outs recycles what rounds publish once dispatch has consumed it.
-	outs sync.Pool
+	// queue carries each round or closed window to the dispatch worker, in
+	// order and losslessly; run closes it on stop. spare returns consumed
+	// buffers to the poller, holding at most pollSpares of them.
+	queue chan *pollOut
+	spare chan *pollOut
 }
+
+// pollQueue bounds how many rounds a poller may run ahead of its dispatch
+// worker, so round N+1 gathers while round N dispatches. pollSpares covers
+// the buffers of those two rounds.
+const (
+	pollQueue  = 64
+	pollSpares = 2
+)
 
 func (rt *Runtime) startPoller(ctx *check.Context, idx int, in *check.Interaction) {
 	p := &poller{
 		ctxSite: rt.newCtxSite(ctx, idx, in),
 		stopCh:  make(chan struct{}),
-		topic:   rt.periodicTopic(ctx.Name, idx),
 		workers: rt.pollWorkers,
+		queue:   make(chan *pollOut, pollQueue),
+		spare:   make(chan *pollOut, pollSpares),
 		fleetView: fleetView{
 			kind:   in.TriggerDevice.Name,
 			source: in.TriggerSource.Name,
@@ -88,22 +98,6 @@ func (rt *Runtime) startPoller(ctx *check.Context, idx int, in *check.Interactio
 	if p.aggOn = in.GroupBy != nil; p.aggOn {
 		p.groupAttr = in.GroupBy.Name
 	}
-	// Deliver batches through the bus so handler invocations for this
-	// interaction are serialized like every other delivery. dispatch fully
-	// copies the batch out, so the published buffers are recycled afterwards.
-	if err := rt.subscribe(p.topic, func(ev eventbus.Event) {
-		switch batch := ev.Payload.(type) {
-		case periodicBatch:
-			p.dispatch(batch)
-			p.putOut(batch.out)
-		case aggDelta:
-			p.dispatchDelta(batch)
-			p.putOut(batch.out)
-		}
-	}); err != nil {
-		rt.reportError(ctx.Name, err)
-		return
-	}
 	rt.mu.Lock()
 	rt.pollers = append(rt.pollers, p)
 	rt.mu.Unlock()
@@ -113,8 +107,9 @@ func (rt *Runtime) startPoller(ctx *check.Context, idx int, in *check.Interactio
 	// Arm the ticker before Start returns so that virtual-clock advances
 	// performed right after Start are observed.
 	ticker := rt.clock.NewTicker(in.Period)
-	rt.wg.Add(1)
+	rt.wg.Add(2)
 	go p.run(ticker)
+	go p.dispatchRounds()
 }
 
 func (p *poller) stop() { p.stopOnce.Do(func() { close(p.stopCh) }) }
@@ -126,6 +121,7 @@ func (p *poller) run(ticker *simclock.Ticker) {
 		select {
 		case <-p.stopCh:
 			p.flushWindow()
+			close(p.queue)
 			return
 		case at := <-ticker.C:
 			p.poll(at)
@@ -133,10 +129,25 @@ func (p *poller) run(ticker *simclock.Ticker) {
 	}
 }
 
+// dispatchRounds is the poller's dispatch worker: it runs the handler for
+// each round and window in the order the poller queued them, then returns
+// the buffer. It exits once run has closed the queue and everything queued
+// is dispatched, so stopping a poller is the one wait on rt.wg.
+func (p *poller) dispatchRounds() {
+	defer p.rt.wg.Done()
+	for out := range p.queue {
+		if p.aggOn {
+			p.dispatchDelta(out)
+		} else {
+			p.dispatch(out)
+		}
+		p.putOut(out)
+	}
+}
+
 // flushWindow delivers a partially accumulated `every` window at shutdown,
-// so readings gathered before Stop are not silently discarded. The bus
-// drains queued deliveries before closing, which keeps the flush ordered
-// after every full-window batch already published.
+// so readings gathered before Stop are not silently discarded. It is queued
+// behind every full window already handed over, so it dispatches last.
 func (p *poller) flushWindow() {
 	if p.flushEvery == 0 || p.window == nil || len(p.window.readings) == 0 {
 		return
@@ -282,18 +293,13 @@ func (p *poller) appendAnswered(out *pollOut, snap *pollSnapshot, at time.Time) 
 	return out
 }
 
-// publish delivers one round or one closed `every` window: as a
-// periodicBatch to an ungrouped interaction, and to a grouped one as a reset
-// delta that rebuilds the engine from exactly these readings, so no reading
-// outlives its window.
+// publish hands one ungrouped round, or one closed `every` window, to
+// dispatch. An ungrouped round reads only its readings and time; a window
+// (grouped by the checker's rule) is a reset delta that rebuilds the engine
+// from exactly these readings, so no reading outlives its window.
 func (p *poller) publish(out *pollOut, at time.Time) {
-	var payload any = periodicBatch{out: out, at: at}
-	if p.aggOn {
-		payload = aggDelta{out: out, reset: true, window: true, at: at}
-	}
-	if err := p.rt.bus.Publish(p.topic, payload, at); err != nil {
-		p.putOut(out)
-	}
+	out.reset, out.window, out.at = true, true, at
+	p.queue <- out
 }
 
 // pollClaim is how many local targets a worker claims per cursor move when
@@ -340,58 +346,60 @@ func (p *poller) runRound(snap *pollSnapshot) bool {
 	return true
 }
 
-// pollOut is what one round or one window publishes, recycled through
-// poller.outs once dispatch has consumed it.
+// pollOut is what one round or one window hands to dispatch, returned to
+// the poller once dispatch has consumed it. An ungrouped interaction reads
+// its readings and at. For a grouped one it is a delta: the readings whose
+// value changed since the previous round with their slots, the slots that
+// dropped out, and whether the engine must reset first (snapshot rebuilt:
+// slots renumbered, fleet membership changed — the whole round rides in the
+// upserts); ids names the snapshot's slots. A window delta carries a whole
+// closed `every` window, reset included, without slots; its upserts are
+// keyed by window position, since one device contributes once per tick.
 type pollOut struct {
 	readings []GroupedReading
 	slots    []int // delta rounds: the slot of each reading
 	removed  []int // delta rounds: slots that answered last round but not this one
+	ids      []string
+	reset    bool
+	window   bool
+	at       time.Time
 }
 
 func (p *poller) getOut() *pollOut {
-	if v := p.outs.Get(); v != nil {
-		return v.(*pollOut)
+	select {
+	case out := <-p.spare:
+		return out
+	default:
+		return &pollOut{}
 	}
-	return &pollOut{}
 }
 
-// putOut recycles out once dispatch has consumed it, unless its readings
-// capacity is far above what it just carried: a reset round's full-fleet
-// buffer would otherwise stay pooled behind the small delta rounds after it.
+// putOut returns out to the poller once dispatch has consumed it, unless
+// its readings capacity is far above what it just carried: a reset round's
+// full-fleet buffer would otherwise stay spare behind the small delta
+// rounds after it. A channel, unlike a sync.Pool, keeps its spares across a
+// GC, so a steady round allocates no buffer.
 func (p *poller) putOut(out *pollOut) {
 	if n := cap(out.readings); n > outKeepMin && n > outKeepFactor*len(out.readings) {
 		return
 	}
-	out.readings, out.slots, out.removed = out.readings[:0], out.slots[:0], out.removed[:0]
-	p.outs.Put(out)
+	*out = pollOut{readings: out.readings[:0], slots: out.slots[:0], removed: out.removed[:0]}
+	select {
+	case p.spare <- out:
+	default: // pollSpares already kept
+	}
 }
 
-// A pooled out buffer keeps at most outKeepFactor times the readings it
+// A spare out buffer keeps at most outKeepFactor times the readings it
 // carried, and any capacity up to outKeepMin.
 const (
 	outKeepFactor = 4
 	outKeepMin    = 256
 )
 
-// aggDelta is the payload of one incrementally aggregated round: the
-// readings whose value changed since the previous round with their slots,
-// the slots that dropped out, and whether the dispatch-side engine must
-// reset first (snapshot rebuilt: slots renumbered, fleet membership changed
-// — the whole round rides in the upserts). ids names the snapshot's slots.
-// A window delta carries a whole closed `every` window, reset included,
-// without slots; its upserts are keyed by window position, since one device
-// contributes once per tick.
-type aggDelta struct {
-	out    *pollOut
-	ids    []string
-	reset  bool
-	window bool
-	at     time.Time
-}
-
 // publishDelta diffs the round against the per-slot last-value cache and
-// publishes only what changed. A steady fleet with unchanged readings
-// publishes an empty delta — the dispatch side still flushes (cheaply, no
+// hands only what changed to dispatch. A steady fleet with unchanged
+// readings publishes an empty delta — the dispatch side still flushes (cheaply, no
 // dirty groups) and triggers the handler, preserving one delivery per
 // period.
 func (p *poller) publishDelta(at time.Time, snap *pollSnapshot) {
@@ -425,10 +433,8 @@ func (p *poller) publishDelta(at time.Time, snap *pollSnapshot) {
 			p.prevVals[i], p.prevOk[i] = nil, false
 		}
 	}
-	d := aggDelta{out: out, ids: snap.ids, reset: reset, at: at}
-	if err := p.rt.bus.Publish(p.topic, d, at); err != nil {
-		p.putOut(out)
-	}
+	out.ids, out.reset, out.at = snap.ids, reset, at
+	p.queue <- out
 }
 
 // valuesEqual compares two reading values of common scalar types; exotic or
@@ -481,11 +487,10 @@ func valuesEqual(a, b any) bool {
 
 // dispatchDelta folds one round's delta, or one closed window, into the
 // interaction's engine and dispatches the handler with the updated
-// aggregate. Runs on the bus handler goroutine, serialized with every other
-// delivery of this interaction. A round's upserts go through the per-slot
-// engine handles, so only a slot's first upsert after a reset or a removal
-// looks its device up by id.
-func (p *poller) dispatchDelta(d aggDelta) {
+// aggregate. Runs on the poller's dispatch worker. A round's upserts go
+// through the per-slot engine handles, so only a slot's first upsert after a
+// reset or a removal looks its device up by id.
+func (p *poller) dispatchDelta(d *pollOut) {
 	if p.core == nil {
 		core, err := newAggCore(p.rt, p.ctx.Name, p.in)
 		if err != nil {
@@ -503,13 +508,13 @@ func (p *poller) dispatchDelta(d aggDelta) {
 		}
 		p.handles = p.handles[:len(d.ids)]
 	}
-	for i := range d.out.readings {
-		gr := &d.out.readings[i]
+	for i := range d.readings {
+		gr := &d.readings[i]
 		if d.window {
 			eng.Upsert(p.windowID(i), gr.Group, gr.Reading.Value)
 			continue
 		}
-		slot := d.out.slots[i]
+		slot := d.slots[i]
 		h := p.handles[slot]
 		if h == nil {
 			h = eng.Input(gr.Reading.DeviceID)
@@ -517,7 +522,7 @@ func (p *poller) dispatchDelta(d aggDelta) {
 		}
 		eng.UpsertHandle(h, gr.Group, gr.Reading.Value)
 	}
-	for _, slot := range d.out.removed {
+	for _, slot := range d.removed {
 		eng.Remove(d.ids[slot])
 		p.handles[slot] = nil
 	}
@@ -740,10 +745,10 @@ func (v *fleetView) queryBatch(snap *pollSnapshot, b *endpointBatch) {
 
 // dispatch runs the context handler for one ungrouped periodic batch.
 // Grouped interactions never get here: they ride the engine (dispatchDelta).
-func (p *poller) dispatch(batch periodicBatch) {
-	call := p.newCall(batch.at)
-	rs := make([]device.Reading, len(batch.out.readings))
-	for i, gr := range batch.out.readings {
+func (p *poller) dispatch(out *pollOut) {
+	call := p.newCall(out.at)
+	rs := make([]device.Reading, len(out.readings))
+	for i, gr := range out.readings {
 		rs[i] = gr.Reading
 	}
 	call.Readings = rs

@@ -32,24 +32,34 @@ func (h roundVacancy) OnTrigger(*ContextCall) (any, bool, error) {
 
 // groupedRoundBound is what one steady-state grouped poll round may
 // allocate, whatever the fleet size and change rate: the round hand-off to
-// the pool, the bus event and the handler's call.
+// the pool and the handler's call.
 const groupedRoundBound = 8
 
 // TestGroupedRoundAllocsIndependentOfFleet pins the values-only round and
 // the per-slot engine handles: a steady-state grouped round allocates a
 // small constant, at 1k and at 20k sensors, with no value changed and with
 // a tenth of the fleet flipping between vacant and occupied (which moves
-// inputs in and out of their groups).
+// inputs in and out of their groups). The second leg forces two GCs before
+// each round and subtracts what two bare GCs allocate: the buffers a poller
+// recycles must survive a collection, or a round after one rebuilds them.
 func TestGroupedRoundAllocsIndependentOfFleet(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
+	twoGCs := func() { goruntime.GC(); goruntime.GC() }
+	gcAllocs := testing.AllocsPerRun(10, twoGCs)
 	for _, sensors := range []int{1000, 20000} {
 		for _, pct := range []int{0, 10} {
-			n := testing.AllocsPerRun(10, groupedRounds(t, sensors, pct))
+			round := groupedRounds(t, sensors, pct)
+			n := testing.AllocsPerRun(10, round)
 			t.Logf("%d sensors, %d%% changed: %.1f allocs per round", sensors, pct, n)
 			if n > groupedRoundBound {
 				t.Errorf("%d sensors, %d%% changed: %.1f allocs per round, want <= %d", sensors, pct, n, groupedRoundBound)
+			}
+			n = testing.AllocsPerRun(10, func() { twoGCs(); round() }) - gcAllocs
+			t.Logf("%d sensors, %d%% changed, after two GCs: %.1f allocs per round", sensors, pct, n)
+			if n > groupedRoundBound {
+				t.Errorf("%d sensors, %d%% changed, after two GCs: %.1f allocs per round, want <= %d", sensors, pct, n, groupedRoundBound)
 			}
 		}
 	}
@@ -134,25 +144,121 @@ context Vacancy as Integer {
 }
 
 // TestOutBufferRetention: the reset round's buffer holds the whole fleet,
-// and once a 10% delta round has carried it, no pooled buffer may keep that
-// capacity. One P makes the pool's contents reachable from the test.
+// and once a 10% delta round has carried it, no spare buffer may keep that
+// capacity.
 func TestOutBufferRetention(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops sync.Pool items")
-	}
-	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
 	const sensors = 2000
 	p, round, flipRound := groupedWorld(t, sensors, 10)
-	idle := func() bool { return p.rt.bus.Idle() }
 	round()
-	waitUntil(t, "reset round recycled", idle)
+	waitUntil(t, "reset round recycled", func() bool { return len(p.spare) == 1 })
 	flipRound()
-	waitUntil(t, "delta round recycled", idle)
-	for v := p.outs.Get(); v != nil; v = p.outs.Get() {
-		if n := cap(v.(*pollOut).readings); n >= sensors {
-			t.Errorf("a pooled out buffer keeps %d readings of capacity after a %d-reading round; fleet is %d",
+	// Stopping the poller empties the hand-off: run closes the queue and the
+	// dispatch worker returns every buffer before it exits.
+	p.stop()
+	p.rt.wg.Wait()
+	for len(p.spare) > 0 {
+		if n := cap((<-p.spare).readings); n >= sensors {
+			t.Errorf("a spare out buffer keeps %d readings of capacity after a %d-reading round; fleet is %d",
 				n, sensors/10, sensors)
 		}
+	}
+}
+
+// gatedWindows records the values of group "z" of every delivered window;
+// every delivery waits on gate first.
+type gatedWindows struct {
+	gate    chan struct{}
+	mu      sync.Mutex
+	windows [][]any
+}
+
+func (h *gatedWindows) OnTrigger(call *ContextCall) (any, bool, error) {
+	<-h.gate
+	h.mu.Lock()
+	h.windows = append(h.windows, slices.Clone(call.Grouped["z"]))
+	h.mu.Unlock()
+	return nil, false, nil
+}
+
+// TestStopDispatchesQueuedRounds: a handler parked on one `every` window
+// leaves the windows closed after it queued on the poller's dispatch
+// worker. Stop, and Host.Undeploy, must each return only after every queued
+// window is dispatched in order, with the partial window last.
+func TestStopDispatchesQueuedRounds(t *testing.T) {
+	const design = `
+device S { attribute zone as String; source v as Integer; }
+context C as Integer { when periodic v from S <1 min> grouped by zone every <2 min> no publish; }
+`
+	for _, via := range []string{"Stop", "Undeploy"} {
+		t.Run(via, func(t *testing.T) {
+			vc := simclock.NewVirtual(hostEpoch)
+			h := &gatedWindows{gate: make(chan struct{})}
+			open := sync.OnceFunc(func() { close(h.gate) })
+			defer open()
+			var rt *Runtime
+			var stop func()
+			if via == "Stop" {
+				rt = New(dsl.MustLoad(design), WithClock(vc))
+				if err := rt.ImplementContext("C", h); err != nil {
+					t.Fatal(err)
+				}
+				if err := rt.Start(); err != nil {
+					t.Fatal(err)
+				}
+				stop = rt.Stop
+			} else {
+				host, err := NewHost(SubstrateConfig{Clock: vc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer host.Close()
+				if rt, err = host.Deploy("a", dsl.MustLoad(design), AppConfig{Contexts: map[string]ContextHandler{"C": h}}); err != nil {
+					t.Fatal(err)
+				}
+				stop = func() {
+					if err := host.Undeploy("a"); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			// The device answers 1, 2, 3, … so the windows' values show
+			// their order.
+			var polled atomic.Int64
+			d := device.NewBase("s1", "S", nil, registry.Attributes{"zone": "z"}, vc.Now)
+			d.OnQuery("v", func() (any, error) { return int(polled.Add(1)), nil })
+			if err := rt.BindDevice(d); err != nil {
+				t.Fatal(err)
+			}
+			// Nine ticks close four windows: the first parks the handler and
+			// three queue behind it. The fifth window holds one tick.
+			for i := 0; i < 9; i++ {
+				before := rt.Stats().PeriodicPolls
+				vc.Advance(time.Minute)
+				waitUntil(t, "poll", func() bool { return rt.Stats().PeriodicPolls > before })
+			}
+			if n := len(rt.pollers[0].queue); n != 3 {
+				t.Fatalf("%d windows queued behind the parked handler, want 3", n)
+			}
+			done := make(chan struct{})
+			go func() { stop(); close(done) }()
+			select {
+			case <-done:
+				t.Fatalf("%s returned while the handler was parked", via)
+			case <-time.After(50 * time.Millisecond):
+			}
+			open()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s did not return after the handler was released", via)
+			}
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			want := [][]any{{1, 2}, {3, 4}, {5, 6}, {7, 8}, {9}}
+			if fmt.Sprint(h.windows) != fmt.Sprint(want) {
+				t.Fatalf("windows dispatched by the time %s returned: %v, want %v", via, h.windows, want)
+			}
+		})
 	}
 }
 

@@ -634,10 +634,9 @@ func (rt *Runtime) stopApp() {
 	}
 	rt.wg.Wait()
 	// Cancel this app's subscriptions only. Cancellation drains each
-	// subscription's queue first, so what the app's handlers published
-	// before wg drained (context publications, poll rounds) is still
-	// delivered and counted — hot undeploy keeps delivered+dropped
-	// accounting exact.
+	// subscription's queue first, so the context publications the app's
+	// handlers made before wg drained are still delivered and counted —
+	// hot undeploy keeps delivered+dropped accounting exact.
 	for _, s := range subs {
 		s.Cancel()
 	}
@@ -669,9 +668,9 @@ func (rt *Runtime) Stats() Stats {
 	return rt.stats.snapshot()
 }
 
-// BusStats returns a snapshot of the bus counters: context publications and
-// periodic rounds, not device readings (the bus is lossless, so Dropped
-// stays 0).
+// BusStats returns a snapshot of the bus counters: context publications
+// only, neither device readings nor periodic rounds (the bus is lossless,
+// so Dropped stays 0).
 func (rt *Runtime) BusStats() eventbus.Stats {
 	return rt.bus.Stats()
 }

@@ -26,14 +26,6 @@ type LinkProfile struct {
 	Seed int64
 }
 
-// Predefined profiles.
-var (
-	// LANProfile approximates a home network (small-scale orchestration).
-	LANProfile = LinkProfile{Latency: 500 * time.Microsecond, Jitter: 200 * time.Microsecond}
-	// LPWANProfile approximates a city-scale low-power wide-area uplink.
-	LPWANProfile = LinkProfile{Latency: 40 * time.Millisecond, Jitter: 25 * time.Millisecond, LossRate: 0.01}
-)
-
 // ErrLinkLoss reports a simulated transmission loss.
 type ErrLinkLoss struct {
 	Device string
