@@ -1,7 +1,7 @@
 // Command tenantstorm is the multi-tenant host's storm scenario: N
 // independent DiaSpec apps deployed onto one runtime.Host, sharing one
-// registry, bus and device fleet, each with its own per-tenant ingestion
-// budget and stats namespace. The storm proves the isolation contract:
+// registry and device fleet, each with its own event bus, per-tenant
+// ingestion budget and stats namespace. The storm proves the isolation contract:
 //
 //   - per-tenant exactness — every tenant's delivered + dropped counts
 //     equal its swarm's accepted-reading ground truth, exactly;
@@ -35,8 +35,8 @@ import (
 
 // tenantDesign is one tenant's app over its own slice of the shared
 // fleet: an event-driven context with internal state only (`no publish`),
-// so the measured path is device → shared ingestion substrate → per-app
-// bus topics → handler.
+// so the measured path is device → the app's own ingestion pipeline →
+// handler, with no bus hop.
 func tenantDesign(kind string) string {
 	return fmt.Sprintf(`
 device %[1]s {
@@ -232,8 +232,8 @@ func run(apps, devicesPer, rounds, burst, satBurst int, metricsAddr string) erro
 			}
 		}
 		// Hammer the saturated tenant far past its budget while everyone
-		// else runs at the normal rate: its slow handler backs the shared
-		// bus subscription up, its tiny budget overflows, and its drops
+		// else runs at the normal rate: its slow handler backs its own
+		// ingestion pipeline up, its tiny budget overflows, and its drops
 		// must stay its own.
 		if satIdx >= 0 {
 			sat := tenants[satIdx]

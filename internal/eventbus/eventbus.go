@@ -15,11 +15,12 @@
 // sheds load, it does so upstream, in the runtime's admission budgets and
 // drop ledger, never here.
 //
-// To serve large device populations the bus is sharded: topics are hashed
-// into 16 independent lock domains so publishers on unrelated topics never
-// contend, and subscriber lists are copy-on-write so the publish fast path
-// takes a shared lock and allocates only when a queue grows past its
-// high-water mark. A burst amortizes the remaining per-event bus overhead
+// The runtime gives every app a bus of its own, so a bus holds one topic per
+// context the app publishes and its counters are that app's alone. The topic
+// table is one map under one RWMutex with copy-on-write subscriber lists:
+// Subscribe and Cancel install fresh slices under the write lock, and the
+// publish fast path takes the shared lock and allocates only when a queue
+// grows past its high-water mark. A burst amortizes the remaining per-event bus overhead
 // by travelling as one Weighted payload: a context's value batch, or a
 // device.ReadingBatch where a caller publishes readings on a bus of its
 // own.
@@ -28,7 +29,6 @@ package eventbus
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,19 +90,15 @@ func releasePayload(p any) {
 // ErrClosed is returned by operations on a closed bus.
 var ErrClosed = errors.New("eventbus: closed")
 
-// shardCount is the number of lock domains (a power of two). Topics hash
-// uniformly across shards, so contention between unrelated topics drops by
-// roughly this factor.
-const shardCount = 16
-
-// shardSeed makes the topic→shard hash vary between processes but stay
-// consistent within one bus lifetime.
-var shardSeed = maphash.MakeSeed()
-
-// Bus is a topic-based publish/subscribe dispatcher sharded by topic hash.
-// The zero value is not usable; use New.
+// Bus is a topic-based publish/subscribe dispatcher. The zero value is not
+// usable; use New.
 type Bus struct {
-	shards [shardCount]shard
+	// mu guards the topic table. The subscriber slices in subs are
+	// copy-on-write: Publish reads them under RLock and never mutates,
+	// Subscribe/remove install fresh slices under the write lock.
+	mu     sync.RWMutex
+	subs   map[string][]*Subscription
+	closed bool
 	wg     sync.WaitGroup
 
 	published atomic.Uint64
@@ -113,16 +109,6 @@ type Bus struct {
 	// subscription — discarded. Idle compares the two sides.
 	offered   atomic.Uint64
 	discarded atomic.Uint64
-}
-
-// shard is one independent lock domain of the bus. The subscriber slices in
-// subs are copy-on-write: Publish reads them under RLock and never mutates,
-// Subscribe/remove install fresh slices under the write lock.
-type shard struct {
-	mu     sync.RWMutex
-	subs   map[string][]*Subscription
-	closed bool
-	_      [32]byte // keep neighbouring shard locks off one cache line
 }
 
 // Stats aggregates bus counters. Values are monotonically increasing over
@@ -140,15 +126,7 @@ type Stats struct {
 
 // New returns an empty open bus.
 func New() *Bus {
-	b := &Bus{}
-	for i := range b.shards {
-		b.shards[i].subs = make(map[string][]*Subscription)
-	}
-	return b
-}
-
-func (b *Bus) shard(topic string) *shard {
-	return &b.shards[maphash.String(shardSeed, topic)%shardCount]
+	return &Bus{subs: make(map[string][]*Subscription)}
 }
 
 // SubOption configures a subscription.
@@ -192,20 +170,19 @@ func (b *Bus) Subscribe(topic string, h Handler, opts ...SubOption) (*Subscripti
 	s.notEmpty.L = &s.mu
 	s.notFull.L = &s.mu
 
-	sh := b.shard(topic)
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
 		return nil, ErrClosed
 	}
 	// Copy-on-write: publishers iterating the old slice are unaffected.
-	old := sh.subs[topic]
+	old := b.subs[topic]
 	next := make([]*Subscription, len(old)+1)
 	copy(next, old)
 	next[len(old)] = s
-	sh.subs[topic] = next
+	b.subs[topic] = next
 	b.wg.Add(1)
-	sh.mu.Unlock()
+	b.mu.Unlock()
 
 	go s.run(&b.wg)
 	return s, nil
@@ -215,14 +192,13 @@ func (b *Bus) Subscribe(topic string, h Handler, opts ...SubOption) (*Subscripti
 // for queue space where a subscriber's queue is full. now is recorded as the
 // event time.
 func (b *Bus) Publish(topic string, payload any, now time.Time) error {
-	sh := b.shard(topic)
-	sh.mu.RLock()
-	if sh.closed {
-		sh.mu.RUnlock()
+	b.mu.RLock()
+	if b.closed {
+		b.mu.RUnlock()
 		return ErrClosed
 	}
-	subs := sh.subs[topic]
-	sh.mu.RUnlock()
+	subs := b.subs[topic]
+	b.mu.RUnlock()
 
 	w := payloadWeight(payload)
 	b.published.Add(w)
@@ -235,14 +211,6 @@ func (b *Bus) Publish(topic string, payload any, now time.Time) error {
 		s.enqueue(ev)
 	}
 	return nil
-}
-
-// Subscribers reports the number of active subscriptions on topic.
-func (b *Bus) Subscribers(topic string) int {
-	sh := b.shard(topic)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return len(sh.subs[topic])
 }
 
 // Stats returns a snapshot of the bus counters.
@@ -271,39 +239,31 @@ func (b *Bus) Idle() bool {
 // finish. Further Publish and Subscribe calls return ErrClosed. Close is
 // idempotent.
 func (b *Bus) Close() {
-	var all []*Subscription
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.Lock()
-		if !sh.closed {
-			sh.closed = true
-			for _, subs := range sh.subs {
-				all = append(all, subs...)
-			}
-			sh.subs = make(map[string][]*Subscription)
+	b.mu.Lock()
+	all := b.subs
+	b.subs, b.closed = nil, true
+	b.mu.Unlock()
+	for _, subs := range all {
+		for _, s := range subs {
+			s.stop()
 		}
-		sh.mu.Unlock()
-	}
-	for _, s := range all {
-		s.stop()
 	}
 	b.wg.Wait()
 }
 
 func (b *Bus) remove(s *Subscription) {
-	sh := b.shard(s.topic)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old := sh.subs[s.topic]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	old := b.subs[s.topic]
 	for i, other := range old {
 		if other == s {
 			next := make([]*Subscription, 0, len(old)-1)
 			next = append(next, old[:i]...)
 			next = append(next, old[i+1:]...)
 			if len(next) == 0 {
-				delete(sh.subs, s.topic)
+				delete(b.subs, s.topic)
 			} else {
-				sh.subs[s.topic] = next
+				b.subs[s.topic] = next
 			}
 			break
 		}

@@ -122,8 +122,11 @@ func TestCancelStopsDelivery(t *testing.T) {
 	if got := count.Load(); got != after {
 		t.Fatalf("delivered %d events after Cancel, want 0", got-after)
 	}
-	if n := b.Subscribers("t"); n != 0 {
-		t.Fatalf("Subscribers = %d after Cancel, want 0", n)
+	b.mu.RLock()
+	n := len(b.subs["t"])
+	b.mu.RUnlock()
+	if n != 0 {
+		t.Fatalf("%d subscriptions on t after Cancel, want 0", n)
 	}
 }
 

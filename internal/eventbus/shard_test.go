@@ -10,9 +10,9 @@ import (
 var shardT0 = time.Date(2017, 6, 5, 9, 0, 0, 0, time.UTC)
 
 // TestCrossShardOrderingPerTopic drives one publisher across many topics
-// that hash to different shards and verifies that every topic's subscriber
-// observes exactly its own events, in publication order: each payload is
-// the topic's own publication counter.
+// that share the bus's one topic-table lock and verifies that every topic's
+// subscriber observes exactly its own events, in publication order: each
+// payload is the topic's own publication counter.
 func TestCrossShardOrderingPerTopic(t *testing.T) {
 	b := New()
 	defer b.Close()

@@ -131,8 +131,8 @@ func TestRestoreGarbageResets(t *testing.T) {
 	if err := eng.inner.Restore(strings.NewReader("not a gob stream")); err == nil {
 		t.Fatalf("Restore of garbage succeeded")
 	}
-	if eng.inner.Len() != 0 || eng.inner.GroupCount() != 0 {
-		t.Fatalf("failed restore left %d inputs / %d groups", eng.inner.Len(), eng.inner.GroupCount())
+	if eng.inner.Len() != 0 || len(eng.inner.groups) != 0 {
+		t.Fatalf("failed restore left %d inputs / %d groups", eng.inner.Len(), len(eng.inner.groups))
 	}
 }
 

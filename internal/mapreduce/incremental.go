@@ -158,9 +158,6 @@ func (inc *Incremental[K, V]) Has(id string) bool {
 	return rec != nil && rec.n > 0
 }
 
-// GroupCount reports the number of live groups.
-func (inc *Incremental[K, V]) GroupCount() int { return len(inc.groups) }
-
 // LastFlushDirty reports how many groups the last Flush re-reduced.
 func (inc *Incremental[K, V]) LastFlushDirty() int { return inc.lastDirty }
 

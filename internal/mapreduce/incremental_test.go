@@ -266,7 +266,7 @@ func TestIncrementalReset(t *testing.T) {
 	eng.Upsert("x", "A", false)
 	eng.inner.Reset()
 	out, changed := eng.inner.Flush(nil)
-	if len(out) != 0 || len(changed) != 0 || eng.inner.Len() != 0 || eng.inner.GroupCount() != 0 {
+	if len(out) != 0 || len(changed) != 0 || eng.inner.Len() != 0 || len(eng.inner.groups) != 0 {
 		t.Fatalf("reset left state: out=%v changed=%v", out, changed)
 	}
 }

@@ -5,29 +5,6 @@ import (
 	"testing"
 )
 
-func TestBudgetAllOrNothing(t *testing.T) {
-	b := NewBudget(4)
-	if !b.TryAcquire(4) {
-		t.Fatal("acquire within capacity failed")
-	}
-	if b.TryAcquire(1) {
-		t.Fatal("acquire beyond capacity succeeded")
-	}
-	if got := b.InFlight(); got != 4 {
-		t.Fatalf("in flight = %d, want 4", got)
-	}
-	b.Release(2)
-	if !b.TryAcquire(2) {
-		t.Fatal("acquire after release failed")
-	}
-	if got, want := b.Admitted(), uint64(6); got != want {
-		t.Fatalf("admitted = %d, want %d", got, want)
-	}
-	if got, want := b.Rejected(), uint64(1); got != want {
-		t.Fatalf("rejected = %d, want %d", got, want)
-	}
-}
-
 func TestBudgetAcquireUpTo(t *testing.T) {
 	b := NewBudget(10)
 	if got := b.AcquireUpTo(7); got != 7 {

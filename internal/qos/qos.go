@@ -170,12 +170,6 @@ func (b *Budget) Capacity() int { return int(b.capacity.Load()) }
 // below means unbounded.
 func (b *Budget) SetCapacity(capacity int) { b.capacity.Store(int64(capacity)) }
 
-// TryAcquire admits n units if the whole request fits within the capacity.
-// It is all-or-nothing; use AcquireUpTo for partial admission.
-func (b *Budget) TryAcquire(n int) bool {
-	return b.AcquireUpTo(n) == n
-}
-
 // AcquireUpTo admits as many of n units as fit within the capacity and
 // returns how many were admitted; the remainder is counted as rejected.
 func (b *Budget) AcquireUpTo(n int) int {

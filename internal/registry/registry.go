@@ -337,9 +337,6 @@ func New(opts ...Option) *Registry {
 	return r
 }
 
-// ShardCount reports the number of independent lock domains.
-func (r *Registry) ShardCount() int { return len(r.shards) }
-
 func (r *Registry) shard(id ID) *regShard {
 	return &r.shards[maphash.String(idSeed, string(id))&r.mask]
 }

@@ -166,8 +166,8 @@ func TestScanDuringConcurrentMutation(t *testing.T) {
 func TestWithShardsSingle(t *testing.T) {
 	r := New(WithShards(1))
 	defer r.Close()
-	if r.ShardCount() != 1 {
-		t.Fatalf("ShardCount = %d, want 1", r.ShardCount())
+	if len(r.shards) != 1 {
+		t.Fatalf("%d shards, want 1", len(r.shards))
 	}
 	fill(t, r, 50)
 	if got := r.Count(); got != 50 {
@@ -182,8 +182,8 @@ func TestWithShardsSingle(t *testing.T) {
 func TestShardCountDefault(t *testing.T) {
 	r := New()
 	defer r.Close()
-	if r.ShardCount() != DefaultShards {
-		t.Fatalf("ShardCount = %d, want %d", r.ShardCount(), DefaultShards)
+	if len(r.shards) != DefaultShards {
+		t.Fatalf("%d shards, want %d", len(r.shards), DefaultShards)
 	}
 }
 

@@ -23,7 +23,8 @@ func (rt *Runtime) wireController(ctrl *check.Controller, w *check.ControllerWhe
 		rt:             rt,
 		views:          &discoveryViews{byKey: make(map[string]*discoveryView)},
 	}}
-	return rt.subscribe(rt.pubSites[w.Context.Name].topic, cs.onEvent)
+	_, err := rt.bus.Subscribe(rt.pubSites[w.Context.Name].topic, cs.onEvent)
+	return err
 }
 
 // ctrlCallSite is the dispatch call site of one controller clause, the

@@ -98,7 +98,8 @@ func (rt *Runtime) wireProvided(ctx *check.Context, idx int, in *check.Interacti
 	if in.TriggerKind == check.FromContext {
 		cs := &ctxValueSite{ctxSite: rt.newCtxSite(ctx, idx, in)}
 		cs.call = cs.newCall(time.Time{})
-		return rt.subscribe(rt.pubSites[in.TriggerCtx.Name].topic, cs.onEvent)
+		_, err := rt.bus.Subscribe(rt.pubSites[in.TriggerCtx.Name].topic, cs.onEvent)
+		return err
 	}
 
 	// One pre-classified call site per (kind, source) interaction: the

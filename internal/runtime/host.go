@@ -22,10 +22,10 @@ import (
 )
 
 // This file is the host: the one owner of substrate state. N independently
-// authored DiaSpec apps share its registry, event bus, device fleet and
-// store, each with its own qos budgets, pollers, stats and namespaced
-// topics. The paper's premise is one orchestration app over a sensor fleet
-// (runtime.New: a private host with one app); the ROADMAP north star
+// authored DiaSpec apps share its registry, device fleet and store, each
+// with its own event bus, qos budgets, pollers and stats. The paper's
+// premise is one orchestration app over a sensor fleet (runtime.New: a
+// private host with one app); the ROADMAP north star
 // ("millions of users") means thousands of such apps sharing the fleet
 // (NewHost + Deploy) — the same code serves both.
 
@@ -97,13 +97,12 @@ type AppConfig struct {
 }
 
 // Host runs N independent DiaSpec apps over one shared substrate. Deploy
-// and Undeploy are safe under live traffic: tenants are isolated by
-// namespaced bus topics and per-tenant qos budgets, so installing or
-// draining one app never drops another app's events.
+// and Undeploy are safe under live traffic: each tenant owns its event bus
+// and its qos budgets, so installing or draining one app never drops
+// another app's events.
 type Host struct {
 	clock   simclock.Clock
 	reg     *registry.Registry
-	bus     *eventbus.Bus
 	fleet   *deviceTable
 	onError func(ComponentError)
 
@@ -111,7 +110,7 @@ type Host struct {
 
 	mu         sync.Mutex
 	apps       map[string]*Runtime // nil value = Deploy in flight (slot reserved)
-	undeploys  map[string]bool     // Undeploy in flight
+	undeploys  map[string]*Runtime // Undeploy in flight
 	closed     bool
 	janitorOn  bool
 	watchers   []*registry.Watcher
@@ -124,6 +123,9 @@ type Host struct {
 	// aggSnapKey. Every snapshot carries them forward, so an app that is
 	// not redeployed yet keeps its checkpoint; Undeploy drops the app's.
 	aggRestore map[string][]byte
+	// retiredBus sums the final bus counts of apps no longer deployed, so
+	// HostStats.Bus never goes down when an app leaves.
+	retiredBus eventbus.Stats
 	wg         sync.WaitGroup
 
 	// Operations plane (see ops.go): the drain flag closes event admission
@@ -145,9 +147,8 @@ func NewHost(cfg SubstrateConfig) (*Host, error) {
 		clock:     cfg.Clock,
 		onError:   cfg.OnError,
 		fleet:     newDeviceTable(),
-		bus:       eventbus.New(),
 		apps:      make(map[string]*Runtime),
-		undeploys: make(map[string]bool),
+		undeploys: make(map[string]*Runtime),
 		declApps:  make(map[string][]*Runtime),
 		gauges:    make(map[string]func() map[string]uint64),
 	}
@@ -161,7 +162,6 @@ func NewHost(cfg SubstrateConfig) (*Host, error) {
 	}
 	if cfg.PersistDir != "" {
 		if err := h.openPersistence(cfg.PersistDir, cfg.PersistOpts); err != nil {
-			h.bus.Close()
 			h.reg.Close()
 			return nil, err
 		}
@@ -243,9 +243,9 @@ func (h *Host) openPersistence(dir string, opts persist.Options) error {
 	return nil
 }
 
-// validAppID rejects IDs that would collide in topic or snapshot
-// namespaces: the topic prefix is "app/<id>/" and agg snapshot keys join on
-// NUL, so both characters are reserved.
+// validAppID rejects the empty ID and IDs holding a reserved character:
+// agg snapshot keys join on NUL, and '/' stays reserved for names built
+// from an app ID.
 func validAppID(id string) error {
 	if id == "" {
 		return fmt.Errorf("host: empty app ID: %w", ErrCheckFailed)
@@ -257,7 +257,7 @@ func validAppID(id string) error {
 }
 
 // Deploy checks appID, binds the model's interactions into the live
-// substrate under the app's own topic namespace and qos budgets, and
+// substrate on the app's own bus and under its own qos budgets, and
 // starts the app. It is safe under live traffic: existing apps' deliveries
 // are untouched (their subscriptions, budgets and pollers are disjoint by
 // construction). The returned Runtime is the app's handle — its Stats,
@@ -278,7 +278,7 @@ func (h *Host) Deploy(appID string, model *check.Model, cfg AppConfig) (*Runtime
 		h.mu.Unlock()
 		return nil, fmt.Errorf("host: deploy %s: host closing: %w", appID, ErrDraining)
 	}
-	if h.undeploys[appID] {
+	if h.undeploys[appID] != nil {
 		h.mu.Unlock()
 		return nil, fmt.Errorf("host: deploy %s: %w", appID, ErrDraining)
 	}
@@ -291,14 +291,14 @@ func (h *Host) Deploy(appID string, model *check.Model, cfg AppConfig) (*Runtime
 	h.apps[appID] = nil
 	h.mu.Unlock()
 
+	rt := h.attach(appID, model, cfg)
 	fail := func(err error) (*Runtime, error) {
 		h.mu.Lock()
 		delete(h.apps, appID)
+		h.retireBusLocked(rt)
 		h.mu.Unlock()
 		return nil, err
 	}
-
-	rt := h.attach(appID, model, cfg)
 	for name, ch := range cfg.Contexts {
 		if err := rt.ImplementContext(name, ch); err != nil {
 			return fail(fmt.Errorf("host: deploy %s: %v: %w", appID, err, ErrCheckFailed))
@@ -323,10 +323,9 @@ func (h *Host) Deploy(appID string, model *check.Model, cfg AppConfig) (*Runtime
 	if h.closed {
 		// Close ran between the reservation and here; it skipped the
 		// placeholder, so this app must tear itself down.
-		delete(h.apps, appID)
 		h.mu.Unlock()
 		rt.stopApp()
-		return nil, fmt.Errorf("host: deploy %s: host closing: %w", appID, ErrDraining)
+		return fail(fmt.Errorf("host: deploy %s: host closing: %w", appID, ErrDraining))
 	}
 	h.goLiveLocked(appID, rt)
 	h.mu.Unlock()
@@ -340,6 +339,16 @@ func (h *Host) goLiveLocked(appID string, rt *Runtime) {
 	for kind := range rt.model.Devices {
 		h.declApps[kind] = append(h.declApps[kind], rt)
 	}
+}
+
+// retireBusLocked folds a stopped app's final bus counts into the host's
+// totals. Callers hold h.mu.
+func (h *Host) retireBusLocked(rt *Runtime) {
+	h.retiredBus = addBusStats(h.retiredBus, rt.bus.Stats())
+}
+
+func addBusStats(a, b eventbus.Stats) eventbus.Stats {
+	return eventbus.Stats{Published: a.Published + b.Published, Delivered: a.Delivered + b.Delivered}
 }
 
 // retireLocked removes appID's live app rt and its device declarations.
@@ -358,9 +367,9 @@ func (h *Host) retireLocked(appID string, rt *Runtime) {
 
 // attach builds appID's Runtime over this host's substrate — the first half
 // of Deploy, and all of what runtime.New does before returning: the app can
-// take Implement* and BindDevice calls, and Start wires it. The empty appID
-// is New's: no topic prefix, so a one-app host's topics (and, see
-// aggSnapKey, its checkpoint keys) carry no tenant namespace.
+// take Implement* and BindDevice calls, and Start wires it onto a bus of its
+// own. The empty appID is New's: see aggSnapKey, a one-app host's checkpoint
+// keys carry no tenant namespace.
 func (h *Host) attach(appID string, model *check.Model, cfg AppConfig) *Runtime {
 	rt := &Runtime{
 		model:       model,
@@ -368,7 +377,7 @@ func (h *Host) attach(appID string, model *check.Model, cfg AppConfig) *Runtime 
 		host:        h,
 		clock:       h.clock,
 		reg:         h.reg,
-		bus:         h.bus,
+		bus:         eventbus.New(),
 		fleet:       h.fleet,
 		ingestCfg:   cfg.Ingest,
 		pollWorkers: cfg.PollWorkers,
@@ -378,9 +387,6 @@ func (h *Host) attach(appID string, model *check.Model, cfg AppConfig) *Runtime 
 		clients:     make(map[string]*transport.Client),
 		ingestByKey: make(map[string][]*ingestor),
 		aggByKey:    make(map[string][]*provAgg),
-	}
-	if appID != "" {
-		rt.topicPrefix = "app/" + appID + "/"
 	}
 	if rt.onError == nil {
 		rt.onError = h.onError
@@ -404,11 +410,11 @@ func (h *Host) DeploySource(appID, source string, cfg AppConfig) (*Runtime, erro
 	return h.Deploy(appID, model, cfg)
 }
 
-// Undeploy drains one app out of the live host: its subscriptions are
-// cancelled with their queues drained (delivered+dropped accounting stays
-// exact through the teardown), its pollers and ingestion pipelines stop,
-// and the shared substrate is untouched. The ID is redeployable as soon as
-// Undeploy returns.
+// Undeploy drains one app out of the live host: its pollers and ingestion
+// pipelines stop, then its own bus runs idle before it closes, so every
+// value the app published is delivered (delivered+dropped accounting stays
+// exact through the teardown), and the shared substrate is untouched. The
+// ID is redeployable as soon as Undeploy returns.
 func (h *Host) Undeploy(appID string) error {
 	h.mu.Lock()
 	rt, ok := h.apps[appID]
@@ -417,7 +423,7 @@ func (h *Host) Undeploy(appID string) error {
 		return fmt.Errorf("host: undeploy %s: %w", appID, ErrUnknownApp)
 	}
 	h.retireLocked(appID, rt)
-	h.undeploys[appID] = true
+	h.undeploys[appID] = rt
 	prefix := appID + "\x00"
 	for key := range h.aggRestore {
 		if strings.HasPrefix(key, prefix) {
@@ -428,6 +434,7 @@ func (h *Host) Undeploy(appID string) error {
 	rt.stopApp()
 	h.mu.Lock()
 	delete(h.undeploys, appID)
+	h.retireBusLocked(rt)
 	h.mu.Unlock()
 	return nil
 }
@@ -668,12 +675,14 @@ func (h *Host) RemoteAggregate(kind, source, origin string, partials []transport
 }
 
 // HostStats is the typed cross-tenant snapshot: per-app runtime counters,
-// the shared bus, host-level gauges, and any externally registered gauge
-// sources (the federation tier registers its sync gauges here).
+// the apps' bus totals, host-level gauges, and any externally registered
+// gauge sources (the federation tier registers its sync gauges here).
 type HostStats struct {
 	// Apps maps deployed app ID to that app's counter snapshot.
 	Apps map[string]Stats
-	// Bus is the shared delivery substrate's snapshot.
+	// Bus sums every app's bus counters, read at snapshot time: the live
+	// and undeploying apps' buses plus the final counts of apps already
+	// gone, so it never goes down.
 	Bus eventbus.Stats
 	// UnroutedFederationDrops counts peer-forwarded readings no deployed
 	// app consumed.
@@ -689,10 +698,15 @@ type HostStats struct {
 func (h *Host) Stats() HostStats {
 	h.mu.Lock()
 	apps := make(map[string]*Runtime, len(h.apps))
+	bus := h.retiredBus
 	for id, rt := range h.apps {
 		if rt != nil {
 			apps[id] = rt
+			bus = addBusStats(bus, rt.bus.Stats())
 		}
+	}
+	for _, rt := range h.undeploys {
+		bus = addBusStats(bus, rt.bus.Stats())
 	}
 	gauges := make(map[string]func() map[string]uint64, len(h.gauges))
 	for name, fn := range h.gauges {
@@ -701,7 +715,7 @@ func (h *Host) Stats() HostStats {
 	h.mu.Unlock()
 	st := HostStats{
 		Apps:                    make(map[string]Stats, len(apps)),
-		Bus:                     h.bus.Stats(),
+		Bus:                     bus,
 		UnroutedFederationDrops: h.fedUnrouted.Load(),
 		Errors:                  h.errs.Load(),
 		Gauges:                  make(map[string]map[string]uint64, len(gauges)),
@@ -724,8 +738,8 @@ func (h *Host) AddGauges(name string, fn func() map[string]uint64) {
 	h.gauges[name] = fn
 }
 
-// Close drains every app and seals the substrate: bus, store (final
-// snapshot), and registry. Idempotent.
+// Close drains every app and seals the substrate: store (final snapshot)
+// and registry. Idempotent.
 func (h *Host) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -752,7 +766,6 @@ func (h *Host) Close() {
 		w.Cancel()
 	}
 	h.wg.Wait()
-	h.bus.Close()
 	// The store seals with a final snapshot (after a Crash hook fired it
 	// writes nothing: the directory stays as the crash instant left it).
 	// That snapshot captures the registry, so the store seals before the
@@ -766,6 +779,11 @@ func (h *Host) Close() {
 	}
 	h.reg.Close()
 	h.mu.Lock()
+	for _, rt := range h.apps {
+		if rt != nil {
+			h.retireBusLocked(rt)
+		}
+	}
 	h.apps = make(map[string]*Runtime)
 	clear(h.declApps)
 	h.mu.Unlock()

@@ -21,7 +21,7 @@ import (
 )
 
 // White-box tests of the multi-tenant host: typed deploy errors, per-tenant
-// isolation (topics, budgets, stats), hot deploy/undeploy under live
+// isolation (buses, budgets, stats), hot deploy/undeploy under live
 // traffic, per-app federation routing, per-app persisted aggregate
 // checkpoints, and the WithPollWorkers(0) regression. All run under -race
 // in CI.
@@ -113,16 +113,17 @@ func deployTenant(t *testing.T, h *Host, id string, cfg AppConfig) *Runtime {
 	return rt
 }
 
-// hostBusEvent publishes one event through the host's bus to a subscriber
-// and returns once it is delivered. Device readings reach their interaction
-// without the bus, so tenantDesign apps alone leave its counters at zero.
-func hostBusEvent(t *testing.T, h *Host) {
+// hostBusEvent publishes one event through an app's bus to a subscriber
+// and returns once it is delivered; the host's bus counts sum it. Device
+// readings reach their interaction without the bus, so tenantDesign apps
+// alone leave its counters at zero.
+func hostBusEvent(t *testing.T, rt *Runtime) {
 	t.Helper()
-	sub, err := h.bus.Subscribe("test/bus", func(eventbus.Event) {})
+	sub, err := rt.bus.Subscribe("test/bus", func(eventbus.Event) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.bus.Publish("test/bus", 1, time.Time{}); err != nil {
+	if err := rt.bus.Publish("test/bus", 1, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	sub.Cancel() // drains the queued event first
@@ -583,7 +584,7 @@ func TestHostStatsAndAdmin(t *testing.T) {
 	if st.Bus != (eventbus.Stats{}) {
 		t.Fatalf("a device reading counted on the bus: %+v", st.Bus)
 	}
-	hostBusEvent(t, h)
+	hostBusEvent(t, rtA)
 	if st := h.Stats(); st.Bus.Delivered == 0 {
 		t.Fatalf("bus stats missing: %+v", st.Bus)
 	}
@@ -613,6 +614,78 @@ func TestHostStatsAndAdmin(t *testing.T) {
 	}
 	if err := adm.RemoveApp("wire"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHostBusCountsNeverGoDown: the host's bus counts sum every app's own
+// bus, so an undeploy must neither drop the leaving app's counts — while its
+// bus drains or after it closed — nor count them twice. HostStats.Bus and
+// the FleetStats host rows are read throughout a relay app's Undeploy,
+// parked controller and all, and must read exact once it returns.
+func TestHostBusCountsNeverGoDown(t *testing.T) {
+	h, err := NewHost(SubstrateConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	gate := make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate() // a failed check must not leave the handler parked
+	rt, err := h.DeploySource("relay", relayDesign("always publish", "always publish"), AppConfig{
+		AutoImplement: true,
+		Controllers:   map[string]ControllerHandler{"K": &gatedCtrl{gate: gate}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 50
+	at := time.Unix(1000, 0)
+	for i := 0; i < n; i++ {
+		b := device.NewReadingBatch()
+		b.Append(device.Reading{DeviceID: "m1", Source: "level", Value: int64(i), Time: at})
+		deliverReadings(t, rt, "Meter", "level", b)
+		b.Release()
+	}
+	waitUntil(t, "both contexts to publish", func() bool { return rt.Stats().ContextPublishes == 2*n })
+
+	// A's topic carries every value to B and N, B's to the parked K.
+	wantPublished, wantDelivered := uint64(2*n), uint64(3*n)
+	var last [4]uint64 // HostStats published, delivered; FleetStats rows
+	sample := func() [4]uint64 {
+		t.Helper()
+		bs, hc := h.Stats().Bus, h.FleetStats().Host.Counters
+		now := [4]uint64{bs.Published, bs.Delivered, hc["bus_published"], hc["bus_delivered"]}
+		for i := range now {
+			if now[i] < last[i] {
+				t.Fatalf("bus count %d went down: %v after %v", i, now, last)
+			}
+		}
+		last = now
+		return now
+	}
+	if got := sample(); got[0] != wantPublished {
+		t.Fatalf("published %d before the undeploy, want %d", got[0], wantPublished)
+	}
+	done := make(chan error, 1)
+	go func() { done <- h.Undeploy("relay") }()
+	waitUntil(t, "the undeploy to begin", func() bool { _, live := h.App("relay"); return !live })
+	for i := 0; i < 20; i++ { // the app's bus is draining behind the parked controller
+		sample()
+	}
+	openGate()
+	for draining := true; draining; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			draining = false
+		default:
+		}
+		sample()
+	}
+	if got, want := sample(), [4]uint64{wantPublished, wantDelivered, wantPublished, wantDelivered}; got != want {
+		t.Fatalf("bus counts after the undeploy %v, want %v", got, want)
 	}
 }
 

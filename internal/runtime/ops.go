@@ -244,14 +244,16 @@ func (h *Host) Drain() (transport.DrainReport, error) {
 		time.Sleep(drainPollInterval)
 	}
 	// The budgets released, so every admitted reading has been delivered
-	// to its interaction; let the context publications queued on the bus
-	// (and what their handlers publish) finish before snapshotting, so the
-	// snapshot's aggregate checkpoints cover them. Periodic rounds queued
-	// on a poller's dispatch worker need no wait: the snapshot holds no
-	// periodic engine (it checkpoints provAggs only), and pollers keep
-	// polling through a drain anyway.
-	for rep.Clean && !h.bus.Idle() && time.Now().Before(deadline) {
-		time.Sleep(drainPollInterval)
+	// to its interaction; let the context publications queued on each
+	// app's bus (and what their handlers publish, on the same bus) finish
+	// before snapshotting, so the snapshot's aggregate checkpoints cover
+	// them. Periodic rounds queued on a poller's dispatch worker need no
+	// wait: the snapshot holds no periodic engine (it checkpoints provAggs
+	// only), and pollers keep polling through a drain anyway.
+	for _, rt := range apps {
+		for rep.Clean && !rt.bus.Idle() && time.Now().Before(deadline) {
+			time.Sleep(drainPollInterval)
+		}
 	}
 	if h.store != nil {
 		if err := h.store.Snapshot(); err != nil {

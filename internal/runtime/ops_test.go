@@ -104,7 +104,7 @@ func TestHostFleetStats(t *testing.T) {
 		da.Emit("presence", true)
 	}
 	waitUntil(t, "delivery", func() bool { return ha.n.Load() == n })
-	hostBusEvent(t, h)
+	hostBusEvent(t, rtA)
 
 	fs := h.FleetStats()
 	if fs.Host.App != "host" || fs.Host.Counters["bus_published"] == 0 {

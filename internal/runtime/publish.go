@@ -101,14 +101,13 @@ func (s *pubSite) flush(b *valueBatch) {
 }
 
 // compilePubSitesLocked builds the publication site of every declared
-// context. Topics are prefix-aware: a hosted app's topics all live under
-// "app/<id>/", so N tenants on one shared bus can never cross-deliver — an
-// event published for app A's context is unroutable to app B by
-// construction, not by filtering. Caller holds rt.mu.
+// context. Its topic lives on the app's own bus, so an event published for
+// app A's context is unroutable to app B by construction, not by
+// filtering. Caller holds rt.mu.
 func (rt *Runtime) compilePubSitesLocked() {
 	rt.pubSites = make(map[string]*pubSite, len(rt.model.Contexts))
 	for name := range rt.model.Contexts {
-		rt.pubSites[name] = &pubSite{rt: rt, name: name, topic: rt.topicPrefix + "context/" + name}
+		rt.pubSites[name] = &pubSite{rt: rt, name: name, topic: "context/" + name}
 	}
 }
 

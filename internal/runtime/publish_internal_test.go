@@ -209,13 +209,13 @@ func runRelayProperty(t *testing.T, modeA, modeB string, seed int64) {
 	}
 
 	waitUntil(t, "the chain to settle", func() bool {
-		bs := rt.BusStats()
+		bs := rt.bus.Stats()
 		return bs.Delivered == ref.busDelivered && rt.Stats().ControllerTriggers == ref.ctrlTrigger
 	})
 	if got := ctrl.snapshot(); !reflect.DeepEqual(got, ref.seen) {
 		t.Fatalf("controller saw %d values %v…, reference %d values %v…", len(got), head(got), len(ref.seen), head(ref.seen))
 	}
-	st, bs := rt.Stats(), rt.BusStats()
+	st, bs := rt.Stats(), rt.bus.Stats()
 	got := [...]uint64{st.ContextTriggers, st.ContextPublishes, st.ControllerTriggers, bs.Published, bs.Delivered, errs.Load()}
 	want := [...]uint64{ref.ctxTriggers, ref.ctxPublishes, ref.ctrlTrigger, ref.busPublished, ref.busDelivered, ref.errs}
 	if got != want {
@@ -387,6 +387,111 @@ func TestHostUndeployDrainsQueuedValueBatches(t *testing.T) {
 	if bs.Published != 2*deliveries*rows || bs.Delivered != 3*deliveries*rows {
 		t.Fatalf("bus published %d (want %d), delivered %d (want %d)",
 			bs.Published, 2*deliveries*rows, bs.Delivered, 3*deliveries*rows)
+	}
+}
+
+// chainDesign is a context chain whose downstream context sorts before its
+// upstream: Meter → Zed → Mid → Alpha.
+const chainDesign = `
+device Meter { source level as Integer; }
+
+context Zed as Integer {
+	when provided level from Meter
+	always publish;
+}
+
+context Mid as Integer {
+	when provided Zed
+	always publish;
+}
+
+context Alpha as Integer {
+	when provided Mid
+	no publish;
+}
+`
+
+// TestStopDrainsChainWhoseDownstreamSortsFirst: every value queued in a
+// context chain when its app stops reaches the end of the chain, whatever
+// order the contexts sort in. Mid is parked with Zed's 20 publications
+// queued behind it when the stop begins. Cancelling the app's subscriptions
+// one at a time in wiring (alphabetical) order removed Alpha's first, so
+// Mid's drain published into a topic with no subscriber and, uncounted,
+// Alpha saw 0 of 20. The stop now waits for the app's own bus to go idle
+// before closing it. See it on a checkout from before that change:
+//
+//	go test -race -run TestStopDrainsChainWhoseDownstreamSortsFirst ./internal/runtime/
+func TestStopDrainsChainWhoseDownstreamSortsFirst(t *testing.T) {
+	model, err := dsl.Load(chainDesign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stop := range []string{"Host.Undeploy", "Runtime.Stop", "Host.Close"} {
+		t.Run(stop, func(t *testing.T) {
+			gate := make(chan struct{})
+			openGate := sync.OnceFunc(func() { close(gate) })
+			defer openGate() // a failed check must not leave Mid parked
+			zed, mid, alpha := &recHandler{}, &recHandler{gate: gate}, &recHandler{}
+			contexts := map[string]ContextHandler{"Zed": zed, "Mid": mid, "Alpha": alpha}
+
+			var rt *Runtime
+			var stopApp func() error
+			if stop == "Runtime.Stop" {
+				rt = New(model)
+				defer rt.Stop()
+				for name, h := range contexts {
+					if err := rt.ImplementContext(name, h); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := rt.Start(); err != nil {
+					t.Fatal(err)
+				}
+				stopApp = func() error { rt.Stop(); return nil }
+			} else {
+				h, err := NewHost(SubstrateConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer h.Close()
+				if rt, err = h.Deploy("chain", model, AppConfig{Contexts: contexts}); err != nil {
+					t.Fatal(err)
+				}
+				stopApp = func() error { return h.Undeploy("chain") }
+				if stop == "Host.Close" {
+					stopApp = func() error { h.Close(); return nil }
+				}
+			}
+
+			const readings = 20
+			at := time.Unix(1000, 0)
+			for i := 0; i < readings; i++ {
+				b := device.NewReadingBatch()
+				b.Append(device.Reading{DeviceID: "m1", Source: "level", Value: int64(i), Time: at})
+				deliverReadings(t, rt, "Meter", "level", b)
+				b.Release()
+			}
+			waitUntil(t, "Zed to publish every reading", func() bool { return rt.Stats().ContextPublishes == readings })
+
+			done := make(chan error, 1)
+			go func() { done <- stopApp() }()
+			waitUntil(t, "the stop to begin", func() bool {
+				rt.mu.Lock()
+				defer rt.mu.Unlock()
+				return rt.stopped
+			})
+			openGate()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			st := rt.Stats()
+			if got := alpha.n.Load(); got != readings {
+				t.Fatalf("Alpha saw %d of %d values (ContextTriggers %d, drops %d)", got, readings, st.ContextTriggers, st.Drops())
+			}
+			if st.ContextTriggers != 3*readings || st.Drops() != 0 {
+				t.Fatalf("ContextTriggers %d (want %d), drops %d (want 0)", st.ContextTriggers, 3*readings, st.Drops())
+			}
+		})
 	}
 }
 

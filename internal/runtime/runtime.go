@@ -260,11 +260,12 @@ func (c *statCounters) snapshot() Stats {
 }
 
 // Runtime is one application built from a checked design, running on a
-// Host's substrate. The Host owns everything apps share — bus, registry,
-// device table, store, lease janitor, metrics listener, drain state — and a
-// Runtime owns only what is per app: handlers, subscriptions, pollers,
-// ingestion pipelines and counters. runtime.New builds a private one-app
-// Host for the Runtime it returns; Host.Deploy adds one to a shared Host.
+// Host's substrate. The Host owns everything apps share — registry, device
+// table, store, lease janitor, metrics listener, drain state — and a Runtime
+// owns what is per app: handlers, its event bus and the subscriptions on
+// it, pollers, ingestion pipelines and counters. runtime.New builds a
+// private one-app Host for the Runtime it returns; Host.Deploy adds one to
+// a shared Host.
 // The substrate methods on Runtime (BindDevice, Persistence, Drain, …)
 // delegate to that owning Host.
 type Runtime struct {
@@ -273,27 +274,27 @@ type Runtime struct {
 	pollWorkers int
 	onError     func(ComponentError)
 
-	// host owns the substrate. reg, bus, fleet and clock are copies of its
+	// host owns the substrate. reg, fleet and clock are copies of its
 	// fields taken at attach so hot paths skip the indirection.
 	host  *Host
 	reg   *registry.Registry
-	bus   *eventbus.Bus
 	fleet *deviceTable
 	clock simclock.Clock
 
-	// Tenancy. appID is "" exactly when New built the host for this
-	// runtime alone (Deploy rejects the empty ID): Stop then closes it.
-	// topicPrefix namespaces every bus topic of a deployed app
-	// ("app/<id>/") so N apps share one bus without topic collisions.
-	appID       string
-	topicPrefix string
+	// bus is the app's own: it carries this app's context publications and
+	// nothing else, so tenants are isolated by owning their bus and its
+	// Idle is exact when the app stops.
+	bus *eventbus.Bus
+
+	// appID is "" exactly when New built the host for this runtime alone
+	// (Deploy rejects the empty ID): Stop then closes it.
+	appID string
 
 	initErr error // New's substrate failure, surfaced by Start
 
 	mu          sync.Mutex
 	started     bool
 	stopped     bool
-	subs        []*eventbus.Subscription
 	contexts    map[string]ContextHandler
 	controllers map[string]ControllerHandler
 	clients     map[string]*transport.Client
@@ -405,8 +406,8 @@ func WithPersistence(dir string, opts persist.Options) Option {
 }
 
 // New creates the Runtime of a checked design model on a private one-app
-// Host: app ID "" (no topic prefix, un-namespaced aggregate checkpoint keys,
-// fleet_stats scope "default"). The substrate is this runtime's alone, so
+// Host: app ID "" (un-namespaced aggregate checkpoint keys, fleet_stats
+// scope "default"). The substrate is this runtime's alone, so
 // Stop closes it. A substrate that fails to come up (persistence
 // misconfigured or unrecoverable, metrics address in use) leaves the handle
 // usable on a bare substrate and fails Start with the cause.
@@ -582,9 +583,9 @@ func (rt *Runtime) Start() error {
 	return nil
 }
 
-// Stop tears down the app: pollers, pipelines, subscriptions and transports.
+// Stop tears down the app: pollers, pipelines, its bus and transports.
 // It is idempotent. On a runtime built by New it then closes the private
-// host — bus, store (final snapshot) and registry; an app deployed
+// host — store (final snapshot) and registry; an app deployed
 // on a shared Host leaves the substrate live for the other tenants.
 func (rt *Runtime) Stop() {
 	rt.stopApp()
@@ -608,8 +609,7 @@ func (rt *Runtime) stopApp() {
 	ingestors := rt.ingestors
 	watchers := rt.watchers
 	clients := rt.clients
-	subs := rt.subs
-	rt.pollers, rt.trackers, rt.ingestors, rt.watchers, rt.subs = nil, nil, nil, nil, nil
+	rt.pollers, rt.trackers, rt.ingestors, rt.watchers = nil, nil, nil, nil
 	rt.ingestByKey = make(map[string][]*ingestor)
 	// aggByKey is deliberately kept: the store's final snapshot (sealed by
 	// Host.Close) captures each engine's checkpoint from it after the
@@ -633,13 +633,15 @@ func (rt *Runtime) stopApp() {
 		ing.stop()
 	}
 	rt.wg.Wait()
-	// Cancel this app's subscriptions only. Cancellation drains each
-	// subscription's queue first, so the context publications the app's
-	// handlers made before wg drained are still delivered and counted —
-	// hot undeploy keeps delivered+dropped accounting exact.
-	for _, s := range subs {
-		s.Cancel()
+	// Only the app's own handlers publish on its bus, and nothing feeds
+	// them any more, so once the bus is idle no publication is left: every
+	// value published before the stop has been delivered and counted,
+	// however the app's contexts chain — hot undeploy keeps
+	// delivered+dropped accounting exact.
+	for !rt.bus.Idle() {
+		time.Sleep(drainPollInterval)
 	}
+	rt.bus.Close()
 	for _, pa := range rt.provAggs() {
 		pa.shedPending()
 	}
@@ -648,31 +650,10 @@ func (rt *Runtime) stopApp() {
 	}
 }
 
-// subscribe is the tracked form of bus.Subscribe: an app must be able to
-// release exactly its own subscriptions at Undeploy without closing the
-// shared bus, so every wiring path records what it subscribed.
-func (rt *Runtime) subscribe(topic string, h eventbus.Handler, opts ...eventbus.SubOption) error {
-	sub, err := rt.bus.Subscribe(topic, h, opts...)
-	if err != nil {
-		return err
-	}
-	rt.mu.Lock()
-	rt.subs = append(rt.subs, sub)
-	rt.mu.Unlock()
-	return nil
-}
-
 // Stats returns a snapshot of runtime counters. Counters are atomics, so
 // the snapshot never contends with polling rounds or dispatch.
 func (rt *Runtime) Stats() Stats {
 	return rt.stats.snapshot()
-}
-
-// BusStats returns a snapshot of the bus counters: context publications
-// only, neither device readings nor periodic rounds (the bus is lossless,
-// so Dropped stays 0).
-func (rt *Runtime) BusStats() eventbus.Stats {
-	return rt.bus.Stats()
 }
 
 // ReportError feeds an external subsystem's failure into the runtime's

@@ -186,14 +186,6 @@ func (v *Virtual) AdvanceTo(t time.Time) {
 	}
 }
 
-// PendingTimers reports how many timers and tickers are armed. Intended for
-// tests.
-func (v *Virtual) PendingTimers() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.timers)
-}
-
 func (v *Virtual) stopTimer(vt *vtimer) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()

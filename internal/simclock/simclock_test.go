@@ -162,7 +162,7 @@ func TestSleepWakesOnAdvance(t *testing.T) {
 		v.Sleep(time.Second)
 		close(done)
 	}()
-	waitFor(t, func() bool { return v.PendingTimers() == 1 })
+	waitFor(t, func() bool { return pendingTimers(v) == 1 })
 	v.Advance(time.Second)
 	select {
 	case <-done:
@@ -183,8 +183,8 @@ func TestTickerStopPreventsFurtherTicks(t *testing.T) {
 		t.Fatal("tick delivered after Stop")
 	default:
 	}
-	if n := v.PendingTimers(); n != 0 {
-		t.Fatalf("PendingTimers = %d after Stop, want 0", n)
+	if n := pendingTimers(v); n != 0 {
+		t.Fatalf("%d timers armed after Stop, want 0", n)
 	}
 }
 
@@ -250,11 +250,18 @@ func TestQuickAllDueTimersFire(t *testing.T) {
 				return false
 			}
 		}
-		return v.PendingTimers() == 0
+		return pendingTimers(v) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// pendingTimers reports how many timers and tickers v has armed.
+func pendingTimers(v *Virtual) int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return len(v.timers)
 }
 
 func waitFor(t *testing.T, cond func() bool) {

@@ -114,7 +114,6 @@ type ManagedClient struct {
 
 	reconnects      atomic.Uint64
 	heartbeatMisses atomic.Uint64
-	fastFails       atomic.Uint64
 
 	// codecFallbacks accumulates gob-slice publishes across every
 	// connection this link dials, so the counter survives reconnects.
@@ -156,21 +155,11 @@ func (m *ManagedClient) dial() (*Client, error) {
 // Health reports the link's current state.
 func (m *ManagedClient) Health() Health { return Health(m.health.Load()) }
 
-// Connected reports whether a live connection is currently held.
-func (m *ManagedClient) Connected() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cur != nil
-}
-
 // Reconnects counts successful reconnections over the link's life.
 func (m *ManagedClient) Reconnects() uint64 { return m.reconnects.Load() }
 
 // HeartbeatMisses counts failed heartbeat probes.
 func (m *ManagedClient) HeartbeatMisses() uint64 { return m.heartbeatMisses.Load() }
-
-// FastFails counts calls refused with ErrPeerDown while disconnected.
-func (m *ManagedClient) FastFails() uint64 { return m.fastFails.Load() }
 
 // CodecFallbacks counts event batches and agg syncs shipped as gob slices
 // because the payload has no column form, cumulative across reconnects.
@@ -237,7 +226,6 @@ func (m *ManagedClient) client() (*Client, error) {
 		return nil, ErrClosed
 	}
 	if m.cur == nil {
-		m.fastFails.Add(1)
 		return nil, fmt.Errorf("%w: %s (%s)", ErrPeerDown, m.cfg.Addr, m.Health())
 	}
 	return m.cur, nil

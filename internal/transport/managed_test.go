@@ -12,6 +12,13 @@ import (
 	"repro/internal/device"
 )
 
+// connected reports whether m holds a live connection.
+func connected(m *ManagedClient) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.cur != nil
+}
+
 func waitCond(t *testing.T, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -76,8 +83,8 @@ func TestManagedClientReconnectLifecycle(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("fast-fail took %v", elapsed)
 	}
-	if m.FastFails() == 0 {
-		t.Fatal("fast-fail not counted")
+	if connected(m) {
+		t.Fatal("fast-fail while a connection was held")
 	}
 
 	// Resurrect the server at the same address (node restart).
@@ -88,7 +95,7 @@ func TestManagedClientReconnectLifecycle(t *testing.T) {
 	defer srv2.Close()
 
 	waitCond(t, 10*time.Second, "reconnect", func() bool {
-		return m.Health() == HealthUp && m.Connected()
+		return m.Health() == HealthUp && connected(m)
 	})
 	if m.Reconnects() == 0 {
 		t.Fatal("reconnect not counted")
@@ -131,7 +138,7 @@ func TestManagedClientUpChanSignalsHeal(t *testing.T) {
 	}
 
 	srv.Close()
-	waitCond(t, 5*time.Second, "link down", func() bool { return !m.Connected() })
+	waitCond(t, 5*time.Second, "link down", func() bool { return !connected(m) })
 	ch := m.UpChan()
 	select {
 	case <-ch:
@@ -175,7 +182,7 @@ func TestManagedClientCloseWhileReconnecting(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close() // never comes back: reconnect loops forever
-	waitCond(t, 5*time.Second, "link down", func() bool { return !m.Connected() })
+	waitCond(t, 5*time.Second, "link down", func() bool { return !connected(m) })
 
 	done := make(chan struct{})
 	go func() {
@@ -247,7 +254,7 @@ func TestManagedReconnectRestartsDictionary(t *testing.T) {
 	mu.Lock()
 	_ = conns[0].Close()
 	mu.Unlock()
-	waitCond(t, 5*time.Second, "reconnect", func() bool { return m.Reconnects() > 0 && m.Connected() })
+	waitCond(t, 5*time.Second, "reconnect", func() bool { return m.Reconnects() > 0 && connected(m) })
 	publish(2)
 	m.Close() // no more writes: the recorded wires are final
 

@@ -466,7 +466,7 @@ func TestManagedWaitFeedsHealthLadder(t *testing.T) {
 	}
 	openGate()
 	<-closed
-	if m.Health() == HealthUp || m.Connected() {
-		t.Fatalf("link still %v/connected=%v after a failed Wait", m.Health(), m.Connected())
+	if m.Health() == HealthUp || connected(m) {
+		t.Fatalf("link still %v/connected=%v after a failed Wait", m.Health(), connected(m))
 	}
 }
