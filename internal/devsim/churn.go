@@ -7,14 +7,10 @@ import (
 
 // ChurnHooks connects a ChurnSwarm to the hosting runtime without coupling
 // devsim to it: Bind and Unbind wire to the runtime's BindDevice and
-// UnbindDevice (Bind may register with a lease), and the optional Renew
-// extends a live sensor's lease so that churned-out sensors — which are
-// never renewed — expire on their own, exercising the lease-expiry form of
-// churn alongside explicit unregistration.
+// UnbindDevice.
 type ChurnHooks struct {
 	Bind   func(*SwarmSensor) error
 	Unbind func(id string) error
-	Renew  func(id string) error
 }
 
 // ChurnSwarm drives fleet churn over a Swarm while keeping the ground truth
@@ -136,11 +132,8 @@ func (c *ChurnSwarm) ChurnIn(n int) error {
 	return nil
 }
 
-// ChurnOut unbinds up to n live sensors (oldest bind first). When viaLease
-// is true the sensors are only marked dead — their registration is left to
-// lapse because Renew skips them — otherwise they are unregistered
-// explicitly.
-func (c *ChurnSwarm) ChurnOut(n int, viaLease bool) error {
+// ChurnOut unbinds up to n live sensors (oldest bind first).
+func (c *ChurnSwarm) ChurnOut(n int) error {
 	for i := 0; i < n; i++ {
 		c.mu.Lock()
 		if len(c.liveIdx) == 0 {
@@ -153,43 +146,25 @@ func (c *ChurnSwarm) ChurnOut(n int, viaLease bool) error {
 		c.deadIdx = append(c.deadIdx, idx)
 		c.churnedOut++
 		c.mu.Unlock()
-		if !viaLease {
-			if err := c.hooks.Unbind(c.swarm.sensors[idx].ID()); err != nil {
-				return err
-			}
+		if err := c.hooks.Unbind(c.swarm.sensors[idx].ID()); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // Churn rotates n sensors out (oldest first) and n back in, keeping the
-// population size constant — one churn step of the storm workload.
+// population size constant — one churn step of the storm workload. Sensors
+// leave by unbind only: a registration has no lease to lapse, so viaLease
+// true is refused.
 func (c *ChurnSwarm) Churn(n int, viaLease bool) error {
-	if err := c.ChurnOut(n, viaLease); err != nil {
+	if viaLease {
+		return errors.New("devsim: churn via lease lapse is not supported; sensors leave by unbind")
+	}
+	if err := c.ChurnOut(n); err != nil {
 		return err
 	}
 	return c.ChurnIn(n)
-}
-
-// RenewLive extends the lease of every intended-live sensor through the
-// Renew hook. Churned-out sensors are skipped, so with leased bindings they
-// expire once the clock passes their TTL.
-func (c *ChurnSwarm) RenewLive() error {
-	if c.hooks.Renew == nil {
-		return errors.New("devsim: no Renew hook configured")
-	}
-	c.mu.Lock()
-	ids := make([]string, len(c.liveIdx))
-	for i, idx := range c.liveIdx {
-		ids[i] = c.swarm.sensors[idx].ID()
-	}
-	c.mu.Unlock()
-	for _, id := range ids {
-		if err := c.hooks.Renew(id); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // StormLive flips n intended-live sensors round-robin. Readings accepted by

@@ -156,7 +156,7 @@ func TestChurnSwarmGroundTruth(t *testing.T) {
 	if got := cs.StormDead(4); got != 0 {
 		t.Fatalf("dead storm accepted %d readings", got)
 	}
-	if err := cs.ChurnOut(3, false); err != nil {
+	if err := cs.ChurnOut(3); err != nil {
 		t.Fatal(err)
 	}
 	if got := cs.LiveCount(); got != n-3 {
@@ -180,10 +180,9 @@ func TestChurnSwarmGroundTruth(t *testing.T) {
 	}
 }
 
-// TestChurnSwarmLeaseMode checks that viaLease churn leaves unregistration
-// to the lease: the Unbind hook is never called for leased departures, and
-// Settled turns true only after the (simulated) expiry detaches the sink.
-func TestChurnSwarmLeaseMode(t *testing.T) {
+// TestChurnViaLeaseRefused: sensors leave only by unbind, so a churn step
+// asked to let registrations lapse fails before it touches the fleet.
+func TestChurnViaLeaseRefused(t *testing.T) {
 	const n = 6
 	s := newChurnTestSwarm(n)
 	h := &churnHarness{sink: &recordingSink{}, cancels: map[string]func(){}}
@@ -194,31 +193,13 @@ func TestChurnSwarmLeaseMode(t *testing.T) {
 	if err := cs.BindAll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cs.ChurnOut(2, true); err != nil {
-		t.Fatal(err)
+	if err := cs.Churn(2, true); err == nil {
+		t.Fatal("Churn(2, true) succeeded")
 	}
 	h.mu.Lock()
 	unbinds := h.unbinds
 	h.mu.Unlock()
-	if unbinds != 0 {
-		t.Fatalf("lease churn called Unbind %d times", unbinds)
-	}
-	if cs.Settled() {
-		t.Fatal("settled while leases have not lapsed")
-	}
-	// Simulate the expiry: the registry would drop the entities and the
-	// tracker detach the sinks — here the harness does it directly.
-	for _, id := range []string{s.Sensors()[0].ID(), s.Sensors()[1].ID()} {
-		h.mu.Lock()
-		cancel := h.cancels[id]
-		delete(h.cancels, id)
-		h.mu.Unlock()
-		cancel()
-	}
-	if !cs.Settled() {
-		t.Fatal("not settled after lease lapse")
-	}
-	if got := cs.StormDead(2); got != 0 {
-		t.Fatalf("expired sensors accepted %d readings", got)
+	if unbinds != 0 || cs.LiveCount() != n {
+		t.Fatalf("refused churn unbound %d sensors, %d live; want 0 and %d", unbinds, cs.LiveCount(), n)
 	}
 }

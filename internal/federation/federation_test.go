@@ -298,7 +298,7 @@ func TestBindBurstBehindSlowExporterDoesNotReconcile(t *testing.T) {
 	}
 	waitFor(t, "every bound sensor hosted", func() bool { return owner.Stats().ExportedHosted == sensors })
 	settle(t, cs)
-	if err := cs.ChurnOut(sensors/2, false); err != nil {
+	if err := cs.ChurnOut(sensors / 2); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "unbound sensors unhosted", func() bool { return owner.Stats().ExportedHosted == sensors/2 })

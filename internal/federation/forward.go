@@ -28,7 +28,7 @@ import (
 // registry through a registry attachment table (registry.Attachments, the
 // same table the runtime binds its event sources with): every local entity
 // of the kind is hosted (and, when the export names a source,
-// sink-attached) while registered, released on unregister or lease expiry.
+// sink-attached) while registered, released on unregister.
 type exporter struct {
 	n      *Node
 	kind   string

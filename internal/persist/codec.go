@@ -16,7 +16,6 @@ import (
 	"errors"
 	"math"
 	"sort"
-	"time"
 )
 
 // errCorrupt marks a record or snapshot that fails structural validation;
@@ -79,8 +78,6 @@ func (e *enc) u64Map(m map[string]uint64) {
 		e.u64(m[k])
 	}
 }
-
-func (e *enc) dur(d time.Duration) { e.i64(int64(d)) }
 
 // dec reads an enc-built buffer with a sticky error: after the first
 // malformed field every further read returns zero values, and the caller
@@ -215,8 +212,6 @@ func (d *dec) u64Map() map[string]uint64 {
 	}
 	return out
 }
-
-func (d *dec) dur() time.Duration { return time.Duration(d.i64()) }
 
 // done reports whether the buffer was consumed exactly.
 func (d *dec) done() bool { return d.err == nil && len(d.b) == 0 }

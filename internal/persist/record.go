@@ -1,17 +1,13 @@
 package persist
 
-import (
-	"time"
-
-	"repro/internal/registry"
-)
+import "repro/internal/registry"
 
 // WAL record types. A record's framing (length + CRC) lives in wal.go; this
 // file is the payload schema.
 const (
 	// recMutation is one registry mutation: the change type, the mutating
 	// shard's post-mutation generation counters (the record's sequence
-	// numbers), the entity and its remaining lease.
+	// numbers) and the entity.
 	recMutation byte = 1
 	// recPeer is one federation peer's sync cursor: the per-kind generations
 	// this node has mirrored from it and the peer's boot epoch.
@@ -30,12 +26,11 @@ const (
 
 // mutation is the decoded form of a recMutation payload.
 type mutation struct {
-	typ            registry.ChangeType
-	shard          int
-	genAll         uint64
-	kindGens       []registry.KindGen
-	entity         registry.Entity
-	leaseRemaining time.Duration
+	typ      registry.ChangeType
+	shard    int
+	genAll   uint64
+	kindGens []registry.KindGen
+	entity   registry.Entity
 }
 
 func encodeEntity(e *enc, ent *registry.Entity) {
@@ -70,7 +65,6 @@ func encodeMutation(e *enc, m *registry.Mutation) {
 		e.u64(kg.Gen)
 	}
 	encodeEntity(e, m.Entity)
-	e.dur(m.LeaseRemaining)
 }
 
 func decodeMutation(payload []byte) (mutation, error) {
@@ -84,12 +78,11 @@ func decodeMutation(payload []byte) (mutation, error) {
 		m.kindGens = append(m.kindGens, registry.KindGen{Kind: d.str(), Gen: d.u64()})
 	}
 	m.entity = decodeEntity(d)
-	m.leaseRemaining = d.dur()
 	if !d.done() {
 		return mutation{}, errCorrupt
 	}
 	switch m.typ {
-	case registry.Added, registry.Updated, registry.Removed, registry.Expired:
+	case registry.Added, registry.Updated, registry.Removed:
 	default:
 		return mutation{}, errCorrupt
 	}

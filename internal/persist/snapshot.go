@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/registry"
 )
@@ -20,7 +19,7 @@ import (
 // and a corrupted one is detected and skipped in favor of the previous one
 // (recovery then replays a longer WAL suffix instead).
 const (
-	snapMagic  = "DSPSNP1\n"
+	snapMagic  = "DSPSNP2\n"
 	snapPrefix = "snap-"
 	snapSuffix = ".snap"
 	tmpSuffix  = ".tmp"
@@ -87,12 +86,6 @@ type shardGens struct {
 	kinds  map[string]uint64
 }
 
-// snapEntity is one captured registration.
-type snapEntity struct {
-	entity         registry.Entity
-	leaseRemaining time.Duration
-}
-
 // snapState is a snapshot's decoded body: the complete node state at capture
 // plus the WAL position (firstSeg) the tail replay starts from.
 type snapState struct {
@@ -101,7 +94,7 @@ type snapState struct {
 	baseAll   uint64
 	baseKinds map[string]uint64
 	shards    []shardGens
-	entities  []snapEntity
+	entities  []registry.Entity
 	peers     map[string]PeerState
 	aggs      map[string][]byte
 }
@@ -121,8 +114,7 @@ func encodeSnapshot(s *snapState) []byte {
 	}
 	e.u64(uint64(len(s.entities)))
 	for i := range s.entities {
-		encodeEntity(e, &s.entities[i].entity)
-		e.dur(s.entities[i].leaseRemaining)
+		encodeEntity(e, &s.entities[i])
 	}
 	names := make([]string, 0, len(s.peers))
 	for name := range s.peers {
@@ -166,10 +158,7 @@ func decodeSnapshot(body []byte) (*snapState, error) {
 	}
 	n = d.count()
 	for i := 0; i < n && d.err == nil; i++ {
-		s.entities = append(s.entities, snapEntity{
-			entity:         decodeEntity(d),
-			leaseRemaining: d.dur(),
-		})
+		s.entities = append(s.entities, decodeEntity(d))
 	}
 	n = d.count()
 	s.peers = make(map[string]PeerState, n)

@@ -3,6 +3,7 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,6 +22,9 @@ var (
 	ErrCrashed = errors.New("persist: store crashed")
 	// ErrClosed is returned after Close.
 	ErrClosed = errors.New("persist: store closed")
+	// ErrOldFormat is returned by Open for a directory written in format 1,
+	// whose records carried registration leases.
+	ErrOldFormat = errors.New("this build reads format 2 only")
 )
 
 // Options tunes a Store. The zero value selects every default.
@@ -58,11 +62,9 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// RecoveredEntity is one registration recovered from disk, with the lease
-// time it had left when last persisted (zero = no lease).
+// RecoveredEntity is one registration recovered from disk.
 type RecoveredEntity struct {
-	Entity         registry.Entity
-	LeaseRemaining time.Duration
+	Entity registry.Entity
 }
 
 // Recovered is the node state rebuilt by Open from the latest valid
@@ -135,11 +137,38 @@ func Open(dir string, opts Options) (*Store, error) {
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
+	if err := refuseFormat1(dir); err != nil {
+		return nil, err
+	}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
 	go s.background()
 	return s, nil
+}
+
+// refuseFormat1 fails on a format-1 segment or snapshot before recover reads
+// the directory: recover would take the old WAL magic for a torn segment and
+// truncate it, and skip the old snapshot, quietly emptying the store.
+func refuseFormat1(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, ent := range entries {
+		path := filepath.Join(dir, ent.Name())
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		head := make([]byte, len(walMagic))
+		n, _ := io.ReadFull(f, head)
+		f.Close()
+		if m := string(head[:n]); m == "DSPWAL1\n" || m == "DSPSNP1\n" {
+			return fmt.Errorf("persist: %s is format 1 (registration leases); %w", path, ErrOldFormat)
+		}
+	}
+	return nil
 }
 
 // Recovered returns the state rebuilt at Open, nil for a fresh directory.
@@ -383,12 +412,7 @@ func (s *Store) Snapshot() error {
 			func(idx int, genAll uint64, kinds map[string]uint64) {
 				state.shards = append(state.shards, shardGens{idx: idx, genAll: genAll, kinds: kinds})
 			},
-			func(e registry.Entity, leaseRemaining time.Duration) {
-				state.entities = append(state.entities, snapEntity{
-					entity:         e,
-					leaseRemaining: leaseRemaining,
-				})
-			},
+			func(e registry.Entity) { state.entities = append(state.entities, e) },
 		)
 	}
 	for _, src := range sources {
@@ -541,11 +565,8 @@ func (s *Store) recover() error {
 			rec.Peers[name] = ps
 		}
 		rec.Entities = make([]RecoveredEntity, 0, len(r.entities))
-		for _, se := range r.entities {
-			rec.Entities = append(rec.Entities, RecoveredEntity{
-				Entity:         se.entity,
-				LeaseRemaining: se.leaseRemaining,
-			})
+		for _, e := range r.entities {
+			rec.Entities = append(rec.Entities, RecoveredEntity{Entity: e})
 		}
 		sort.Slice(rec.Entities, func(i, j int) bool {
 			return rec.Entities[i].Entity.ID < rec.Entities[j].Entity.ID
@@ -589,7 +610,7 @@ type replayState struct {
 	baseKinds map[string]uint64
 	shardAll  map[int]uint64
 	shardKind map[int]map[string]uint64
-	entities  map[registry.ID]snapEntity
+	entities  map[registry.ID]registry.Entity
 	peers     map[string]PeerState
 	aggs      map[string][]byte
 }
@@ -599,7 +620,7 @@ func newReplayState(snap *snapState) *replayState {
 		baseKinds: map[string]uint64{},
 		shardAll:  map[int]uint64{},
 		shardKind: map[int]map[string]uint64{},
-		entities:  map[registry.ID]snapEntity{},
+		entities:  map[registry.ID]registry.Entity{},
 		peers:     map[string]PeerState{},
 		aggs:      map[string][]byte{},
 	}
@@ -620,8 +641,8 @@ func newReplayState(snap *snapState) *replayState {
 		}
 		r.shardKind[sg.idx] = kinds
 	}
-	for _, se := range snap.entities {
-		r.entities[se.entity.ID] = se
+	for _, e := range snap.entities {
+		r.entities[e.ID] = e
 	}
 	for name, ps := range snap.peers {
 		r.peers[name] = ps
@@ -643,8 +664,8 @@ func (r *replayState) apply(typ byte, payload []byte) error {
 		}
 		switch m.typ {
 		case registry.Added, registry.Updated:
-			r.entities[m.entity.ID] = snapEntity{entity: m.entity, leaseRemaining: m.leaseRemaining}
-		case registry.Removed, registry.Expired:
+			r.entities[m.entity.ID] = m.entity
+		case registry.Removed:
 			delete(r.entities, m.entity.ID)
 		}
 		if m.genAll > r.shardAll[m.shard] {

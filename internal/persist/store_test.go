@@ -1,9 +1,13 @@
 package persist
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,7 +20,7 @@ func newJournaledRegistry(t *testing.T, s *Store) *registry.Registry {
 	reg := registry.New(registry.WithShards(4))
 	if rec := s.Recovered(); rec != nil {
 		for _, re := range rec.Entities {
-			if err := reg.RestoreEntity(re.Entity, re.LeaseRemaining); err != nil {
+			if err := reg.RestoreEntity(re.Entity); err != nil {
 				t.Fatalf("RestoreEntity: %v", err)
 			}
 		}
@@ -129,36 +133,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if got := reg2.Generation("PresenceSensor"); got <= wantGen {
 		t.Fatalf("post-recovery gen %d did not advance past %d", got, wantGen)
-	}
-}
-
-// TestStoreLeaseRelativeRestore is the satellite-1 companion at the store
-// level: lease remaining times survive the snapshot+WAL round trip.
-func TestStoreLeaseRelativeRestore(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{SyncEvery: true})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	reg := newJournaledRegistry(t, s)
-	if err := reg.Register(ent(0, "A"), registry.WithTTL(time.Hour)); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	s.Crash()
-	reg.Close()
-
-	s2, err := Open(dir, Options{SyncEvery: true})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer s2.Close()
-	rec := s2.Recovered()
-	if len(rec.Entities) != 1 {
-		t.Fatalf("recovered %d entities", len(rec.Entities))
-	}
-	rem := rec.Entities[0].LeaseRemaining
-	if rem <= 0 || rem > time.Hour {
-		t.Fatalf("lease remaining = %v, want (0, 1h]", rem)
 	}
 }
 
@@ -353,5 +327,108 @@ func TestStoreRepairsTornTail(t *testing.T) {
 	defer s3.Close()
 	if got := len(s3.Recovered().Entities); got != 8 {
 		t.Fatalf("third incarnation recovered %d entities, want 8", got)
+	}
+}
+
+// format1Dir writes a directory as a format-1 build left it: a DSPWAL1
+// segment holding one mutation record whose payload ends in the lease
+// varint, and a DSPSNP1 snapshot whose entity carries one too.
+func format1Dir(t *testing.T, withSeg, withSnap bool) string {
+	t.Helper()
+	dir := t.TempDir()
+	e := ent(0, "A")
+	if withSeg {
+		p := &enc{}
+		encodeMutation(p, &registry.Mutation{
+			Type:     registry.Added,
+			GenAll:   1,
+			KindGens: []registry.KindGen{{Kind: "PresenceSensor", Gen: 1}, {Kind: "Sensor", Gen: 1}},
+			Entity:   &e,
+		})
+		p.i64(int64(90 * time.Second)) // lease remaining
+		seg := buildSegment(append([]byte{recMutation}, p.b...))
+		copy(seg, "DSPWAL1\n")
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if withSnap {
+		b := &enc{}
+		b.u8(1)       // body version
+		b.u64(1)      // firstSeg
+		b.u64(0)      // boot
+		b.u64(0)      // baseAll
+		b.u64Map(nil) // baseKinds
+		b.u64(0)      // shards
+		b.u64(1)      // entities
+		encodeEntity(b, &e)
+		b.i64(int64(time.Minute)) // lease remaining
+		b.u64(0)                  // peers
+		b.u64(0)                  // aggs
+		snap := []byte("DSPSNP1\n")
+		snap = binary.LittleEndian.AppendUint32(snap, uint32(len(b.b)))
+		snap = binary.LittleEndian.AppendUint32(snap, crc32.Checksum(b.b, crcTable))
+		snap = append(snap, b.b...)
+		if err := os.WriteFile(filepath.Join(dir, snapName(1, 1)), snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// readDir maps every file name in dir to its contents.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, ent := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[ent.Name()] = string(data)
+	}
+	return out
+}
+
+// TestOpenRefusesFormat1: a store written with registration leases is
+// refused by name and left byte-identical. Read as format 2, its segment's
+// unknown magic would be a torn segment truncated to 0 bytes and its
+// snapshot skipped, emptying the store without a word.
+func TestOpenRefusesFormat1(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		withSeg, withSnap bool
+	}{
+		{"segment and snapshot", true, true},
+		{"segment only", true, false},
+		{"snapshot only", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := format1Dir(t, tc.withSeg, tc.withSnap)
+			before := readDir(t, dir)
+			s, err := Open(dir, Options{})
+			if err == nil {
+				// Detach without the final snapshot a Close would write.
+				s.Crash()
+				s.Close()
+			}
+			after := readDir(t, dir)
+			if len(after) != len(before) {
+				t.Errorf("directory holds %d files after Open, want %d", len(after), len(before))
+			}
+			for name, data := range before {
+				if after[name] != data {
+					t.Errorf("%s changed: %d bytes before Open, %d after", name, len(data), len(after[name]))
+				}
+			}
+			if !errors.Is(err, ErrOldFormat) ||
+				!strings.Contains(err.Error(), "is format 1 (registration leases); this build reads format 2 only") {
+				t.Fatalf("Open err = %v, want the format-1 refusal", err)
+			}
+		})
 	}
 }

@@ -22,7 +22,7 @@ import (
 // or fails its CRC — a torn tail from a crash mid-append truncates the log
 // to its last consistent prefix instead of poisoning it.
 const (
-	walMagic   = "DSPWAL1\n"
+	walMagic   = "DSPWAL2\n"
 	segPrefix  = "wal-"
 	segSuffix  = ".log"
 	frameHdr   = 8       // u32 length + u32 crc

@@ -47,14 +47,13 @@ func NewAttachments(reg *Registry, q Query, attach func(Entity) (detach func(), 
 }
 
 // Apply applies one batch of watcher changes: Added and Updated attach an
-// entity not yet attached (or refresh one that is), Removed and Expired
-// detach it.
+// entity not yet attached (or refresh one that is), Removed detaches it.
 func (a *Attachments) Apply(changes []Change) {
 	for i := range changes {
 		switch c := &changes[i]; c.Type {
 		case Added, Updated:
 			a.Add(c.Entity)
-		case Removed, Expired:
+		case Removed:
 			a.Remove(c.Entity.ID)
 		}
 	}

@@ -50,18 +50,14 @@ func TestAttachmentsStopBeforeAttach(t *testing.T) {
 			for range ents {
 				<-entered
 			}
-			// Half the fleet leaves (unregistered or expired) while its
-			// attach is parked; Stop races the other half.
+			// Half the fleet is unregistered while its attach is parked;
+			// Stop races the other half.
 			for i := 0; i < n/2; i++ {
-				typ := Removed
-				if i%2 == 1 {
-					typ = Expired
-				}
 				stopping.Add(1)
 				go func(c Change) {
 					defer stopping.Done()
 					a.Apply([]Change{c})
-				}(Change{Type: typ, Entity: ents[i]})
+				}(Change{Type: Removed, Entity: ents[i]})
 			}
 			stopping.Add(1)
 			go func() {

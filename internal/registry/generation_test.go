@@ -3,13 +3,10 @@ package registry
 import (
 	"fmt"
 	"testing"
-	"time"
-
-	"repro/internal/simclock"
 )
 
 // Generation must move on every membership/attribute mutation — register,
-// update, unregister — and stay put on reads and renewals.
+// update, unregister — and stay put on reads.
 func TestGenerationBumpsOnMutations(t *testing.T) {
 	r := New()
 	defer r.Close()
@@ -41,13 +38,6 @@ func TestGenerationBumpsOnMutations(t *testing.T) {
 		t.Fatal("Update did not bump generation")
 	}
 
-	if err := r.Renew("s1", time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Generation("Sensor"); got != g2 {
-		t.Fatalf("Renew bumped generation: %d -> %d", g2, got)
-	}
-
 	if err := r.Unregister("s1"); err != nil {
 		t.Fatal(err)
 	}
@@ -76,30 +66,6 @@ func TestGenerationCoversTaxonomyAncestors(t *testing.T) {
 	}
 	if got := r.Generation("Thermometer"); got != 0 {
 		t.Fatalf("unrelated kind generation = %d, want 0", got)
-	}
-}
-
-// A lease that runs out must bump the generation when Generation is next
-// read, without the caller scanning or sweeping anything.
-func TestGenerationObservesExpiry(t *testing.T) {
-	vc := simclock.NewVirtual(time.Date(2017, 6, 5, 9, 0, 0, 0, time.UTC))
-	r := New(WithClock(vc))
-	defer r.Close()
-
-	if err := r.Register(Entity{ID: "s1", Kind: "Sensor"}, WithTTL(time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	g1 := r.Generation("Sensor")
-	vc.Advance(30 * time.Second)
-	if got := r.Generation("Sensor"); got != g1 {
-		t.Fatalf("generation moved before expiry: %d -> %d", g1, got)
-	}
-	vc.Advance(31 * time.Second)
-	if got := r.Generation("Sensor"); got == g1 {
-		t.Fatal("generation did not move after lease expiry")
-	}
-	if _, ok := r.Get("s1"); ok {
-		t.Fatal("expired entity still present")
 	}
 }
 

@@ -21,7 +21,6 @@ package registry
 import (
 	"slices"
 	"sync/atomic"
-	"time"
 )
 
 // KindGen pairs one kind of a mutated entity's taxonomy with the journaling
@@ -35,7 +34,7 @@ type KindGen struct {
 // and KindGens carry the mutating shard's own counters as they stand after
 // this mutation — shard-local values, not cross-shard sums.
 type Mutation struct {
-	// Type is Added, Updated, Removed or Expired.
+	// Type is Added, Updated or Removed.
 	Type ChangeType
 	// Shard is the index of the lock domain that committed the mutation.
 	Shard int
@@ -48,9 +47,6 @@ type Mutation struct {
 	// and slices and is valid only for the duration of the journal call:
 	// encode it immediately, do not retain it.
 	Entity *Entity
-	// LeaseRemaining is how much of the entity's lease was left when the
-	// mutation committed; zero for lease-free registrations and deletes.
-	LeaseRemaining time.Duration
 }
 
 // Journal receives every committed mutation. It is called under the mutated
@@ -72,7 +68,7 @@ func (r *Registry) SetJournal(j Journal) {
 // journalLocked hands one committed mutation to the installed journal.
 // Callers hold sh.mu and call it immediately before bumpLocked, so the
 // journal sees the counters the bump is about to publish.
-func (r *Registry) journalLocked(sh *regShard, typ ChangeType, rec *record, now time.Time) {
+func (r *Registry) journalLocked(sh *regShard, typ ChangeType, rec *record) {
 	jp := r.journal.Load()
 	if jp == nil {
 		return
@@ -88,11 +84,6 @@ func (r *Registry) journalLocked(sh *regShard, typ ChangeType, rec *record, now 
 	}
 	for i, k := range e.Kinds {
 		m.KindGens[i] = KindGen{Kind: k, Gen: sh.kindGen(k).Load() + 1}
-	}
-	if rec.expires != 0 && !now.IsZero() {
-		if rem := time.Duration(rec.expires - now.UnixNano()); rem > 0 {
-			m.LeaseRemaining = rem
-		}
 	}
 	(*jp)(m)
 	sh.journalEnt = Entity{}
@@ -132,15 +123,11 @@ func (r *Registry) baseFor(kind string) uint64 {
 // RestoreEntity installs one recovered entity without journaling, bumping
 // generations or notifying watchers: the caller restores the matching
 // generation base separately, and recovery happens before watchers attach.
-// A remaining lease is re-anchored at the current clock — a lease written
-// shortly before a crash resumes with the time it had left instead of
-// expiring instantly on boot. An entity already present under the same ID is
-// replaced.
-func (r *Registry) RestoreEntity(e Entity, leaseRemaining time.Duration) error {
+// An entity already present under the same ID is replaced.
+func (r *Registry) RestoreEntity(e Entity) error {
 	if err := normalizeEntity(&e); err != nil {
 		return err
 	}
-	now := r.clock.Now()
 	sh := r.shard(e.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -149,14 +136,8 @@ func (r *Registry) RestoreEntity(e Entity, leaseRemaining time.Duration) error {
 	}
 	if old, ok := sh.entities[e.ID]; ok {
 		sh.unindexLocked(old)
-		if old.expires != 0 {
-			sh.leased--
-		}
 	}
 	rec := &record{}
-	if leaseRemaining > 0 {
-		sh.leaseLocked(rec, now, leaseRemaining)
-	}
 	sh.entities[e.ID] = rec
 	sh.indexLocked(rec, &e)
 	return nil
@@ -164,79 +145,61 @@ func (r *Registry) RestoreEntity(e Entity, leaseRemaining time.Duration) error {
 
 // Reclaim re-binds an entity a restarted process recovered from its
 // snapshot: when the registration already exists with identical content,
-// only the lease is refreshed and watchers receive an Updated notification —
-// the generation counters do NOT move, so federation peers holding the
-// restored generations see no change and skip the rescan entirely. Content
-// changes and missing registrations fall back to a journaled, counted
+// watchers receive an Updated notification and nothing else changes — the
+// generation counters do NOT move, so federation peers holding the restored
+// generations see no change and skip the rescan entirely. Content changes
+// and missing registrations fall back to a journaled, counted
 // update/registration, exactly like Update/Register.
-func (r *Registry) Reclaim(e Entity, opts ...RegisterOption) error {
+func (r *Registry) Reclaim(e Entity) error {
 	if err := normalizeEntity(&e); err != nil {
 		return err
 	}
-	var cfg registerConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	now := r.clock.Now()
 	sh := r.shard(e.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if r.closed.Load() {
 		return ErrClosed
 	}
-	r.sweepShardLocked(sh, now)
 	rec, ok := sh.entities[e.ID]
 	if ok && !rec.equal(&e) {
 		// Same ID, changed content: a journaled, generation-bumping update.
 		sh.unindexLocked(rec)
 		sh.indexLocked(rec, &e)
-		if cfg.ttl > 0 {
-			sh.leaseLocked(rec, now, cfg.ttl)
-		}
-		r.journalLocked(sh, Updated, rec, now)
+		r.journalLocked(sh, Updated, rec)
 		sh.bumpLocked(rec)
 		r.notify(Change{Type: Updated, Entity: rec.entity()})
 		return nil
 	}
 	if ok {
-		// Identical content: refresh the lease, notify watchers so local
-		// attachments (exporters, trackers) re-resolve the reborn driver,
-		// and leave the generation counters untouched.
-		if cfg.ttl > 0 {
-			sh.leaseLocked(rec, now, cfg.ttl)
-		}
+		// Identical content: notify watchers so local attachments
+		// (exporters, trackers) re-resolve the reborn driver, and leave the
+		// generation counters untouched.
 		r.notify(Change{Type: Updated, Entity: rec.entity()})
 		return nil
 	}
 	rec = &record{}
-	if cfg.ttl > 0 {
-		sh.leaseLocked(rec, now, cfg.ttl)
-	}
 	sh.entities[e.ID] = rec
 	sh.indexLocked(rec, &e)
-	r.journalLocked(sh, Added, rec, now)
+	r.journalLocked(sh, Added, rec)
 	sh.bumpLocked(rec)
 	r.notify(Change{Type: Added, Entity: rec.entity()})
 	return nil
 }
 
 // CaptureState walks the registry for a snapshot: for each shard — visited
-// under its own lock, after sweeping expired leases — shard is called once
-// with the shard's generation counters, then ent once per entity with the
-// lease time it has left (zero = no lease). The kinds map is freshly
-// allocated per shard and may be retained. The Entity may be retained too:
+// under its own lock — shard is called once with the shard's generation
+// counters, then ent once per entity. The kinds map is freshly allocated per
+// shard and may be retained. The Entity may be retained too:
 // its Kinds and Attrs are its shard's shape, which is never mutated — but
 // shared with the registry and every entity of equal content, so they must
 // not be mutated. Do not call back into the Registry from either callback.
 func (r *Registry) CaptureState(
 	shard func(idx int, genAll uint64, kinds map[string]uint64),
-	ent func(e Entity, leaseRemaining time.Duration),
+	ent func(Entity),
 ) {
-	now := r.clock.Now()
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
-		r.sweepShardLocked(sh, now)
 		kinds := make(map[string]uint64)
 		sh.gens.Range(func(k, v any) bool {
 			kinds[k.(string)] = v.(*atomic.Uint64).Load()
@@ -244,11 +207,7 @@ func (r *Registry) CaptureState(
 		})
 		shard(i, sh.genAll.Load(), kinds)
 		for _, rec := range sh.entities {
-			var rem time.Duration
-			if rec.expires != 0 {
-				rem = time.Duration(rec.expires - now.UnixNano())
-			}
-			ent(rec.entity(), rem)
+			ent(rec.entity())
 		}
 		sh.mu.Unlock()
 	}

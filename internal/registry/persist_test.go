@@ -3,9 +3,6 @@ package registry
 import (
 	"fmt"
 	"testing"
-	"time"
-
-	"repro/internal/simclock"
 )
 
 func persistEntity(i int, lot string) Entity {
@@ -96,73 +93,16 @@ func TestRestoreGenerationsMonotonic(t *testing.T) {
 	}
 }
 
-// TestLeaseRelativeRestore is the satellite regression test: a lease written
-// 30s before the crash must not instantly expire on boot — it resumes with
-// the time it had left, measured from the restart instant.
-func TestLeaseRelativeRestore(t *testing.T) {
-	epoch := time.Date(2017, 6, 5, 9, 0, 0, 0, time.UTC)
-	vc := simclock.NewVirtual(epoch)
-	r := New(WithClock(vc))
-	defer r.Close()
-
-	// The crashed incarnation held a 2-minute lease with 90s left. The new
-	// process boots much later in wall time — relative restore must anchor
-	// at the boot clock, not the original expiry.
-	vc.Advance(48 * time.Hour)
-	if err := r.RestoreEntity(persistEntity(1, "A"), 90*time.Second); err != nil {
-		t.Fatalf("RestoreEntity: %v", err)
-	}
-	if _, ok := r.Get("dev-001"); !ok {
-		t.Fatalf("restored entity expired instantly on boot")
-	}
-	// Still alive just before the remaining lease runs out…
-	vc.Advance(89 * time.Second)
-	if _, ok := r.Get("dev-001"); !ok {
-		t.Fatalf("restored lease expired %v early", time.Second)
-	}
-	// …and gone after it.
-	vc.Advance(2 * time.Second)
-	if _, ok := r.Get("dev-001"); ok {
-		t.Fatalf("restored lease did not expire after its remaining time")
-	}
-}
-
-// TestJournalLeaseRemaining: journaled mutations carry the lease time left
-// at commit, so replay restores relative — not absolute — deadlines.
-func TestJournalLeaseRemaining(t *testing.T) {
-	epoch := time.Date(2017, 6, 5, 9, 0, 0, 0, time.UTC)
-	vc := simclock.NewVirtual(epoch)
-	r := New(WithClock(vc))
-	defer r.Close()
-	var last Mutation
-	r.SetJournal(func(m Mutation) { last = m })
-	if err := r.Register(persistEntity(1, "A"), WithTTL(2*time.Minute)); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	if last.LeaseRemaining != 2*time.Minute {
-		t.Fatalf("journaled lease remaining = %v, want 2m", last.LeaseRemaining)
-	}
-	vc.Advance(30 * time.Second)
-	if err := r.Update("dev-001", Attributes{"lot": "B"}, ""); err != nil {
-		t.Fatalf("Update: %v", err)
-	}
-	if last.LeaseRemaining != 90*time.Second {
-		t.Fatalf("journaled lease remaining after 30s = %v, want 90s", last.LeaseRemaining)
-	}
-}
-
 // TestReclaimIdenticalKeepsGenerations: re-binding a recovered registration
-// with identical content refreshes the lease and notifies watchers but moves
-// no generation counter — the peer-visible no-op a clean restart needs.
+// with identical content notifies watchers but moves no generation counter —
+// the peer-visible no-op a clean restart needs.
 func TestReclaimIdenticalKeepsGenerations(t *testing.T) {
-	epoch := time.Date(2017, 6, 5, 9, 0, 0, 0, time.UTC)
-	vc := simclock.NewVirtual(epoch)
-	r := New(WithClock(vc))
+	r := New()
 	defer r.Close()
 	journaled := 0
 	r.SetJournal(func(Mutation) { journaled++ })
 
-	if err := r.RestoreEntity(persistEntity(1, "A"), 0); err != nil {
+	if err := r.RestoreEntity(persistEntity(1, "A")); err != nil {
 		t.Fatalf("RestoreEntity: %v", err)
 	}
 	r.RestoreGenerations(10, map[string]uint64{"PresenceSensor": 10})
@@ -171,7 +111,7 @@ func TestReclaimIdenticalKeepsGenerations(t *testing.T) {
 		t.Fatalf("Watch: %v", err)
 	}
 
-	if err := r.Reclaim(persistEntity(1, "A"), WithTTL(time.Minute)); err != nil {
+	if err := r.Reclaim(persistEntity(1, "A")); err != nil {
 		t.Fatalf("Reclaim: %v", err)
 	}
 	if journaled != 0 {
@@ -189,10 +129,16 @@ func TestReclaimIdenticalKeepsGenerations(t *testing.T) {
 	if c := batch[0]; c.Type != Updated || c.Entity.ID != "dev-001" {
 		t.Fatalf("watcher saw %v %s, want Updated dev-001", c.Type, c.Entity.ID)
 	}
-	// The reclaim's lease is live: it expires if never renewed.
-	vc.Advance(2 * time.Minute)
+	// The reclaimed registration is live: unbinding it is a journaled
+	// removal.
+	if err := r.Unregister("dev-001"); err != nil {
+		t.Fatalf("Unregister after reclaim: %v", err)
+	}
+	if journaled != 1 {
+		t.Fatalf("unregister after reclaim journaled %d mutations, want 1", journaled)
+	}
 	if _, ok := r.Get("dev-001"); ok {
-		t.Fatalf("reclaimed lease did not expire")
+		t.Fatalf("reclaimed entity still present after Unregister")
 	}
 }
 
@@ -203,7 +149,7 @@ func TestReclaimChangedContent(t *testing.T) {
 	defer r.Close()
 	journaled := 0
 	r.SetJournal(func(Mutation) { journaled++ })
-	if err := r.RestoreEntity(persistEntity(1, "A"), 0); err != nil {
+	if err := r.RestoreEntity(persistEntity(1, "A")); err != nil {
 		t.Fatalf("RestoreEntity: %v", err)
 	}
 	r.RestoreGenerations(10, map[string]uint64{"PresenceSensor": 10})
@@ -242,44 +188,34 @@ func TestReclaimMissing(t *testing.T) {
 }
 
 // TestCaptureStateConsistency: the capture walk reports every live entity
-// exactly once with its shard's counters, and sweeps expired leases first.
+// exactly once with its shard's counters, and no unregistered one.
 func TestCaptureStateConsistency(t *testing.T) {
-	epoch := time.Date(2017, 6, 5, 9, 0, 0, 0, time.UTC)
-	vc := simclock.NewVirtual(epoch)
-	r := New(WithClock(vc), WithShards(4))
+	r := New(WithShards(4))
 	defer r.Close()
-	for i := 0; i < 50; i++ {
+	for i := 0; i <= 50; i++ {
 		if err := r.Register(persistEntity(i, "A")); err != nil {
 			t.Fatalf("Register: %v", err)
 		}
 	}
-	if err := r.Register(persistEntity(50, "A"), WithTTL(time.Second)); err != nil {
-		t.Fatalf("Register leased: %v", err)
+	if err := r.Unregister(persistEntity(50, "A").ID); err != nil {
+		t.Fatalf("Unregister: %v", err)
 	}
-	vc.Advance(time.Minute) // the leased entity is expired but not yet swept
 
 	seen := make(map[ID]bool)
 	var genAll uint64
-	var leases int
 	r.CaptureState(
 		func(idx int, all uint64, kinds map[string]uint64) { genAll += all },
-		func(e Entity, rem time.Duration) {
+		func(e Entity) {
 			if seen[e.ID] {
 				t.Fatalf("entity %s captured twice", e.ID)
 			}
 			seen[e.ID] = true
-			if rem != 0 {
-				leases++
-			}
 		},
 	)
-	if len(seen) != 50 {
-		t.Fatalf("captured %d entities, want 50 (expired lease swept)", len(seen))
+	if len(seen) != 50 || seen[persistEntity(50, "A").ID] {
+		t.Fatalf("captured %d entities, want 50 (unregistered one absent)", len(seen))
 	}
-	if leases != 0 {
-		t.Fatalf("captured %d leased entities, want 0", leases)
-	}
-	// 50 registers + 1 leased register + 1 expiry = 52 counter moves.
+	// 51 registers + 1 unregister = 52 counter moves.
 	if genAll != 52 {
 		t.Fatalf("captured generation sum = %d, want 52", genAll)
 	}

@@ -7,13 +7,12 @@
 // the generated `discover.parkingEntrancePanels().whereLocation(...)` chain
 // in the paper's Figure 11.
 //
-// Registrations may carry a lease (TTL) so that entities that stop renewing
-// disappear from discovery, and watchers receive change notifications, which
-// the runtime uses for runtime-time binding (the paper's fourth binding
-// time).
+// An entity stays registered until it is unregistered; watchers receive
+// change notifications, which the runtime uses for runtime-time binding (the
+// paper's fourth binding time).
 //
-// The directory is sharded by entity-ID hash: registrations, renewals and
-// lookups on distinct entities proceed without contention, and Scan visits
+// The directory is sharded by entity-ID hash: registrations and lookups on
+// distinct entities proceed without contention, and Scan visits
 // large populations one shard at a time so a 50k-device periodic gather
 // never holds a registry-wide lock. Per-kind generation counters
 // (Generation) let periodic pollers detect membership change without
@@ -28,11 +27,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/handoff"
-
-	"repro/internal/simclock"
 )
 
 // ID uniquely identifies a registered entity.
@@ -128,7 +124,6 @@ const (
 	Added ChangeType = iota + 1
 	Updated
 	Removed
-	Expired
 )
 
 // String implements fmt.Stringer.
@@ -140,8 +135,6 @@ func (c ChangeType) String() string {
 		return "updated"
 	case Removed:
 		return "removed"
-	case Expired:
-		return "expired"
 	default:
 		return fmt.Sprintf("ChangeType(%d)", int(c))
 	}
@@ -163,15 +156,14 @@ var (
 	errEmptyKind = errors.New("registry: empty entity kind")
 )
 
-// record is one registration: everything but its ID, endpoint and lease
-// lives in its shape, shared with every record of the shard that has equal
-// content (see shape.go). slot is the record's index in its shape's members.
-// A record fits the 64 B size class.
+// record is one registration: everything but its ID and endpoint lives in
+// its shape, shared with every record of the shard that has equal content
+// (see shape.go). slot is the record's index in its shape's members. A
+// record fits the 48 B size class.
 type record struct {
 	id       ID
 	endpoint string
 	shape    *shape
-	expires  int64 // lease deadline in Unix nanoseconds; 0 when there is no lease
 	slot     int
 }
 
@@ -197,10 +189,9 @@ const DefaultShards = 16
 // within one registry lifetime.
 var idSeed = maphash.MakeSeed()
 
-// Registry is a concurrency-safe entity directory with attribute indexes,
-// leases and watchers, sharded by entity-ID hash. Use New.
+// Registry is a concurrency-safe entity directory with attribute indexes and
+// watchers, sharded by entity-ID hash. Use New.
 type Registry struct {
-	clock  simclock.Clock
 	shards []regShard
 	mask   uint64
 	closed atomic.Bool
@@ -227,7 +218,6 @@ type regShard struct {
 	entities map[ID]*record
 	byKind   map[string]shapeSet
 	byAttr   map[string]shapeSet // "key\x00value" -> shapes
-	leased   int                 // registrations carrying a lease
 
 	// shapes interns the distinct contents of the shard's records by
 	// canonical key (see shape.go). keyBuf and names are the scratch space
@@ -243,17 +233,11 @@ type regShard struct {
 	journalEnt Entity
 
 	// genAll and gens are the shard's membership-change counters, bumped
-	// (under mu) on every register/update/unregister/expire, per kind in
+	// (under mu) on every register/update/unregister, per kind in
 	// the entity's taxonomy. Readers sum them across shards lock-free, so
 	// a poller can detect fleet change without scanning.
 	genAll atomic.Uint64
 	gens   sync.Map // kind -> *atomic.Uint64
-
-	// nextExpiry is the earliest lease deadline in the shard (UnixNano;
-	// 0 = none). It may run early after a renewal, never late: a sweep is
-	// needed only when the clock passes it, keeping the per-operation
-	// sweep check O(1) for lease-free populations.
-	nextExpiry atomic.Int64
 
 	_ [32]byte // keep neighbouring shard locks off one cache line
 }
@@ -275,32 +259,8 @@ func (sh *regShard) kindGen(kind string) *atomic.Uint64 {
 	return v.(*atomic.Uint64)
 }
 
-// leaseLocked sets rec's lease to expire ttl after now, counting the lease
-// if rec had none, and lowers the shard's next-expiry watermark to it.
-func (sh *regShard) leaseLocked(rec *record, now time.Time, ttl time.Duration) {
-	if rec.expires == 0 {
-		sh.leased++
-	}
-	rec.expires = now.Add(ttl).UnixNano()
-	for {
-		cur := sh.nextExpiry.Load()
-		if cur != 0 && cur <= rec.expires {
-			return
-		}
-		if sh.nextExpiry.CompareAndSwap(cur, rec.expires) {
-			return
-		}
-	}
-}
-
 // Option configures a Registry.
 type Option func(*Registry)
-
-// WithClock sets the time source used for lease expiry. The default is the
-// real clock.
-func WithClock(c simclock.Clock) Option {
-	return func(r *Registry) { r.clock = c }
-}
 
 // WithShards sets the number of lock domains. n is rounded up to a power of
 // two; values below 1 select one shard.
@@ -318,7 +278,6 @@ func WithShards(n int) Option {
 // New returns an empty registry.
 func New(opts ...Option) *Registry {
 	r := &Registry{
-		clock:    simclock.Real{},
 		shards:   make([]regShard, DefaultShards),
 		mask:     DefaultShards - 1,
 		watchers: make(map[string]map[*Watcher]struct{}),
@@ -341,67 +300,42 @@ func (r *Registry) shard(id ID) *regShard {
 	return &r.shards[maphash.String(idSeed, string(id))&r.mask]
 }
 
-// RegisterOption configures a single registration.
-type RegisterOption func(*registerConfig)
-
-type registerConfig struct {
-	ttl time.Duration
-}
-
-// WithTTL gives the registration a lease that expires after d unless renewed.
-func WithTTL(d time.Duration) RegisterOption {
-	return func(c *registerConfig) { c.ttl = d }
-}
-
 // Register adds e to the registry. It fails with ErrDuplicate if the ID is
-// already present (and not expired). The registry keeps neither e.Kinds nor
-// e.Attrs: it points the record at the shard's shape of equal content,
-// copying them only when the shard holds no such shape yet, so the caller
-// may reuse or mutate both afterwards.
-func (r *Registry) Register(e Entity, opts ...RegisterOption) error {
+// already present. The registry keeps neither e.Kinds nor e.Attrs: it points
+// the record at the shard's shape of equal content, copying them only when
+// the shard holds no such shape yet, so the caller may reuse or mutate both
+// afterwards.
+func (r *Registry) Register(e Entity) error {
 	if err := normalizeEntity(&e); err != nil {
 		return err
 	}
-	var cfg registerConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-
-	now := r.clock.Now()
 	sh := r.shard(e.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if r.closed.Load() {
 		return ErrClosed
 	}
-	r.sweepShardLocked(sh, now)
 	if _, ok := sh.entities[e.ID]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicate, e.ID)
 	}
 	rec := &record{}
-	if cfg.ttl > 0 {
-		sh.leaseLocked(rec, now, cfg.ttl)
-	}
 	sh.entities[e.ID] = rec
 	sh.indexLocked(rec, &e)
-	r.journalLocked(sh, Added, rec, now)
+	r.journalLocked(sh, Added, rec)
 	sh.bumpLocked(rec)
 	r.notify(Change{Type: Added, Entity: rec.entity()})
 	return nil
 }
 
 // Update replaces the attributes and endpoint of an existing entity. The
-// kind and lease are unchanged. Like Register, it keeps no reference to
-// attrs.
+// kind is unchanged. Like Register, it keeps no reference to attrs.
 func (r *Registry) Update(id ID, attrs Attributes, endpoint string) error {
-	now := r.clock.Now()
 	sh := r.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if r.closed.Load() {
 		return ErrClosed
 	}
-	r.sweepShardLocked(sh, now)
 	rec, ok := sh.entities[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
@@ -410,31 +344,9 @@ func (r *Registry) Update(id ID, attrs Attributes, endpoint string) error {
 	e.Attrs, e.Endpoint = attrs, endpoint
 	sh.unindexLocked(rec)
 	sh.indexLocked(rec, &e)
-	r.journalLocked(sh, Updated, rec, now)
+	r.journalLocked(sh, Updated, rec)
 	sh.bumpLocked(rec)
 	r.notify(Change{Type: Updated, Entity: rec.entity()})
-	return nil
-}
-
-// Renew extends the lease of id by ttl from now. Renewing an entity
-// registered without a TTL gives it one.
-func (r *Registry) Renew(id ID, ttl time.Duration) error {
-	if ttl <= 0 {
-		return errors.New("registry: non-positive TTL")
-	}
-	now := r.clock.Now()
-	sh := r.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if r.closed.Load() {
-		return ErrClosed
-	}
-	r.sweepShardLocked(sh, now)
-	rec, ok := sh.entities[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	sh.leaseLocked(rec, now, ttl)
 	return nil
 }
 
@@ -450,17 +362,19 @@ func (r *Registry) Unregister(id ID) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	r.removeLocked(sh, rec, Removed)
+	delete(sh.entities, rec.id)
+	sh.unindexLocked(rec)
+	r.journalLocked(sh, Removed, rec)
+	sh.bumpLocked(rec)
+	r.notify(Change{Type: Removed, Entity: rec.entity()})
 	return nil
 }
 
 // Get returns the entity registered under id.
 func (r *Registry) Get(id ID) (Entity, bool) {
-	now := r.clock.Now()
 	sh := r.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r.sweepShardLocked(sh, now)
 	rec, ok := sh.entities[id]
 	if !ok {
 		return Entity{}, false
@@ -472,10 +386,9 @@ func (r *Registry) Get(id ID) (Entity, bool) {
 // shard is visited independently, so concurrent mutations of other shards
 // are never blocked by a discovery in flight.
 func (r *Registry) Discover(q Query) []Entity {
-	now := r.clock.Now()
 	var out []Entity
 	for i := range r.shards {
-		r.scanShard(&r.shards[i], q, now, func(rec *record) bool {
+		r.scanShard(&r.shards[i], q, func(rec *record) bool {
 			out = append(out, cloneEntity(rec.entity()))
 			return true
 		})
@@ -501,10 +414,9 @@ func (r *Registry) Discover(q Query) []Entity {
 // call back into the Registry. Visit order is unspecified; q.Limit bounds
 // the number of visits.
 func (r *Registry) Scan(q Query, fn func(Entity) bool) {
-	now := r.clock.Now()
 	visited := 0
 	for i := range r.shards {
-		more := r.scanShard(&r.shards[i], q, now, func(rec *record) bool {
+		more := r.scanShard(&r.shards[i], q, func(rec *record) bool {
 			visited++
 			return fn(rec.entity()) && (q.Limit <= 0 || visited < q.Limit)
 		})
@@ -514,25 +426,22 @@ func (r *Registry) Scan(q Query, fn func(Entity) bool) {
 	}
 }
 
-// scanShard sweeps one shard and visits its entities matching q under the
-// shard lock. The lock is released even if visit panics: Scan runs the
-// caller's function there, and a shard left locked would wedge every later
-// mutation of it and Close.
-func (r *Registry) scanShard(sh *regShard, q Query, now time.Time, visit func(*record) bool) bool {
+// scanShard visits one shard's entities matching q under the shard lock.
+// The lock is released even if visit panics: Scan runs the caller's function
+// there, and a shard left locked would wedge every later mutation of it and
+// Close.
+func (r *Registry) scanShard(sh *regShard, q Query, visit func(*record) bool) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r.sweepShardLocked(sh, now)
 	return sh.scanLocked(q, visit)
 }
 
-// Count reports the number of live registrations.
+// Count reports the number of registrations.
 func (r *Registry) Count() int {
-	now := r.clock.Now()
 	n := 0
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
-		r.sweepShardLocked(sh, now)
 		n += len(sh.entities)
 		sh.mu.Unlock()
 	}
@@ -541,30 +450,17 @@ func (r *Registry) Count() int {
 
 // Generation returns a counter that changes whenever the membership,
 // attributes or endpoint of entities of the given kind (or any taxonomy
-// descendant) change — register, update, unregister and lease expiry all
-// bump it; renewals do not. kind "" covers every entity. Two equal reads
-// with no mutation committed in between guarantee an unchanged population,
-// so periodic pollers can reuse a cached fleet snapshot instead of
-// rescanning 50k entities per tick.
-//
-// The read is lock-free except that shards whose earliest lease deadline has
-// passed are swept first, so expirations are observed without the caller
-// scanning anything.
+// descendant) change — register, update and unregister bump it, each under
+// its shard lock. kind "" covers every entity. Two equal reads with no
+// mutation committed in between guarantee an unchanged population, so
+// periodic pollers can reuse a cached fleet snapshot instead of rescanning
+// 50k entities per tick. The read takes no lock.
 func (r *Registry) Generation(kind string) uint64 {
-	var now time.Time
 	// Start from the restored floor (zero unless RestoreGenerations ran) so
 	// generations stay monotonic across a crash and restart.
 	sum := r.baseFor(kind)
 	for i := range r.shards {
 		sh := &r.shards[i]
-		if next := sh.nextExpiry.Load(); next != 0 {
-			if now.IsZero() {
-				now = r.clock.Now()
-			}
-			if now.UnixNano() >= next {
-				r.sweepShard(sh, now)
-			}
-		}
 		if kind == "" {
 			sum += sh.genAll.Load()
 		} else if v, ok := sh.gens.Load(kind); ok {
@@ -587,26 +483,6 @@ func (r *Registry) ScanIfChanged(kind string, since uint64, fn func(Entity) bool
 	}
 	r.Scan(Query{Kind: kind}, fn)
 	return gen, true
-}
-
-// Sweep removes expired registrations immediately and reports how many were
-// evicted. Expiry also happens lazily on every read/write, so calling Sweep
-// is only needed to force notifications promptly.
-func (r *Registry) Sweep() int {
-	now := r.clock.Now()
-	n := 0
-	for i := range r.shards {
-		n += r.sweepShard(&r.shards[i], now)
-	}
-	return n
-}
-
-// sweepShard evicts one shard's expired registrations under its lock and
-// reports how many.
-func (r *Registry) sweepShard(sh *regShard, now time.Time) int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return r.sweepShardLocked(sh, now)
 }
 
 // Watch registers a watcher that queues every change matching q, in commit
@@ -775,48 +651,6 @@ func dropPosting(index map[string]shapeSet, key string, s *shape) {
 			delete(index, key)
 		}
 	}
-}
-
-func (r *Registry) removeLocked(sh *regShard, rec *record, why ChangeType) {
-	delete(sh.entities, rec.id)
-	sh.unindexLocked(rec)
-	if rec.expires != 0 {
-		sh.leased--
-	}
-	r.journalLocked(sh, why, rec, time.Time{})
-	sh.bumpLocked(rec)
-	r.notify(Change{Type: why, Entity: rec.entity()})
-}
-
-// sweepShardLocked evicts expired leases. It is O(1) unless the shard holds
-// leases whose earliest deadline has passed; only then does it walk the
-// shard and recompute the next-expiry watermark.
-func (r *Registry) sweepShardLocked(sh *regShard, now time.Time) int {
-	if sh.leased == 0 {
-		sh.nextExpiry.Store(0)
-		return 0
-	}
-	ns := now.UnixNano()
-	if next := sh.nextExpiry.Load(); next != 0 && ns < next {
-		return 0
-	}
-	n := 0
-	var earliest int64
-	for _, rec := range sh.entities {
-		if rec.expires == 0 {
-			continue
-		}
-		if rec.expires <= ns {
-			r.removeLocked(sh, rec, Expired)
-			n++
-			continue
-		}
-		if earliest == 0 || rec.expires < earliest {
-			earliest = rec.expires
-		}
-	}
-	sh.nextExpiry.Store(earliest)
-	return n
 }
 
 // notify queues a change on every matching watcher: those of every kind and

@@ -5,12 +5,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"repro/internal/simclock"
 )
-
-var epoch = time.Date(2017, 6, 5, 0, 0, 0, 0, time.UTC)
 
 func sensor(id, lot string) Entity {
 	return Entity{
@@ -165,79 +160,23 @@ func TestUnregister(t *testing.T) {
 	}
 }
 
-func TestLeaseExpiry(t *testing.T) {
-	vc := simclock.NewVirtual(epoch)
-	r := New(WithClock(vc))
-	defer r.Close()
-	if err := r.Register(sensor("s1", "A22"), WithTTL(10*time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	vc.Advance(9 * time.Minute)
-	if _, ok := r.Get("s1"); !ok {
-		t.Fatal("entity expired early")
-	}
-	vc.Advance(time.Minute)
-	if _, ok := r.Get("s1"); ok {
-		t.Fatal("entity visible after lease expiry")
-	}
-	if n := r.Count(); n != 0 {
-		t.Fatalf("Count = %d after expiry, want 0", n)
-	}
-}
-
-func TestRenewExtendsLease(t *testing.T) {
-	vc := simclock.NewVirtual(epoch)
-	r := New(WithClock(vc))
-	defer r.Close()
-	if err := r.Register(sensor("s1", "A22"), WithTTL(10*time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	vc.Advance(9 * time.Minute)
-	if err := r.Renew("s1", 10*time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	vc.Advance(9 * time.Minute)
-	if _, ok := r.Get("s1"); !ok {
-		t.Fatal("renewed entity expired")
-	}
-	if err := r.Renew("s1", 0); err == nil {
-		t.Fatal("non-positive TTL accepted")
-	}
-	if err := r.Renew("ghost", time.Minute); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Renew(missing) err = %v, want ErrNotFound", err)
-	}
-}
-
-func TestExpiredIDCanReRegister(t *testing.T) {
-	vc := simclock.NewVirtual(epoch)
-	r := New(WithClock(vc))
-	defer r.Close()
-	if err := r.Register(sensor("s1", "A22"), WithTTL(time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	vc.Advance(2 * time.Minute)
-	if err := r.Register(sensor("s1", "B16")); err != nil {
-		t.Fatalf("re-register after expiry failed: %v", err)
-	}
-}
-
 func TestWatchReceivesMatchingChanges(t *testing.T) {
-	vc := simclock.NewVirtual(epoch)
-	r := New(WithClock(vc))
+	r := New()
 	defer r.Close()
 	w, err := r.Watch(Query{Kind: "PresenceSensor", Where: Attributes{"parkingLot": "A22"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Cancel()
-	if err := r.Register(sensor("s1", "A22"), WithTTL(time.Minute)); err != nil {
+	if err := r.Register(sensor("s1", "A22")); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Register(sensor("s2", "B16")); err != nil { // must not notify
 		t.Fatal(err)
 	}
-	vc.Advance(2 * time.Minute)
-	r.Sweep()
+	if err := r.Unregister("s1"); err != nil {
+		t.Fatal(err)
+	}
 
 	// Notifications are queued synchronously by the mutation, so both are
 	// pending now and Next returns them without blocking.
@@ -245,7 +184,7 @@ func TestWatchReceivesMatchingChanges(t *testing.T) {
 	if !ok || lost {
 		t.Fatalf("Next ok=%v lost=%v, want ok and nothing lost", ok, lost)
 	}
-	want := []ChangeType{Added, Expired}
+	want := []ChangeType{Added, Removed}
 	if len(batch) != len(want) {
 		t.Fatalf("got %d changes %+v, want %v", len(batch), batch, want)
 	}
@@ -333,7 +272,7 @@ func TestStringers(t *testing.T) {
 		t.Fatal("unknown BindingTime.String() wrong")
 	}
 	if Added.String() != "added" || Updated.String() != "updated" ||
-		Removed.String() != "removed" || Expired.String() != "expired" ||
+		Removed.String() != "removed" ||
 		ChangeType(9).String() != "ChangeType(9)" {
 		t.Fatal("ChangeType.String() wrong")
 	}

@@ -5,8 +5,8 @@ import (
 	"slices"
 )
 
-// A shape is everything a registration holds except its ID, endpoint and
-// lease: Kind, Kinds, Attrs, Origin and Bound. Fleets have few distinct
+// A shape is everything a registration holds except its ID and endpoint:
+// Kind, Kinds, Attrs, Origin and Bound. Fleets have few distinct
 // shapes — a 50k-sensor swarm over 100 lots has 100 — so each shard keeps
 // one per distinct content and every record points at its shape instead of
 // owning copies. The shard's kind and attribute indexes post shapes, not

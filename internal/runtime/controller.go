@@ -115,9 +115,9 @@ const maxViewProxies = 4096
 // discoveryViews is one controller clause's discovery cache: per kind and
 // where content, the proxies of one Registry.Discover, valid while the
 // kind's registry generation — read before that Discover — holds. Register,
-// update, unregister, lease expiry and a changed-content Reclaim move the
-// generation; renewals and an identical Reclaim do not, and a proxy resolves
-// its driver on every Invoke, so a rebound driver is still found. mu guards
+// update, unregister and a changed-content Reclaim move the generation; an
+// identical Reclaim does not, and a proxy resolves its driver on every
+// Invoke, so a rebound driver is still found. mu guards
 // the table because a handler may fan discovery out over goroutines.
 type discoveryViews struct {
 	mu       sync.Mutex

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/device"
 	"repro/internal/dsl"
@@ -114,12 +113,12 @@ func sameAsDiscover(t *testing.T, reg *registry.Registry, step string, kind stri
 
 // TestDevicesWhereMatchesDiscover is the discovery views' equivalence
 // property: over a seeded script of registrations, updates, removals,
-// renewals, lease expiry on the virtual clock, changed and identical
-// reclaims and a taxonomy subkind, every Devices and DevicesWhere result
+// changed and identical reclaims and a taxonomy subkind, every Devices and
+// DevicesWhere result
 // equals a fresh Registry.Discover. The where map is one map mutated between
 // calls, as generated selectors do.
 func TestDevicesWhereMatchesDiscover(t *testing.T) {
-	rt, vc, inCall := viewHarness(t)
+	rt, _, inCall := viewHarness(t)
 	reg := rt.Registry()
 	rng := rand.New(rand.NewSource(37))
 	zones := []string{"z0", "z1", "z2"}
@@ -174,24 +173,14 @@ func TestDevicesWhereMatchesDiscover(t *testing.T) {
 			switch r := rng.Intn(7); {
 			case !bound:
 				op = "register"
-				opts := []registry.RegisterOption{}
-				if rng.Intn(2) == 0 {
-					opts = append(opts, registry.WithTTL(time.Duration(1+rng.Intn(5))*time.Minute))
-				}
-				err = reg.Register(entity(id), opts...)
-			case r == 0:
+				err = reg.Register(entity(id))
+			case r == 0 || r == 2:
 				op = "update"
 				e := entity(id)
 				err = reg.Update(cur.ID, e.Attrs, e.Endpoint)
-			case r == 1:
+			case r == 1 || r == 3:
 				op = "unregister"
 				err = reg.Unregister(cur.ID)
-			case r == 2:
-				op = "renew"
-				err = reg.Renew(cur.ID, time.Duration(1+rng.Intn(5))*time.Minute)
-			case r == 3:
-				op = "expire"
-				vc.Advance(time.Duration(1+rng.Intn(3)) * time.Minute)
 			case r == 4:
 				op = "reclaim-identical"
 				err = reg.Reclaim(cur)

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/device"
-	"repro/internal/registry"
 )
 
 // deviceTable is the local-driver table of one Host: device ID → bound
@@ -50,48 +49,11 @@ func (t *deviceTable) rollback(id string, prev device.Driver, had bool) {
 	}
 }
 
-// reassert re-stores the driver after a successful registration, winning any
-// race against a janitor reap that fired between install and Register.
-func (t *deviceTable) reassert(drv device.Driver) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.m[drv.ID()] = drv
-}
-
 // remove drops one binding.
 func (t *deviceTable) remove(id string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.m, id)
-}
-
-// reapExpired releases the driver slot of an expired binding. The
-// registry-absence check and the delete share one lock hold, and BindDevice
-// reasserts its driver entry after a successful registration, so a stale
-// expiry notification can never strip a concurrently re-bound device of its
-// driver.
-func (t *deviceTable) reapExpired(id string, reg *registry.Registry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.m[id]; !ok {
-		return
-	}
-	if _, ok := reg.Get(registry.ID(id)); ok {
-		return // re-registered since the notification was queued
-	}
-	delete(t.m, id)
-}
-
-// ids snapshots the bound device IDs (the janitor's lost-notification
-// fallback rechecks each against the registry).
-func (t *deviceTable) ids() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.m))
-	for id := range t.m {
-		out = append(out, id)
-	}
-	return out
 }
 
 // resolve fills out[i] with the driver bound for ids[i] (nil when unbound)

@@ -112,8 +112,6 @@ type Host struct {
 	apps       map[string]*Runtime // nil value = Deploy in flight (slot reserved)
 	undeploys  map[string]*Runtime // Undeploy in flight
 	closed     bool
-	janitorOn  bool
-	watchers   []*registry.Watcher
 	gauges     map[string]func() map[string]uint64
 	peerSource func() []transport.PeerStatusRecord
 	// declApps lists, per device kind, the live apps whose design declares
@@ -126,7 +124,6 @@ type Host struct {
 	// retiredBus sums the final bus counts of apps no longer deployed, so
 	// HostStats.Bus never goes down when an app leaves.
 	retiredBus eventbus.Stats
-	wg         sync.WaitGroup
 
 	// Operations plane (see ops.go): the drain flag closes event admission
 	// host-wide, drainTimeout bounds the flush wait, and metricsSrv is the
@@ -155,7 +152,7 @@ func NewHost(cfg SubstrateConfig) (*Host, error) {
 	if h.clock == nil {
 		h.clock = simclock.Real{}
 	}
-	h.reg = registry.New(registry.WithClock(h.clock))
+	h.reg = registry.New()
 	h.drainTimeout = cfg.DrainTimeout
 	if h.drainTimeout <= 0 {
 		h.drainTimeout = defaultDrainTimeout
@@ -213,7 +210,7 @@ func (h *Host) openPersistence(dir string, opts persist.Options) error {
 	}
 	if rec := store.Recovered(); rec != nil {
 		for _, re := range rec.Entities {
-			if err := h.reg.RestoreEntity(re.Entity, re.LeaseRemaining); err != nil {
+			if err := h.reg.RestoreEntity(re.Entity); err != nil {
 				// Only structurally invalid recovered data fails here; detach
 				// without writing (a clean Close would snapshot the partially
 				// restored registry over the good on-disk state).
@@ -492,7 +489,7 @@ func (h *Host) Clock() simclock.Clock { return h.clock }
 // supplies the kind taxonomy and the attribute set. One binding serves every
 // tenant — that is the "N apps, one fleet" model. Binding may happen before
 // or after the apps start (the paper's runtime binding).
-func (h *Host) BindDevice(drv device.Driver, opts ...BindOption) error {
+func (h *Host) BindDevice(drv device.Driver) error {
 	decl := h.kindDecl(drv.Kind())
 	if decl == nil {
 		return fmt.Errorf("host: device kind %s not declared by any deployed app", drv.Kind())
@@ -500,15 +497,6 @@ func (h *Host) BindDevice(drv device.Driver, opts ...BindOption) error {
 	for name := range drv.Attributes() {
 		if _, ok := decl.Attributes[name]; !ok {
 			return fmt.Errorf("host: device %s has undeclared attribute %s", drv.ID(), name)
-		}
-	}
-	var cfg bindConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.ttl > 0 {
-		if err := h.ensureLeaseJanitor(); err != nil {
-			return fmt.Errorf("host: bind device %s: %w", drv.ID(), err)
 		}
 	}
 	// The driver is installed before Register so that watchers reacting to
@@ -524,10 +512,6 @@ func (h *Host) BindDevice(drv device.Driver, opts ...BindOption) error {
 		Attrs: drv.Attributes(),
 		Bound: registry.BindRuntime,
 	}
-	var ropts []registry.RegisterOption
-	if cfg.ttl > 0 {
-		ropts = append(ropts, registry.WithTTL(cfg.ttl))
-	}
 	register := h.reg.Register
 	if h.store != nil {
 		// A reborn node re-binds drivers for registrations recovered from
@@ -536,16 +520,10 @@ func (h *Host) BindDevice(drv device.Driver, opts ...BindOption) error {
 		// peers see no delta from a clean restart.
 		register = h.reg.Reclaim
 	}
-	if err := register(entity, ropts...); err != nil {
+	if err := register(entity); err != nil {
 		h.fleet.rollback(drv.ID(), prev, had)
 		return fmt.Errorf("host: bind device %s: %w", drv.ID(), err)
 	}
-	// Re-assert the driver entry now that the entity is registered: the
-	// lease janitor reaps entries whose ID is absent from the registry, so
-	// a reap that raced the window between the optimistic install above
-	// and Register must not win (reapExpired checks the registry under the
-	// same lock hold, making this store the tiebreaker).
-	h.fleet.reassert(drv)
 	return nil
 }
 
@@ -557,57 +535,6 @@ func (h *Host) kindDecl(kind string) *check.Device {
 	if apps := h.declApps[kind]; len(apps) > 0 {
 		return apps[0].model.Devices[kind]
 	}
-	return nil
-}
-
-// ensureLeaseJanitor lazily starts the watcher that reaps device-table
-// entries of expired leased bindings, so a device that stops renewing
-// releases its driver slot — for all tenants at once — like an explicit
-// UnbindDevice would. Started on the first leased bind only: lease-free
-// populations keep their watcher-free register fast path.
-func (h *Host) ensureLeaseJanitor() error {
-	h.mu.Lock()
-	if h.janitorOn || h.closed {
-		h.mu.Unlock()
-		return nil
-	}
-	h.janitorOn = true
-	h.mu.Unlock()
-	w, err := h.reg.Watch(registry.Query{})
-	if err != nil {
-		h.mu.Lock()
-		h.janitorOn = false
-		h.mu.Unlock()
-		return err
-	}
-	h.mu.Lock()
-	h.watchers = append(h.watchers, w)
-	h.mu.Unlock()
-	h.wg.Add(1)
-	go func() {
-		defer h.wg.Done()
-		var batch []registry.Change
-		for {
-			var lost, ok bool
-			if batch, lost, ok = w.Next(batch); !ok {
-				return
-			}
-			for _, c := range batch {
-				if c.Type == registry.Expired {
-					h.fleet.reapExpired(string(c.Entity.ID), h.reg)
-				}
-			}
-			// The janitor watches every registry change; if it fell past
-			// the watcher's queue bound, it repairs against the registry
-			// as an attachment table's Reconcile does, re-checking every
-			// driver entry.
-			if lost {
-				for _, id := range h.fleet.ids() {
-					h.fleet.reapExpired(id, h.reg)
-				}
-			}
-		}
-	}()
 	return nil
 }
 
@@ -756,16 +683,10 @@ func (h *Host) Close() {
 			apps = append(apps, rt)
 		}
 	}
-	watchers := h.watchers
-	h.watchers = nil
 	h.mu.Unlock()
 	for _, rt := range apps {
 		rt.stopApp()
 	}
-	for _, w := range watchers {
-		w.Cancel()
-	}
-	h.wg.Wait()
 	// The store seals with a final snapshot (after a Crash hook fired it
 	// writes nothing: the directory stays as the crash instant left it).
 	// That snapshot captures the registry, so the store seals before the

@@ -149,7 +149,7 @@ type appSpec struct {
 
 // worldCtor is one of the package's two ways to stand a substrate up and
 // start apps on it. runtime.New is a one-app host, so tests of substrate
-// behaviour (drain, lease reaping, persistence, fleet_stats) take the
+// behaviour (drain, unbind, persistence, fleet_stats) take the
 // constructor as input and run one body over both: nothing they assert may
 // depend on which spelling built the world.
 type worldCtor struct {

